@@ -30,6 +30,14 @@ if [ -n "${CHAM_SANITIZE:-}" ]; then
   echo "sanitizer ($CHAM_SANITIZE) suite passed"
 fi
 ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
+# The end-to-end benchmark (perfbench/, driven by `python3 perfbench/run.py`)
+# builds the serving libraries from src/ in its own CMake package. Build it
+# and run its unit tests (no timed runs) so a src/ change that breaks the
+# benchmark fails the regeneration.
+cmake -S perfbench -B .bench_build/perfbench >/dev/null &&
+  cmake --build .bench_build/perfbench -j "$(nproc)" &&
+  ctest --test-dir .bench_build/perfbench --output-on-failure ||
+  { echo "run_all.sh: perfbench build or unit tests failed" >&2; exit 1; }
 # Gated benches (bench_serve: fidelity/batched-bit-exact/throughput/
 # evict-lock/delta-ratio; bench_threads: bit-identity/speedup-or-skip/
 # no-subgrain-wakeup; bench_net: codec-zero-alloc/wire-bit-exact/

@@ -80,14 +80,7 @@ class ChameleonLearner : public HeadLearner {
   // environment resumes the stream bit-identically — the contract the
   // serving runtime's checkpoint-backed session eviction (src/serve/) is
   // built on. Implemented in core/checkpoint.cpp.
-  //
-  // `blob_precision` selects the storage precision of the ST/LT/staged
-  // latent payloads inside the blob (head weights and everything else stay
-  // fp32). kFp32 is lossless — the bit-identical resume contract holds only
-  // there; reduced precisions trade restore exactness for 2x-4x smaller
-  // blobs (the latents dominate the payload after the head).
-  bool save_state(std::ostream& os, quant::Precision blob_precision =
-                                        quant::Precision::kFp32) const;
+  bool save_state(std::ostream& os) const;
   bool load_state(std::istream& is);
   int64_t steps_observed() const { return step_; }
 

@@ -1,6 +1,5 @@
 #include "core/checkpoint.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
@@ -18,9 +17,9 @@ constexpr uint32_t kMagic = 0x43485332;  // "CHS2"
 // Version 2: single-blob full state (v1 stored only head-by-side-file,
 // buffers, and no preference/RNG/staging state, so a restored learner
 // diverged from an uninterrupted run at the next stochastic decision).
-// Version 3: a quant::Precision byte follows the version; ST/LT/staged
-// latent payloads are precision-tagged (replay::*_q framing), so blobs can
-// store latents at int8/fp16/bfp8 density. kFp32 stays lossless.
+// Version 3: a quant::Precision byte follows the version and ST/LT/staged
+// latent payloads are precision-tagged (replay::*_q framing). The tags are
+// always kFp32 now; other values are rejected on load.
 // Version 4: the ST store is a contiguous slab (replay::save_slot_store_q,
 // one range write of the latent payload) and the staged LT burst is a list
 // of (class, slot) refs into the LT store instead of deep-copied samples —
@@ -83,7 +82,7 @@ bool read_delta_header(Cursor& c, DeltaHeader& out) {
   uint8_t kind = 0;
   if (!c.read(magic) || magic != kDeltaMagic) return false;
   if (!c.read(version) || version != kDeltaVersion) return false;
-  if (!c.read(kind) || kind > static_cast<uint8_t>(DeltaKind::kOpLog)) {
+  if (!c.read(kind) || kind != static_cast<uint8_t>(DeltaKind::kOpLog)) {
     return false;
   }
   out.kind = static_cast<DeltaKind>(kind);
@@ -93,11 +92,10 @@ bool read_delta_header(Cursor& c, DeltaHeader& out) {
 
 }  // namespace
 
-bool ChameleonLearner::save_state(std::ostream& os,
-                                  quant::Precision blob_precision) const {
+bool ChameleonLearner::save_state(std::ostream& os) const {
   write_pod(os, kMagic);
   write_pod(os, kVersion);
-  write_pod(os, static_cast<uint8_t>(blob_precision));
+  write_pod(os, static_cast<uint8_t>(quant::Precision::kFp32));
 
   // Head parameters (values + BatchNorm running statistics), inline.
   // Always fp32: this is live training state (weights + BN statistics), and
@@ -113,15 +111,11 @@ bool ChameleonLearner::save_state(std::ostream& os,
 
   // Short-term store (contents + reservoir counter). The slab is
   // contiguous, so the fp32 latent payload is one range write.
-  if (!replay::save_slot_store_q(st_.store(), os, blob_precision)) {
-    return false;
-  }
+  if (!replay::save_slot_store_q(st_.store(), os)) return false;
 
   // Long-term store: flat sample list in (class, slot) order; re-inserting
   // in this order rebuilds the per-class slot arrays identically.
-  if (!replay::save_samples_q(lt_.all_samples(), os, blob_precision)) {
-    return false;
-  }
+  if (!replay::save_samples_q(lt_.all_samples(), os)) return false;
 
   // Staged LT burst and its consumption cursor: a learner evicted mid-burst
   // must keep consuming the same staged samples on restore. The burst is
@@ -161,9 +155,11 @@ bool ChameleonLearner::load_state(std::istream& is) {
   uint32_t magic = 0, version = 0;
   if (!read_pod(is, magic) || magic != kMagic) return false;
   if (!read_pod(is, version) || version != kVersion) return false;
+  // Checked before anything is loaded: a blob written at a lossy
+  // precision must leave the learner untouched.
   uint8_t precision = 0;
   if (!read_pod(is, precision) ||
-      precision > static_cast<uint8_t>(quant::Precision::kInt8)) {
+      precision != static_cast<uint8_t>(quant::Precision::kFp32)) {
     return false;
   }
 
@@ -286,93 +282,10 @@ bool read_delta_header(const char* data, std::size_t n, DeltaHeader& out) {
   return read_delta_header(c, out);
 }
 
-ByteBuf encode_chunk_delta(const char* base, std::size_t base_n,
-                           const char* next, std::size_t next_n,
-                           int64_t chunk_bytes) {
-  return encode_chunk_delta(base, base_n, next, next_n, chunk_bytes,
-                            blob_hash(base, base_n), blob_hash(next, next_n));
-}
-
-ByteBuf encode_chunk_delta(const char* base, std::size_t base_n,
-                           const char* next, std::size_t next_n,
-                           int64_t chunk_bytes, uint64_t base_hash,
-                           uint64_t next_hash) {
-  CHAM_CHECK(chunk_bytes > 0, "encode_chunk_delta: chunk_bytes must be > 0");
-  const auto chunk = static_cast<std::size_t>(chunk_bytes);
-
-  DeltaHeader h;
-  h.kind = DeltaKind::kChunkDiff;
-  h.base_hash = base_hash;
-  h.base_len = base_n;
-  h.next_hash = next_hash;
-  h.next_len = next_n;
-
-  ByteBuf out;
-  // Worst case every chunk is dirty; reserving the ceiling keeps the encode
-  // single-allocation (pool-recycled, same size class every eviction).
-  const std::size_t nchunks = next_n == 0 ? 0 : (next_n - 1) / chunk + 1;
-  out.reserve(64 + next_n + nchunks * sizeof(uint32_t));
-  append_delta_header(out, h);
-  append_pod(out, static_cast<uint32_t>(chunk));
-
-  // Dirty-count placeholder, patched after the scan.
-  const std::size_t count_pos = out.size();
-  append_pod(out, uint32_t{0});
-
-  uint32_t ndirty = 0;
-  for (std::size_t i = 0; i < nchunks; ++i) {
-    const std::size_t off = i * chunk;
-    const std::size_t len = std::min(chunk, next_n - off);
-    const bool clean = off + len <= base_n &&
-                       std::memcmp(base + off, next + off, len) == 0;
-    if (clean) continue;
-    append_pod(out, static_cast<uint32_t>(i));
-    out.insert(out.end(), next + off, next + off + len);
-    ++ndirty;
-  }
-  std::memcpy(out.data() + count_pos, &ndirty, sizeof(ndirty));
-  return out;
-}
-
-bool apply_chunk_delta(const char* base, std::size_t base_n,
-                       const char* delta, std::size_t delta_n, ByteBuf& out) {
-  Cursor c{delta, delta_n};
-  DeltaHeader h;
-  if (!read_delta_header(c, h) || h.kind != DeltaKind::kChunkDiff) {
-    return false;
-  }
-  if (h.base_len != base_n || h.base_hash != blob_hash(base, base_n)) {
-    return false;  // stale delta: it diffs against some other base blob
-  }
-  uint32_t chunk = 0, ndirty = 0;
-  if (!c.read(chunk) || chunk == 0 || !c.read(ndirty)) return false;
-
-  const auto next_n = static_cast<std::size_t>(h.next_len);
-  out.assign(next_n, 0);
-  // Start from the base (truncated/extended to the new length); dirty
-  // chunks then overwrite their ranges.
-  std::memcpy(out.data(), base, std::min(base_n, next_n));
-
-  const std::size_t nchunks = next_n == 0 ? 0 : (next_n - 1) / chunk + 1;
-  for (uint32_t k = 0; k < ndirty; ++k) {
-    uint32_t idx = 0;
-    if (!c.read(idx) || idx >= nchunks) return false;
-    const std::size_t off = static_cast<std::size_t>(idx) * chunk;
-    const std::size_t len = std::min<std::size_t>(chunk, next_n - off);
-    if (c.left < len) return false;
-    std::memcpy(out.data() + off, c.p, len);
-    c.p += len;
-    c.left -= len;
-  }
-  return blob_hash(out.data(), out.size()) == h.next_hash;
-}
-
 ByteBuf encode_op_log(const DeltaHeader& header,
                       const std::vector<data::ServeOp>& ops) {
-  DeltaHeader h = header;
-  h.kind = DeltaKind::kOpLog;
   ByteBuf out;
-  append_delta_header(out, h);
+  append_delta_header(out, header);
   ByteBufWriter os(out);
   const bool ok = data::save_ops(ops, os);
   CHAM_CHECK(ok, "encode_op_log: op serialisation failed");
@@ -383,7 +296,7 @@ bool read_op_log(const char* delta, std::size_t delta_n,
                  std::vector<data::ServeOp>& out) {
   Cursor c{delta, delta_n};
   DeltaHeader h;
-  if (!read_delta_header(c, h) || h.kind != DeltaKind::kOpLog) return false;
+  if (!read_delta_header(c, h)) return false;
   ByteBufReader is(c.p, c.left);
   return data::load_ops(out, is);
 }

@@ -13,34 +13,19 @@
 //
 // Two wire formats live here:
 //
-//   CHS2 v3 (full blob)   The complete state, as ChameleonLearner::
-//                         save_state / load_state. v3 adds a latent-storage
-//                         precision tag: ST/LT/staged latents can be stored
-//                         int8/fp16/bfp8 (quant/quantize.h) for denser
-//                         blobs; kFp32 is the default and round-trips
-//                         bit-exactly.
-//   CHS3 (delta frame)    A delta against a previously flushed full blob,
-//                         in one of two kinds:
-//                           kChunkDiff   dirty fixed-size chunks of the new
-//                                        blob vs the base blob. Wins when
-//                                        little state changed (predict-only
-//                                        or idle evictions; LT edits are
-//                                        in-place at capacity, so they stay
-//                                        local).
-//                           kOpLog       the observe/predict requests the
-//                                        session served since the base blob
-//                                        was captured. Restore replays them
-//                                        through the learner; the repo-wide
-//                                        bit-determinism contract makes the
-//                                        result byte-identical to the state
-//                                        that was evicted, and the frame's
-//                                        hash of that state verifies it.
-//                                        Wins after training steps, where a
-//                                        single SGD step dirties ~85% of
-//                                        the head chunks (measured; the
-//                                        head is ~94% of the blob).
-//                         Both kinds carry FNV-1a hashes of the base and
-//                         reconstructed blobs, so a mismatched or stale
+//   CHS2 v4 (full blob)   The complete state, as ChameleonLearner::
+//                         save_state / load_state. Latent payloads carry a
+//                         quant::Precision tag byte, always kFp32: blobs
+//                         round-trip bit-exactly, and a blob tagged with any
+//                         other precision is rejected on load.
+//   CHS3 (delta frame)    An op log against a previously flushed full blob:
+//                         the observe/predict requests the session served
+//                         since the base blob was captured. Restore replays
+//                         them through the learner; the repo-wide
+//                         bit-determinism contract makes the result
+//                         byte-identical to the state that was evicted, and
+//                         the frame's FNV-1a hashes of the base and target
+//                         blobs verify both ends, so a mismatched or stale
 //                         delta is detected, never silently applied.
 //
 // The serialisation itself lives on the learner (core/chameleon.h); the
@@ -105,18 +90,20 @@ bool save_checkpoint(const ChameleonLearner& learner,
 
 // Restores into a learner constructed with the SAME configuration and
 // environment. Returns false on mismatch or I/O error (learner untouched
-// on magic/version mismatch, best-effort on payload mismatch).
+// on magic/version/precision-tag mismatch, best-effort on payload
+// mismatch).
 bool load_checkpoint(ChameleonLearner& learner, const std::string& path);
 
 // --------------------------------------------------------- CHS3 deltas
 
 enum class DeltaKind : uint8_t {
-  kChunkDiff = 0,  // dirty fixed-size chunks of next vs base
-  kOpLog = 1,      // serve requests to replay on top of base
+  // Value 0 was a chunk-diff frame kind; it is retired, and readers reject
+  // it like any other malformed frame.
+  kOpLog = 1,  // serve requests to replay on top of base
 };
 
 struct DeltaHeader {
-  DeltaKind kind = DeltaKind::kChunkDiff;
+  DeltaKind kind = DeltaKind::kOpLog;
   uint64_t base_hash = 0;  // FNV-1a of the full base blob
   uint64_t base_len = 0;
   uint64_t next_hash = 0;  // FNV-1a of the full blob this delta reconstructs
@@ -129,29 +116,8 @@ uint64_t blob_hash(const char* data, std::size_t n);
 // True if the bytes start with the CHS3 delta magic (vs a full CHS2 blob).
 bool is_delta_blob(const char* data, std::size_t n);
 
-// Reads the frame header; false on malformed input.
+// Reads the frame header; false on malformed input or any kind but kOpLog.
 bool read_delta_header(const char* data, std::size_t n, DeltaHeader& out);
-
-// kChunkDiff: encodes `next` as the chunks that differ from `base`
-// (chunk_bytes granularity; a length change marks the tail dirty).
-ByteBuf encode_chunk_delta(const char* base, std::size_t base_n,
-                           const char* next, std::size_t next_n,
-                           int64_t chunk_bytes);
-
-// Same, with caller-supplied blob hashes (the write-behind path already
-// tracks the base hash and hashes the next blob once per flush; rehashing
-// multi-MB blobs inside the encode dominated eviction cost). The hashes
-// MUST be blob_hash() of exactly (base, base_n) / (next, next_n) — they are
-// written into the frame header that apply_chunk_delta verifies against.
-ByteBuf encode_chunk_delta(const char* base, std::size_t base_n,
-                           const char* next, std::size_t next_n,
-                           int64_t chunk_bytes, uint64_t base_hash,
-                           uint64_t next_hash);
-
-// Applies a kChunkDiff frame to `base`; verifies both hashes. False on
-// malformed frame, base mismatch, or reconstruction hash mismatch.
-bool apply_chunk_delta(const char* base, std::size_t base_n,
-                       const char* delta, std::size_t delta_n, ByteBuf& out);
 
 // kOpLog: frames the serve requests executed between the base blob and the
 // state described by (next_hash, next_len). Replay + verification is the

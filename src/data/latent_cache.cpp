@@ -7,60 +7,19 @@
 
 namespace cham::data {
 
-void LatentCache::touch(Entry& e) {
-  if (e.lru_it != lru_.begin()) {
-    lru_.splice(lru_.begin(), lru_, e.lru_it);
-  }
-}
-
-const Tensor& LatentCache::insert(uint64_t packed, Tensor z) {
-  if (max_entries_ > 0 &&
-      static_cast<int64_t>(cache_.size()) >= max_entries_) {
-    // Evict before inserting so the new entry never becomes the victim.
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    cache_.erase(victim);
-    ++evictions_;
-  }
-  lru_.push_front(packed);
-  auto [it, ok] = cache_.emplace(packed, Entry{std::move(z), lru_.begin()});
-  CHAM_DCHECK(ok, "LatentCache: duplicate insert");
-  return it->second.latent;
-}
-
-void LatentCache::check_owner() {
-  if (max_entries_ <= 0) return;
-  if (owner_ == std::thread::id{}) {
-    owner_ = std::this_thread::get_id();
-    return;
-  }
-  CHAM_CHECK(owner_ == std::this_thread::get_id(),
-             "LatentCache: bounded cache accessed from a second thread; "
-             "eviction invalidates references held by other threads, so "
-             "bounded caches are single-owner (use an unbounded cache for "
-             "multi-session serving)");
-}
-
 const Tensor& LatentCache::latent(const ImageKey& key) {
   util::MutexLock lock(mu_);
-  check_owner();
   const uint64_t k = key.packed();
   auto it = cache_.find(k);
-  if (it != cache_.end()) {
-    touch(it->second);
-    return it->second.latent;
-  }
+  if (it != cache_.end()) return it->second;
   // Miss path runs the backbone under the lock: concurrent misses would be
-  // numerically identical anyway (frozen f), but double-inserting the same
-  // key would break the LRU bookkeeping.
+  // numerically identical anyway (frozen f); this keeps one insert per key.
   const Tensor img = synthesize_batch(cfg_, {key});
-  Tensor z = f_.forward(img, /*train=*/false);
-  return insert(k, std::move(z));
+  return cache_.emplace(k, f_.forward(img, /*train=*/false)).first->second;
 }
 
 void LatentCache::warm(const std::vector<ImageKey>& keys, int64_t batch) {
   util::MutexLock lock(mu_);
-  check_owner();
   std::vector<ImageKey> missing;
   for (const ImageKey& key : keys) {
     if (!cache_.contains(key.packed())) missing.push_back(key);
@@ -79,11 +38,11 @@ void LatentCache::warm(const std::vector<ImageKey>& keys, int64_t batch) {
       // Single copy straight out of the batched forward (the old path
       // zero-filled a tensor and then overwrote it — two passes over
       // every latent during warm-up).
-      insert(chunk[i].packed(),
-             Tensor(row_shape,
-                    std::span<const float>(
-                        z.data() + static_cast<int64_t>(i) * per,
-                        static_cast<size_t>(per))));
+      cache_.emplace(chunk[i].packed(),
+                     Tensor(row_shape,
+                            std::span<const float>(
+                                z.data() + static_cast<int64_t>(i) * per,
+                                static_cast<size_t>(per))));
     }
   }
 }

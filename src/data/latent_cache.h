@@ -7,29 +7,17 @@
 // (src/hw), not here; this cache is purely a host-side speed optimisation
 // that is numerically identical to recomputation.
 //
-// The cache can be bounded: with max_entries > 0 it evicts the
-// least-recently-used latent once the bound is reached (and recomputes on a
-// later miss — still numerically identical, just slower). References
-// returned by latent() stay valid until that entry is evicted, so a bound
-// must be at least as large as the number of latents a caller holds at
-// once (one incoming batch for the learners; warm() batches internally).
+// Entries are never erased and unordered_map references survive insertion,
+// so the references latent() returns stay valid for the cache's lifetime.
 //
 // Concurrency contract (the serving runtime shares one cache across shard
-// workers): every public entry point is serialised by an internal mutex, so
-// an UNBOUNDED cache is safe to use from any number of threads — entries are
-// never erased, unordered_map references are stable under insertion, and a
-// concurrent miss at worst recomputes the same (bit-identical) latent. A
-// BOUNDED cache is single-owner: eviction invalidates references another
-// thread may still hold, a hazard no lock around the call can fix. The first
-// thread to touch a bounded cache becomes its owner and CHAM_CHECK rejects
-// access from any other thread. The serving runtime therefore requires its
-// shared cache to be unbounded (SessionManager contracts on this at
-// construction).
+// workers): every public entry point is serialised by an internal mutex,
+// which with the stable references above makes the cache safe to use from
+// any number of threads. A miss computes the latent under the lock, so
+// each key is inserted once.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <thread>
 #include <unordered_map>
 
 #include "data/dataset.h"
@@ -41,16 +29,11 @@ namespace cham::data {
 class LatentCache {
  public:
   // `f` must outlive the cache. `cfg` is the dataset the keys refer to.
-  // max_entries = 0 leaves the cache unbounded (the default: benchmark
-  // pools fit comfortably in host memory).
-  LatentCache(const DatasetConfig& cfg, nn::Sequential& f,
-              int64_t max_entries = 0)
-      : cfg_(cfg), f_(f), max_entries_(max_entries) {}
+  LatentCache(const DatasetConfig& cfg, nn::Sequential& f)
+      : cfg_(cfg), f_(f) {}
 
   // Latent activation (1 x C x H x W) of one image; computed on miss. The
-  // reference is valid until this entry is evicted (forever when
-  // unbounded). Thread-safe when unbounded; single-owner when bounded (see
-  // the concurrency contract above).
+  // reference stays valid for the cache's lifetime.
   const Tensor& latent(const ImageKey& key) CHAM_EXCLUDES(mu_);
 
   // Precompute a set of keys in batches (faster GEMMs than one-by-one).
@@ -61,35 +44,12 @@ class LatentCache {
     util::MutexLock lock(mu_);
     return static_cast<int64_t>(cache_.size());
   }
-  int64_t max_entries() const { return max_entries_; }
-  int64_t evictions() const CHAM_EXCLUDES(mu_) {
-    util::MutexLock lock(mu_);
-    return evictions_;
-  }
 
  private:
-  struct Entry {
-    Tensor latent;
-    std::list<uint64_t>::iterator lru_it;
-  };
-
-  // Inserts under the capacity bound (evicting the LRU tail first when at
-  // the bound) and marks the entry most recently used.
-  const Tensor& insert(uint64_t packed, Tensor z) CHAM_REQUIRES(mu_);
-  void touch(Entry& e) CHAM_REQUIRES(mu_);
-  // Bounded caches: CHAM_CHECK that every access comes from the owning
-  // (first-touching) thread.
-  void check_owner() CHAM_REQUIRES(mu_);
-
   DatasetConfig cfg_;      // immutable after construction
   nn::Sequential& f_;      // frozen backbone; forward() is const-safe
-  int64_t max_entries_;    // immutable after construction
-  int64_t evictions_ CHAM_GUARDED_BY(mu_) = 0;
-  std::list<uint64_t> lru_ CHAM_GUARDED_BY(mu_);  // front = most recent
-  std::unordered_map<uint64_t, Entry> cache_ CHAM_GUARDED_BY(mu_);
+  std::unordered_map<uint64_t, Tensor> cache_ CHAM_GUARDED_BY(mu_);
   mutable util::Mutex mu_;
-  // Set on first access when bounded.
-  std::thread::id owner_ CHAM_GUARDED_BY(mu_);
 };
 
 // Stacks per-sample latents (each 1 x C x H x W) into an N x C x H x W batch.

@@ -49,7 +49,9 @@ NetClient::~NetClient() {
 void NetClient::write_all(const uint8_t* p, std::size_t n) {
   std::size_t off = 0;
   while (off < n) {
-    ssize_t w = ::write(fd_, p + off, n - off);
+    // MSG_NOSIGNAL: a peer that already hung up must surface as EPIPE
+    // (a CheckError below), not as a process-killing SIGPIPE.
+    ssize_t w = ::send(fd_, p + off, n - off, MSG_NOSIGNAL);
     if (w > 0) {
       off += static_cast<std::size_t>(w);
       continue;

@@ -214,8 +214,10 @@ bool NetServer::flush_writes(Connection& c) {
       if (c.wire.empty()) return true;  // nothing left to write
     }
     while (c.wire_off < c.wire.size()) {
-      ssize_t n = ::write(c.fd, c.wire.data() + c.wire_off,
-                          c.wire.size() - c.wire_off);
+      // MSG_NOSIGNAL: a vanished peer is EPIPE ("peer gone" below), not a
+      // SIGPIPE that kills the server.
+      ssize_t n = ::send(c.fd, c.wire.data() + c.wire_off,
+                         c.wire.size() - c.wire_off, MSG_NOSIGNAL);
       if (n > 0) {
         c.wire_off += static_cast<std::size_t>(n);
         util::MutexLock slock(stats_mu_);

@@ -8,13 +8,14 @@ namespace {
 
 constexpr uint32_t kMagic = 0x43524250;  // "CRBP"
 constexpr uint32_t kVersion = 1;
-// Precision-tagged buffer framing (save_buffer_q / load_buffer_q): every
-// tensor payload carries a quant::Precision byte.
-constexpr uint32_t kVersionQ = 2;
+// (Version 2 was a precision-tagged ReplayBuffer framing; retired.)
 // Slab-backed slot-store framing (save_slot_store_q / load_slot_store_q):
-// one shared row shape, keys/labels table, then the latent payload — a
-// single fp32 range or per-row quant payloads.
+// one shared row shape, keys/labels table, a precision tag, then the
+// latent payload as a single fp32 range.
 constexpr uint32_t kVersionSlab = 3;
+// The precision tag the *_q framings write. It is always kFp32; a payload
+// tagged with any other precision is rejected.
+constexpr auto kFp32Tag = static_cast<uint8_t>(quant::Precision::kFp32);
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -53,71 +54,20 @@ bool read_tensor(std::istream& is, Tensor& t) {
   return is.good();
 }
 
-// Precision-tagged tensor payload: u8 precision, rank + dims, then the
-// quant-encoded bytes (length-prefixed; int8 carries its affine params at
-// the front of the byte stream, BFP its shared exponents, so the payload is
-// self-contained).
-void write_tensor_q(std::ostream& os, const Tensor& t,
-                    quant::Precision precision) {
-  write_pod(os, static_cast<uint8_t>(precision));
-  const uint32_t rank = static_cast<uint32_t>(t.rank());
-  write_pod(os, rank);
-  for (int64_t d = 0; d < t.rank(); ++d) {
-    write_pod(os, static_cast<int64_t>(t.dim(d)));
-  }
-  if (precision == quant::Precision::kFp32) {
-    // Skip the encode round-trip: identical bytes, no temporary copy.
-    os.write(reinterpret_cast<const char*>(t.data()),
-             static_cast<std::streamsize>(t.numel() * sizeof(float)));
-    return;
-  }
-  const quant::EncodedTensor enc = quant::encode(t, precision);
-  write_pod(os, static_cast<int64_t>(enc.bytes.size()));
-  os.write(reinterpret_cast<const char*>(enc.bytes.data()),
-           static_cast<std::streamsize>(enc.bytes.size()));
+// Precision-tagged tensor payload: the kFp32 tag byte, then the untagged
+// rank + dims + payload.
+void write_tensor_q(std::ostream& os, const Tensor& t) {
+  write_pod(os, kFp32Tag);
+  write_tensor(os, t);
 }
 
 bool read_tensor_q(std::istream& is, Tensor& t) {
-  uint8_t precision_byte = 0;
-  if (!read_pod(is, precision_byte) ||
-      precision_byte > static_cast<uint8_t>(quant::Precision::kInt8)) {
-    return false;
-  }
-  const auto precision = static_cast<quant::Precision>(precision_byte);
-  uint32_t rank = 0;
-  if (!read_pod(is, rank) || rank > 8) return false;
-  std::vector<int64_t> dims(rank);
-  int64_t numel = 1;
-  for (auto& d : dims) {
-    if (!read_pod(is, d) || d < 0 || d > (int64_t{1} << 32)) return false;
-    numel *= d;
-  }
-  if (numel < 0 || numel > (int64_t{1} << 32)) return false;
-  if (precision == quant::Precision::kFp32) {
-    t = Tensor(Shape(std::move(dims)));
-    is.read(reinterpret_cast<char*>(t.data()),
-            static_cast<std::streamsize>(numel * sizeof(float)));
-    return is.good();
-  }
-  int64_t nbytes = 0;
-  if (!read_pod(is, nbytes) ||
-      nbytes != quant::storage_bytes(precision, numel)) {
-    return false;  // corrupt payload must fail the load, not trip a check
-  }
-  quant::EncodedTensor enc;
-  enc.precision = precision;
-  enc.shape = Shape(std::move(dims));
-  enc.bytes.resize(static_cast<size_t>(nbytes));
-  is.read(reinterpret_cast<char*>(enc.bytes.data()),
-          static_cast<std::streamsize>(nbytes));
-  if (!is.good()) return false;
-  t = quant::decode(enc);
-  return true;
+  uint8_t tag = 0;
+  return read_pod(is, tag) && tag == kFp32Tag && read_tensor(is, t);
 }
 
-}  // namespace
-
-bool save_sample(const ReplaySample& sample, std::ostream& os) {
+// One sample; `tagged` selects the precision-tagged tensor framing.
+bool write_sample(const ReplaySample& sample, std::ostream& os, bool tagged) {
   write_pod(os, sample.key.class_id);
   write_pod(os, sample.key.domain_id);
   write_pod(os, sample.key.instance_id);
@@ -129,12 +79,13 @@ bool save_sample(const ReplaySample& sample, std::ostream& os) {
   const uint8_t has_logits = !sample.logits.empty();
   write_pod(os, has_latent);
   write_pod(os, has_logits);
-  if (has_latent) write_tensor(os, sample.latent);
-  if (has_logits) write_tensor(os, sample.logits);
+  const auto put = tagged ? write_tensor_q : write_tensor;
+  if (has_latent) put(os, sample.latent);
+  if (has_logits) put(os, sample.logits);
   return os.good();
 }
 
-bool load_sample(ReplaySample& sample, std::istream& is) {
+bool read_sample(ReplaySample& sample, std::istream& is, bool tagged) {
   uint8_t test = 0, has_latent = 0, has_logits = 0;
   if (!read_pod(is, sample.key.class_id)) return false;
   if (!read_pod(is, sample.key.domain_id)) return false;
@@ -144,20 +95,23 @@ bool load_sample(ReplaySample& sample, std::istream& is) {
   if (!read_pod(is, sample.label)) return false;
   if (!read_pod(is, has_latent)) return false;
   if (!read_pod(is, has_logits)) return false;
-  if (has_latent && !read_tensor(is, sample.latent)) return false;
-  if (has_logits && !read_tensor(is, sample.logits)) return false;
+  const auto get = tagged ? read_tensor_q : read_tensor;
+  if (has_latent && !get(is, sample.latent)) return false;
+  if (has_logits && !get(is, sample.logits)) return false;
   return true;
 }
 
-bool save_samples(const std::vector<ReplaySample>& samples, std::ostream& os) {
+bool write_samples(const std::vector<ReplaySample>& samples, std::ostream& os,
+                   bool tagged) {
   write_pod(os, static_cast<int64_t>(samples.size()));
   for (const auto& s : samples) {
-    if (!save_sample(s, os)) return false;
+    if (!write_sample(s, os, tagged)) return false;
   }
   return os.good();
 }
 
-bool load_samples(std::vector<ReplaySample>& samples, std::istream& is) {
+bool read_samples(std::vector<ReplaySample>& samples, std::istream& is,
+                  bool tagged) {
   int64_t count = 0;
   if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
     return false;
@@ -165,9 +119,36 @@ bool load_samples(std::vector<ReplaySample>& samples, std::istream& is) {
   samples.clear();
   samples.resize(static_cast<size_t>(count));
   for (auto& s : samples) {
-    if (!load_sample(s, is)) return false;
+    if (!read_sample(s, is, tagged)) return false;
   }
   return true;
+}
+
+}  // namespace
+
+bool save_sample(const ReplaySample& sample, std::ostream& os) {
+  return write_sample(sample, os, /*tagged=*/false);
+}
+
+bool load_sample(ReplaySample& sample, std::istream& is) {
+  return read_sample(sample, is, /*tagged=*/false);
+}
+
+bool save_samples(const std::vector<ReplaySample>& samples, std::ostream& os) {
+  return write_samples(samples, os, /*tagged=*/false);
+}
+
+bool load_samples(std::vector<ReplaySample>& samples, std::istream& is) {
+  return read_samples(samples, is, /*tagged=*/false);
+}
+
+bool save_samples_q(const std::vector<ReplaySample>& samples,
+                    std::ostream& os) {
+  return write_samples(samples, os, /*tagged=*/true);
+}
+
+bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is) {
+  return read_samples(samples, is, /*tagged=*/true);
 }
 
 bool save_buffer(const ReplayBuffer& buffer, std::ostream& os) {
@@ -205,95 +186,7 @@ bool load_buffer(ReplayBuffer& buffer, std::istream& is) {
   return true;
 }
 
-bool save_sample_q(const ReplaySample& sample, std::ostream& os,
-                   quant::Precision precision) {
-  write_pod(os, sample.key.class_id);
-  write_pod(os, sample.key.domain_id);
-  write_pod(os, sample.key.instance_id);
-  write_pod(os, static_cast<uint8_t>(sample.key.test));
-  write_pod(os, sample.label);
-  const uint8_t has_latent = !sample.latent.empty();
-  const uint8_t has_logits = !sample.logits.empty();
-  write_pod(os, has_latent);
-  write_pod(os, has_logits);
-  if (has_latent) write_tensor_q(os, sample.latent, precision);
-  if (has_logits) write_tensor_q(os, sample.logits, precision);
-  return os.good();
-}
-
-bool load_sample_q(ReplaySample& sample, std::istream& is) {
-  uint8_t test = 0, has_latent = 0, has_logits = 0;
-  if (!read_pod(is, sample.key.class_id)) return false;
-  if (!read_pod(is, sample.key.domain_id)) return false;
-  if (!read_pod(is, sample.key.instance_id)) return false;
-  if (!read_pod(is, test)) return false;
-  sample.key.test = test != 0;
-  if (!read_pod(is, sample.label)) return false;
-  if (!read_pod(is, has_latent)) return false;
-  if (!read_pod(is, has_logits)) return false;
-  if (has_latent && !read_tensor_q(is, sample.latent)) return false;
-  if (has_logits && !read_tensor_q(is, sample.logits)) return false;
-  return true;
-}
-
-bool save_samples_q(const std::vector<ReplaySample>& samples,
-                    std::ostream& os, quant::Precision precision) {
-  write_pod(os, static_cast<int64_t>(samples.size()));
-  for (const auto& s : samples) {
-    if (!save_sample_q(s, os, precision)) return false;
-  }
-  return os.good();
-}
-
-bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is) {
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
-    return false;
-  }
-  samples.clear();
-  samples.resize(static_cast<size_t>(count));
-  for (auto& s : samples) {
-    if (!load_sample_q(s, is)) return false;
-  }
-  return true;
-}
-
-bool save_buffer_q(const ReplayBuffer& buffer, std::ostream& os,
-                   quant::Precision precision) {
-  write_pod(os, kMagic);
-  write_pod(os, kVersionQ);
-  write_pod(os, static_cast<int64_t>(buffer.capacity()));
-  write_pod(os, static_cast<int64_t>(buffer.seen()));
-  write_pod(os, static_cast<int64_t>(buffer.size()));
-  for (int64_t i = 0; i < buffer.size(); ++i) {
-    if (!save_sample_q(buffer.item(i), os, precision)) return false;
-  }
-  return os.good();
-}
-
-bool load_buffer_q(ReplayBuffer& buffer, std::istream& is) {
-  uint32_t magic = 0, version = 0;
-  int64_t capacity = 0, seen = 0, count = 0;
-  if (!read_pod(is, magic) || magic != kMagic) return false;
-  if (!read_pod(is, version) || version != kVersionQ) return false;
-  if (!read_pod(is, capacity) || capacity <= 0) return false;
-  if (!read_pod(is, seen) || seen < 0) return false;
-  if (!read_pod(is, count) || count < 0 || count > capacity) return false;
-
-  ReplayBuffer loaded(capacity);
-  Rng fill_rng(0);  // buffer below capacity: appends, rng unused
-  for (int64_t i = 0; i < count; ++i) {
-    ReplaySample s;
-    if (!load_sample_q(s, is)) return false;
-    loaded.random_replace_add(std::move(s), fill_rng);
-  }
-  buffer = std::move(loaded);
-  buffer.set_seen(seen);
-  return true;
-}
-
-bool save_slot_store_q(const SlotStore& store, std::ostream& os,
-                       quant::Precision precision) {
+bool save_slot_store_q(const SlotStore& store, std::ostream& os) {
   write_pod(os, kMagic);
   write_pod(os, kVersionSlab);
   write_pod(os, static_cast<int64_t>(store.capacity()));
@@ -313,24 +206,12 @@ bool save_slot_store_q(const SlotStore& store, std::ostream& os,
     write_pod(os, static_cast<uint8_t>(k.test));
     write_pod(os, static_cast<int64_t>(store.label(i)));
   }
-  write_pod(os, static_cast<uint8_t>(precision));
+  write_pod(os, kFp32Tag);
   if (store.size() == 0) return os.good();
-  if (precision == quant::Precision::kFp32) {
-    // The whole occupied range in one write — the slab is contiguous.
-    os.write(reinterpret_cast<const char*>(store.rows()),
-             static_cast<std::streamsize>(store.size() * store.row_numel() *
-                                          sizeof(float)));
-    return os.good();
-  }
-  Tensor row_scratch(store.row_shape());
-  for (int64_t i = 0; i < store.size(); ++i) {
-    std::memcpy(row_scratch.data(), store.row(i),
-                static_cast<size_t>(store.row_numel()) * sizeof(float));
-    const quant::EncodedTensor enc = quant::encode(row_scratch, precision);
-    write_pod(os, static_cast<int64_t>(enc.bytes.size()));
-    os.write(reinterpret_cast<const char*>(enc.bytes.data()),
-             static_cast<std::streamsize>(enc.bytes.size()));
-  }
+  // The whole occupied range in one write — the slab is contiguous.
+  os.write(reinterpret_cast<const char*>(store.rows()),
+           static_cast<std::streamsize>(store.size() * store.row_numel() *
+                                        sizeof(float)));
   return os.good();
 }
 
@@ -367,40 +248,17 @@ bool load_slot_store_q(SlotStore& store, std::istream& is) {
     r.key.test = test != 0;
     if (!read_pod(is, r.label) || r.label < 0) return false;
   }
-  uint8_t precision_byte = 0;
-  if (!read_pod(is, precision_byte) ||
-      precision_byte > static_cast<uint8_t>(quant::Precision::kInt8)) {
-    return false;
-  }
-  const auto precision = static_cast<quant::Precision>(precision_byte);
+  uint8_t tag = 0;
+  if (!read_pod(is, tag) || tag != kFp32Tag) return false;
   if (count > 0) {
-    const Shape row_shape{std::span<const int64_t>(dims)};
+    Tensor row_scratch(Shape{std::span<const int64_t>(dims)});
     Rng fill_rng(0);  // store below capacity: appends, rng unused
-    if (precision == quant::Precision::kFp32) {
-      Tensor row_scratch(row_shape);
-      for (int64_t i = 0; i < count; ++i) {
-        is.read(reinterpret_cast<char*>(row_scratch.data()),
-                static_cast<std::streamsize>(row_numel * sizeof(float)));
-        if (!is.good()) return false;
-        const auto& r = table[static_cast<size_t>(i)];
-        loaded.random_replace_add(r.key, r.label, row_scratch, fill_rng);
-      }
-    } else {
-      const int64_t expect_bytes = quant::storage_bytes(precision, row_numel);
-      for (int64_t i = 0; i < count; ++i) {
-        int64_t nbytes = 0;
-        if (!read_pod(is, nbytes) || nbytes != expect_bytes) return false;
-        quant::EncodedTensor enc;
-        enc.precision = precision;
-        enc.shape = row_shape;
-        enc.bytes.resize(static_cast<size_t>(nbytes));
-        is.read(reinterpret_cast<char*>(enc.bytes.data()),
-                static_cast<std::streamsize>(nbytes));
-        if (!is.good()) return false;
-        const Tensor row = quant::decode(enc);
-        const auto& r = table[static_cast<size_t>(i)];
-        loaded.random_replace_add(r.key, r.label, row, fill_rng);
-      }
+    for (int64_t i = 0; i < count; ++i) {
+      is.read(reinterpret_cast<char*>(row_scratch.data()),
+              static_cast<std::streamsize>(row_numel * sizeof(float)));
+      if (!is.good()) return false;
+      const auto& r = table[static_cast<size_t>(i)];
+      loaded.random_replace_add(r.key, r.label, row_scratch, fill_rng);
     }
   }
   store = std::move(loaded);

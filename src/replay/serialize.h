@@ -39,32 +39,22 @@ bool load_sample(ReplaySample& sample, std::istream& is);
 bool save_samples(const std::vector<ReplaySample>& samples, std::ostream& os);
 bool load_samples(std::vector<ReplaySample>& samples, std::istream& is);
 
-// Precision-tagged variants: latent/logits payloads are stored through
-// quant::encode at the given precision (each tensor carries its own
-// precision byte, so the loaders need no out-of-band information).
-// kFp32 round-trips bit-exactly and writes the same payload bytes as the
-// untagged functions plus the tags; the reduced precisions shrink the
-// dominant checkpoint payload 2x-4x at the usual quantisation error
-// (bench_serve's ablation measures the accuracy cost). Used by CHS2 v3
-// learner blobs (core/checkpoint.cpp).
-bool save_sample_q(const ReplaySample& sample, std::ostream& os,
-                   quant::Precision precision);
-bool load_sample_q(ReplaySample& sample, std::istream& is);
+// Precision-tagged variants, the framing of CHS2 learner blobs
+// (core/checkpoint.cpp): every latent/logits payload is preceded by a
+// quant::Precision byte. The writers always tag kFp32 and write the same
+// payload bytes as the untagged functions, so blobs round-trip bit-exactly;
+// the loaders reject any other tag. (Reduced-precision replay storage lives
+// in the learner's buffer_precision, not in checkpoints.)
 bool save_samples_q(const std::vector<ReplaySample>& samples,
-                    std::ostream& os, quant::Precision precision);
+                    std::ostream& os);
 bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is);
-bool save_buffer_q(const ReplayBuffer& buffer, std::ostream& os,
-                   quant::Precision precision);
-bool load_buffer_q(ReplayBuffer& buffer, std::istream& is);
 
 // Slab-backed slot stores (version-3 framing). The ST latents live in one
-// contiguous slab with a single shared row shape, so the fp32 payload is
-// ONE range write of count * row_numel floats straight out of the slab —
-// no per-slot tensor walk. Reduced precisions store one length-prefixed
-// quant payload per row. kFp32 round-trips bit-exactly; the store's slot
-// order, keys, labels, capacity and stream counter are all preserved.
-bool save_slot_store_q(const SlotStore& store, std::ostream& os,
-                       quant::Precision precision);
+// contiguous slab with a single shared row shape, so the payload is ONE
+// range write of count * row_numel floats straight out of the slab — no
+// per-slot tensor walk. Round-trips bit-exactly; the store's slot order,
+// keys, labels, capacity and stream counter are all preserved.
+bool save_slot_store_q(const SlotStore& store, std::ostream& os);
 bool load_slot_store_q(SlotStore& store, std::istream& is);
 
 }  // namespace cham::replay

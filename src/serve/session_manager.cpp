@@ -38,18 +38,8 @@ SessionManager::SessionManager(ServeConfig cfg, LearnerFactory factory)
                  " (each shard dispatcher may pin one session)");
   CHAM_CHECK(static_cast<bool>(factory_),
              "SessionManager: learner factory is empty");
-  WriteBehindConfig wb;
-  wb.enabled = cfg_.write_behind;
-  wb.delta = cfg_.delta_checkpoints;
-  wb.chunk_bytes = cfg_.delta_chunk_bytes;
-  wb.compact_ratio = cfg_.delta_compact_ratio;
-  wb.compact_every = cfg_.delta_compact_every;
-  wb.max_replay_ops = cfg_.max_replay_ops;
-  wb.snapshot_cache_bytes = cfg_.snapshot_cache_bytes;
-  // Op-log replay is verified against a hash of the exact target blob;
-  // that only holds when blobs round-trip losslessly.
-  wb.lossless = cfg_.blob_precision == quant::Precision::kFp32;
-  write_behind_ = std::make_unique<WriteBehind>(store_, wb);
+  write_behind_ = std::make_unique<WriteBehind>(
+      store_, WriteBehindConfig{cfg_.snapshot_cache_bytes});
   shards_.reserve(static_cast<size_t>(cfg_.num_shards));
   for (int64_t i = 0; i < cfg_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -513,13 +503,14 @@ void SessionManager::finish_dispatch(Request& r,
   session_op_stats_[r.session_id] = learner->stats();
   if (!ok) {
     // The op may have mutated state without completing; an op-log replay
-    // would diverge. Force the next snapshot to chunk/full form.
+    // would diverge. Force the next snapshot to full form.
     session.ops_valid = false;
     session.ops.clear();
   } else if (session.ops_valid) {
-    if (static_cast<int64_t>(session.ops.size()) >= cfg_.max_replay_ops) {
+    if (static_cast<int64_t>(session.ops.size()) >=
+        WriteBehind::kMaxReplayOps) {
       // Bounded log: past the replay cap an op-log delta would never be
-      // encoded anyway; stop accumulating (chunk/full still available).
+      // encoded anyway; stop accumulating (the next flush writes full).
       session.ops_valid = false;
       session.ops.clear();
     } else {
@@ -652,10 +643,10 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
   core::DeltaHeader h;
   const bool oplog_delta =
       store_.get_delta(session_id, delta) &&
-      core::read_delta_header(delta.data(), delta.size(), h) &&
-      h.kind == core::DeltaKind::kOpLog;
+      core::read_delta_header(delta.data(), delta.size(), h);
   if (!oplog_delta) {
-    // Full blob, possibly with a chunk delta (applied inside the store).
+    // Full blob alone. A delta file that does not parse as an op log (a
+    // retired frame kind, corruption) makes the store refuse the load.
     const bool ok = store_.load(session_id, *fresh);
     CHAM_CHECK(ok, "SessionManager: corrupt session blob for id " +
                        std::to_string(session_id));
@@ -691,7 +682,7 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
       core::ByteBuf replayed_blob;
       {
         core::ByteBufWriter os(replayed_blob);
-        const bool saved = fresh->save_state(os, cfg_.blob_precision);
+        const bool saved = fresh->save_state(os);
         CHAM_CHECK(saved, "SessionManager: reserialize after replay failed");
       }
       CHAM_CHECK(
@@ -753,7 +744,7 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim,
   auto blob = std::make_shared<core::ByteBuf>();
   {
     core::ByteBufWriter os(*blob);
-    const bool ok = victim.learner->save_state(os, cfg_.blob_precision);
+    const bool ok = victim.learner->save_state(os);
     CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
                        std::to_string(victim.session_id));
   }
@@ -813,7 +804,6 @@ ServeStats SessionManager::stats() const {
   snapshot.wb_flushes = wb.flushes;
   snapshot.wb_flush_errors = wb.flush_errors;
   snapshot.wb_full_saves = wb.full_saves;
-  snapshot.wb_chunk_saves = wb.chunk_saves;
   snapshot.wb_oplog_saves = wb.oplog_saves;
   snapshot.wb_full_bytes = wb.full_bytes;
   snapshot.wb_delta_bytes = wb.delta_bytes;

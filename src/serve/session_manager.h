@@ -38,8 +38,8 @@
 //                   tensor pool to 1 thread for its lifetime (shard-level
 //                   parallelism replaces intra-op parallelism; kernels are
 //                   bit-identical at any thread count, so per-session
-//                   results do not change). The shared LatentCache must be
-//                   unbounded (see data/latent_cache.h).
+//                   results do not change). The shared LatentCache is
+//                   thread-safe (see data/latent_cache.h).
 //
 // Hierarchy mapping (DESIGN.md "Serving runtime"): resident learners are
 // the on-chip tier (fast, capacity-bounded), the SessionStore the off-chip
@@ -62,7 +62,6 @@
 
 #include "core/chameleon.h"
 #include "data/stream.h"
-#include "quant/quantize.h"
 #include "serve/batch_planner.h"
 #include "serve/serve_stats.h"
 #include "serve/session_store.h"
@@ -99,21 +98,9 @@ struct ServeConfig {
   std::string store_dir = "/tmp/cham_sessions";
   uint64_t base_seed = 42;
 
-  // Eviction pipeline (serve/write_behind.h). write_behind=false flushes
-  // synchronously on the evicting thread (still outside sessions_mu_);
-  // delta_checkpoints=false writes every flush as a full blob.
-  bool write_behind = true;
-  bool delta_checkpoints = true;
-  int64_t delta_chunk_bytes = 256;
-  double delta_compact_ratio = 0.5;
-  int64_t delta_compact_every = 8;
-  int64_t max_replay_ops = 64;
+  // Eviction pipeline (serve/write_behind.h): in-memory budget for the
+  // flushed-snapshot cache.
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
-  // Storage precision of ST/LT latents inside checkpoint blobs. kFp32 is
-  // the lossless default (bit-identical restore); reduced precisions trade
-  // restore exactness for smaller blobs and disable op-log deltas (replay
-  // over a lossy base cannot be hash-verified).
-  quant::Precision blob_precision = quant::Precision::kFp32;
 };
 
 struct Admission {
@@ -182,9 +169,8 @@ class SessionManager {
   int64_t resident_count() const CHAM_EXCLUDES(sessions_mu_);
   const SessionStore& store() const { return store_; }
   const ServeConfig& config() const { return cfg_; }
-  // The eviction pipeline (always constructed; synchronous when
-  // cfg.write_behind is false). Exposed for tests that need to freeze the
-  // IO thread to pin down restore-during-flush interleavings.
+  // The eviction pipeline. Exposed for tests that need to freeze the IO
+  // thread to pin down restore-during-flush interleavings.
   WriteBehind& write_behind() { return *write_behind_; }
 
  private:
@@ -207,8 +193,8 @@ class SessionManager {
     uint64_t last_used = 0;  // residency LRU tick
     bool in_use = false;     // pinned by a dispatcher (or being materialised)
     // Requests served since the last snapshot/restore, for op-log delta
-    // encoding. Dropped (ops_valid=false) past max_replay_ops or after a
-    // failed dispatch left the learner state unlogged.
+    // encoding. Dropped (ops_valid=false) past WriteBehind::kMaxReplayOps
+    // or after a failed dispatch left the learner state unlogged.
     std::vector<data::ServeOp> ops;
     bool ops_valid = true;
     // True between unlink_victim() moving the learner out and

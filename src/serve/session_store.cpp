@@ -136,53 +136,38 @@ bool SessionStore::has_delta(uint64_t session_id) const {
 }
 
 bool SessionStore::save(uint64_t session_id,
-                        const core::ChameleonLearner& learner,
-                        quant::Precision precision) {
+                        const core::ChameleonLearner& learner) {
   core::ByteBuf blob;
   {
     core::ByteBufWriter os(blob);
-    if (!learner.save_state(os, precision)) return false;
+    if (!learner.save_state(os)) return false;
   }
   return put_full(session_id, blob.data(), blob.size());
 }
 
 bool SessionStore::load(uint64_t session_id,
                         core::ChameleonLearner& learner) {
-  core::ByteBuf base, delta, next;
-  const char* state = nullptr;
-  std::size_t state_n = 0;
+  core::ByteBuf base, delta;
   {
     util::MutexLock lock(mu_);
     if (!read_file(path_for(session_id), base)) return false;
-    state = base.data();
-    state_n = base.size();
     if (read_file(delta_path_for(session_id), delta)) {
       core::DeltaHeader h;
       if (!core::read_delta_header(delta.data(), delta.size(), h)) {
         return false;  // delta present but unparseable: refuse to guess
       }
-      const bool stale =
-          h.base_len != base.size() ||
-          h.base_hash != core::blob_hash(base.data(), base.size());
-      if (!stale) {
-        if (h.kind == core::DeltaKind::kOpLog) {
-          // The newest state needs op replay through a dispatcher; plain
-          // readers must only see compacted stores.
-          return false;
-        }
-        if (!core::apply_chunk_delta(base.data(), base.size(), delta.data(),
-                                     delta.size(), next)) {
-          return false;  // base matched but reconstruction failed: corrupt
-        }
-        state = next.data();
-        state_n = next.size();
+      if (h.base_len == base.size() &&
+          h.base_hash == core::blob_hash(base.data(), base.size())) {
+        // The newest state needs op replay through a dispatcher; plain
+        // readers must only see compacted stores.
+        return false;
       }
       // Stale delta (base hash mismatch): a crash between a full-blob
       // rename and the delta unlink. The base is the newer state; serve it.
     }
-    bytes_read_ += static_cast<int64_t>(state_n);
+    bytes_read_ += static_cast<int64_t>(base.size());
   }
-  core::ByteBufReader is(state, state_n);
+  core::ByteBufReader is(base.data(), base.size());
   return learner.load_state(is);
 }
 

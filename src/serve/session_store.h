@@ -12,10 +12,10 @@
 //
 // On-disk layout per session:
 //   session_<id>.chk     the last FULL blob (CHS2)
-//   session_<id>.delta   optional CHS3 delta against that blob — at most
-//                        one; each delta write replaces the previous, and
-//                        a full write removes it. The pair (.chk, .delta)
-//                        is the session's newest state.
+//   session_<id>.delta   optional CHS3 op-log delta against that blob —
+//                        at most one; each delta write replaces the
+//                        previous, and a full write removes it. The pair
+//                        (.chk, .delta) is the session's newest state.
 //
 // Durability: every write goes through write+fsync to a temp name, then
 // rename, then a best-effort directory fsync. Write errors (disk full,
@@ -38,7 +38,6 @@
 
 #include "core/chameleon.h"
 #include "core/checkpoint.h"
-#include "quant/quantize.h"
 #include "util/sync.h"
 
 namespace cham::serve {
@@ -75,17 +74,17 @@ class SessionStore {
   // Serialises the learner's full state (in memory, then one durable
   // write). False on serialisation or I/O failure; never clobbers the
   // previous blob on failure.
-  bool save(uint64_t session_id, const core::ChameleonLearner& learner,
-            quant::Precision precision = quant::Precision::kFp32)
+  bool save(uint64_t session_id, const core::ChameleonLearner& learner)
       CHAM_EXCLUDES(mu_);
 
-  // Restores the session's newest state into a learner constructed with
-  // the same config and environment. Applies a chunk delta if one is
-  // present; ignores a stale delta (base hash mismatch — see the
-  // crash-consistency note above). Returns false if absent or malformed,
-  // and also if the newest state is behind an op-log delta: replaying ops
-  // needs the SessionManager (it owns dispatch), so plain readers must
-  // only be pointed at compacted stores (SessionManager::flush compacts).
+  // Restores the session's full blob into a learner constructed with the
+  // same config and environment, ignoring a stale delta (base hash
+  // mismatch — see the crash-consistency note above). Returns false if
+  // absent or malformed, if a delta is present but does not parse as an op
+  // log, and also if the newest state is behind a live op-log delta:
+  // replaying ops needs the SessionManager (it owns dispatch), so plain
+  // readers must only be pointed at compacted stores
+  // (SessionManager::flush compacts).
   bool load(uint64_t session_id, core::ChameleonLearner& learner)
       CHAM_EXCLUDES(mu_);
 

@@ -15,6 +15,12 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Compaction policy: a delta larger than this fraction of the full blob,
+// or one that would follow this many consecutive deltas, is written as a
+// full blob instead.
+constexpr double kCompactRatio = 0.5;
+constexpr int64_t kCompactEvery = 8;
+
 int64_t blob_bytes(const std::shared_ptr<const core::ByteBuf>& b) {
   return b ? static_cast<int64_t>(b->size()) : 0;
 }
@@ -23,33 +29,20 @@ int64_t blob_bytes(const std::shared_ptr<const core::ByteBuf>& b) {
 
 WriteBehind::WriteBehind(SessionStore& store, WriteBehindConfig cfg)
     : store_(store), cfg_(cfg) {
-  CHAM_CHECK(cfg_.chunk_bytes > 0, "WriteBehind: chunk_bytes must be > 0");
-  CHAM_CHECK(cfg_.compact_every > 0,
-             "WriteBehind: compact_every must be > 0");
-  CHAM_CHECK(cfg_.compact_ratio > 0.0 && cfg_.compact_ratio <= 1.0,
-             "WriteBehind: compact_ratio outside (0, 1]");
-  if (cfg_.enabled) {
-    io_thread_ = std::thread([this] { io_loop(); });
-  }
+  io_thread_ = std::thread([this] { io_loop(); });
 }
 
 WriteBehind::~WriteBehind() {
-  if (cfg_.enabled) {
-    {
-      util::MutexLock lock(mu_);
-      stop_ = true;
-    }
-    cv_.notify_all();
-    if (io_thread_.joinable()) io_thread_.join();  // flushes the queue first
+  {
+    util::MutexLock lock(mu_);
+    stop_ = true;
   }
+  cv_.notify_all();
+  if (io_thread_.joinable()) io_thread_.join();  // flushes the queue first
 }
 
 void WriteBehind::submit(Snapshot snap) {
   CHAM_CHECK(snap.blob != nullptr, "WriteBehind: snapshot without a blob");
-  if (!cfg_.enabled) {
-    flush_one(std::move(snap));
-    return;
-  }
   {
     util::MutexLock lock(mu_);
     auto it = pending_.find(snap.session_id);
@@ -100,7 +93,6 @@ std::shared_ptr<const core::ByteBuf> WriteBehind::newest_blob(
 }
 
 void WriteBehind::drain() {
-  if (!cfg_.enabled) return;
   util::MutexLock lock(mu_);
   cv_idle_.wait(lock, [this]() CHAM_REQUIRES(mu_) {
     return queue_.empty() && inflight_.empty();
@@ -139,15 +131,14 @@ void WriteBehind::io_loop() {
 }
 
 void WriteBehind::flush_one(Snapshot snap) {
-  // Serialises synchronous-mode callers (threaded-mode evictors may race);
-  // the IO thread is single, so this is uncontended there.
+  // Excludes compact_all's writes; the IO thread is the only flusher, so
+  // this is uncontended otherwise.
   util::MutexLock io_lock(io_mu_);
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t id = snap.session_id;
   const core::ByteBuf& blob = *snap.blob;
 
   // Copy what the encoder needs out of the session's meta.
-  std::shared_ptr<const core::ByteBuf> base;
   uint64_t base_hash = 0, base_len = 0;
   bool has_base = false;
   int64_t deltas = 0;
@@ -157,70 +148,46 @@ void WriteBehind::flush_one(Snapshot snap) {
     util::MutexLock lock(mu_);
     if (auto it = meta_.find(id); it != meta_.end()) {
       const Meta& m = it->second;
-      base = m.base;
       base_hash = m.base_hash;
       base_len = m.base_len;
       has_base = m.has_base;
       deltas = m.deltas_since_full;
-      ops_ok = cfg_.lossless && m.ops_valid && snap.ops_valid;
+      ops_ok = m.ops_valid && snap.ops_valid;
       if (ops_ok) {
         ops = m.ops_since_base;  // spans base -> last flushed
         ops.insert(ops.end(), std::make_move_iterator(snap.ops.begin()),
                    std::make_move_iterator(snap.ops.end()));
       }
     } else {
-      ops_ok = cfg_.lossless && snap.ops_valid;
+      ops_ok = snap.ops_valid;
       if (ops_ok) ops = std::move(snap.ops);
     }
   }
 
-  // Pick the encoding: smallest of {chunk diff, op log} if a delta is
-  // allowed and beats the compaction ratio, else a full blob.
-  enum class Form { kFull, kChunk, kOpLog };
-  Form form = Form::kFull;
-  core::ByteBuf frame;
-  uint64_t next_hash = 0;  // hash of `blob`, computed at most once
-  bool have_next_hash = false;
-  if (cfg_.delta && !snap.force_full && has_base &&
-      deltas < cfg_.compact_every) {
-    next_hash = core::blob_hash(blob.data(), blob.size());
-    have_next_hash = true;
-    core::ByteBuf chunk_frame;
-    if (base) {  // base bytes may have been dropped under cache pressure
-      // base_hash/base_len in meta are blob_hash() of exactly these base
-      // bytes (both are set together on every full save), so the encode
-      // does not need to rehash either blob.
-      chunk_frame = core::encode_chunk_delta(base->data(), base->size(),
-                                             blob.data(), blob.size(),
-                                             cfg_.chunk_bytes, base_hash,
-                                             next_hash);
-    }
-    core::ByteBuf oplog_frame;
-    if (ops_ok && static_cast<int64_t>(ops.size()) <= cfg_.max_replay_ops) {
-      core::DeltaHeader h;
-      h.base_hash = base_hash;
-      h.base_len = base_len;
-      h.next_hash = next_hash;
-      h.next_len = blob.size();
-      oplog_frame = core::encode_op_log(h, ops);
-    }
-    const auto cap = static_cast<std::size_t>(
-        cfg_.compact_ratio * static_cast<double>(blob.size()));
-    const bool chunk_fits = !chunk_frame.empty() && chunk_frame.size() <= cap;
-    const bool oplog_fits = !oplog_frame.empty() && oplog_frame.size() <= cap;
-    if (oplog_fits && (!chunk_fits || oplog_frame.size() <= chunk_frame.size())) {
-      form = Form::kOpLog;
-      frame = std::move(oplog_frame);
-    } else if (chunk_fits) {
-      form = Form::kChunk;
-      frame = std::move(chunk_frame);
+  // An op-log delta when one is allowed and beats the compaction ratio,
+  // else a full blob. Either way the blob's hash is needed (the delta's
+  // target, or the next delta base), so it is computed once, outside mu_.
+  const uint64_t next_hash = core::blob_hash(blob.data(), blob.size());
+  core::ByteBuf frame;  // empty: write a full blob
+  if (!snap.force_full && has_base && deltas < kCompactEvery && ops_ok &&
+      static_cast<int64_t>(ops.size()) <= kMaxReplayOps) {
+    core::DeltaHeader h;
+    h.base_hash = base_hash;
+    h.base_len = base_len;
+    h.next_hash = next_hash;
+    h.next_len = blob.size();
+    frame = core::encode_op_log(h, ops);
+    if (frame.size() >
+        static_cast<std::size_t>(kCompactRatio *
+                                 static_cast<double>(blob.size()))) {
+      frame.clear();
     }
   }
+  const bool full = frame.empty();
 
   const bool disk_ok =
-      form == Form::kFull
-          ? store_.put_full(id, blob.data(), blob.size())
-          : store_.put_delta(id, frame.data(), frame.size());
+      full ? store_.put_full(id, blob.data(), blob.size())
+           : store_.put_delta(id, frame.data(), frame.size());
 
   const double flush_ms = ms_since(t0);
   {
@@ -233,11 +200,8 @@ void WriteBehind::flush_one(Snapshot snap) {
       ++stats_.flushes;
       stats_.flush_ms_total += flush_ms;
       stats_.flush_ms_max = std::max(stats_.flush_ms_max, flush_ms);
-      if (form == Form::kFull) {
-        m.base = snap.blob;
-        m.base_hash = have_next_hash
-                          ? next_hash
-                          : core::blob_hash(blob.data(), blob.size());
+      if (full) {
+        m.base_hash = next_hash;
         m.base_len = blob.size();
         m.has_base = true;
         m.deltas_since_full = 0;
@@ -247,11 +211,9 @@ void WriteBehind::flush_one(Snapshot snap) {
         stats_.full_bytes += static_cast<int64_t>(blob.size());
       } else {
         ++m.deltas_since_full;
-        m.ops_valid = ops_ok;
-        m.ops_since_base = ops_ok ? std::move(ops)
-                                  : std::vector<data::ServeOp>{};
-        if (form == Form::kChunk) ++stats_.chunk_saves;
-        if (form == Form::kOpLog) ++stats_.oplog_saves;
+        m.ops_valid = true;
+        m.ops_since_base = std::move(ops);
+        ++stats_.oplog_saves;
         stats_.delta_bytes += static_cast<int64_t>(frame.size());
       }
     } else {
@@ -273,9 +235,13 @@ int64_t WriteBehind::cached_bytes_locked() const {
   for (const auto& [id, m] : meta_) {
     (void)id;
     bytes += blob_bytes(m.latest);
-    if (m.base && m.base != m.latest) bytes += blob_bytes(m.base);
   }
   return bytes;
+}
+
+int64_t WriteBehind::cached_bytes() const {
+  util::MutexLock lock(mu_);
+  return cached_bytes_locked();
 }
 
 void WriteBehind::enforce_cache_budget_locked() {
@@ -287,21 +253,13 @@ void WriteBehind::enforce_cache_budget_locked() {
   std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
   order.reserve(meta_.size());
   for (const auto& [id, m] : meta_) {
-    if (m.latest || m.base) order.emplace_back(m.lru_tick, id);
+    if (m.latest) order.emplace_back(m.lru_tick, id);
   }
   std::sort(order.begin(), order.end());
   for (const auto& [tick, id] : order) {
     (void)tick;
     if (bytes <= cfg_.snapshot_cache_bytes) return;
     Meta& m = meta_[id];
-    // Cheapest first: drop the separate base copy. Chunk diffs stop for
-    // this session until its next full flush; op logs only need the hash.
-    if (m.base && m.base != m.latest) {
-      bytes -= blob_bytes(m.base);
-      m.base.reset();
-    }
-    if (bytes <= cfg_.snapshot_cache_bytes) return;
-    if (!m.latest) continue;
     const bool pinned = !m.durable || m.deltas_since_full > 0;
     if (pinned) {
       // The latest blob is the only complete copy of state that is newer
@@ -315,7 +273,6 @@ void WriteBehind::enforce_cache_budget_locked() {
       ++stats_.flushes;
       ++stats_.full_saves;
       stats_.full_bytes += blob_bytes(m.latest);
-      m.base.reset();  // hash survives; the bytes go with `latest` below
       m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
       m.base_len = m.latest->size();
       m.has_base = true;
@@ -325,7 +282,6 @@ void WriteBehind::enforce_cache_budget_locked() {
       m.durable = true;
     }
     bytes -= blob_bytes(m.latest);
-    if (m.base == m.latest) m.base.reset();
     m.latest.reset();
   }
 }
@@ -347,7 +303,6 @@ void WriteBehind::compact_all() {
     ++stats_.flushes;
     ++stats_.full_saves;
     stats_.full_bytes += blob_bytes(m.latest);
-    m.base = m.latest;
     m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
     m.base_len = m.latest->size();
     m.has_base = true;

@@ -13,19 +13,16 @@
 //      thread owns all disk traffic; snapshots for the same session
 //      coalesce in the pending map (only the newest state matters).
 //   3. FLUSH (IO thread): the blob is written to the SessionStore as
-//      either a full blob or a CHS3 delta against the session's last full
-//      blob — whichever is smaller:
-//        * chunk diff  — dirty chunks of the new blob vs the base. Wins
-//          when little changed (predict-only / idle evictions).
-//        * op log      — the observe/predict requests served since the
-//          base was flushed. A restore replays them; the repo's
-//          bit-determinism contract makes the result byte-identical, and
-//          the frame's hash of the target blob verifies it. Wins after
-//          training steps, where one SGD step dirties ~85% of the head
-//          chunks (~94% of the blob), making chunk diffs useless.
-//      Every `compact_every` deltas (or when a delta would exceed
-//      `compact_ratio` of the full size) the blob is written full —
-//      compaction that bounds both restore amplification and disk state.
+//      either a full blob or a CHS3 op-log delta against the session's
+//      last full blob: the observe/predict requests served since the base
+//      was flushed. A restore replays them; the repo's bit-determinism
+//      contract makes the result byte-identical, and the frame's hash of
+//      the target blob verifies it. After 8 consecutive deltas, when the
+//      log is longer than kMaxReplayOps requests, or when the frame would
+//      exceed half the full blob, the blob is written full instead —
+//      compaction that bounds both restore replay cost and disk state.
+//      Only the base's hash and length are kept for encoding, never its
+//      bytes.
 //
 // RESTORE CORRECTNESS: newest_blob() returns the most recent state the
 // pipeline holds for a session — the pending (not yet flushed) snapshot,
@@ -39,12 +36,16 @@
 // the newest state — sessions stay correct; only crash-durability of the
 // latest delta is lost until a later flush succeeds.
 //
-// The snapshot cache is byte-bounded (LRU). A session whose newest flushed
-// state is a delta keeps its `latest` blob pinned in the cache so
-// compact_all() can always land a full blob without replay; when the cache
-// is over budget, the LRU pinned session is compacted to disk on the spot
-// (write a full blob, drop the pin) — cache pressure turns into compaction,
-// never into lost state.
+// SNAPSHOT CACHE: the last-flushed `latest` blob of each session, bounded
+// by snapshot_cache_bytes (LRU). A session whose newest flushed state is a
+// delta keeps `latest` pinned so compact_all() can always land a full blob
+// without replay; when the cache is over budget, the LRU pinned session is
+// compacted to disk on the spot (write a full blob, drop the pin) — cache
+// pressure turns into compaction, never into lost state. The budget is
+// enforced after every flush, and cache_bytes_high_water is recorded just
+// before that trim, so the peak is at most snapshot_cache_bytes plus the
+// one blob that just landed. The cache stays above budget after a trim
+// only when a compaction write failed (counted in flush_errors).
 #pragma once
 
 #include <cstdint>
@@ -62,28 +63,16 @@
 namespace cham::serve {
 
 struct WriteBehindConfig {
-  bool enabled = true;   // false: flush synchronously inside submit()
-  bool delta = true;     // false: every flush writes a full blob
-  int64_t chunk_bytes = 256;      // chunk-diff granularity
-  double compact_ratio = 0.5;     // delta bigger than this fraction of the
-                                  // full blob -> write full instead
-  int64_t compact_every = 8;      // force a full blob after this many deltas
-  int64_t max_replay_ops = 64;    // op-log deltas longer than this are not
-                                  // encoded (bounds restore replay cost)
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
-  // Op-log restore is exact only when blobs are lossless (fp32); the
-  // manager clears this when a reduced blob precision is configured.
-  bool lossless = true;
 };
 
 struct WriteBehindStats {
   int64_t flushes = 0;        // snapshots written to disk (any form)
   int64_t flush_errors = 0;   // disk writes that failed (state kept in RAM)
   int64_t full_saves = 0;
-  int64_t chunk_saves = 0;
   int64_t oplog_saves = 0;
   int64_t full_bytes = 0;     // disk bytes written as full blobs
-  int64_t delta_bytes = 0;    // disk bytes written as deltas (both kinds)
+  int64_t delta_bytes = 0;    // disk bytes written as op-log deltas
   int64_t compactions = 0;    // cache-pressure compactions (pin drops)
   int64_t queue_depth_high_water = 0;
   int64_t cache_bytes_high_water = 0;
@@ -93,6 +82,10 @@ struct WriteBehindStats {
 
 class WriteBehind {
  public:
+  // Longest op log a delta may carry (bounds restore replay cost). The
+  // manager stops logging a session's requests past it.
+  static constexpr int64_t kMaxReplayOps = 64;
+
   // One eviction's snapshot: the full serialised state plus the requests
   // the session served since its previous snapshot (for op-log deltas).
   struct Snapshot {
@@ -109,9 +102,8 @@ class WriteBehind {
   WriteBehind(const WriteBehind&) = delete;
   WriteBehind& operator=(const WriteBehind&) = delete;
 
-  // Hands a snapshot to the pipeline. Never blocks on disk when enabled
-  // (synchronous mode flushes inline). Snapshots for a session already
-  // queued coalesce: blobs replace, op logs concatenate.
+  // Hands a snapshot to the pipeline. Never blocks on disk. Snapshots for
+  // a session already queued coalesce: blobs replace, op logs concatenate.
   void submit(Snapshot snap) CHAM_EXCLUDES(io_mu_, mu_);
 
   // The newest state bytes the pipeline holds for the session (pending,
@@ -133,6 +125,8 @@ class WriteBehind {
   void compact_all() CHAM_EXCLUDES(io_mu_, mu_);
 
   WriteBehindStats stats() const CHAM_EXCLUDES(mu_);
+  // Bytes the snapshot cache holds right now (sum of cached `latest` blobs).
+  int64_t cached_bytes() const CHAM_EXCLUDES(mu_);
 
   // Test hooks: freeze/unfreeze the IO thread so restore-during-flush
   // interleavings can be produced deterministically, without sleeps.
@@ -141,10 +135,8 @@ class WriteBehind {
 
  private:
   struct Meta {
-    // Last blob flushed as a FULL blob (the delta base). The bytes may be
-    // dropped under cache pressure (chunk diffs then stop; op logs only
-    // need the hash), but hash/len survive.
-    std::shared_ptr<const core::ByteBuf> base;
+    // Hash and length of the last blob flushed as a FULL blob (the delta
+    // base).
     uint64_t base_hash = 0;
     uint64_t base_len = 0;
     bool has_base = false;
@@ -187,7 +179,7 @@ class WriteBehind {
   bool paused_ CHAM_GUARDED_BY(mu_) = false;
   bool stop_ CHAM_GUARDED_BY(mu_) = false;
 
-  // Serialises flush_one in synchronous mode.
+  // Serialises disk writes: flush_one (IO thread) against compact_all.
   util::Mutex io_mu_ CHAM_ACQUIRED_BEFORE(mu_);
   std::thread io_thread_;
 };

@@ -169,50 +169,39 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
   store.clear();
 }
 
-// Reduced-precision blobs: smaller, self-describing, and loadable. The
-// bit-exact contract is fp32-only; int8 trades exactness for size, so here
-// we check structure survives and the blob shrinks.
-TEST_F(CheckpointSuite, QuantizedBlobIsSmallerAndLoads) {
+// Blobs are fp32-only: a CHS2 blob whose precision tag claims another
+// precision (as a lossy writer once produced) is rejected before the
+// learner is touched, so a failed restore never leaves half-loaded state.
+TEST_F(CheckpointSuite, NonFp32PrecisionTagIsRejectedBeforeMutation) {
   core::ChameleonConfig cc;
   cc.lt_capacity = 18;
-  core::ChameleonLearner learner(exp_->env(), cc, 6);
-  for (const auto& b : stream_->batches()) learner.observe(b);
-
-  core::ByteBuf fp32_blob, int8_blob;
+  core::ChameleonLearner source(exp_->env(), cc, 6);
+  for (const auto& b : stream_->batches()) source.observe(b);
+  core::ByteBuf blob;
   {
-    core::ByteBufWriter os(fp32_blob);
-    ASSERT_TRUE(learner.save_state(os, quant::Precision::kFp32));
+    core::ByteBufWriter os(blob);
+    ASSERT_TRUE(source.save_state(os));
   }
-  {
-    core::ByteBufWriter os(int8_blob);
-    ASSERT_TRUE(learner.save_state(os, quant::Precision::kInt8));
-  }
-  EXPECT_LT(int8_blob.size(), fp32_blob.size());
+  // Header: u32 magic, u32 version, then the u8 precision tag.
+  constexpr size_t kTagOffset = 8;
+  ASSERT_EQ(blob[kTagOffset], static_cast<char>(quant::Precision::kFp32));
+  blob[kTagOffset] = static_cast<char>(quant::Precision::kInt8);
 
-  core::ChameleonLearner restored(exp_->env(), cc, 1234);
-  core::ByteBufReader is(int8_blob.data(), int8_blob.size());
-  ASSERT_TRUE(restored.load_state(is));
-  EXPECT_EQ(restored.steps_observed(), learner.steps_observed());
-  ASSERT_EQ(restored.short_term().size(), learner.short_term().size());
-  for (int64_t i = 0; i < restored.short_term().size(); ++i) {
-    EXPECT_EQ(restored.short_term().store().label(i),
-              learner.short_term().store().label(i));
+  core::ChameleonLearner target(exp_->env(), cc, 1234);
+  target.observe(stream_->batches().front());
+  core::ByteBuf before;
+  {
+    core::ByteBufWriter os(before);
+    ASSERT_TRUE(target.save_state(os));
   }
-  EXPECT_EQ(restored.long_term().size(), learner.long_term().size());
-  // Head weights are fp32 always, quantization applies to latents only.
-  auto pa = learner.head().params();
-  auto pb = restored.head().params();
-  ASSERT_EQ(pa.size(), pb.size());
-  for (size_t i = 0; i < pa.size(); ++i) {
-    EXPECT_EQ(std::memcmp(pa[i]->value.data(), pb[i]->value.data(),
-                          static_cast<size_t>(pa[i]->value.numel()) *
-                              sizeof(float)),
-              0)
-        << "head param " << i << " not preserved";
+  core::ByteBufReader is(blob.data(), blob.size());
+  EXPECT_FALSE(target.load_state(is));
+  core::ByteBuf after;
+  {
+    core::ByteBufWriter os(after);
+    ASSERT_TRUE(target.save_state(os));
   }
-  // The restored learner keeps serving.
-  const auto test_keys = data::all_test_keys(exp_->config().data);
-  EXPECT_EQ(restored.predict(test_keys).size(), test_keys.size());
+  EXPECT_TRUE(before == after) << "a rejected blob mutated the learner";
 }
 
 TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {
@@ -233,73 +222,6 @@ TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {
 // The delta frames the write-behind eviction pipeline writes between full
 // blobs (core/checkpoint.h). Pure byte-level tests; the end-to-end replay
 // path is covered in tests/test_serve.cpp.
-
-core::ByteBuf to_buf(const std::string& s) {
-  return core::ByteBuf(s.begin(), s.end());
-}
-
-TEST(DeltaSuite, ChunkDeltaOfIdenticalBlobsIsNearEmpty) {
-  const core::ByteBuf blob = to_buf(std::string(4096, 'x'));
-  const core::ByteBuf frame = core::encode_chunk_delta(
-      blob.data(), blob.size(), blob.data(), blob.size(), /*chunk_bytes=*/256);
-  EXPECT_TRUE(core::is_delta_blob(frame.data(), frame.size()));
-  // Header + chunk params only: no dirty chunks.
-  EXPECT_LT(frame.size(), 64u);
-  core::ByteBuf out;
-  ASSERT_TRUE(core::apply_chunk_delta(blob.data(), blob.size(), frame.data(),
-                                      frame.size(), out));
-  EXPECT_EQ(std::string(out.begin(), out.end()),
-            std::string(blob.begin(), blob.end()));
-}
-
-TEST(DeltaSuite, ChunkDeltaReconstructsScatteredMutationsAndGrowth) {
-  std::string base_s(5000, 'a');
-  std::string next_s = base_s;
-  next_s[3] = 'B';       // chunk 0
-  next_s[1290] = 'C';    // chunk 5
-  next_s[4999] = 'D';    // last chunk
-  next_s += std::string(700, 'E');  // length change dirties the tail
-  const core::ByteBuf base = to_buf(base_s);
-  const core::ByteBuf next = to_buf(next_s);
-
-  const core::ByteBuf frame = core::encode_chunk_delta(
-      base.data(), base.size(), next.data(), next.size(), 256);
-  EXPECT_LT(frame.size(), next.size() / 2) << "delta should be much smaller";
-
-  core::DeltaHeader h;
-  ASSERT_TRUE(core::read_delta_header(frame.data(), frame.size(), h));
-  EXPECT_EQ(h.kind, core::DeltaKind::kChunkDiff);
-  EXPECT_EQ(h.base_len, base.size());
-  EXPECT_EQ(h.next_len, next.size());
-  EXPECT_EQ(h.base_hash, core::blob_hash(base.data(), base.size()));
-  EXPECT_EQ(h.next_hash, core::blob_hash(next.data(), next.size()));
-
-  core::ByteBuf out;
-  ASSERT_TRUE(core::apply_chunk_delta(base.data(), base.size(), frame.data(),
-                                      frame.size(), out));
-  ASSERT_EQ(out.size(), next.size());
-  EXPECT_EQ(std::memcmp(out.data(), next.data(), next.size()), 0);
-}
-
-TEST(DeltaSuite, ChunkDeltaRejectsWrongOrStaleBase) {
-  const core::ByteBuf base = to_buf(std::string(2048, 'p'));
-  core::ByteBuf next = base;
-  next[100] = 'q';
-  const core::ByteBuf frame = core::encode_chunk_delta(
-      base.data(), base.size(), next.data(), next.size(), 256);
-
-  // A different base (same length) must be refused, not silently patched.
-  const core::ByteBuf wrong = to_buf(std::string(2048, 'z'));
-  core::ByteBuf out;
-  EXPECT_FALSE(core::apply_chunk_delta(wrong.data(), wrong.size(),
-                                       frame.data(), frame.size(), out));
-  // Truncated frames are malformed, not fatal.
-  EXPECT_FALSE(core::apply_chunk_delta(base.data(), base.size(), frame.data(),
-                                       frame.size() / 2, out));
-  // The real base still applies.
-  EXPECT_TRUE(core::apply_chunk_delta(base.data(), base.size(), frame.data(),
-                                      frame.size(), out));
-}
 
 TEST(DeltaSuite, OpLogRoundTripAndHeader) {
   std::vector<data::ServeOp> ops(3);
@@ -347,6 +269,33 @@ TEST(DeltaSuite, OpLogRoundTripAndHeader) {
   std::vector<data::ServeOp> junk;
   EXPECT_FALSE(core::read_op_log(frame.data(), frame.size() - 3, junk));
   EXPECT_FALSE(core::read_op_log(frame.data(), 4, junk));
+}
+
+// Kind 0 was the retired chunk-diff frame. Its header is otherwise
+// well-formed, so readers must reject it by kind, not misread it as an op
+// log; unknown kinds are rejected the same way.
+TEST(DeltaSuite, ReadDeltaHeaderAcceptsOnlyOpLog) {
+  core::DeltaHeader h;
+  h.base_hash = 0x1111;
+  h.base_len = 22;
+  h.next_hash = 0x2222;
+  h.next_len = 33;
+  core::ByteBuf frame = core::encode_op_log(h, {});
+  core::DeltaHeader g;
+  ASSERT_TRUE(core::read_delta_header(frame.data(), frame.size(), g));
+  EXPECT_EQ(g.kind, core::DeltaKind::kOpLog);
+
+  // Header: u32 magic, u32 version, then the u8 kind.
+  constexpr size_t kKindOffset = 8;
+  ASSERT_EQ(frame[kKindOffset], static_cast<char>(core::DeltaKind::kOpLog));
+  for (const char kind : {0, 2, 0x7F}) {
+    SCOPED_TRACE(static_cast<int>(kind));
+    frame[kKindOffset] = kind;
+    EXPECT_TRUE(core::is_delta_blob(frame.data(), frame.size()));
+    EXPECT_FALSE(core::read_delta_header(frame.data(), frame.size(), g));
+    std::vector<data::ServeOp> ops;
+    EXPECT_FALSE(core::read_op_log(frame.data(), frame.size(), ops));
+  }
 }
 
 TEST(DeltaSuite, FullBlobIsNotMistakenForDelta) {

@@ -178,7 +178,7 @@ struct TinyEnv {
     f = std::make_unique<nn::Sequential>();
     f->add(std::make_unique<nn::Conv2d>(3, 4, 8, 8, 3, 2, 1, false, rng));
     f->add(std::make_unique<nn::ReLU>());
-    latents = std::make_unique<data::LatentCache>(data_cfg, *f, 0);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *f);
 
     env.data_cfg = &data_cfg;
     env.latents = latents.get();

@@ -11,8 +11,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <future>
 #include <span>
 #include <thread>
 #include <vector>
@@ -433,40 +435,6 @@ TEST_F(ServeSuite, SessionStoreLifecycle) {
   EXPECT_EQ(store.size(), 0);
 }
 
-// Satellite: bounded LatentCache is single-owner — access from a second
-// thread trips the contract instead of silently racing the LRU list.
-TEST_F(ServeSuite, BoundedLatentCacheRejectsSecondThread) {
-  data::LatentCache bounded(exp_->config().data, exp_->backbone(),
-                            /*max_entries=*/4);
-  const auto batches = session_batches(0);
-  (void)bounded.latent(batches[0].keys[0]);  // this thread becomes the owner
-
-  bool threw = false;
-  std::thread second([&] {
-    try {
-      (void)bounded.latent(batches[0].keys[1]);
-    } catch (const util::CheckError&) {
-      threw = true;
-    }
-  });
-  second.join();
-  EXPECT_TRUE(threw);
-
-  // Unbounded caches are shared freely (the serving default).
-  data::LatentCache unbounded(exp_->config().data, exp_->backbone());
-  (void)unbounded.latent(batches[0].keys[0]);
-  bool second_ok = true;
-  std::thread third([&] {
-    try {
-      (void)unbounded.latent(batches[0].keys[1]);
-    } catch (...) {
-      second_ok = false;
-    }
-  });
-  third.join();
-  EXPECT_TRUE(second_ok);
-}
-
 // The Zipf schedule helper: deterministic in the seed, skewed toward low
 // ranks, and per-session batch indices count up densely.
 TEST_F(ServeSuite, ZipfScheduleShape) {
@@ -673,8 +641,8 @@ TEST_F(ServeSuite, ShutdownWithConcurrentDrainsDoesNotHang) {
 }
 
 // Tentpole: steady-state eviction writes shrink by >5x once a session's
-// base blob is on disk — each re-eviction after a single observe writes a
-// delta (op log or chunk diff), not the 2MB full blob.
+// base blob is on disk — each re-eviction after a single observe writes an
+// op-log delta, not the 2MB full blob.
 TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   constexpr int kRounds = 6;
   serve::ServeConfig sc;
@@ -700,7 +668,7 @@ TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   mgr.write_behind().drain();  // settle flushes WITHOUT forcing compaction
 
   const serve::ServeStats st = mgr.stats();
-  const int64_t delta_saves = st.wb_chunk_saves + st.wb_oplog_saves;
+  const int64_t delta_saves = st.wb_oplog_saves;
   ASSERT_GT(delta_saves, 0) << "steady state must produce delta writes";
   ASSERT_GT(st.wb_full_saves, 0);
   const double avg_delta =
@@ -791,55 +759,212 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
 }
 
 // Crash consistency: a full write renames .chk before unlinking .delta; a
-// crash in between leaves a stale delta whose base hash mismatches. load()
-// must serve the (newer) base alone, never apply the stale delta.
+// crash in between leaves a stale op-log delta whose base hash mismatches.
+// Both readers must serve the (newer) base alone and replay nothing: the
+// plain SessionStore::load and a SessionManager disk restore.
 TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
-  serve::SessionStore store("/tmp/cham_serve_stale");
+  serve::ServeConfig sc;
+  sc.num_shards = 1;
+  sc.max_resident = 1;
+  sc.store_dir = "/tmp/cham_serve_stale";
+  sc.base_seed = 27;
+  serve::SessionStore store(sc.store_dir);
   store.clear();
+  const uint64_t sid = 1;
   const auto batches = session_batches(7);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
 
-  core::ChameleonLearner learner(exp_->env(), learner_config(), 27);
+  core::ChameleonLearner learner(exp_->env(), learner_config(),
+                                 split_seed(sc.base_seed, sid));
+  auto snapshot = [&learner] {
+    core::ByteBuf blob;
+    core::ByteBufWriter os(blob);
+    EXPECT_TRUE(learner.save_state(os));
+    return blob;
+  };
   learner.observe(batches[0]);
-  core::ByteBuf blob_a;
-  {
-    core::ByteBufWriter os(blob_a);
-    ASSERT_TRUE(learner.save_state(os));
-  }
+  const core::ByteBuf blob_a = snapshot();
   learner.observe(batches[1]);
-  core::ByteBuf blob_b;
-  {
-    core::ByteBufWriter os(blob_b);
-    ASSERT_TRUE(learner.save_state(os));
-  }
-  const core::ByteBuf delta_ab = core::encode_chunk_delta(
-      blob_a.data(), blob_a.size(), blob_b.data(), blob_b.size(), 256);
-
-  // Live pair: base A + delta A->B loads as B.
-  ASSERT_TRUE(store.put_full(1, blob_a.data(), blob_a.size()));
-  ASSERT_TRUE(store.put_delta(1, delta_ab.data(), delta_ab.size()));
-  core::ChameleonLearner as_b(exp_->env(), learner_config(), 0x11);
-  ASSERT_TRUE(store.load(1, as_b));
-  core::ChameleonLearner want_b(exp_->env(), learner_config(), 27);
-  want_b.observe(batches[0]);
-  want_b.observe(batches[1]);
-  expect_bit_identical(as_b, want_b, "chunk delta applied from store");
+  const core::ByteBuf blob_b = snapshot();
+  std::vector<data::ServeOp> ops(1);
+  ops[0].batch = batches[1];
+  core::DeltaHeader h;
+  h.base_hash = core::blob_hash(blob_a.data(), blob_a.size());
+  h.base_len = blob_a.size();
+  h.next_hash = core::blob_hash(blob_b.data(), blob_b.size());
+  h.next_len = blob_b.size();
+  const core::ByteBuf delta_ab = core::encode_op_log(h, ops);
 
   // Advance the base past the delta (a put_full removes it), then
   // re-install the stale delta as a crash between rename and unlink would.
   learner.observe(batches[2]);
-  core::ByteBuf blob_c;
-  {
-    core::ByteBufWriter os(blob_c);
-    ASSERT_TRUE(learner.save_state(os));
-  }
-  ASSERT_TRUE(store.put_full(1, blob_c.data(), blob_c.size()));
-  EXPECT_FALSE(store.has_delta(1)) << "put_full must remove the delta";
-  ASSERT_TRUE(store.put_delta(1, delta_ab.data(), delta_ab.size()));
+  const core::ByteBuf blob_c = snapshot();
+  ASSERT_TRUE(store.put_full(sid, blob_a.data(), blob_a.size()));
+  ASSERT_TRUE(store.put_delta(sid, delta_ab.data(), delta_ab.size()));
+  ASSERT_TRUE(store.put_full(sid, blob_c.data(), blob_c.size()));
+  EXPECT_FALSE(store.has_delta(sid)) << "put_full must remove the delta";
+  ASSERT_TRUE(store.put_delta(sid, delta_ab.data(), delta_ab.size()));
 
   core::ChameleonLearner as_c(exp_->env(), learner_config(), 0x22);
-  ASSERT_TRUE(store.load(1, as_c));
+  ASSERT_TRUE(store.load(sid, as_c));
   expect_bit_identical(as_c, learner, "stale delta ignored, base served");
-  store.clear();
+
+  serve::SessionManager mgr(sc, factory());
+  const auto served = mgr.predict(sid, test_keys);
+  ASSERT_TRUE(served.has_value());
+  EXPECT_EQ(*served, learner.predict(test_keys));
+  const serve::ServeStats st = mgr.stats();
+  EXPECT_EQ(st.disk_restores, 1);
+  EXPECT_EQ(st.replayed_ops, 0) << "a stale op log must not be replayed";
+}
+
+// Kind 0 of the CHS3 frame was the retired chunk diff. A legacy frame of
+// that kind next to its base must be refused, never misread as an op log
+// or skipped as stale: SessionStore::load fails whether or not its base
+// hash matches, and a SessionManager disk restore surfaces an error
+// instead of returning a learner, in both scheduler modes.
+TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
+  const std::string dir = "/tmp/cham_serve_legacy";
+  const uint64_t sid = 5;
+  const auto batches = session_batches(8);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  core::ChameleonLearner learner(exp_->env(), learner_config(), 41);
+  learner.observe(batches[0]);
+  core::ByteBuf base;
+  {
+    core::ByteBufWriter os(base);
+    ASSERT_TRUE(learner.save_state(os));
+  }
+  const uint64_t base_hash = core::blob_hash(base.data(), base.size());
+
+  // Legacy layout: CHS3 header with kind 0, then the chunk size and a
+  // zero dirty-chunk count (a diff that reconstructs the base itself).
+  auto legacy_frame = [&base](uint64_t claimed_base_hash) {
+    core::ByteBuf f;
+    auto put = [&f](const auto& v) {
+      const char* p = reinterpret_cast<const char*>(&v);
+      f.insert(f.end(), p, p + sizeof(v));
+    };
+    put(uint32_t{0x43485333});  // "CHS3"
+    put(uint32_t{1});           // frame version
+    put(uint8_t{0});            // retired kind
+    put(claimed_base_hash);
+    put(uint64_t{base.size()});
+    put(core::blob_hash(base.data(), base.size()));
+    put(uint64_t{base.size()});
+    put(uint32_t{256});
+    put(uint32_t{0});
+    return f;
+  };
+
+  for (const bool hash_matches : {true, false}) {
+    SCOPED_TRACE(hash_matches ? "base hash matches" : "stale base hash");
+    const core::ByteBuf frame =
+        legacy_frame(hash_matches ? base_hash : base_hash ^ 1);
+    for (const auto mode :
+         {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+      const bool threaded = mode == serve::ServeMode::kThreaded;
+      SCOPED_TRACE(threaded ? "threaded" : "deterministic");
+      {
+        serve::SessionStore store(dir);
+        store.clear();
+        ASSERT_TRUE(store.put_full(sid, base.data(), base.size()));
+        ASSERT_TRUE(store.put_delta(sid, frame.data(), frame.size()));
+        core::ChameleonLearner probe(exp_->env(), learner_config(), 0x33);
+        EXPECT_FALSE(store.load(sid, probe));
+      }
+      serve::ServeConfig sc;
+      sc.num_shards = 1;
+      sc.max_resident = 1;
+      sc.store_dir = dir;
+      sc.mode = mode;
+      serve::SessionManager mgr(sc, factory());
+      if (threaded) {
+        std::future<std::vector<int64_t>> result;
+        ASSERT_TRUE(mgr.submit_predict(sid, test_keys, &result).accepted);
+        EXPECT_THROW((void)result.get(), util::CheckError);
+      } else {
+        EXPECT_THROW((void)mgr.predict(sid, test_keys), util::CheckError);
+      }
+      // The worker counts the error after failing the future; drain()
+      // waits for it to finish the plan.
+      mgr.drain();
+      EXPECT_EQ(mgr.resident_count(), 0);
+      const serve::ServeStats st = mgr.stats();
+      EXPECT_EQ(st.restores, 0);
+      EXPECT_EQ(st.dispatch_errors, 1);
+    }
+  }
+  serve::SessionStore(dir).clear();
+}
+
+// The snapshot cache holds only each session's `latest` blob. A flush can
+// push it over budget by at most the blob that just landed (the high-water
+// mark is taken before the trim), and the trim after every flush brings it
+// back under budget unless a compaction write failed.
+TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
+  constexpr int64_t kSessions = 6;
+  constexpr int kRounds = 3;
+  std::vector<std::vector<data::Batch>> batches;
+  for (int64_t s = 0; s < kSessions; ++s) {
+    batches.push_back(session_batches(s, 11));
+  }
+  core::ByteBuf probe_blob;
+  {
+    core::ChameleonLearner probe(exp_->env(), learner_config(), 1);
+    probe.observe(batches[0][0]);
+    core::ByteBufWriter os(probe_blob);
+    ASSERT_TRUE(probe.save_state(os));
+  }
+  serve::ServeConfig sc;
+  sc.num_shards = 2;
+  sc.max_resident = 2;  // six sessions over two slots: constant eviction
+  sc.queue_capacity = 8;
+  sc.mode = serve::ServeMode::kThreaded;
+  sc.store_dir = "/tmp/cham_serve_cache_budget";
+  sc.base_seed = 31;
+  // Room for about two and a half blobs.
+  sc.snapshot_cache_bytes = static_cast<int64_t>(probe_blob.size() * 5 / 2);
+  serve::SessionStore reader(sc.store_dir);
+  reader.clear();
+  serve::SessionManager mgr(sc, factory());
+
+  // Largest blob that has landed: full blobs on disk, op-log deltas by the
+  // target length in their header. Sampled after every settled step, and
+  // each step lands at most one new blob per session.
+  std::size_t max_blob = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    for (int64_t s = 0; s < kSessions; ++s) {
+      const auto sid = static_cast<uint64_t>(s);
+      while (!mgr.submit_observe(sid, batches[static_cast<size_t>(s)]
+                                             [static_cast<size_t>(round)])
+                  .accepted) {
+        std::this_thread::yield();
+      }
+      mgr.drain();
+      mgr.write_behind().drain();
+      for (int64_t t = 0; t < kSessions; ++t) {
+        const auto tid = static_cast<uint64_t>(t);
+        core::ByteBuf bytes;
+        if (reader.get_blob(tid, bytes)) {
+          max_blob = std::max(max_blob, bytes.size());
+        }
+        core::DeltaHeader h;
+        if (reader.get_delta(tid, bytes) &&
+            core::read_delta_header(bytes.data(), bytes.size(), h)) {
+          max_blob = std::max(max_blob, static_cast<std::size_t>(h.next_len));
+        }
+      }
+      if (mgr.write_behind().stats().flush_errors == 0) {
+        EXPECT_LE(mgr.write_behind().cached_bytes(), sc.snapshot_cache_bytes)
+            << "after step " << round << "/" << s;
+      }
+    }
+  }
+  const serve::ServeStats st = mgr.stats();
+  EXPECT_GT(st.wb_compactions, 0) << "the budget must force compactions";
+  EXPECT_LE(st.wb_cache_bytes_high_water,
+            sc.snapshot_cache_bytes + static_cast<int64_t>(max_blob));
 }
 
 // --- Batched predict dispatch (serve/batch_planner.h) ----------------------

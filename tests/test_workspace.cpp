@@ -1,7 +1,6 @@
 // Workspace memory subsystem: arena alignment / rewind / high-water
-// accounting, pool freelist recycling and reset semantics, the bounded
-// LatentCache's LRU eviction, and the end-to-end property the subsystem
-// exists for — a steady-state ChameleonLearner::observe() that performs
+// accounting, pool freelist recycling and reset semantics, and the
+// end-to-end property the subsystem exists for — a steady-state ChameleonLearner::observe() that performs
 // zero heap allocations (verified with a counting global operator new).
 #include <gtest/gtest.h>
 
@@ -173,7 +172,7 @@ TEST(Pool, ResetStatsRebasesCounters) {
   EXPECT_GT(s.pool_bytes_in_use, 0);
 }
 
-// ------------------------------------------------------- LatentCache LRU
+// ------------------------------------------------------------ tiny learner
 
 struct TinyEnv {
   data::DatasetConfig data_cfg;
@@ -181,7 +180,7 @@ struct TinyEnv {
   std::unique_ptr<data::LatentCache> latents;
   core::LearnerEnv env;
 
-  explicit TinyEnv(int64_t max_cache_entries = 0) {
+  TinyEnv() {
     data_cfg = data::core50_config();
     data_cfg.num_classes = 6;
     data_cfg.num_domains = 3;
@@ -192,8 +191,7 @@ struct TinyEnv {
     f = std::make_unique<nn::Sequential>();
     f->add(std::make_unique<nn::Conv2d>(3, 4, 8, 8, 3, 2, 1, false, rng));
     f->add(std::make_unique<nn::ReLU>());
-    latents = std::make_unique<data::LatentCache>(data_cfg, *f,
-                                                  max_cache_entries);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *f);
 
     env.data_cfg = &data_cfg;
     env.latents = latents.get();
@@ -213,55 +211,6 @@ struct TinyEnv {
     return {cls, 0, inst, false};
   }
 };
-
-TEST(LatentCacheLru, UnboundedCacheNeverEvicts) {
-  TinyEnv env;  // max_entries = 0
-  for (int32_t i = 0; i < 6; ++i) (void)env.latents->latent({i, 0, 0, false});
-  EXPECT_EQ(env.latents->size(), 6);
-  EXPECT_EQ(env.latents->evictions(), 0);
-}
-
-TEST(LatentCacheLru, EvictsLeastRecentlyUsedAtCapacity) {
-  TinyEnv env(/*max_cache_entries=*/4);
-  for (int32_t i = 0; i < 4; ++i) (void)env.latents->latent({i, 0, 0, false});
-  EXPECT_EQ(env.latents->size(), 4);
-
-  // Touch key 0 so key 1 becomes the LRU victim.
-  (void)env.latents->latent({0, 0, 0, false});
-  (void)env.latents->latent({4, 0, 0, false});  // evicts key 1
-  EXPECT_EQ(env.latents->size(), 4);
-  EXPECT_EQ(env.latents->evictions(), 1);
-
-  // Key 0 must still be cached: requesting all keys but 1 causes no
-  // further eviction-triggering misses.
-  const int64_t ev = env.latents->evictions();
-  (void)env.latents->latent({0, 0, 0, false});
-  (void)env.latents->latent({4, 0, 0, false});
-  EXPECT_EQ(env.latents->evictions(), ev);
-}
-
-TEST(LatentCacheLru, RecomputedLatentIsIdenticalAfterEviction) {
-  TinyEnv bounded(/*max_cache_entries=*/2);
-  TinyEnv unbounded;
-  const data::ImageKey k0 = TinyEnv::key(0, 0);
-  const Tensor first = bounded.latents->latent(k0);  // copy before eviction
-  (void)bounded.latents->latent(TinyEnv::key(1, 0));
-  (void)bounded.latents->latent(TinyEnv::key(2, 0));  // evicts k0
-  EXPECT_GE(bounded.latents->evictions(), 1);
-  const Tensor& recomputed = bounded.latents->latent(k0);  // miss -> forward
-  EXPECT_EQ(ops::max_abs_diff(first, recomputed), 0.0);
-  EXPECT_EQ(ops::max_abs_diff(unbounded.latents->latent(k0), recomputed),
-            0.0);
-}
-
-TEST(LatentCacheLru, WarmRespectsTheBound) {
-  TinyEnv env(/*max_cache_entries=*/3);
-  std::vector<data::ImageKey> keys;
-  for (int32_t i = 0; i < 6; ++i) keys.push_back(TinyEnv::key(i, 0));
-  env.latents->warm(keys, /*batch=*/2);
-  EXPECT_EQ(env.latents->size(), 3);
-  EXPECT_EQ(env.latents->evictions(), 3);
-}
 
 // ------------------------------------------- steady-state zero allocation
 

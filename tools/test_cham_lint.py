@@ -279,6 +279,18 @@ def main():
               "// cham-lint: begin(sessions_mu)\n"
               "learner->save_state(os);\n"
               "// cham-lint: end(sessions_mu)\n")))
+    # Every checkpoint (de)serialisation entry point is covered.
+    for call in ("learner.load_state(is);", "store_.save(id, *l);",
+                 "store_.load(id, *l);", "save_checkpoint(*l, path);",
+                 "load_checkpoint(*l, path);", "store_.put_full(id, p, n);",
+                 "store_.put_delta(id, p, n);", "store_.get_blob(id, b);",
+                 "store_.get_delta(id, b);", "core::encode_op_log(h, ops);",
+                 "core::read_op_log(p, n, ops);"):
+        check(f"io-in-sessions-mu covers {call}",
+              "io-in-sessions-mu" in rules_of(lint_src(
+                  "// cham-lint: begin(sessions_mu)\n"
+                  f"{call}\n"
+                  "// cham-lint: end(sessions_mu)\n")))
     check("modulo-sampling",
           "modulo-sampling" in rules_of(lint_src("x = rng.next_u64() % n;")))
     check("naked-new",
