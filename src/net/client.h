@@ -10,10 +10,10 @@
 //                client's predicts (and several clients') into shared eval
 //                windows.
 //
-// Replies arrive in whatever order the server emits them (predict results
-// in submission order, acks and errors possibly earlier); await_reply(request_id)
-// demultiplexes by id, stashing replies to other outstanding requests until
-// their own await_reply() asks.
+// Replies arrive in completion order (net/protocol.h: same-session predicts
+// and FLUSH stay ordered; other sessions' results, acks and errors may
+// overtake); await_reply(request_id) demultiplexes by id, stashing replies
+// to other outstanding requests until their own await_reply() asks.
 //
 // Backpressure is surfaced, not hidden: a rejected request returns a Reply
 // whose error carries the server's retry_after_ms hint. The *_admitted

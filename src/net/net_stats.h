@@ -48,7 +48,9 @@ struct NetStats {
   int64_t err_malformed = 0;     // bad magic or undecodable payload
   int64_t err_bad_version = 0;
   int64_t err_bad_crc = 0;
-  int64_t err_oversized = 0;
+  int64_t err_oversized = 0;     // payload over the ceiling, or a
+                                 // PREDICT_BATCH with more pages than a
+                                 // shard queue holds
   int64_t err_dispatch = 0;      // learner threw; exception relayed as ERROR
   int64_t err_shutting_down = 0;
   int64_t err_unknown_type = 0;  // well-framed request with an unknown type

@@ -28,9 +28,11 @@
 // BACKPRESSURE, which carries the admission layer's retry_after_ms hint so
 // remote callers back off exactly like in-process ones.
 //
-// Delivery contract: replies to PREDICT/PREDICT_BATCH arrive in request_id
-// submission order per connection (the completion scatter in
-// net/server.cpp); admission acks and errors may overtake them, so clients
+// Delivery contract: replies leave in completion order. On one
+// connection, replies to the same session's PREDICT/PREDICT_BATCH requests
+// arrive in submission order, and FLUSH_OK arrives after the replies to
+// every predict sent before the FLUSH. Replies to different sessions'
+// predicts, admission acks and errors may overtake one another, so clients
 // match on request_id, never on arrival order.
 //
 // The codec is allocation-free in steady state: encoders append to a

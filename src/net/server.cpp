@@ -73,9 +73,6 @@ NetServer::NetServer(serve::SessionManager& mgr, NetConfig cfg)
   wake_wr_ = pipefd[1];
 
   io_thread_ = std::thread([this] { io_loop(); });
-  if (mgr_.config().mode == serve::ServeMode::kDeterministic) {
-    pump_thread_ = std::thread([this] { pump_loop(); });
-  }
 }
 
 NetServer::~NetServer() { stop(); }
@@ -86,17 +83,11 @@ void NetServer::stop() {
   util::MutexLock lock(lifecycle_mu_);
   if (joined_) return;
   joined_ = true;
-  // Join order matters: the I/O thread's drain waits on responders, which
-  // wait on futures the pump fulfils — the pump must outlive the I/O join.
   if (io_thread_.joinable()) io_thread_.join();
-  if (pump_thread_.joinable()) {
-    {
-      util::MutexLock plock(pump_mu_);
-      pump_stop_ = true;
-    }
-    pump_cv_.notify_all();
-    pump_thread_.join();
-  }
+  // Connections force-closed past the drain deadline may still have
+  // predicts queued; their hooks write to the self-pipe, so run them all
+  // before it closes.
+  mgr_.drain();
   if (wake_rd_ >= 0) ::close(wake_rd_);
   if (wake_wr_ >= 0) ::close(wake_wr_);
   wake_rd_ = wake_wr_ = -1;
@@ -119,76 +110,43 @@ void NetServer::wake_io() {
   [[maybe_unused]] ssize_t n = ::write(wake_wr_, &b, 1);
 }
 
-void NetServer::signal_pump() {
-  if (!pump_thread_.joinable()) return;
-  {
-    util::MutexLock lock(pump_mu_);
-    pump_work_ = true;
-  }
-  pump_cv_.notify_all();
-}
-
-void NetServer::pump_loop() {
-  for (;;) {
-    {
-      util::MutexLock lock(pump_mu_);
-      pump_cv_.wait(lock, [this]() CHAM_REQUIRES(pump_mu_) {
-        return pump_work_ || pump_stop_;
-      });
-      if (pump_stop_ && !pump_work_) return;
-      pump_work_ = false;
-    }
-    mgr_.drain();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Outbound queueing.
 
-void NetServer::enqueue_from_io(Connection& c, WireBuf frame) {
+bool NetServer::enqueue(Connection& c, WireBuf frame, bool retire) {
   const int64_t sz = static_cast<int64_t>(frame.size());
   int64_t depth = 0;
   {
     util::MutexLock lock(c.mu);
     // cham-lint: begin(net_mu)
-    if (c.closed) return;
+    if (retire) --c.inflight;
+    if (c.closed || frame.empty()) return false;
     c.outbox.push_back(std::move(frame));
     c.outbox_bytes += sz;
     depth = c.outbox_bytes;
     // cham-lint: end(net_mu)
   }
-  {
-    util::MutexLock slock(stats_mu_);
-    stats_.frames_out += 1;
-    stats_.note_outbox_bytes(depth);
-  }
-  // No wake_io(): only the I/O thread calls this, and it flushes writable
-  // connections on the same iteration.
+  util::MutexLock slock(stats_mu_);
+  stats_.frames_out += 1;
+  stats_.note_outbox_bytes(depth);
+  return true;
 }
 
-bool NetServer::enqueue_from_responder(Connection& c, WireBuf frame) {
-  const int64_t sz = static_cast<int64_t>(frame.size());
-  const int64_t limit = cfg_.outbox_limit_bytes;
+int64_t NetServer::check_outbox(Connection& c) {
   int64_t depth = 0;
   {
     util::MutexLock lock(c.mu);
     // cham-lint: begin(net_mu)
-    c.cv_space.wait(lock, [&c, sz, limit]() CHAM_REQUIRES(c.mu) {
-      return c.closed || c.outbox_bytes + sz <= limit || c.outbox.empty();
-    });
-    if (c.closed) return false;
-    c.outbox.push_back(std::move(frame));
-    c.outbox_bytes += sz;
     depth = c.outbox_bytes;
     // cham-lint: end(net_mu)
   }
-  {
+  const bool over = depth > cfg_.outbox_limit_bytes / 2;
+  if (over && !c.paused) {
     util::MutexLock slock(stats_mu_);
-    stats_.frames_out += 1;
-    stats_.note_outbox_bytes(depth);
+    stats_.write_stalls += 1;
   }
-  wake_io();
-  return true;
+  c.paused = over;
+  return depth;
 }
 
 bool NetServer::flush_writes(Connection& c) {
@@ -196,7 +154,6 @@ bool NetServer::flush_writes(Connection& c) {
     if (c.wire_off >= c.wire.size()) {
       c.wire.clear();
       c.wire_off = 0;
-      bool freed = false;
       {
         util::MutexLock lock(c.mu);
         // cham-lint: begin(net_mu)
@@ -206,11 +163,9 @@ bool NetServer::flush_writes(Connection& c) {
           c.wire.insert(c.wire.end(), f.begin(), f.end());
           c.outbox_bytes -= static_cast<int64_t>(f.size());
           c.outbox.pop_front();
-          freed = true;
         }
         // cham-lint: end(net_mu)
       }
-      if (freed) c.cv_space.notify_all();
       if (c.wire.empty()) return true;  // nothing left to write
     }
     while (c.wire_off < c.wire.size()) {
@@ -238,8 +193,9 @@ bool NetServer::read_ready(Connection& c) {
   for (;;) {
     // A connection marked for close (unsyncable stream) answers exactly
     // once: stop consuming input, even on a POLLHUP-driven call — the
-    // flush path closes once the error reply drains.
-    if (c.want_close) return true;
+    // flush path closes once the error reply drains. A paused one leaves
+    // its bytes in the kernel until the outbox drains.
+    if (c.want_close || c.paused) return true;
     uint8_t chunk[64 << 10];
     ssize_t n = ::read(c.fd, chunk, sizeof(chunk));
     if (n > 0) {
@@ -248,8 +204,8 @@ bool NetServer::read_ready(Connection& c) {
         stats_.bytes_in += n;
       }
       c.rdbuf.insert(c.rdbuf.end(), chunk, chunk + n);
-      if (!parse_frames(c)) return false;
-      if (c.want_close) return true;  // error replied; drop trailing bytes
+      parse_frames(c);
+      if (c.want_close || c.paused) return true;  // see the loop head
       if (static_cast<std::size_t>(n) < sizeof(chunk)) return true;
       continue;  // more may be buffered in the kernel
     }
@@ -260,8 +216,8 @@ bool NetServer::read_ready(Connection& c) {
   }
 }
 
-bool NetServer::parse_frames(Connection& c) {
-  if (c.want_close) return true;  // error reply already queued; one only
+void NetServer::parse_frames(Connection& c) {
+  if (c.want_close) return;  // error reply already queued; one only
   for (;;) {
     // Finish skipping an oversized payload already rejected.
     if (c.discard_left > 0) {
@@ -273,6 +229,11 @@ bool NetServer::parse_frames(Connection& c) {
     }
     std::size_t avail = c.rdbuf.size() - c.rd_off;
     if (avail < kHeaderBytes) break;
+    // Flow control per frame, not per read: one read's worth of pipelined
+    // frames must not overshoot the outbox bound. The rest waits in rdbuf
+    // until io_loop() resumes it.
+    check_outbox(c);
+    if (c.paused) break;
     FrameHeader h;
     read_header(c.rdbuf.data() + c.rd_off, avail, h);
     ErrCode err = header_error(h, cfg_.max_payload_bytes);
@@ -284,7 +245,7 @@ bool NetServer::parse_frames(Connection& c) {
       encode_error(reply, h.session_id, h.request_id, err, 0,
                    err == ErrCode::kBadVersion ? "unsupported wire version"
                                                : "bad frame magic");
-      enqueue_from_io(c, std::move(reply));
+      enqueue(c, std::move(reply));
       {
         util::MutexLock slock(stats_mu_);
         if (err == ErrCode::kBadVersion) {
@@ -294,13 +255,13 @@ bool NetServer::parse_frames(Connection& c) {
         }
       }
       c.want_close = true;
-      return true;  // stop parsing; flush path closes after the reply
+      return;  // stop parsing; flush path closes after the reply
     }
     if (err == ErrCode::kOversized) {
       WireBuf reply;
       encode_error(reply, h.session_id, h.request_id, err, 0,
                    "payload exceeds server limit");
-      enqueue_from_io(c, std::move(reply));
+      enqueue(c, std::move(reply));
       {
         util::MutexLock slock(stats_mu_);
         stats_.err_oversized += 1;
@@ -320,13 +281,12 @@ bool NetServer::parse_frames(Connection& c) {
       WireBuf reply;
       encode_error(reply, h.session_id, h.request_id, ErrCode::kBadCrc, 0,
                    "payload crc mismatch");
-      enqueue_from_io(c, std::move(reply));
+      enqueue(c, std::move(reply));
       util::MutexLock slock(stats_mu_);
       stats_.err_bad_crc += 1;
       continue;  // framing is intact; skip just this frame
     }
-    if (!handle_frame(c, h, payload)) return false;
-    if (c.want_close) return true;
+    handle_frame(c, h, payload);
   }
   // Compact the consumed prefix once it dominates the buffer.
   if (c.rd_off == c.rdbuf.size()) {
@@ -337,10 +297,9 @@ bool NetServer::parse_frames(Connection& c) {
                   c.rdbuf.begin() + static_cast<std::ptrdiff_t>(c.rd_off));
     c.rd_off = 0;
   }
-  return true;
 }
 
-bool NetServer::handle_frame(Connection& c, const FrameHeader& h,
+void NetServer::handle_frame(Connection& c, const FrameHeader& h,
                              const uint8_t* payload) {
   const bool draining = stop_requested_.load(std::memory_order_relaxed);
   WireBuf reply;
@@ -351,17 +310,17 @@ bool NetServer::handle_frame(Connection& c, const FrameHeader& h,
       stats_.shutdowns_in += 1;
     }
     encode_control(reply, MsgType::kShutdownOk, h.session_id, h.request_id);
-    enqueue_from_io(c, std::move(reply));
+    enqueue(c, std::move(reply));
     stop_requested_.store(true, std::memory_order_relaxed);
-    return true;  // the I/O loop notices and begins the drain
+    return;  // the I/O loop notices and begins the drain
   }
   if (draining) {
     encode_error(reply, h.session_id, h.request_id, ErrCode::kShuttingDown, 0,
                  "server is draining");
-    enqueue_from_io(c, std::move(reply));
+    enqueue(c, std::move(reply));
     util::MutexLock slock(stats_mu_);
     stats_.err_shutting_down += 1;
-    return true;
+    return;
   }
 
   switch (h.type) {
@@ -369,141 +328,76 @@ bool NetServer::handle_frame(Connection& c, const FrameHeader& h,
       if (!decode_observe(payload, h.payload_len, obs_batch_)) {
         encode_error(reply, h.session_id, h.request_id, ErrCode::kMalformed, 0,
                      "undecodable OBSERVE payload");
-        enqueue_from_io(c, std::move(reply));
+        enqueue(c, std::move(reply));
         util::MutexLock slock(stats_mu_);
         stats_.err_malformed += 1;
-        return true;
+        return;
       }
       serve::Admission adm = mgr_.submit_observe(h.session_id, obs_batch_);
       if (adm.accepted) {
         encode_observe_ok(reply, h.session_id, h.request_id, adm.queue_depth);
-        enqueue_from_io(c, std::move(reply));
-        signal_pump();
+        enqueue(c, std::move(reply));
+        admitted_ = true;
         util::MutexLock slock(stats_mu_);
         stats_.observes_in += 1;
         stats_.observe_acks += 1;
       } else {
         encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
                      adm.retry_after_ms, "observe queue full");
-        enqueue_from_io(c, std::move(reply));
+        enqueue(c, std::move(reply));
         util::MutexLock slock(stats_mu_);
         stats_.observes_in += 1;
         stats_.err_backpressure += 1;
       }
-      return true;
+      return;
     }
     case MsgType::kPredict: {
       if (!decode_predict(payload, h.payload_len, keys_)) {
         encode_error(reply, h.session_id, h.request_id, ErrCode::kMalformed, 0,
                      "undecodable PREDICT payload");
-        enqueue_from_io(c, std::move(reply));
+        enqueue(c, std::move(reply));
         util::MutexLock slock(stats_mu_);
         stats_.err_malformed += 1;
-        return true;
+        return;
       }
-      Pending item;
-      item.type = MsgType::kPredict;
-      item.session_id = h.session_id;
-      item.request_id = h.request_id;
-      item.futures.resize(1);
-      serve::Admission adm =
-          mgr_.submit_predict(h.session_id, keys_, &item.futures[0]);
-      if (!adm.accepted) {
-        encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
-                     adm.retry_after_ms, "predict queue full");
-        enqueue_from_io(c, std::move(reply));
-        util::MutexLock slock(stats_mu_);
-        stats_.predicts_in += 1;
-        stats_.err_backpressure += 1;
-        return true;
-      }
-      {
-        util::MutexLock lock(c.mu);
-        // cham-lint: begin(net_mu)
-        c.pending.push_back(std::move(item));
-        // cham-lint: end(net_mu)
-      }
-      c.cv_work.notify_all();
-      signal_pump();
-      util::MutexLock slock(stats_mu_);
-      stats_.predicts_in += 1;
-      return true;
+      submit_predicts(c, h, {&keys_, 1});
+      return;
     }
     case MsgType::kPredictBatch: {
       if (!decode_predict_batch(payload, h.payload_len, pages_) ||
           pages_.empty()) {
         encode_error(reply, h.session_id, h.request_id, ErrCode::kMalformed, 0,
                      "undecodable PREDICT_BATCH payload");
-        enqueue_from_io(c, std::move(reply));
+        enqueue(c, std::move(reply));
         util::MutexLock slock(stats_mu_);
         stats_.err_malformed += 1;
-        return true;
+        return;
       }
-      // Pages submit as pipelined predicts so the BatchPlanner can merge
-      // them (with other connections' traffic) into one eval window.
-      Pending item;
-      item.type = MsgType::kPredictBatch;
-      item.session_id = h.session_id;
-      item.request_id = h.request_id;
-      item.futures.resize(pages_.size());
-      serve::Admission adm;
-      std::size_t admitted = 0;
-      for (; admitted < pages_.size(); ++admitted) {
-        adm = mgr_.submit_predict(h.session_id, pages_[admitted],
-                                  &item.futures[admitted]);
-        if (!adm.accepted) break;
-      }
-      if (admitted < pages_.size()) {
-        // Not atomic under backpressure: the admitted prefix executes (its
-        // results are discarded — predicts are read-only w.r.t. model
-        // state), the client retries the whole request.
-        encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
-                     adm.retry_after_ms, "predict queue full (partial batch)");
-        enqueue_from_io(c, std::move(reply));
-        item.futures.resize(admitted);
-        item.discard = true;
-        {
-          util::MutexLock slock(stats_mu_);
-          stats_.predict_batches_in += 1;
-          stats_.predicts_in += static_cast<int64_t>(admitted);
-          stats_.err_backpressure += 1;
-        }
-        if (admitted == 0) return true;  // nothing to consume
-      } else {
+      if (static_cast<int64_t>(pages_.size()) > mgr_.config().queue_capacity) {
+        // Every page of one session lands in one shard queue, so this many
+        // can never be admitted at once: refuse for good, before submitting
+        // anything, rather than answer a BACKPRESSURE that no retry cures.
+        encode_error(reply, h.session_id, h.request_id, ErrCode::kOversized, 0,
+                     "PREDICT_BATCH has more pages than a shard queue holds");
+        enqueue(c, std::move(reply));
         util::MutexLock slock(stats_mu_);
         stats_.predict_batches_in += 1;
-        stats_.predicts_in += static_cast<int64_t>(pages_.size());
+        stats_.err_oversized += 1;
+        return;
       }
-      {
-        util::MutexLock lock(c.mu);
-        // cham-lint: begin(net_mu)
-        c.pending.push_back(std::move(item));
-        // cham-lint: end(net_mu)
-      }
-      c.cv_work.notify_all();
-      signal_pump();
-      return true;
+      submit_predicts(c, h, pages_);
+      return;
     }
     case MsgType::kFlush: {
-      // Rides the responder queue: ordered behind this connection's
-      // already-pending predicts, and mgr_.flush() blocks — never run it on
-      // the I/O thread. Safe next to the pump: the manager serialises
-      // deterministic-mode dispatch, so the flush's drain and the pump's
-      // never interleave.
-      Pending item;
-      item.type = MsgType::kFlush;
-      item.session_id = h.session_id;
-      item.request_id = h.request_id;
-      {
-        util::MutexLock lock(c.mu);
-        // cham-lint: begin(net_mu)
-        c.pending.push_back(std::move(item));
-        // cham-lint: end(net_mu)
-      }
-      c.cv_work.notify_all();
+      // Inline, in both modes: flush() drains first, and a request counts
+      // as done only after its completion hook returned, so FLUSH_OK
+      // trails every reply to this connection's earlier predicts.
+      mgr_.flush();
+      encode_control(reply, MsgType::kFlushOk, h.session_id, h.request_id);
+      enqueue(c, std::move(reply));
       util::MutexLock slock(stats_mu_);
       stats_.flushes_in += 1;
-      return true;
+      return;
     }
     case MsgType::kStats: {
       {
@@ -511,18 +405,101 @@ bool NetServer::handle_frame(Connection& c, const FrameHeader& h,
         stats_.stats_in += 1;
       }
       encode_stats_result(reply, h.request_id, build_stats_json());
-      enqueue_from_io(c, std::move(reply));
-      return true;
+      enqueue(c, std::move(reply));
+      return;
     }
     default: {
       encode_error(reply, h.session_id, h.request_id, ErrCode::kUnknownType, 0,
                    "unknown request type");
-      enqueue_from_io(c, std::move(reply));
+      enqueue(c, std::move(reply));
       util::MutexLock slock(stats_mu_);
       stats_.err_unknown_type += 1;
-      return true;
+      return;
     }
   }
+}
+
+void NetServer::submit_predicts(
+    Connection& c, const FrameHeader& h,
+    std::span<const std::vector<data::ImageKey>> pages) {
+  auto p = std::make_shared<PendingReply>();
+  p->conn = c.shared_from_this();
+  p->type = h.type;
+  p->session_id = h.session_id;
+  p->request_id = h.request_id;
+  p->futures.resize(pages.size());
+  // One reference per page plus the submitter's own, so no hook can finish
+  // the reply before every page has been offered.
+  p->refs.store(pages.size() + 1, std::memory_order_relaxed);
+  {
+    util::MutexLock lock(c.mu);
+    // cham-lint: begin(net_mu)
+    ++c.inflight;
+    // cham-lint: end(net_mu)
+  }
+  // Pages submit as pipelined predicts so the BatchPlanner can merge them
+  // (with other connections' traffic) into one eval window.
+  serve::Admission adm;
+  std::size_t admitted = 0;
+  for (; admitted < pages.size(); ++admitted) {
+    adm = mgr_.submit_predict(h.session_id, pages[admitted],
+                              &p->futures[admitted],
+                              [this, p] { complete(*p, 1); });
+    if (!adm.accepted) break;
+  }
+  const bool batch = h.type == MsgType::kPredictBatch;
+  if (admitted < pages.size()) {
+    // Not atomic under backpressure: the admitted prefix executes (its
+    // results are discarded — predicts are read-only w.r.t. model state),
+    // the client retries the whole request.
+    WireBuf reply;
+    encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
+                 adm.retry_after_ms,
+                 batch ? "predict queue full (partial batch)"
+                       : "predict queue full");
+    enqueue(c, std::move(reply));
+    p->discard = true;
+  }
+  if (admitted > 0) admitted_ = true;
+  {
+    util::MutexLock slock(stats_mu_);
+    stats_.predict_batches_in += batch ? 1 : 0;
+    stats_.predicts_in += batch ? static_cast<int64_t>(admitted) : 1;
+    stats_.err_backpressure += admitted < pages.size() ? 1 : 0;
+  }
+  complete(*p, pages.size() - admitted + 1);
+}
+
+void NetServer::complete(PendingReply& p, std::size_t n) {
+  if (p.refs.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+  WireBuf frame;
+  bool failed = false;
+  if (!p.discard) {
+    std::vector<std::vector<int64_t>> results(p.futures.size());
+    std::string what;
+    for (std::size_t i = 0; i < p.futures.size(); ++i) {
+      try {
+        results[i] = p.futures[i].get();
+      } catch (const std::exception& e) {
+        failed = true;
+        what = e.what();
+      }
+    }
+    if (failed) {
+      encode_error(frame, p.session_id, p.request_id, ErrCode::kDispatchFailed,
+                   0, what);
+    } else if (p.type == MsgType::kPredict) {
+      encode_predict_result(frame, p.session_id, p.request_id, results[0]);
+    } else {
+      encode_predict_batch_result(frame, p.session_id, p.request_id, results);
+    }
+  }
+  if (enqueue(*p.conn, std::move(frame), /*retire=*/true)) {
+    util::MutexLock slock(stats_mu_);
+    stats_.err_dispatch += failed ? 1 : 0;
+    stats_.predict_replies += failed ? 0 : 1;
+  }
+  wake_io();  // write the reply, or re-check the drain gate
 }
 
 std::string NetServer::build_stats_json() {
@@ -532,84 +509,6 @@ std::string NetServer::build_stats_json() {
   j.raw("serve", serve_stats.to_json());
   j.raw("net", net_stats.to_json());
   return j.str();
-}
-
-// ---------------------------------------------------------------------------
-// Completion scatter: one responder per connection.
-
-void NetServer::responder_loop(std::shared_ptr<Connection> conn) {
-  Connection& c = *conn;
-  WireBuf frame;
-  std::vector<std::vector<int64_t>> results;
-  for (;;) {
-    Pending item;
-    {
-      util::MutexLock lock(c.mu);
-      // cham-lint: begin(net_mu)
-      c.cv_work.wait(lock, [&c]() CHAM_REQUIRES(c.mu) {
-        return c.stop_responder || !c.pending.empty();
-      });
-      if (c.pending.empty()) break;  // stop_responder && drained
-      item = std::move(c.pending.front());
-      c.pending.pop_front();
-      c.busy = true;
-      // cham-lint: end(net_mu)
-    }
-
-    frame.clear();
-    if (item.type == MsgType::kFlush) {
-      mgr_.flush();
-      encode_control(frame, MsgType::kFlushOk, item.session_id,
-                     item.request_id);
-      enqueue_from_responder(c, std::move(frame));
-      frame = WireBuf();
-    } else {
-      // Wait the pages in submission order; per-connection request_id
-      // ordering of predict replies falls out of the queue being FIFO.
-      results.resize(item.futures.size());
-      bool failed = false;
-      std::string what;
-      for (std::size_t i = 0; i < item.futures.size(); ++i) {
-        try {
-          results[i] = item.futures[i].get();
-        } catch (const std::exception& e) {
-          failed = true;
-          what = e.what();
-        }
-      }
-      if (item.discard) {
-        // Reply (a BACKPRESSURE error) already went out on admission.
-      } else if (failed) {
-        encode_error(frame, item.session_id, item.request_id,
-                     ErrCode::kDispatchFailed, 0, what);
-        if (enqueue_from_responder(c, std::move(frame))) {
-          util::MutexLock slock(stats_mu_);
-          stats_.err_dispatch += 1;
-        }
-        frame = WireBuf();
-      } else {
-        if (item.type == MsgType::kPredict) {
-          encode_predict_result(frame, item.session_id, item.request_id,
-                                results[0]);
-        } else {
-          encode_predict_batch_result(frame, item.session_id, item.request_id,
-                                      results);
-        }
-        if (enqueue_from_responder(c, std::move(frame))) {
-          util::MutexLock slock(stats_mu_);
-          stats_.predict_replies += 1;
-        }
-        frame = WireBuf();
-      }
-    }
-
-    {
-      util::MutexLock lock(c.mu);
-      c.busy = false;
-    }
-  }
-  c.responder_done.store(true, std::memory_order_release);
-  wake_io();  // the drain gate in io_loop() may be waiting on this
 }
 
 // ---------------------------------------------------------------------------
@@ -629,10 +528,7 @@ void NetServer::accept_ready() {
     }
     auto conn = std::make_shared<Connection>();
     conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->responder = std::thread(
-        [this, conn] { responder_loop(conn); });
-    conns_.push_back(conn);
+    conns_.push_back(std::move(conn));
     util::MutexLock slock(stats_mu_);
     stats_.connections_accepted += 1;
     stats_.connections_high_water =
@@ -648,20 +544,24 @@ void NetServer::close_connection(Connection& c) {
   }
   {
     util::MutexLock lock(c.mu);
+    // cham-lint: begin(net_mu)
     c.closed = true;
-    c.stop_responder = true;
+    // cham-lint: end(net_mu)
   }
-  c.cv_space.notify_all();
-  c.cv_work.notify_all();
   util::MutexLock slock(stats_mu_);
   stats_.connections_closed += 1;
 }
 
 void NetServer::io_loop() {
+  const bool dispatches =
+      mgr_.config().mode == serve::ServeMode::kDeterministic;
   std::vector<pollfd> pfds;
   std::vector<std::shared_ptr<Connection>> active;
   bool draining = false;
   std::chrono::steady_clock::time_point drain_deadline{};
+  auto reap = [this] {
+    std::erase_if(conns_, [](const auto& c) { return c->fd < 0; });
+  };
 
   for (;;) {
     if (!draining && stop_requested_.load(std::memory_order_relaxed)) {
@@ -672,40 +572,40 @@ void NetServer::io_loop() {
                        std::chrono::milliseconds(cfg_.drain_timeout_ms);
     }
 
-    // Reap connections whose responder has exited (join is instant then).
-    for (std::size_t i = 0; i < dead_.size();) {
-      if (dead_[i]->responder_done.load(std::memory_order_acquire)) {
-        if (dead_[i]->responder.joinable()) dead_[i]->responder.join();
-        dead_.erase(dead_.begin() + static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
+    // Frames a pause left in rdbuf resume once their outbox has drained.
+    for (auto& conn : conns_) {
+      Connection& c = *conn;
+      if (c.rd_off == c.rdbuf.size()) continue;
+      check_outbox(c);
+      if (!c.paused) parse_frames(c);
+    }
+    // A deterministic manager has no shard workers: this thread dispatches
+    // what the last pass admitted, and the hooks queue the replies.
+    if (dispatches && admitted_) {
+      admitted_ = false;
+      mgr_.drain();
     }
 
     if (draining) {
-      // Graceful drain: a connection closes once its responder queue is
-      // empty AND every queued reply byte reached the socket. Past the
+      // Graceful drain: a connection closes once it has no predict in
+      // flight AND every queued reply byte reached the socket. Past the
       // deadline, close regardless (the peer stopped reading).
       const bool expired = std::chrono::steady_clock::now() >= drain_deadline;
-      for (std::size_t i = 0; i < conns_.size();) {
-        Connection& c = *conns_[i];
+      for (auto& conn : conns_) {
+        Connection& c = *conn;
         bool idle;
         {
           util::MutexLock lock(c.mu);
           // cham-lint: begin(net_mu)
-          idle = c.pending.empty() && !c.busy && c.outbox.empty();
+          idle = c.inflight == 0 && c.outbox.empty();
           // cham-lint: end(net_mu)
         }
-        idle = idle && c.wire_off >= c.wire.size();
-        if (idle || expired) {
+        if ((idle && c.wire_off >= c.wire.size()) || expired) {
           close_connection(c);
-          dead_.push_back(conns_[i]);
-          conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
         }
       }
-      if (conns_.empty() && dead_.empty()) break;  // fully drained
+      reap();
+      if (conns_.empty()) break;  // fully drained
     }
 
     // Build the poll set.
@@ -717,50 +617,24 @@ void NetServer::io_loop() {
     }
     for (auto& conn : conns_) {
       Connection& c = *conn;
-      bool has_out;
-      int64_t depth;
-      {
-        util::MutexLock lock(c.mu);
-        // cham-lint: begin(net_mu)
-        has_out = !c.outbox.empty();
-        depth = c.outbox_bytes;
-        // cham-lint: end(net_mu)
-      }
-      has_out = has_out || c.wire_off < c.wire.size();
       // Flow control: stop reading from a connection whose replies are not
       // being consumed; resume below half the bound.
-      const bool over = depth > cfg_.outbox_limit_bytes / 2;
-      if (over && !c.paused) {
-        c.paused = true;
-        util::MutexLock slock(stats_mu_);
-        stats_.write_stalls += 1;
-      } else if (!over && c.paused) {
-        c.paused = false;
-      }
-      short events = 0;
-      if (!c.paused && !c.want_close) events |= POLLIN;
-      if (has_out) events |= POLLOUT;
+      const bool has_out =
+          check_outbox(c) > 0 || c.wire_off < c.wire.size();
       if (c.want_close && !has_out) {
         // Error reply flushed; nothing more to say.
         close_connection(c);
         continue;
       }
+      short events = 0;
+      if (!c.paused && !c.want_close) events |= POLLIN;
+      if (has_out) events |= POLLOUT;
       pfds.push_back({c.fd, events, 0});
       active.push_back(conn);
     }
-    // Connections closed above (want_close) must leave conns_.
-    if (active.size() != conns_.size()) {
-      for (std::size_t i = 0; i < conns_.size();) {
-        if (conns_[i]->fd < 0) {
-          dead_.push_back(conns_[i]);
-          conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(i));
-        } else {
-          ++i;
-        }
-      }
-    }
+    reap();
 
-    const int timeout_ms = (draining || !dead_.empty()) ? 20 : -1;
+    const int timeout_ms = draining ? 20 : -1;
     int rc = ::poll(pfds.data(), pfds.size(), timeout_ms);
     if (rc < 0 && errno != EINTR) break;  // unrecoverable
     if (rc <= 0) continue;
@@ -778,37 +652,21 @@ void NetServer::io_loop() {
     }
     for (std::size_t i = 0; i < active.size(); ++i, ++idx) {
       Connection& c = *active[i];
-      if (c.fd < 0) continue;
       const short rev = pfds[idx].revents;
       bool ok = true;
       if (rev & (POLLIN | POLLHUP | POLLERR)) ok = read_ready(c);
       if (ok && (rev & POLLOUT)) ok = flush_writes(c);
-      if (!ok) {
-        // Abrupt disconnect (possibly with requests in flight): close now;
-        // the responder consumes the remaining futures and exits.
-        close_connection(c);
-        for (std::size_t k = 0; k < conns_.size(); ++k) {
-          if (conns_[k].get() == &c) {
-            dead_.push_back(conns_[k]);
-            conns_.erase(conns_.begin() + static_cast<std::ptrdiff_t>(k));
-            break;
-          }
-        }
-      }
+      // Abrupt disconnect (possibly with predicts in flight): close now;
+      // their hooks find the connection closed and drop the replies.
+      if (!ok) close_connection(c);
     }
+    reap();
   }
 
   // Exit: anything still open closes un-gracefully (drain deadline passed
-  // or poll failed), then every responder joins.
-  for (auto& conn : conns_) {
-    close_connection(*conn);
-    dead_.push_back(conn);
-  }
+  // or poll failed). stop() runs the completions still owed to them.
+  for (auto& conn : conns_) close_connection(*conn);
   conns_.clear();
-  for (auto& conn : dead_) {
-    if (conn->responder.joinable()) conn->responder.join();
-  }
-  dead_.clear();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;

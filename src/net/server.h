@@ -10,58 +10,70 @@
 // and a completion sink, and every result bit matches the same schedule
 // submitted in-process (bench_net gates this end to end).
 //
-// Threading model (three kinds of threads, one lock each):
+// Threading model: NetServer owns exactly one thread, whatever the
+// connection count or scheduler mode.
 //
 //   I/O thread      Owns every socket. poll()-driven: accepts connections,
 //                   reads and parses frames, submits decoded requests to
 //                   the SessionManager (admission is non-blocking by
 //                   design: a full shard queue REJECTS, and the typed
 //                   BACKPRESSURE error relays retry_after_ms to the remote
-//                   caller), writes queued reply frames. Never blocks on
-//                   anything but poll(); all sockets are non-blocking.
+//                   caller), writes queued reply frames. With a
+//                   kDeterministic manager (no shard workers) it is also
+//                   the dispatcher: after every poll pass that admitted
+//                   work it calls mgr.drain(). FLUSH runs mgr.flush()
+//                   inline. Never blocks on anything but poll() and those
+//                   manager calls; all sockets are non-blocking.
 //
-//   Responders      One per connection. The completion scatter: pops that
-//                   connection's pending predicts in submission order,
-//                   blocks on each future, encodes the reply and hands it
-//                   to the connection's bounded outbox. Per-connection
-//                   ordering therefore holds by construction: predict
-//                   replies leave in request_id submission order (acks and
-//                   errors may overtake them — clients match on
-//                   request_id). FLUSH rides the same queue so it is
-//                   ordered behind the predicts that precede it.
+//   Completions     Not a thread. Each admitted predict carries a done hook
+//                   (serve::Request::done) that the dispatching thread — a
+//                   shard worker, or the I/O thread inside drain() — calls
+//                   once the result is ready. The hook that completes a
+//                   PREDICT (or the last page of a PREDICT_BATCH) encodes
+//                   the reply straight into the connection's outbox and
+//                   wakes the I/O thread through the self-pipe. It never
+//                   blocks: one push under the connection mutex.
 //
-//   Pump            Only when the manager runs ServeMode::kDeterministic
-//                   (no shard workers): a thread that calls mgr.drain()
-//                   whenever the I/O thread has submitted work, standing in
-//                   for the caller-driven dispatch the deterministic mode
-//                   expects. In kThreaded mode the shard workers dispatch
-//                   and the pump is not started. The pump may race a
-//                   responder's mgr.flush() (whose first step is drain()):
-//                   the SessionManager serialises deterministic-mode
-//                   dispatch internally (det_dispatch_mu_), so the two
-//                   drains take turns rather than interleaving pops of one
-//                   session's queue.
+// Delivery order: replies leave in completion order. A session's predicts
+// complete in submission order (one dispatcher per session, FIFO queue),
+// so same-session replies on a connection stay ordered, and FLUSH_OK
+// trails every reply to the connection's earlier predicts: flush() drains
+// first, and a shard counts a request done only after its hook returned.
+// Across sessions, and for acks and errors, replies may overtake each
+// other; clients match on request_id.
 //
-// Locks: each connection has one mutex guarding its outbox + pending queue
-// (critical sections are pointer moves only — the syscall-in-net-lock lint
-// rule rejects any blocking syscall inside the begin/end(net_mu) marker
-// regions); stats_mu_ guards the NetStats block. Neither is ever held
-// across a syscall or a future wait.
+// Locks: each connection has one mutex guarding its outbox and in-flight
+// count (critical sections are pointer moves only — the
+// syscall-in-net-lock lint rule rejects any blocking syscall inside the
+// begin/end(net_mu) marker regions); stats_mu_ guards the NetStats block.
+// Neither is ever held across a syscall or a manager call.
 //
 // Backpressure, both directions:
 //   inbound   admission rejections become BACKPRESSURE error frames
 //             carrying the manager's EWMA retry_after_ms hint;
-//   outbound  each connection's outbox is byte-bounded. A responder with a
-//             full outbox waits (flow control, not failure); the I/O thread
-//             PAUSES READING from a connection whose outbox crosses half
-//             the bound — a client that stops reading replies stops being
-//             served, instead of growing the server without bound.
+//   outbound  the I/O thread stops handling a connection's frames, and
+//             stops reading its socket, while its outbox holds more than
+//             half of outbox_limit_bytes (checked before every frame).
+//             Completions never wait for space, so past that mark the
+//             outbox grows only by replies already owed. It peaks at most
+//             at
+//
+//               outbox_limit_bytes / 2 + one synchronous reply (ack,
+//               error or STATS) + the replies to 2 x num_shards x
+//               queue_capacity predicts
+//
+//             since each shard holds at most queue_capacity queued
+//             requests plus one popped plan of at most queue_capacity in
+//             flight. A client that stops reading replies stops being
+//             served instead of growing the server without bound.
 //
 // Shutdown (stop(), the destructor, or a SHUTDOWN frame) is graceful:
 // accept stops, every already-admitted request completes and its reply is
 // flushed, then sockets close. Requests arriving DURING the drain get
 // SHUTTING_DOWN errors. A connection that will not read its replies is
-// force-closed after drain_timeout_ms.
+// force-closed after drain_timeout_ms. stop() returns only after the I/O
+// thread has exited and a final mgr.drain() has returned, so no completion
+// hook outlives the server.
 #pragma once
 
 #include <atomic>
@@ -69,6 +81,7 @@
 #include <deque>
 #include <future>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,8 +100,9 @@ struct NetConfig {
   // Reject any frame whose payload_len exceeds this (typed OVERSIZED error;
   // the payload is discarded from the stream, the connection survives).
   uint32_t max_payload_bytes = kDefaultMaxPayload;
-  // Per-connection outbox bound, in bytes. Responders block for space;
-  // reading from the connection pauses above half of this.
+  // Per-connection outbox bound, in bytes: the connection's frames stop
+  // being read and handled while its outbox holds more than half of this
+  // (see the outbound backpressure bound above).
   int64_t outbox_limit_bytes = int64_t{1} << 20;
   int listen_backlog = 64;
   // Graceful-shutdown deadline: connections whose replies cannot be flushed
@@ -101,9 +115,8 @@ struct NetConfig {
 
 class NetServer {
  public:
-  // Binds, listens and starts the I/O (and, for deterministic managers,
-  // pump) threads. Throws util::CheckError when the socket cannot be set
-  // up. The manager must outlive the server.
+  // Binds, listens and starts the I/O thread. Throws util::CheckError
+  // when the socket cannot be set up. The manager must outlive the server.
   NetServer(serve::SessionManager& mgr, NetConfig cfg);
   ~NetServer();  // stop()
 
@@ -111,8 +124,9 @@ class NetServer {
   NetServer& operator=(const NetServer&) = delete;
 
   // Graceful shutdown: stop accepting, drain every admitted request, flush
-  // replies, close sockets, join all threads. Idempotent; safe to call
-  // while a remote SHUTDOWN frame is doing the same thing.
+  // replies, close sockets, join the I/O thread, then mgr.drain() so every
+  // completion hook has run. Idempotent; safe to call while a remote
+  // SHUTDOWN frame is doing the same thing.
   void stop();
 
   // False once the server has shut down (stop() or a SHUTDOWN frame).
@@ -126,23 +140,8 @@ class NetServer {
   NetStats stats() const CHAM_EXCLUDES(stats_mu_);
 
  private:
-  // One predict (or ordered control) awaiting completion: the unit of the
-  // responder queue. PREDICT carries one future; PREDICT_BATCH one per
-  // page; FLUSH carries none and executes mgr_.flush() in queue order.
-  struct Pending {
-    MsgType type = MsgType::kPredict;
-    uint64_t session_id = 0;
-    uint64_t request_id = 0;
-    std::vector<std::future<std::vector<int64_t>>> futures;
-    // A partially-admitted PREDICT_BATCH: the I/O thread already replied
-    // BACKPRESSURE for the whole request, but the pages that WERE admitted
-    // will execute — their futures must still be consumed, silently.
-    bool discard = false;
-  };
-
-  struct Connection {
+  struct Connection : std::enable_shared_from_this<Connection> {
     int fd = -1;
-    uint64_t id = 0;
 
     // --- I/O-thread-owned (no lock): read/write cursors. ---
     std::vector<uint8_t> rdbuf;     // accumulated unparsed bytes
@@ -150,45 +149,65 @@ class NetServer {
     std::size_t discard_left = 0;   // oversized payload being skipped
     WireBuf wire;                   // frame bytes mid-write to the socket
     std::size_t wire_off = 0;
-    bool paused = false;            // POLLIN suppressed (outbox pressure)
+    bool paused = false;            // frames unhandled (outbox pressure)
     bool want_close = false;        // close once outbox + wire are flushed
 
-    // --- Shared with the responder (guarded by mu). ---
+    // --- Shared with completion hooks (guarded by mu). ---
     util::Mutex mu;
-    util::CondVar cv_space;  // outbox has room again / closed
-    util::CondVar cv_work;   // pending non-empty / stopping
     std::deque<WireBuf> outbox CHAM_GUARDED_BY(mu);
     int64_t outbox_bytes CHAM_GUARDED_BY(mu) = 0;
-    std::deque<Pending> pending CHAM_GUARDED_BY(mu);
-    bool closed CHAM_GUARDED_BY(mu) = false;          // fd is gone
-    bool stop_responder CHAM_GUARDED_BY(mu) = false;  // finish queue, exit
-    bool busy CHAM_GUARDED_BY(mu) = false;  // responder mid-item (drain gate)
+    // Admitted PREDICT / PREDICT_BATCH requests whose reply is not queued
+    // yet (the graceful-drain gate).
+    int64_t inflight CHAM_GUARDED_BY(mu) = 0;
+    bool closed CHAM_GUARDED_BY(mu) = false;  // fd is gone: drop replies
+  };
 
-    std::thread responder;
-    std::atomic<bool> responder_done{false};  // last store before exit
+  // One PREDICT (one page) or PREDICT_BATCH awaiting its pages' results.
+  // Each admitted page's done hook releases one reference and the
+  // submitting I/O thread releases the rest; whoever releases the last
+  // encodes the reply from the (then all ready) futures.
+  struct PendingReply {
+    std::shared_ptr<Connection> conn;
+    MsgType type = MsgType::kPredict;
+    uint64_t session_id = 0;
+    uint64_t request_id = 0;
+    std::vector<std::future<std::vector<int64_t>>> futures;
+    // A partially admitted PREDICT_BATCH: BACKPRESSURE already answered
+    // the whole request, so the admitted pages' results are dropped.
+    bool discard = false;
+    // Completion countdown, acquire/release (memory-ordering policy case
+    // 2, util/sync.h): the final release sees every future and field the
+    // submitter and the other hooks wrote.
+    std::atomic<std::size_t> refs{0};
   };
 
   void io_loop();
-  void pump_loop();
-  void responder_loop(std::shared_ptr<Connection> conn);
 
   void accept_ready();
   // Reads and parses; returns false when the connection must close.
   bool read_ready(Connection& c);
-  // Parses every complete frame in c.rdbuf; false => close connection.
-  bool parse_frames(Connection& c);
-  // Dispatches one decoded frame. False => close connection (unsyncable).
-  bool handle_frame(Connection& c, const FrameHeader& h, const uint8_t* payload);
+  // Handles every complete frame in c.rdbuf until the outbox pauses it.
+  void parse_frames(Connection& c);
+  void handle_frame(Connection& c, const FrameHeader& h,
+                    const uint8_t* payload);
+  // Submits the pages of a PREDICT (one) or PREDICT_BATCH as pipelined
+  // predicts sharing one PendingReply.
+  void submit_predicts(Connection& c, const FrameHeader& h,
+                       std::span<const std::vector<data::ImageKey>> pages);
+  // Releases `n` references of `p`; the last one queues the reply.
+  void complete(PendingReply& p, std::size_t n);
   // Moves outbox frames into the wire buffer and writes; false => close.
   bool flush_writes(Connection& c);
-  // Queues an encoded frame from the I/O thread (never blocks; engages
-  // read-pause flow control instead).
-  void enqueue_from_io(Connection& c, WireBuf frame);
-  // Queues from a responder: waits for outbox space; false if closed.
-  bool enqueue_from_responder(Connection& c, WireBuf frame);
+  // Queues a frame on c's outbox (dropped once the connection is closed);
+  // `retire` also takes one request off c.inflight in the same critical
+  // section. Never blocks: the I/O thread and completion hooks both call
+  // it. Returns whether the frame was queued.
+  bool enqueue(Connection& c, WireBuf frame, bool retire = false);
+  // Bytes on c's outbox. Refreshes c.paused (above half the bound) and
+  // counts each new pause as a write stall.
+  int64_t check_outbox(Connection& c);
   void close_connection(Connection& c);
   void wake_io();
-  void signal_pump();
   std::string build_stats_json();
 
   serve::SessionManager& mgr_;
@@ -199,24 +218,18 @@ class NetServer {
   int wake_rd_ = -1;  // self-pipe: anyone -> I/O thread
   int wake_wr_ = -1;
 
-  // I/O-thread-owned decode scratch: capacity reused across frames so the
-  // steady-state parse path allocates nothing.
+  // I/O-thread-owned decode scratch: capacity reused across frames so
+  // steady-state decoding allocates nothing.
   data::Batch obs_batch_;
   std::vector<data::ImageKey> keys_;
   std::vector<std::vector<data::ImageKey>> pages_;
 
+  // Completion hooks hold their connection alive, so a closed connection
+  // simply leaves this list.
   std::vector<std::shared_ptr<Connection>> conns_;  // I/O thread only
-  std::vector<std::shared_ptr<Connection>> dead_;   // awaiting responder join
-  uint64_t next_conn_id_ = 1;
+  bool admitted_ = false;  // I/O thread only: work submitted since drain()
 
   std::thread io_thread_;
-  std::thread pump_thread_;
-
-  // Pump hand-off (deterministic managers only).
-  util::Mutex pump_mu_;
-  util::CondVar pump_cv_;
-  bool pump_work_ CHAM_GUARDED_BY(pump_mu_) = false;
-  bool pump_stop_ CHAM_GUARDED_BY(pump_mu_) = false;
 
   // stop() may be called concurrently with a remote SHUTDOWN frame and from
   // the destructor; joins happen exactly once under this mutex.

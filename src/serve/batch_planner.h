@@ -23,10 +23,8 @@
 //                 arrival interleaving or shard count.
 //
 //   Bounding      max_batch bounds how many requests one eval pass merges
-//                 (the gather buffer stays small); max_wait_us bounds how
-//                 long a threaded shard worker may hold an undersized plan
-//                 open to admit stragglers. Neither affects results, only
-//                 latency/throughput shape.
+//                 (the gather buffer stays small). It affects no result,
+//                 only latency/throughput shape.
 //
 // Lifecycle (see DESIGN.md "Batch-plan lifecycle"): take_eligible() runs
 // under the owning shard's mutex and only moves queue entries (no blocking
@@ -37,6 +35,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <vector>
@@ -56,6 +55,10 @@ struct Request {
                                      // request must not dangle if the
                                      // submitting frame unwinds early)
   std::shared_ptr<std::promise<std::vector<int64_t>>> reply;  // kPredict
+  // Optional completion hook (kPredict): the dispatching thread calls it
+  // right after resolving `reply` (value or exception), with no serve lock
+  // held and before the request counts as done for drain(). Must not block.
+  std::function<void()> done;
 };
 
 struct BatchPlannerConfig {
@@ -63,9 +66,6 @@ struct BatchPlannerConfig {
   // cross-request merging (every predict evaluates alone — the fidelity
   // reference the bit-exactness bench gate compares against).
   int64_t max_batch = 8;
-  // Threaded shards only: how long a worker holding an undersized plan
-  // waits for more predicts before executing. 0 = execute immediately.
-  int64_t max_wait_us = 0;
 };
 
 // A contiguous run of plan items belonging to one session.
@@ -98,8 +98,6 @@ class BatchPlanner {
   // (appending to `out` in queue order) and leaves everything else in
   // place. The caller MUST hold the mutex guarding `queue`; the body is
   // straight pointer/vector moves so the critical section stays flat.
-  // Appending to `out` lets the deterministic drain pool one extraction
-  // pass per shard into a single cross-shard plan.
   void take_eligible(std::deque<Request>& queue,
                      std::vector<Request>& out) const;
 

@@ -19,12 +19,26 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+// Resolve a predict's promise, then run its completion hook. Every path
+// that finishes a predict goes through one of these two, so the hook runs
+// exactly once, after the result is visible through the future.
+void resolve(Request& r, std::vector<int64_t> out) {
+  r.reply->set_value(std::move(out));
+  if (r.done) r.done();
+}
+
+// Must be called from a catch block: relays the exception in flight.
+void fail(Request& r) {
+  r.reply->set_exception(std::current_exception());
+  if (r.done) r.done();
+}
+
 }  // namespace
 
 SessionManager::SessionManager(ServeConfig cfg, LearnerFactory factory)
     : cfg_(std::move(cfg)),
       factory_(std::move(factory)),
-      planner_(BatchPlannerConfig{cfg_.max_batch, cfg_.max_wait_us}),
+      planner_(BatchPlannerConfig{cfg_.max_batch}),
       store_(cfg_.store_dir) {
   CHAM_CHECK(cfg_.num_shards >= 1, "SessionManager: need at least one shard");
   CHAM_CHECK(cfg_.queue_capacity >= 1,
@@ -141,7 +155,7 @@ Admission SessionManager::submit_observe(uint64_t session_id,
 
 Admission SessionManager::submit_predict(
     uint64_t session_id, const std::vector<data::ImageKey>& keys,
-    std::future<std::vector<int64_t>>* result) {
+    std::future<std::vector<int64_t>>* result, std::function<void()> done) {
   // The promise is shared with the queued request: if dispatch throws (or
   // the submitting frame unwinds), neither side holds a dangling pointer,
   // and an exception set by the dispatcher re-surfaces from result.get().
@@ -152,6 +166,7 @@ Admission SessionManager::submit_predict(
   r.session_id = session_id;
   r.keys = keys;
   r.reply = std::move(reply);
+  r.done = std::move(done);
   const Admission adm = enqueue(shard_of(session_id), std::move(r));
   if (adm.accepted && result) *result = std::move(future);
   return adm;
@@ -175,45 +190,15 @@ std::optional<std::vector<int64_t>> SessionManager::predict(
 
 void SessionManager::drain() {
   if (cfg_.mode == ServeMode::kDeterministic) {
-    // Serialise caller-driven dispatch: concurrent drainers (a net pump
-    // thread racing a FLUSH responder, say) must not interleave pops of
-    // the same session's queue.
+    // Serialise caller-driven dispatch: concurrent drainers must not
+    // interleave pops of the same session's queue.
     util::MutexLock det(det_dispatch_mu_);
-    bool any = true;
-    while (any) {
+    // Round-robin one step per shard per pass: a deterministic interleaving
+    // that exercises cross-session switching (and therefore eviction)
+    // harder than draining shard-by-shard would.
+    for (bool any = true; any;) {
       any = false;
-      // Cross-shard steal pass: pool every shard's eligible predicts into
-      // ONE global plan. Single-threaded dispatch makes cross-shard
-      // coalescing safe (a session never spans shards, so per-session FIFO
-      // is untouched), and the planner's session_id ordering makes the
-      // plan independent of both shard count and arrival interleaving.
-      std::vector<Request> eligible;
-      for (auto& shard : shards_) {
-        util::MutexLock lock(shard->mu);
-        // cham-lint: begin(batch_plan)
-        planner_.take_eligible(shard->queue, eligible);
-        // cham-lint: end(batch_plan)
-      }
-      if (!eligible.empty()) {
-        dispatch_plan(planner_.finalize(std::move(eligible)), nullptr);
-        any = true;
-      }
-      // Round-robin one remaining request per shard per pass: a
-      // deterministic interleaving that exercises cross-session switching
-      // (and therefore eviction) harder than draining shard-by-shard would.
-      for (auto& shard : shards_) {
-        Request r;
-        {
-          util::MutexLock lock(shard->mu);
-          // cham-lint: begin(dispatch)
-          if (shard->queue.empty()) continue;
-          r = std::move(shard->queue.front());
-          shard->queue.pop_front();
-          // cham-lint: end(dispatch)
-        }
-        dispatch_timed(*shard, r);
-        any = true;
-      }
+      for (auto& shard : shards_) any = run_once(*shard) || any;
     }
     return;
   }
@@ -230,97 +215,64 @@ void SessionManager::drain() {
 
 void SessionManager::drain_shard(int64_t shard_idx) {
   util::MutexLock det(det_dispatch_mu_);
-  Shard& shard = *shards_[static_cast<size_t>(shard_idx)];
-  for (;;) {
-    std::vector<Request> eligible;
-    Request r;
-    bool have_single = false;
-    {
-      util::MutexLock lock(shard.mu);
-      // cham-lint: begin(batch_plan)
-      planner_.take_eligible(shard.queue, eligible);
-      // cham-lint: end(batch_plan)
-      if (eligible.empty()) {
-        // cham-lint: begin(dispatch)
-        if (shard.queue.empty()) return;
-        r = std::move(shard.queue.front());
-        shard.queue.pop_front();
-        // cham-lint: end(dispatch)
-        have_single = true;
-      }
-    }
-    if (have_single) {
-      dispatch_timed(shard, r);
-    } else {
-      dispatch_plan(planner_.finalize(std::move(eligible)), &shard);
-    }
+  while (run_once(*shards_[static_cast<size_t>(shard_idx)])) {
   }
 }
 
 void SessionManager::worker_loop(Shard& shard) {
   for (;;) {
-    std::vector<Request> eligible;
-    Request r;
-    bool have_single = false;
-    int64_t work_items = 0;
     {
       util::MutexLock lock(shard.mu);
       shard.cv.wait(lock, [this, &shard]() CHAM_REQUIRES(shard.mu) {
         return stop_.load(std::memory_order_relaxed) || !shard.queue.empty();
       });
-      // cham-lint: begin(batch_plan)
-      planner_.take_eligible(shard.queue, eligible);
-      // cham-lint: end(batch_plan)
-      if (!eligible.empty() &&
-          static_cast<int64_t>(eligible.size()) < cfg_.max_batch &&
-          cfg_.max_wait_us > 0) {
-        // Bounded coalescing: hold the undersized plan open for at most
-        // max_wait_us to admit straggler predicts. Purely a latency/
-        // throughput trade — merged or not, results are bit-identical.
-        const int64_t want = cfg_.max_batch -
-                             static_cast<int64_t>(eligible.size());
-        shard.cv.wait_for(
-            lock, std::chrono::microseconds(cfg_.max_wait_us),
-            [this, &shard, want]() CHAM_REQUIRES(shard.mu) {
-              return stop_.load(std::memory_order_relaxed) ||
-                     static_cast<int64_t>(shard.queue.size()) >= want;
-            });
-        // cham-lint: begin(batch_plan)
-        planner_.take_eligible(shard.queue, eligible);
-        // cham-lint: end(batch_plan)
-      }
-      if (eligible.empty()) {
-        // cham-lint: begin(dispatch)
-        if (shard.queue.empty()) {
-          // stop_ set and no work left. Wake any drain() racing shutdown:
-          // nobody will notify cv_idle after this thread exits.
-          shard.cv_idle.notify_all();
-          return;
-        }
-        r = std::move(shard.queue.front());
-        shard.queue.pop_front();
-        ++shard.in_flight;
-        // cham-lint: end(dispatch)
-        have_single = true;
-        work_items = 1;
-      } else {
-        work_items = static_cast<int64_t>(eligible.size());
-        shard.in_flight += work_items;
-      }
-    }
-    if (have_single) {
-      dispatch_timed(shard, r);
-    } else {
-      dispatch_plan(planner_.finalize(std::move(eligible)), &shard);
-    }
-    {
-      util::MutexLock lock(shard.mu);
-      shard.in_flight -= work_items;
-      if (shard.queue.empty() && shard.in_flight == 0) {
+      if (shard.queue.empty()) {
+        // stop_ set and no work left. Wake any drain() racing shutdown:
+        // nobody will notify cv_idle after this thread exits.
         shard.cv_idle.notify_all();
+        return;
       }
     }
+    run_once(shard);  // only this worker pops the shard: the queue is non-empty
   }
+}
+
+bool SessionManager::run_once(Shard& shard) {
+  std::vector<Request> eligible;
+  Request single;
+  int64_t items = 0;
+  {
+    util::MutexLock lock(shard.mu);
+    // cham-lint: begin(batch_plan)
+    planner_.take_eligible(shard.queue, eligible);
+    // cham-lint: end(batch_plan)
+    items = static_cast<int64_t>(eligible.size());
+    if (items == 0) {
+      // cham-lint: begin(dispatch)
+      if (shard.queue.empty()) return false;
+      single = std::move(shard.queue.front());
+      shard.queue.pop_front();
+      // cham-lint: end(dispatch)
+      items = 1;
+    }
+    shard.in_flight += items;
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  if (eligible.empty()) {
+    dispatch(single);
+  } else {
+    dispatch_plan(planner_.finalize(std::move(eligible)));
+  }
+  const double per_item = ms_since(t0) / static_cast<double>(items);
+  util::MutexLock lock(shard.mu);
+  shard.ewma_dispatch_ms = shard.ewma_dispatch_ms == 0
+                               ? per_item
+                               : 0.8 * shard.ewma_dispatch_ms + 0.2 * per_item;
+  // The completion hooks have returned, so a drain() woken here (a FLUSH
+  // among them) is ordered after every reply they produced.
+  shard.in_flight -= items;
+  if (shard.queue.empty() && shard.in_flight == 0) shard.cv_idle.notify_all();
+  return true;
 }
 
 void SessionManager::note_dispatch_error() {
@@ -328,28 +280,7 @@ void SessionManager::note_dispatch_error() {
   ++stats_.dispatch_errors;
 }
 
-void SessionManager::note_dispatch_ms(Shard& shard, double total_ms,
-                                      int64_t items) {
-  if (items <= 0) return;
-  const double per_item = total_ms / static_cast<double>(items);
-  util::MutexLock lock(shard.mu);
-  shard.ewma_dispatch_ms = shard.ewma_dispatch_ms == 0
-                               ? per_item
-                               : 0.8 * shard.ewma_dispatch_ms + 0.2 * per_item;
-}
-
-void SessionManager::dispatch_timed(Shard& shard, Request& r) {
-  const auto t0 = std::chrono::steady_clock::now();
-  // May throw (deterministic-mode observe): that sample simply goes
-  // unrecorded — the EWMA is a hint, not an invariant.
-  dispatch(r);
-  note_dispatch_ms(shard, ms_since(t0), 1);
-}
-
-void SessionManager::dispatch_plan(BatchPlan plan, Shard* timing_shard) {
-  if (plan.items.empty()) return;
-  const auto t0 = std::chrono::steady_clock::now();
-
+void SessionManager::dispatch_plan(BatchPlan plan) {
   // Groups run strictly one at a time: acquire, evaluate, release. Lazy
   // acquisition means this dispatcher never holds more than one pin — the
   // budget the max_resident >= num_shards spare-victim invariant allots it
@@ -365,8 +296,8 @@ void SessionManager::dispatch_plan(BatchPlan plan, Shard* timing_shard) {
       // Nothing is pinned (acquire un-reserves on its way out). Fail just
       // this group; the rest of the plan still runs.
       for (size_t i = g.begin; i < g.end; ++i) {
-        plan.items[i].reply->set_exception(std::current_exception());
         note_dispatch_error();
+        fail(plan.items[i]);
       }
       continue;
     }
@@ -416,8 +347,8 @@ void SessionManager::dispatch_plan(BatchPlan plan, Shard* timing_shard) {
       for (size_t i = g.begin; i < g.end; ++i) {
         finish_dispatch(plan.items[i], learner, /*ok=*/false,
                         /*release_pin=*/i + 1 == g.end);
-        plan.items[i].reply->set_exception(std::current_exception());
         note_dispatch_error();
+        fail(plan.items[i]);
       }
     }
     if (!ok) continue;
@@ -426,69 +357,48 @@ void SessionManager::dispatch_plan(BatchPlan plan, Shard* timing_shard) {
       // another shard may evict and free the learner.
       finish_dispatch(plan.items[i], learner, /*ok=*/true,
                       /*release_pin=*/i + 1 == g.end);
-      plan.items[i].reply->set_value(std::move(results[i - g.begin]));
+      resolve(plan.items[i], std::move(results[i - g.begin]));
       ++served;
     }
   }
 
-  {
-    util::MutexLock slock(stats_mu_);
-    stats_.predicts += served;
-    stats_.predict_batches += windows;
-    stats_.batched_predicts += merged;
-    stats_.batch_size_max = std::max(stats_.batch_size_max, max_window);
-  }
-  if (timing_shard != nullptr) {
-    note_dispatch_ms(*timing_shard, ms_since(t0),
-                     static_cast<int64_t>(plan.items.size()));
-  }
+  util::MutexLock slock(stats_mu_);
+  stats_.predicts += served;
+  stats_.predict_batches += windows;
+  stats_.batched_predicts += merged;
+  stats_.batch_size_max = std::max(stats_.batch_size_max, max_window);
 }
 
 void SessionManager::dispatch(Request& r) {
+  // One error rule in both modes: count the failure, relay it through the
+  // promise for a predict, and keep dispatching.
   core::ChameleonLearner* learner = nullptr;
-  try {
-    learner = acquire_session(r.session_id);
-  } catch (...) {
-    // acquire_session un-reserves on its way out; nothing is pinned here.
-    note_dispatch_error();
-    if (r.reply) {
-      r.reply->set_exception(std::current_exception());
-      return;  // the predict() caller rethrows from result.get()
-    }
-    if (cfg_.mode == ServeMode::kDeterministic) throw;
-    return;  // threaded observe: counted; the worker must survive
-  }
-  // Execute unpinned from sessions_mu_: other shards keep admitting and
-  // evicting while this session trains (it is protected by its in_use pin).
   std::vector<int64_t> out;
   try {
+    // acquire_session un-reserves on its way out; nothing is pinned if it
+    // throws. Execute unpinned from sessions_mu_: other shards keep
+    // admitting and evicting while this session trains (it is protected by
+    // its in_use pin).
+    learner = acquire_session(r.session_id);
     if (r.kind == Request::Kind::kObserve) {
       learner->observe(r.batch);
     } else {
       out = learner->predict(r.keys);
     }
   } catch (...) {
-    // Release the pin FIRST (a permanently pinned session deadlocks
-    // eviction and flush), then surface the error: through the promise for
-    // predicts, to the caller in deterministic mode, counted in threaded
-    // mode (the worker thread must not die).
-    finish_dispatch(r, learner, /*ok=*/false);
+    // Release the pin (a permanently pinned session deadlocks eviction and
+    // flush) and invalidate the op log before surfacing the error.
+    if (learner) finish_dispatch(r, learner, /*ok=*/false);
     note_dispatch_error();
-    if (r.reply) {
-      r.reply->set_exception(std::current_exception());
-      return;
-    }
-    if (cfg_.mode == ServeMode::kDeterministic) throw;
+    if (r.reply) fail(r);
     return;
   }
   finish_dispatch(r, learner, /*ok=*/true);
-  if (r.reply) r.reply->set_value(std::move(out));
-  util::MutexLock slock(stats_mu_);
-  if (r.kind == Request::Kind::kObserve) {
-    ++stats_.observes;
-  } else {
-    ++stats_.predicts;
+  {
+    util::MutexLock slock(stats_mu_);
+    ++(r.kind == Request::Kind::kObserve ? stats_.observes : stats_.predicts);
   }
+  if (r.reply) resolve(r, std::move(out));
 }
 
 void SessionManager::finish_dispatch(Request& r,

@@ -28,13 +28,19 @@
 //   * Each session's learner is seeded with split_seed(base_seed, id), so
 //     per-session randomness is independent of admission order.
 //
-// Two scheduler modes:
+// Two scheduler modes, one dispatch step. Every dispatcher runs the same
+// run_once() step on a shard: take the queue's eligible predicts as a batch
+// plan, else pop the head request; dispatch it; resolve the promises and
+// run the completion hooks; only then mark the shard idle. A failed request
+// is counted in dispatch_errors (a predict's caller sees the exception
+// through its future) in both modes; nothing is rethrown.
 //
 //   kDeterministic  No threads. submit_observe() enqueues; drain() (or a
-//                   synchronous predict()) dispatches queued requests in
-//                   round-robin shard order on the calling thread. Tests use
-//                   this to replay any interleaving reproducibly.
-//   kThreaded       One worker thread per shard. The manager forces the
+//                   synchronous predict()) runs the step round-robin across
+//                   shards on the calling thread. Tests use this to replay
+//                   any interleaving reproducibly.
+//   kThreaded       One worker thread per shard runs the step. The manager
+//                   forces the
 //                   tensor pool to 1 thread for its lifetime (shard-level
 //                   parallelism replaces intra-op parallelism; kernels are
 //                   bit-identical at any thread count, so per-session
@@ -89,11 +95,9 @@ struct ServeConfig {
   int64_t retry_hint_ms = 5;
   int64_t retry_hint_max_ms = 1000;
   // Batched predict dispatch (serve/batch_planner.h): max predict requests
-  // coalesced into one stacked head evaluation, and how long a threaded
-  // shard worker may wait to fill an undersized plan. max_batch = 1
-  // disables cross-request merging; results are bit-identical either way.
+  // coalesced into one stacked head evaluation. max_batch = 1 disables
+  // cross-request merging; results are bit-identical either way.
   int64_t max_batch = 8;
-  int64_t max_wait_us = 0;
   ServeMode mode = ServeMode::kDeterministic;
   std::string store_dir = "/tmp/cham_sessions";
   uint64_t base_seed = 42;
@@ -140,20 +144,23 @@ class SessionManager {
   // future in *result. Queued predicts from different sessions coalesce
   // into batch plans — by the shard worker (threaded) or at the next
   // drain()/predict() (deterministic). Per-session results are bit-exact
-  // vs the synchronous path.
+  // vs the synchronous path. An admitted request's `done` hook runs once,
+  // on the dispatching thread, right after the future becomes ready (see
+  // Request::done); a rejected request never calls it.
   Admission submit_predict(uint64_t session_id,
                            const std::vector<data::ImageKey>& keys,
-                           std::future<std::vector<int64_t>>* result);
+                           std::future<std::vector<int64_t>>* result,
+                           std::function<void()> done = {});
 
   // Deterministic mode: dispatches every queued request, round-robin across
   // shards, on the calling thread. Threaded mode: blocks until all queues
-  // are empty and in-flight requests have finished.
+  // are empty and every dispatched request's completion hook has returned.
+  // Never throws for a failed request (it is counted in dispatch_errors).
   //
   // Safe to call from several threads in either mode: deterministic-mode
   // dispatch is serialised on det_dispatch_mu_, so concurrent drain()/
-  // flush()/predict() callers (e.g. a net pump thread racing a responder's
-  // FLUSH) take turns instead of popping and dispatching the same session's
-  // requests in parallel.
+  // flush()/predict() callers take turns instead of popping and
+  // dispatching the same session's requests in parallel.
   void drain() CHAM_EXCLUDES(det_dispatch_mu_);
 
   // Drains, then evicts every resident session to the store.
@@ -217,16 +224,16 @@ class SessionManager {
 
   int64_t shard_of(uint64_t session_id) const;
   Admission enqueue(int64_t shard_idx, Request r);
-  // Pops and dispatches until the shard queue is empty (deterministic mode).
+  // The one dispatch step every dispatcher runs: takes the shard's eligible
+  // predicts as a plan, else pops its head request; dispatches; folds the
+  // wall time into the shard's drain-rate EWMA (retry-hint scaling); drops
+  // in_flight and notifies cv_idle once the completion hooks have run.
+  // Returns false, doing nothing, when the queue is empty.
+  bool run_once(Shard& shard) CHAM_EXCLUDES(sessions_mu_);
+  // Runs the step until the shard queue is empty (deterministic mode).
   void drain_shard(int64_t shard_idx) CHAM_EXCLUDES(det_dispatch_mu_);
   void worker_loop(Shard& shard);
   void dispatch(Request& r);
-  // Dispatches `r` and folds its wall time into the shard's drain-rate
-  // EWMA (retry-hint scaling).
-  void dispatch_timed(Shard& shard, Request& r);
-  // Folds `total_ms` over `items` dispatched requests into the shard's
-  // per-request drain-rate EWMA.
-  void note_dispatch_ms(Shard& shard, double total_ms, int64_t items);
   // Executes a batch plan: one group at a time — acquire the session,
   // run its merged stacked evaluations in max_batch-request windows,
   // scatter results to the per-request promises, release. Lazy per-group
@@ -234,8 +241,7 @@ class SessionManager {
   // max_resident >= num_shards spare-victim invariant), so any group's
   // acquire may evict — including a later group's session, which then
   // simply restores bit-exactly when its turn comes.
-  void dispatch_plan(BatchPlan plan, Shard* timing_shard)
-      CHAM_EXCLUDES(sessions_mu_);
+  void dispatch_plan(BatchPlan plan) CHAM_EXCLUDES(sessions_mu_);
   // Makes the session resident (evicting/restoring as needed), pins it, and
   // returns its learner. Takes sessions_mu_ internally; eviction
   // serialisation and restore I/O both run with the lock released.
@@ -270,14 +276,15 @@ class SessionManager {
   std::unique_ptr<WriteBehind> write_behind_;
   std::vector<std::unique_ptr<Shard>> shards_;
 
-  // Deterministic-mode dispatch token: drain() and drain_shard() pop and
-  // dispatch on the CALLING thread, so without serialisation two callers
-  // could dequeue consecutive requests of one session and run them
-  // concurrently (an observe mutating the learner while a predict reads
-  // it) — the per-session FIFO guarantee threaded mode gets from its
-  // one-worker-per-shard structure. Held across whole drain passes
-  // (dispatch included), ahead of every other serve-layer lock. Threaded
-  // mode never takes it.
+  // Deterministic-mode dispatch token: drain() and drain_shard() run the
+  // dispatch step on the CALLING thread, and concurrent drain()/flush()/
+  // predict() callers are part of the public contract, so without
+  // serialisation two callers could dequeue consecutive requests of one
+  // session and run them concurrently (an observe mutating the learner
+  // while a predict reads it) — the per-session FIFO guarantee threaded
+  // mode gets from its one-worker-per-shard structure. Held across whole
+  // drain passes (dispatch included), ahead of every other serve-layer
+  // lock. Threaded mode never takes it.
   util::Mutex det_dispatch_mu_ CHAM_ACQUIRED_BEFORE(sessions_mu_);
 
   mutable util::Mutex sessions_mu_;

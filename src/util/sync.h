@@ -37,8 +37,11 @@
 //   2. Completion-count hand-off, acquire/release.  A countdown that
 //      transfers written data from workers to a waiter
 //      (thread_pool.cpp pending_): workers fetch_sub(acq_rel) after their
-//      writes, the waiter loads acquire and observes all of them. This is
-//      the ONE place seq_cst-free release/acquire ordering carries data.
+//      writes, the waiter loads acquire and observes all of them. The
+//      socket front-end's per-reply page countdown (net/server.h
+//      PendingReply::refs) is the same hand-off with the last fetch_sub as
+//      the waiter. These are the only places seq_cst-free release/acquire
+//      ordering carries data.
 //   3. Monitoring counters, relaxed.  Single-writer gauges polled by other
 //      threads for statistics only (ws::Arena high-water / reserved
 //      counters), or multi-writer tallies summed after a join barrier that

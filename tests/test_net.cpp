@@ -18,6 +18,7 @@
 #include <cctype>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -544,7 +545,7 @@ TEST_F(NetSuite, BackpressurePropagatesRetryHintOverWire) {
 
   const auto batches = session_batches(2);
   constexpr int kObserves = 12;
-  // Pipeline the sends: the I/O thread submits far faster than the pump
+  // Pipeline the sends: the I/O thread submits far faster than the manager
   // dispatches, so with capacity 1 most of these reject.
   std::vector<uint64_t> ids;
   for (int i = 0; i < kObserves; ++i) {
@@ -787,8 +788,8 @@ TEST_F(NetSuite, SplitWritesAndTruncatedDisconnectSurvive) {
   EXPECT_TRUE(c.predict_admitted(4, test_keys).ok());
 }
 
-// Disconnecting with predicts in flight: the responder consumes the
-// orphaned futures and the server keeps serving.
+// Disconnecting with predicts in flight: their completion hooks find the
+// connection closed and drop the replies, and the server keeps serving.
 TEST_F(NetSuite, ClientDisconnectWithRequestsInFlight) {
   serve::ServeConfig sc = serve_config("dis", serve::ServeMode::kDeterministic);
   serve::SessionManager mgr(sc, factory());
@@ -931,6 +932,195 @@ TEST_P(NetShutdownSuite, GracefulShutdownDrainsInFlightRequests) {
   // ...and stop() remains a safe no-op afterwards.
   server.stop();
   EXPECT_EQ(server.stats().shutdowns_in, 1);
+}
+
+// A PREDICT_BATCH with more pages than a shard queue holds can never be
+// admitted whole (all pages of one session share a queue). It is refused
+// with a non-retryable OVERSIZED error before any page is submitted — not
+// a BACKPRESSURE that predict_batch_admitted would retry until max_tries
+// while the admitted prefix ran for nothing.
+TEST_F(NetSuite, PredictBatchLargerThanQueueIsRefusedUpFront) {
+  serve::ServeConfig sc = serve_config("pbo", serve::ServeMode::kDeterministic);
+  sc.queue_capacity = 4;
+  serve::SessionManager mgr(sc, factory());
+  net::NetConfig nc = net_config("pbo");
+  net::NetServer server(mgr, nc);
+  net::NetClient c(client_options(nc));
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  ASSERT_TRUE(c.observe_admitted(3, session_batches(3)[0]).ok());
+  const int64_t predicts_before = mgr.stats().predicts;
+
+  const std::vector<std::vector<data::ImageKey>> pages(
+      static_cast<std::size_t>(sc.queue_capacity) + 1, test_keys);
+  net::Reply r = c.predict_batch_admitted(3, pages, /*max_tries=*/3);
+  EXPECT_FALSE(r.ok());
+  EXPECT_FALSE(r.backpressured());
+  EXPECT_EQ(r.error.code, net::ErrCode::kOversized);
+
+  // FLUSH drains everything admitted before it: no page ran.
+  ASSERT_EQ(c.flush().type, net::MsgType::kFlushOk);
+  EXPECT_EQ(mgr.stats().predicts, predicts_before);
+  EXPECT_EQ(server.stats().err_oversized, 1);
+  EXPECT_EQ(server.stats().err_backpressure, 0);
+
+  // A batch that fits the queue still serves.
+  const std::vector<std::vector<data::ImageKey>> fits(
+      static_cast<std::size_t>(sc.queue_capacity), test_keys);
+  net::Reply ok = c.predict_batch_admitted(3, fits);
+  ASSERT_TRUE(ok.ok()) << net::err_code_name(ok.error.code);
+  EXPECT_EQ(ok.pages.size(), fits.size());
+}
+
+// Threads in this process, from the kernel's own list.
+int64_t thread_count() {
+  int64_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+// Replies are encoded by completion hooks on the dispatching thread, so the
+// server owns exactly one thread (its I/O thread) however many connections
+// are open, in either scheduler mode.
+TEST_F(NetSuite, ServerThreadCountStaysFlatAsConnectionsGrow) {
+  for (const auto mode :
+       {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+    const bool threaded = mode == serve::ServeMode::kThreaded;
+    SCOPED_TRACE(threaded ? "threaded" : "deterministic");
+    const std::string tag = threaded ? "thr_t" : "thr_d";
+    serve::SessionManager mgr(serve_config(tag, mode), factory());
+    const int64_t base = thread_count();
+    net::NetConfig nc = net_config(tag);
+    net::NetServer server(mgr, nc);
+
+    std::vector<std::unique_ptr<net::NetClient>> clients;
+    auto open_to = [&](std::size_t n) {
+      while (clients.size() < n) {
+        clients.push_back(std::make_unique<net::NetClient>(client_options(nc)));
+        // A STATS round trip proves the server accepted and served it.
+        ASSERT_TRUE(clients.back()->stats_json().ok());
+      }
+    };
+    open_to(1);
+    EXPECT_EQ(thread_count(), base + 1) << "with 1 connection open";
+    open_to(8);
+    EXPECT_EQ(thread_count(), base + 1) << "with 8 connections open";
+    EXPECT_EQ(server.stats().connections_accepted, 8);
+  }
+}
+
+// A client that pipelines predicts and reads nothing: its outbox crosses
+// half the bound, the server stops handling its frames (a write stall), and
+// the outbox stays within the bound server.h documents, while a second
+// connection keeps being served. Once the client reads, every admitted
+// reply is bit-identical to an isolated learner.
+TEST_F(NetSuite, StalledReaderIsPausedWithinOutboxBound) {
+  serve::ServeConfig sc = serve_config("stall", serve::ServeMode::kThreaded);
+  sc.queue_capacity = 4;
+  serve::SessionManager mgr(sc, factory());
+  net::NetConfig nc = net_config("stall");
+  nc.sndbuf_bytes = 1;  // clamped to the kernel minimum: ~one reply fits
+  nc.outbox_limit_bytes = 4096;
+  net::NetServer server(mgr, nc);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  const auto batches = session_batches(11);
+
+  // Fat key lists: one reply (8 bytes a key) outweighs half the bound.
+  std::vector<data::ImageKey> fat;
+  while (fat.size() < 512) {
+    fat.insert(fat.end(), test_keys.begin(), test_keys.end());
+  }
+  core::ChameleonLearner iso(exp_->env(), learner_config(),
+                             mgr.session_seed(11));
+  iso.observe(batches[0]);
+  const std::vector<int64_t> want = iso.predict(fat);
+
+  net::NetClient stalled(client_options(nc));
+  ASSERT_TRUE(stalled.observe_admitted(11, batches[0]).ok());
+  std::vector<uint64_t> ids;
+  for (int i = 0; i < 16; ++i) ids.push_back(stalled.send_predict(11, fat));
+  for (int spin = 0; spin < 12000 && server.stats().write_stalls < 1;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_GE(server.stats().write_stalls, 1);
+
+  // Another connection is unaffected by the stalled one.
+  {
+    net::NetClient other(client_options(nc));
+    const auto other_batches = session_batches(12);
+    ASSERT_TRUE(other.observe_admitted(12, other_batches[0]).ok());
+    net::Reply r = other.predict_admitted(12, test_keys);
+    ASSERT_TRUE(r.ok()) << net::err_code_name(r.error.code);
+    core::ChameleonLearner iso12(exp_->env(), learner_config(),
+                                 mgr.session_seed(12));
+    iso12.observe(other_batches[0]);
+    EXPECT_EQ(r.preds, iso12.predict(test_keys));
+  }
+
+  int64_t served = 0;
+  for (uint64_t id : ids) {
+    net::Reply r = stalled.await_reply(id);
+    if (r.ok()) {
+      EXPECT_EQ(r.preds, want) << "request " << id;
+      ++served;
+    } else {
+      EXPECT_TRUE(r.backpressured()) << net::err_code_name(r.error.code);
+    }
+  }
+  EXPECT_GT(served, 0);
+
+  // The documented bound: half the limit, one synchronous reply, and the
+  // replies owed to 2 x num_shards x queue_capacity admitted predicts.
+  net::WireBuf reply, error;
+  net::encode_predict_result(reply, 11, ids.back(), want);
+  net::encode_error(error, 11, ids.back(), net::ErrCode::kBackpressure, 1000,
+                    "predict queue full (partial batch)");
+  const int64_t bound =
+      nc.outbox_limit_bytes / 2 + static_cast<int64_t>(error.size()) +
+      2 * sc.num_shards * sc.queue_capacity *
+          static_cast<int64_t>(reply.size());
+  EXPECT_LE(server.stats().outbox_high_water_bytes, bound);
+  EXPECT_GT(server.stats().outbox_high_water_bytes, nc.outbox_limit_bytes / 2);
+}
+
+// stop() with predicts still queued behind a connection it force-closes:
+// it returns only after every completion hook has run (the hooks write to
+// the server's self-pipe, so none may outlive it).
+TEST_F(NetSuite, StopWithPredictsQueuedRunsEveryCompletion) {
+  serve::ServeConfig sc = serve_config("stopq", serve::ServeMode::kThreaded);
+  serve::SessionManager mgr(sc, factory());
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  std::vector<data::ImageKey> fat;
+  while (fat.size() < 768) {
+    fat.insert(fat.end(), test_keys.begin(), test_keys.end());
+  }
+  int64_t admitted = 0;
+  int64_t done_at_stop = 0;
+  {
+    net::NetConfig nc = net_config("stopq");
+    nc.drain_timeout_ms = 0;  // force-close at once: completions still owed
+    net::NetServer server(mgr, nc);
+    net::NetClient c(client_options(nc));
+    constexpr int kPredicts = 12;
+    for (int i = 0; i < kPredicts; ++i) {
+      c.send_predict(static_cast<uint64_t>(i % 3), fat);
+    }
+    for (int spin = 0; spin < 2000 && server.stats().predicts_in < kPredicts;
+         ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(server.stats().predicts_in, kPredicts);
+    admitted = kPredicts - server.stats().err_backpressure;
+    done_at_stop = mgr.stats().predicts;
+    server.stop();
+    EXPECT_EQ(mgr.stats().predicts, admitted)
+        << "stop() returned with completions outstanding";
+  }  // server destroyed: a late hook would touch freed memory (ASan)
+  EXPECT_LT(done_at_stop, admitted) << "nothing was queued at stop()";
+  EXPECT_EQ(mgr.stats().dispatch_errors, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, NetShutdownSuite,

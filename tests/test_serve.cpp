@@ -463,14 +463,24 @@ TEST_F(ServeSuite, ZipfScheduleShape) {
 // ---------------------------------------------------------------------------
 // Write-behind eviction pipeline + serve-path failure handling.
 
-// A learner whose predict() can be armed to throw, for fault injection
-// through the virtual dispatch path the manager uses.
+// A learner whose predict() (and, with a second arm, observe()) can be
+// armed to throw, for fault injection through the virtual dispatch path the
+// manager uses. The armed observe throws before touching any state.
 class ThrowingLearner : public core::ChameleonLearner {
  public:
   ThrowingLearner(const core::LearnerEnv& env,
                   const core::ChameleonConfig& cfg, uint64_t seed,
-                  std::shared_ptr<std::atomic<bool>> arm)
-      : core::ChameleonLearner(env, cfg, seed), arm_(std::move(arm)) {}
+                  std::shared_ptr<std::atomic<bool>> arm,
+                  std::shared_ptr<std::atomic<bool>> observe_arm = nullptr)
+      : core::ChameleonLearner(env, cfg, seed),
+        arm_(std::move(arm)),
+        observe_arm_(std::move(observe_arm)) {}
+  void observe(const data::Batch& batch) override {
+    if (observe_arm_ && observe_arm_->load()) {
+      throw util::CheckError("injected observe failure");
+    }
+    core::ChameleonLearner::observe(batch);
+  }
   // predict_batch is the single funnel both the plain predict() path and
   // the serve batch planner flow through — overriding it injects the
   // failure into either.
@@ -482,6 +492,7 @@ class ThrowingLearner : public core::ChameleonLearner {
 
  private:
   std::shared_ptr<std::atomic<bool>> arm_;
+  std::shared_ptr<std::atomic<bool>> observe_arm_;
 };
 
 // Satellite bugfix: a failed write (disk full) must never replace a valid
@@ -559,6 +570,72 @@ TEST_F(ServeSuite, PredictExceptionPropagatesWithoutHanging) {
     EXPECT_EQ(st.dispatch_errors, 1);
     EXPECT_EQ(st.predicts, 1);  // only the successful one counts
   }
+}
+
+// One error rule in both scheduler modes: a failed observe is counted in
+// dispatch_errors, drain() returns normally (deterministic mode used to
+// rethrow), the session's op log is invalidated so its next eviction writes
+// a full blob instead of an op-log delta, and the session keeps serving
+// bit-exact predicts.
+TEST_F(ServeSuite, ObserveFailureCountedAndLogInvalidatedInBothModes) {
+  auto predict_arm = std::make_shared<std::atomic<bool>>(false);
+  auto observe_arm = std::make_shared<std::atomic<bool>>(false);
+  serve::LearnerFactory throwing_factory =
+      [predict_arm, observe_arm](uint64_t /*session_id*/, uint64_t seed) {
+        return std::unique_ptr<core::ChameleonLearner>(
+            std::make_unique<ThrowingLearner>(exp_->env(), learner_config(),
+                                              seed, predict_arm, observe_arm));
+      };
+  const auto batches = session_batches(5);
+  ASSERT_GE(batches.size(), 2u);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+
+  for (const auto mode :
+       {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+    SCOPED_TRACE(mode == serve::ServeMode::kThreaded ? "threaded"
+                                                     : "deterministic");
+    serve::ServeConfig sc;
+    sc.num_shards = 1;
+    sc.max_resident = 1;  // touching session 9 evicts session 8
+    sc.store_dir = "/tmp/cham_serve_throw_observe";
+    sc.mode = mode;
+    serve::SessionStore(sc.store_dir).clear();
+    serve::SessionManager mgr(sc, throwing_factory);
+
+    // Session 8 gets a base blob on disk; a later clean eviction of it
+    // would be an op-log delta on top of that base.
+    submit_or_drain(mgr, 8, batches[0]);
+    submit_or_drain(mgr, 9, batches[0]);
+    mgr.drain();
+
+    observe_arm->store(true);
+    submit_or_drain(mgr, 8, batches[1]);
+    EXPECT_NO_THROW(mgr.drain());
+    observe_arm->store(false);
+    EXPECT_EQ(mgr.stats().dispatch_errors, 1);
+
+    mgr.write_behind().drain();
+    const serve::ServeStats before = mgr.stats();
+    submit_or_drain(mgr, 9, batches[1]);  // evicts session 8
+    mgr.drain();
+    mgr.write_behind().drain();
+    const serve::ServeStats after = mgr.stats();
+    EXPECT_EQ(after.wb_full_saves, before.wb_full_saves + 1)
+        << "eviction after a failed observe must write a full blob";
+    EXPECT_EQ(after.wb_oplog_saves, before.wb_oplog_saves)
+        << "an invalidated op log must not be encoded as a delta";
+
+    // The throw happened before the learner changed: the session holds
+    // exactly its first batch.
+    const auto got = mgr.predict(8, test_keys);
+    ASSERT_TRUE(got.has_value());
+    core::ChameleonLearner iso(exp_->env(), learner_config(),
+                               mgr.session_seed(8));
+    iso.observe(batches[0]);
+    EXPECT_EQ(*got, iso.predict(test_keys));
+    EXPECT_EQ(mgr.stats().dispatch_errors, 1);
+  }
+  serve::SessionStore("/tmp/cham_serve_throw_observe").clear();
 }
 
 // Tentpole: a restore racing its own write-behind flush must read the
@@ -1017,8 +1094,8 @@ TEST_F(ServeSuite, BatchedPredictMatchesIsolatedLearner) {
     EXPECT_EQ(st.predict_batches, 0) << "a lone predict must not be merged";
   }
 
-  // Every session queues a run of predicts; one drain coalesces them all
-  // into a single cross-shard plan, merging each session's run into
+  // Every session queues a run of predicts; one drain coalesces each
+  // shard's queue into one plan, merging each session's run into
   // stacked eval windows (merging needs same-session requests: each
   // session has private head weights, so rows from different sessions can
   // never share a GEMM — the cross-session win is the one-sweep dispatch).
@@ -1117,7 +1194,7 @@ TEST_F(ServeSuite, BatchedVsUnbatchedBitExactOnMixedInterleave) {
 }
 
 // Tentpole determinism: with only predicts queued, the deterministic drain
-// extracts every shard's eligible set into ONE plan whose order, grouping
+// extracts each shard's eligible set into one plan whose order, grouping
 // and window structure are a pure function of per-session request
 // sequences — so any arrival permutation produces identical results AND
 // identical batching stats.

@@ -13,24 +13,26 @@
 //       hammering every read-only stats surface for ~2 seconds.
 //   ServeRaceSuite.DeterministicDrainFlushStress
 //       Regression: deterministic-mode drain()/flush()/predict() used to
-//       dispatch unserialised, so a net pump thread's drain() racing a
-//       responder's flush() could pop and run one session's requests on
-//       two threads at once. Pins the det_dispatch_mu_ serialisation:
-//       concurrent drainers + a flusher + submitters for ~1.5 seconds.
+//       dispatch unserialised, so one thread's drain() racing another's
+//       flush() could pop and run one session's requests on two threads
+//       at once. Pins the det_dispatch_mu_ serialisation that direct
+//       concurrent callers rely on: concurrent drainers + a flusher +
+//       submitters for ~1.5 seconds.
 //   ServeRaceSuite.BatchPlanCoalesceStress
 //       The batch-planner path under contention: submitter threads issue
 //       BURSTS of async predicts (back-to-back same-session requests, the
 //       planner's merge fuel) interleaved with observes, while workers
-//       coalesce under the bounded max_wait_us window and evictions recycle
-//       the residency pool. Exercises take_eligible under the shard mutex,
-//       plan dispatch racing eviction, and the wait_for coalescing wakeup.
+//       coalesce queued runs into plans and evictions recycle the
+//       residency pool. Exercises take_eligible under the shard mutex and
+//       plan dispatch racing eviction.
 //   ServeRaceSuite.NetMultiConnectionStress
 //       The socket front-end: several NetClient threads hammering one
 //       NetServer (pipelined predict bursts, blocking observes, STATS
 //       frames) while a churn thread connects, pipelines a predict, and
-//       disconnects with it still in flight — racing accept, responder
-//       spawn/reap, outbox flow control (shrunken SO_SNDBUF forces partial
-//       writes) and the dead-connection cleanup, then a graceful stop().
+//       disconnects with it still in flight — racing accept, completion
+//       hooks on the shard workers, outbox flow control (shrunken
+//       SO_SNDBUF forces partial writes) and the closed-connection
+//       cleanup, then a graceful stop().
 //   WorkspaceRace.StatsPolledDuringOwnerAllocation
 //       Regression for the PR 7 audit finding: ws::stats() used to walk
 //       every arena's chunk vector cross-thread while owner threads were
@@ -252,7 +254,7 @@ TEST_F(ServeRaceSuite, DeterministicDrainFlushStress) {
     });
   }
 
-  // The net pump stand-in: caller-driven dispatch, as fast as it can.
+  // A caller-driven dispatcher, as fast as it can.
   threads.emplace_back([&] {
     while (!done.load(std::memory_order_relaxed)) {
       mgr.drain();
@@ -260,8 +262,8 @@ TEST_F(ServeRaceSuite, DeterministicDrainFlushStress) {
     }
   });
 
-  // The FLUSH responder stand-in: drain + evict-everything, concurrently
-  // with the pump's drain — the raced pair this test exists for.
+  // A flusher: drain + evict-everything, concurrently with the other
+  // thread's drain — the raced pair this test exists for.
   threads.emplace_back([&] {
     while (!done.load(std::memory_order_relaxed)) {
       mgr.flush();
@@ -294,7 +296,6 @@ TEST_F(ServeRaceSuite, BatchPlanCoalesceStress) {
   sc.base_seed = 23;
   sc.mode = serve::ServeMode::kThreaded;
   sc.max_batch = 8;
-  sc.max_wait_us = 2000;  // workers hold undersized plans open
   serve::SessionStore(sc.store_dir).clear();
 
   data::StreamConfig stream_cfg = exp_->config().stream;
@@ -470,13 +471,13 @@ TEST_F(ServeRaceSuite, GatherSourcesStableAcrossEvictRestore) {
 }
 
 // Socket front-end under concurrency. The server-side raced surfaces are
-// the per-connection mutexes (I/O thread enqueues acks while responders
-// enqueue predict replies and wait for outbox space), the accept /
-// responder-spawn / dead-reap lifecycle, and the read-pause flow control.
-// A deliberately tiny SO_SNDBUF makes every sizeable reply go partial so
-// the wire-buffer resume path runs constantly, and a churn thread keeps
-// disconnecting with a predict still in flight (the responder must consume
-// the orphaned future and the I/O thread must reap it without leaking).
+// the per-connection mutexes (the I/O thread enqueues acks while shard
+// workers' completion hooks enqueue predict replies), the accept / close
+// lifecycle, and the read-pause flow control. A deliberately tiny
+// SO_SNDBUF makes every sizeable reply go partial so the wire-buffer resume
+// path runs constantly, and a churn thread keeps disconnecting with a
+// predict still in flight (its hook must find the connection closed and
+// drop the reply without leaking).
 TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
   constexpr int kClients = 3;
   constexpr int64_t kSessions = 8;
@@ -490,7 +491,6 @@ TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
   sc.base_seed = 47;
   sc.mode = serve::ServeMode::kThreaded;
   sc.max_batch = 8;
-  sc.max_wait_us = 2000;  // cross-connection predicts coalesce
   serve::SessionStore(sc.store_dir).clear();
 
   data::StreamConfig stream_cfg = exp_->config().stream;
@@ -559,9 +559,9 @@ TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
     });
   }
 
-  // Churn: connect, pipeline a predict, disconnect with it in flight. The
-  // responder consumes the orphaned future; the I/O thread reaps the dead
-  // connection while the steady clients keep it busy.
+  // Churn: connect, pipeline a predict, disconnect with it in flight. Its
+  // hook drops the reply; the I/O thread retires the closed connection
+  // while the steady clients keep it busy.
   threads.emplace_back([&] {
     uint64_t step = 1;
     while (Clock::now() < deadline) {

@@ -82,8 +82,9 @@ are about *this* codebase's contracts:
                       `// cham-lint: end(net_mu)` markers. The socket
                       front-end (src/net/server.cpp) holds a connection's
                       mutex only to move frames between queues; a syscall
-                      held under it stalls the responder (or the whole I/O
-                      thread) behind a peer's socket buffer. Syscalls belong
+                      held under it stalls the dispatching thread running a
+                      completion hook (or the whole I/O thread) behind a
+                      peer's socket buffer. Syscalls belong
                       outside the markers, on buffers the lock no longer
                       protects.
   unguarded-shared-member
