@@ -70,12 +70,12 @@ void BM_LongTermUpdate(benchmark::State& state) {
   std::vector<replay::ReplaySample> st;
   for (int i = 0; i < 10; ++i) st.push_back(make_sample(i % 5, rng));
   for (const auto& s : st) lt.insert(s, rng);
-  auto predict = [&](const Tensor&) {
-    std::vector<float> p(50, 0.02f);
-    return p;
+  auto score = [&](std::span<const float* const> rows) {
+    return Tensor::full(Shape{{static_cast<int64_t>(rows.size()), 50}},
+                        0.02f);
   };
   for (auto _ : state) {
-    benchmark::DoNotOptimize(lt.update_from(st, predict, rng));
+    benchmark::DoNotOptimize(lt.update_from(st, score, rng));
   }
 }
 BENCHMARK(BM_LongTermUpdate);

@@ -120,16 +120,18 @@ void ChameleonLearner::observe(const data::Batch& batch) {
         static_cast<double>(st_.size() * latent_sz));  // ST reads
 
     if (cfg_.use_prototype_selection) {
-      auto predict = [this](const Tensor& latent) {
-        const Tensor lg = eval_logits(latent);
-        return cham::ops::softmax_row(lg.row(0));
+      // Eq. 6 scores every prototype and candidate row of the update in
+      // one eval-mode forward (the ledger still charges one g forward per
+      // row).
+      auto score = [this](std::span<const float* const> rows) {
+        return cham::ops::softmax(eval_rows(rows));
       };
       // Prototype formation reads each involved class's actual LT entries
       // (class_count, not the full quota — early in a stream classes hold
       // fewer entries than per_class_quota()).
       int64_t proto_entries = 0;
       const int64_t updated =
-          lt_.update_from(st_samples, predict, rng_, &proto_entries);
+          lt_.update_from(st_samples, score, rng_, &proto_entries);
       stats_.charge_offchip_proto(
           static_cast<double>(proto_entries * latent_sz));
       stats_.charge_offchip_lt_write(static_cast<double>(updated * latent_sz));

@@ -135,10 +135,15 @@ class HeadLearner : public ContinualLearner {
     return logits;
   }
 
-  // Eval-mode logits for a single latent (1xCxHxW), charging forward MACs.
-  Tensor eval_logits(const Tensor& latent) {
-    stats_.g_fwd_macs += static_cast<double>(g_fwd_macs_);
-    return g_->forward(latent, /*train=*/false);
+  // Eval-mode logits for latent rows gathered by pointer (each row one
+  // latent of env_.latent_shape), charging forward MACs per row.
+  Tensor eval_rows(std::span<const float* const> rows) {
+    nn::GatherBatch gb;
+    gb.rows = rows.data();
+    gb.n = static_cast<int64_t>(rows.size());
+    gb.sample_shape = env_.latent_shape;
+    stats_.g_fwd_macs += static_cast<double>(g_fwd_macs_ * gb.n);
+    return g_->forward_gather(gb, /*train=*/false);
   }
 
   // Accounting helpers -----------------------------------------------------

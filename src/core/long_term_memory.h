@@ -14,6 +14,7 @@
 #include <cmath>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 
@@ -26,9 +27,11 @@ namespace cham::core {
 
 class LongTermMemory {
  public:
-  // `predict_probs` maps a latent (1xCxHxW) to softmax probabilities under
-  // the current head; supplied by the learner that owns g.
-  using PredictFn = std::function<std::vector<float>(const Tensor&)>;
+  // Batch scorer: maps latent rows (rows[i] is the first of the CxHxW floats
+  // of one latent) to their softmax probabilities under the current head,
+  // an N x num_classes tensor whose row i belongs to rows[i]. Supplied by
+  // the learner that owns g; one call scores a whole update_from.
+  using ScoreFn = std::function<Tensor(std::span<const float* const> rows)>;
 
   LongTermMemory(int64_t capacity, int64_t num_classes)
       : capacity_(capacity),
@@ -77,27 +80,52 @@ class LongTermMemory {
   // per_class_quota() until the class slot fills) — the number the memory
   // traffic model must charge, not the quota.
   int64_t update_from(const std::vector<replay::ReplaySample>& st_samples,
-                      const PredictFn& predict_probs, Rng& rng,
+                      const ScoreFn& score, Rng& rng,
                       int64_t* proto_entries_read = nullptr) {
     // Group ST candidates by class.
     std::unordered_map<int64_t, std::vector<const replay::ReplaySample*>>
         by_class;
     for (const auto& s : st_samples) by_class[s.label].push_back(&s);
 
+    // Gather the Eq. 6 rows of every class that has a choice to make and a
+    // prototype to make it against: its prototype, then its candidates, in
+    // class iteration order. Nothing is inserted before the scores are
+    // read, and an insert only ever touches its own class, so each
+    // prototype equals the one a class-by-class pass would form. One call
+    // scores every row; the head is row-independent in eval mode, so each
+    // row's probabilities are bit-identical to a one-row forward.
+    std::vector<Tensor> protos;
+    protos.reserve(by_class.size());
+    std::vector<const float*> rows;
+    for (auto& [cls, candidates] : by_class) {
+      if (candidates.size() < 2) continue;
+      if (auto proto = prototype(cls)) {
+        protos.push_back(std::move(*proto));
+        rows.push_back(protos.back().data());
+        for (const auto* cand : candidates) rows.push_back(cand->latent.data());
+      }
+    }
+    const Tensor probs = rows.empty() ? Tensor() : score(rows);
+    const auto nrows = static_cast<int64_t>(rows.size());
+    CHAM_CHECK(nrows == 0 || (probs.rank() == 2 && probs.dim(0) == nrows),
+               "LT scorer returned " + probs.shape().to_string() + " for " +
+                   std::to_string(nrows) + " rows");
+
     int64_t updated = 0;
+    int64_t next_row = 0;
     if (proto_entries_read) *proto_entries_read = 0;
     for (auto& [cls, candidates] : by_class) {
       const replay::ReplaySample* best = candidates.front();
       // With a single candidate the prototype cannot change the choice, so
       // its entries are not read at all.
       if (candidates.size() > 1) {
-        if (auto proto = prototype(cls)) {
+        if (class_count(cls) > 0) {
           if (proto_entries_read) *proto_entries_read += class_count(cls);
-          const auto proto_probs = predict_probs(*proto);
+          const auto proto_probs = probs.row(next_row++);
           double best_s = -1;
           for (const auto* cand : candidates) {
-            const auto cand_probs = predict_probs(cand->latent);
-            const double s = prototype_divergence(cand_probs, proto_probs);
+            const double s =
+                prototype_divergence(probs.row(next_row++), proto_probs);
             if (s > best_s) {
               best_s = s;
               best = cand;

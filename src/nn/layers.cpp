@@ -27,7 +27,110 @@ bool is_pointwise(const ConvGeometry& g) {
   return g.kernel == 1 && g.stride == 1 && g.pad == 0;
 }
 
-constexpr int64_t kElemGrain = 16384;
+// Element kernels of the BatchNorm2d and ReLU passes. Each reads its input
+// and writes a fresh output in one pass through no-alias pointers, so the
+// loops vectorise; every element's expression is fixed, so the walk order
+// is invisible in the bits.
+
+// Channels [c0, c1) of an NCHW batch, walked sample-major, then channel,
+// then pixel. For the 1x1 maps of a late MobileNet head the innermost run
+// is then contiguous across channels; per channel the elements are still
+// visited in (sample, pixel) order, which is all a per-channel running sum
+// can observe.
+struct ChannelBlock {
+  int64_t batch, channels, hw, c0, c1;
+};
+
+// out = gamma * x-hat + beta, x-hat = (x - mean) * inv_std, also stored to
+// xhat when kXhat (train-mode forward).
+template <bool kXhat>
+void bn_forward_block(const ChannelBlock& b, const float* CHAM_RESTRICT x,
+                      const float* CHAM_RESTRICT mean,
+                      const float* CHAM_RESTRICT inv_std,
+                      const float* CHAM_RESTRICT gamma,
+                      const float* CHAM_RESTRICT beta, float* CHAM_RESTRICT out,
+                      float* CHAM_RESTRICT xhat) {
+  for (int64_t n = 0; n < b.batch; ++n) {
+    const int64_t base = n * b.channels * b.hw;
+    if (b.hw == 1) {
+      for (int64_t c = b.c0; c < b.c1; ++c) {
+        const float xh = (x[base + c] - mean[c]) * inv_std[c];
+        if constexpr (kXhat) xhat[base + c] = xh;
+        out[base + c] = gamma[c] * xh + beta[c];
+      }
+      continue;
+    }
+    for (int64_t c = b.c0; c < b.c1; ++c) {
+      const float mu = mean[c], is = inv_std[c], g = gamma[c], bt = beta[c];
+      for (int64_t i = base + c * b.hw; i < base + (c + 1) * b.hw; ++i) {
+        const float xh = (x[i] - mu) * is;
+        if constexpr (kXhat) xhat[i] = xh;
+        out[i] = g * xh + bt;
+      }
+    }
+  }
+}
+
+// Backward over a channel block: per-channel sums of dY and dY * x-hat
+// (double, accumulated in (sample, pixel) order) and the input gradient.
+// Frozen statistics make normalisation an affine map, so dX =
+// gamma * inv_std * dY rides in the summing pass; batch statistics need the
+// sums first (kBatchStats: a second pass).
+template <bool kBatchStats>
+void bn_backward_block(const ChannelBlock& b, const float* CHAM_RESTRICT go,
+                       const float* CHAM_RESTRICT xhat,
+                       const float* CHAM_RESTRICT gamma,
+                       const float* CHAM_RESTRICT inv_std,
+                       double* CHAM_RESTRICT sum_g,
+                       double* CHAM_RESTRICT sum_gx,
+                       float* CHAM_RESTRICT gi) {
+  for (int64_t c = b.c0; c < b.c1; ++c) sum_g[c] = sum_gx[c] = 0;
+  for (int64_t n = 0; n < b.batch; ++n) {
+    const int64_t base = n * b.channels * b.hw;
+    for (int64_t c = b.c0; c < b.c1; ++c) {
+      for (int64_t i = base + c * b.hw; i < base + (c + 1) * b.hw; ++i) {
+        sum_g[c] += go[i];
+        sum_gx[c] += double(go[i]) * double(xhat[i]);
+        if constexpr (!kBatchStats) gi[i] = gamma[c] * inv_std[c] * go[i];
+      }
+    }
+  }
+  if constexpr (kBatchStats) {
+    const auto count = static_cast<double>(b.batch * b.hw);
+    for (int64_t n = 0; n < b.batch; ++n) {
+      const int64_t base = n * b.channels * b.hw;
+      for (int64_t c = b.c0; c < b.c1; ++c) {
+        const float mean_g = static_cast<float>(sum_g[c] / count);
+        const float mean_gx = static_cast<float>(sum_gx[c] / count);
+        const float gs = gamma[c] * inv_std[c];
+        for (int64_t i = base + c * b.hw; i < base + (c + 1) * b.hw; ++i) {
+          gi[i] = gs * (go[i] - mean_g - xhat[i] * mean_gx);
+        }
+      }
+    }
+  }
+}
+
+// ReLU (kClip: ReLU-N with N = clip) with its pass-through mask.
+template <bool kClip, bool kMask>
+void relu_span(const float* CHAM_RESTRICT x, int64_t n, float clip,
+               float* CHAM_RESTRICT out, uint8_t* CHAM_RESTRICT mask) {
+  for (int64_t i = 0; i < n; ++i) {
+    const float xi = x[i];
+    float v = xi > 0.0f ? xi : 0.0f;
+    if constexpr (kClip) v = v > clip ? clip : v;
+    out[i] = v;
+    if constexpr (kMask) {
+      // Non-short-circuit &: a branch-free compare the loop vectorises.
+      mask[i] = kClip ? (xi > 0.0f) & (xi < clip) : xi > 0.0f;
+    }
+  }
+}
+
+void mask_span(const float* CHAM_RESTRICT go, const uint8_t* CHAM_RESTRICT mask,
+               int64_t n, float* CHAM_RESTRICT gi) {
+  for (int64_t i = 0; i < n; ++i) gi[i] = mask[i] ? go[i] : 0.0f;
+}
 
 }  // namespace
 
@@ -87,7 +190,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     ws::ArenaScope scratch;
     float* xcat = scratch.floats(static_cast<size_t>(geo_.in_c * cols));
     float* ocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
-    const int64_t row_grain = (kElemGrain + cols - 1) / cols;
+    const int64_t row_grain = work_grain(cols);
     // Gather x[n][c][:] -> xcat[c][n*opix..]: disjoint rows per chunk.
     parallel_for(
         0, geo_.in_c,
@@ -138,7 +241,7 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
   if (batch == 1) {
     body(0, 1);
   } else {
-    parallel_for(0, batch, body);
+    parallel_for(0, batch, body, work_grain(macs_per_sample(), kChunkMacs));
   }
   return out;
 }
@@ -186,7 +289,7 @@ Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
     float* ocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
     gemm_gather_cols(out_c_, cols, geo_.in_c, 1.0f, weight_.value.data(),
                      colptr_scratch_.data(), ipix, 0.0f, ocat);
-    const int64_t row_grain = (kElemGrain + cols - 1) / cols;
+    const int64_t row_grain = work_grain(cols);
     parallel_for(
         0, out_c_,
         [&](int64_t c0, int64_t c1) {
@@ -222,7 +325,7 @@ Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
   if (batch == 1) {
     body(0, 1);
   } else {
-    parallel_for(0, batch, body);
+    parallel_for(0, batch, body, work_grain(macs_per_sample(), kChunkMacs));
   }
   return out;
 }
@@ -286,7 +389,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     ws::ArenaScope scratch;
     float* gocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
     float* xcat = scratch.floats(static_cast<size_t>(geo_.in_c * cols));
-    const int64_t row_grain = (kElemGrain + cols - 1) / cols;
+    const int64_t row_grain = work_grain(cols);
     parallel_for(
         0, out_c_,
         [&](int64_t c0, int64_t c1) {
@@ -376,14 +479,48 @@ DepthwiseConv2d::DepthwiseConv2d(int64_t channels, int64_t in_h, int64_t in_w,
     : geo_{channels, in_h, in_w, kernel, stride, pad},
       weight_(Shape{{channels, kernel * kernel}}) {
   if (init) he_init(weight_.value, kernel * kernel, rng);
+  const int64_t oh = geo_.out_h(), ow = geo_.out_w();
+  tap_begin_.reserve(static_cast<size_t>(oh * ow + 1));
+  for (int64_t y = 0; y < oh; ++y) {
+    for (int64_t xo = 0; xo < ow; ++xo) {
+      tap_begin_.push_back(static_cast<int32_t>(taps_.size()));
+      for (int64_t kh = 0; kh < kernel; ++kh) {
+        const int64_t iy = y * stride + kh - pad;
+        if (iy < 0 || iy >= in_h) continue;
+        for (int64_t kw = 0; kw < kernel; ++kw) {
+          const int64_t ix = xo * stride + kw - pad;
+          if (ix < 0 || ix >= in_w) continue;
+          taps_.push_back({static_cast<int32_t>(iy * in_w + ix),
+                           static_cast<int32_t>(kh * kernel + kw)});
+        }
+      }
+    }
+  }
+  tap_begin_.push_back(static_cast<int32_t>(taps_.size()));
 }
 
 int64_t DepthwiseConv2d::macs_per_sample() const {
   return geo_.in_c * geo_.kernel * geo_.kernel * geo_.col_cols();
 }
 
+void DepthwiseConv2d::forward_plane(const float* CHAM_RESTRICT plane,
+                                    const float* CHAM_RESTRICT w,
+                                    float* CHAM_RESTRICT out) const {
+  const Tap* taps = taps_.data();
+  const int64_t opix = static_cast<int64_t>(tap_begin_.size()) - 1;
+  for (int64_t o = 0; o < opix; ++o) {
+    double acc = 0;
+    for (int32_t t = tap_begin_[static_cast<size_t>(o)];
+         t < tap_begin_[static_cast<size_t>(o) + 1]; ++t) {
+      acc += double(plane[taps[t].in]) * double(w[taps[t].w]);
+    }
+    out[o] = static_cast<float>(acc);
+  }
+}
+
 Tensor DepthwiseConv2d::forward(const Tensor& x, bool train) {
-  CHAM_CHECK(x.rank() == 4 && x.dim(1) == geo_.in_c,
+  CHAM_CHECK(x.rank() == 4 && x.dim(1) == geo_.in_c &&
+                 x.dim(2) == geo_.in_h && x.dim(3) == geo_.in_w,
              "DepthwiseConv2d input " + x.shape().to_string());
   if (train) {
     cached_input_ = x;
@@ -392,34 +529,20 @@ Tensor DepthwiseConv2d::forward(const Tensor& x, bool train) {
   const int64_t batch = x.dim(0);
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   Tensor out({batch, geo_.in_c, oh, ow});
-  const int64_t k = geo_.kernel;
+  const int64_t kk = geo_.kernel * geo_.kernel;
   const int64_t ipix = geo_.in_h * geo_.in_w;
   // Every (sample, channel) plane is independent: parallel over the
   // flattened plane index.
-  parallel_for(0, batch * geo_.in_c, [&](int64_t p0, int64_t p1) {
-    for (int64_t pi = p0; pi < p1; ++pi) {
-      const int64_t c = pi % geo_.in_c;
-      const float* plane = x.data() + pi * ipix;
-      const float* w = weight_.value.data() + c * k * k;
-      float* o = out.data() + pi * oh * ow;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xo = 0; xo < ow; ++xo) {
-          double acc = 0;
-          for (int64_t kh = 0; kh < k; ++kh) {
-            const int64_t iy = y * geo_.stride + kh - geo_.pad;
-            if (iy < 0 || iy >= geo_.in_h) continue;
-            for (int64_t kw = 0; kw < k; ++kw) {
-              const int64_t ix = xo * geo_.stride + kw - geo_.pad;
-              if (ix < 0 || ix >= geo_.in_w) continue;
-              acc += double(plane[iy * geo_.in_w + ix]) *
-                     double(w[kh * k + kw]);
-            }
-          }
-          o[y * ow + xo] = static_cast<float>(acc);
+  parallel_for(
+      0, batch * geo_.in_c,
+      [&](int64_t p0, int64_t p1) {
+        for (int64_t pi = p0; pi < p1; ++pi) {
+          forward_plane(x.data() + pi * ipix,
+                        weight_.value.data() + (pi % geo_.in_c) * kk,
+                        out.data() + pi * oh * ow);
         }
-      }
-    }
-  });
+      },
+      work_grain(static_cast<int64_t>(taps_.size())));
   return out;
 }
 
@@ -435,34 +558,20 @@ Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
   const int64_t batch = gb.n;
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   Tensor out({batch, geo_.in_c, oh, ow});
-  const int64_t k = geo_.kernel;
+  const int64_t kk = geo_.kernel * geo_.kernel;
   // Identical arithmetic to forward(); the plane base is gathered per
   // sample instead of read from one contiguous batch.
-  parallel_for(0, batch * geo_.in_c, [&](int64_t p0, int64_t p1) {
-    for (int64_t pi = p0; pi < p1; ++pi) {
-      const int64_t n = pi / geo_.in_c;
-      const int64_t c = pi % geo_.in_c;
-      const float* plane = gb.rows[n] + c * ipix;
-      const float* w = weight_.value.data() + c * k * k;
-      float* o = out.data() + pi * oh * ow;
-      for (int64_t y = 0; y < oh; ++y) {
-        for (int64_t xo = 0; xo < ow; ++xo) {
-          double acc = 0;
-          for (int64_t kh = 0; kh < k; ++kh) {
-            const int64_t iy = y * geo_.stride + kh - geo_.pad;
-            if (iy < 0 || iy >= geo_.in_h) continue;
-            for (int64_t kw = 0; kw < k; ++kw) {
-              const int64_t ix = xo * geo_.stride + kw - geo_.pad;
-              if (ix < 0 || ix >= geo_.in_w) continue;
-              acc += double(plane[iy * geo_.in_w + ix]) *
-                     double(w[kh * k + kw]);
-            }
-          }
-          o[y * ow + xo] = static_cast<float>(acc);
+  parallel_for(
+      0, batch * geo_.in_c,
+      [&](int64_t p0, int64_t p1) {
+        for (int64_t pi = p0; pi < p1; ++pi) {
+          const int64_t c = pi % geo_.in_c;
+          forward_plane(gb.rows[pi / geo_.in_c] + c * ipix,
+                        weight_.value.data() + c * kk,
+                        out.data() + pi * oh * ow);
         }
-      }
-    }
-  });
+      },
+      work_grain(static_cast<int64_t>(taps_.size())));
   return out;
 }
 
@@ -477,12 +586,31 @@ int64_t DepthwiseConv2d::cached_batch() const {
                         : cached_input_.dim(0);
 }
 
+template <bool kInputGrad>
+void DepthwiseConv2d::backward_plane(const float* CHAM_RESTRICT plane,
+                                     const float* CHAM_RESTRICT w,
+                                     const float* CHAM_RESTRICT go,
+                                     float* CHAM_RESTRICT gw,
+                                     float* CHAM_RESTRICT gi) const {
+  const Tap* taps = taps_.data();
+  const int64_t opix = static_cast<int64_t>(tap_begin_.size()) - 1;
+  for (int64_t o = 0; o < opix; ++o) {
+    const float g = go[o];
+    if (g == 0.0f) continue;
+    for (int32_t t = tap_begin_[static_cast<size_t>(o)];
+         t < tap_begin_[static_cast<size_t>(o) + 1]; ++t) {
+      gw[taps[t].w] += g * plane[taps[t].in];
+      if constexpr (kInputGrad) gi[taps[t].in] += g * w[taps[t].w];
+    }
+  }
+}
+
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   CHAM_CHECK(!cached_input_.empty() || cached_gather_,
              "backward without train-mode forward");
   const int64_t batch = cached_batch();
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
-  const int64_t k = geo_.kernel;
+  const int64_t kk = geo_.kernel * geo_.kernel;
   const int64_t ipix = geo_.in_h * geo_.in_w;
   Tensor grad_in;
   if (needs_input_grad_) {
@@ -490,37 +618,28 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   }
   // Channel-outer so each chunk owns its channels' weight grads outright;
   // the batch loop runs inside, preserving the per-element accumulation
-  // order of the serial kernel (n ascending, then y, x). Elision drops the
-  // gi accumulation lines only; the gw chain is untouched.
-  parallel_for(0, geo_.in_c, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      const float* w = weight_.value.data() + c * k * k;
-      float* gw = weight_.grad.data() + c * k * k;
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* plane = cached_sample(n) + c * ipix;
-        const float* go = grad_out.data() + (n * geo_.in_c + c) * oh * ow;
-        float* gi = needs_input_grad_
-                        ? grad_in.data() + (n * geo_.in_c + c) * ipix
-                        : nullptr;
-        for (int64_t y = 0; y < oh; ++y) {
-          for (int64_t xo = 0; xo < ow; ++xo) {
-            const float g = go[y * ow + xo];
-            if (g == 0.0f) continue;
-            for (int64_t kh = 0; kh < k; ++kh) {
-              const int64_t iy = y * geo_.stride + kh - geo_.pad;
-              if (iy < 0 || iy >= geo_.in_h) continue;
-              for (int64_t kw = 0; kw < k; ++kw) {
-                const int64_t ix = xo * geo_.stride + kw - geo_.pad;
-                if (ix < 0 || ix >= geo_.in_w) continue;
-                gw[kh * k + kw] += g * plane[iy * geo_.in_w + ix];
-                if (gi) gi[iy * geo_.in_w + ix] += g * w[kh * k + kw];
-              }
+  // order of the serial kernel (n ascending, then output pixel, then tap).
+  // Elision drops the gi accumulation only; the gw chain is untouched.
+  parallel_for(
+      0, geo_.in_c,
+      [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          const float* w = weight_.value.data() + c * kk;
+          float* gw = weight_.grad.data() + c * kk;
+          for (int64_t n = 0; n < batch; ++n) {
+            const float* plane = cached_sample(n) + c * ipix;
+            const float* go = grad_out.data() + (n * geo_.in_c + c) * oh * ow;
+            if (needs_input_grad_) {
+              backward_plane<true>(
+                  plane, w, go, gw,
+                  grad_in.data() + (n * geo_.in_c + c) * ipix);
+            } else {
+              backward_plane<false>(plane, w, go, gw, nullptr);
             }
           }
         }
-      }
-    }
-  });
+      },
+      work_grain(batch * static_cast<int64_t>(taps_.size())));
   return grad_in;
 }
 
@@ -545,132 +664,136 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   const int64_t count = batch * hw;
   cached_train_mode_ = train && track_stats_ && count > 1;
 
-  Tensor mean({channels_}), var({channels_});
+  // Normalisation statistics: the running stats, read in place, unless
+  // this forward computes batch statistics.
+  const float* mean = running_mean_.data();
+  const float* var = running_var_.data();
+  Tensor batch_mean, batch_var;
   if (cached_train_mode_) {
+    batch_mean = Tensor({channels_});
+    batch_var = Tensor({channels_});
     // Channels are independent; each chunk owns its channels' stats and
     // running-average slots.
-    parallel_for(0, channels_, [&](int64_t c0, int64_t c1) {
-      for (int64_t c = c0; c < c1; ++c) {
-        double m = 0;
-        for (int64_t n = 0; n < batch; ++n) {
-          const float* p = x.data() + (n * channels_ + c) * hw;
-          for (int64_t i = 0; i < hw; ++i) m += p[i];
-        }
-        m /= count;
-        double v = 0;
-        for (int64_t n = 0; n < batch; ++n) {
-          const float* p = x.data() + (n * channels_ + c) * hw;
-          for (int64_t i = 0; i < hw; ++i) {
-            const double d = p[i] - m;
-            v += d * d;
+    parallel_for(
+        0, channels_,
+        [&](int64_t c0, int64_t c1) {
+          for (int64_t c = c0; c < c1; ++c) {
+            double m = 0;
+            for (int64_t n = 0; n < batch; ++n) {
+              const float* p = x.data() + (n * channels_ + c) * hw;
+              for (int64_t i = 0; i < hw; ++i) m += p[i];
+            }
+            m /= count;
+            double v = 0;
+            for (int64_t n = 0; n < batch; ++n) {
+              const float* p = x.data() + (n * channels_ + c) * hw;
+              for (int64_t i = 0; i < hw; ++i) {
+                const double d = p[i] - m;
+                v += d * d;
+              }
+            }
+            v /= count;
+            batch_mean[c] = static_cast<float>(m);
+            batch_var[c] = static_cast<float>(v);
+            running_mean_[c] =
+                (1 - momentum_) * running_mean_[c] + momentum_ * batch_mean[c];
+            running_var_[c] =
+                (1 - momentum_) * running_var_[c] + momentum_ * batch_var[c];
           }
-        }
-        v /= count;
-        mean[c] = static_cast<float>(m);
-        var[c] = static_cast<float>(v);
-        running_mean_[c] =
-            (1 - momentum_) * running_mean_[c] + momentum_ * mean[c];
-        running_var_[c] =
-            (1 - momentum_) * running_var_[c] + momentum_ * var[c];
-      }
-    });
-  } else {
-    mean = running_mean_;
-    var = running_var_;
+        },
+        work_grain(2 * count));
+    mean = batch_mean.data();
+    var = batch_var.data();
   }
 
+  // One pass: read x, write the output (and x-hat for backward) through
+  // no-alias pointers. The caches keep their storage across steps; every
+  // element is overwritten.
   Tensor out(x.shape());
-  cached_inv_std_ = Tensor({channels_});
-  if (train) cached_xhat_ = Tensor(x.shape());
-  parallel_for(0, channels_, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      const float inv_std = 1.0f / std::sqrt(var[c] + eps_);
-      cached_inv_std_[c] = inv_std;
-      const float g = gamma_.value[c], b = beta_.value[c], mu = mean[c];
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* p = x.data() + (n * channels_ + c) * hw;
-        float* o = out.data() + (n * channels_ + c) * hw;
-        float* xh = train ? cached_xhat_.data() + (n * channels_ + c) * hw
-                          : nullptr;
-        for (int64_t i = 0; i < hw; ++i) {
-          const float xhat = (p[i] - mu) * inv_std;
-          if (xh) xh[i] = xhat;
-          o[i] = g * xhat + b;
+  if (cached_inv_std_.numel() != channels_) {
+    cached_inv_std_ = Tensor({channels_});
+  }
+  if (train && cached_xhat_.shape() != x.shape()) {
+    cached_xhat_ = Tensor(x.shape());
+  }
+  parallel_for(
+      0, channels_,
+      [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          cached_inv_std_[c] = 1.0f / std::sqrt(var[c] + eps_);
         }
-      }
-    }
-  });
+        const ChannelBlock blk{batch, channels_, hw, c0, c1};
+        if (train) {
+          bn_forward_block<true>(blk, x.data(), mean, cached_inv_std_.data(),
+                                 gamma_.value.data(), beta_.value.data(),
+                                 out.data(), cached_xhat_.data());
+        } else {
+          bn_forward_block<false>(blk, x.data(), mean, cached_inv_std_.data(),
+                                  gamma_.value.data(), beta_.value.data(),
+                                  out.data(), nullptr);
+        }
+      },
+      work_grain(count));
   return out;
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   CHAM_CHECK(!cached_xhat_.empty(), "backward without train-mode forward");
+  CHAM_CHECK(grad_out.shape() == cached_xhat_.shape(),
+             "BatchNorm2d grad " + grad_out.shape().to_string());
   const int64_t batch = grad_out.dim(0), hw = grad_out.dim(2) * grad_out.dim(3);
-  const int64_t count = batch * hw;
   Tensor grad_in(grad_out.shape());
-
-  parallel_for(0, channels_, [&](int64_t cb, int64_t ce) {
-  for (int64_t c = cb; c < ce; ++c) {
-    double sum_g = 0, sum_gx = 0;
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* go = grad_out.data() + (n * channels_ + c) * hw;
-      const float* xh = cached_xhat_.data() + (n * channels_ + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) {
-        sum_g += go[i];
-        sum_gx += double(go[i]) * double(xh[i]);
-      }
-    }
-    gamma_.grad[c] += static_cast<float>(sum_gx);
-    beta_.grad[c] += static_cast<float>(sum_g);
-
-    const float g = gamma_.value[c];
-    const float inv_std = cached_inv_std_[c];
-    if (cached_train_mode_) {
-      // Full batch-stat backward.
-      const float mean_g = static_cast<float>(sum_g / count);
-      const float mean_gx = static_cast<float>(sum_gx / count);
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* go = grad_out.data() + (n * channels_ + c) * hw;
-        const float* xh = cached_xhat_.data() + (n * channels_ + c) * hw;
-        float* gi = grad_in.data() + (n * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) {
-          gi[i] = g * inv_std * (go[i] - mean_g - xh[i] * mean_gx);
+  sum_g_.resize(static_cast<size_t>(channels_));
+  sum_gx_.resize(static_cast<size_t>(channels_));
+  parallel_for(
+      0, channels_,
+      [&](int64_t c0, int64_t c1) {
+        const ChannelBlock blk{batch, channels_, hw, c0, c1};
+        if (cached_train_mode_) {
+          bn_backward_block<true>(blk, grad_out.data(), cached_xhat_.data(),
+                                  gamma_.value.data(), cached_inv_std_.data(),
+                                  sum_g_.data(), sum_gx_.data(),
+                                  grad_in.data());
+        } else {
+          bn_backward_block<false>(blk, grad_out.data(), cached_xhat_.data(),
+                                   gamma_.value.data(), cached_inv_std_.data(),
+                                   sum_g_.data(), sum_gx_.data(),
+                                   grad_in.data());
         }
-      }
-    } else {
-      // Eval-mode normalisation is an affine map: exact gradient.
-      const float scale = g * inv_std;
-      for (int64_t n = 0; n < batch; ++n) {
-        const float* go = grad_out.data() + (n * channels_ + c) * hw;
-        float* gi = grad_in.data() + (n * channels_ + c) * hw;
-        for (int64_t i = 0; i < hw; ++i) gi[i] = scale * go[i];
-      }
-    }
-  }
-  });
+        for (int64_t c = c0; c < c1; ++c) {
+          gamma_.grad[c] += static_cast<float>(sum_gx_[static_cast<size_t>(c)]);
+          beta_.grad[c] += static_cast<float>(sum_g_[static_cast<size_t>(c)]);
+        }
+      },
+      work_grain(2 * batch * hw));
   return grad_in;
 }
 
 // ------------------------------------------------------------------ ReLU
 
 Tensor ReLU::forward(const Tensor& x, bool train) {
-  Tensor out = x;
+  Tensor out(x.shape());
   if (train) mask_.resize(static_cast<size_t>(x.numel()));
   uint8_t* mask = train ? mask_.data() : nullptr;
   parallel_for(
       0, out.numel(),
       [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          const float xi = out[i];
-          float v = xi > 0.0f ? xi : 0.0f;
-          if (clip_ > 0.0f && v > clip_) v = clip_;
-          out[i] = v;
+        const float* src = x.data() + i0;
+        float* dst = out.data() + i0;
+        const int64_t n = i1 - i0;
+        if (clip_ > 0.0f) {
           if (mask) {
-            mask[i] = xi > 0.0f && (clip_ <= 0.0f || xi < clip_);
+            relu_span<true, true>(src, n, clip_, dst, mask + i0);
+          } else {
+            relu_span<true, false>(src, n, clip_, dst, nullptr);
           }
+        } else if (mask) {
+          relu_span<false, true>(src, n, clip_, dst, mask + i0);
+        } else {
+          relu_span<false, false>(src, n, clip_, dst, nullptr);
         }
       },
-      kElemGrain);
+      kChunkElems);
   return out;
 }
 
@@ -681,15 +804,14 @@ Tensor ReLU::backward(const Tensor& grad_out) {
              "ReLU grad " + grad_out.shape().to_string() +
                  " does not match forward activation count " +
                  std::to_string(mask_.size()));
-  Tensor grad_in = grad_out;
+  Tensor grad_in(grad_out.shape());
   parallel_for(
       0, grad_in.numel(),
       [&](int64_t i0, int64_t i1) {
-        for (int64_t i = i0; i < i1; ++i) {
-          if (!mask_[static_cast<size_t>(i)]) grad_in[i] = 0.0f;
-        }
+        mask_span(grad_out.data() + i0, mask_.data() + i0, i1 - i0,
+                  grad_in.data() + i0);
       },
-      kElemGrain);
+      kChunkElems);
   return grad_in;
 }
 
@@ -710,7 +832,7 @@ Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
           out[pi] = static_cast<float>(acc / hw);
         }
       },
-      /*grain=*/8);
+      work_grain(hw));
   return out;
 }
 
@@ -734,7 +856,7 @@ Tensor GlobalAvgPool::forward_gather(const GatherBatch& gb, bool train) {
           out[pi] = static_cast<float>(acc / hw);
         }
       },
-      /*grain=*/8);
+      work_grain(hw));
   return out;
 }
 

@@ -69,9 +69,28 @@ class DepthwiseConv2d : public Layer {
  private:
   const float* cached_sample(int64_t n) const;
   int64_t cached_batch() const;
+  // One (sample, channel) plane through the tap table.
+  void forward_plane(const float* plane, const float* w, float* out) const;
+  template <bool kInputGrad>
+  void backward_plane(const float* plane, const float* w, const float* go,
+                      float* gw, float* gi) const;
+
+  // One in-bounds tap: input-plane offset and weight index.
+  struct Tap {
+    int32_t in;
+    int32_t w;
+  };
 
   ConvGeometry geo_;  // in_c == channels
   Param weight_;      // channels x k x k (stored flat channels x k*k)
+  // Valid-tap table of the fixed geometry, built once in the constructor:
+  // output pixel o reads taps_[tap_begin_[o] .. tap_begin_[o + 1]), in
+  // ascending (kh, kw) order with the taps that fall in the padding
+  // dropped. Each output's double accumulation therefore runs over exactly
+  // the in-bounds taps, in (kh, kw) order (test_observe_path checks this
+  // against a bounds-checked reference loop).
+  std::vector<Tap> taps_;
+  std::vector<int32_t> tap_begin_;
   Tensor cached_input_;
   std::vector<const float*> cached_rows_;
   bool cached_gather_ = false;
@@ -109,6 +128,8 @@ class BatchNorm2d : public Layer {
   Tensor cached_xhat_;
   Tensor cached_inv_std_;  // per-channel
   bool cached_train_mode_ = false;
+  // Backward's per-channel sums of dY and dY * x-hat (capacity reused).
+  std::vector<double> sum_g_, sum_gx_;
 };
 
 class ReLU : public Layer {

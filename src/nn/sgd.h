@@ -26,25 +26,43 @@ class Sgd {
   void set_lr(float lr) { lr_ = lr; }
   float lr() const { return lr_; }
 
+  // One std::fill per parameter (Param::zero_grad), already a memset.
   void zero_grad() {
     for (Param* p : params_) p->zero_grad();
   }
 
+  // w -= lr * (g + wd * w), through the momentum buffer v = mu * v + (...)
+  // when momentum is on. The momentum and weight-decay branches are taken
+  // once per parameter, not per element; every element sees the same
+  // expression, in the same order, as the per-element formula.
   void step() {
+    const float lr = lr_, mu = momentum_, wd = weight_decay_;
     for (size_t i = 0; i < params_.size(); ++i) {
       Param* p = params_[i];
       // Full-checks tier: reject non-finite gradients before they reach the
       // weights (a NaN here corrupts the head silently, not loudly).
       CHAM_CHECK_FINITE(p->grad.span(), "SGD gradient");
-      for (int64_t j = 0; j < p->numel(); ++j) {
-        float g = p->grad[j];
-        if (weight_decay_ > 0.0f) g += weight_decay_ * p->value[j];
-        if (momentum_ > 0.0f) {
-          float& v = velocities_[i][j];
-          v = momentum_ * v + g;
-          g = v;
+      float* CHAM_RESTRICT w = p->value.data();
+      const float* CHAM_RESTRICT g = p->grad.data();
+      const int64_t n = p->numel();
+      if (mu > 0.0f) {
+        float* CHAM_RESTRICT v = velocities_[i].data();
+        if (wd > 0.0f) {
+          for (int64_t j = 0; j < n; ++j) {
+            const float gj = g[j] + wd * w[j];
+            v[j] = mu * v[j] + gj;
+            w[j] -= lr * v[j];
+          }
+        } else {
+          for (int64_t j = 0; j < n; ++j) {
+            v[j] = mu * v[j] + g[j];
+            w[j] -= lr * v[j];
+          }
         }
-        p->value[j] -= lr_ * g;
+      } else if (wd > 0.0f) {
+        for (int64_t j = 0; j < n; ++j) w[j] -= lr * (g[j] + wd * w[j]);
+      } else {
+        for (int64_t j = 0; j < n; ++j) w[j] -= lr * g[j];
       }
     }
   }

@@ -23,12 +23,6 @@
 #include <arm_neon.h>
 #endif
 
-#if defined(__GNUC__) || defined(__clang__)
-#define CHAM_RESTRICT __restrict__
-#else
-#define CHAM_RESTRICT
-#endif
-
 namespace cham {
 namespace {
 
@@ -50,16 +44,16 @@ constexpr int64_t kNarrowCutoff = 8;
 // Minimum rows of C per worker chunk; below this a parallel dispatch costs
 // more than the arithmetic it hides.
 constexpr int64_t kRowGrain = 8;
-// Target flops per worker chunk: small-n GEMMs (head layers, n = 4) get
-// proportionally more rows per chunk so dispatch overhead never dominates.
-// At 1<<19 a sub-half-MFLOP GEMM (e.g. the 256x4x256 head forward, ~20us
-// of arithmetic) gets a grain >= its row count and runs inline on the
-// calling thread — the whole dispatch would cost more than it hides.
-constexpr int64_t kGrainFlops = int64_t{1} << 19;
 
+// Rows per worker chunk: at least kChunkMacs of work, so small-n GEMMs
+// (head layers, n = 4) get proportionally more rows per chunk and a
+// sub-quarter-MMAC GEMM (e.g. the 256x4x256 head forward, ~20us of
+// arithmetic) gets a grain >= its row count and runs inline on the calling
+// thread — the whole dispatch would cost more than it hides.
 int64_t gemm_grain(int64_t n, int64_t k) {
-  const int64_t row_flops = 2 * std::max<int64_t>(1, n) * std::max<int64_t>(1, k);
-  return std::max(kRowGrain, (kGrainFlops + row_flops - 1) / row_flops);
+  return std::max(kRowGrain,
+                  work_grain(std::max<int64_t>(1, n) * std::max<int64_t>(1, k),
+                             kChunkMacs));
 }
 
 // The one rounding step of the accumulation chain. With hardware fma the
@@ -128,6 +122,17 @@ void pack_b_panel(const float* CHAM_RESTRICT b, int64_t ldb, int64_t pc,
   }
 }
 
+// One MR-row tile of A for a K strip as the micro-kernels read it: element
+// (p, r) — K step p, tile row r — at base[p * sp + r * sr]. A packed tile is
+// {pack, MR, 1}; a full tile of a dense A with alpha == 1 is read in place
+// ({&A[row0][pc], 1, lda}, or {&A[pc][row0], lda, 1} for the transposed
+// operand of gemm_at_b): a pack there is a pure copy, and the kernels see
+// the same values in the same order either way.
+struct ATile {
+  const float* base;
+  int64_t sp, sr;
+};
+
 // Operand source descriptors. The packed core is templated on how each
 // logical operand element is addressed, not on a single (base, ld) pair:
 // dense sources wrap the original packers, gather sources read through a
@@ -140,9 +145,14 @@ struct ADense {
   const float* a;
   int64_t lda;
   template <int MR>
-  void pack_tile(int64_t row0, int64_t rows, int64_t pc, int64_t depth,
-                 float alpha, float* dst) const {
-    pack_a_tile<kTrans, MR>(a, lda, row0, rows, pc, depth, alpha, dst);
+  ATile tile(int64_t row0, int64_t rows, int64_t pc, int64_t depth,
+             float alpha, float* pack) const {
+    if (alpha == 1.0f && rows == MR) {
+      return kTrans ? ATile{a + pc * lda + row0, lda, 1}
+                    : ATile{a + row0 * lda + pc, 1, lda};
+    }
+    pack_a_tile<kTrans, MR>(a, lda, row0, rows, pc, depth, alpha, pack);
+    return {pack, MR, 1};
   }
 };
 
@@ -152,8 +162,8 @@ struct ADense {
 struct AGatherRows {
   const float* const* rows;
   template <int MR>
-  void pack_tile(int64_t row0, int64_t nrows, int64_t pc, int64_t depth,
-                 float alpha, float* CHAM_RESTRICT dst) const {
+  ATile tile(int64_t row0, int64_t nrows, int64_t pc, int64_t depth,
+             float alpha, float* CHAM_RESTRICT dst) const {
     for (int64_t p = 0; p < depth; ++p) {
       float* d = dst + p * MR;
       if (alpha == 1.0f) {
@@ -165,6 +175,7 @@ struct AGatherRows {
       }
       for (int64_t r = nrows; r < MR; ++r) d[r] = 0.0f;
     }
+    return {dst, MR, 1};
   }
 };
 
@@ -222,13 +233,14 @@ struct BGatherCols {
   }
 };
 
-// Scalar micro-kernel over packed panels: a full MR x NR accumulator tile
-// held in registers, no data-dependent branches. Valid lanes load C (which
-// chains the fma sequence exactly across K strips through the C slot);
-// padded lanes start at zero, accumulate exact zeros, and are not stored.
+// Scalar micro-kernel over an A tile and a packed B panel: a full MR x NR
+// accumulator tile held in registers, no data-dependent branches. Valid
+// lanes load C (which chains the fma sequence exactly across K strips
+// through the C slot); padded lanes start at zero, accumulate exact zeros,
+// and are not stored. Rows past `rows` only exist in packed tiles (in-place
+// tiles are always full), where they are zero padding.
 template <int MR, int NR>
-void micro_kernel_generic(int64_t rows, int64_t cols, int64_t depth,
-                          const float* CHAM_RESTRICT a_pack,
+void micro_kernel_generic(int64_t rows, int64_t cols, int64_t depth, ATile a,
                           const float* CHAM_RESTRICT b_pack,
                           float* CHAM_RESTRICT c, int64_t ldc) {
   float acc[MR][NR];
@@ -238,10 +250,10 @@ void micro_kernel_generic(int64_t rows, int64_t cols, int64_t depth,
     }
   }
   for (int64_t p = 0; p < depth; ++p) {
-    const float* CHAM_RESTRICT ap = a_pack + p * MR;
+    const float* CHAM_RESTRICT ap = a.base + p * a.sp;
     const float* CHAM_RESTRICT bp = b_pack + p * NR;
     for (int64_t r = 0; r < MR; ++r) {
-      const float av = ap[r];
+      const float av = ap[r * a.sr];
       for (int64_t j = 0; j < NR; ++j) {
         acc[r][j] = cham_fma(av, bp[j], acc[r][j]);
       }
@@ -255,7 +267,7 @@ void micro_kernel_generic(int64_t rows, int64_t cols, int64_t depth,
 #if defined(CHAM_GEMM_USE_AVX2)
 // Full 4x16 tile: 8 YMM accumulators, 2 B vectors, broadcast A lanes.
 // _mm256_fmadd_ps rounds once per lane, exactly like std::fmaf.
-void micro_kernel_avx2_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
+void micro_kernel_avx2_4x16(int64_t depth, ATile a,
                             const float* CHAM_RESTRICT b_pack,
                             float* CHAM_RESTRICT c, int64_t ldc) {
   __m256 acc[4][2];
@@ -266,9 +278,9 @@ void micro_kernel_avx2_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
   for (int64_t p = 0; p < depth; ++p) {
     const __m256 b0 = _mm256_loadu_ps(b_pack + p * 16);
     const __m256 b1 = _mm256_loadu_ps(b_pack + p * 16 + 8);
-    const float* ap = a_pack + p * 4;
+    const float* ap = a.base + p * a.sp;
     for (int r = 0; r < 4; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r);
+      const __m256 av = _mm256_broadcast_ss(ap + r * a.sr);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
@@ -280,16 +292,16 @@ void micro_kernel_avx2_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
 }
 
 // Full 8x4 tile for narrow outputs: 8 XMM accumulators.
-void micro_kernel_avx2_8x4(int64_t depth, const float* CHAM_RESTRICT a_pack,
+void micro_kernel_avx2_8x4(int64_t depth, ATile a,
                            const float* CHAM_RESTRICT b_pack,
                            float* CHAM_RESTRICT c, int64_t ldc) {
   __m128 acc[8];
   for (int r = 0; r < 8; ++r) acc[r] = _mm_loadu_ps(c + r * ldc);
   for (int64_t p = 0; p < depth; ++p) {
     const __m128 bv = _mm_loadu_ps(b_pack + p * 4);
-    const float* ap = a_pack + p * 8;
+    const float* ap = a.base + p * a.sp;
     for (int r = 0; r < 8; ++r) {
-      acc[r] = _mm_fmadd_ps(_mm_broadcast_ss(ap + r), bv, acc[r]);
+      acc[r] = _mm_fmadd_ps(_mm_broadcast_ss(ap + r * a.sr), bv, acc[r]);
     }
   }
   for (int r = 0; r < 8; ++r) _mm_storeu_ps(c + r * ldc, acc[r]);
@@ -300,57 +312,63 @@ void micro_kernel_avx2_8x4(int64_t depth, const float* CHAM_RESTRICT a_pack,
 // p-ascending fmadd chain as the full kernel. Masked-out accumulator lanes
 // start at exact zero and multiply the B panel's zero padding, so they stay
 // zero and are never written back. Row padding of the A pack is never read:
-// the row loops stop at `rows`.
+// the row loops stop at `rows`. kFullHeight (rows == 4, the column tail of
+// every full row block) fixes the row trip count at compile time, so the
+// eight accumulators stay in registers instead of a stack array indexed by
+// a runtime bound.
+template <bool kFullHeight>
 void micro_kernel_avx2_4xN(int64_t rows, int64_t cols, int64_t depth,
-                           const float* CHAM_RESTRICT a_pack,
-                           const float* CHAM_RESTRICT b_pack,
+                           ATile a, const float* CHAM_RESTRICT b_pack,
                            float* CHAM_RESTRICT c, int64_t ldc) {
+  const int64_t nrows = kFullHeight ? 4 : rows;
   const __m256i iota = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
   const __m256i m0 =
       _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols)), iota);
   const __m256i m1 =
       _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(cols) - 8), iota);
   __m256 acc[4][2];
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int64_t r = 0; r < nrows; ++r) {
     acc[r][0] = _mm256_maskload_ps(c + r * ldc, m0);
     acc[r][1] = _mm256_maskload_ps(c + r * ldc + 8, m1);
   }
   for (int64_t p = 0; p < depth; ++p) {
     const __m256 b0 = _mm256_loadu_ps(b_pack + p * 16);
     const __m256 b1 = _mm256_loadu_ps(b_pack + p * 16 + 8);
-    const float* ap = a_pack + p * 4;
-    for (int64_t r = 0; r < rows; ++r) {
-      const __m256 av = _mm256_broadcast_ss(ap + r);
+    const float* ap = a.base + p * a.sp;
+    for (int64_t r = 0; r < nrows; ++r) {
+      const __m256 av = _mm256_broadcast_ss(ap + r * a.sr);
       acc[r][0] = _mm256_fmadd_ps(av, b0, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, b1, acc[r][1]);
     }
   }
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int64_t r = 0; r < nrows; ++r) {
     _mm256_maskstore_ps(c + r * ldc, m0, acc[r][0]);
     _mm256_maskstore_ps(c + r * ldc + 8, m1, acc[r][1]);
   }
 }
 
-// Edge tile of the narrow path (rows <= 8, cols < 4), same masking scheme.
+// Edge tile of the narrow path (rows <= 8, cols < 4), same masking and
+// full-height scheme.
+template <bool kFullHeight>
 void micro_kernel_avx2_8xN(int64_t rows, int64_t cols, int64_t depth,
-                           const float* CHAM_RESTRICT a_pack,
-                           const float* CHAM_RESTRICT b_pack,
+                           ATile a, const float* CHAM_RESTRICT b_pack,
                            float* CHAM_RESTRICT c, int64_t ldc) {
+  const int64_t nrows = kFullHeight ? 8 : rows;
   const __m128i iota = _mm_setr_epi32(0, 1, 2, 3);
   const __m128i m =
       _mm_cmpgt_epi32(_mm_set1_epi32(static_cast<int>(cols)), iota);
   __m128 acc[8];
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int64_t r = 0; r < nrows; ++r) {
     acc[r] = _mm_maskload_ps(c + r * ldc, m);
   }
   for (int64_t p = 0; p < depth; ++p) {
     const __m128 bv = _mm_loadu_ps(b_pack + p * 4);
-    const float* ap = a_pack + p * 8;
-    for (int64_t r = 0; r < rows; ++r) {
-      acc[r] = _mm_fmadd_ps(_mm_broadcast_ss(ap + r), bv, acc[r]);
+    const float* ap = a.base + p * a.sp;
+    for (int64_t r = 0; r < nrows; ++r) {
+      acc[r] = _mm_fmadd_ps(_mm_broadcast_ss(ap + r * a.sr), bv, acc[r]);
     }
   }
-  for (int64_t r = 0; r < rows; ++r) {
+  for (int64_t r = 0; r < nrows; ++r) {
     _mm_maskstore_ps(c + r * ldc, m, acc[r]);
   }
 }
@@ -358,7 +376,7 @@ void micro_kernel_avx2_8xN(int64_t rows, int64_t cols, int64_t depth,
 
 #if defined(CHAM_GEMM_USE_NEON)
 // Full 4x16 tile: 16 Q accumulators. vfmaq_n_f32 fuses per lane like fmaf.
-void micro_kernel_neon_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
+void micro_kernel_neon_4x16(int64_t depth, ATile a,
                             const float* CHAM_RESTRICT b_pack,
                             float* CHAM_RESTRICT c, int64_t ldc) {
   float32x4_t acc[4][4];
@@ -368,9 +386,11 @@ void micro_kernel_neon_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
   for (int64_t p = 0; p < depth; ++p) {
     float32x4_t bv[4];
     for (int q = 0; q < 4; ++q) bv[q] = vld1q_f32(b_pack + p * 16 + 4 * q);
-    const float* ap = a_pack + p * 4;
+    const float* ap = a.base + p * a.sp;
     for (int r = 0; r < 4; ++r) {
-      for (int q = 0; q < 4; ++q) acc[r][q] = vfmaq_n_f32(acc[r][q], bv[q], ap[r]);
+      for (int q = 0; q < 4; ++q) {
+        acc[r][q] = vfmaq_n_f32(acc[r][q], bv[q], ap[r * a.sr]);
+      }
     }
   }
   for (int r = 0; r < 4; ++r) {
@@ -379,15 +399,15 @@ void micro_kernel_neon_4x16(int64_t depth, const float* CHAM_RESTRICT a_pack,
 }
 
 // Full 8x4 tile for narrow outputs.
-void micro_kernel_neon_8x4(int64_t depth, const float* CHAM_RESTRICT a_pack,
+void micro_kernel_neon_8x4(int64_t depth, ATile a,
                            const float* CHAM_RESTRICT b_pack,
                            float* CHAM_RESTRICT c, int64_t ldc) {
   float32x4_t acc[8];
   for (int r = 0; r < 8; ++r) acc[r] = vld1q_f32(c + r * ldc);
   for (int64_t p = 0; p < depth; ++p) {
     const float32x4_t bv = vld1q_f32(b_pack + p * 4);
-    const float* ap = a_pack + p * 8;
-    for (int r = 0; r < 8; ++r) acc[r] = vfmaq_n_f32(acc[r], bv, ap[r]);
+    const float* ap = a.base + p * a.sp;
+    for (int r = 0; r < 8; ++r) acc[r] = vfmaq_n_f32(acc[r], bv, ap[r * a.sr]);
   }
   for (int r = 0; r < 8; ++r) vst1q_f32(c + r * ldc, acc[r]);
 }
@@ -397,39 +417,42 @@ void micro_kernel_neon_8x4(int64_t depth, const float* CHAM_RESTRICT a_pack,
 // edge tiles (and everything under CHAM_SIMD=generic). Per-lane arithmetic
 // is identical either way, so the split is invisible in the output bits.
 template <int MR, int NR>
-void micro_kernel(int64_t rows, int64_t cols, int64_t depth,
-                  const float* a_pack, const float* b_pack, float* c,
-                  int64_t ldc) {
+void micro_kernel(int64_t rows, int64_t cols, int64_t depth, ATile a,
+                  const float* b_pack, float* c, int64_t ldc) {
 #if defined(CHAM_GEMM_USE_AVX2)
   if constexpr (MR == 4 && NR == 16) {
     if (rows == MR && cols == NR) {
-      micro_kernel_avx2_4x16(depth, a_pack, b_pack, c, ldc);
+      micro_kernel_avx2_4x16(depth, a, b_pack, c, ldc);
+    } else if (rows == MR) {
+      micro_kernel_avx2_4xN<true>(rows, cols, depth, a, b_pack, c, ldc);
     } else {
-      micro_kernel_avx2_4xN(rows, cols, depth, a_pack, b_pack, c, ldc);
+      micro_kernel_avx2_4xN<false>(rows, cols, depth, a, b_pack, c, ldc);
     }
     return;
   }
   if constexpr (MR == 8 && NR == 4) {
     if (rows == MR && cols == NR) {
-      micro_kernel_avx2_8x4(depth, a_pack, b_pack, c, ldc);
+      micro_kernel_avx2_8x4(depth, a, b_pack, c, ldc);
+    } else if (rows == MR) {
+      micro_kernel_avx2_8xN<true>(rows, cols, depth, a, b_pack, c, ldc);
     } else {
-      micro_kernel_avx2_8xN(rows, cols, depth, a_pack, b_pack, c, ldc);
+      micro_kernel_avx2_8xN<false>(rows, cols, depth, a, b_pack, c, ldc);
     }
     return;
   }
 #elif defined(CHAM_GEMM_USE_NEON)
   if (rows == MR && cols == NR) {
     if constexpr (MR == 4 && NR == 16) {
-      micro_kernel_neon_4x16(depth, a_pack, b_pack, c, ldc);
+      micro_kernel_neon_4x16(depth, a, b_pack, c, ldc);
       return;
     }
     if constexpr (MR == 8 && NR == 4) {
-      micro_kernel_neon_8x4(depth, a_pack, b_pack, c, ldc);
+      micro_kernel_neon_8x4(depth, a, b_pack, c, ldc);
       return;
     }
   }
 #endif
-  micro_kernel_generic<MR, NR>(rows, cols, depth, a_pack, b_pack, c, ldc);
+  micro_kernel_generic<MR, NR>(rows, cols, depth, a, b_pack, c, ldc);
 }
 
 // One worker's row range [i0, i1) of a single K strip: streams MR-row tiles
@@ -444,10 +467,10 @@ void run_rows(int64_t i0, int64_t i1, int64_t n, int64_t pc, int64_t depth,
   float* a_pack = scratch.floats(static_cast<size_t>(kKc * MR));
   for (int64_t ic = i0; ic < i1; ic += MR) {
     const int64_t rows = std::min<int64_t>(MR, i1 - ic);
-    asrc.template pack_tile<MR>(ic, rows, pc, depth, alpha, a_pack);
+    const ATile a = asrc.template tile<MR>(ic, rows, pc, depth, alpha, a_pack);
     for (int64_t jb = 0; jb < n; jb += NR) {
       const int64_t cols = std::min<int64_t>(NR, n - jb);
-      micro_kernel<MR, NR>(rows, cols, depth, a_pack,
+      micro_kernel<MR, NR>(rows, cols, depth, a,
                            b_pack + (jb / NR) * depth * NR, c + ic * n + jb,
                            n);
     }

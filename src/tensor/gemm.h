@@ -1,12 +1,13 @@
 // Blocked single-precision GEMM and the matrix primitives the NN layers need.
 //
 // C (MxN) = alpha * A (MxK) @ B (KxN) + beta * C. Row-major, contiguous.
-// All three kernels share one packed register-tiled core: operands are
-// packed into contiguous zero-padded panels (alpha folded into the A pack)
-// and a branch-free micro-kernel accumulates a 4x16 tile (8x4 for narrow
-// outputs) with one fused multiply-add per element per K step. Transposed
-// operands differ only in how the pack reads memory, so gemm_at_b and
-// gemm_a_bt run at the same rate as gemm.
+// All three kernels share one packed register-tiled core: B is packed into
+// contiguous zero-padded panels, A tiles are packed too (alpha folded into
+// the pack) unless a full tile of a dense A with alpha == 1 can be read in
+// place, and a branch-free micro-kernel accumulates a 4x16 tile (8x4 for
+// narrow outputs) with one fused multiply-add per element per K step.
+// Transposed operands differ only in how the pack (or the in-place tile)
+// reads memory, so gemm_at_b and gemm_a_bt run at the same rate as gemm.
 //
 // Determinism contract: every C element accumulates in p-ascending order in
 // a single fma chain, chained exactly across K strips through its C slot.

@@ -35,31 +35,35 @@ void im2col(const float* img, const ConvGeometry& g, float* col) {
   const int64_t oh = g.out_h(), ow = g.out_w();
   const int64_t rows_per_c = g.kernel * g.kernel;
   // Channels own disjoint row blocks of the column matrix, so the channel
-  // loop parallelises without any write overlap.
-  parallel_for(0, g.in_c, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      const float* plane = img + c * g.in_h * g.in_w;
-      int64_t row = c * rows_per_c;
-      for (int64_t kh = 0; kh < g.kernel; ++kh) {
-        for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
-          float* out = col + row * oh * ow;
-          for (int64_t y = 0; y < oh; ++y) {
-            const int64_t iy = y * g.stride + kh - g.pad;
-            if (iy < 0 || iy >= g.in_h) {
-              for (int64_t x = 0; x < ow; ++x) out[y * ow + x] = 0.0f;
-              continue;
-            }
-            const float* src = plane + iy * g.in_w;
-            for (int64_t x = 0; x < ow; ++x) {
-              const int64_t ix = x * g.stride + kw - g.pad;
-              out[y * ow + x] =
-                  (ix >= 0 && ix < g.in_w) ? src[ix] : 0.0f;
+  // loop parallelises without any write overlap. One channel writes
+  // k*k*oh*ow column elements.
+  parallel_for(
+      0, g.in_c,
+      [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          const float* plane = img + c * g.in_h * g.in_w;
+          int64_t row = c * rows_per_c;
+          for (int64_t kh = 0; kh < g.kernel; ++kh) {
+            for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
+              float* out = col + row * oh * ow;
+              for (int64_t y = 0; y < oh; ++y) {
+                const int64_t iy = y * g.stride + kh - g.pad;
+                if (iy < 0 || iy >= g.in_h) {
+                  for (int64_t x = 0; x < ow; ++x) out[y * ow + x] = 0.0f;
+                  continue;
+                }
+                const float* src = plane + iy * g.in_w;
+                for (int64_t x = 0; x < ow; ++x) {
+                  const int64_t ix = x * g.stride + kw - g.pad;
+                  out[y * ow + x] =
+                      (ix >= 0 && ix < g.in_w) ? src[ix] : 0.0f;
+                }
+              }
             }
           }
         }
-      }
-    }
-  });
+      },
+      work_grain(rows_per_c * oh * ow));
 }
 
 void col2im(const float* col, const ConvGeometry& g, float* img) {
@@ -68,26 +72,30 @@ void col2im(const float* col, const ConvGeometry& g, float* img) {
   const int64_t rows_per_c = g.kernel * g.kernel;
   // Taps overlap across (kh, kw) within one channel but never across
   // channels; per-channel the accumulation order matches the serial loop.
-  parallel_for(0, g.in_c, [&](int64_t c0, int64_t c1) {
-    for (int64_t c = c0; c < c1; ++c) {
-      float* plane = img + c * g.in_h * g.in_w;
-      int64_t row = c * rows_per_c;
-      for (int64_t kh = 0; kh < g.kernel; ++kh) {
-        for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
-          const float* in = col + row * oh * ow;
-          for (int64_t y = 0; y < oh; ++y) {
-            const int64_t iy = y * g.stride + kh - g.pad;
-            if (iy < 0 || iy >= g.in_h) continue;
-            float* dst = plane + iy * g.in_w;
-            for (int64_t x = 0; x < ow; ++x) {
-              const int64_t ix = x * g.stride + kw - g.pad;
-              if (ix >= 0 && ix < g.in_w) dst[ix] += in[y * ow + x];
+  // One channel reads k*k*oh*ow column elements.
+  parallel_for(
+      0, g.in_c,
+      [&](int64_t c0, int64_t c1) {
+        for (int64_t c = c0; c < c1; ++c) {
+          float* plane = img + c * g.in_h * g.in_w;
+          int64_t row = c * rows_per_c;
+          for (int64_t kh = 0; kh < g.kernel; ++kh) {
+            for (int64_t kw = 0; kw < g.kernel; ++kw, ++row) {
+              const float* in = col + row * oh * ow;
+              for (int64_t y = 0; y < oh; ++y) {
+                const int64_t iy = y * g.stride + kh - g.pad;
+                if (iy < 0 || iy >= g.in_h) continue;
+                float* dst = plane + iy * g.in_w;
+                for (int64_t x = 0; x < ow; ++x) {
+                  const int64_t ix = x * g.stride + kw - g.pad;
+                  if (ix >= 0 && ix < g.in_w) dst[ix] += in[y * ow + x];
+                }
+              }
             }
           }
         }
-      }
-    }
-  });
+      },
+      work_grain(rows_per_c * oh * ow));
 }
 
 }  // namespace cham

@@ -7,14 +7,6 @@
 #include "tensor/thread_pool.h"
 
 namespace cham::ops {
-namespace {
-
-// Elementwise work per chunk below which a parallel dispatch is not worth it.
-constexpr int64_t kElemGrain = 16384;
-// Softmax rows per chunk minimum (each row is an exp-heavy pass).
-constexpr int64_t kRowGrain = 4;
-
-}  // namespace
 
 Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out = a;
@@ -36,7 +28,7 @@ Tensor mul(const Tensor& a, const Tensor& b) {
       [&](int64_t i0, int64_t i1) {
         for (int64_t i = i0; i < i1; ++i) out[i] *= b[i];
       },
-      kElemGrain);
+      kChunkElems);
   return out;
 }
 
@@ -126,7 +118,7 @@ Tensor softmax(const Tensor& logits) {
           for (int64_t c = 0; c < cols; ++c) o[c] *= inv;
         }
       },
-      kRowGrain);
+      work_grain(cols));
   return out;
 }
 
@@ -149,7 +141,7 @@ Tensor log_softmax(const Tensor& logits) {
           for (int64_t c = 0; c < cols; ++c) o[c] = in[c] - logz;
         }
       },
-      kRowGrain);
+      work_grain(cols));
   return out;
 }
 

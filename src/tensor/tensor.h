@@ -19,6 +19,16 @@
 #include "tensor/workspace.h"
 #include "util/check.h"
 
+// No-alias qualifier for kernel pointers: tells the compiler that writes
+// through one pointer never change what another reads, so element loops
+// vectorise without runtime overlap checks. Callers guarantee the spans are
+// disjoint.
+#if defined(__GNUC__) || defined(__clang__)
+#define CHAM_RESTRICT __restrict__
+#else
+#define CHAM_RESTRICT
+#endif
+
 namespace cham {
 
 // Shape of a tensor: up to 4 dimensions in practice (N, C, H, W), stored

@@ -59,12 +59,29 @@ uint64_t pool_inline_runs();
 uint64_t pool_dispatches();
 }  // namespace detail
 
+// Work a parallel_for chunk must carry before waking the pool is worth it,
+// in scalar units (an element written, a tap accumulated) or in MACs at
+// the packed-GEMM rate (gemm.cpp sizes its row chunks by kChunkMacs).
+constexpr int64_t kChunkElems = 16384;
+constexpr int64_t kChunkMacs = int64_t{1} << 18;
+
+// Work-proportional grain: items per chunk such that one chunk carries at
+// least `chunk_work` units when each item costs `work_per_item`. A range
+// whose whole work is below one chunk runs inline on the calling thread.
+constexpr int64_t work_grain(int64_t work_per_item,
+                             int64_t chunk_work = kChunkElems) {
+  const int64_t w = work_per_item < 1 ? 1 : work_per_item;
+  return (chunk_work + w - 1) / w;
+}
+
 // Invokes fn(chunk_begin, chunk_end) over a static partition of [begin, end).
 // fn runs on the calling thread when the pool has 1 thread or when the range
 // is smaller than `grain` elements; otherwise chunks are handed to the pool
 // and the call blocks until every chunk finishes. fn must only write to
 // locations owned by its chunk. Exceptions in fn terminate (kernels must not
-// throw).
+// throw). Calls under src/ pass `grain` explicitly (cham_lint rule
+// parallel-for-grain): the default of 1 wakes the pool for any range of two
+// or more items, however little work they hold.
 template <typename F>
 void parallel_for(int64_t begin, int64_t end, F&& fn, int64_t grain = 1) {
   using Fn = std::remove_reference_t<F>;

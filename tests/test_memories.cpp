@@ -131,20 +131,20 @@ TEST(LongTermMemory, UpdateSelectsMostDivergentCandidate) {
   lt.insert(make_sample(0, 0.0f), rng);
   lt.insert(make_sample(0, 0.0f), rng);
 
-  // Predictor keyed on latent fill value: value 5 -> confident wrong class.
-  auto predict = [](const Tensor& latent) {
-    std::vector<float> probs(2);
-    if (latent[0] > 2.0f) {
-      probs = {0.05f, 0.95f};  // diverges from prototype
-    } else {
-      probs = {0.95f, 0.05f};
+  // Scorer keyed on latent fill value: value 5 -> confident wrong class.
+  auto score = [](std::span<const float* const> rows) {
+    Tensor probs({static_cast<int64_t>(rows.size()), 2});
+    for (size_t i = 0; i < rows.size(); ++i) {
+      const bool diverges = rows[i][0] > 2.0f;  // vs the prototype
+      probs.at(static_cast<int64_t>(i), 0) = diverges ? 0.05f : 0.95f;
+      probs.at(static_cast<int64_t>(i), 1) = diverges ? 0.95f : 0.05f;
     }
     return probs;
   };
 
   std::vector<replay::ReplaySample> st = {make_sample(0, 1.0f),
                                           make_sample(0, 5.0f)};
-  lt.update_from(st, predict, rng);
+  lt.update_from(st, score, rng);
   // The divergent candidate (fill 5) must now be in class 0's slots.
   bool found = false;
   for (const auto& s : lt.class_slots(0)) {
@@ -156,13 +156,19 @@ TEST(LongTermMemory, UpdateSelectsMostDivergentCandidate) {
 TEST(LongTermMemory, UpdateCoversEveryStClass) {
   core::LongTermMemory lt(9, 3);
   Rng rng(5);
-  auto predict = [](const Tensor&) {
-    return std::vector<float>{0.34f, 0.33f, 0.33f};
+  auto score = [](std::span<const float* const> rows) {
+    Tensor probs({static_cast<int64_t>(rows.size()), 3});
+    for (int64_t i = 0; i < probs.dim(0); ++i) {
+      probs.at(i, 0) = 0.34f;
+      probs.at(i, 1) = 0.33f;
+      probs.at(i, 2) = 0.33f;
+    }
+    return probs;
   };
   std::vector<replay::ReplaySample> st = {
       make_sample(0, 1.0f), make_sample(1, 2.0f), make_sample(2, 3.0f),
       make_sample(1, 4.0f)};
-  const int64_t updated = lt.update_from(st, predict, rng);
+  const int64_t updated = lt.update_from(st, score, rng);
   EXPECT_EQ(updated, 3);
   EXPECT_EQ(lt.class_count(0), 1);
   EXPECT_EQ(lt.class_count(1), 1);

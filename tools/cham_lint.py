@@ -87,6 +87,12 @@ are about *this* codebase's contracts:
                       peer's socket buffer. Syscalls belong
                       outside the markers, on buffers the lock no longer
                       protects.
+  parallel-for-grain  A parallel_for( call under src/ without an explicit
+                      grain argument. The default grain of 1 wakes the
+                      thread pool for any range of two or more items, however
+                      little work they hold; a kernel states how many items
+                      make a chunk worth a dispatch (work_grain() in
+                      tensor/thread_pool.h sizes it from the per-item work).
   unguarded-shared-member
                       A write to a `name_` member inside a
                       `// cham-lint: begin(...)` / `end(...)` marker region
@@ -133,6 +139,9 @@ RULES = {
     "unguarded-shared-member": "member written inside a lock-held marker "
     "region but not declared CHAM_GUARDED_BY; annotate the declaration so "
     "the thread-safety analysis can check it",
+    "parallel-for-grain": "parallel_for without an explicit grain wakes the "
+    "pool for any 2-item range; pass a work-proportional grain "
+    "(work_grain() in tensor/thread_pool.h)",
     "hot-path-stacking": "stack_latents() inside a hot_path marker region; "
     "the replay hot loop is zero-copy — pack a GatherBatch of row pointers "
     "and use forward_gather / the gather GEMM kernels instead of stacking "
@@ -303,6 +312,21 @@ def call_extent(code, open_paren):
     return len(code)
 
 
+def top_level_args(inner):
+    """Number of comma-separated top-level arguments in a call's inner text."""
+    if not inner.strip():
+        return 0
+    depth, commas = 0, 0
+    for ch in inner:
+        if ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            commas += 1
+    return commas + 1
+
+
 def lint_file(path, raw):
     code = strip_comments_and_strings(raw)
     raw_lines = raw.splitlines()
@@ -397,16 +421,7 @@ def lint_file(path, raw):
     for m in CV_WAIT_RE.finditer(code):
         open_paren = code.index("(", m.end() - 1)
         end = call_extent(code, open_paren)
-        inner = code[open_paren + 1:end - 1]
-        depth, commas = 0, 0
-        for ch in inner:
-            if ch in "([{":
-                depth += 1
-            elif ch in ")]}":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                commas += 1
-        if inner.strip() and commas == 0:
+        if top_level_args(code[open_paren + 1:end - 1]) == 1:
             report(code.count("\n", 0, m.start()) + 1, "naked-cv-wait")
 
     # Writes to `name_` members inside ANY marker region must be declared
@@ -454,6 +469,9 @@ def lint_file(path, raw):
         for use in ALLOC_RE.finditer(extent):
             lineno = base_line + extent.count("\n", 0, use.start())
             report(lineno, "alloc-in-parallel-for")
+        # (begin, end, body) with the grain left to its default of 1.
+        if in_src and top_level_args(extent[1:-1]) == 3:
+            report(base_line, "parallel-for-grain")
 
     return violations
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Self-tests for cham_lint.py — one positive and one negative case per
 behaviour of the thread-safety rules (raw-mutex, naked-cv-wait,
-unguarded-shared-member), plus regression cases for the trickier matching
-(suppressions, comments/strings, wait_for, nested regions, sibling-header
-guarded declarations).
+unguarded-shared-member) and of parallel-for-grain, plus regression cases
+for the trickier matching (suppressions, comments/strings, wait_for, nested
+regions, sibling-header guarded declarations).
 
 Run directly (python3 tools/test_cham_lint.py) or via run_static.sh.
 Exit status: 0 all pass, 1 failures.
@@ -272,6 +272,28 @@ def main():
               "// cham-lint: begin(net_mu)\n"
               "poll(f, 1, 0);  // cham-lint: allow(syscall-in-net-lock)\n"
               "// cham-lint: end(net_mu)\n")) == [])
+
+    print("rule: parallel-for-grain")
+    check("flags a parallel_for with the default grain",
+          rules_of(lint_src(
+              "parallel_for(0, n, [&](int64_t b, int64_t e) {\n"
+              "  for (int64_t i = b; i < e; ++i) f(i, g(a, b));\n"
+              "});\n")) == ["parallel-for-grain"])
+    check("explicit grain is clean (commas in the body do not count)",
+          rules_of(lint_src(
+              "parallel_for(\n"
+              "    0, n,\n"
+              "    [&, k](int64_t b, int64_t e) { f(b, e, k); },\n"
+              "    work_grain(k * k));\n")) == [])
+    check("named body with grain is clean",
+          rules_of(lint_src("parallel_for(0, batch, body, 4);")) == [])
+    check("suppressed by allow()",
+          rules_of(lint_src(
+              "parallel_for(0, n, body);  "
+              "// cham-lint: allow(parallel-for-grain)\n")) == [])
+    check("not applied outside src/",
+          rules_of(lint_src("parallel_for(0, n, body);",
+                            path="tests/t.cpp")) == [])
 
     print("pre-existing rules still fire (no regression)")
     check("io-in-sessions-mu",
