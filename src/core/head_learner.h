@@ -41,24 +41,17 @@ class HeadLearner : public ContinualLearner {
     return predict_batch(std::span<const data::ImageKey>(keys));
   }
 
-  // One eval-mode forward of the head over an already-stacked latent batch
-  // (NxCxHxW), returning the NxK logits. State- and stats-pure: eval mode
-  // touches no weights, BN running stats are frozen, and no MACs are
-  // charged (the serve path logs predicts as replayable no-ops). Every
-  // layer treats batch rows independently in eval mode, so ANY regrouping
-  // of rows across eval_batch calls — merging several requests, splitting
-  // one — yields bit-identical logits per row. That row-independence is
-  // the correctness basis of the serve-path batch planner.
-  Tensor eval_batch(const Tensor& latent_batch) {
-    return g_->forward(latent_batch, /*train=*/false);
-  }
-
   // Argmax predictions for `keys`, evaluated in gathered chunks: the
   // first head layer packs its GEMM panels straight from the cached latent
   // rows (LatentCache hands out stable references), so no stacked copy of
-  // the chunk is ever materialised. Bit-identical to stacking + eval_batch
-  // — the gather kernels pack the same panels from the same values (see
-  // tensor/gemm.h) — and bit-identical to a per-key loop (see eval_batch).
+  // the chunk is ever materialised. State- and stats-pure: eval mode
+  // touches no weights, BN running stats are frozen, and no MACs are
+  // charged (the serve path logs predicts as replayable no-ops). Every
+  // layer treats batch rows independently in eval mode, so ANY regrouping
+  // of keys across predict_batch calls — merging several requests,
+  // splitting one, a per-key loop — yields bit-identical predictions per
+  // key. That row-independence is the correctness basis of the serve-path
+  // batch planner.
   // Virtual because this is the single funnel every predict path (plain
   // predict(), serve batch plans) flows through — fault-injecting
   // subclasses override here to intercept both.
@@ -69,7 +62,7 @@ class HeadLearner : public ContinualLearner {
     const int64_t total = static_cast<int64_t>(keys.size());
     std::vector<int64_t> out;
     out.reserve(keys.size());
-    std::vector<const float*>& rows = eval_rows_scratch_;
+    std::vector<const float*>& rows = rows_scratch_;
     for (int64_t begin = 0; begin < total; begin += kEvalChunk) {
       const int64_t end = std::min(total, begin + kEvalChunk);
       rows.clear();
@@ -98,34 +91,28 @@ class HeadLearner : public ContinualLearner {
   int64_t g_bwd_macs() const { return g_bwd_macs_; }
 
  protected:
-  // One SGD step of cross-entropy on a latent batch; returns the logits
-  // computed during the forward pass (train mode). Also charges g MACs.
+  // One SGD step of cross-entropy on a stacked latent batch (NxCxHxW):
+  // an adapter that gathers the batch's samples by pointer into the
+  // gathered step below. latent_batch outlives the call, so its rows stay
+  // valid through backward.
   Tensor train_step(const Tensor& latent_batch,
                     std::span<const int64_t> labels) {
-    opt_.zero_grad();
-    Tensor logits = g_->forward(latent_batch, /*train=*/true);
-    // Full-checks tier: scan the layer output and loss gradient at the
-    // train-step boundary (Eq. 3 consumes these logits; a NaN here corrupts
-    // both the weights and the ST sampling probabilities downstream).
-    CHAM_CHECK_FINITE(logits.span(), "head logits");
-    auto loss = nn::softmax_cross_entropy(logits, labels);
-    CHAM_CHECK_FINITE(loss.grad.span(), "loss gradient");
-    g_->backward(loss.grad);
-    opt_.step();
-    charge_g(latent_batch.dim(0));
-    return logits;
+    return train_step(nn::rows_of(latent_batch, rows_scratch_), labels);
   }
 
-  // Gathered train step: the batch is the rows named by `gb` (replay slab
+  // One SGD step of cross-entropy on the rows named by `gb` (replay slab
   // rows, cached incoming latents, staged LT rows) — never stacked into a
-  // dense batch tensor. Bit-identical to stacking + train_step: the first
-  // layer packs its GEMM panels from the same values in the same order.
-  // The caller keeps gb.rows and the rows themselves valid until this
-  // returns (the train forward caches the row pointers for backward).
+  // dense batch tensor; returns the logits computed during the forward
+  // pass (train mode). Also charges g MACs. The caller keeps gb.rows and
+  // the rows themselves valid until this returns (the train forward
+  // caches the row pointers for backward).
   Tensor train_step(const nn::GatherBatch& gb,
                     std::span<const int64_t> labels) {
     opt_.zero_grad();
     Tensor logits = g_->forward_gather(gb, /*train=*/true);
+    // Full-checks tier: scan the layer output and loss gradient at the
+    // train-step boundary (Eq. 3 consumes these logits; a NaN here corrupts
+    // both the weights and the ST sampling probabilities downstream).
     CHAM_CHECK_FINITE(logits.span(), "head logits");
     auto loss = nn::softmax_cross_entropy(logits, labels);
     CHAM_CHECK_FINITE(loss.grad.span(), "loss gradient");
@@ -170,8 +157,9 @@ class HeadLearner : public ContinualLearner {
   int64_t g_fwd_macs_;
   int64_t g_bwd_macs_ = 0;
   int64_t head_param_count_;
-  // predict_batch row-pointer scratch (capacity reused across calls).
-  std::vector<const float*> eval_rows_scratch_;
+  // Row-pointer scratch of predict_batch and of the stacked train_step
+  // (capacity reused across calls; the two never nest).
+  std::vector<const float*> rows_scratch_;
 
  private:
   int64_t count_params() {

@@ -47,7 +47,9 @@ class LatentCache {
 
  private:
   DatasetConfig cfg_;      // immutable after construction
-  nn::Sequential& f_;      // frozen backbone; forward() is const-safe
+  // Frozen backbone. Even an eval-mode forward writes per-layer scratch
+  // (row tables, BatchNorm's inverse std), so f_ runs only under mu_.
+  nn::Sequential& f_;
   std::unordered_map<uint64_t, Tensor> cache_ CHAM_GUARDED_BY(mu_);
   mutable util::Mutex mu_;
 };

@@ -14,6 +14,7 @@
 
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
+#include "util/check.h"
 
 namespace cham::nn {
 
@@ -31,7 +32,8 @@ struct Param {
 // instead of living in one contiguous tensor: sample i is the
 // sample_shape.numel() contiguous floats at rows[i]. This is the zero-copy
 // replay interface — rows point straight into ST slab slots, LT entries,
-// and incoming latent-cache storage; nothing is stacked.
+// and incoming latent-cache storage; nothing is stacked. n may be 0 (rows
+// is then never read).
 //
 // Ownership: the caller owns both the pointer array and the gathered
 // storage, and must keep every row valid until the consuming call returns —
@@ -44,6 +46,22 @@ struct GatherBatch {
 
   int64_t sample_numel() const { return sample_shape.numel(); }
 };
+
+// Points `table` at the samples of x (batch axis first) and returns the
+// gather batch over them; table's capacity is reused across calls.
+inline GatherBatch rows_of(const Tensor& x, std::vector<const float*>& table) {
+  CHAM_CHECK(x.rank() >= 1, "batched input " + x.shape().to_string());
+  GatherBatch gb;
+  gb.n = x.dim(0);
+  gb.sample_shape = Shape(x.shape().dims().subspan(1));
+  const int64_t numel = gb.sample_numel();
+  table.resize(static_cast<size_t>(gb.n));
+  for (int64_t i = 0; i < gb.n; ++i) {
+    table[static_cast<size_t>(i)] = x.data() + i * numel;
+  }
+  gb.rows = table.data();
+  return gb;
+}
 
 class Layer {
  public:
@@ -61,9 +79,8 @@ class Layer {
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   // Forward over a gathered batch. The default materialises the batch into
-  // a contiguous tensor and calls forward() — layers with a zero-copy path
-  // (convolutions, linear) override it to pack GEMM panels directly from
-  // the gathered rows. Both paths are bit-identical by construction.
+  // a contiguous tensor and calls forward(); the MAC-bearing layers derive
+  // from GatherLayer, whose forward_gather is their one forward body.
   virtual Tensor forward_gather(const GatherBatch& gb, bool train) {
     std::vector<int64_t> dims;
     dims.reserve(static_cast<size_t>(gb.sample_shape.rank()) + 1);
@@ -114,6 +131,40 @@ class Layer {
 
  protected:
   bool needs_input_grad_ = true;
+};
+
+// A layer whose only forward body is forward_gather, reading each sample
+// through its row pointer (Conv2d, DepthwiseConv2d, GlobalAvgPool,
+// Linear). The dense forward is an adapter onto it: it points a row table
+// at x's samples and runs the same body, so the two entries cannot
+// diverge. A train-mode forward_gather caches the caller's row pointers in
+// cached_rows_ for backward; in train mode the adapter first copies x into
+// cached_input_ (capacity reused) and points the rows there, since the
+// caller's tensor may be gone by backward().
+class GatherLayer : public Layer {
+ public:
+  Tensor forward(const Tensor& x, bool train) final {
+    if (!train || !backward_reads_input_) {
+      return forward_gather(rows_of(x, row_table_), train);
+    }
+    cached_input_ = x;
+    return forward_gather(rows_of(cached_input_, row_table_), train);
+  }
+
+ protected:
+  // backward_reads_input = false for layers whose backward needs only the
+  // input's shape (GlobalAvgPool): the train-mode adapter then skips the
+  // copy into cached_input_.
+  explicit GatherLayer(bool backward_reads_input = true)
+      : backward_reads_input_(backward_reads_input) {}
+
+  // Rows of the last train-mode forward, read by backward.
+  std::vector<const float*> cached_rows_;
+
+ private:
+  bool backward_reads_input_;
+  Tensor cached_input_;  // the adapter's train-mode copy of x
+  std::vector<const float*> row_table_;
 };
 
 using LayerPtr = std::unique_ptr<Layer>;

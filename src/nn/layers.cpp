@@ -27,6 +27,17 @@ bool is_pointwise(const ConvGeometry& g) {
   return g.kernel == 1 && g.stride == 1 && g.pad == 0;
 }
 
+// Backward reads grad_out through raw pointers sized by the last
+// train-mode forward (batch) and the fixed output geometry, so any other
+// shape would read out of bounds.
+void check_grad_shape(const Tensor& grad_out, const Shape& expected,
+                      const char* layer) {
+  CHAM_CHECK(grad_out.shape() == expected,
+             std::string(layer) + " grad " + grad_out.shape().to_string() +
+                 " does not match the last train-mode forward's output " +
+                 expected.to_string());
+}
+
 // Element kernels of the BatchNorm2d and ReLU passes. Each reads its input
 // and writes a fresh output in one pass through no-alias pointers, so the
 // loops vectorise; every element's expression is fixed, so the walk order
@@ -151,15 +162,11 @@ int64_t Conv2d::macs_per_sample() const {
   return out_c_ * geo_.col_rows() * geo_.col_cols();
 }
 
-Tensor Conv2d::forward(const Tensor& x, bool train) {
-  CHAM_CHECK(x.rank() == 4 && x.dim(1) == geo_.in_c && x.dim(2) == geo_.in_h &&
-                 x.dim(3) == geo_.in_w,
-             "Conv2d input " + x.shape().to_string());
-  if (train) {
-    cached_input_ = x;
-    cached_gather_ = false;
-  }
-  const int64_t batch = x.dim(0);
+Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
+  CHAM_CHECK(gb.sample_shape == (Shape{{geo_.in_c, geo_.in_h, geo_.in_w}}),
+             "Conv2d input sample " + gb.sample_shape.to_string());
+  if (train) cached_rows_.assign(gb.rows, gb.rows + gb.n);
+  const int64_t batch = gb.n;
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   const int64_t opix = oh * ow;
   const int64_t ipix = geo_.in_h * geo_.in_w;
@@ -172,40 +179,32 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
     }
   };
   // Pointwise convs merge the whole batch into ONE gemm along the column
-  // dimension: column (n, p) of the concatenated operand is pixel p of
-  // sample n, so C[c][(n,p)] accumulates the same k-ascending fma chain as
-  // the per-sample call — bit-identical output, but the weight panel is
+  // dimension: column (n, p) of the logical concatenated operand is pixel p
+  // of sample n, so C[c][(n,p)] accumulates the same k-ascending fma chain
+  // as a per-sample call — bit-identical output, but the weight panel is
   // packed once per row chunk instead of once per sample, and the kernel
   // sees n = batch*opix wide tiles instead of the n = opix (often 1..4)
-  // slivers that defeat the SIMD path.
+  // slivers that defeat the SIMD path. The concatenated operand is never
+  // materialised: the column-gather pack reads each sample's plane in place.
   if (is_pointwise(geo_)) {
     if (batch == 1) {
-      // Plane layout already matches the merged operand: zero-copy.
-      gemm(out_c_, opix, geo_.in_c, 1.0f, weight_.value.data(), x.data(),
+      // A single sample's plane already is the operand.
+      gemm(out_c_, opix, geo_.in_c, 1.0f, weight_.value.data(), gb.rows[0],
            0.0f, out.data());
       if (has_bias_) add_bias(0);
       return out;
     }
     const int64_t cols = batch * opix;
+    colptr_scratch_.resize(static_cast<size_t>(cols));
+    for (int64_t n = 0; n < batch; ++n) {
+      for (int64_t p = 0; p < opix; ++p) {
+        colptr_scratch_[static_cast<size_t>(n * opix + p)] = gb.rows[n] + p;
+      }
+    }
     ws::ArenaScope scratch;
-    float* xcat = scratch.floats(static_cast<size_t>(geo_.in_c * cols));
     float* ocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
-    const int64_t row_grain = work_grain(cols);
-    // Gather x[n][c][:] -> xcat[c][n*opix..]: disjoint rows per chunk.
-    parallel_for(
-        0, geo_.in_c,
-        [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            for (int64_t n = 0; n < batch; ++n) {
-              std::memcpy(xcat + c * cols + n * opix,
-                          x.data() + (n * geo_.in_c + c) * ipix,
-                          static_cast<size_t>(opix) * sizeof(float));
-            }
-          }
-        },
-        row_grain);
-    gemm(out_c_, cols, geo_.in_c, 1.0f, weight_.value.data(), xcat, 0.0f,
-         ocat);
+    gemm_gather_cols(out_c_, cols, geo_.in_c, 1.0f, weight_.value.data(),
+                     colptr_scratch_.data(), ipix, 0.0f, ocat);
     // Scatter ocat[c][n*opix..] -> out[n][c][:], folding the bias add.
     parallel_for(
         0, out_c_,
@@ -224,93 +223,10 @@ Tensor Conv2d::forward(const Tensor& x, bool train) {
             }
           }
         },
-        row_grain);
+        work_grain(cols));
     return out;
   }
-  const auto body = [&](int64_t n0, int64_t n1) {
-    ws::ArenaScope scratch;
-    float* col =
-        scratch.floats(static_cast<size_t>(geo_.col_rows() * geo_.col_cols()));
-    for (int64_t n = n0; n < n1; ++n) {
-      im2col(x.data() + n * geo_.in_c * ipix, geo_, col);
-      gemm(out_c_, geo_.col_cols(), geo_.col_rows(), 1.0f,
-           weight_.value.data(), col, 0.0f, out.data() + n * out_c_ * opix);
-      if (has_bias_) add_bias(n);
-    }
-  };
-  if (batch == 1) {
-    body(0, 1);
-  } else {
-    parallel_for(0, batch, body, work_grain(macs_per_sample(), kChunkMacs));
-  }
-  return out;
-}
-
-Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
-  const int64_t ipix = geo_.in_h * geo_.in_w;
-  CHAM_CHECK(gb.sample_numel() == geo_.in_c * ipix,
-             "Conv2d gathered sample " + gb.sample_shape.to_string());
-  if (train) {
-    cached_rows_.assign(gb.rows, gb.rows + gb.n);
-    cached_gather_ = true;
-    cached_input_ = Tensor();
-  }
-  const int64_t batch = gb.n;
-  const int64_t oh = geo_.out_h(), ow = geo_.out_w();
-  const int64_t opix = oh * ow;
-  Tensor out({batch, out_c_, oh, ow});
-  const auto add_bias = [&](int64_t n) {
-    for (int64_t c = 0; c < out_c_; ++c) {
-      float* plane = out.data() + (n * out_c_ + c) * opix;
-      const float b = bias_.value[c];
-      for (int64_t i = 0; i < opix; ++i) plane[i] += b;
-    }
-  };
-  if (is_pointwise(geo_)) {
-    if (batch == 1) {
-      // A single gathered sample is already one contiguous plane.
-      gemm(out_c_, opix, geo_.in_c, 1.0f, weight_.value.data(), gb.rows[0],
-           0.0f, out.data());
-      if (has_bias_) add_bias(0);
-      return out;
-    }
-    // Same merged single-GEMM as the dense path, but the concatenated
-    // operand is never materialised: column (n, p) of the logical xcat
-    // reads sample n's plane in place through the column-gather pack.
-    // Values and accumulation order match the dense path exactly.
-    const int64_t cols = batch * opix;
-    colptr_scratch_.resize(static_cast<size_t>(cols));
-    for (int64_t n = 0; n < batch; ++n) {
-      for (int64_t p = 0; p < opix; ++p) {
-        colptr_scratch_[static_cast<size_t>(n * opix + p)] = gb.rows[n] + p;
-      }
-    }
-    ws::ArenaScope scratch;
-    float* ocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
-    gemm_gather_cols(out_c_, cols, geo_.in_c, 1.0f, weight_.value.data(),
-                     colptr_scratch_.data(), ipix, 0.0f, ocat);
-    const int64_t row_grain = work_grain(cols);
-    parallel_for(
-        0, out_c_,
-        [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            const float b = has_bias_ ? bias_.value[c] : 0.0f;
-            for (int64_t n = 0; n < batch; ++n) {
-              const float* src = ocat + c * cols + n * opix;
-              float* dst = out.data() + (n * out_c_ + c) * opix;
-              if (has_bias_) {
-                for (int64_t i = 0; i < opix; ++i) dst[i] = src[i] + b;
-              } else {
-                std::memcpy(dst, src,
-                            static_cast<size_t>(opix) * sizeof(float));
-              }
-            }
-          }
-        },
-        row_grain);
-    return out;
-  }
-  // General path: per-sample im2col reads the gathered plane in place.
+  // General path: per-sample im2col reads the sample's plane in place.
   const auto body = [&](int64_t n0, int64_t n1) {
     ws::ArenaScope scratch;
     float* col =
@@ -330,25 +246,11 @@ Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
   return out;
 }
 
-const float* Conv2d::cached_sample(int64_t n) const {
-  return cached_gather_
-             ? cached_rows_[static_cast<size_t>(n)]
-             : cached_input_.data() + n * geo_.in_c * geo_.in_h * geo_.in_w;
-}
-
-int64_t Conv2d::cached_batch() const {
-  return cached_gather_ ? static_cast<int64_t>(cached_rows_.size())
-                        : cached_input_.dim(0);
-}
-
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  CHAM_CHECK(!cached_input_.empty() || cached_gather_,
-             "backward without train-mode forward");
-  const int64_t batch = cached_batch();
+  const auto batch = static_cast<int64_t>(cached_rows_.size());
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   const int64_t opix = oh * ow;
-  CHAM_CHECK(grad_out.rank() == 4 && grad_out.dim(1) == out_c_,
-             "Conv2d grad " + grad_out.shape().to_string());
+  check_grad_shape(grad_out, Shape{{batch, out_c_, oh, ow}}, "Conv2d");
 
   Tensor grad_in;
   if (needs_input_grad_) {
@@ -377,7 +279,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const int64_t cols = batch * opix;
     if (batch == 1) {
       const float* go = grad_out.data();
-      gemm_a_bt(out_c_, geo_.in_c, opix, 1.0f, go, cached_sample(0), 1.0f,
+      gemm_a_bt(out_c_, geo_.in_c, opix, 1.0f, go, cached_rows_[0], 1.0f,
                 weight_.grad.data());
       if (needs_input_grad_) {
         gemm_at_b(geo_.in_c, opix, out_c_, 1.0f, weight_.value.data(), go,
@@ -408,7 +310,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
           for (int64_t c = c0; c < c1; ++c) {
             for (int64_t n = 0; n < batch; ++n) {
               std::memcpy(xcat + c * cols + n * opix,
-                          cached_sample(n) + c * ipix,
+                          cached_rows_[static_cast<size_t>(n)] + c * ipix,
                           static_cast<size_t>(opix) * sizeof(float));
             }
           }
@@ -452,7 +354,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   for (int64_t n = 0; n < batch; ++n) {
     const float* go = grad_out.data() + n * out_c_ * opix;
     // dW += dY @ col^T  (out_c x opix) @ (opix x col_rows)
-    im2col(cached_sample(n), geo_, col);
+    im2col(cached_rows_[static_cast<size_t>(n)], geo_, col);
     gemm_a_bt(out_c_, geo_.col_rows(), opix, 1.0f, go, col, 1.0f,
               weight_.grad.data());
     if (needs_input_grad_) {
@@ -518,51 +420,18 @@ void DepthwiseConv2d::forward_plane(const float* CHAM_RESTRICT plane,
   }
 }
 
-Tensor DepthwiseConv2d::forward(const Tensor& x, bool train) {
-  CHAM_CHECK(x.rank() == 4 && x.dim(1) == geo_.in_c &&
-                 x.dim(2) == geo_.in_h && x.dim(3) == geo_.in_w,
-             "DepthwiseConv2d input " + x.shape().to_string());
-  if (train) {
-    cached_input_ = x;
-    cached_gather_ = false;
-  }
-  const int64_t batch = x.dim(0);
+Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
+  CHAM_CHECK(gb.sample_shape == (Shape{{geo_.in_c, geo_.in_h, geo_.in_w}}),
+             "DepthwiseConv2d input sample " + gb.sample_shape.to_string());
+  if (train) cached_rows_.assign(gb.rows, gb.rows + gb.n);
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
-  Tensor out({batch, geo_.in_c, oh, ow});
+  Tensor out({gb.n, geo_.in_c, oh, ow});
   const int64_t kk = geo_.kernel * geo_.kernel;
   const int64_t ipix = geo_.in_h * geo_.in_w;
   // Every (sample, channel) plane is independent: parallel over the
   // flattened plane index.
   parallel_for(
-      0, batch * geo_.in_c,
-      [&](int64_t p0, int64_t p1) {
-        for (int64_t pi = p0; pi < p1; ++pi) {
-          forward_plane(x.data() + pi * ipix,
-                        weight_.value.data() + (pi % geo_.in_c) * kk,
-                        out.data() + pi * oh * ow);
-        }
-      },
-      work_grain(static_cast<int64_t>(taps_.size())));
-  return out;
-}
-
-Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
-  const int64_t ipix = geo_.in_h * geo_.in_w;
-  CHAM_CHECK(gb.sample_numel() == geo_.in_c * ipix,
-             "DepthwiseConv2d gathered sample " + gb.sample_shape.to_string());
-  if (train) {
-    cached_rows_.assign(gb.rows, gb.rows + gb.n);
-    cached_gather_ = true;
-    cached_input_ = Tensor();
-  }
-  const int64_t batch = gb.n;
-  const int64_t oh = geo_.out_h(), ow = geo_.out_w();
-  Tensor out({batch, geo_.in_c, oh, ow});
-  const int64_t kk = geo_.kernel * geo_.kernel;
-  // Identical arithmetic to forward(); the plane base is gathered per
-  // sample instead of read from one contiguous batch.
-  parallel_for(
-      0, batch * geo_.in_c,
+      0, gb.n * geo_.in_c,
       [&](int64_t p0, int64_t p1) {
         for (int64_t pi = p0; pi < p1; ++pi) {
           const int64_t c = pi % geo_.in_c;
@@ -573,17 +442,6 @@ Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
       },
       work_grain(static_cast<int64_t>(taps_.size())));
   return out;
-}
-
-const float* DepthwiseConv2d::cached_sample(int64_t n) const {
-  return cached_gather_
-             ? cached_rows_[static_cast<size_t>(n)]
-             : cached_input_.data() + n * geo_.in_c * geo_.in_h * geo_.in_w;
-}
-
-int64_t DepthwiseConv2d::cached_batch() const {
-  return cached_gather_ ? static_cast<int64_t>(cached_rows_.size())
-                        : cached_input_.dim(0);
 }
 
 template <bool kInputGrad>
@@ -606,10 +464,10 @@ void DepthwiseConv2d::backward_plane(const float* CHAM_RESTRICT plane,
 }
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
-  CHAM_CHECK(!cached_input_.empty() || cached_gather_,
-             "backward without train-mode forward");
-  const int64_t batch = cached_batch();
+  const auto batch = static_cast<int64_t>(cached_rows_.size());
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
+  check_grad_shape(grad_out, Shape{{batch, geo_.in_c, oh, ow}},
+                   "DepthwiseConv2d");
   const int64_t kk = geo_.kernel * geo_.kernel;
   const int64_t ipix = geo_.in_h * geo_.in_w;
   Tensor grad_in;
@@ -627,7 +485,8 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
           const float* w = weight_.value.data() + c * kk;
           float* gw = weight_.grad.data() + c * kk;
           for (int64_t n = 0; n < batch; ++n) {
-            const float* plane = cached_sample(n) + c * ipix;
+            const float* plane =
+                cached_rows_[static_cast<size_t>(n)] + c * ipix;
             const float* go = grad_out.data() + (n * geo_.in_c + c) * oh * ow;
             if (needs_input_grad_) {
               backward_plane<true>(
@@ -710,7 +569,9 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   // no-alias pointers. The caches keep their storage across steps; every
   // element is overwritten.
   Tensor out(x.shape());
-  if (cached_inv_std_.numel() != channels_) {
+  // Compare shapes, not numel: an empty Tensor's rank-0 shape has numel 1,
+  // which left a 1-channel layer writing through a null pointer.
+  if (cached_inv_std_.shape() != Shape{{channels_}}) {
     cached_inv_std_ = Tensor({channels_});
   }
   if (train && cached_xhat_.shape() != x.shape()) {
@@ -817,28 +678,9 @@ Tensor ReLU::backward(const Tensor& grad_out) {
 
 // -------------------------------------------------------- GlobalAvgPool
 
-Tensor GlobalAvgPool::forward(const Tensor& x, bool train) {
-  CHAM_CHECK(x.rank() == 4, "GlobalAvgPool input " + x.shape().to_string());
-  if (train) cached_in_shape_ = x.shape();
-  const int64_t batch = x.dim(0), ch = x.dim(1), hw = x.dim(2) * x.dim(3);
-  Tensor out({batch, ch});
-  parallel_for(
-      0, batch * ch,
-      [&](int64_t p0, int64_t p1) {
-        for (int64_t pi = p0; pi < p1; ++pi) {
-          const float* p = x.data() + pi * hw;
-          double acc = 0;
-          for (int64_t i = 0; i < hw; ++i) acc += p[i];
-          out[pi] = static_cast<float>(acc / hw);
-        }
-      },
-      work_grain(hw));
-  return out;
-}
-
 Tensor GlobalAvgPool::forward_gather(const GatherBatch& gb, bool train) {
   CHAM_CHECK(gb.sample_shape.rank() == 3,
-             "GlobalAvgPool gathered sample " + gb.sample_shape.to_string());
+             "GlobalAvgPool input sample " + gb.sample_shape.to_string());
   const int64_t ch = gb.sample_shape[0];
   const int64_t hw = gb.sample_shape[1] * gb.sample_shape[2];
   if (train) {
@@ -865,6 +707,7 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
              "backward without train-mode forward");
   const int64_t batch = cached_in_shape_[0], ch = cached_in_shape_[1],
                 hw = cached_in_shape_[2] * cached_in_shape_[3];
+  check_grad_shape(grad_out, Shape{{batch, ch}}, "GlobalAvgPool");
   Tensor grad_in(cached_in_shape_);
   const float inv = 1.0f / static_cast<float>(hw);
   for (int64_t n = 0; n < batch; ++n) {
@@ -887,37 +730,13 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool init)
   if (init) he_init(weight_.value, in_dim, rng);
 }
 
-Tensor Linear::forward(const Tensor& x, bool train) {
-  CHAM_CHECK(x.rank() == 2 && x.dim(1) == in_dim_,
-             "Linear input " + x.shape().to_string() + ", expected cols " +
-                 std::to_string(in_dim_));
-  if (train) {
-    cached_input_ = x;
-    cached_gather_ = false;
-  }
-  const int64_t batch = x.dim(0);
-  Tensor out({batch, out_dim_});
-  // out = x @ W^T + b
-  gemm_a_bt(batch, out_dim_, in_dim_, 1.0f, x.data(), weight_.value.data(),
-            0.0f, out.data());
-  for (int64_t n = 0; n < batch; ++n) {
-    float* o = out.data() + n * out_dim_;
-    for (int64_t j = 0; j < out_dim_; ++j) o[j] += bias_.value[j];
-  }
-  return out;
-}
-
 Tensor Linear::forward_gather(const GatherBatch& gb, bool train) {
-  CHAM_CHECK(gb.sample_numel() == in_dim_,
-             "Linear gathered sample " + gb.sample_shape.to_string() +
-                 ", expected " + std::to_string(in_dim_) + " elements");
-  if (train) {
-    cached_rows_.assign(gb.rows, gb.rows + gb.n);
-    cached_gather_ = true;
-    cached_input_ = Tensor();
-  }
+  CHAM_CHECK(gb.sample_shape == Shape{{in_dim_}},
+             "Linear input sample " + gb.sample_shape.to_string() +
+                 ", expected (" + std::to_string(in_dim_) + ")");
+  if (train) cached_rows_.assign(gb.rows, gb.rows + gb.n);
   Tensor out({gb.n, out_dim_});
-  // Same GEMM as forward(); row i of the A operand is gathered in place.
+  // out = x @ W^T + b, row i of the A operand read in place.
   gemm_gather_a_bt(gb.n, out_dim_, in_dim_, 1.0f, gb.rows,
                    weight_.value.data(), 0.0f, out.data());
   for (int64_t n = 0; n < gb.n; ++n) {
@@ -928,19 +747,11 @@ Tensor Linear::forward_gather(const GatherBatch& gb, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
-  CHAM_CHECK(!cached_input_.empty() || cached_gather_,
-             "backward without train-mode forward");
-  const int64_t batch = cached_gather_
-                            ? static_cast<int64_t>(cached_rows_.size())
-                            : cached_input_.dim(0);
+  const auto batch = static_cast<int64_t>(cached_rows_.size());
+  check_grad_shape(grad_out, Shape{{batch, out_dim_}}, "Linear");
   // dW += dY^T @ X  (out x batch) @ (batch x in)
-  if (cached_gather_) {
-    gemm_at_b_gather_b(out_dim_, in_dim_, batch, 1.0f, grad_out.data(),
-                       cached_rows_.data(), 1.0f, weight_.grad.data());
-  } else {
-    gemm_at_b(out_dim_, in_dim_, batch, 1.0f, grad_out.data(),
-              cached_input_.data(), 1.0f, weight_.grad.data());
-  }
+  gemm_at_b_gather_b(out_dim_, in_dim_, batch, 1.0f, grad_out.data(),
+                     cached_rows_.data(), 1.0f, weight_.grad.data());
   for (int64_t n = 0; n < batch; ++n) {
     const float* go = grad_out.data() + n * out_dim_;
     for (int64_t j = 0; j < out_dim_; ++j) bias_.grad[j] += go[j];

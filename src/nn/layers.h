@@ -9,7 +9,7 @@
 namespace cham::nn {
 
 // Standard convolution lowered to GEMM via im2col (per sample).
-class Conv2d : public Layer {
+class Conv2d : public GatherLayer {
  public:
   // `init=false` skips the He weight draw (leaves weights zero) for nets
   // whose parameters are about to be overwritten by copy_params — the
@@ -18,7 +18,6 @@ class Conv2d : public Layer {
          int64_t kernel, int64_t stride, int64_t pad, bool bias, Rng& rng,
          bool init = true);
 
-  Tensor forward(const Tensor& x, bool train) override;
   Tensor forward_gather(const GatherBatch& gb, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override;
@@ -30,33 +29,22 @@ class Conv2d : public Layer {
   int64_t out_channels() const { return out_c_; }
 
  private:
-  // Base pointer of cached sample n for the backward pass: a row pointer
-  // after a gathered train forward, a slice of the cached tensor otherwise.
-  const float* cached_sample(int64_t n) const;
-  int64_t cached_batch() const;
-
   ConvGeometry geo_;
   int64_t out_c_;
   bool has_bias_;
   Param weight_;  // out_c x (in_c*k*k)
   Param bias_;    // out_c
-  Tensor cached_input_;
-  // Train-mode forward_gather caches the caller's row pointers instead of
-  // deep-copying the batch; the caller keeps rows valid through backward.
-  std::vector<const float*> cached_rows_;
-  bool cached_gather_ = false;
   // Column-pointer scratch of the gathered pointwise forward (capacity is
   // reused across steps, so the steady state allocates nothing).
   std::vector<const float*> colptr_scratch_;
 };
 
 // Depthwise convolution: one k x k filter per channel.
-class DepthwiseConv2d : public Layer {
+class DepthwiseConv2d : public GatherLayer {
  public:
   DepthwiseConv2d(int64_t channels, int64_t in_h, int64_t in_w, int64_t kernel,
                   int64_t stride, int64_t pad, Rng& rng, bool init = true);
 
-  Tensor forward(const Tensor& x, bool train) override;
   Tensor forward_gather(const GatherBatch& gb, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_}; }
@@ -67,8 +55,6 @@ class DepthwiseConv2d : public Layer {
   const ConvGeometry& geometry() const { return geo_; }
 
  private:
-  const float* cached_sample(int64_t n) const;
-  int64_t cached_batch() const;
   // One (sample, channel) plane through the tap table.
   void forward_plane(const float* plane, const float* w, float* out) const;
   template <bool kInputGrad>
@@ -91,9 +77,6 @@ class DepthwiseConv2d : public Layer {
   // against a bounds-checked reference loop).
   std::vector<Tap> taps_;
   std::vector<int32_t> tap_begin_;
-  Tensor cached_input_;
-  std::vector<const float*> cached_rows_;
-  bool cached_gather_ = false;
 };
 
 // Batch normalisation over channels of an NCHW tensor.
@@ -148,9 +131,9 @@ class ReLU : public Layer {
 };
 
 // Global average pooling: NCHW -> NxC.
-class GlobalAvgPool : public Layer {
+class GlobalAvgPool : public GatherLayer {
  public:
-  Tensor forward(const Tensor& x, bool train) override;
+  GlobalAvgPool() : GatherLayer(/*backward_reads_input=*/false) {}
   Tensor forward_gather(const GatherBatch& gb, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::string name() const override { return "GlobalAvgPool"; }
@@ -160,11 +143,10 @@ class GlobalAvgPool : public Layer {
 };
 
 // Fully connected layer on NxD inputs.
-class Linear : public Layer {
+class Linear : public GatherLayer {
  public:
   Linear(int64_t in_dim, int64_t out_dim, Rng& rng, bool init = true);
 
-  Tensor forward(const Tensor& x, bool train) override;
   Tensor forward_gather(const GatherBatch& gb, bool train) override;
   Tensor backward(const Tensor& grad_out) override;
   std::vector<Param*> params() override { return {&weight_, &bias_}; }
@@ -179,9 +161,6 @@ class Linear : public Layer {
   int64_t in_dim_, out_dim_;
   Param weight_;  // out x in
   Param bias_;    // out
-  Tensor cached_input_;
-  std::vector<const float*> cached_rows_;
-  bool cached_gather_ = false;
 };
 
 }  // namespace cham::nn

@@ -1,9 +1,9 @@
 // Cross-session predict coalescing for the serving runtime.
 //
-// Predict requests are state-pure (core::HeadLearner::eval_batch) and every
-// head layer treats batch rows independently in eval mode, so queued
+// Predict requests are state-pure (core::HeadLearner::predict_batch) and
+// every head layer treats batch rows independently in eval mode, so queued
 // predicts can be pulled ahead of OTHER sessions' work and merged into
-// larger stacked evaluations without changing any per-session result bit.
+// larger gathered evaluations without changing any per-session result bit.
 // The BatchPlanner encodes exactly when that reordering is legal and in
 // what order the merged work runs:
 //

@@ -14,6 +14,7 @@
 #include "core/op_stats.h"
 #include "core/preference_tracker.h"
 #include "core/short_term_memory.h"
+#include "nn/layers.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
@@ -58,6 +59,70 @@ TEST(Contracts, TensorConstructionAndShapeContracts) {
   EXPECT_THROW(a -= b, util::CheckError);
   // reshaped() must preserve numel.
   EXPECT_THROW((void)a.reshaped(Shape{{5}}), util::CheckError);
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+// Backward reads grad_out through raw pointers sized by the last train-mode
+// forward, so a grad whose batch or geometry differs must be refused, not
+// read out of bounds. Each case: the matching shape passes, then another
+// batch and another channel count are rejected.
+template <typename L>
+void expect_grad_shape_checked(L& layer, const Tensor& x, Shape good,
+                               Shape other_batch, Shape other_channels) {
+  (void)layer.forward(x, /*train=*/true);
+  EXPECT_NO_THROW((void)layer.backward(Tensor(good)));
+  EXPECT_THROW((void)layer.backward(Tensor(other_batch)), util::CheckError);
+  EXPECT_THROW((void)layer.backward(Tensor(other_channels)),
+               util::CheckError);
+}
+
+TEST(Contracts, Conv2dBackwardChecksGradShape) {
+#if CHAM_CHECKS_LEVEL >= 1
+  Rng rng(3);
+  nn::Conv2d conv(4, 6, 5, 5, 3, 2, 1, true, rng);
+  expect_grad_shape_checked(conv, Tensor({3, 4, 5, 5}), Shape{{3, 6, 3, 3}},
+                            Shape{{4, 6, 3, 3}}, Shape{{3, 5, 3, 3}});
+  nn::Conv2d pointwise(4, 6, 2, 2, 1, 1, 0, false, rng);
+  expect_grad_shape_checked(pointwise, Tensor({3, 4, 2, 2}),
+                            Shape{{3, 6, 2, 2}}, Shape{{5, 6, 2, 2}},
+                            Shape{{3, 6, 1, 2}});
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+TEST(Contracts, DepthwiseConv2dBackwardChecksGradShape) {
+#if CHAM_CHECKS_LEVEL >= 1
+  Rng rng(4);
+  nn::DepthwiseConv2d dw(4, 4, 4, 3, 1, 1, rng);
+  expect_grad_shape_checked(dw, Tensor({2, 4, 4, 4}), Shape{{2, 4, 4, 4}},
+                            Shape{{3, 4, 4, 4}}, Shape{{2, 3, 4, 4}});
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+TEST(Contracts, GlobalAvgPoolBackwardChecksGradShape) {
+#if CHAM_CHECKS_LEVEL >= 1
+  nn::GlobalAvgPool gap;
+  expect_grad_shape_checked(gap, Tensor({2, 5, 2, 2}), Shape{{2, 5}},
+                            Shape{{3, 5}}, Shape{{2, 4}});
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+TEST(Contracts, LinearBackwardChecksGradShape) {
+#if CHAM_CHECKS_LEVEL >= 1
+  Rng rng(5);
+  nn::Linear fc(8, 3, rng);
+  expect_grad_shape_checked(fc, Tensor({4, 8}), Shape{{4, 3}}, Shape{{5, 3}},
+                            Shape{{4, 2}});
+  // Without any train-mode forward there is no batch to match.
+  nn::Linear fresh(8, 3, rng);
+  EXPECT_THROW((void)fresh.backward(Tensor({1, 3})), util::CheckError);
 #else
   GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
 #endif

@@ -1,6 +1,9 @@
 // Zero-copy replay path: gathered execution must be BIT-identical to
 // stacked execution, across ragged batch sizes, train and eval, and with
-// the first-layer dInput elision on. These properties hold per SIMD
+// the first-layer dInput elision on. The MAC-bearing layers run one forward
+// body, so the stacked side here checks the dense adapter (row table over
+// the batch, train-mode copy kept for backward); test_observe_path holds
+// the layer-independent oracles. These properties hold per SIMD
 // variant (the gather pack feeds the same micro-kernels as the dense pack,
 // so whichever CHAM_SIMD this binary was built with is exactly the variant
 // under test; the CI sanitizer/variant legs rebuild and rerun this suite).
@@ -157,6 +160,32 @@ TEST(GatherPath, BackwardMacModelBelowTwiceForwardAfterElision) {
   const int64_t bwd = g->backward_macs_per_sample();
   EXPECT_LT(bwd, 2 * fwd);
   EXPECT_GT(bwd, fwd);  // weight grads alone already cost one forward
+}
+
+TEST(GatherPath, ZeroRowBatchIsLegal) {
+  for (bool elide : {false, true}) {
+    auto g = make_head(19);
+    g->set_needs_input_grad(!elide);
+    const Tensor empty_grad({0, 6});
+    for (bool train : {false, true}) {
+      const Tensor dense = g->forward(Tensor({0, 4, 4, 4}), train);
+      EXPECT_EQ(dense.shape(), (Shape{{0, 6}}));
+      const nn::GatherBatch gb{nullptr, 0, Shape{{4, 4, 4}}};
+      const Tensor gathered = g->forward_gather(gb, train);
+      EXPECT_EQ(gathered.shape(), (Shape{{0, 6}}));
+    }
+    const Tensor din = g->backward(empty_grad);
+    if (elide) {
+      EXPECT_TRUE(din.empty());
+    } else {
+      EXPECT_EQ(din.shape(), (Shape{{0, 4, 4, 4}}));
+    }
+    for (nn::Param* p : g->params()) {
+      for (int64_t i = 0; i < p->grad.numel(); ++i) {
+        ASSERT_EQ(p->grad[i], 0.0f) << "an empty batch moved a gradient";
+      }
+    }
+  }
 }
 
 // --------------------------------------------------- learner-level checks

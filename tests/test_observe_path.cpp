@@ -1,8 +1,10 @@
 // The observe path's kernels against the loops they replaced, bit for bit:
 // the depthwise valid-tap table against the bounds-checked direct-indexing
-// loop, the batched Eq. 6 scorer against a one-row-at-a-time scorer, the
-// hoisted SGD update against the per-element formula. Also pins down that
-// a small model's steady observes never wake the thread pool.
+// loop, Conv2d and Linear (whose one forward body reads rows by pointer)
+// against cham::ref GEMMs over an in-test im2col of stacked copies, the
+// batched Eq. 6 scorer against a one-row-at-a-time scorer, the hoisted SGD
+// update against the per-element formula. Also pins down that a small
+// model's steady observes never wake the thread pool.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -18,6 +20,7 @@
 #include "nn/layers.h"
 #include "nn/sequential.h"
 #include "nn/sgd.h"
+#include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/thread_pool.h"
 
@@ -191,6 +194,256 @@ INSTANTIATE_TEST_SUITE_P(
            << info.param.stride;
       return name.str();
     });
+
+// ------------------------------------------------- Conv2d and Linear
+//
+// Oracles that share no code with the layers: the stacked batch is built by
+// copying each gathered row, the column matrix by an in-test im2col, and
+// every product by the serial cham::ref kernels (bit-identical to the
+// packed GEMMs by their determinism contract, see tensor/gemm.h).
+
+// Sample n of the result is a copy of rows[n].
+Tensor stack_rows(const std::vector<const float*>& rows, Shape sample) {
+  std::vector<int64_t> dims{static_cast<int64_t>(rows.size())};
+  for (int64_t d : sample.dims()) dims.push_back(d);
+  Tensor out{Shape(dims)};
+  const int64_t numel = sample.numel();
+  for (size_t n = 0; n < rows.size(); ++n) {
+    std::memcpy(out.data() + static_cast<int64_t>(n) * numel, rows[n],
+                static_cast<size_t>(numel) * sizeof(float));
+  }
+  return out;
+}
+
+// Column matrix of one C x H x W image: row (c, kh, kw), column (y, x);
+// taps in the padding read 0.
+std::vector<float> ref_im2col(const float* img, const ConvGeometry& g) {
+  const int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel;
+  std::vector<float> col(static_cast<size_t>(g.col_rows() * oh * ow));
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t kh = 0; kh < k; ++kh) {
+      for (int64_t kw = 0; kw < k; ++kw) {
+        const int64_t row = (c * k + kh) * k + kw;
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t iy = y * g.stride + kh - g.pad;
+            const int64_t ix = x * g.stride + kw - g.pad;
+            const bool in = iy >= 0 && iy < g.in_h && ix >= 0 && ix < g.in_w;
+            col[static_cast<size_t>((row * oh + y) * ow + x)] =
+                in ? img[(c * g.in_h + iy) * g.in_w + ix] : 0.0f;
+          }
+        }
+      }
+    }
+  }
+  return col;
+}
+
+// Its transpose: adds every column element into the image pixel it was
+// read from, in (c, kh, kw, y, x) order. img must start zeroed.
+void ref_col2im(const float* col, const ConvGeometry& g, float* img) {
+  const int64_t oh = g.out_h(), ow = g.out_w(), k = g.kernel;
+  for (int64_t c = 0; c < g.in_c; ++c) {
+    for (int64_t kh = 0; kh < k; ++kh) {
+      for (int64_t kw = 0; kw < k; ++kw) {
+        const int64_t row = (c * k + kh) * k + kw;
+        for (int64_t y = 0; y < oh; ++y) {
+          for (int64_t x = 0; x < ow; ++x) {
+            const int64_t iy = y * g.stride + kh - g.pad;
+            const int64_t ix = x * g.stride + kw - g.pad;
+            if (iy < 0 || iy >= g.in_h || ix < 0 || ix >= g.in_w) continue;
+            img[(c * g.in_h + iy) * g.in_w + ix] +=
+                col[(row * oh + y) * ow + x];
+          }
+        }
+      }
+    }
+  }
+}
+
+struct ConvCase {
+  int64_t in_c, out_c, hw, kernel, stride, batch;
+  bool bias;
+};
+
+class ConvExact : public ::testing::TestWithParam<ConvCase> {};
+
+TEST_P(ConvExact, MatchesRefGemmOverIm2col) {
+  const ConvCase cc = GetParam();
+  const int64_t batch = cc.batch;
+  Rng rng(41 + static_cast<uint64_t>(cc.in_c * 13 + cc.hw * 3 + cc.stride +
+                                     cc.batch * 101));
+  nn::Conv2d conv(cc.in_c, cc.out_c, cc.hw, cc.hw, cc.kernel, cc.stride,
+                  cc.kernel / 2, cc.bias, rng);
+  const ConvGeometry g = conv.geometry();
+  const int64_t opix = g.out_h() * g.out_w();
+  const int64_t sample = cc.in_c * cc.hw * cc.hw;
+  const Shape sample_shape{{cc.in_c, cc.hw, cc.hw}};
+  auto params = conv.params();
+  const Tensor& w = params[0]->value;
+  if (cc.bias) fill_normal(params[1]->value, rng);
+  const float* bias = cc.bias ? params[1]->value.data() : nullptr;
+
+  // Scattered samples, gathered in reverse so the row table is a real
+  // permutation; `stacked` holds copies in gathered order.
+  Tensor x({batch, cc.in_c, cc.hw, cc.hw});
+  fill_normal(x, rng);
+  std::vector<const float*> rows;
+  for (int64_t n = batch - 1; n >= 0; --n) {
+    rows.push_back(x.data() + n * sample);
+  }
+  const Tensor stacked = stack_rows(rows, sample_shape);
+  const nn::GatherBatch gb{rows.data(), batch, sample_shape};
+
+  std::vector<std::vector<float>> cols;
+  Tensor ref({batch, cc.out_c, g.out_h(), g.out_w()});
+  for (int64_t n = 0; n < batch; ++n) {
+    cols.push_back(ref_im2col(stacked.data() + n * sample, g));
+    float* o = ref.data() + n * cc.out_c * opix;
+    ref::gemm(cc.out_c, opix, g.col_rows(), 1.0f, w.data(),
+              cols.back().data(), 0.0f, o);
+    for (int64_t c = 0; bias && c < cc.out_c; ++c) {
+      for (int64_t i = 0; i < opix; ++i) o[c * opix + i] += bias[c];
+    }
+  }
+  EXPECT_TRUE(same_bits(conv.forward(stacked, /*train=*/false), ref));
+  EXPECT_TRUE(same_bits(conv.forward_gather(gb, /*train=*/false), ref));
+
+  // dW and the bias grad accumulate over two calls; dX with and without
+  // elision, after a dense and after a gathered train forward.
+  Tensor go({batch, cc.out_c, g.out_h(), g.out_w()});
+  for (bool input_grad : {true, false}) {
+    for (bool gathered_fwd : {false, true}) {
+      conv.set_needs_input_grad(input_grad);
+      for (nn::Param* p : params) p->zero_grad();
+      std::vector<float> ref_gw(static_cast<size_t>(w.numel()), 0.0f);
+      std::vector<float> ref_gb(static_cast<size_t>(cc.out_c), 0.0f);
+      for (int call = 0; call < 2; ++call) {
+        fill_normal(go, rng);
+        const Tensor y = gathered_fwd ? conv.forward_gather(gb, true)
+                                      : conv.forward(stacked, true);
+        EXPECT_TRUE(same_bits(y, ref));
+        const Tensor gi = conv.backward(go);
+        Tensor ref_gi(stacked.shape());
+        std::vector<float> gcol(cols[0].size());
+        for (int64_t n = 0; n < batch; ++n) {
+          const float* gon = go.data() + n * cc.out_c * opix;
+          ref::gemm_a_bt(cc.out_c, g.col_rows(), opix, 1.0f, gon,
+                         cols[static_cast<size_t>(n)].data(), 1.0f,
+                         ref_gw.data());
+          for (int64_t c = 0; c < cc.out_c; ++c) {
+            double acc = 0;
+            for (int64_t i = 0; i < opix; ++i) acc += gon[c * opix + i];
+            ref_gb[static_cast<size_t>(c)] += static_cast<float>(acc);
+          }
+          ref::gemm_at_b(g.col_rows(), opix, cc.out_c, 1.0f, w.data(), gon,
+                         0.0f, gcol.data());
+          ref_col2im(gcol.data(), g, ref_gi.data() + n * sample);
+        }
+        const std::string where = "call " + std::to_string(call) +
+                                  " input_grad " + std::to_string(input_grad) +
+                                  " gathered " + std::to_string(gathered_fwd);
+        EXPECT_TRUE(same_bits(params[0]->grad.data(), ref_gw.data(),
+                              w.numel()))
+            << where;
+        if (cc.bias) {
+          EXPECT_TRUE(same_bits(params[1]->grad.data(), ref_gb.data(),
+                                cc.out_c))
+              << where;
+        }
+        if (input_grad) {
+          EXPECT_TRUE(same_bits(gi, ref_gi)) << where;
+        } else {
+          EXPECT_TRUE(gi.empty()) << where;
+        }
+      }
+    }
+  }
+}
+
+// Pointwise at n = 1 (one plain GEMM) and n > 1 (one column-gathered GEMM
+// over the whole batch) on the served head's 2x2 and 1x1 maps, channel
+// counts off the SIMD tile sizes; 3x3 convs (per-sample im2col) at stride
+// 1 and 2.
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, ConvExact,
+    ::testing::Values(ConvCase{36, 44, 2, 1, 1, 1, false},
+                      ConvCase{36, 44, 2, 1, 1, 6, false},
+                      ConvCase{70, 21, 1, 1, 1, 1, true},
+                      ConvCase{70, 21, 1, 1, 1, 9, true},
+                      ConvCase{5, 11, 5, 3, 1, 3, true},
+                      ConvCase{5, 11, 8, 3, 2, 3, false},
+                      ConvCase{5, 11, 8, 3, 2, 1, true}),
+    [](const ::testing::TestParamInfo<ConvCase>& info) {
+      std::ostringstream name;
+      name << "k" << info.param.kernel << "_s" << info.param.stride << "_hw"
+           << info.param.hw << "_n" << info.param.batch;
+      return name.str();
+    });
+
+TEST(LinearExact, MatchesRefGemm) {
+  for (const int64_t batch : {1, 13}) {
+    const int64_t in = 67, out = 9;
+    Rng rng(51 + static_cast<uint64_t>(batch));
+    nn::Linear fc(in, out, rng);
+    auto params = fc.params();
+    fill_normal(params[1]->value, rng);
+    const float* w = params[0]->value.data();
+    const float* bias = params[1]->value.data();
+    Tensor x({batch, in});
+    fill_normal(x, rng);
+    std::vector<const float*> rows;
+    for (int64_t n = batch - 1; n >= 0; --n) {
+      rows.push_back(x.data() + n * in);
+    }
+    const Tensor stacked = stack_rows(rows, Shape{{in}});
+    const nn::GatherBatch gb{rows.data(), batch, Shape{{in}}};
+
+    Tensor ref({batch, out});
+    ref::gemm_a_bt(batch, out, in, 1.0f, stacked.data(), w, 0.0f,
+                   ref.data());
+    for (int64_t i = 0; i < ref.numel(); ++i) ref[i] += bias[i % out];
+    EXPECT_TRUE(same_bits(fc.forward(stacked, /*train=*/false), ref));
+    EXPECT_TRUE(same_bits(fc.forward_gather(gb, /*train=*/false), ref));
+
+    Tensor go({batch, out});
+    for (bool input_grad : {true, false}) {
+      for (bool gathered_fwd : {false, true}) {
+        fc.set_needs_input_grad(input_grad);
+        for (nn::Param* p : params) p->zero_grad();
+        std::vector<float> ref_gw(static_cast<size_t>(out * in), 0.0f);
+        std::vector<float> ref_gb(static_cast<size_t>(out), 0.0f);
+        for (int call = 0; call < 2; ++call) {
+          fill_normal(go, rng);
+          (void)(gathered_fwd ? fc.forward_gather(gb, true)
+                              : fc.forward(stacked, true));
+          const Tensor gi = fc.backward(go);
+          ref::gemm_at_b(out, in, batch, 1.0f, go.data(), stacked.data(),
+                         1.0f, ref_gw.data());
+          for (int64_t i = 0; i < go.numel(); ++i) {
+            ref_gb[static_cast<size_t>(i % out)] += go[i];
+          }
+          Tensor ref_gi({batch, in});
+          ref::gemm(batch, in, out, 1.0f, go.data(), w, 0.0f, ref_gi.data());
+          const std::string where =
+              "n " + std::to_string(batch) + " call " + std::to_string(call) +
+              " input_grad " + std::to_string(input_grad) + " gathered " +
+              std::to_string(gathered_fwd);
+          EXPECT_TRUE(same_bits(params[0]->grad.data(), ref_gw.data(),
+                                out * in))
+              << where;
+          EXPECT_TRUE(same_bits(params[1]->grad.data(), ref_gb.data(), out))
+              << where;
+          if (input_grad) {
+            EXPECT_TRUE(same_bits(gi, ref_gi)) << where;
+          } else {
+            EXPECT_TRUE(gi.empty()) << where;
+          }
+        }
+      }
+    }
+  }
+}
 
 // ------------------------------------------------------------------ SGD
 

@@ -102,6 +102,12 @@ are about *this* codebase's contracts:
                       shared state and must be declared guarded, or the
                       thread-safety analysis cannot check its other uses.
 
+  unregistered-test   A tests/test_*.cpp that no `cham_test(<name> ...)` line
+                      of tests/CMakeLists.txt registers (a registration
+                      inside an if() block counts; one in a # comment does
+                      not). An unregistered test file is never compiled, so
+                      its tests silently stop running. Reported on line 1.
+
 Suppression: append `// cham-lint: allow(<rule>)` to the offending line.
 
 Usage: cham_lint.py [--list-rules] [paths...]   (default path: src/)
@@ -144,8 +150,10 @@ RULES = {
     "(work_grain() in tensor/thread_pool.h)",
     "hot-path-stacking": "stack_latents() inside a hot_path marker region; "
     "the replay hot loop is zero-copy — pack a GatherBatch of row pointers "
-    "and use forward_gather / the gather GEMM kernels instead of stacking "
-    "latents into a batch tensor",
+    "and call forward_gather, whose row-pointer body is the MAC-bearing "
+    "layers' only forward, instead of stacking latents into a batch tensor",
+    "unregistered-test": "tests/test_*.cpp not registered by a cham_test() "
+    "line in tests/CMakeLists.txt; it is never compiled or run",
 }
 
 CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -197,6 +205,9 @@ SYSCALL_RE = re.compile(
 # Batched-copy entry point banned from hot paths (the steady-state replay
 # loop packs GEMM panels straight from latent/slab/LT row pointers).
 STACK_LATENTS_RE = re.compile(r"(?<![_A-Za-z0-9])stack_latents\s*\(")
+# Test sources and their registrations in tests/CMakeLists.txt.
+TEST_SOURCE_RE = re.compile(r"^test_\w+\.cpp$")
+CHAM_TEST_RE = re.compile(r"^\s*cham_test\(\s*(\w+)", re.M)
 # Learner dispatch / residency calls: a batch-plan region may only move
 # queued requests, never evaluate, admit, or evict.
 PLAN_DISPATCH_RE = re.compile(
@@ -325,6 +336,18 @@ def top_level_args(inner):
         elif ch == "," and depth == 0:
             commas += 1
     return commas + 1
+
+
+def registered_tests(cmake_path):
+    """Target names of the cham_test() calls in a CMakeLists.txt (empty if
+    the file is missing). # comments are stripped first."""
+    try:
+        with open(cmake_path, encoding="utf-8", errors="replace") as fh:
+            text = fh.read()
+    except OSError:
+        return set()
+    text = re.sub(r"#[^\n]*", "", text)
+    return set(CHAM_TEST_RE.findall(text))
 
 
 def lint_file(path, raw):
@@ -472,6 +495,13 @@ def lint_file(path, raw):
         # (begin, end, body) with the grain left to its default of 1.
         if in_src and top_level_args(extent[1:-1]) == 3:
             report(base_line, "parallel-for-grain")
+
+    # A tests/test_*.cpp must be registered, or it is never built.
+    test_dir, base = os.path.split(path)
+    if (os.path.basename(test_dir) == "tests" and TEST_SOURCE_RE.match(base)
+            and base[:-len(".cpp")] not in registered_tests(
+                os.path.join(test_dir, "CMakeLists.txt"))):
+        report(1, "unregistered-test")
 
     return violations
 

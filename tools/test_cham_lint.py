@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Self-tests for cham_lint.py — one positive and one negative case per
 behaviour of the thread-safety rules (raw-mutex, naked-cv-wait,
-unguarded-shared-member) and of parallel-for-grain, plus regression cases
-for the trickier matching (suppressions, comments/strings, wait_for, nested
-regions, sibling-header guarded declarations).
+unguarded-shared-member), of parallel-for-grain and of unregistered-test,
+plus regression cases for the trickier matching (suppressions,
+comments/strings, wait_for, nested regions, sibling-header guarded
+declarations).
 
 Run directly (python3 tools/test_cham_lint.py) or via run_static.sh.
 Exit status: 0 all pass, 1 failures.
@@ -318,6 +319,44 @@ def main():
     check("naked-new",
           "naked-new" in rules_of(lint_src("auto* p = new Foo();")))
 
+    print("rule: unregistered-test")
+    with tempfile.TemporaryDirectory() as tmp:
+        tests_dir = os.path.join(tmp, "tests")
+        os.makedirs(tests_dir)
+        cmake = os.path.join(tests_dir, "CMakeLists.txt")
+        with open(cmake, "w") as fh:
+            fh.write("cham_test(test_alpha cham_nn)\n"
+                     "if(CHAM_SANITIZE STREQUAL \"thread\")\n"
+                     "  cham_test(test_race cham_serve)\n"
+                     "endif()\n"
+                     "# cham_test(test_gamma cham_nn)\n"
+                     "cham_test(test_beta_extra cham_nn)  # test_beta\n")
+
+        def lint_test(name, body="TEST(A, B) {}\n", directory=tests_dir):
+            return rules_of(cham_lint.lint_file(
+                os.path.join(directory, name), body))
+
+        check("registered test is clean", lint_test("test_alpha.cpp") == [])
+        check("registration inside if() counts",
+              lint_test("test_race.cpp") == [])
+        check("flags a test no cham_test() names",
+              lint_test("test_delta.cpp") == ["unregistered-test"])
+        check("a registration in a # comment does not count",
+              lint_test("test_gamma.cpp") == ["unregistered-test"])
+        check("a longer registered name does not cover its prefix",
+              lint_test("test_beta.cpp") == ["unregistered-test"])
+        check("non-test sources in tests/ are exempt",
+              lint_test("helpers.cpp") == [] and
+              lint_test("test_util.h") == [])
+        check("suppressed by allow() on line 1",
+              lint_test("test_delta.cpp",
+                        "// cham-lint: allow(unregistered-test)\n") == [])
+        check("test_*.cpp outside a tests/ directory is exempt",
+              lint_test("test_delta.cpp", directory=tmp) == [])
+        os.remove(cmake)
+        check("flags every test when tests/CMakeLists.txt is missing",
+              lint_test("test_alpha.cpp") == ["unregistered-test"])
+
     print("repo tree is clean under all rules")
     repo_src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -328,6 +367,15 @@ def main():
     for v in tree:
         print(f"    {v[0]}:{v[1]}: [{v[2]}]")
     check("src/ has zero violations", tree == [])
+    repo_tests = os.path.join(os.path.dirname(repo_src), "tests")
+    unregistered = []
+    for f in cham_lint.iter_files([repo_tests]):
+        with open(f, encoding="utf-8", errors="replace") as fh:
+            unregistered.extend(v for v in cham_lint.lint_file(f, fh.read())
+                                if v[2] == "unregistered-test")
+    for v in unregistered:
+        print(f"    {v[0]}:{v[1]}: [{v[2]}]")
+    check("every tests/test_*.cpp is registered", unregistered == [])
 
     if FAILURES:
         print(f"test_cham_lint: {len(FAILURES)} failure(s)", file=sys.stderr)
