@@ -63,9 +63,6 @@ class ChameleonLearner : public HeadLearner {
   const PreferenceTracker& preferences() const { return prefs_; }
   const ShortTermMemory& short_term() const { return st_; }
   const LongTermMemory& long_term() const { return lt_; }
-  // Mutable access for checkpoint restore (core/checkpoint.h).
-  ShortTermMemory& mutable_short_term() { return st_; }
-  LongTermMemory& mutable_long_term() { return lt_; }
   const ChameleonConfig& config() const { return cfg_; }
 
   // Aggregated structural audit over every replay-path component (ST, LT,

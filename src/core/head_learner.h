@@ -84,7 +84,6 @@ class HeadLearner : public ContinualLearner {
   // cham-lint: end(hot_path)
 
   nn::Sequential& head() { return *g_; }
-  int64_t head_params() const { return head_param_count_; }
   int64_t g_fwd_macs() const { return g_fwd_macs_; }
   // Exact per-sample backward MACs after first-layer dInput elision (set in
   // the constructor; always < 2x forward for a multi-layer head).

@@ -56,22 +56,6 @@ double ForgettingTracker::backward_transfer() const {
   return count > 0 ? acc / static_cast<double>(count) : 0;
 }
 
-double ForgettingTracker::forward_transfer() const {
-  if (rows_.size() < 2) return 0;
-  // Mean accuracy on domains not yet trained, averaged over rows before
-  // the last, relative to the same domains in the first row.
-  double acc = 0;
-  int64_t count = 0;
-  for (size_t i = 0; i + 1 < rows_.size(); ++i) {
-    for (size_t j = i + 1; j < rows_[i].size() && j < rows_.size(); ++j) {
-      const auto d = static_cast<size_t>(trained_domains_[j]);
-      acc += rows_[i][d] - rows_.front()[d];
-      ++count;
-    }
-  }
-  return count > 0 ? acc / static_cast<double>(count) : 0;
-}
-
 double ForgettingTracker::max_forgetting() const {
   if (rows_.size() < 2) return 0;
   const auto& last = rows_.back();

@@ -1,8 +1,7 @@
 // Continual-learning forgetting diagnostics beyond the paper's Acc_all:
 // the per-domain accuracy matrix R (R[i][j] = accuracy on domain j's test
-// split after training through domain i) and the standard derived metrics,
-// Backward Transfer (BWT) and Forward Transfer (FWT) from Lopez-Paz &
-// Ranzato (GEM, NeurIPS 2017).
+// split after training through domain i), Backward Transfer (BWT) from
+// Lopez-Paz & Ranzato (GEM, NeurIPS 2017) and max forgetting.
 //
 // Used by the streaming_monitor example and the forgetting tests; benches
 // that only need the paper's headline metric keep using evaluate().
@@ -34,10 +33,6 @@ class ForgettingTracker {
 
   // BWT = mean_j<last ( R[last][j] - R[j][j] ): negative means forgetting.
   double backward_transfer() const;
-
-  // Average accuracy on not-yet-seen domains relative to the first row —
-  // how much learning domain i helps future domains (domain similarity).
-  double forward_transfer() const;
 
   // Largest single-domain drop from its just-trained accuracy (max
   // forgetting, the worst-case view BWT averages away).

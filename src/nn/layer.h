@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -78,21 +77,16 @@ class Layer {
   // accumulated, in the same order — bit-identical to the unelided pass).
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
-  // Forward over a gathered batch. The default materialises the batch into
-  // a contiguous tensor and calls forward(); the MAC-bearing layers derive
-  // from GatherLayer, whose forward_gather is their one forward body.
-  virtual Tensor forward_gather(const GatherBatch& gb, bool train) {
-    std::vector<int64_t> dims;
-    dims.reserve(static_cast<size_t>(gb.sample_shape.rank()) + 1);
-    dims.push_back(gb.n);
-    for (int64_t d : gb.sample_shape.dims()) dims.push_back(d);
-    Tensor x{Shape(dims)};
-    const int64_t numel = gb.sample_numel();
-    for (int64_t i = 0; i < gb.n; ++i) {
-      std::memcpy(x.data() + i * numel, gb.rows[i],
-                  static_cast<size_t>(numel) * sizeof(float));
-    }
-    return forward(x, train);
+  // Forward over a gathered batch. Only a layer that can start a head
+  // accepts one: the MAC-bearing layers derive from GatherLayer, whose
+  // forward_gather is their one forward body, and Sequential hands the
+  // batch to its first layer. A head is cut at a unit end (after a ReLU),
+  // so it always starts with a GatherLayer; reaching this default is a
+  // caller bug.
+  virtual Tensor forward_gather(const GatherBatch& /*gb*/, bool /*train*/) {
+    CHAM_CHECK(false, name() + " cannot start a head: forward_gather needs "
+                          "a layer that reads rows by pointer");
+    return {};
   }
 
   virtual std::vector<Param*> params() { return {}; }

@@ -27,9 +27,11 @@ class Sequential : public Layer {
   }
 
   // Gathered entry: the first layer packs directly from the gathered rows,
-  // the rest of the pipeline runs on its dense output as usual.
+  // the rest of the pipeline runs on its dense output as usual. An empty
+  // pipeline has no layer to read the rows and fails like a non-gather
+  // first layer.
   Tensor forward_gather(const GatherBatch& gb, bool train) override {
-    if (layers_.empty()) return Layer::forward_gather(gb, train);
+    CHAM_CHECK(!layers_.empty(), "empty Sequential cannot start a head");
     Tensor cur = layers_.front()->forward_gather(gb, train);
     for (size_t i = 1; i < layers_.size(); ++i) {
       cur = layers_[i]->forward(cur, train);

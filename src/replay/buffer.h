@@ -67,10 +67,6 @@ class ReplayBuffer {
     seen_ = 0;
   }
 
-  // Restores the reservoir counter after deserialisation so future
-  // insertion probabilities continue from the checkpointed stream position.
-  void set_seen(int64_t seen) { seen_ = seen; }
-
  private:
   int64_t capacity_;
   int64_t seen_ = 0;
@@ -112,9 +108,6 @@ class SlotStore {
     CHAM_DCHECK(i >= 0 && i < size_, "SlotStore row " + std::to_string(i) +
                                          " of " + std::to_string(size_));
     return slab_.data() + i * row_numel_;
-  }
-  float* mutable_row(int64_t i) {
-    return const_cast<float*>(static_cast<const SlotStore*>(this)->row(i));
   }
   // Base of the contiguous occupied range [rows(), rows() + size() *
   // row_numel()); what checkpointing serialises with one range write.

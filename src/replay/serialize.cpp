@@ -1,17 +1,17 @@
 #include "replay/serialize.h"
 
-#include <fstream>
 #include <vector>
+
+#include "quant/quantize.h"
 
 namespace cham::replay {
 namespace {
 
 constexpr uint32_t kMagic = 0x43524250;  // "CRBP"
-constexpr uint32_t kVersion = 1;
-// (Version 2 was a precision-tagged ReplayBuffer framing; retired.)
 // Slab-backed slot-store framing (save_slot_store_q / load_slot_store_q):
 // one shared row shape, keys/labels table, a precision tag, then the
-// latent payload as a single fp32 range.
+// latent payload as a single fp32 range. Versions 1 and 2 were retired
+// ReplayBuffer framings; the loader rejects them.
 constexpr uint32_t kVersionSlab = 3;
 // The precision tag the *_q framings write. It is always kFp32; a payload
 // tagged with any other precision is rejected.
@@ -38,24 +38,38 @@ void write_tensor(std::ostream& os, const Tensor& t) {
            static_cast<std::streamsize>(t.numel() * sizeof(float)));
 }
 
-bool read_tensor(std::istream& is, Tensor& t) {
+// Largest element count a decoded tensor or slab row may claim.
+constexpr int64_t kMaxNumel = int64_t{1} << 32;
+
+// Reads rank + dims from untrusted bytes: rank at most Shape::kMaxRank, each
+// dim in [min_dim, kMaxNumel], and the running product checked before each
+// multiply so it can neither overflow nor exceed kMaxNumel.
+bool read_dims(std::istream& is, std::vector<int64_t>& dims, int64_t min_dim,
+               int64_t& numel) {
   uint32_t rank = 0;
-  if (!read_pod(is, rank) || rank > 8) return false;
-  std::vector<int64_t> dims(rank);
-  int64_t numel = 1;
+  if (!read_pod(is, rank) || rank > Shape::kMaxRank) return false;
+  dims.resize(rank);
+  numel = 1;
   for (auto& d : dims) {
-    if (!read_pod(is, d) || d < 0 || d > (int64_t{1} << 32)) return false;
+    if (!read_pod(is, d) || d < min_dim || d > kMaxNumel) return false;
+    if (d > 0 && numel > kMaxNumel / d) return false;
     numel *= d;
   }
-  if (numel < 0 || numel > (int64_t{1} << 32)) return false;
+  return true;
+}
+
+bool read_tensor(std::istream& is, Tensor& t) {
+  std::vector<int64_t> dims;
+  int64_t numel = 0;
+  if (!read_dims(is, dims, /*min_dim=*/0, numel)) return false;
   t = Tensor(Shape(std::move(dims)));
   is.read(reinterpret_cast<char*>(t.data()),
           static_cast<std::streamsize>(numel * sizeof(float)));
   return is.good();
 }
 
-// Precision-tagged tensor payload: the kFp32 tag byte, then the untagged
-// rank + dims + payload.
+// Precision-tagged tensor payload: the kFp32 tag byte, then rank + dims +
+// payload.
 void write_tensor_q(std::ostream& os, const Tensor& t) {
   write_pod(os, kFp32Tag);
   write_tensor(os, t);
@@ -66,8 +80,7 @@ bool read_tensor_q(std::istream& is, Tensor& t) {
   return read_pod(is, tag) && tag == kFp32Tag && read_tensor(is, t);
 }
 
-// One sample; `tagged` selects the precision-tagged tensor framing.
-bool write_sample(const ReplaySample& sample, std::ostream& os, bool tagged) {
+bool write_sample(const ReplaySample& sample, std::ostream& os) {
   write_pod(os, sample.key.class_id);
   write_pod(os, sample.key.domain_id);
   write_pod(os, sample.key.instance_id);
@@ -79,13 +92,12 @@ bool write_sample(const ReplaySample& sample, std::ostream& os, bool tagged) {
   const uint8_t has_logits = !sample.logits.empty();
   write_pod(os, has_latent);
   write_pod(os, has_logits);
-  const auto put = tagged ? write_tensor_q : write_tensor;
-  if (has_latent) put(os, sample.latent);
-  if (has_logits) put(os, sample.logits);
+  if (has_latent) write_tensor_q(os, sample.latent);
+  if (has_logits) write_tensor_q(os, sample.logits);
   return os.good();
 }
 
-bool read_sample(ReplaySample& sample, std::istream& is, bool tagged) {
+bool read_sample(ReplaySample& sample, std::istream& is) {
   uint8_t test = 0, has_latent = 0, has_logits = 0;
   if (!read_pod(is, sample.key.class_id)) return false;
   if (!read_pod(is, sample.key.domain_id)) return false;
@@ -95,94 +107,31 @@ bool read_sample(ReplaySample& sample, std::istream& is, bool tagged) {
   if (!read_pod(is, sample.label)) return false;
   if (!read_pod(is, has_latent)) return false;
   if (!read_pod(is, has_logits)) return false;
-  const auto get = tagged ? read_tensor_q : read_tensor;
-  if (has_latent && !get(is, sample.latent)) return false;
-  if (has_logits && !get(is, sample.logits)) return false;
-  return true;
-}
-
-bool write_samples(const std::vector<ReplaySample>& samples, std::ostream& os,
-                   bool tagged) {
-  write_pod(os, static_cast<int64_t>(samples.size()));
-  for (const auto& s : samples) {
-    if (!write_sample(s, os, tagged)) return false;
-  }
-  return os.good();
-}
-
-bool read_samples(std::vector<ReplaySample>& samples, std::istream& is,
-                  bool tagged) {
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
-    return false;
-  }
-  samples.clear();
-  samples.resize(static_cast<size_t>(count));
-  for (auto& s : samples) {
-    if (!read_sample(s, is, tagged)) return false;
-  }
+  if (has_latent && !read_tensor_q(is, sample.latent)) return false;
+  if (has_logits && !read_tensor_q(is, sample.logits)) return false;
   return true;
 }
 
 }  // namespace
 
-bool save_sample(const ReplaySample& sample, std::ostream& os) {
-  return write_sample(sample, os, /*tagged=*/false);
-}
-
-bool load_sample(ReplaySample& sample, std::istream& is) {
-  return read_sample(sample, is, /*tagged=*/false);
-}
-
-bool save_samples(const std::vector<ReplaySample>& samples, std::ostream& os) {
-  return write_samples(samples, os, /*tagged=*/false);
-}
-
-bool load_samples(std::vector<ReplaySample>& samples, std::istream& is) {
-  return read_samples(samples, is, /*tagged=*/false);
-}
-
 bool save_samples_q(const std::vector<ReplaySample>& samples,
                     std::ostream& os) {
-  return write_samples(samples, os, /*tagged=*/true);
-}
-
-bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is) {
-  return read_samples(samples, is, /*tagged=*/true);
-}
-
-bool save_buffer(const ReplayBuffer& buffer, std::ostream& os) {
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod(os, static_cast<int64_t>(buffer.capacity()));
-  write_pod(os, static_cast<int64_t>(buffer.seen()));
-  write_pod(os, static_cast<int64_t>(buffer.size()));
-  for (int64_t i = 0; i < buffer.size(); ++i) {
-    if (!save_sample(buffer.item(i), os)) return false;
+  write_pod(os, static_cast<int64_t>(samples.size()));
+  for (const auto& s : samples) {
+    if (!write_sample(s, os)) return false;
   }
   return os.good();
 }
 
-bool load_buffer(ReplayBuffer& buffer, std::istream& is) {
-  uint32_t magic = 0, version = 0;
-  int64_t capacity = 0, seen = 0, count = 0;
-  if (!read_pod(is, magic) || magic != kMagic) return false;
-  if (!read_pod(is, version) || version != kVersion) return false;
-  if (!read_pod(is, capacity) || capacity <= 0) return false;
-  if (!read_pod(is, seen) || seen < 0) return false;
-  if (!read_pod(is, count) || count < 0 || count > capacity) return false;
-
-  ReplayBuffer loaded(capacity);
-  Rng fill_rng(0);  // buffer below capacity: appends, rng unused
+bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is) {
+  int64_t count = 0;
+  if (!read_pod(is, count) || count < 0 || count > kMaxNumel) return false;
+  // Grown one decoded sample at a time: a forged count must not size an
+  // allocation before the bytes behind it have been read.
+  samples.clear();
   for (int64_t i = 0; i < count; ++i) {
-    ReplaySample s;
-    if (!load_sample(s, is)) return false;
-    loaded.random_replace_add(std::move(s), fill_rng);
+    if (!read_sample(samples.emplace_back(), is)) return false;
   }
-  // Restore the reservoir counter so future insertion probabilities are
-  // correct: replay the seen count.
-  buffer = std::move(loaded);
-  buffer.set_seen(seen);
   return true;
 }
 
@@ -216,22 +165,17 @@ bool save_slot_store_q(const SlotStore& store, std::ostream& os) {
 }
 
 bool load_slot_store_q(SlotStore& store, std::istream& is) {
-  uint32_t magic = 0, version = 0, rank = 0;
+  uint32_t magic = 0, version = 0;
   int64_t capacity = 0, seen = 0, count = 0;
   if (!read_pod(is, magic) || magic != kMagic) return false;
   if (!read_pod(is, version) || version != kVersionSlab) return false;
   if (!read_pod(is, capacity) || capacity <= 0) return false;
   if (!read_pod(is, seen) || seen < 0) return false;
   if (!read_pod(is, count) || count < 0 || count > capacity) return false;
-  if (!read_pod(is, rank) || rank > 8) return false;
-  if (count > 0 && rank == 0) return false;
-  std::vector<int64_t> dims(rank);
-  int64_t row_numel = 1;
-  for (auto& d : dims) {
-    if (!read_pod(is, d) || d <= 0 || d > (int64_t{1} << 32)) return false;
-    row_numel *= d;
-  }
-  if (row_numel > (int64_t{1} << 32)) return false;
+  std::vector<int64_t> dims;
+  int64_t row_numel = 0;
+  if (!read_dims(is, dims, /*min_dim=*/1, row_numel)) return false;
+  if (count > 0 && dims.empty()) return false;
 
   SlotStore loaded(capacity);
   struct KeyRow {
@@ -264,16 +208,6 @@ bool load_slot_store_q(SlotStore& store, std::istream& is) {
   store = std::move(loaded);
   store.set_seen(seen);
   return true;
-}
-
-bool save_buffer_file(const ReplayBuffer& buffer, const std::string& path) {
-  std::ofstream f(path, std::ios::binary);
-  return f && save_buffer(buffer, f);
-}
-
-bool load_buffer_file(ReplayBuffer& buffer, const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  return f && load_buffer(buffer, f);
 }
 
 }  // namespace cham::replay

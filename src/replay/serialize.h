@@ -1,50 +1,29 @@
-// Replay-state serialisation: persist the dual memories across device
-// reboots. An edge deployment that loses its replay buffers on power-cycle
-// re-forgets everything the buffers protected, so checkpointing the stores
-// (tiny: KBs to a few MB) is part of making the paper's system practical.
+// Learner-state sample and slot framing: the replay-store sections of a
+// CHS2 learner checkpoint (core/checkpoint.cpp). Persisting the dual
+// memories is what lets a session survive eviction or a device reboot
+// without re-forgetting everything the buffers protected.
 //
-// Binary format: magic/version header, sample count, then per sample the
-// key, label, latent shape + payload and optional logits payload.
+// The decoders read untrusted bytes. They return false on malformed or
+// truncated input, on a rank above Shape::kMaxRank, and on dims whose
+// element count would overflow or exceed 2^32.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <ostream>
-#include <string>
+#include <vector>
 
-#include "quant/quantize.h"
 #include "replay/buffer.h"
 
 namespace cham::replay {
 
-// Streams. Return false on malformed input or I/O failure; on failure the
-// buffer is left in a valid (possibly partially loaded, then cleared)
-// state.
-bool save_buffer(const ReplayBuffer& buffer, std::ostream& os);
-bool load_buffer(ReplayBuffer& buffer, std::istream& is);
-
-// File convenience wrappers.
-bool save_buffer_file(const ReplayBuffer& buffer, const std::string& path);
-bool load_buffer_file(ReplayBuffer& buffer, const std::string& path);
-
-// Single samples (shared by the buffer functions; exposed for the
-// long-term store, which manages its own per-class slots).
-bool save_sample(const ReplaySample& sample, std::ostream& os);
-bool load_sample(ReplaySample& sample, std::istream& is);
-
-// Flat sample lists (count-prefixed). Used for the long-term store contents
-// and the staged LT burst inside learner-state checkpoints; order is
-// preserved exactly, which the bit-identical session-restore contract in
-// src/serve/ depends on.
-bool save_samples(const std::vector<ReplaySample>& samples, std::ostream& os);
-bool load_samples(std::vector<ReplaySample>& samples, std::istream& is);
-
-// Precision-tagged variants, the framing of CHS2 learner blobs
-// (core/checkpoint.cpp): every latent/logits payload is preceded by a
-// quant::Precision byte. The writers always tag kFp32 and write the same
-// payload bytes as the untagged functions, so blobs round-trip bit-exactly;
-// the loaders reject any other tag. (Reduced-precision replay storage lives
-// in the learner's buffer_precision, not in checkpoints.)
+// Flat sample lists (count-prefixed): the long-term store contents. Per
+// sample the key, label, presence flags, then each present latent/logits
+// payload preceded by a quant::Precision byte. The writer always tags
+// kFp32 and the loader rejects any other tag. (Reduced-precision replay
+// storage lives in the learner's buffer_precision, not in checkpoints.)
+// Order is preserved exactly, which the bit-identical session-restore
+// contract in src/serve/ depends on.
 bool save_samples_q(const std::vector<ReplaySample>& samples,
                     std::ostream& os);
 bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is);

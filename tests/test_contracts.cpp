@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/long_term_memory.h"
@@ -15,6 +17,7 @@
 #include "core/preference_tracker.h"
 #include "core/short_term_memory.h"
 #include "nn/layers.h"
+#include "nn/sequential.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "util/check.h"
@@ -123,6 +126,58 @@ TEST(Contracts, LinearBackwardChecksGradShape) {
   // Without any train-mode forward there is no batch to match.
   nn::Linear fresh(8, 3, rng);
   EXPECT_THROW((void)fresh.backward(Tensor({1, 3})), util::CheckError);
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+// A head always starts with a GatherLayer (split_at_conv_layer cuts at a
+// unit end, after a ReLU), so forward_gather is refused, not stacked into a
+// dense copy, for a pipeline that starts anywhere else. The failure names
+// the layer that cannot take the rows.
+#if CHAM_CHECKS_LEVEL >= 1
+void expect_gather_refused(nn::Sequential& net, const std::string& culprit) {
+  std::vector<float> sample(2 * 3 * 3, 1.0f);
+  const float* row = sample.data();
+  const nn::GatherBatch gb{&row, 1, Shape{{2, 3, 3}}};
+  for (bool train : {false, true}) {
+    try {
+      (void)net.forward_gather(gb, train);
+      ADD_FAILURE() << culprit << " accepted a gathered batch";
+    } catch (const util::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find(culprit), std::string::npos)
+          << e.what();
+    }
+  }
+}
+#endif
+
+TEST(Contracts, ForwardGatherRefusesPipelinesWithoutAGatherFirstLayer) {
+#if CHAM_CHECKS_LEVEL >= 1
+  nn::Sequential bn_first;
+  bn_first.add(std::make_unique<nn::BatchNorm2d>(2));
+  bn_first.add(std::make_unique<nn::ReLU>(6.0f));
+  expect_gather_refused(bn_first, "BatchNorm2d");
+
+  nn::Sequential relu_first;
+  relu_first.add(std::make_unique<nn::ReLU>(6.0f));
+  relu_first.add(std::make_unique<nn::GlobalAvgPool>());
+  expect_gather_refused(relu_first, "ReLU6");
+
+  nn::Sequential empty;
+  expect_gather_refused(empty, "empty Sequential");
+
+  // Control: the same batch is accepted once a GatherLayer leads.
+  Rng rng(6);
+  nn::Sequential conv_first;
+  conv_first.add(
+      std::make_unique<nn::Conv2d>(2, 4, 3, 3, 1, 1, 0, false, rng));
+  conv_first.add(std::make_unique<nn::BatchNorm2d>(4));
+  std::vector<float> sample(2 * 3 * 3, 1.0f);
+  const float* row = sample.data();
+  const nn::GatherBatch gb{&row, 1, Shape{{2, 3, 3}}};
+  EXPECT_EQ(conv_first.forward_gather(gb, /*train=*/false).shape(),
+            (Shape{{1, 4, 3, 3}}));
 #else
   GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
 #endif

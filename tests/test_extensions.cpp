@@ -1,15 +1,11 @@
-// Extension subsystems: Class-IL stream, DRAM timing model, task-free
-// shift detector, CSV writer.
+// Extension subsystems: Class-IL stream, CSV writer.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <set>
 
-#include "core/shift_detector.h"
 #include "data/stream.h"
-#include "hw/dram.h"
 #include "metrics/csv.h"
-#include "tensor/rng.h"
 
 namespace cham {
 namespace {
@@ -69,97 +65,6 @@ TEST(ClassIncrementalStream, UnevenLastTask) {
   data::ClassIncrementalStream stream(dc, cc);
   EXPECT_EQ(stream.num_tasks(), 3);
   EXPECT_EQ(stream.task_classes(2).size(), 2u);
-}
-
-// ----------------------------------------------------------------- DRAM
-
-TEST(Dram, StreamingBeatsRandomAccess) {
-  hw::DramTiming t;
-  // 160 sub-row latents (2 KiB) fetched randomly vs one 320 KiB stream:
-  // random access pays activate/precharge per object.
-  const int64_t total = 320 * 1024;
-  const auto stream = hw::stream_access(t, total);
-  const auto random = hw::random_access(t, 160, 2048);
-  EXPECT_LT(stream.time_ns, random.time_ns);
-  EXPECT_LE(stream.energy_pj, random.energy_pj);
-  EXPECT_LT(stream.activates, random.activates + 1);
-}
-
-TEST(Dram, SmallRandomObjectsCollapseBandwidth) {
-  hw::DramTiming t;
-  // 2 KiB objects (our latents) fetched randomly vs streamed.
-  const auto random = hw::random_access(t, 100, 2048);
-  const auto stream = hw::stream_access(t, 100 * 2048);
-  const double bw_random = hw::effective_bandwidth(random, 100 * 2048);
-  const double bw_stream = hw::effective_bandwidth(stream, 100 * 2048);
-  EXPECT_LT(bw_random, bw_stream);
-  // Both patterns must deliver sane LPDDR4-class numbers (0.1-10 GB/s).
-  EXPECT_GT(bw_random, 1e8);
-  EXPECT_LT(bw_stream, 1e10);
-}
-
-TEST(Dram, ZeroBytesFree) {
-  hw::DramTiming t;
-  EXPECT_EQ(hw::stream_access(t, 0).time_ns, 0);
-  EXPECT_EQ(hw::random_access(t, 0, 100).energy_pj, 0);
-}
-
-TEST(Dram, ActivatesTrackRows) {
-  hw::DramTiming t;
-  t.row_bytes = 1024;
-  const auto c = hw::stream_access(t, 4096);
-  EXPECT_EQ(c.activates, 4);
-}
-
-// -------------------------------------------------------- shift detector
-
-TEST(ShiftDetector, DetectsStepChange) {
-  core::ShiftDetector det;
-  Rng rng(1);
-  bool fired_before_shift = false;
-  for (int i = 0; i < 50; ++i) {
-    fired_before_shift |= det.update(1.0 + 0.05 * rng.normal());
-  }
-  EXPECT_FALSE(fired_before_shift);
-  bool fired_after = false;
-  for (int i = 0; i < 10; ++i) {
-    fired_after |= det.update(3.0 + 0.05 * rng.normal());
-  }
-  EXPECT_TRUE(fired_after);
-  EXPECT_EQ(det.detections(), 1);
-}
-
-TEST(ShiftDetector, RefractoryPreventsDoubleFire) {
-  core::ShiftDetector::Config cfg;
-  cfg.refractory = 100;
-  core::ShiftDetector det(cfg);
-  Rng rng(2);
-  for (int i = 0; i < 30; ++i) det.update(1.0 + 0.02 * rng.normal());
-  int64_t fires = 0;
-  for (int i = 0; i < 30; ++i) fires += det.update(5.0 + 0.02 * rng.normal());
-  EXPECT_EQ(fires, 1);
-}
-
-TEST(ShiftDetector, SilentOnStationarySignal) {
-  core::ShiftDetector det;
-  Rng rng(3);
-  int64_t fires = 0;
-  for (int i = 0; i < 500; ++i) fires += det.update(2.0 + 0.1 * rng.normal());
-  EXPECT_LE(fires, 1);  // rare false positives tolerated, storms are not
-}
-
-TEST(ShiftDetector, DetectsMultipleBoundaries) {
-  core::ShiftDetector det;
-  Rng rng(4);
-  double level = 1.0;
-  int64_t fires = 0;
-  for (int seg = 0; seg < 4; ++seg) {
-    for (int i = 0; i < 40; ++i) {
-      fires += det.update(level + 0.03 * rng.normal());
-    }
-    level += 2.0;
-  }
-  EXPECT_GE(fires, 3);
 }
 
 // ------------------------------------------------------------------ CSV

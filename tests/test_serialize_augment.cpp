@@ -1,10 +1,14 @@
-// Replay-buffer serialisation round-trips and image augmentations.
+// Learner-state sample/slot framing (round-trips, malformed and crafted
+// input) and image augmentations.
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <cstdint>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "data/augment.h"
+#include "quant/quantize.h"
 #include "replay/serialize.h"
 #include "tensor/ops.h"
 
@@ -21,13 +25,20 @@ replay::ReplaySample make_sample(int64_t label, uint64_t seed) {
   return s;
 }
 
+// One sample through the sample-list framing of CHS2 learner blobs.
+replay::ReplaySample round_trip(const replay::ReplaySample& s) {
+  std::stringstream ss;
+  EXPECT_TRUE(replay::save_samples_q({s}, ss));
+  std::vector<replay::ReplaySample> back;
+  EXPECT_TRUE(replay::load_samples_q(back, ss));
+  EXPECT_EQ(back.size(), 1u);
+  return back.empty() ? replay::ReplaySample{} : back.front();
+}
+
 TEST(Serialize, SampleRoundTrip) {
   replay::ReplaySample s = make_sample(7, 1);
   s.logits = Tensor::from({0.1f, 0.9f, -0.5f});
-  std::stringstream ss;
-  ASSERT_TRUE(replay::save_sample(s, ss));
-  replay::ReplaySample back;
-  ASSERT_TRUE(replay::load_sample(back, ss));
+  const replay::ReplaySample back = round_trip(s);
   EXPECT_EQ(back.key, s.key);
   EXPECT_EQ(back.label, 7);
   EXPECT_EQ(ops::max_abs_diff(back.latent, s.latent), 0.0);
@@ -38,67 +49,134 @@ TEST(Serialize, SampleWithoutPayloadsRoundTrip) {
   replay::ReplaySample s;
   s.key = {1, 2, 3, true};
   s.label = 1;
-  std::stringstream ss;
-  ASSERT_TRUE(replay::save_sample(s, ss));
-  replay::ReplaySample back;
-  ASSERT_TRUE(replay::load_sample(back, ss));
+  const replay::ReplaySample back = round_trip(s);
   EXPECT_EQ(back.key, s.key);
   EXPECT_TRUE(back.latent.empty());
   EXPECT_TRUE(back.logits.empty());
 }
 
-TEST(Serialize, BufferRoundTripPreservesReservoirState) {
-  replay::ReplayBuffer buf(8);
-  Rng rng(2);
-  for (int64_t i = 0; i < 30; ++i) {
-    buf.reservoir_add(make_sample(i % 5, static_cast<uint64_t>(i)), rng);
-  }
-  std::stringstream ss;
-  ASSERT_TRUE(replay::save_buffer(buf, ss));
-
-  replay::ReplayBuffer back(1);  // wrong capacity: load must replace it
-  ASSERT_TRUE(replay::load_buffer(back, ss));
-  EXPECT_EQ(back.capacity(), 8);
-  EXPECT_EQ(back.size(), buf.size());
-  EXPECT_EQ(back.seen(), 30);
-  for (int64_t i = 0; i < buf.size(); ++i) {
-    EXPECT_EQ(back.item(i).label, buf.item(i).label);
-    EXPECT_EQ(ops::max_abs_diff(back.item(i).latent, buf.item(i).latent),
-              0.0);
-  }
-}
-
-TEST(Serialize, FileRoundTrip) {
-  replay::ReplayBuffer buf(4);
-  Rng rng(3);
-  buf.reservoir_add(make_sample(1, 9), rng);
-  const std::string path = "/tmp/cham_test_buffer.bin";
-  ASSERT_TRUE(replay::save_buffer_file(buf, path));
-  replay::ReplayBuffer back(4);
-  ASSERT_TRUE(replay::load_buffer_file(back, path));
-  EXPECT_EQ(back.size(), 1);
-  std::remove(path.c_str());
-}
-
 TEST(Serialize, RejectsGarbage) {
   std::stringstream ss;
-  ss << "not a buffer at all";
-  replay::ReplayBuffer buf(4);
-  EXPECT_FALSE(replay::load_buffer(buf, ss));
-  EXPECT_FALSE(replay::load_buffer_file(buf, "/tmp/does_not_exist.bin"));
+  ss << "not a sample list at all";
+  std::vector<replay::ReplaySample> samples;
+  EXPECT_FALSE(replay::load_samples_q(samples, ss));
+  std::stringstream empty;
+  EXPECT_FALSE(replay::load_samples_q(samples, empty));
 }
 
 TEST(Serialize, RejectsTruncated) {
-  replay::ReplayBuffer buf(4);
-  Rng rng(4);
-  buf.reservoir_add(make_sample(1, 10), rng);
   std::stringstream ss;
-  ASSERT_TRUE(replay::save_buffer(buf, ss));
+  ASSERT_TRUE(replay::save_samples_q({make_sample(1, 10), make_sample(2, 11)},
+                                     ss));
   std::string data = ss.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  replay::ReplayBuffer back(4);
-  EXPECT_FALSE(replay::load_buffer(back, truncated));
+  std::vector<replay::ReplaySample> back;
+  EXPECT_FALSE(replay::load_samples_q(back, truncated));
+}
+
+// ------------------------------------------- decoder bounds (crafted bytes)
+//
+// Blobs come from disk or a peer, so the decoders must refuse a rank the
+// tensor type cannot hold and dims whose product overflows, returning false
+// instead of throwing or handing back a tensor without storage.
+
+template <typename T>
+void put(std::string& out, T v) {
+  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+}
+
+constexpr auto kFp32Tag = static_cast<uint8_t>(quant::Precision::kFp32);
+constexpr int64_t k2Pow32 = int64_t{1} << 32;
+
+// A one-sample list whose latent claims `dims`, followed by `payload`
+// floats.
+std::string crafted_sample_list(const std::vector<int64_t>& dims,
+                                int64_t payload) {
+  std::string b;
+  put<int64_t>(b, 1);                                // count
+  put<int32_t>(b, 3);                                // class_id
+  put<int32_t>(b, 0);                                // domain_id
+  put<int32_t>(b, 0);                                // instance_id
+  put<uint8_t>(b, 0);                                // test
+  put<int64_t>(b, 3);                                // label
+  put<uint8_t>(b, 1);                                // has_latent
+  put<uint8_t>(b, 0);                                // has_logits
+  put<uint8_t>(b, kFp32Tag);
+  put<uint32_t>(b, static_cast<uint32_t>(dims.size()));
+  for (int64_t d : dims) put<int64_t>(b, d);
+  for (int64_t i = 0; i < payload; ++i) put<float>(b, 1.0f);
+  return b;
+}
+
+// A one-slot slot store (version-3 framing) whose row shape is `dims`,
+// followed by `payload` floats.
+std::string crafted_slot_store(const std::vector<int64_t>& dims,
+                               int64_t payload) {
+  std::string b;
+  put<uint32_t>(b, 0x43524250);                      // "CRBP"
+  put<uint32_t>(b, 3);                               // version
+  put<int64_t>(b, 4);                                // capacity
+  put<int64_t>(b, 1);                                // seen
+  put<int64_t>(b, 1);                                // count
+  put<uint32_t>(b, static_cast<uint32_t>(dims.size()));
+  for (int64_t d : dims) put<int64_t>(b, d);
+  put<int32_t>(b, 3);                                // class_id
+  put<int32_t>(b, 0);                                // domain_id
+  put<int32_t>(b, 0);                                // instance_id
+  put<uint8_t>(b, 0);                                // test
+  put<int64_t>(b, 3);                                // label
+  put<uint8_t>(b, kFp32Tag);
+  for (int64_t i = 0; i < payload; ++i) put<float>(b, 1.0f);
+  return b;
+}
+
+bool load_list(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  std::vector<replay::ReplaySample> samples;
+  return replay::load_samples_q(samples, ss);
+}
+
+bool load_store(const std::string& bytes) {
+  std::stringstream ss(bytes);
+  replay::SlotStore store(1);
+  return replay::load_slot_store_q(store, ss);
+}
+
+const std::vector<int64_t> kRank7 = {1, 1, 1, 1, 1, 1, 1};
+const std::vector<int64_t> kOverflowDims = {k2Pow32, k2Pow32};
+
+TEST(Serialize, CraftedInputsAreWellFormedControls) {
+  // The same framing with a legal shape loads, so the rejections below are
+  // due to the shape alone.
+  EXPECT_TRUE(load_list(crafted_sample_list({1, 2}, 2)));
+  EXPECT_TRUE(load_store(crafted_slot_store({1, 2}, 2)));
+}
+
+TEST(Serialize, SampleListRejectsRankAboveShapeMax) {
+  EXPECT_NO_THROW(EXPECT_FALSE(load_list(crafted_sample_list(kRank7, 1))));
+}
+
+TEST(Serialize, SampleListRejectsOverflowingDims) {
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(load_list(crafted_sample_list(kOverflowDims, 0))));
+}
+
+TEST(Serialize, SlotStoreRejectsRankAboveShapeMax) {
+  EXPECT_NO_THROW(EXPECT_FALSE(load_store(crafted_slot_store(kRank7, 1))));
+}
+
+TEST(Serialize, SlotStoreRejectsOverflowingDims) {
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(load_store(crafted_slot_store(kOverflowDims, 0))));
+}
+
+TEST(Serialize, SampleListRejectsForgedCountWithoutPayload) {
+  // A count at the format's limit with no samples behind it: the loader
+  // must run out of bytes, not size an allocation from the forged count.
+  std::string b;
+  put<int64_t>(b, k2Pow32);
+  EXPECT_NO_THROW(EXPECT_FALSE(load_list(b)));
 }
 
 // ---------------------------------------------------------- augmentations

@@ -107,6 +107,14 @@ are about *this* codebase's contracts:
                       inside an if() block counts; one in a # comment does
                       not). An unregistered test file is never compiled, so
                       its tests silently stop running. Reported on line 1.
+  test-only-header    A src/**/*.h that no file under src/ (other than its
+                      own .cpp), bench/, examples/ or perfbench/src/
+                      #includes. Tests alone do not count: a mechanism only
+                      its own tests reach is dead weight that still has to
+                      be read, built and kept passing. Include paths are
+                      resolved against src/ and against the including
+                      file's directory; the header must exist on disk (the
+                      rule is about the tree). Reported on line 1.
 
 Suppression: append `// cham-lint: allow(<rule>)` to the offending line.
 
@@ -154,6 +162,9 @@ RULES = {
     "layers' only forward, instead of stacking latents into a batch tensor",
     "unregistered-test": "tests/test_*.cpp not registered by a cham_test() "
     "line in tests/CMakeLists.txt; it is never compiled or run",
+    "test-only-header": "src/ header #included by no file under src/ (other "
+    "than its own .cpp), bench/, examples/ or perfbench/src/; only tests "
+    "reach it, so delete it with its tests",
 }
 
 CXX_EXTENSIONS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -208,6 +219,13 @@ STACK_LATENTS_RE = re.compile(r"(?<![_A-Za-z0-9])stack_latents\s*\(")
 # Test sources and their registrations in tests/CMakeLists.txt.
 TEST_SOURCE_RE = re.compile(r"^test_\w+\.cpp$")
 CHAM_TEST_RE = re.compile(r"^\s*cham_test\(\s*(\w+)", re.M)
+# `#include "path"` at the start of a line (block-commented includes are not
+# worth the parse; a line comment never starts with #).
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"', re.M)
+# Directories, relative to the repo root, whose includes keep a src/ header
+# alive. tests/ is deliberately absent.
+HEADER_USER_DIRS = ("src", "bench", "examples",
+                    os.path.join("perfbench", "src"))
 # Learner dispatch / residency calls: a batch-plan region may only move
 # queued requests, never evaluate, admit, or evict.
 PLAN_DISPATCH_RE = re.compile(
@@ -348,6 +366,49 @@ def registered_tests(cmake_path):
         return set()
     text = re.sub(r"#[^\n]*", "", text)
     return set(CHAM_TEST_RE.findall(text))
+
+
+_INCLUDERS = {}  # repo root -> {header realpath: set of includer realpaths}
+
+
+def header_includers(root):
+    """Map each header included from HEADER_USER_DIRS under `root` to the
+    files that include it. Include paths resolve against root/src and the
+    including file's directory. Cached per root."""
+    if root in _INCLUDERS:
+        return _INCLUDERS[root]
+    src = os.path.join(root, "src")
+    index = {}
+    for sub in HEADER_USER_DIRS:
+        top = os.path.join(root, sub)
+        if not os.path.isdir(top):
+            continue
+        for f in iter_files([top]):
+            with open(f, encoding="utf-8", errors="replace") as fh:
+                text = fh.read()
+            here = os.path.realpath(f)
+            for inc in INCLUDE_RE.findall(text):
+                for base in (os.path.dirname(f), src):
+                    target = os.path.realpath(os.path.join(base, inc))
+                    index.setdefault(target, set()).add(here)
+    _INCLUDERS[root] = index
+    return index
+
+
+def is_test_only_header(path):
+    """True for an existing <root>/src/**/*.h that nothing outside tests/
+    includes, its own .cpp excepted. <root> is the parent of the `src`
+    directory nearest the file."""
+    if not path.endswith(".h") or not os.path.isfile(path):
+        return False
+    header = os.path.realpath(path)
+    parts = header.split(os.sep)
+    if "src" not in parts[:-1]:
+        return False
+    src_index = len(parts) - 2 - parts[-2::-1].index("src")
+    root = os.sep.join(parts[:src_index]) or os.sep
+    own_cpp = os.path.splitext(header)[0] + ".cpp"
+    return not (header_includers(root).get(header, set()) - {own_cpp})
 
 
 def lint_file(path, raw):
@@ -502,6 +563,10 @@ def lint_file(path, raw):
             and base[:-len(".cpp")] not in registered_tests(
                 os.path.join(test_dir, "CMakeLists.txt"))):
         report(1, "unregistered-test")
+
+    # A src/ header must be reached by something other than tests.
+    if is_test_only_header(path):
+        report(1, "test-only-header")
 
     return violations
 

@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Self-tests for cham_lint.py — one positive and one negative case per
 behaviour of the thread-safety rules (raw-mutex, naked-cv-wait,
-unguarded-shared-member), of parallel-for-grain and of unregistered-test,
-plus regression cases for the trickier matching (suppressions,
-comments/strings, wait_for, nested regions, sibling-header guarded
-declarations).
+unguarded-shared-member), of parallel-for-grain, of unregistered-test and of
+test-only-header, plus regression cases for the trickier matching
+(suppressions, comments/strings, wait_for, nested regions, sibling-header
+guarded declarations).
 
 Run directly (python3 tools/test_cham_lint.py) or via run_static.sh.
 Exit status: 0 all pass, 1 failures.
@@ -357,6 +357,68 @@ def main():
         check("flags every test when tests/CMakeLists.txt is missing",
               lint_test("test_alpha.cpp") == ["unregistered-test"])
 
+    print("rule: test-only-header")
+    with tempfile.TemporaryDirectory() as tmp:
+        def put(rel, body=""):
+            full = os.path.join(tmp, rel)
+            os.makedirs(os.path.dirname(full), exist_ok=True)
+            with open(full, "w") as fh:
+                fh.write(body)
+            return full
+
+        headers = {name: put(f"src/core/{name}.h", "#pragma once\n")
+                   for name in ("used", "bench_used", "example_used",
+                                "perf_used", "relative", "tested",
+                                "own_cpp_only", "commented", "suppressed",
+                                "via_header")}
+        put("src/core/user.cpp", '#include "core/used.h"\n'
+            '#include "relative.h"\n')
+        put("src/core/own_cpp_only.cpp", '#include "core/own_cpp_only.h"\n')
+        put("src/core/via_header.cpp", '#include "core/via_header.h"\n')
+        put("src/core/other.h", '#pragma once\n#include "core/via_header.h"\n')
+        put("src/core/other_user.cpp", '#include "core/other.h"\n')
+        put("src/core/notes.cpp", '// #include "core/commented.h"\n')
+        put("bench/bench_x.cpp", '#include "core/bench_used.h"\n')
+        put("examples/demo.cpp", '#  include "core/example_used.h"\n')
+        put("perfbench/src/stack.cpp", '#include "core/perf_used.h"\n')
+        put("tests/test_core.cpp", '#include "core/tested.h"\n'
+            '#include "core/suppressed.h"\n')
+        put("src/core/widget.cpp", "")
+
+        def lint_header(name, body="#pragma once\n"):
+            return rules_of(cham_lint.lint_file(headers[name], body))
+
+        check("header included from src/ is clean", lint_header("used") == [])
+        check("header included from bench/ is clean",
+              lint_header("bench_used") == [])
+        check("header included from examples/ is clean",
+              lint_header("example_used") == [])
+        check("header included from perfbench/src/ is clean",
+              lint_header("perf_used") == [])
+        check("include relative to the including file counts",
+              lint_header("relative") == [])
+        check("include from another (used) header counts",
+              lint_header("via_header") == [])
+        check("flags a header only tests/ include",
+              lint_header("tested") == ["test-only-header"])
+        check("its own .cpp does not count",
+              lint_header("own_cpp_only") == ["test-only-header"])
+        check("a commented-out include does not count",
+              lint_header("commented") == ["test-only-header"])
+        check("suppressed by allow() on line 1",
+              lint_header("suppressed",
+                          "// cham-lint: allow(test-only-header)\n") == [])
+        check(".cpp files are exempt",
+              rules_of(cham_lint.lint_file(
+                  os.path.join(tmp, "src/core/widget.cpp"), "")) == [])
+        check("a header path that does not exist is exempt",
+              rules_of(cham_lint.lint_file(
+                  os.path.join(tmp, "src/core/ghost.h"), "")) == [])
+        check("a header outside any src/ directory is exempt",
+              rules_of(cham_lint.lint_file(
+                  put("include/loose.h", "#pragma once\n"),
+                  "#pragma once\n")) == [])
+
     print("repo tree is clean under all rules")
     repo_src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
@@ -376,6 +438,11 @@ def main():
     for v in unregistered:
         print(f"    {v[0]}:{v[1]}: [{v[2]}]")
     check("every tests/test_*.cpp is registered", unregistered == [])
+    orphans = [f for f in cham_lint.iter_files([repo_src])
+               if cham_lint.is_test_only_header(f)]
+    for f in orphans:
+        print(f"    {f}: [test-only-header]")
+    check("no src/ header is reached only by tests", orphans == [])
 
     if FAILURES:
         print(f"test_cham_lint: {len(FAILURES)} failure(s)", file=sys.stderr)
