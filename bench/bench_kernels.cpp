@@ -128,7 +128,8 @@ struct ShapeCase {
   int64_t m, n, k;
 };
 
-// Same table as bench_threads: the trainable head works on 256-channel 2x2
+// The head shapes ThreadPool.KernelsBitIdenticalAcrossThreadCounts checks
+// for bit-identity: the trainable head works on 256-channel 2x2
 // latents, so the pointwise conv is a (256 x 256) @ (256 x 4) gemm per
 // sample; batching and the eval chunk widen N; backward runs A^T B / A B^T.
 constexpr ShapeCase kCases[] = {

@@ -38,22 +38,22 @@ cmake -S perfbench -B .bench_build/perfbench >/dev/null &&
   cmake --build .bench_build/perfbench -j "$(nproc)" &&
   ctest --test-dir .bench_build/perfbench --output-on-failure ||
   { echo "run_all.sh: perfbench build or unit tests failed" >&2; exit 1; }
-# Gated benches (bench_serve: fidelity/batched-bit-exact/throughput/
-# evict-lock/delta-ratio; bench_threads: bit-identity/speedup-or-skip/
-# no-subgrain-wakeup; bench_net: codec-zero-alloc/wire-bit-exact/
-# throughput-floor) exit non-zero when a gate fails; record the failure
-# in the archive and fail the whole regeneration at the end.
+# Gated benches (bench_kernels: head-gemm speedup/steady-state zero-alloc;
+# bench_observe: zero-alloc/zero-stacking/backward-MAC/ledger) exit non-zero
+# when a gate fails; record the failure in the archive and fail the whole
+# regeneration at the end. The serving, wire and thread-pool gates are
+# deterministic ctest cases (README "Where each gate lives"); their
+# timing is perfbench's.
 for b in build/bench/*; do
   if [ -f "$b" ] && [ -x "$b" ]; then
     echo "===== $b ====="
     "$b" || echo "GATE_FAILURE $b"
   fi
 done 2>&1 | tee /root/repo/bench_output.txt
-# bench_threads, bench_kernels, bench_observe and bench_serve emit JSON perf
-# artefacts into the repo root (they run with cwd = /root/repo); record them
-# next to the text outputs so the kernel/scaling/observe/serving trajectory
-# is versioned per PR.
-for j in BENCH_threads.json BENCH_kernels.json BENCH_observe.json BENCH_serve.json BENCH_net.json; do
+# bench_kernels and bench_observe emit JSON perf artefacts into the repo root
+# (they run with the repo root as cwd); record them next to the text outputs
+# so the kernel and observe trajectory is versioned with each commit.
+for j in BENCH_kernels.json BENCH_observe.json; do
   if [ -f "/root/repo/$j" ]; then
     echo "archived $j" >> /root/repo/bench_output.txt
   else

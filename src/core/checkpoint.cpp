@@ -191,9 +191,11 @@ bool ChameleonLearner::load_state(std::istream& is) {
       staged_count > (int64_t{1} << 32)) {
     return false;
   }
+  // Grown one decoded ref at a time: a forged count must not size an
+  // allocation before the bytes behind it have been read.
   staged_refs_.clear();
-  staged_refs_.resize(static_cast<size_t>(staged_count));
-  for (auto& ref : staged_refs_) {
+  for (int64_t i = 0; i < staged_count; ++i) {
+    auto& ref = staged_refs_.emplace_back();
     if (!read_pod(is, ref.cls) || !read_pod(is, ref.slot)) return false;
     // Refs must land inside the LT store rebuilt above; a corrupt file must
     // fail the load, not produce an out-of-range gather later.

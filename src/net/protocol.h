@@ -38,8 +38,9 @@
 // The codec is allocation-free in steady state: encoders append to a
 // caller-owned buffer that keeps its capacity across frames, decoders fill
 // caller-owned structures whose vectors are resized, not reallocated, once
-// warm. bench_net gates this (zero heap allocations per encode/decode
-// round-trip after warm-up).
+// warm. SteadyState.WireCodecRoundTripsAllocateNothing
+// (tests/test_workspace.cpp) gates this: zero heap allocations per
+// encode/decode round-trip after warm-up.
 #pragma once
 
 #include <cstdint>

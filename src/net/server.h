@@ -8,7 +8,7 @@
 // in the same BatchPlanner plans as in-process traffic. Nothing about the
 // execution path is network-specific: the wire layer is a request source
 // and a completion sink, and every result bit matches the same schedule
-// submitted in-process (bench_net gates this end to end).
+// submitted in-process (NetSuite.UnixSocketMatchesInProcessSubmission).
 //
 // Threading model: NetServer owns exactly one thread, whatever the
 // connection count or scheduler mode.

@@ -176,14 +176,19 @@ bool load_slot_store_q(SlotStore& store, std::istream& is) {
   int64_t row_numel = 0;
   if (!read_dims(is, dims, /*min_dim=*/1, row_numel)) return false;
   if (count > 0 && dims.empty()) return false;
+  // The slab holds capacity rows; its size must not overflow either.
+  if (capacity > kMaxNumel / row_numel) return false;
 
   SlotStore loaded(capacity);
   struct KeyRow {
     data::ImageKey key;
     int64_t label;
   };
-  std::vector<KeyRow> table(static_cast<size_t>(count));
-  for (auto& r : table) {
+  // Grown one decoded row at a time: a forged count must not size an
+  // allocation before the bytes behind it have been read.
+  std::vector<KeyRow> table;
+  for (int64_t i = 0; i < count; ++i) {
+    KeyRow& r = table.emplace_back();
     uint8_t test = 0;
     if (!read_pod(is, r.key.class_id)) return false;
     if (!read_pod(is, r.key.domain_id)) return false;

@@ -2,8 +2,8 @@
 //
 // Eviction used to serialise the full CHS2 blob to disk while holding the
 // manager's global sessions_mu_, so one shard's eviction stalled admission,
-// restore and dispatch on every shard (save_ms_max 63ms in the seed
-// BENCH_serve.json). The pipeline here splits that work in three:
+// restore and dispatch on every shard (save_ms_max was 63ms). The pipeline
+// here splits that work in three:
 //
 //   1. SNAPSHOT (dispatch thread, lock NOT held): the SessionManager
 //      serialises the victim into a pool-backed in-memory buffer after

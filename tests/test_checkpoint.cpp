@@ -4,9 +4,12 @@
 
 #include <cstdio>
 #include <cstring>
+#include <sstream>
 
 #include "core/checkpoint.h"
 #include "metrics/experiment.h"
+#include "nn/model_io.h"
+#include "replay/serialize.h"
 #include "serve/session_store.h"
 
 namespace cham {
@@ -202,6 +205,66 @@ TEST_F(CheckpointSuite, NonFp32PrecisionTagIsRejectedBeforeMutation) {
     ASSERT_TRUE(target.save_state(os));
   }
   EXPECT_TRUE(before == after) << "a rejected blob mutated the learner";
+}
+
+// The staged LT burst's count is read from untrusted bytes: a count forged
+// to the format's limit with no refs behind it must fail the load, not size
+// an allocation from the forged count.
+TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
+  core::ChameleonConfig cc;
+  cc.lt_capacity = 18;
+  cc.lt_period_h = 2;  // a burst every other batch: the stream stages one
+  core::ChameleonLearner source(exp_->env(), cc, 6);
+  auto i64_at = [](const std::string& bytes, size_t off) {
+    int64_t v = -1;
+    std::memcpy(&v, bytes.data() + off, sizeof(v));
+    return v;
+  };
+  // Offset of the staged count: the header (u32 magic, u32 version, u8
+  // precision), head params, 4-word rng state, step, ST store, LT samples.
+  auto staged_offset = [&] {
+    std::ostringstream before_staged;
+    EXPECT_TRUE(nn::save_params(source.head(), before_staged));
+    EXPECT_TRUE(
+        replay::save_slot_store_q(source.short_term().store(), before_staged));
+    EXPECT_TRUE(replay::save_samples_q(source.long_term().all_samples(),
+                                       before_staged));
+    return 9 + before_staged.str().size() + 32 + 8;
+  };
+  // Stop mid-burst, so the blob carries staged refs.
+  std::string blob;
+  size_t at = 0;
+  int64_t staged = 0;
+  for (const auto& b : stream_->batches()) {
+    source.observe(b);
+    std::ostringstream os;
+    ASSERT_TRUE(source.save_state(os));
+    blob = os.str();
+    at = staged_offset();
+    ASSERT_LE(at + 8, blob.size());
+    staged = i64_at(blob, at);
+    if (staged > 0) break;
+  }
+  ASSERT_GT(staged, 0) << "the stream never left a staged LT burst";
+  ASSERT_LE(staged, cc.lt_capacity);
+
+  auto i64 = [](int64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto load = [&](const std::string& bytes) {
+    core::ChameleonLearner target(exp_->env(), cc, 1234);
+    std::istringstream is(bytes);
+    return target.load_state(is);
+  };
+  // Control: the same blob with the burst dropped (count 0, cursor 0) still
+  // loads, so `at` is the staged count's offset.
+  const size_t rest = at + 8 + static_cast<size_t>(staged) * 8 + 8;
+  ASSERT_LE(rest, blob.size());
+  EXPECT_TRUE(load(blob));
+  EXPECT_TRUE(load(blob.substr(0, at) + i64(0) + i64(0) + blob.substr(rest)));
+
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(load(blob.substr(0, at) + i64(int64_t{1} << 32))));
 }
 
 TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {

@@ -253,38 +253,63 @@ TEST(ThreadPool, StaticChunkIsAnExactPartition) {
 
 // The determinism contract: every kernel result is bit-identical for every
 // thread count (per-element reduction order never depends on the partition).
+// Inputs: one odd shape straddling every tile edge, then the MobileNet
+// head's shapes (256-channel 2x2 latents): the per-sample pointwise conv
+// (256x4x256, exactly at the pool's grain), a 32-sample batch, the
+// 256-sample eval chunk, and the backward A^T B / A B^T pair.
 TEST(ThreadPool, KernelsBitIdenticalAcrossThreadCounts) {
-  const int saved = num_threads();
-  const int64_t m = 65, n = 129, k = 130;
-  Rng rng(77);
-  Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k}), c0({m, n});
-  ops::fill_normal(a, rng, 0.0f, 1.0f);
-  ops::fill_normal(b, rng, 0.0f, 1.0f);
-  ops::fill_normal(at, rng, 0.0f, 1.0f);
-  ops::fill_normal(bt, rng, 0.0f, 1.0f);
-  ops::fill_normal(c0, rng, 0.0f, 1.0f);
-
-  // alpha != 1 and beta != 0 exercise the folded-alpha pack and the beta
-  // pre-pass inside each row chunk.
-  auto run_all = [&](Tensor& cg, Tensor& ct, Tensor& cb) {
-    cg = c0;
-    ct = c0;
-    cb = c0;
-    gemm(m, n, k, 1.25f, a.data(), b.data(), 0.5f, cg.data());
-    gemm_at_b(m, n, k, 1.25f, at.data(), b.data(), 0.5f, ct.data());
-    gemm_a_bt(m, n, k, 1.25f, a.data(), bt.data(), 0.5f, cb.data());
+  enum class Kernel { kGemm, kAtB, kABt };
+  const struct {
+    Kernel kernel;
+    int64_t m, n, k;
+  } cases[] = {
+      {Kernel::kGemm, 65, 129, 130},  {Kernel::kAtB, 65, 129, 130},
+      {Kernel::kABt, 65, 129, 130},   {Kernel::kGemm, 256, 4, 256},
+      {Kernel::kGemm, 256, 128, 256}, {Kernel::kGemm, 256, 1024, 256},
+      {Kernel::kAtB, 256, 128, 256},  {Kernel::kABt, 256, 256, 128},
   };
-
-  Tensor g1, t1, b1;
-  set_num_threads(1);
-  run_all(g1, t1, b1);
-  for (int threads : {2, 3, 4, 8}) {
-    set_num_threads(threads);
-    Tensor g, t, bb;
-    run_all(g, t, bb);
-    EXPECT_EQ(ops::max_abs_diff(g, g1), 0.0) << "gemm, t=" << threads;
-    EXPECT_EQ(ops::max_abs_diff(t, t1), 0.0) << "gemm_at_b, t=" << threads;
-    EXPECT_EQ(ops::max_abs_diff(bb, b1), 0.0) << "gemm_a_bt, t=" << threads;
+  // alpha = 1, beta = 0 is the copy pack; alpha != 1 and beta != 0 exercise
+  // the folded-alpha pack and the beta pre-pass inside each row chunk.
+  const struct {
+    float alpha, beta;
+  } coeff[] = {{1.0f, 0.0f}, {1.25f, 0.5f}};
+  const int saved = num_threads();
+  for (const auto& sc : cases) {
+    const int64_t m = sc.m, n = sc.n, k = sc.k;
+    Rng rng(uint64_t(77 + m * 31 + n * 7 + k));
+    Tensor a = sc.kernel == Kernel::kAtB ? Tensor({k, m}) : Tensor({m, k});
+    Tensor b = sc.kernel == Kernel::kABt ? Tensor({n, k}) : Tensor({k, n});
+    Tensor c0({m, n});
+    ops::fill_normal(a, rng, 0.0f, 1.0f);
+    ops::fill_normal(b, rng, 0.0f, 1.0f);
+    ops::fill_normal(c0, rng, 0.0f, 1.0f);
+    for (const auto& co : coeff) {
+      auto run = [&] {
+        Tensor c = c0;
+        switch (sc.kernel) {
+          case Kernel::kGemm:
+            gemm(m, n, k, co.alpha, a.data(), b.data(), co.beta, c.data());
+            break;
+          case Kernel::kAtB:
+            gemm_at_b(m, n, k, co.alpha, a.data(), b.data(), co.beta,
+                      c.data());
+            break;
+          case Kernel::kABt:
+            gemm_a_bt(m, n, k, co.alpha, a.data(), b.data(), co.beta,
+                      c.data());
+            break;
+        }
+        return c;
+      };
+      set_num_threads(1);
+      const Tensor ref = run();
+      for (int threads : {2, 3, 4, 8}) {
+        set_num_threads(threads);
+        EXPECT_EQ(ops::max_abs_diff(run(), ref), 0.0)
+            << "kernel " << static_cast<int>(sc.kernel) << " " << m << "x"
+            << n << "x" << k << " alpha " << co.alpha << ", t=" << threads;
+      }
+    }
   }
   set_num_threads(saved);
 }

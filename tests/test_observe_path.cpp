@@ -706,5 +706,41 @@ TEST(PoolDispatch, SmallModelSteadyObservesNeverWakeThePool) {
   EXPECT_EQ(dispatches, 0u);
 }
 
+// The pool's wake-up rule on the served head's GEMMs, at 4 threads. The
+// per-sample pointwise conv (256x4x256) sits exactly at the flop-aware
+// gemm_grain and must stay on the inline fast path: the serve path issues
+// it per request, and a dispatch would cost more than the arithmetic it
+// hides. The 256-sample eval chunk (256x1024x256) is far above the grain
+// and must actually fan out across the pool.
+TEST(PoolDispatch, HeadGemmWakesThePoolOnlyAboveTheGrain) {
+  const int threads_before = num_threads();
+  set_num_threads(4);
+  Rng rng(0x5AB6);
+  Tensor a({256, 256}), b_small({256, 4}), b_large({256, 1024});
+  Tensor c_small({256, 4}), c_large({256, 1024});
+  ops::fill_normal(a, rng, 0.0f, 1.0f);
+  ops::fill_normal(b_small, rng, 0.0f, 1.0f);
+  ops::fill_normal(b_large, rng, 0.0f, 1.0f);
+  auto small = [&] {
+    gemm(256, 4, 256, 1.0f, a.data(), b_small.data(), 0.0f, c_small.data());
+  };
+  auto large = [&] {
+    gemm(256, 1024, 256, 1.0f, a.data(), b_large.data(), 0.0f,
+         c_large.data());
+  };
+  large();  // warm: spawns the pool's workers outside the counted region
+  small();
+
+  const uint64_t d0 = detail::pool_dispatches();
+  for (int r = 0; r < 16; ++r) small();
+  const uint64_t subgrain = detail::pool_dispatches() - d0;
+  const uint64_t d1 = detail::pool_dispatches();
+  large();
+  const uint64_t above = detail::pool_dispatches() - d1;
+  set_num_threads(threads_before);
+  EXPECT_EQ(subgrain, 0u);
+  EXPECT_GE(above, 1u);
+}
+
 }  // namespace
 }  // namespace cham

@@ -109,18 +109,25 @@ std::string crafted_sample_list(const std::vector<int64_t>& dims,
   return b;
 }
 
-// A one-slot slot store (version-3 framing) whose row shape is `dims`,
-// followed by `payload` floats.
-std::string crafted_slot_store(const std::vector<int64_t>& dims,
-                               int64_t payload) {
+// Slot-store framing (version 3) up to and including the row shape.
+std::string slot_store_header(int64_t capacity, int64_t count,
+                              const std::vector<int64_t>& dims) {
   std::string b;
   put<uint32_t>(b, 0x43524250);                      // "CRBP"
   put<uint32_t>(b, 3);                               // version
-  put<int64_t>(b, 4);                                // capacity
-  put<int64_t>(b, 1);                                // seen
-  put<int64_t>(b, 1);                                // count
+  put<int64_t>(b, capacity);
+  put<int64_t>(b, count);                            // seen
+  put<int64_t>(b, count);
   put<uint32_t>(b, static_cast<uint32_t>(dims.size()));
   for (int64_t d : dims) put<int64_t>(b, d);
+  return b;
+}
+
+// A one-slot slot store whose row shape is `dims`, followed by `payload`
+// floats.
+std::string crafted_slot_store(const std::vector<int64_t>& dims,
+                               int64_t payload, int64_t capacity = 4) {
+  std::string b = slot_store_header(capacity, 1, dims);
   put<int32_t>(b, 3);                                // class_id
   put<int32_t>(b, 0);                                // domain_id
   put<int32_t>(b, 0);                                // instance_id
@@ -177,6 +184,20 @@ TEST(Serialize, SampleListRejectsForgedCountWithoutPayload) {
   std::string b;
   put<int64_t>(b, k2Pow32);
   EXPECT_NO_THROW(EXPECT_FALSE(load_list(b)));
+}
+
+TEST(Serialize, SlotStoreRejectsForgedCountWithoutPayload) {
+  // The same for the slot store's key table: capacity and count forged to
+  // 2^32 one-float rows (a slab within bounds), no key rows behind them.
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(load_store(slot_store_header(k2Pow32, k2Pow32, {1}))));
+}
+
+TEST(Serialize, SlotStoreRejectsCapacityOverflowingTheSlab) {
+  // One well-formed row, but capacity x row size overflows the slab the
+  // first insert allocates.
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      load_store(crafted_slot_store({1, 2}, 2, int64_t{1} << 62))));
 }
 
 // ---------------------------------------------------------- augmentations

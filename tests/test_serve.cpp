@@ -1127,11 +1127,11 @@ TEST_F(ServeSuite, BatchedPredictMatchesIsolatedLearner) {
   EXPECT_EQ(st.dispatch_errors, 0);
 }
 
-// Tentpole gate (test half of bench_serve's gate_batched_bit_exact): the
-// same mixed observe/predict schedule run with coalescing on (max_batch=8)
-// and off (max_batch=1) yields byte-identical predictions everywhere, and
-// predicts always see their session's earlier observes (read-your-writes
-// through the planner's eligibility rule).
+// The batched-predict gate: the same mixed observe/predict schedule run
+// with coalescing on (max_batch=8) and off (max_batch=1) yields
+// byte-identical predictions everywhere, and predicts always see their
+// session's earlier observes (read-your-writes through the planner's
+// eligibility rule).
 TEST_F(ServeSuite, BatchedVsUnbatchedBitExactOnMixedInterleave) {
   constexpr int64_t kSessions = 6;
   constexpr int64_t kRounds = 3;

@@ -2,6 +2,8 @@
 // accounting, pool freelist recycling and reset semantics, and the
 // end-to-end property the subsystem exists for — a steady-state ChameleonLearner::observe() that performs
 // zero heap allocations (verified with a counting global operator new).
+// The wire codec's steady-state contract (net/protocol.h) is checked with
+// the same counter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 
 #include "core/chameleon.h"
 #include "data/latent_cache.h"
+#include "net/protocol.h"
 #include "nn/layers.h"
 #include "nn/sequential.h"
 #include "tensor/ops.h"
@@ -320,6 +323,92 @@ TEST(SteadyState, OpStatsCarriesWorkspaceGauges) {
   merged.ws_pool_high_water_bytes = 1;
   merged += s;
   EXPECT_EQ(merged.ws_pool_high_water_bytes, s.ws_pool_high_water_bytes);
+}
+
+// The wire codec's steady-state contract (net/protocol.h): once a WireBuf
+// and the decoders' caller-owned outputs have seen a frame of each shape,
+// encoding every data-path frame type and decoding it back (header, CRC and
+// payload) touches the heap zero times. This is the per-frame work NetServer
+// and NetClient do on warm buffers.
+TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
+  data::Batch batch;
+  batch.domain = 1;
+  for (int i = 0; i < 8; ++i) {
+    batch.keys.push_back({static_cast<int32_t>(i % 6), 0,
+                          static_cast<int32_t>(i % 4), false});
+    batch.labels.push_back(i % 6);
+  }
+  const std::vector<data::ImageKey> keys = batch.keys;
+  const std::vector<std::vector<data::ImageKey>> pages = {keys, keys};
+  const std::vector<int64_t> preds = {0, 1, 2, 3, 4, 5, 0, 1};
+
+  net::WireBuf buf;
+  data::Batch dec_batch;
+  std::vector<data::ImageKey> dec_keys;
+  std::vector<std::vector<data::ImageKey>> dec_pages;
+  std::vector<int64_t> dec_preds;
+  net::ErrorInfo dec_err;
+
+  auto round = [&](uint64_t salt) {
+    buf.clear();  // capacity survives: this is the contract under test
+    net::encode_observe(buf, 7, salt, batch);
+    net::encode_predict(buf, 7, salt + 1, keys);
+    net::encode_predict_result(buf, 7, salt + 1, preds);
+    net::encode_predict_batch(buf, 7, salt + 2, pages);
+    // Short message: fits std::string's inline storage, like the fixed
+    // server-side backpressure/shutdown strings.
+    net::encode_error(buf, 7, salt + 3, net::ErrCode::kBackpressure, 5,
+                      "busy");
+    std::size_t off = 0;
+    int frames = 0;
+    bool ok = true;
+    while (ok && off + net::kHeaderBytes <= buf.size()) {
+      net::FrameHeader h;
+      ok = net::read_header(buf.data() + off, buf.size() - off, h) &&
+           net::header_error(h, net::kDefaultMaxPayload) == net::kHeaderOk;
+      if (!ok) break;
+      const uint8_t* payload = buf.data() + off + net::kHeaderBytes;
+      ok = net::crc32(payload, h.payload_len) == h.payload_crc;
+      switch (h.type) {
+        case net::MsgType::kObserve:
+          ok = ok && net::decode_observe(payload, h.payload_len, dec_batch);
+          break;
+        case net::MsgType::kPredict:
+          ok = ok && net::decode_predict(payload, h.payload_len, dec_keys);
+          break;
+        case net::MsgType::kPredictResult:
+          ok = ok &&
+               net::decode_predict_result(payload, h.payload_len, dec_preds);
+          break;
+        case net::MsgType::kPredictBatch:
+          ok = ok &&
+               net::decode_predict_batch(payload, h.payload_len, dec_pages);
+          break;
+        case net::MsgType::kError:
+          ok = ok && net::decode_error(payload, h.payload_len, dec_err);
+          break;
+        default:
+          ok = false;
+      }
+      off += net::kHeaderBytes + h.payload_len;
+      ++frames;
+    }
+    return ok && frames == 5 && off == buf.size();
+  };
+
+  for (uint64_t w = 0; w < 32; ++w) ASSERT_TRUE(round(w * 16)) << w;
+  bool all_ok = true;
+  const long long before = g_allocs.load();
+  for (uint64_t i = 0; i < 256; ++i) all_ok = round(1000 + i * 16) && all_ok;
+  const long long allocs = g_allocs.load() - before;
+  ASSERT_TRUE(all_ok);
+  EXPECT_EQ(allocs, 0);
+  EXPECT_EQ(dec_batch.keys, batch.keys);
+  EXPECT_EQ(dec_batch.labels, batch.labels);
+  EXPECT_EQ(dec_keys, keys);
+  EXPECT_EQ(dec_preds, preds);
+  EXPECT_EQ(dec_pages, pages);
+  EXPECT_EQ(dec_err.message, "busy");
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Compare fresh BENCH_*.json artefacts against the committed baselines.
 
-run_all.sh regenerates BENCH_kernels.json / BENCH_serve.json /
-BENCH_observe.json / BENCH_threads.json in the repo root on every full run;
-this script diffs them against the snapshots committed under
+run_all.sh regenerates BENCH_kernels.json and BENCH_observe.json in the repo
+root on every full run; this script diffs them against the snapshots committed under
 bench/baselines/ and fails (exit 1) when any GATED metric regresses by more
 than the threshold (default 25%). Non-gated metrics are printed in the same
 trend table for context but never fail the run — wall-clock numbers on a
@@ -39,23 +38,11 @@ METRICS = [
     ("BENCH_kernels.json", "gemm[shape=head_backward_dw].packed_gflops",
      "higher", True),
     ("BENCH_kernels.json", "conv_pointwise.speedup", "higher", False),
-    # Serving throughput: best-of-N is the gated number (single-run
-    # throughput_events_per_s is informational).
-    ("BENCH_serve.json", "throughput_best_events_per_s", "higher", True),
-    ("BENCH_serve.json", "throughput_events_per_s", "higher", False),
-    ("BENCH_serve.json", "evict_lock_ms_best", "lower", False),
     # Observe-path latency: p50 is the gated steady-state number; p99 is
     # tail-noise on a shared box.
     ("BENCH_observe.json", "observe_p50_ms", "lower", True),
     ("BENCH_observe.json", "observe_p99_ms", "lower", False),
     ("BENCH_observe.json", "bwd_over_fwd_ratio", "lower", False),
-    # Socket front-end: wire throughput gates (best-of-N); the codec
-    # nanoseconds are wall-clock noise on a shared box, informational only.
-    ("BENCH_net.json", "throughput_best_events_per_s", "higher", True),
-    ("BENCH_net.json", "codec_ns_per_round", "lower", False),
-    ("BENCH_net.json", "echo_rtt_p50_us", "lower", False),
-    # Thread scaling: informational (gated natively by bench_threads).
-    ("BENCH_threads.json", "speedup_floor_4_vs_1", "higher", False),
 ]
 
 
