@@ -46,7 +46,8 @@ class HeadLearner : public ContinualLearner {
   // rows (LatentCache hands out stable references), so no stacked copy of
   // the chunk is ever materialised. State- and stats-pure: eval mode
   // touches no weights, BN running stats are frozen, and no MACs are
-  // charged (the serve path logs predicts as replayable no-ops). Every
+  // charged (so the serve path never logs predicts, and evicts a session
+  // that served only predicts without writing it). Every
   // layer treats batch rows independently in eval mode, so ANY regrouping
   // of keys across predict_batch calls — merging several requests,
   // splitting one, a per-key loop — yields bit-identical predictions per

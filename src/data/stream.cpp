@@ -174,14 +174,18 @@ void write_keys(std::ostream& os, const std::vector<ImageKey>& keys) {
   }
 }
 
+// The readers below parse untrusted bytes (CHS3 frames read off disk on
+// every restore). Each grows its vector one decoded element at a time: a
+// forged count must not size an allocation before the bytes behind it have
+// been read.
 bool read_keys(std::istream& is, std::vector<ImageKey>& keys) {
   int64_t count = 0;
   if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
     return false;
   }
   keys.clear();
-  keys.resize(static_cast<size_t>(count));
-  for (auto& k : keys) {
+  for (int64_t i = 0; i < count; ++i) {
+    ImageKey& k = keys.emplace_back();
     uint8_t test = 0;
     if (!read_pod(is, k.class_id) || !read_pod(is, k.domain_id) ||
         !read_pod(is, k.instance_id) || !read_pod(is, test)) {
@@ -209,9 +213,8 @@ bool load_batch(Batch& batch, std::istream& is) {
     return false;
   }
   batch.labels.clear();
-  batch.labels.resize(static_cast<size_t>(count));
-  for (auto& label : batch.labels) {
-    if (!read_pod(is, label)) return false;
+  for (int64_t i = 0; i < count; ++i) {
+    if (!read_pod(is, batch.labels.emplace_back())) return false;
   }
   return read_pod(is, batch.domain);
 }
@@ -235,8 +238,8 @@ bool load_ops(std::vector<ServeOp>& ops, std::istream& is) {
     return false;
   }
   ops.clear();
-  ops.resize(static_cast<size_t>(count));
-  for (auto& op : ops) {
+  for (int64_t i = 0; i < count; ++i) {
+    ServeOp& op = ops.emplace_back();
     uint8_t predict = 0;
     if (!read_pod(is, predict)) return false;
     op.predict = predict != 0;

@@ -42,10 +42,12 @@ struct Batch {
 
 // One request a serving session executed: an observe (carrying its batch) or
 // a predict (carrying its query keys). The write-behind checkpoint pipeline
-// (src/serve/) logs these between full-blob flushes; replaying the log on
+// (src/serve/) logs observes between full-blob flushes; replaying the log on
 // top of the base blob reconstructs the evicted state bit-identically, which
-// is usually far smaller than shipping the state itself. Predicts are logged
-// too because they charge the traffic ledger, which is part of the state.
+// is usually far smaller than shipping the state itself. Predicts are state-
+// and stats-pure, so the serving runtime never logs them; the predict form
+// stays in the CHS3 byte format because existing stores and external writers
+// carry it, and a restore skips such ops as no-ops.
 struct ServeOp {
   bool predict = false;
   Batch batch;                 // observe payload (unused for predicts)

@@ -169,7 +169,12 @@ bool load_slot_store_q(SlotStore& store, std::istream& is) {
   int64_t capacity = 0, seen = 0, count = 0;
   if (!read_pod(is, magic) || magic != kMagic) return false;
   if (!read_pod(is, version) || version != kVersionSlab) return false;
-  if (!read_pod(is, capacity) || capacity <= 0) return false;
+  // A store restores only into one of its own capacity: the learner's ST
+  // capacity bounds the slab before a forged value can size it.
+  if (!read_pod(is, capacity) || capacity <= 0 ||
+      capacity != store.capacity()) {
+    return false;
+  }
   if (!read_pod(is, seen) || seen < 0) return false;
   if (!read_pod(is, count) || count < 0 || count > capacity) return false;
   std::vector<int64_t> dims;

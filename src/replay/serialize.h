@@ -32,7 +32,8 @@ bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is);
 // contiguous slab with a single shared row shape, so the payload is ONE
 // range write of count * row_numel floats straight out of the slab — no
 // per-slot tensor walk. Round-trips bit-exactly; the store's slot order,
-// keys, labels, capacity and stream counter are all preserved.
+// keys, labels, capacity and stream counter are all preserved. The loader
+// accepts only a framed capacity equal to the target store's own.
 bool save_slot_store_q(const SlotStore& store, std::ostream& os);
 bool load_slot_store_q(SlotStore& store, std::istream& is);
 

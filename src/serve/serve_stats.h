@@ -47,7 +47,8 @@ struct ServeStats {
 
   // Residency / eviction.
   int64_t creates = 0;    // sessions constructed fresh (first contact)
-  int64_t evictions = 0;  // resident learner snapshotted out of residency
+  int64_t evictions = 0;  // resident learner moved out of residency
+  int64_t clean_evictions = 0;  // of those, dropped unwritten (never dirty)
   int64_t restores = 0;   // sessions rematerialised (any source)
   int64_t pending_restores = 0;  // served from an in-flight write-behind blob
   int64_t cache_restores = 0;    // served from the flushed-snapshot cache
@@ -128,6 +129,7 @@ struct ServeStats {
     j.field("retry_hint_ms_max", retry_hint_ms_max);
     j.field("creates", creates);
     j.field("evictions", evictions);
+    j.field("clean_evictions", clean_evictions);
     j.field("restores", restores);
     j.field("pending_restores", pending_restores);
     j.field("cache_restores", cache_restores);

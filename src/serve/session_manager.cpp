@@ -302,8 +302,8 @@ void SessionManager::dispatch_plan(BatchPlan plan) {
       continue;
     }
     const size_t n_reqs = g.end - g.begin;
-    // All results are computed before any finish_dispatch: finishing moves
-    // a request's keys into the session op log.
+    // All results are computed before any finish_dispatch: the last
+    // finish releases the pin, after which the learner may be evicted.
     std::vector<std::vector<int64_t>> results(n_reqs);
     bool ok = true;
     try {
@@ -414,24 +414,25 @@ void SessionManager::finish_dispatch(Request& r,
   if (!ok) {
     // The op may have mutated state without completing; an op-log replay
     // would diverge. Force the next snapshot to full form.
+    session.dirty = true;
     session.ops_valid = false;
     session.ops.clear();
-  } else if (session.ops_valid) {
-    if (static_cast<int64_t>(session.ops.size()) >=
-        WriteBehind::kMaxReplayOps) {
-      // Bounded log: past the replay cap an op-log delta would never be
-      // encoded anyway; stop accumulating (the next flush writes full).
-      session.ops_valid = false;
-      session.ops.clear();
-    } else {
-      data::ServeOp op;
-      op.predict = r.kind == Request::Kind::kPredict;
-      if (op.predict) {
-        op.keys = std::move(r.keys);
+  } else if (r.kind == Request::Kind::kObserve) {
+    // Only observes change state; a predict leaves the session as clean
+    // as it was and is never logged.
+    session.dirty = true;
+    if (session.ops_valid) {
+      if (static_cast<int64_t>(session.ops.size()) >=
+          WriteBehind::kMaxReplayOps) {
+        // Bounded log: past the replay cap an op-log delta would never be
+        // encoded anyway; stop accumulating (the next flush writes full).
+        session.ops_valid = false;
+        session.ops.clear();
       } else {
+        data::ServeOp op;
         op.batch = std::move(r.batch);
+        session.ops.push_back(std::move(op));
       }
-      session.ops.push_back(std::move(op));
     }
   }
   if (release_pin) session.in_use = false;
@@ -496,8 +497,9 @@ core::ChameleonLearner* SessionManager::acquire_session(uint64_t session_id) {
   // Materialise with no locks held: factory construction, restore I/O and
   // op-log replay are the slow path.
   std::unique_ptr<core::ChameleonLearner> fresh;
+  bool dirty = false;
   try {
-    fresh = materialize_session(session_id);
+    fresh = materialize_session(session_id, dirty);
   } catch (...) {
     // Un-reserve so the slot does not leak (the session stays evicted /
     // absent; a later request may retry).
@@ -514,13 +516,14 @@ core::ChameleonLearner* SessionManager::acquire_session(uint64_t session_id) {
   session.learner = std::move(fresh);
   session.ops.clear();
   session.ops_valid = true;
+  session.dirty = dirty;
   session.last_used = ++tick_;
   return session.learner.get();
   // cham-lint: end(sessions_mu)
 }
 
 std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
-    uint64_t session_id) {
+    uint64_t session_id, bool& dirty) {
   auto fresh = factory_(session_id, session_seed(session_id));
   CHAM_CHECK(fresh != nullptr, "SessionManager: factory returned null");
 
@@ -574,21 +577,22 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
     CHAM_CHECK(ok, "SessionManager: corrupt session blob for id " +
                        std::to_string(session_id));
     if (!stale) {
-      // Replay the logged requests on top of the base state. The repo-wide
+      // Replay the logged observes on top of the base state. The repo-wide
       // determinism contract makes this reproduce the evicted state
-      // byte-for-byte; the frame's hash of that state proves it.
+      // byte-for-byte; the frame's hash of that state proves it. Predict
+      // ops (stores written before the log carried observes only) are
+      // state-pure no-ops and are skipped.
       std::vector<data::ServeOp> ops;
       const bool parsed = core::read_op_log(delta.data(), delta.size(), ops);
       CHAM_CHECK(parsed, "SessionManager: malformed op-log delta for id " +
                              std::to_string(session_id));
       for (const auto& op : ops) {
-        if (op.predict) {
-          (void)fresh->predict(op.keys);
-        } else {
-          fresh->observe(op.batch);
-        }
+        if (!op.predict) fresh->observe(op.batch);
       }
       replayed = static_cast<int64_t>(ops.size());
+      // The newest state sits behind a live delta that only this manager
+      // can replay: the first eviction must compact it to a full blob.
+      dirty = true;
       core::ByteBuf replayed_blob;
       {
         core::ByteBufWriter os(replayed_blob);
@@ -640,8 +644,10 @@ SessionManager::EvictedVictim SessionManager::unlink_victim() {
   out.learner = std::move(victim->learner);
   out.ops = std::move(victim->ops);
   out.ops_valid = victim->ops_valid;
+  out.dirty = victim->dirty;
   victim->ops.clear();
   victim->ops_valid = true;
+  victim->dirty = false;
   victim->evicting = true;
   --resident_;
   out.lock_ms = ms_since(t_lock);
@@ -654,27 +660,37 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim,
   // Unlocked portion of an eviction: serialise into a pool-backed snapshot
   // and hand it to the write-behind pipeline. Other shards admit/evict/
   // dispatch freely during this.
+  //
+  // A clean victim is dropped unwritten (flush() still forces a full blob
+  // for external readers). Its newest bytes are already pending or in
+  // flight in the pipeline, cached there (pinned while not durable or
+  // while a delta is outstanding), durable on disk, or nowhere at all for
+  // a never-observed session, which is its factory state.
+  const bool clean = !victim.dirty && !force_full;
+  CHAM_DCHECK(!clean || (victim.ops.empty() && victim.ops_valid),
+              "SessionManager: clean victim carries logged observes");
   const auto t0 = std::chrono::steady_clock::now();
-  auto blob = std::make_shared<core::ByteBuf>();
-  {
-    core::ByteBufWriter os(*blob);
-    const bool ok = victim.learner->save_state(os);
-    CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
-                       std::to_string(victim.session_id));
+  WriteBehind::Snapshot snap;
+  if (!clean) {
+    auto blob = std::make_shared<core::ByteBuf>();
+    {
+      core::ByteBufWriter os(*blob);
+      const bool ok = victim.learner->save_state(os);
+      CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
+                         std::to_string(victim.session_id));
+    }
+    snap.session_id = victim.session_id;
+    snap.blob = std::move(blob);
+    snap.ops = std::move(victim.ops);
+    snap.ops_valid = victim.ops_valid;
+    snap.force_full = force_full;
   }
   victim.learner.reset();  // destroy outside the lock too
   const double save_ms = ms_since(t0);
+  if (!clean) write_behind_->submit(std::move(snap));
 
-  WriteBehind::Snapshot snap;
-  snap.session_id = victim.session_id;
-  snap.blob = std::move(blob);
-  snap.ops = std::move(victim.ops);
-  snap.ops_valid = victim.ops_valid;
-  snap.force_full = force_full;
-  write_behind_->submit(std::move(snap));
-
-  // The pipeline now owns the newest bytes; unblock any dispatcher that
-  // queued up to rematerialise this session.
+  // The newest bytes are where a restore looks; unblock any dispatcher
+  // that queued up to rematerialise this session.
   {
     util::MutexLock lock(sessions_mu_);
     sessions_[victim.session_id].evicting = false;
@@ -683,6 +699,7 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim,
 
   util::MutexLock slock(stats_mu_);
   ++stats_.evictions;
+  if (clean) ++stats_.clean_evictions;
   stats_.record_save_ms(save_ms);
   stats_.record_evict_lock_ms(victim.lock_ms);
 }

@@ -20,11 +20,14 @@
 //     under the session lock (pointer moves only), serialised to an
 //     in-memory snapshot with no locks held, and handed to the WriteBehind
 //     pipeline, whose background IO thread flushes it to the SessionStore
-//     as a full blob or a CHS3 delta (see serve/write_behind.h). The next
-//     request for that session restores it bit-identically — from the
+//     as a full blob or a CHS3 op-log delta (see serve/write_behind.h).
+//     A CLEAN victim — one that has served only predicts since it was
+//     materialised — is dropped instead, with no serialisation and no
+//     write: its state already lives where it was materialised from. The
+//     next request for that session restores it bit-identically — from the
 //     pipeline's pending/cached copy if its flush has not landed yet, from
 //     disk otherwise (replaying op-log deltas through the learner, hash
-//     verified).
+//     verified), or from the factory if it was never written at all.
 //   * Each session's learner is seeded with split_seed(base_seed, id), so
 //     per-session randomness is independent of admission order.
 //
@@ -199,11 +202,18 @@ class SessionManager {
     std::unique_ptr<core::ChameleonLearner> learner;  // null when evicted
     uint64_t last_used = 0;  // residency LRU tick
     bool in_use = false;     // pinned by a dispatcher (or being materialised)
-    // Requests served since the last snapshot/restore, for op-log delta
-    // encoding. Dropped (ops_valid=false) past WriteBehind::kMaxReplayOps
-    // or after a failed dispatch left the learner state unlogged.
+    // Observes served since the last snapshot/restore, for op-log delta
+    // encoding (predicts are state-pure and never logged). Dropped
+    // (ops_valid=false) past WriteBehind::kMaxReplayOps or after a failed
+    // dispatch left the learner state unlogged.
     std::vector<data::ServeOp> ops;
     bool ops_valid = true;
+    // The learner may differ from the bytes it was materialised from: set
+    // by a completed or failed observe, any failed dispatch, and a disk
+    // restore that applied a live op-log delta (base + delta must compact
+    // to one full blob, or plain SessionStore readers keep refusing it).
+    // A clean victim is evicted without a snapshot.
+    bool dirty = false;
     // True between unlink_victim() moving the learner out and
     // snapshot_and_submit() handing the snapshot to the write-behind
     // pipeline. Materialising in that window would restore stale bytes
@@ -219,6 +229,7 @@ class SessionManager {
     std::unique_ptr<core::ChameleonLearner> learner;
     std::vector<data::ServeOp> ops;
     bool ops_valid = true;
+    bool dirty = false;
     double lock_ms = 0;  // time spent under sessions_mu_ (bench-gated < 1ms)
   };
 
@@ -248,10 +259,12 @@ class SessionManager {
   core::ChameleonLearner* acquire_session(uint64_t session_id)
       CHAM_EXCLUDES(sessions_mu_);
   // Restores/creates the learner for a reserved slot (no locks held).
+  // Sets `dirty` when the restore applied a live op-log delta from disk.
   std::unique_ptr<core::ChameleonLearner> materialize_session(
-      uint64_t session_id) CHAM_EXCLUDES(sessions_mu_);
-  // Records op stats, appends the request to the session's op log, and —
-  // when `release_pin` — releases the pin. `ok=false` marks the log invalid
+      uint64_t session_id, bool& dirty) CHAM_EXCLUDES(sessions_mu_);
+  // Records op stats, appends an observe to the session's op log, marks
+  // the session dirty after an observe or a failure, and — when
+  // `release_pin` — releases the pin. `ok=false` marks the log invalid
   // (state mutated without a completed op). Batch plans finish a group's
   // requests with release_pin=false until the LAST one: the moment the pin
   // drops, another shard may evict and free the learner, so no call after
@@ -261,7 +274,8 @@ class SessionManager {
   // Eviction, split so the analysis can prove the lock discipline: the
   // LRU unpinned victim is selected and unlinked under sessions_mu_
   // (pointer moves only — the <1ms bench gate watches this), then
-  // serialised and handed to the write-behind pipeline with NO locks held.
+  // serialised and handed to the write-behind pipeline with NO locks held
+  // (unless `force_full`, a clean victim is destroyed unwritten instead).
   // Callers sandwich: unlink_victim(); lock.unlock();
   // snapshot_and_submit(...); lock.lock();
   EvictedVictim unlink_victim() CHAM_REQUIRES(sessions_mu_);

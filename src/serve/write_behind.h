@@ -14,15 +14,17 @@
 //      coalesce in the pending map (only the newest state matters).
 //   3. FLUSH (IO thread): the blob is written to the SessionStore as
 //      either a full blob or a CHS3 op-log delta against the session's
-//      last full blob: the observe/predict requests served since the base
-//      was flushed. A restore replays them; the repo's bit-determinism
-//      contract makes the result byte-identical, and the frame's hash of
-//      the target blob verifies it. After 8 consecutive deltas, when the
-//      log is longer than kMaxReplayOps requests, or when the frame would
-//      exceed half the full blob, the blob is written full instead —
-//      compaction that bounds both restore replay cost and disk state.
-//      Only the base's hash and length are kept for encoding, never its
-//      bytes.
+//      last full blob: the observes served since the base was flushed
+//      (predicts are state-pure, so the log never carries them, and a
+//      session that served only predicts is not resubmitted at all — see
+//      serve/session_manager.h). A restore replays them; the repo's
+//      bit-determinism contract makes the result byte-identical, and the
+//      frame's hash of the target blob verifies it. After 8 consecutive
+//      deltas, when the log is longer than kMaxReplayOps observes, or when
+//      the frame would exceed half the full blob, the blob is written full
+//      instead — compaction that bounds both restore replay cost and disk
+//      state. Only the base's hash and length are kept for encoding, never
+//      its bytes.
 //
 // RESTORE CORRECTNESS: newest_blob() returns the most recent state the
 // pipeline holds for a session — the pending (not yet flushed) snapshot,
@@ -83,10 +85,10 @@ struct WriteBehindStats {
 class WriteBehind {
  public:
   // Longest op log a delta may carry (bounds restore replay cost). The
-  // manager stops logging a session's requests past it.
+  // manager stops logging a session's observes past it.
   static constexpr int64_t kMaxReplayOps = 64;
 
-  // One eviction's snapshot: the full serialised state plus the requests
+  // One eviction's snapshot: the full serialised state plus the observes
   // the session served since its previous snapshot (for op-log deltas).
   struct Snapshot {
     uint64_t session_id = 0;

@@ -11,6 +11,7 @@
 #include "nn/model_io.h"
 #include "replay/serialize.h"
 #include "serve/session_store.h"
+#include "tensor/rng.h"
 
 namespace cham {
 namespace {
@@ -267,6 +268,51 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
       EXPECT_FALSE(load(blob.substr(0, at) + i64(int64_t{1} << 32))));
 }
 
+// The ST slot store's capacity sizes its slab on the first row loaded, so
+// a blob must not choose it: a capacity forged to the slab bound (2^32
+// floats) in front of one real row fails the load instead of allocating.
+TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
+  core::ChameleonConfig cc;
+  cc.lt_capacity = 18;
+  core::ChameleonLearner source(exp_->env(), cc, 6);
+  source.observe(stream_->batches().front());
+  std::ostringstream os;
+  ASSERT_TRUE(source.save_state(os));
+  const std::string blob = os.str();
+
+  // The ST store starts after the header (u32 magic, u32 version, u8
+  // precision), head params, 4-word rng state and step.
+  std::ostringstream head;
+  ASSERT_TRUE(nn::save_params(source.head(), head));
+  const size_t at = 9 + head.str().size() + 32 + 8;
+  std::ostringstream st_bytes;
+  const replay::SlotStore& st = source.short_term().store();
+  ASSERT_TRUE(replay::save_slot_store_q(st, st_bytes));
+  ASSERT_EQ(blob.compare(at, st_bytes.str().size(), st_bytes.str()), 0);
+  ASSERT_GE(st.size(), 1);
+
+  // The same store cut down to one real row.
+  replay::SlotStore one_row(st.capacity());
+  Rng rng(0);
+  one_row.random_replace_add(st.key(0), st.label(0), st.latent_copy(0), rng);
+  std::ostringstream one_bytes;
+  ASSERT_TRUE(replay::save_slot_store_q(one_row, one_bytes));
+  const std::string prefix = blob.substr(0, at);
+  const std::string suffix = blob.substr(at + st_bytes.str().size());
+
+  auto load = [&](int64_t capacity) {
+    std::string store = one_bytes.str();
+    // Store framing: u32 magic, u32 version, then the i64 capacity.
+    std::memcpy(store.data() + 8, &capacity, sizeof(capacity));
+    core::ChameleonLearner target(exp_->env(), cc, 1234);
+    std::istringstream is(prefix + store + suffix);
+    return target.load_state(is);
+  };
+  EXPECT_TRUE(load(st.capacity())) << "control: the one-row blob loads";
+  EXPECT_NO_THROW(EXPECT_FALSE(load((int64_t{1} << 32) / st.row_numel())));
+  EXPECT_NO_THROW(EXPECT_FALSE(load(st.capacity() + 1)));
+}
+
 TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {
   core::ChameleonConfig cc;
   core::ChameleonLearner learner(exp_->env(), cc, 3);
@@ -359,6 +405,38 @@ TEST(DeltaSuite, ReadDeltaHeaderAcceptsOnlyOpLog) {
     std::vector<data::ServeOp> ops;
     EXPECT_FALSE(core::read_op_log(frame.data(), frame.size(), ops));
   }
+}
+
+// Op-log frames are read off disk on every restore. Each count in them (ops,
+// keys, labels) is forged to the format's limit with no payload behind it:
+// the decoder must run out of bytes, not size an allocation from the count.
+TEST(DeltaSuite, ForgedCountsWithoutPayloadAreRejected) {
+  const core::ByteBuf empty = core::encode_op_log(core::DeltaHeader{}, {});
+  // An empty log is the header followed by an i64 op count of 0.
+  const std::string header(empty.data(), empty.size() - sizeof(int64_t));
+  auto i64 = [](int64_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  auto parses = [&](const std::string& body) {
+    const std::string frame = header + body;
+    std::vector<data::ServeOp> ops;
+    return core::read_op_log(frame.data(), frame.size(), ops);
+  };
+  const int64_t kLimit = int64_t{1} << 32;
+  const std::string observe(1, '\0'), predict(1, '\1');
+  // Controls: the same framing with honest zero counts parses.
+  EXPECT_TRUE(parses(i64(0)));
+  EXPECT_TRUE(parses(i64(1) + predict + i64(0)));
+  EXPECT_TRUE(parses(i64(1) + observe + i64(0) + i64(0) + i64(0)));
+
+  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(kLimit)))) << "op count";
+  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(1) + predict + i64(kLimit))))
+      << "predict key count";
+  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(1) + observe + i64(kLimit))))
+      << "batch key count";
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(parses(i64(1) + observe + i64(0) + i64(kLimit))))
+      << "label count";
 }
 
 TEST(DeltaSuite, FullBlobIsNotMistakenForDelta) {

@@ -201,7 +201,7 @@ TEST(NetJson, ServeStatsEmitsParseableObject) {
   EXPECT_EQ(fields["retry_hint_ms_max"], "9.5000");
   // Spot keys from each section of the emission.
   for (const char* key : {"admissions", "predict_batches", "evictions",
-                          "wb_flushes", "flush_ms_max"}) {
+                          "clean_evictions", "wb_flushes", "flush_ms_max"}) {
     EXPECT_TRUE(fields.count(key)) << key;
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -144,9 +145,15 @@ bool load_list(const std::string& bytes) {
   return replay::load_samples_q(samples, ss);
 }
 
+// Loads into a store of the capacity the frame declares (after the u32
+// magic and u32 version): a store loads only into one of its own capacity
+// (CheckpointSuite.ForgedStCapacityWithOneRealRowIsRejected), and the
+// rejections below must be due to the field under test.
 bool load_store(const std::string& bytes) {
+  int64_t capacity = 0;
+  std::memcpy(&capacity, bytes.data() + 8, sizeof(capacity));
   std::stringstream ss(bytes);
-  replay::SlotStore store(1);
+  replay::SlotStore store(capacity);
   return replay::load_slot_store_q(store, ss);
 }
 

@@ -683,6 +683,125 @@ TEST_F(ServeSuite, RestoreDuringPendingFlushIsBitExact) {
   }
 }
 
+// A session that has served only predicts since it was materialised is
+// clean: its eviction writes nothing, because its newest bytes are already
+// where it came from. Here that is the write-behind queue itself: session 0
+// is evicted dirty into a frozen pipeline, restored from the pending
+// snapshot, serves predicts only, and is evicted again — the pending
+// snapshot must stay the very same buffer (no resubmission) and still
+// restore bit-identically once it lands.
+TEST_F(ServeSuite, PredictOnlyEvictionDuringPendingFlushRestoresBitIdentically) {
+  const auto batches = session_batches(9);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  for (const auto mode :
+       {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+    SCOPED_TRACE(mode == serve::ServeMode::kThreaded ? "threaded"
+                                                     : "deterministic");
+    serve::ServeConfig sc;
+    sc.num_shards = 1;
+    sc.max_resident = 1;  // every session switch evicts
+    sc.store_dir = "/tmp/cham_serve_clean_pending";
+    sc.mode = mode;
+    serve::SessionStore(sc.store_dir).clear();
+    serve::SessionManager mgr(sc, factory());
+    core::ChameleonLearner isolated(exp_->env(), learner_config(),
+                                    mgr.session_seed(0));
+    isolated.observe(batches[0]);
+    isolated.observe(batches[1]);
+    const auto expected = isolated.predict(test_keys);
+
+    mgr.write_behind().pause_for_test();
+    submit_or_drain(mgr, 0, batches[0]);
+    submit_or_drain(mgr, 0, batches[1]);
+    mgr.drain();
+    ASSERT_TRUE(mgr.predict(1, test_keys).has_value());  // evicts 0, dirty
+    bool pending = false;
+    const auto snapshot = mgr.write_behind().newest_blob(0, &pending);
+    ASSERT_NE(snapshot, nullptr);
+    ASSERT_TRUE(pending);
+
+    // Restore from the pending snapshot; predicts only.
+    for (int i = 0; i < 2; ++i) {
+      const auto got = mgr.predict(0, test_keys);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, expected);
+    }
+    const serve::ServeStats mid = mgr.stats();
+    EXPECT_EQ(mid.pending_restores, 1);
+    EXPECT_EQ(mid.disk_restores, 0);
+    ASSERT_TRUE(mgr.predict(1, test_keys).has_value());  // evicts 0, clean
+    const serve::ServeStats after = mgr.stats();
+    EXPECT_EQ(after.evictions, mid.evictions + 1);
+    EXPECT_EQ(after.clean_evictions, mid.clean_evictions + 1);
+    EXPECT_EQ(mgr.write_behind().newest_blob(0, &pending), snapshot)
+        << "a clean eviction must not resubmit the session";
+    EXPECT_TRUE(pending);
+
+    mgr.write_behind().resume_for_test();
+    mgr.write_behind().drain();
+    const serve::ServeStats landed = mgr.stats();
+    EXPECT_EQ(landed.wb_flushes, 1) << "only the dirty eviction is written";
+    const auto got = mgr.predict(0, test_keys);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(*got, expected);
+
+    mgr.flush();
+    core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
+    ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(0, restored));
+    expect_bit_identical(restored, isolated, "predict-only pending restore");
+  }
+  serve::SessionStore("/tmp/cham_serve_clean_pending").clear();
+}
+
+// A created session that was never observed is its factory state
+// (split_seed), so evicting it writes nothing at all, and the next request
+// recreates it bit-identically.
+TEST_F(ServeSuite, NeverObservedSessionLeavesNoBlob) {
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  for (const auto mode :
+       {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+    SCOPED_TRACE(mode == serve::ServeMode::kThreaded ? "threaded"
+                                                     : "deterministic");
+    serve::ServeConfig sc;
+    sc.num_shards = 1;
+    sc.max_resident = 1;
+    sc.store_dir = "/tmp/cham_serve_never_observed";
+    sc.mode = mode;
+    serve::SessionStore(sc.store_dir).clear();
+    serve::SessionManager mgr(sc, factory());
+    core::ChameleonLearner fresh(exp_->env(), learner_config(),
+                                 mgr.session_seed(4));
+    const auto expected = fresh.predict(test_keys);
+
+    const auto first = mgr.predict(4, test_keys);
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(*first, expected);
+    ASSERT_TRUE(mgr.predict(5, test_keys).has_value());  // evicts 4
+    mgr.write_behind().drain();
+    serve::ServeStats st = mgr.stats();
+    EXPECT_EQ(st.evictions, 1);
+    EXPECT_EQ(st.clean_evictions, 1);
+    EXPECT_EQ(st.wb_flushes, 0);
+    EXPECT_EQ(mgr.store().bytes_written(), 0);
+    EXPECT_FALSE(mgr.store().contains(4));
+    EXPECT_EQ(mgr.write_behind().newest_blob(4), nullptr);
+
+    const auto again = mgr.predict(4, test_keys);  // evicts 5, recreates 4
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(*again, expected);
+    st = mgr.stats();
+    EXPECT_EQ(st.creates, 3);
+    EXPECT_EQ(st.restores, 0);
+
+    mgr.flush();  // flush still lands every resident session in full
+    core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
+    ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(4, restored));
+    expect_bit_identical(restored, fresh, "recreated never-observed session");
+    EXPECT_FALSE(mgr.store().contains(5));
+  }
+  serve::SessionStore("/tmp/cham_serve_never_observed").clear();
+}
+
 // Satellite bugfix: drain() racing shutdown must not hang, and a manager
 // destroyed with queued work must drain it. Completion of this test IS the
 // assertion.
@@ -789,8 +908,9 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
   const auto test_keys = data::all_test_keys(exp_->config().data);
 
   // Hand-craft the on-disk state: full blob after batch 0, op-log delta
-  // covering batches 1 and 2 plus one predict (predicts charge eval MACs,
-  // so they are part of the logged state transition).
+  // covering batches 1 and 2 plus one predict. The serving runtime logs
+  // observes only, but stores written before it did still carry predicts;
+  // a restore skips them as no-ops and counts them as replayed.
   core::ChameleonLearner source(exp_->env(), learner_config(), seed);
   source.observe(batches[0]);
   core::ByteBuf base;
@@ -833,6 +953,92 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
   const serve::ServeStats st = mgr.stats();
   EXPECT_EQ(st.disk_restores, 1);
   EXPECT_EQ(st.replayed_ops, 3);
+}
+
+// A disk restore that applied a live op-log delta is dirty even if it then
+// serves only predicts: base + delta is replayable by a manager alone
+// (plain SessionStore readers refuse it), so the first eviction compacts
+// it to one full blob, the delta file goes, and the next cold restore
+// replays nothing. A log of predicts only (a store written before the log
+// carried observes only) is compacted the same way.
+TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
+  const uint64_t sid = 3;
+  const auto batches = session_batches(10);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  for (const bool with_observes : {true, false}) {
+    SCOPED_TRACE(with_observes ? "log with observes" : "predict-only log");
+    for (const auto mode :
+         {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
+      SCOPED_TRACE(mode == serve::ServeMode::kThreaded ? "threaded"
+                                                       : "deterministic");
+      serve::ServeConfig sc;
+      sc.num_shards = 1;
+      sc.max_resident = 1;
+      sc.store_dir = "/tmp/cham_serve_replay_compact";
+      sc.base_seed = 55;
+      sc.mode = mode;
+      serve::SessionStore store(sc.store_dir);
+      store.clear();
+
+      core::ChameleonLearner source(exp_->env(), learner_config(),
+                                    split_seed(sc.base_seed, sid));
+      auto snapshot = [&source] {
+        core::ByteBuf blob;
+        core::ByteBufWriter os(blob);
+        EXPECT_TRUE(source.save_state(os));
+        return blob;
+      };
+      source.observe(batches[0]);
+      const core::ByteBuf base = snapshot();
+      std::vector<data::ServeOp> ops(with_observes ? 2 : 1);
+      ops[0].predict = true;
+      ops[0].keys = test_keys;
+      if (with_observes) {
+        ops[1].batch = batches[1];
+        source.observe(batches[1]);
+      }
+      const core::ByteBuf target = snapshot();
+      core::DeltaHeader h;
+      h.base_hash = core::blob_hash(base.data(), base.size());
+      h.base_len = base.size();
+      h.next_hash = core::blob_hash(target.data(), target.size());
+      h.next_len = target.size();
+      const core::ByteBuf frame = core::encode_op_log(h, ops);
+      ASSERT_TRUE(store.put_full(sid, base.data(), base.size()));
+      ASSERT_TRUE(store.put_delta(sid, frame.data(), frame.size()));
+      const auto expected = source.predict(test_keys);
+
+      {
+        serve::SessionManager mgr(sc, factory());
+        for (int i = 0; i < 2; ++i) {
+          const auto got = mgr.predict(sid, test_keys);
+          ASSERT_TRUE(got.has_value());
+          EXPECT_EQ(*got, expected);
+        }
+        ASSERT_TRUE(mgr.predict(sid + 1, test_keys).has_value());  // evicts
+        mgr.write_behind().drain();
+        const serve::ServeStats st = mgr.stats();
+        EXPECT_EQ(st.disk_restores, 1);
+        EXPECT_EQ(st.replayed_ops, static_cast<int64_t>(ops.size()));
+        EXPECT_EQ(st.clean_evictions, 0);
+        EXPECT_EQ(st.wb_full_saves, 1) << "exactly one full write";
+        EXPECT_EQ(st.wb_oplog_saves, 0);
+        EXPECT_FALSE(store.has_delta(sid)) << "the compaction drops .delta";
+        core::ChameleonLearner reader(exp_->env(), learner_config(), 0xBEEF);
+        ASSERT_TRUE(store.load(sid, reader));
+        expect_bit_identical(reader, source, "compacted session");
+      }
+
+      serve::SessionManager cold(sc, factory());
+      const auto got = cold.predict(sid, test_keys);
+      ASSERT_TRUE(got.has_value());
+      EXPECT_EQ(*got, expected);
+      const serve::ServeStats st = cold.stats();
+      EXPECT_EQ(st.disk_restores, 1);
+      EXPECT_EQ(st.replayed_ops, 0);
+    }
+  }
+  serve::SessionStore("/tmp/cham_serve_replay_compact").clear();
 }
 
 // Crash consistency: a full write renames .chk before unlinking .delta; a
