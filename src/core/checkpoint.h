@@ -121,7 +121,7 @@ bool read_delta_header(const char* data, std::size_t n, DeltaHeader& out);
 
 // kOpLog: frames the serve requests executed between the base blob and the
 // state described by (next_hash, next_len). Replay + verification is the
-// caller's job (the SessionManager owns learners; see read_op_log).
+// reader's job (serve::SessionStore::load; see read_op_log).
 ByteBuf encode_op_log(const DeltaHeader& header,
                       const std::vector<data::ServeOp>& ops);
 

@@ -473,7 +473,7 @@ core::ChameleonLearner* SessionManager::acquire_session(uint64_t session_id) {
     EvictedVictim victim = unlink_victim();
     // cham-lint: end(sessions_mu)
     lock.unlock();
-    snapshot_and_submit(std::move(victim), /*force_full=*/false);
+    snapshot_and_submit(std::move(victim));
     lock.lock();
     // cham-lint: begin(sessions_mu)
   }
@@ -550,70 +550,21 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
     return fresh;
   }
 
+  // Disk: the store replays a live op-log delta and verifies its target
+  // hash. A restore that applied one is dirty, so the first eviction lands
+  // one full blob and later cold restores replay nothing.
   const auto t0 = std::chrono::steady_clock::now();
-  int64_t replayed = 0;
-  core::ByteBuf delta;
-  core::DeltaHeader h;
-  const bool oplog_delta =
-      store_.get_delta(session_id, delta) &&
-      core::read_delta_header(delta.data(), delta.size(), h);
-  if (!oplog_delta) {
-    // Full blob alone. A delta file that does not parse as an op log (a
-    // retired frame kind, corruption) makes the store refuse the load.
-    const bool ok = store_.load(session_id, *fresh);
-    CHAM_CHECK(ok, "SessionManager: corrupt session blob for id " +
-                       std::to_string(session_id));
-  } else {
-    core::ByteBuf base;
-    const bool have_base = store_.get_blob(session_id, base);
-    CHAM_CHECK(have_base, "SessionManager: op-log delta without base blob "
-                          "for id " +
-                              std::to_string(session_id));
-    const bool stale =
-        h.base_len != base.size() ||
-        h.base_hash != core::blob_hash(base.data(), base.size());
-    core::ByteBufReader is(base.data(), base.size());
-    const bool ok = fresh->load_state(is);
-    CHAM_CHECK(ok, "SessionManager: corrupt session blob for id " +
-                       std::to_string(session_id));
-    if (!stale) {
-      // Replay the logged observes on top of the base state. The repo-wide
-      // determinism contract makes this reproduce the evicted state
-      // byte-for-byte; the frame's hash of that state proves it. Predict
-      // ops (stores written before the log carried observes only) are
-      // state-pure no-ops and are skipped.
-      std::vector<data::ServeOp> ops;
-      const bool parsed = core::read_op_log(delta.data(), delta.size(), ops);
-      CHAM_CHECK(parsed, "SessionManager: malformed op-log delta for id " +
-                             std::to_string(session_id));
-      for (const auto& op : ops) {
-        if (!op.predict) fresh->observe(op.batch);
-      }
-      replayed = static_cast<int64_t>(ops.size());
-      // The newest state sits behind a live delta that only this manager
-      // can replay: the first eviction must compact it to a full blob.
-      dirty = true;
-      core::ByteBuf replayed_blob;
-      {
-        core::ByteBufWriter os(replayed_blob);
-        const bool saved = fresh->save_state(os);
-        CHAM_CHECK(saved, "SessionManager: reserialize after replay failed");
-      }
-      CHAM_CHECK(
-          replayed_blob.size() == h.next_len &&
-              core::blob_hash(replayed_blob.data(), replayed_blob.size()) ==
-                  h.next_hash,
-          "SessionManager: op-log replay hash mismatch for id " +
-              std::to_string(session_id) +
-              " (determinism contract violated or delta corrupt)");
-    }
-    // Stale op-log (crash between a full flush and the delta unlink): the
-    // base IS the newest state; nothing to replay.
-  }
+  SessionStore::LoadInfo info;
+  const bool ok = store_.load(session_id, *fresh, &info);
+  CHAM_CHECK(ok, "SessionManager: stored session " +
+                     std::to_string(session_id) +
+                     " failed to load (corrupt blob or delta, or op-log "
+                     "replay hash mismatch)");
+  dirty = info.applied_delta;
   util::MutexLock slock(stats_mu_);
   ++stats_.restores;
   ++stats_.disk_restores;
-  stats_.replayed_ops += replayed;
+  stats_.replayed_ops += info.replayed_ops;
   stats_.record_restore_ms(ms_since(t0));
   return fresh;
 }
@@ -655,18 +606,16 @@ SessionManager::EvictedVictim SessionManager::unlink_victim() {
   // cham-lint: end(sessions_mu)
 }
 
-void SessionManager::snapshot_and_submit(EvictedVictim victim,
-                                         bool force_full) {
+void SessionManager::snapshot_and_submit(EvictedVictim victim) {
   // Unlocked portion of an eviction: serialise into a pool-backed snapshot
   // and hand it to the write-behind pipeline. Other shards admit/evict/
   // dispatch freely during this.
   //
-  // A clean victim is dropped unwritten (flush() still forces a full blob
-  // for external readers). Its newest bytes are already pending or in
-  // flight in the pipeline, cached there (pinned while not durable or
-  // while a delta is outstanding), durable on disk, or nowhere at all for
-  // a never-observed session, which is its factory state.
-  const bool clean = !victim.dirty && !force_full;
+  // A clean victim is dropped unwritten. Its newest bytes are already
+  // pending or in flight in the pipeline, cached there (pinned while not
+  // durable or while a delta is outstanding), durable on disk, or nowhere
+  // at all for a never-observed session, which is its factory state.
+  const bool clean = !victim.dirty;
   CHAM_DCHECK(!clean || (victim.ops.empty() && victim.ops_valid),
               "SessionManager: clean victim carries logged observes");
   const auto t0 = std::chrono::steady_clock::now();
@@ -683,7 +632,6 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim,
     snap.blob = std::move(blob);
     snap.ops = std::move(victim.ops);
     snap.ops_valid = victim.ops_valid;
-    snap.force_full = force_full;
   }
   victim.learner.reset();  // destroy outside the lock too
   const double save_ms = ms_since(t0);
@@ -713,16 +661,17 @@ void SessionManager::flush() {
       EvictedVictim victim = unlink_victim();
       // cham-lint: end(sessions_mu)
       lock.unlock();
-      snapshot_and_submit(std::move(victim), /*force_full=*/true);
+      snapshot_and_submit(std::move(victim));
       lock.lock();
       // cham-lint: begin(sessions_mu)
     }
     // cham-lint: end(sessions_mu)
   }
-  // Settle the pipeline and compact any outstanding deltas so external
-  // SessionStore readers see complete, current blobs.
+  // Settle the pipeline. Base + delta pairs stay as they landed (any
+  // SessionStore::load replays them); only a failed flush is retried, as
+  // its newest state lives nowhere but the cache.
   write_behind_->drain();
-  write_behind_->compact_all();
+  write_behind_->retry_failed_flushes();
 }
 
 ServeStats SessionManager::stats() const {

@@ -26,7 +26,7 @@
 //     write: its state already lives where it was materialised from. The
 //     next request for that session restores it bit-identically — from the
 //     pipeline's pending/cached copy if its flush has not landed yet, from
-//     disk otherwise (replaying op-log deltas through the learner, hash
+//     disk otherwise (SessionStore::load replays an op-log delta, hash
 //     verified), or from the factory if it was never written at all.
 //   * Each session's learner is seeded with split_seed(base_seed, id), so
 //     per-session randomness is independent of admission order.
@@ -166,7 +166,12 @@ class SessionManager {
   // dispatching the same session's requests in parallel.
   void drain() CHAM_EXCLUDES(det_dispatch_mu_);
 
-  // Drains, then evicts every resident session to the store.
+  // Drains, evicts every resident session exactly as an admission would
+  // (a clean one is dropped, a dirty one may land as an op-log delta),
+  // waits for the write-behind pipeline, and retries any flush that
+  // failed. Afterwards SessionStore::load restores every session that was
+  // ever observed; a never-observed one has no blob and its factory state
+  // is its state.
   void flush() CHAM_EXCLUDES(sessions_mu_);
 
   // The seed a session's learner is constructed with.
@@ -210,9 +215,9 @@ class SessionManager {
     bool ops_valid = true;
     // The learner may differ from the bytes it was materialised from: set
     // by a completed or failed observe, any failed dispatch, and a disk
-    // restore that applied a live op-log delta (base + delta must compact
-    // to one full blob, or plain SessionStore readers keep refusing it).
-    // A clean victim is evicted without a snapshot.
+    // restore that applied a live op-log delta (the first eviction compacts
+    // base + delta to one full blob, so later cold restores replay
+    // nothing). A clean victim is evicted without a snapshot.
     bool dirty = false;
     // True between unlink_victim() moving the learner out and
     // snapshot_and_submit() handing the snapshot to the write-behind
@@ -258,8 +263,9 @@ class SessionManager {
   // serialisation and restore I/O both run with the lock released.
   core::ChameleonLearner* acquire_session(uint64_t session_id)
       CHAM_EXCLUDES(sessions_mu_);
-  // Restores/creates the learner for a reserved slot (no locks held).
-  // Sets `dirty` when the restore applied a live op-log delta from disk.
+  // Restores/creates the learner for a reserved slot (no locks held): from
+  // the write-behind pipeline, else through SessionStore::load, else from
+  // the factory. Sets `dirty` when the store applied a live op-log delta.
   std::unique_ptr<core::ChameleonLearner> materialize_session(
       uint64_t session_id, bool& dirty) CHAM_EXCLUDES(sessions_mu_);
   // Records op stats, appends an observe to the session's op log, marks
@@ -275,11 +281,10 @@ class SessionManager {
   // LRU unpinned victim is selected and unlinked under sessions_mu_
   // (pointer moves only — the <1ms bench gate watches this), then
   // serialised and handed to the write-behind pipeline with NO locks held
-  // (unless `force_full`, a clean victim is destroyed unwritten instead).
-  // Callers sandwich: unlink_victim(); lock.unlock();
-  // snapshot_and_submit(...); lock.lock();
+  // (a clean victim is destroyed unwritten instead). Callers sandwich:
+  // unlink_victim(); lock.unlock(); snapshot_and_submit(...); lock.lock();
   EvictedVictim unlink_victim() CHAM_REQUIRES(sessions_mu_);
-  void snapshot_and_submit(EvictedVictim victim, bool force_full)
+  void snapshot_and_submit(EvictedVictim victim)
       CHAM_EXCLUDES(sessions_mu_, stats_mu_);
   void note_dispatch_error() CHAM_EXCLUDES(stats_mu_);
 

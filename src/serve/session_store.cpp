@@ -3,11 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "util/check.h"
 
@@ -99,6 +99,7 @@ bool SessionStore::read_file(const std::string& path,
 bool SessionStore::put_full(uint64_t session_id, const char* data,
                             std::size_t n) {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   if (!write_atomic(path_for(session_id), data, n)) return false;
   // Unlink the delta AFTER the new full blob is installed: a crash in
   // between leaves a stale delta whose base hash mismatches, which load()
@@ -107,85 +108,93 @@ bool SessionStore::put_full(uint64_t session_id, const char* data,
   fs::remove(delta_path_for(session_id), ec);
   bytes_written_ += static_cast<int64_t>(n);
   return true;
+  // cham-lint: end(store_mu)
 }
 
 bool SessionStore::put_delta(uint64_t session_id, const char* data,
                              std::size_t n) {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   std::error_code ec;
   if (!fs::exists(path_for(session_id), ec)) return false;  // no base blob
   if (!write_atomic(delta_path_for(session_id), data, n)) return false;
   bytes_written_ += static_cast<int64_t>(n);
   return true;
+  // cham-lint: end(store_mu)
 }
 
 bool SessionStore::get_blob(uint64_t session_id, core::ByteBuf& out) const {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   return read_file(path_for(session_id), out);
+  // cham-lint: end(store_mu)
 }
 
-bool SessionStore::get_delta(uint64_t session_id, core::ByteBuf& out) const {
-  util::MutexLock lock(mu_);
-  return read_file(delta_path_for(session_id), out);
-}
-
-bool SessionStore::has_delta(uint64_t session_id) const {
-  util::MutexLock lock(mu_);
-  std::error_code ec;
-  return fs::exists(delta_path_for(session_id), ec);
-}
-
-bool SessionStore::save(uint64_t session_id,
-                        const core::ChameleonLearner& learner) {
-  core::ByteBuf blob;
-  {
-    core::ByteBufWriter os(blob);
-    if (!learner.save_state(os)) return false;
-  }
-  return put_full(session_id, blob.data(), blob.size());
-}
-
-bool SessionStore::load(uint64_t session_id,
-                        core::ChameleonLearner& learner) {
+bool SessionStore::load(uint64_t session_id, core::ChameleonLearner& learner,
+                        LoadInfo* info) {
   core::ByteBuf base, delta;
+  bool has_delta = false;
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(store_mu)
     if (!read_file(path_for(session_id), base)) return false;
-    if (read_file(delta_path_for(session_id), delta)) {
-      core::DeltaHeader h;
-      if (!core::read_delta_header(delta.data(), delta.size(), h)) {
-        return false;  // delta present but unparseable: refuse to guess
-      }
-      if (h.base_len == base.size() &&
-          h.base_hash == core::blob_hash(base.data(), base.size())) {
-        // The newest state needs op replay through a dispatcher; plain
-        // readers must only see compacted stores.
-        return false;
-      }
-      // Stale delta (base hash mismatch): a crash between a full-blob
-      // rename and the delta unlink. The base is the newer state; serve it.
-    }
-    bytes_read_ += static_cast<int64_t>(base.size());
+    has_delta = read_file(delta_path_for(session_id), delta);
+    // cham-lint: end(store_mu)
+  }
+  // Everything below runs with mu_ released: the pair is a consistent
+  // snapshot in memory now, and a replay of up to
+  // WriteBehind::kMaxReplayOps observes must not serialise other sessions'
+  // writes and restores.
+  core::DeltaHeader h;
+  if (has_delta && !core::read_delta_header(delta.data(), delta.size(), h)) {
+    return false;  // delta present but unparseable: refuse to guess
+  }
+  // A stale delta (base hash mismatch) is a crash between a full-blob
+  // rename and the delta unlink: the base is the newer state.
+  const bool live = has_delta && h.base_len == base.size() &&
+                    h.base_hash == core::blob_hash(base.data(), base.size());
+  std::vector<data::ServeOp> ops;
+  if (live && !core::read_op_log(delta.data(), delta.size(), ops)) {
+    return false;
   }
   core::ByteBufReader is(base.data(), base.size());
-  return learner.load_state(is);
+  if (!learner.load_state(is)) return false;
+  if (live) {
+    // The repo-wide determinism contract makes the replay reproduce the
+    // evicted state byte for byte; the target hash proves it. Predict ops
+    // (frames written before the log carried observes only) are
+    // state-pure and skipped.
+    for (const auto& op : ops) {
+      if (!op.predict) learner.observe(op.batch);
+    }
+    core::ByteBuf replayed;
+    {
+      core::ByteBufWriter os(replayed);
+      if (!learner.save_state(os)) return false;
+    }
+    if (replayed.size() != h.next_len ||
+        core::blob_hash(replayed.data(), replayed.size()) != h.next_hash) {
+      return false;
+    }
+  }
+  if (info) {
+    info->replayed_ops = live ? static_cast<int64_t>(ops.size()) : 0;
+    info->applied_delta = live;
+  }
+  return true;
 }
 
 bool SessionStore::contains(uint64_t session_id) const {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   std::error_code ec;
   return fs::exists(path_for(session_id), ec);
-}
-
-bool SessionStore::erase(uint64_t session_id) {
-  util::MutexLock lock(mu_);
-  std::error_code ec;
-  fs::remove(delta_path_for(session_id), ec);
-  return fs::remove(path_for(session_id), ec);
+  // cham-lint: end(store_mu)
 }
 
 void SessionStore::clear() {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
@@ -195,46 +204,14 @@ void SessionStore::clear() {
       fs::remove(entry.path(), rm_ec);
     }
   }
-}
-
-std::vector<uint64_t> SessionStore::session_ids() const {
-  util::MutexLock lock(mu_);
-  std::vector<uint64_t> ids;
-  std::error_code ec;
-  const std::string suffix = kSuffix;
-  for (const auto& entry : fs::directory_iterator(dir_, ec)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind(kPrefix, 0) != 0 || !has_suffix(name, suffix)) continue;
-    const std::string digits = name.substr(
-        std::string(kPrefix).size(),
-        name.size() - std::string(kPrefix).size() - suffix.size());
-    uint64_t id = 0;
-    bool numeric = !digits.empty();
-    for (char c : digits) {
-      if (c < '0' || c > '9') {
-        numeric = false;
-        break;
-      }
-      id = id * 10 + static_cast<uint64_t>(c - '0');
-    }
-    if (numeric) ids.push_back(id);
-  }
-  std::sort(ids.begin(), ids.end());
-  return ids;
-}
-
-int64_t SessionStore::size() const {
-  return static_cast<int64_t>(session_ids().size());
+  // cham-lint: end(store_mu)
 }
 
 int64_t SessionStore::bytes_written() const {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(store_mu)
   return bytes_written_;
-}
-
-int64_t SessionStore::bytes_read() const {
-  util::MutexLock lock(mu_);
-  return bytes_read_;
+  // cham-lint: end(store_mu)
 }
 
 }  // namespace cham::serve

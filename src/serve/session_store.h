@@ -25,16 +25,21 @@
 // crash in between leaves a .delta whose base hash no longer matches —
 // load() detects that and serves the (newer) base alone.
 //
-// Thread-safety: all methods are serialised by an internal mutex. Blob I/O
-// happens under the lock; callers on latency-sensitive paths (the
-// write-behind IO thread, cold restores) already treat this as the slow
-// tier.
+// One reader: load() is the only decoder of a stored pair. It replays a
+// live op-log delta through the caller's learner and verifies the result
+// against the frame's target hash, so a store left by a running server
+// (SessionManager::flush included) restores through any load() call.
+//
+// Thread-safety: all methods are serialised by an internal mutex, held for
+// file I/O only. load() reads both files under it and restores, replays
+// and re-serialises with it released (cham_lint's learner-in-store-mu
+// rule), so two shards restoring from disk never queue behind one
+// another's replay.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/chameleon.h"
 #include "core/checkpoint.h"
@@ -61,43 +66,33 @@ class SessionStore {
   bool put_delta(uint64_t session_id, const char* data, std::size_t n)
       CHAM_EXCLUDES(mu_);
 
-  // Raw bytes of the full blob / the delta frame. False if absent or
-  // unreadable.
+  // Raw bytes of the full blob. False if absent or unreadable.
   bool get_blob(uint64_t session_id, core::ByteBuf& out) const
       CHAM_EXCLUDES(mu_);
-  bool get_delta(uint64_t session_id, core::ByteBuf& out) const
-      CHAM_EXCLUDES(mu_);
-  bool has_delta(uint64_t session_id) const CHAM_EXCLUDES(mu_);
 
-  // --- Learner convenience wrappers. ---
+  // What load() applied on top of the full blob.
+  struct LoadInfo {
+    int64_t replayed_ops = 0;    // op-log entries, skipped predicts included
+    bool applied_delta = false;  // a live op-log delta was replayed
+  };
 
-  // Serialises the learner's full state (in memory, then one durable
-  // write). False on serialisation or I/O failure; never clobbers the
-  // previous blob on failure.
-  bool save(uint64_t session_id, const core::ChameleonLearner& learner)
-      CHAM_EXCLUDES(mu_);
-
-  // Restores the session's full blob into a learner constructed with the
-  // same config and environment, ignoring a stale delta (base hash
-  // mismatch — see the crash-consistency note above). Returns false if
-  // absent or malformed, if a delta is present but does not parse as an op
-  // log, and also if the newest state is behind a live op-log delta:
-  // replaying ops needs the SessionManager (it owns dispatch), so plain
-  // readers must only be pointed at compacted stores
-  // (SessionManager::flush compacts).
-  bool load(uint64_t session_id, core::ChameleonLearner& learner)
-      CHAM_EXCLUDES(mu_);
+  // Restores the session's newest state into a learner constructed with
+  // the same config and environment: the full blob, then the observes of a
+  // live op-log delta, re-serialised and checked against the frame's
+  // target length and hash. A stale delta (base hash mismatch — see the
+  // crash-consistency note above) is ignored and the base served alone.
+  // Returns false if the blob is absent or malformed, if a delta is
+  // present but does not parse as an op log (retired kind 0 included), or
+  // if the replayed state misses the target; the learner is then in an
+  // unspecified state. `info`, when given, is filled on success.
+  bool load(uint64_t session_id, core::ChameleonLearner& learner,
+            LoadInfo* info = nullptr) CHAM_EXCLUDES(mu_);
 
   bool contains(uint64_t session_id) const CHAM_EXCLUDES(mu_);
-  bool erase(uint64_t session_id) CHAM_EXCLUDES(mu_);
   void clear() CHAM_EXCLUDES(mu_);  // removes every session blob and delta
-
-  std::vector<uint64_t> session_ids() const CHAM_EXCLUDES(mu_);
-  int64_t size() const CHAM_EXCLUDES(mu_);  // stored session count
 
   const std::string& dir() const { return dir_; }
   int64_t bytes_written() const CHAM_EXCLUDES(mu_);
-  int64_t bytes_read() const CHAM_EXCLUDES(mu_);
 
  private:
   std::string path_for(uint64_t session_id) const;
@@ -112,12 +107,11 @@ class SessionStore {
       CHAM_REQUIRES(mu_);
 
   std::string dir_;
-  // Guards the byte counters AND the on-disk blob/delta pair: the two-file
+  // Guards the byte counter AND the on-disk blob/delta pair: the two-file
   // update protocols (rename-then-unlink) are atomic only because every
   // accessor serialises here.
   mutable util::Mutex mu_;
   int64_t bytes_written_ CHAM_GUARDED_BY(mu_) = 0;
-  int64_t bytes_read_ CHAM_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace cham::serve

@@ -60,7 +60,6 @@ void WriteBehind::submit(Snapshot snap) {
       } else {
         p.ops.clear();
       }
-      p.force_full = p.force_full || snap.force_full;
     } else {
       queue_.push_back(snap.session_id);
       pending_.emplace(snap.session_id, std::move(snap));
@@ -131,8 +130,8 @@ void WriteBehind::io_loop() {
 }
 
 void WriteBehind::flush_one(Snapshot snap) {
-  // Excludes compact_all's writes; the IO thread is the only flusher, so
-  // this is uncontended otherwise.
+  // Excludes retry_failed_flushes' writes; the IO thread is the only
+  // flusher, so this is uncontended otherwise.
   util::MutexLock io_lock(io_mu_);
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t id = snap.session_id;
@@ -169,7 +168,7 @@ void WriteBehind::flush_one(Snapshot snap) {
   // target, or the next delta base), so it is computed once, outside mu_.
   const uint64_t next_hash = core::blob_hash(blob.data(), blob.size());
   core::ByteBuf frame;  // empty: write a full blob
-  if (!snap.force_full && has_base && deltas < kCompactEvery && ops_ok &&
+  if (has_base && deltas < kCompactEvery && ops_ok &&
       static_cast<int64_t>(ops.size()) <= kMaxReplayOps) {
     core::DeltaHeader h;
     h.base_hash = base_hash;
@@ -261,55 +260,45 @@ void WriteBehind::enforce_cache_budget_locked() {
     if (bytes <= cfg_.snapshot_cache_bytes) return;
     Meta& m = meta_[id];
     const bool pinned = !m.durable || m.deltas_since_full > 0;
+    // A pinned blob is missing from disk (a failed flush) or stored there
+    // as base + delta. Turn cache pressure into compaction: land it as a
+    // full blob, then the pin drops, and the session's next restore reads
+    // that blob and replays nothing.
     if (pinned) {
-      // The latest blob is the only complete copy of state that is newer
-      // than (or missing from) disk. Turn cache pressure into compaction:
-      // land it as a full blob, then the pin drops.
-      if (!store_.put_full(id, m.latest->data(), m.latest->size())) {
-        ++stats_.flush_errors;
-        continue;  // cannot safely drop; try the next victim
-      }
+      if (!land_full_locked(id, m)) continue;  // cannot safely drop
       ++stats_.compactions;
-      ++stats_.flushes;
-      ++stats_.full_saves;
-      stats_.full_bytes += blob_bytes(m.latest);
-      m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
-      m.base_len = m.latest->size();
-      m.has_base = true;
-      m.deltas_since_full = 0;
-      m.ops_since_base.clear();
-      m.ops_valid = true;
-      m.durable = true;
     }
     bytes -= blob_bytes(m.latest);
     m.latest.reset();
   }
 }
 
-void WriteBehind::compact_all() {
+bool WriteBehind::land_full_locked(uint64_t id, Meta& m) {
+  if (!store_.put_full(id, m.latest->data(), m.latest->size())) {
+    ++stats_.flush_errors;
+    return false;
+  }
+  ++stats_.flushes;
+  ++stats_.full_saves;
+  stats_.full_bytes += blob_bytes(m.latest);
+  m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
+  m.base_len = m.latest->size();
+  m.has_base = true;
+  m.deltas_since_full = 0;
+  m.ops_since_base.clear();
+  m.ops_valid = true;
+  m.durable = true;
+  return true;
+}
+
+void WriteBehind::retry_failed_flushes() {
   util::MutexLock io_lock(io_mu_);
   util::MutexLock lock(mu_);
-  CHAM_CHECK(queue_.empty() && inflight_.empty(),
-             "WriteBehind: compact_all before drain");
   for (auto& [id, m] : meta_) {
-    if (m.durable && m.deltas_since_full == 0) continue;
-    CHAM_CHECK(m.latest != nullptr,
-               "WriteBehind: non-compacted session lost its cached blob");
-    if (!store_.put_full(id, m.latest->data(), m.latest->size())) {
-      ++stats_.flush_errors;
-      continue;
-    }
-    ++stats_.compactions;
-    ++stats_.flushes;
-    ++stats_.full_saves;
-    stats_.full_bytes += blob_bytes(m.latest);
-    m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
-    m.base_len = m.latest->size();
-    m.has_base = true;
-    m.deltas_since_full = 0;
-    m.ops_since_base.clear();
-    m.ops_valid = true;
-    m.durable = true;
+    if (m.durable) continue;
+    CHAM_DCHECK(m.latest != nullptr,
+                "WriteBehind: a session that failed to flush lost its blob");
+    land_full_locked(id, m);
   }
 }
 

@@ -40,14 +40,19 @@
 //
 // SNAPSHOT CACHE: the last-flushed `latest` blob of each session, bounded
 // by snapshot_cache_bytes (LRU). A session whose newest flushed state is a
-// delta keeps `latest` pinned so compact_all() can always land a full blob
-// without replay; when the cache is over budget, the LRU pinned session is
-// compacted to disk on the spot (write a full blob, drop the pin) — cache
-// pressure turns into compaction, never into lost state. The budget is
-// enforced after every flush, and cache_bytes_high_water is recorded just
-// before that trim, so the peak is at most snapshot_cache_bytes plus the
-// one blob that just landed. The cache stays above budget after a trim
-// only when a compaction write failed (counted in flush_errors).
+// delta, or whose last flush failed, keeps `latest` pinned; when the cache
+// is over budget, the LRU pinned session is compacted to disk on the spot
+// (write a full blob, drop the pin). Cache pressure thus turns into
+// compaction, never into lost state, and a session pushed out of the
+// cache restores from a full blob without replay. The budget is enforced
+// after every flush, and cache_bytes_high_water is recorded just before
+// that trim, so the peak is at most snapshot_cache_bytes plus the one blob
+// that just landed. The cache stays above budget after a trim only when a
+// compaction write failed (counted in flush_errors).
+//
+// SHUTDOWN: SessionManager::flush() evicts, drains, and calls
+// retry_failed_flushes(). Base + delta pairs stay on disk as they landed;
+// SessionStore::load replays them.
 #pragma once
 
 #include <cstdint>
@@ -94,8 +99,7 @@ class WriteBehind {
     uint64_t session_id = 0;
     std::shared_ptr<const core::ByteBuf> blob;
     std::vector<data::ServeOp> ops;
-    bool ops_valid = true;   // false: op log overflowed or a dispatch failed
-    bool force_full = false; // flush/shutdown: external readers need fulls
+    bool ops_valid = true;  // false: op log overflowed or a dispatch failed
   };
 
   WriteBehind(SessionStore& store, WriteBehindConfig cfg);
@@ -121,10 +125,10 @@ class WriteBehind {
   // Blocks until every queued snapshot has been flushed (or failed).
   void drain() CHAM_EXCLUDES(mu_);
 
-  // Writes a full blob for every session whose newest flushed state is a
-  // delta, so plain SessionStore readers see complete state. Call after
-  // drain().
-  void compact_all() CHAM_EXCLUDES(io_mu_, mu_);
+  // Writes a full blob for every session whose last flush failed (its
+  // newest state lives only in the cache). SessionManager::flush() calls
+  // it after drain().
+  void retry_failed_flushes() CHAM_EXCLUDES(io_mu_, mu_);
 
   WriteBehindStats stats() const CHAM_EXCLUDES(mu_);
   // Bytes the snapshot cache holds right now (sum of cached `latest` blobs).
@@ -160,13 +164,17 @@ class WriteBehind {
   void flush_one(Snapshot snap) CHAM_EXCLUDES(io_mu_, mu_);
   // Under mu_: recompute cached bytes and evict/compact down to budget.
   void enforce_cache_budget_locked() CHAM_REQUIRES(mu_);
+  // Under mu_: writes m.latest as the session's full blob and makes it the
+  // delta base. False, counted in flush_errors, if the write failed.
+  bool land_full_locked(uint64_t id, Meta& m) CHAM_REQUIRES(mu_);
   int64_t cached_bytes_locked() const CHAM_REQUIRES(mu_);
 
   SessionStore& store_;
   WriteBehindConfig cfg_;
 
   // Lock order: io_mu_ before mu_ (flush_one holds io_mu_ across the encode
-  // and takes mu_ twice inside; compact_all takes both). Never the reverse.
+  // and takes mu_ twice inside; retry_failed_flushes takes both). Never the
+  // reverse.
   mutable util::Mutex mu_;
   util::CondVar cv_;       // IO thread: work available / stop
   util::CondVar cv_idle_;  // drain(): queue empty, nothing mid-flush
@@ -181,7 +189,8 @@ class WriteBehind {
   bool paused_ CHAM_GUARDED_BY(mu_) = false;
   bool stop_ CHAM_GUARDED_BY(mu_) = false;
 
-  // Serialises disk writes: flush_one (IO thread) against compact_all.
+  // Serialises disk writes: flush_one (IO thread) against
+  // retry_failed_flushes.
   util::Mutex io_mu_ CHAM_ACQUIRED_BEFORE(mu_);
   std::thread io_thread_;
 };

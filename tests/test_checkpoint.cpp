@@ -114,7 +114,12 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
 
   serve::SessionStore store("/tmp/cham_test_midstream");
   store.clear();
-  ASSERT_TRUE(store.save(/*session_id=*/1, first_half));
+  core::ByteBuf blob;
+  {
+    core::ByteBufWriter os(blob);
+    ASSERT_TRUE(first_half.save_state(os));
+  }
+  ASSERT_TRUE(store.put_full(/*session_id=*/1, blob.data(), blob.size()));
 
   core::ChameleonLearner resumed(exp_->env(), cc, 4242);  // different seed
   ASSERT_TRUE(store.load(1, resumed));

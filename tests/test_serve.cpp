@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
+#include <iterator>
 #include <span>
 #include <thread>
 #include <vector>
@@ -136,6 +139,28 @@ class ServeSuite : public ::testing::Test {
     // Traffic ledger.
     EXPECT_EQ(a.stats().onchip_bytes, b.stats().onchip_bytes);
     EXPECT_EQ(a.stats().offchip_bytes, b.stats().offchip_bytes);
+  }
+
+  // The learner's full CHS2 blob.
+  static core::ByteBuf blob_of(const core::ChameleonLearner& learner) {
+    core::ByteBuf blob;
+    core::ByteBufWriter os(blob);
+    EXPECT_TRUE(learner.save_state(os));
+    return blob;
+  }
+
+  static bool put_learner(serve::SessionStore& store, uint64_t sid,
+                          const core::ChameleonLearner& learner) {
+    const core::ByteBuf blob = blob_of(learner);
+    return store.put_full(sid, blob.data(), blob.size());
+  }
+
+  // The store's on-disk names for a session's full blob and delta frame.
+  static std::string blob_path(const std::string& dir, uint64_t sid) {
+    return dir + "/session_" + std::to_string(sid) + ".chk";
+  }
+  static std::string delta_path(const std::string& dir, uint64_t sid) {
+    return dir + "/session_" + std::to_string(sid) + ".delta";
   }
 
   static metrics::Experiment* exp_;
@@ -404,35 +429,43 @@ TEST_F(ServeSuite, ThreadedModeMatchesIsolation) {
   }
 }
 
-// SessionStore basics: blobs round-trip, enumerate, and erase.
+// SessionStore basics: blobs round-trip byte for byte under decimal-id
+// file names, load() restores them, and clear() removes blobs and deltas.
 TEST_F(ServeSuite, SessionStoreLifecycle) {
   const std::string dir = "/tmp/cham_serve_store";
   serve::SessionStore store(dir);
   store.clear();
-  EXPECT_EQ(store.size(), 0);
   EXPECT_FALSE(store.contains(4));
+  core::ByteBuf got;
+  EXPECT_FALSE(store.get_blob(4, got));
 
   core::ChameleonLearner learner(exp_->env(), learner_config(), 17);
   const auto batches = session_batches(1);
   learner.observe(batches[0]);
-  ASSERT_TRUE(store.save(4, learner));
-  ASSERT_TRUE(store.save(9000000007ull, learner));
+  const core::ByteBuf blob = blob_of(learner);
+  ASSERT_TRUE(store.put_full(4, blob.data(), blob.size()));
+  ASSERT_TRUE(store.put_full(9000000007ull, blob.data(), blob.size()));
   EXPECT_TRUE(store.contains(4));
-  EXPECT_EQ(store.size(), 2);
-  EXPECT_EQ(store.session_ids(),
-            (std::vector<uint64_t>{4, 9000000007ull}));
-  EXPECT_GT(store.bytes_written(), 0);
+  EXPECT_TRUE(std::filesystem::exists(blob_path(dir, 9000000007ull)));
+  EXPECT_EQ(store.bytes_written(), static_cast<int64_t>(2 * blob.size()));
+  ASSERT_TRUE(store.get_blob(4, got));
+  EXPECT_TRUE(got == blob);
 
   core::ChameleonLearner other(exp_->env(), learner_config(), 99);
-  ASSERT_TRUE(store.load(4, other));
+  serve::SessionStore::LoadInfo info;
+  ASSERT_TRUE(store.load(4, other, &info));
   expect_bit_identical(learner, other, "store round trip");
-  EXPECT_GT(store.bytes_read(), 0);
+  EXPECT_EQ(info.replayed_ops, 0);
+  EXPECT_FALSE(info.applied_delta);
 
-  EXPECT_TRUE(store.erase(4));
-  EXPECT_FALSE(store.contains(4));
-  EXPECT_FALSE(store.erase(4));
+  // A delta needs a base; clear() removes both kinds of file.
+  EXPECT_FALSE(store.put_delta(5, blob.data(), 1));
+  ASSERT_TRUE(store.put_delta(4, blob.data(), 1));
+  EXPECT_TRUE(std::filesystem::exists(delta_path(dir, 4)));
   store.clear();
-  EXPECT_EQ(store.size(), 0);
+  EXPECT_FALSE(store.contains(4));
+  EXPECT_FALSE(store.contains(9000000007ull));
+  EXPECT_FALSE(std::filesystem::exists(delta_path(dir, 4)));
 }
 
 // The Zipf schedule helper: deterministic in the seed, skewed toward low
@@ -505,13 +538,14 @@ TEST_F(ServeSuite, SaveFailureLeavesOldBlobIntact) {
   const auto batches = session_batches(2);
   core::ChameleonLearner learner(exp_->env(), learner_config(), 17);
   learner.observe(batches[0]);
-  ASSERT_TRUE(store.save(7, learner));
+  ASSERT_TRUE(put_learner(store, 7, learner));
 
   // Divert the next temp file to a device that rejects all writes.
   const std::string tmp = dir + "/session_7.chk.tmp";
   ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0) << "symlink failed";
   learner.observe(batches[1]);
-  EXPECT_FALSE(store.save(7, learner)) << "ENOSPC write must fail the save";
+  EXPECT_FALSE(put_learner(store, 7, learner))
+      << "ENOSPC write must fail the save";
 
   // The pre-failure blob is still installed, complete, and loadable.
   core::ChameleonLearner as_of_first_save(exp_->env(), learner_config(), 17);
@@ -521,11 +555,49 @@ TEST_F(ServeSuite, SaveFailureLeavesOldBlobIntact) {
   expect_bit_identical(as_of_first_save, restored, "blob after failed save");
 
   // The failed attempt cleaned up its temp link; a retry succeeds.
-  ASSERT_TRUE(store.save(7, learner));
+  ASSERT_TRUE(put_learner(store, 7, learner));
   core::ChameleonLearner after(exp_->env(), learner_config(), 98);
   ASSERT_TRUE(store.load(7, after));
   expect_bit_identical(learner, after, "blob after retried save");
   store.clear();
+}
+
+// A write-behind flush that failed leaves the session's newest state only
+// in the snapshot cache. flush() must retry it once the disk recovers: the
+// eviction's full write hits /dev/full (see SaveFailureLeavesOldBlobIntact),
+// and after the link is gone, flush() lands the cached blob, which loads
+// bit-identically.
+TEST_F(ServeSuite, FlushRetriesFailedWriteBehindFlush) {
+  serve::ServeConfig sc;
+  sc.num_shards = 1;
+  sc.max_resident = 1;  // touching session 1 evicts session 0
+  sc.store_dir = "/tmp/cham_serve_flush_retry";
+  serve::SessionStore(sc.store_dir).clear();
+  const auto batches = session_batches(11);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  serve::SessionManager mgr(sc, factory());
+
+  const std::string tmp = blob_path(sc.store_dir, 0) + ".tmp";
+  ASSERT_EQ(::symlink("/dev/full", tmp.c_str()), 0) << "symlink failed";
+  submit_or_drain(mgr, 0, batches[0]);
+  mgr.drain();
+  ASSERT_TRUE(mgr.predict(1, test_keys).has_value());  // evicts 0, dirty
+  mgr.write_behind().drain();
+  EXPECT_EQ(mgr.stats().wb_flush_errors, 1);
+  EXPECT_FALSE(mgr.store().contains(0));
+
+  // The failed write unlinked its temp name, link included: the disk has
+  // recovered.
+  ASSERT_FALSE(std::filesystem::is_symlink(tmp));
+  mgr.flush();
+  EXPECT_EQ(mgr.stats().wb_flush_errors, 1);
+  core::ChameleonLearner isolated(exp_->env(), learner_config(),
+                                  mgr.session_seed(0));
+  isolated.observe(batches[0]);
+  core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
+  ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(0, restored));
+  expect_bit_identical(restored, isolated, "retried flush");
+  serve::SessionStore(sc.store_dir).clear();
 }
 
 // Satellite bugfix: an exception inside dispatch must reach the predict()
@@ -754,8 +826,8 @@ TEST_F(ServeSuite, PredictOnlyEvictionDuringPendingFlushRestoresBitIdentically) 
 }
 
 // A created session that was never observed is its factory state
-// (split_seed), so evicting it writes nothing at all, and the next request
-// recreates it bit-identically.
+// (split_seed), so evicting it writes nothing at all, flush() included, and
+// the next request — or a fresh manager — recreates it bit-identically.
 TEST_F(ServeSuite, NeverObservedSessionLeavesNoBlob) {
   const auto test_keys = data::all_test_keys(exp_->config().data);
   for (const auto mode :
@@ -793,11 +865,18 @@ TEST_F(ServeSuite, NeverObservedSessionLeavesNoBlob) {
     EXPECT_EQ(st.creates, 3);
     EXPECT_EQ(st.restores, 0);
 
-    mgr.flush();  // flush still lands every resident session in full
-    core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
-    ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(4, restored));
-    expect_bit_identical(restored, fresh, "recreated never-observed session");
+    mgr.flush();  // evicts like any eviction: the clean session is dropped
+    EXPECT_FALSE(mgr.store().contains(4));
     EXPECT_FALSE(mgr.store().contains(5));
+    EXPECT_EQ(mgr.store().bytes_written(), 0);
+
+    serve::SessionManager cold(sc, factory());
+    const auto recreated = cold.predict(4, test_keys);
+    ASSERT_TRUE(recreated.has_value());
+    EXPECT_EQ(*recreated, expected);
+    st = cold.stats();
+    EXPECT_EQ(st.creates, 1);
+    EXPECT_EQ(st.restores, 0);
   }
   serve::SessionStore("/tmp/cham_serve_never_observed").clear();
 }
@@ -833,12 +912,17 @@ TEST_F(ServeSuite, ShutdownWithConcurrentDrainsDoesNotHang) {
     }
   }
   serve::SessionStore reader(sc.store_dir);
-  EXPECT_EQ(reader.size(), 3);  // all three sessions landed on disk
+  for (uint64_t s = 0; s < 3; ++s) {
+    EXPECT_TRUE(reader.contains(s)) << "session " << s << " never landed";
+  }
 }
 
 // Tentpole: steady-state eviction writes shrink by >5x once a session's
 // base blob is on disk — each re-eviction after a single observe writes an
-// op-log delta, not the 2MB full blob.
+// op-log delta, not the 2MB full blob. flush() compacts nothing, so the
+// deltas the running manager wrote stay on disk, and both readers — a
+// plain SessionStore::load and a cold SessionManager — replay them back to
+// the isolated state.
 TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   constexpr int kRounds = 6;
   serve::ServeConfig sc;
@@ -877,9 +961,17 @@ TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   // Fidelity still holds through the delta path.
   mgr.flush();
   serve::SessionStore reader(sc.store_dir);
+  serve::SessionManager cold(sc, factory());
+  const auto test_keys = data::all_test_keys(exp_->config().data);
   for (uint64_t s = 0; s < 2; ++s) {
+    SCOPED_TRACE("session " + std::to_string(s));
+    EXPECT_TRUE(std::filesystem::exists(delta_path(sc.store_dir, s)))
+        << "flush() must leave the manager's delta on disk";
     core::ChameleonLearner restored(exp_->env(), learner_config(), 0xACE);
-    ASSERT_TRUE(reader.load(s, restored));
+    serve::SessionStore::LoadInfo info;
+    ASSERT_TRUE(reader.load(s, restored, &info));
+    EXPECT_TRUE(info.applied_delta);
+    EXPECT_GT(info.replayed_ops, 0);
     core::ChameleonLearner isolated(exp_->env(), learner_config(),
                                     mgr.session_seed(s));
     for (int round = 0; round < kRounds; ++round) {
@@ -888,7 +980,15 @@ TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
     }
     expect_bit_identical(restored, isolated,
                          "delta-path session " + std::to_string(s));
+    // The cold restore is hash-verified against the evicted blob, which
+    // the plain load above just matched to isolation.
+    const auto served = cold.predict(s, test_keys);
+    ASSERT_TRUE(served.has_value());
+    EXPECT_EQ(*served, isolated.predict(test_keys));
   }
+  const serve::ServeStats cs = cold.stats();
+  EXPECT_EQ(cs.disk_restores, 2);
+  EXPECT_GT(cs.replayed_ops, 0);
 }
 
 // Disk restore through an op-log delta: base blob + logged requests on
@@ -942,7 +1042,7 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
     serve::SessionStore writer(sc.store_dir);
     ASSERT_TRUE(writer.put_full(sid, base.data(), base.size()));
     ASSERT_TRUE(writer.put_delta(sid, frame.data(), frame.size()));
-    EXPECT_TRUE(writer.has_delta(sid));
+    EXPECT_TRUE(std::filesystem::exists(delta_path(sc.store_dir, sid)));
   }
 
   // A cold manager must reconstruct the target state by replay.
@@ -956,10 +1056,10 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
 }
 
 // A disk restore that applied a live op-log delta is dirty even if it then
-// serves only predicts: base + delta is replayable by a manager alone
-// (plain SessionStore readers refuse it), so the first eviction compacts
-// it to one full blob, the delta file goes, and the next cold restore
-// replays nothing. A log of predicts only (a store written before the log
+// serves only predicts: left as it is, base + delta would be replayed again
+// by every later cold restore, so the first eviction compacts it to one
+// full blob, the delta file goes, and the next cold restore replays
+// nothing. A log of predicts only (a store written before the log
 // carried observes only) is compacted the same way.
 TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
   const uint64_t sid = 3;
@@ -1023,7 +1123,8 @@ TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
         EXPECT_EQ(st.clean_evictions, 0);
         EXPECT_EQ(st.wb_full_saves, 1) << "exactly one full write";
         EXPECT_EQ(st.wb_oplog_saves, 0);
-        EXPECT_FALSE(store.has_delta(sid)) << "the compaction drops .delta";
+        EXPECT_FALSE(std::filesystem::exists(delta_path(sc.store_dir, sid)))
+            << "the compaction drops .delta";
         core::ChameleonLearner reader(exp_->env(), learner_config(), 0xBEEF);
         ASSERT_TRUE(store.load(sid, reader));
         expect_bit_identical(reader, source, "compacted session");
@@ -1085,7 +1186,8 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
   ASSERT_TRUE(store.put_full(sid, blob_a.data(), blob_a.size()));
   ASSERT_TRUE(store.put_delta(sid, delta_ab.data(), delta_ab.size()));
   ASSERT_TRUE(store.put_full(sid, blob_c.data(), blob_c.size()));
-  EXPECT_FALSE(store.has_delta(sid)) << "put_full must remove the delta";
+  EXPECT_FALSE(std::filesystem::exists(delta_path(sc.store_dir, sid)))
+      << "put_full must remove the delta";
   ASSERT_TRUE(store.put_delta(sid, delta_ab.data(), delta_ab.size()));
 
   core::ChameleonLearner as_c(exp_->env(), learner_config(), 0x22);
@@ -1101,11 +1203,13 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
   EXPECT_EQ(st.replayed_ops, 0) << "a stale op log must not be replayed";
 }
 
-// Kind 0 of the CHS3 frame was the retired chunk diff. A legacy frame of
-// that kind next to its base must be refused, never misread as an op log
-// or skipped as stale: SessionStore::load fails whether or not its base
-// hash matches, and a SessionManager disk restore surfaces an error
-// instead of returning a learner, in both scheduler modes.
+// A delta that cannot be applied must be refused, never served as if it
+// were the newest state. Two such frames: kind 0 of CHS3, the retired chunk
+// diff (never misread as an op log or skipped as stale, whether or not its
+// base hash matches), and a live op-log delta whose replay misses a forged
+// target hash. SessionStore::load fails, and a SessionManager disk restore
+// fails the request as one dispatch error and leaves nothing resident, in
+// both scheduler modes.
 TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
   const std::string dir = "/tmp/cham_serve_legacy";
   const uint64_t sid = 5;
@@ -1113,11 +1217,7 @@ TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
   const auto test_keys = data::all_test_keys(exp_->config().data);
   core::ChameleonLearner learner(exp_->env(), learner_config(), 41);
   learner.observe(batches[0]);
-  core::ByteBuf base;
-  {
-    core::ByteBufWriter os(base);
-    ASSERT_TRUE(learner.save_state(os));
-  }
+  const core::ByteBuf base = blob_of(learner);
   const uint64_t base_hash = core::blob_hash(base.data(), base.size());
 
   // Legacy layout: CHS3 header with kind 0, then the chunk size and a
@@ -1140,10 +1240,38 @@ TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
     return f;
   };
 
-  for (const bool hash_matches : {true, false}) {
-    SCOPED_TRACE(hash_matches ? "base hash matches" : "stale base hash");
-    const core::ByteBuf frame =
-        legacy_frame(hash_matches ? base_hash : base_hash ^ 1);
+  // A live op-log delta replaying batch 1. Unforged, it loads; with its
+  // target hash forged, the replay check alone must refuse it.
+  learner.observe(batches[1]);
+  const core::ByteBuf target = blob_of(learner);
+  std::vector<data::ServeOp> ops(1);
+  ops[0].batch = batches[1];
+  core::DeltaHeader h;
+  h.base_hash = base_hash;
+  h.base_len = base.size();
+  h.next_hash = core::blob_hash(target.data(), target.size());
+  h.next_len = target.size();
+  {
+    const core::ByteBuf frame = core::encode_op_log(h, ops);
+    serve::SessionStore store(dir);
+    store.clear();
+    ASSERT_TRUE(store.put_full(sid, base.data(), base.size()));
+    ASSERT_TRUE(store.put_delta(sid, frame.data(), frame.size()));
+    core::ChameleonLearner probe(exp_->env(), learner_config(), 0x33);
+    serve::SessionStore::LoadInfo info;
+    ASSERT_TRUE(store.load(sid, probe, &info));
+    EXPECT_EQ(info.replayed_ops, 1);
+    expect_bit_identical(probe, learner, "unforged op-log delta");
+  }
+  h.next_hash ^= 1;
+
+  const std::pair<const char*, core::ByteBuf> cases[] = {
+      {"legacy kind 0, base hash matches", legacy_frame(base_hash)},
+      {"legacy kind 0, stale base hash", legacy_frame(base_hash ^ 1)},
+      {"op log, forged target hash", core::encode_op_log(h, ops)},
+  };
+  for (const auto& [name, frame] : cases) {
+    SCOPED_TRACE(name);
     for (const auto mode :
          {serve::ServeMode::kDeterministic, serve::ServeMode::kThreaded}) {
       const bool threaded = mode == serve::ServeMode::kThreaded;
@@ -1233,8 +1361,10 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
           max_blob = std::max(max_blob, bytes.size());
         }
         core::DeltaHeader h;
-        if (reader.get_delta(tid, bytes) &&
-            core::read_delta_header(bytes.data(), bytes.size(), h)) {
+        std::ifstream delta(delta_path(sc.store_dir, tid), std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(delta),
+                     std::istreambuf_iterator<char>());
+        if (core::read_delta_header(bytes.data(), bytes.size(), h)) {
           max_blob = std::max(max_blob, static_cast<std::size_t>(h.next_len));
         }
       }

@@ -50,6 +50,16 @@ are about *this* codebase's contracts:
                       seed's 63ms save_ms_max was exactly this bug).
                       Eviction must unlink under the lock and serialise /
                       flush with it released (see serve/write_behind.h).
+  learner-in-store-mu Learner restore or replay calls (load_state,
+                      save_state, observe, predict, read_op_log) inside a
+                      SessionStore::mu_ critical section — between
+                      `// cham-lint: begin(store_mu)` and
+                      `// cham-lint: end(store_mu)` markers. The store lock
+                      serialises every disk read and write of every session;
+                      SessionStore::load reads the blob/delta pair under it
+                      and restores and replays (up to 64 observes) with it
+                      released, so two shards restoring from disk never
+                      queue behind one another's replay.
   blocking-in-batch-plan
                       Blocking I/O, checkpoint (de)serialisation, heap
                       allocation via make_unique/make_shared, or any learner
@@ -140,6 +150,9 @@ RULES = {
     "io-in-sessions-mu": "filesystem/stream or checkpoint serialisation call "
     "inside a sessions_mu_ critical section (stalls every shard); unlink "
     "under the lock, serialise/flush with it released",
+    "learner-in-store-mu": "learner restore/replay call inside a "
+    "SessionStore::mu_ critical section (serialises every shard's disk "
+    "restores); read the files under the lock, replay with it released",
     "blocking-in-batch-plan": "blocking I/O, serialisation, heap allocation "
     "or learner dispatch inside a batch-plan critical section (runs under a "
     "shard queue mutex; plan formation may only move queued requests)",
@@ -193,12 +206,15 @@ ALLOC_RE = re.compile(
 # Marked regions are delimited by marker comments; markers live in
 # comments so they are matched on the raw source, while the rules below run
 # on the stripped code. Region kinds: `dispatch` (shard queue mutex),
-# `sessions_mu` (global residency lock), `batch_plan` (shard queue mutex
-# during plan formation) and `hot_path` (zero-copy replay loops).
+# `sessions_mu` (global residency lock), `store_mu` (SessionStore file
+# lock), `batch_plan` (shard queue mutex during plan formation) and
+# `hot_path` (zero-copy replay loops).
 DISPATCH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(dispatch\)")
 DISPATCH_END_RE = re.compile(r"cham-lint:\s*end\(dispatch\)")
 SESSIONS_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(sessions_mu\)")
 SESSIONS_END_RE = re.compile(r"cham-lint:\s*end\(sessions_mu\)")
+STORE_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(store_mu\)")
+STORE_MU_END_RE = re.compile(r"cham-lint:\s*end\(store_mu\)")
 BATCH_PLAN_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(batch_plan\)")
 BATCH_PLAN_END_RE = re.compile(r"cham-lint:\s*end\(batch_plan\)")
 HOT_PATH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(hot_path\)")
@@ -232,6 +248,11 @@ PLAN_DISPATCH_RE = re.compile(
     r"(?<![_A-Za-z0-9])(?:acquire_session|materialize_session|dispatch_plan|"
     r"dispatch_timed|snapshot_and_submit|unlink_victim)\s*\("
     r"|(?:\.|->)\s*(?:predict|predict_batch|observe|eval_batch)\s*\("
+)
+# Learner restore / replay work: must run with SessionStore::mu_ released.
+STORE_LEARNER_RE = re.compile(
+    r"(?:\.|->)\s*(?:load_state|save_state|observe|predict)\s*\("
+    r"|(?<![_A-Za-z0-9])read_op_log\s*\("
 )
 BLOCKING_RE = re.compile(
     r"(?<![_A-Za-z0-9])(?:i|o)?fstream(?![A-Za-z0-9])"
@@ -475,6 +496,11 @@ def lint_file(path, raw):
         SESSIONS_BEGIN_RE, SESSIONS_END_RE, "io-in-sessions-mu",
         lambda line: bool(BLOCKING_RE.search(line) or
                           SERIALIZE_RE.search(line)))
+    # store_mu sections hold the SessionStore's file lock: file I/O only,
+    # no learner restore or op-log replay.
+    check_region(
+        STORE_MU_BEGIN_RE, STORE_MU_END_RE, "learner-in-store-mu",
+        lambda line: bool(STORE_LEARNER_RE.search(line)))
     # batch_plan sections run under a shard queue mutex while the planner
     # selects coalescible predicts: no blocking I/O, no (de)serialisation,
     # no make_unique/make_shared, and no learner dispatch of any kind.

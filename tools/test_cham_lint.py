@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Self-tests for cham_lint.py — one positive and one negative case per
 behaviour of the thread-safety rules (raw-mutex, naked-cv-wait,
-unguarded-shared-member), of parallel-for-grain, of unregistered-test and of
-test-only-header, plus regression cases for the trickier matching
-(suppressions, comments/strings, wait_for, nested regions, sibling-header
-guarded declarations).
+unguarded-shared-member), of parallel-for-grain, of learner-in-store-mu, of
+unregistered-test and of test-only-header, plus regression cases for the
+trickier matching (suppressions, comments/strings, wait_for, nested regions,
+sibling-header guarded declarations).
 
 Run directly (python3 tools/test_cham_lint.py) or via run_static.sh.
 Exit status: 0 all pass, 1 failures.
@@ -318,6 +318,22 @@ def main():
           "modulo-sampling" in rules_of(lint_src("x = rng.next_u64() % n;")))
     check("naked-new",
           "naked-new" in rules_of(lint_src("auto* p = new Foo();")))
+
+    print("rule: learner-in-store-mu")
+    check("flags a replay observe under the store lock",
+          rules_of(lint_src(
+              "// cham-lint: begin(store_mu)\n"
+              "for (const auto& op : ops) learner.observe(op.batch);\n"
+              "// cham-lint: end(store_mu)\n",
+              path="src/serve/session_store.cpp")) == ["learner-in-store-mu"])
+    check("clean: file reads under the lock, restore after it",
+          rules_of(lint_src(
+              "// cham-lint: begin(store_mu)\n"
+              "if (!read_file(path_for(id), base)) return false;\n"
+              "// cham-lint: end(store_mu)\n"
+              "if (!core::read_op_log(d.data(), d.size(), ops)) return false;\n"
+              "if (!learner.load_state(is)) return false;\n",
+              path="src/serve/session_store.cpp")) == [])
 
     print("rule: unregistered-test")
     with tempfile.TemporaryDirectory() as tmp:
