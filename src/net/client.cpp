@@ -83,15 +83,6 @@ uint64_t NetClient::send_predict(uint64_t session_id,
   return id;
 }
 
-uint64_t NetClient::send_predict_batch(
-    uint64_t session_id,
-    const std::vector<std::vector<data::ImageKey>>& pages) {
-  const uint64_t id = next_id();
-  encode_predict_batch(send_buf_, session_id, id, pages);
-  flush_send_buf();
-  return id;
-}
-
 uint64_t NetClient::send_control(MsgType type, uint64_t session_id) {
   const uint64_t id = next_id();
   encode_control(send_buf_, type, session_id, id);
@@ -142,7 +133,6 @@ bool NetClient::read_reply(Reply& out) {
   out.request_id = h.request_id;
   out.queue_depth = 0;
   out.preds.clear();
-  out.pages.clear();
   out.json.clear();
   switch (h.type) {
     case MsgType::kObserveOk:
@@ -154,11 +144,6 @@ bool NetClient::read_reply(Reply& out) {
       CHAM_CHECK(
           decode_predict_result(recv_buf_.data(), h.payload_len, out.preds),
           "bad PREDICT_RESULT payload");
-      break;
-    case MsgType::kPredictBatchResult:
-      CHAM_CHECK(decode_predict_batch_result(recv_buf_.data(), h.payload_len,
-                                             out.pages),
-                 "bad PREDICT_BATCH_RESULT payload");
       break;
     case MsgType::kError:
       CHAM_CHECK(decode_error(recv_buf_.data(), h.payload_len, out.error),
@@ -220,18 +205,6 @@ Reply NetClient::predict_admitted(uint64_t session_id,
   Reply r;
   for (int t = 0; t < max_tries; ++t) {
     r = predict(session_id, keys);
-    if (!r.backpressured()) return r;
-    backoff(r);
-  }
-  return r;
-}
-
-Reply NetClient::predict_batch_admitted(
-    uint64_t session_id, const std::vector<std::vector<data::ImageKey>>& pages,
-    int max_tries) {
-  Reply r;
-  for (int t = 0; t < max_tries; ++t) {
-    r = predict_batch(session_id, pages);
     if (!r.backpressured()) return r;
     backoff(r);
   }

@@ -2,13 +2,14 @@
 //
 // One NetClient owns one connection. Two usage styles over the same socket:
 //
-//   blocking     observe()/predict()/predict_batch()/flush()/stats_json()
-//                send one request and wait for its reply;
+//   blocking     observe()/predict()/flush()/stats_json() send one request
+//                and wait for its reply;
 //   pipelined    send_*() returns immediately with the request_id, await_reply()
 //                collects replies — any number of requests may be in flight,
 //                which is what lets the server's BatchPlanner merge one
 //                client's predicts (and several clients') into shared eval
-//                windows.
+//                windows. Several key lists are several send_predict()
+//                calls, each answered by its own PREDICT_RESULT.
 //
 // Replies arrive in completion order (net/protocol.h: same-session predicts
 // and FLUSH stay ordered; other sessions' results, acks and errors may
@@ -45,7 +46,6 @@ struct Reply {
   ErrorInfo error;                          // kError
   int64_t queue_depth = 0;                  // kObserveOk
   std::vector<int64_t> preds;               // kPredictResult
-  std::vector<std::vector<int64_t>> pages;  // kPredictBatchResult
   std::string json;                         // kStatsResult
 
   bool ok() const { return type != MsgType::kError; }
@@ -78,9 +78,6 @@ class NetClient {
   uint64_t send_observe(uint64_t session_id, const data::Batch& batch);
   uint64_t send_predict(uint64_t session_id,
                         const std::vector<data::ImageKey>& keys);
-  uint64_t send_predict_batch(
-      uint64_t session_id,
-      const std::vector<std::vector<data::ImageKey>>& pages);
   // FLUSH / STATS / SHUTDOWN (empty-payload requests).
   uint64_t send_control(MsgType type, uint64_t session_id = 0);
 
@@ -96,10 +93,6 @@ class NetClient {
   Reply predict(uint64_t session_id, const std::vector<data::ImageKey>& keys) {
     return await_reply(send_predict(session_id, keys));
   }
-  Reply predict_batch(uint64_t session_id,
-                      const std::vector<std::vector<data::ImageKey>>& pages) {
-    return await_reply(send_predict_batch(session_id, pages));
-  }
   Reply flush() { return await_reply(send_control(MsgType::kFlush)); }
   Reply stats_json() { return await_reply(send_control(MsgType::kStats)); }
   Reply shutdown_server() { return await_reply(send_control(MsgType::kShutdown)); }
@@ -111,10 +104,6 @@ class NetClient {
   Reply predict_admitted(uint64_t session_id,
                          const std::vector<data::ImageKey>& keys,
                          int max_tries = 1000);
-  Reply predict_batch_admitted(
-      uint64_t session_id,
-      const std::vector<std::vector<data::ImageKey>>& pages,
-      int max_tries = 1000);
 
   // Test hook: write arbitrary bytes to the socket (malformed-frame and
   // split-write robustness tests drive the server through this).

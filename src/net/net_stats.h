@@ -33,8 +33,7 @@ struct NetStats {
 
   // Requests decoded and handed to the serving runtime.
   int64_t observes_in = 0;
-  int64_t predicts_in = 0;       // PREDICT frames + PREDICT_BATCH pages
-  int64_t predict_batches_in = 0;
+  int64_t predicts_in = 0;
   int64_t flushes_in = 0;
   int64_t stats_in = 0;
   int64_t shutdowns_in = 0;
@@ -48,9 +47,7 @@ struct NetStats {
   int64_t err_malformed = 0;     // bad magic or undecodable payload
   int64_t err_bad_version = 0;
   int64_t err_bad_crc = 0;
-  int64_t err_oversized = 0;     // payload over the ceiling, or a
-                                 // PREDICT_BATCH with more pages than a
-                                 // shard queue holds
+  int64_t err_oversized = 0;     // payload over the ceiling
   int64_t err_dispatch = 0;      // learner threw; exception relayed as ERROR
   int64_t err_shutting_down = 0;
   int64_t err_unknown_type = 0;  // well-framed request with an unknown type
@@ -76,7 +73,6 @@ struct NetStats {
     j.field("bytes_out", bytes_out);
     j.field("observes_in", observes_in);
     j.field("predicts_in", predicts_in);
-    j.field("predict_batches_in", predict_batches_in);
     j.field("flushes_in", flushes_in);
     j.field("stats_in", stats_in);
     j.field("shutdowns_in", shutdowns_in);

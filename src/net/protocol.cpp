@@ -185,29 +185,6 @@ void encode_predict_result(WireBuf& out, uint64_t session_id,
   close_frame(out, h);
 }
 
-void encode_predict_batch(
-    WireBuf& out, uint64_t session_id, uint64_t request_id,
-    const std::vector<std::vector<data::ImageKey>>& pages) {
-  const std::size_t h = open_frame(out, MsgType::kPredictBatch, session_id,
-                                   request_id);
-  put_u32(out, static_cast<uint32_t>(pages.size()));
-  for (const auto& page : pages) put_keys(out, page);
-  close_frame(out, h);
-}
-
-void encode_predict_batch_result(
-    WireBuf& out, uint64_t session_id, uint64_t request_id,
-    const std::vector<std::vector<int64_t>>& pages) {
-  const std::size_t h = open_frame(out, MsgType::kPredictBatchResult,
-                                   session_id, request_id);
-  put_u32(out, static_cast<uint32_t>(pages.size()));
-  for (const auto& page : pages) {
-    put_u32(out, static_cast<uint32_t>(page.size()));
-    for (const int64_t v : page) put_i64(out, v);
-  }
-  close_frame(out, h);
-}
-
 void encode_control(WireBuf& out, MsgType type, uint64_t session_id,
                     uint64_t request_id) {
   close_frame(out, open_frame(out, type, session_id, request_id));
@@ -288,40 +265,6 @@ bool decode_predict_result(const uint8_t* p, std::size_t n,
   return r.ok() && r.off == n;
 }
 
-bool decode_predict_batch(const uint8_t* p, std::size_t n,
-                          std::vector<std::vector<data::ImageKey>>& pages) {
-  Reader r{p, n};
-  const uint32_t np = r.u32();
-  // A page is at least its 4-byte count; bound before resizing.
-  if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(np) * 4) {
-    return false;
-  }
-  pages.resize(np);
-  for (uint32_t i = 0; i < np; ++i) {
-    if (!get_keys(r, pages[i])) return false;
-  }
-  return r.ok() && r.off == n;
-}
-
-bool decode_predict_batch_result(const uint8_t* p, std::size_t n,
-                                 std::vector<std::vector<int64_t>>& pages) {
-  Reader r{p, n};
-  const uint32_t np = r.u32();
-  if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(np) * 4) {
-    return false;
-  }
-  pages.resize(np);
-  for (uint32_t i = 0; i < np; ++i) {
-    const uint32_t k = r.u32();
-    if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(k) * kLabelBytes) {
-      return false;
-    }
-    pages[i].resize(k);
-    for (uint32_t j = 0; j < k; ++j) pages[i][j] = r.i64();
-  }
-  return r.ok() && r.off == n;
-}
-
 bool decode_error(const uint8_t* p, std::size_t n, ErrorInfo& out) {
   Reader r{p, n};
   out.code = static_cast<ErrCode>(r.u16());
@@ -335,13 +278,11 @@ const char* msg_type_name(MsgType t) {
   switch (t) {
     case MsgType::kObserve: return "OBSERVE";
     case MsgType::kPredict: return "PREDICT";
-    case MsgType::kPredictBatch: return "PREDICT_BATCH";
     case MsgType::kFlush: return "FLUSH";
     case MsgType::kStats: return "STATS";
     case MsgType::kShutdown: return "SHUTDOWN";
     case MsgType::kObserveOk: return "OBSERVE_OK";
     case MsgType::kPredictResult: return "PREDICT_RESULT";
-    case MsgType::kPredictBatchResult: return "PREDICT_BATCH_RESULT";
     case MsgType::kFlushOk: return "FLUSH_OK";
     case MsgType::kStatsResult: return "STATS_RESULT";
     case MsgType::kShutdownOk: return "SHUTDOWN_OK";

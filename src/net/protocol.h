@@ -19,19 +19,21 @@
 //       28     4  payload_crc  CRC-32 of the payload (0 when empty)
 //
 // Request types carry the serving API: OBSERVE (one training batch),
-// PREDICT (one key list), PREDICT_BATCH (several key lists submitted as
-// pipelined predicts — the shape the BatchPlanner merges into one eval
-// window), FLUSH (drain + evict everything to the store), STATS (JSON
-// snapshot of ServeStats + NetStats), SHUTDOWN (graceful server stop).
+// PREDICT (one key list), FLUSH (drain + evict everything to the store),
+// STATS (JSON snapshot of ServeStats + NetStats), SHUTDOWN (graceful server
+// stop). Several key lists travel as pipelined PREDICT frames, one reply
+// each; the BatchPlanner merges them like any queued predicts. Types 3 and
+// 19 (the retired PREDICT_BATCH pair) stay reserved and, like any type the
+// server does not speak, get an UNKNOWN_TYPE error.
 // Every request gets exactly one reply frame echoing session_id/request_id:
 // the matching *_OK / *_RESULT type, or ERROR with a typed code — including
 // BACKPRESSURE, which carries the admission layer's retry_after_ms hint so
 // remote callers back off exactly like in-process ones.
 //
 // Delivery contract: replies leave in completion order. On one
-// connection, replies to the same session's PREDICT/PREDICT_BATCH requests
-// arrive in submission order, and FLUSH_OK arrives after the replies to
-// every predict sent before the FLUSH. Replies to different sessions'
+// connection, replies to the same session's PREDICT requests arrive in
+// submission order, and FLUSH_OK arrives after the replies to every
+// predict sent before the FLUSH. Replies to different sessions'
 // predicts, admission acks and errors may overtake one another, so clients
 // match on request_id, never on arrival order.
 //
@@ -70,14 +72,14 @@ enum class MsgType : uint16_t {
   // Requests.
   kObserve = 1,
   kPredict = 2,
-  kPredictBatch = 3,
+  // 3 is reserved (retired PREDICT_BATCH); it gets UNKNOWN_TYPE.
   kFlush = 4,
   kStats = 5,
   kShutdown = 6,
   // Replies.
   kObserveOk = 17,
   kPredictResult = 18,
-  kPredictBatchResult = 19,
+  // 19 is reserved (retired PREDICT_BATCH_RESULT).
   kFlushOk = 20,
   kStatsResult = 21,
   kShutdownOk = 22,
@@ -131,12 +133,6 @@ void encode_predict(WireBuf& out, uint64_t session_id, uint64_t request_id,
 void encode_predict_result(WireBuf& out, uint64_t session_id,
                            uint64_t request_id,
                            const std::vector<int64_t>& preds);
-void encode_predict_batch(WireBuf& out, uint64_t session_id,
-                          uint64_t request_id,
-                          const std::vector<std::vector<data::ImageKey>>& pages);
-void encode_predict_batch_result(
-    WireBuf& out, uint64_t session_id, uint64_t request_id,
-    const std::vector<std::vector<int64_t>>& pages);
 // Empty-payload control frames (FLUSH / STATS / SHUTDOWN and their acks).
 void encode_control(WireBuf& out, MsgType type, uint64_t session_id,
                     uint64_t request_id);
@@ -168,10 +164,6 @@ bool decode_predict(const uint8_t* p, std::size_t n,
                     std::vector<data::ImageKey>& out);
 bool decode_predict_result(const uint8_t* p, std::size_t n,
                            std::vector<int64_t>& out);
-bool decode_predict_batch(const uint8_t* p, std::size_t n,
-                          std::vector<std::vector<data::ImageKey>>& pages);
-bool decode_predict_batch_result(const uint8_t* p, std::size_t n,
-                                 std::vector<std::vector<int64_t>>& pages);
 bool decode_error(const uint8_t* p, std::size_t n, ErrorInfo& out);
 
 const char* msg_type_name(MsgType t);

@@ -360,32 +360,7 @@ void NetServer::handle_frame(Connection& c, const FrameHeader& h,
         stats_.err_malformed += 1;
         return;
       }
-      submit_predicts(c, h, {&keys_, 1});
-      return;
-    }
-    case MsgType::kPredictBatch: {
-      if (!decode_predict_batch(payload, h.payload_len, pages_) ||
-          pages_.empty()) {
-        encode_error(reply, h.session_id, h.request_id, ErrCode::kMalformed, 0,
-                     "undecodable PREDICT_BATCH payload");
-        enqueue(c, std::move(reply));
-        util::MutexLock slock(stats_mu_);
-        stats_.err_malformed += 1;
-        return;
-      }
-      if (static_cast<int64_t>(pages_.size()) > mgr_.config().queue_capacity) {
-        // Every page of one session lands in one shard queue, so this many
-        // can never be admitted at once: refuse for good, before submitting
-        // anything, rather than answer a BACKPRESSURE that no retry cures.
-        encode_error(reply, h.session_id, h.request_id, ErrCode::kOversized, 0,
-                     "PREDICT_BATCH has more pages than a shard queue holds");
-        enqueue(c, std::move(reply));
-        util::MutexLock slock(stats_mu_);
-        stats_.predict_batches_in += 1;
-        stats_.err_oversized += 1;
-        return;
-      }
-      submit_predicts(c, h, pages_);
+      submit_predict(c, h);
       return;
     }
     case MsgType::kFlush: {
@@ -419,80 +394,44 @@ void NetServer::handle_frame(Connection& c, const FrameHeader& h,
   }
 }
 
-void NetServer::submit_predicts(
-    Connection& c, const FrameHeader& h,
-    std::span<const std::vector<data::ImageKey>> pages) {
+void NetServer::submit_predict(Connection& c, const FrameHeader& h) {
   auto p = std::make_shared<PendingReply>();
   p->conn = c.shared_from_this();
-  p->type = h.type;
   p->session_id = h.session_id;
   p->request_id = h.request_id;
-  p->futures.resize(pages.size());
-  // One reference per page plus the submitter's own, so no hook can finish
-  // the reply before every page has been offered.
-  p->refs.store(pages.size() + 1, std::memory_order_relaxed);
   {
     util::MutexLock lock(c.mu);
     // cham-lint: begin(net_mu)
     ++c.inflight;
     // cham-lint: end(net_mu)
   }
-  // Pages submit as pipelined predicts so the BatchPlanner can merge them
-  // (with other connections' traffic) into one eval window.
-  serve::Admission adm;
-  std::size_t admitted = 0;
-  for (; admitted < pages.size(); ++admitted) {
-    adm = mgr_.submit_predict(h.session_id, pages[admitted],
-                              &p->futures[admitted],
-                              [this, p] { complete(*p, 1); });
-    if (!adm.accepted) break;
-  }
-  const bool batch = h.type == MsgType::kPredictBatch;
-  if (admitted < pages.size()) {
-    // Not atomic under backpressure: the admitted prefix executes (its
-    // results are discarded — predicts are read-only w.r.t. model state),
-    // the client retries the whole request.
-    WireBuf reply;
-    encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
-                 adm.retry_after_ms,
-                 batch ? "predict queue full (partial batch)"
-                       : "predict queue full");
-    enqueue(c, std::move(reply));
-    p->discard = true;
-  }
-  if (admitted > 0) admitted_ = true;
+  const serve::Admission adm = mgr_.submit_predict(
+      h.session_id, keys_, &p->result, [this, p] { reply_predict(*p); });
   {
     util::MutexLock slock(stats_mu_);
-    stats_.predict_batches_in += batch ? 1 : 0;
-    stats_.predicts_in += batch ? static_cast<int64_t>(admitted) : 1;
-    stats_.err_backpressure += admitted < pages.size() ? 1 : 0;
+    stats_.predicts_in += 1;
+    stats_.err_backpressure += adm.accepted ? 0 : 1;
   }
-  complete(*p, pages.size() - admitted + 1);
+  if (adm.accepted) {
+    admitted_ = true;
+    return;
+  }
+  WireBuf reply;
+  encode_error(reply, h.session_id, h.request_id, ErrCode::kBackpressure,
+               adm.retry_after_ms, "predict queue full");
+  enqueue(c, std::move(reply), /*retire=*/true);
 }
 
-void NetServer::complete(PendingReply& p, std::size_t n) {
-  if (p.refs.fetch_sub(n, std::memory_order_acq_rel) != n) return;
+void NetServer::reply_predict(PendingReply& p) {
   WireBuf frame;
   bool failed = false;
-  if (!p.discard) {
-    std::vector<std::vector<int64_t>> results(p.futures.size());
-    std::string what;
-    for (std::size_t i = 0; i < p.futures.size(); ++i) {
-      try {
-        results[i] = p.futures[i].get();
-      } catch (const std::exception& e) {
-        failed = true;
-        what = e.what();
-      }
-    }
-    if (failed) {
-      encode_error(frame, p.session_id, p.request_id, ErrCode::kDispatchFailed,
-                   0, what);
-    } else if (p.type == MsgType::kPredict) {
-      encode_predict_result(frame, p.session_id, p.request_id, results[0]);
-    } else {
-      encode_predict_batch_result(frame, p.session_id, p.request_id, results);
-    }
+  try {
+    const std::vector<int64_t> preds = p.result.get();
+    encode_predict_result(frame, p.session_id, p.request_id, preds);
+  } catch (const std::exception& e) {
+    failed = true;
+    encode_error(frame, p.session_id, p.request_id, ErrCode::kDispatchFailed,
+                 0, e.what());
   }
   if (enqueue(*p.conn, std::move(frame), /*retire=*/true)) {
     util::MutexLock slock(stats_mu_);

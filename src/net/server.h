@@ -25,14 +25,14 @@
 //                   inline. Never blocks on anything but poll() and those
 //                   manager calls; all sockets are non-blocking.
 //
-//   Completions     Not a thread. Each admitted predict carries a done hook
+//   Completions     Not a thread. Each admitted PREDICT carries a done hook
 //                   (serve::Request::done) that the dispatching thread — a
 //                   shard worker, or the I/O thread inside drain() — calls
-//                   once the result is ready. The hook that completes a
-//                   PREDICT (or the last page of a PREDICT_BATCH) encodes
-//                   the reply straight into the connection's outbox and
-//                   wakes the I/O thread through the self-pipe. It never
-//                   blocks: one push under the connection mutex.
+//                   once the result is ready. The hook encodes the reply
+//                   from the request's one future straight into the
+//                   connection's outbox and wakes the I/O thread through
+//                   the self-pipe. It never blocks: one push under the
+//                   connection mutex.
 //
 // Delivery order: replies leave in completion order. A session's predicts
 // complete in submission order (one dispatcher per session, FIFO queue),
@@ -81,7 +81,6 @@
 #include <deque>
 #include <future>
 #include <memory>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,29 +155,21 @@ class NetServer {
     util::Mutex mu;
     std::deque<WireBuf> outbox CHAM_GUARDED_BY(mu);
     int64_t outbox_bytes CHAM_GUARDED_BY(mu) = 0;
-    // Admitted PREDICT / PREDICT_BATCH requests whose reply is not queued
-    // yet (the graceful-drain gate).
+    // PREDICT requests whose reply is not queued yet (the graceful-drain
+    // gate).
     int64_t inflight CHAM_GUARDED_BY(mu) = 0;
     bool closed CHAM_GUARDED_BY(mu) = false;  // fd is gone: drop replies
   };
 
-  // One PREDICT (one page) or PREDICT_BATCH awaiting its pages' results.
-  // Each admitted page's done hook releases one reference and the
-  // submitting I/O thread releases the rest; whoever releases the last
-  // encodes the reply from the (then all ready) futures.
+  // One PREDICT awaiting its result. SessionManager::submit_predict stores
+  // the future before it queues the request, so the shard mutex orders that
+  // store before the done hook that reads it (deterministic mode runs both
+  // on the I/O thread).
   struct PendingReply {
     std::shared_ptr<Connection> conn;
-    MsgType type = MsgType::kPredict;
     uint64_t session_id = 0;
     uint64_t request_id = 0;
-    std::vector<std::future<std::vector<int64_t>>> futures;
-    // A partially admitted PREDICT_BATCH: BACKPRESSURE already answered
-    // the whole request, so the admitted pages' results are dropped.
-    bool discard = false;
-    // Completion countdown, acquire/release (memory-ordering policy case
-    // 2, util/sync.h): the final release sees every future and field the
-    // submitter and the other hooks wrote.
-    std::atomic<std::size_t> refs{0};
+    std::future<std::vector<int64_t>> result;
   };
 
   void io_loop();
@@ -190,12 +181,11 @@ class NetServer {
   void parse_frames(Connection& c);
   void handle_frame(Connection& c, const FrameHeader& h,
                     const uint8_t* payload);
-  // Submits the pages of a PREDICT (one) or PREDICT_BATCH as pipelined
-  // predicts sharing one PendingReply.
-  void submit_predicts(Connection& c, const FrameHeader& h,
-                       std::span<const std::vector<data::ImageKey>> pages);
-  // Releases `n` references of `p`; the last one queues the reply.
-  void complete(PendingReply& p, std::size_t n);
+  // Submits the decoded PREDICT in keys_; a rejection is answered with
+  // BACKPRESSURE at once.
+  void submit_predict(Connection& c, const FrameHeader& h);
+  // The admitted predict's done hook: queues its one reply frame.
+  void reply_predict(PendingReply& p);
   // Moves outbox frames into the wire buffer and writes; false => close.
   bool flush_writes(Connection& c);
   // Queues a frame on c's outbox (dropped once the connection is closed);
@@ -222,7 +212,6 @@ class NetServer {
   // steady-state decoding allocates nothing.
   data::Batch obs_batch_;
   std::vector<data::ImageKey> keys_;
-  std::vector<std::vector<data::ImageKey>> pages_;
 
   // Completion hooks hold their connection alive, so a closed connection
   // simply leaves this list.

@@ -63,8 +63,9 @@ struct Request {
 
 struct BatchPlannerConfig {
   // Max predict requests merged into one stacked eval pass. 1 disables
-  // cross-request merging (every predict evaluates alone — the fidelity
-  // reference the bit-exactness bench gate compares against).
+  // cross-request merging (every predict evaluates alone — the reference
+  // ServeSuite.BatchedVsUnbatchedBitExactOnMixedInterleave compares
+  // against).
   int64_t max_batch = 8;
 };
 

@@ -23,7 +23,25 @@
 
 namespace cham::serve {
 
-struct ServeStats {
+// Write-behind pipeline counters (serve/write_behind.h), kept by
+// WriteBehind under its own mutex. ServeStats derives from this block, so
+// the manager's snapshot takes them in one assignment and the names here
+// are the ones ServeStats exports.
+struct WriteBehindStats {
+  int64_t wb_flushes = 0;       // snapshots written to disk (any form)
+  int64_t wb_flush_errors = 0;  // disk writes that failed (state kept in RAM)
+  int64_t wb_full_saves = 0;
+  int64_t wb_oplog_saves = 0;
+  int64_t wb_full_bytes = 0;    // disk bytes written as full blobs
+  int64_t wb_delta_bytes = 0;   // disk bytes written as op-log deltas
+  int64_t wb_compactions = 0;   // cache-pressure compactions (pin drops)
+  int64_t wb_queue_depth_high_water = 0;
+  int64_t wb_cache_bytes_high_water = 0;
+  double flush_ms_total = 0;  // IO-thread time per flush (encode + write)
+  double flush_ms_max = 0;
+};
+
+struct ServeStats : WriteBehindStats {
   // Admission control.
   int64_t submitted = 0;   // observe + predict submissions
   int64_t admissions = 0;  // accepted into a shard queue
@@ -60,7 +78,7 @@ struct ServeStats {
   // Eviction latency split (wall milliseconds). save_ms is the in-memory
   // snapshot serialisation on the dispatch thread (unpinned, no locks
   // held); evict_lock_ms is the portion under sessions_mu_ — victim
-  // selection and unlink only, the number the <1ms bench gate watches.
+  // selection and unlink only (perfbench's acquire.evict_lock_ms_max).
   double save_ms_total = 0;
   double save_ms_max = 0;
   double evict_lock_ms_total = 0;
@@ -68,21 +86,9 @@ struct ServeStats {
   double restore_ms_total = 0;
   double restore_ms_max = 0;
 
-  // Write-behind pipeline (mirrored from WriteBehindStats by the manager).
-  int64_t wb_flushes = 0;
-  int64_t wb_flush_errors = 0;
-  int64_t wb_full_saves = 0;
   // Always 0: chunk-diff deltas are retired. Kept only because the
   // perfbench traced run still reads it; goes when that reader does.
   int64_t wb_chunk_saves = 0;
-  int64_t wb_oplog_saves = 0;
-  int64_t wb_full_bytes = 0;
-  int64_t wb_delta_bytes = 0;
-  int64_t wb_compactions = 0;
-  int64_t wb_queue_depth_high_water = 0;
-  int64_t wb_cache_bytes_high_water = 0;
-  double flush_ms_total = 0;  // background IO per flush (encode + write)
-  double flush_ms_max = 0;
 
   double save_ms_avg() const {
     return evictions > 0 ? save_ms_total / static_cast<double>(evictions)

@@ -159,8 +159,13 @@ Admission SessionManager::submit_predict(
   // The promise is shared with the queued request: if dispatch throws (or
   // the submitting frame unwinds), neither side holds a dangling pointer,
   // and an exception set by the dispatcher re-surfaces from result.get().
+  //
+  // The future is stored BEFORE the request is queued: once enqueue()
+  // releases the shard mutex, a worker may dispatch it and run `done`,
+  // which may read *result. That mutex orders the store before the hook;
+  // nothing here touches *result after an admission.
   auto reply = std::make_shared<std::promise<std::vector<int64_t>>>();
-  std::future<std::vector<int64_t>> future = reply->get_future();
+  if (result) *result = reply->get_future();
   Request r;
   r.kind = Request::Kind::kPredict;
   r.session_id = session_id;
@@ -168,7 +173,7 @@ Admission SessionManager::submit_predict(
   r.reply = std::move(reply);
   r.done = std::move(done);
   const Admission adm = enqueue(shard_of(session_id), std::move(r));
-  if (adm.accepted && result) *result = std::move(future);
+  if (!adm.accepted && result) *result = {};
   return adm;
 }
 
@@ -345,7 +350,7 @@ void SessionManager::dispatch_plan(BatchPlan plan) {
     } catch (...) {
       ok = false;
       for (size_t i = g.begin; i < g.end; ++i) {
-        finish_dispatch(plan.items[i], learner, /*ok=*/false,
+        finish_dispatch(plan.items[i], /*ok=*/false,
                         /*release_pin=*/i + 1 == g.end);
         note_dispatch_error();
         fail(plan.items[i]);
@@ -355,7 +360,7 @@ void SessionManager::dispatch_plan(BatchPlan plan) {
     for (size_t i = g.begin; i < g.end; ++i) {
       // The pin drops only with the LAST request of the group; after that
       // another shard may evict and free the learner.
-      finish_dispatch(plan.items[i], learner, /*ok=*/true,
+      finish_dispatch(plan.items[i], /*ok=*/true,
                       /*release_pin=*/i + 1 == g.end);
       resolve(plan.items[i], std::move(results[i - g.begin]));
       ++served;
@@ -388,12 +393,12 @@ void SessionManager::dispatch(Request& r) {
   } catch (...) {
     // Release the pin (a permanently pinned session deadlocks eviction and
     // flush) and invalidate the op log before surfacing the error.
-    if (learner) finish_dispatch(r, learner, /*ok=*/false);
+    if (learner) finish_dispatch(r, /*ok=*/false);
     note_dispatch_error();
     if (r.reply) fail(r);
     return;
   }
-  finish_dispatch(r, learner, /*ok=*/true);
+  finish_dispatch(r, /*ok=*/true);
   {
     util::MutexLock slock(stats_mu_);
     ++(r.kind == Request::Kind::kObserve ? stats_.observes : stats_.predicts);
@@ -401,16 +406,13 @@ void SessionManager::dispatch(Request& r) {
   if (r.reply) resolve(r, std::move(out));
 }
 
-void SessionManager::finish_dispatch(Request& r,
-                                     core::ChameleonLearner* learner,
-                                     bool ok, bool release_pin) {
+void SessionManager::finish_dispatch(Request& r, bool ok, bool release_pin) {
   util::MutexLock lock(sessions_mu_);
   // cham-lint: begin(sessions_mu)
   auto it = sessions_.find(r.session_id);
   CHAM_CHECK(it != sessions_.end(),
              "SessionManager: releasing unknown session");
   Session& session = it->second;
-  session_op_stats_[r.session_id] = learner->stats();
   if (!ok) {
     // The op may have mutated state without completing; an op-log replay
     // would diverge. Force the next snapshot to full form.
@@ -680,29 +682,8 @@ ServeStats SessionManager::stats() const {
     util::MutexLock lock(stats_mu_);
     snapshot = stats_;
   }
-  const WriteBehindStats wb = write_behind_->stats();
-  snapshot.wb_flushes = wb.flushes;
-  snapshot.wb_flush_errors = wb.flush_errors;
-  snapshot.wb_full_saves = wb.full_saves;
-  snapshot.wb_oplog_saves = wb.oplog_saves;
-  snapshot.wb_full_bytes = wb.full_bytes;
-  snapshot.wb_delta_bytes = wb.delta_bytes;
-  snapshot.wb_compactions = wb.compactions;
-  snapshot.wb_queue_depth_high_water = wb.queue_depth_high_water;
-  snapshot.wb_cache_bytes_high_water = wb.cache_bytes_high_water;
-  snapshot.flush_ms_total = wb.flush_ms_total;
-  snapshot.flush_ms_max = wb.flush_ms_max;
+  static_cast<WriteBehindStats&>(snapshot) = write_behind_->stats();
   return snapshot;
-}
-
-core::OpStats SessionManager::aggregate_op_stats() const {
-  util::MutexLock lock(sessions_mu_);
-  core::OpStats total;
-  for (const auto& [id, ops] : session_op_stats_) {
-    (void)id;
-    total += ops;
-  }
-  return total;
 }
 
 int64_t SessionManager::resident_count() const {

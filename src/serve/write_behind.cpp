@@ -63,8 +63,8 @@ void WriteBehind::submit(Snapshot snap) {
     } else {
       queue_.push_back(snap.session_id);
       pending_.emplace(snap.session_id, std::move(snap));
-      stats_.queue_depth_high_water =
-          std::max(stats_.queue_depth_high_water,
+      stats_.wb_queue_depth_high_water =
+          std::max(stats_.wb_queue_depth_high_water,
                    static_cast<int64_t>(queue_.size()));
     }
   }
@@ -196,7 +196,7 @@ void WriteBehind::flush_one(Snapshot snap) {
     m.latest = snap.blob;
     m.durable = disk_ok;
     if (disk_ok) {
-      ++stats_.flushes;
+      ++stats_.wb_flushes;
       stats_.flush_ms_total += flush_ms;
       stats_.flush_ms_max = std::max(stats_.flush_ms_max, flush_ms);
       if (full) {
@@ -206,20 +206,20 @@ void WriteBehind::flush_one(Snapshot snap) {
         m.deltas_since_full = 0;
         m.ops_since_base.clear();
         m.ops_valid = true;
-        ++stats_.full_saves;
-        stats_.full_bytes += static_cast<int64_t>(blob.size());
+        ++stats_.wb_full_saves;
+        stats_.wb_full_bytes += static_cast<int64_t>(blob.size());
       } else {
         ++m.deltas_since_full;
         m.ops_valid = true;
         m.ops_since_base = std::move(ops);
-        ++stats_.oplog_saves;
-        stats_.delta_bytes += static_cast<int64_t>(frame.size());
+        ++stats_.wb_oplog_saves;
+        stats_.wb_delta_bytes += static_cast<int64_t>(frame.size());
       }
     } else {
       // Disk kept its previous (intact) state; the cache keeps serving
       // this newest blob. Ops still span the on-disk base -> this blob, so
       // a later flush can still encode an op-log delta.
-      ++stats_.flush_errors;
+      ++stats_.wb_flush_errors;
       m.ops_valid = ops_ok;
       m.ops_since_base =
           ops_ok ? std::move(ops) : std::vector<data::ServeOp>{};
@@ -245,8 +245,8 @@ int64_t WriteBehind::cached_bytes() const {
 
 void WriteBehind::enforce_cache_budget_locked() {
   int64_t bytes = cached_bytes_locked();
-  stats_.cache_bytes_high_water =
-      std::max(stats_.cache_bytes_high_water, bytes);
+  stats_.wb_cache_bytes_high_water =
+      std::max(stats_.wb_cache_bytes_high_water, bytes);
   if (bytes <= cfg_.snapshot_cache_bytes) return;
 
   std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
@@ -266,7 +266,7 @@ void WriteBehind::enforce_cache_budget_locked() {
     // that blob and replays nothing.
     if (pinned) {
       if (!land_full_locked(id, m)) continue;  // cannot safely drop
-      ++stats_.compactions;
+      ++stats_.wb_compactions;
     }
     bytes -= blob_bytes(m.latest);
     m.latest.reset();
@@ -275,12 +275,12 @@ void WriteBehind::enforce_cache_budget_locked() {
 
 bool WriteBehind::land_full_locked(uint64_t id, Meta& m) {
   if (!store_.put_full(id, m.latest->data(), m.latest->size())) {
-    ++stats_.flush_errors;
+    ++stats_.wb_flush_errors;
     return false;
   }
-  ++stats_.flushes;
-  ++stats_.full_saves;
-  stats_.full_bytes += blob_bytes(m.latest);
+  ++stats_.wb_flushes;
+  ++stats_.wb_full_saves;
+  stats_.wb_full_bytes += blob_bytes(m.latest);
   m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
   m.base_len = m.latest->size();
   m.has_base = true;

@@ -45,10 +45,10 @@
 // (write a full blob, drop the pin). Cache pressure thus turns into
 // compaction, never into lost state, and a session pushed out of the
 // cache restores from a full blob without replay. The budget is enforced
-// after every flush, and cache_bytes_high_water is recorded just before
+// after every flush, and wb_cache_bytes_high_water is recorded just before
 // that trim, so the peak is at most snapshot_cache_bytes plus the one blob
 // that just landed. The cache stays above budget after a trim only when a
-// compaction write failed (counted in flush_errors).
+// compaction write failed (counted in wb_flush_errors).
 //
 // SHUTDOWN: SessionManager::flush() evicts, drains, and calls
 // retry_failed_flushes(). Base + delta pairs stay on disk as they landed;
@@ -64,6 +64,7 @@
 
 #include "core/checkpoint.h"
 #include "data/stream.h"
+#include "serve/serve_stats.h"
 #include "serve/session_store.h"
 #include "util/sync.h"
 
@@ -71,20 +72,6 @@ namespace cham::serve {
 
 struct WriteBehindConfig {
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
-};
-
-struct WriteBehindStats {
-  int64_t flushes = 0;        // snapshots written to disk (any form)
-  int64_t flush_errors = 0;   // disk writes that failed (state kept in RAM)
-  int64_t full_saves = 0;
-  int64_t oplog_saves = 0;
-  int64_t full_bytes = 0;     // disk bytes written as full blobs
-  int64_t delta_bytes = 0;    // disk bytes written as op-log deltas
-  int64_t compactions = 0;    // cache-pressure compactions (pin drops)
-  int64_t queue_depth_high_water = 0;
-  int64_t cache_bytes_high_water = 0;
-  double flush_ms_total = 0;  // IO-thread time per flush (encode + write)
-  double flush_ms_max = 0;
 };
 
 class WriteBehind {
@@ -165,7 +152,7 @@ class WriteBehind {
   // Under mu_: recompute cached bytes and evict/compact down to budget.
   void enforce_cache_budget_locked() CHAM_REQUIRES(mu_);
   // Under mu_: writes m.latest as the session's full blob and makes it the
-  // delta base. False, counted in flush_errors, if the write failed.
+  // delta base. False, counted in wb_flush_errors, if the write failed.
   bool land_full_locked(uint64_t id, Meta& m) CHAM_REQUIRES(mu_);
   int64_t cached_bytes_locked() const CHAM_REQUIRES(mu_);
 

@@ -15,10 +15,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -32,6 +34,7 @@
 #include "net/server.h"
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
+#include "tensor/rng.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -169,8 +172,8 @@ TEST(NetJson, NetStatsRoundTripsEveryField) {
        {&st.connections_accepted, &st.connections_closed,
         &st.connections_high_water, &st.frames_in, &st.frames_out,
         &st.bytes_in, &st.bytes_out, &st.observes_in, &st.predicts_in,
-        &st.predict_batches_in, &st.flushes_in, &st.stats_in,
-        &st.shutdowns_in, &st.predict_replies, &st.observe_acks,
+        &st.flushes_in, &st.stats_in, &st.shutdowns_in, &st.predict_replies,
+        &st.observe_acks,
         &st.err_backpressure, &st.err_malformed, &st.err_bad_version,
         &st.err_bad_crc, &st.err_oversized, &st.err_dispatch,
         &st.err_shutting_down, &st.err_unknown_type, &st.write_stalls,
@@ -180,7 +183,7 @@ TEST(NetJson, NetStatsRoundTripsEveryField) {
   }
   std::map<std::string, std::string> fields;
   ASSERT_TRUE(json_fields(st.to_json(), fields)) << st.to_json();
-  EXPECT_EQ(fields.size(), 25u);
+  EXPECT_EQ(fields.size(), 24u);
   EXPECT_EQ(fields["connections_accepted"], "3");
   EXPECT_EQ(fields["frames_in"], std::to_string(st.frames_in));
   EXPECT_EQ(fields["err_shutting_down"], std::to_string(st.err_shutting_down));
@@ -267,30 +270,6 @@ TEST(NetProtocol, PredictAndResultFramesRoundTrip) {
   EXPECT_EQ(out_preds, preds);
 }
 
-TEST(NetProtocol, PredictBatchFramesRoundTrip) {
-  const std::vector<std::vector<data::ImageKey>> pages = {
-      {key_of(0, 0, 0, true)},
-      {key_of(1, 1, 1, true), key_of(2, 0, 2, true)},
-  };
-  net::WireBuf buf;
-  net::encode_predict_batch(buf, 4, 8, pages);
-  net::FrameHeader h;
-  ASSERT_TRUE(net::read_header(buf.data(), buf.size(), h));
-  std::vector<std::vector<data::ImageKey>> out;
-  ASSERT_TRUE(net::decode_predict_batch(buf.data() + net::kHeaderBytes,
-                                        h.payload_len, out));
-  EXPECT_EQ(out, pages);
-
-  buf.clear();
-  const std::vector<std::vector<int64_t>> results = {{1}, {2, 3}};
-  net::encode_predict_batch_result(buf, 4, 8, results);
-  ASSERT_TRUE(net::read_header(buf.data(), buf.size(), h));
-  std::vector<std::vector<int64_t>> out_res;
-  ASSERT_TRUE(net::decode_predict_batch_result(buf.data() + net::kHeaderBytes,
-                                               h.payload_len, out_res));
-  EXPECT_EQ(out_res, results);
-}
-
 TEST(NetProtocol, ErrorFrameCarriesRetryHint) {
   net::WireBuf buf;
   net::encode_error(buf, 1, 2, net::ErrCode::kBackpressure, 250,
@@ -320,28 +299,136 @@ TEST(NetProtocol, HeaderValidationClassifiesCorruption) {
   EXPECT_EQ(net::header_error(h, 1024), net::ErrCode::kOversized);
 }
 
-TEST(NetProtocol, TruncatedPayloadsFailToDecode) {
+// Every decoder the server or client runs on untrusted bytes, over one
+// valid payload each.
+struct DecoderCase {
+  const char* name;
+  net::WireBuf frame;  // one complete frame
+  // Decodes `n` payload bytes at `p` into fresh outputs. Reports the
+  // capacity the outputs reached, so a hostile count that was sized before
+  // it was bounded shows up even when the decode fails.
+  std::function<bool(const uint8_t* p, std::size_t n, std::size_t& cap)>
+      decode;
+  // Byte offsets of u32 element counts in the payload.
+  std::vector<std::size_t> count_offsets;
+  // Shortest payload that still decodes: the ERROR message runs to the end
+  // of the payload, so a cut inside it is a shorter message, not an error.
+  std::size_t min_len = 0;
+};
+
+std::vector<DecoderCase> decoder_cases() {
   data::Batch b;
-  b.keys = {key_of(1, 0, 2, false)};
-  b.labels = {1};
-  b.domain = 0;
-  net::WireBuf buf;
-  net::encode_observe(buf, 1, 1, b);
-  net::FrameHeader h;
-  ASSERT_TRUE(net::read_header(buf.data(), buf.size(), h));
-  const uint8_t* payload = buf.data() + net::kHeaderBytes;
-  data::Batch out;
-  for (std::size_t cut = 0; cut < h.payload_len; ++cut) {
-    EXPECT_FALSE(net::decode_observe(payload, cut, out)) << "cut=" << cut;
+  b.keys = {key_of(1, 0, 2, false), key_of(4, 1, 0, true)};
+  b.labels = {1, 4};
+  b.domain = 1;
+  const std::vector<int64_t> preds = {3, 1, 4};
+  std::vector<DecoderCase> cases(5);
+
+  cases[0].name = "observe";
+  net::encode_observe(cases[0].frame, 1, 1, b);
+  cases[0].decode = [](const uint8_t* p, std::size_t n, std::size_t& cap) {
+    data::Batch out;
+    const bool ok = net::decode_observe(p, n, out);
+    cap = std::max(out.keys.capacity(), out.labels.capacity());
+    return ok;
+  };
+  // domain i64, key count u32, 2 keys x 13 bytes, label count u32.
+  cases[0].count_offsets = {8, 8 + 4 + 2 * 13};
+
+  cases[1].name = "predict";
+  net::encode_predict(cases[1].frame, 1, 2, b.keys);
+  cases[1].decode = [](const uint8_t* p, std::size_t n, std::size_t& cap) {
+    std::vector<data::ImageKey> out;
+    const bool ok = net::decode_predict(p, n, out);
+    cap = out.capacity();
+    return ok;
+  };
+  cases[1].count_offsets = {0};
+
+  cases[2].name = "predict_result";
+  net::encode_predict_result(cases[2].frame, 1, 3, preds);
+  cases[2].decode = [](const uint8_t* p, std::size_t n, std::size_t& cap) {
+    std::vector<int64_t> out;
+    const bool ok = net::decode_predict_result(p, n, out);
+    cap = out.capacity();
+    return ok;
+  };
+  cases[2].count_offsets = {0};
+
+  cases[3].name = "observe_ok";
+  net::encode_observe_ok(cases[3].frame, 1, 4, 7);
+  cases[3].decode = [](const uint8_t* p, std::size_t n, std::size_t& cap) {
+    int64_t depth = 0;
+    cap = 0;
+    return net::decode_observe_ok(p, n, depth);
+  };
+
+  cases[4].name = "error";
+  net::encode_error(cases[4].frame, 1, 5, net::ErrCode::kBackpressure, 25,
+                    "busy");
+  cases[4].decode = [](const uint8_t* p, std::size_t n, std::size_t& cap) {
+    net::ErrorInfo out;
+    const bool ok = net::decode_error(p, n, out);
+    cap = out.message.size();
+    return ok;
+  };
+  cases[4].min_len = 2 + 8;  // code u16, retry_after_ms i64
+
+  for (DecoderCase& c : cases) {
+    if (c.min_len == 0) c.min_len = c.frame.size() - net::kHeaderBytes;
   }
-  // Hostile element count: claims more keys than bytes present.
-  // Payload layout: domain i64, then key count u32. Inflate the count.
-  std::vector<uint8_t> hostile(payload, payload + h.payload_len);
-  hostile[8] = 0xFF;
-  hostile[9] = 0xFF;
-  hostile[10] = 0xFF;
-  hostile[11] = 0x7F;
-  EXPECT_FALSE(net::decode_observe(hostile.data(), hostile.size(), out));
+  return cases;
+}
+
+TEST(NetProtocol, TruncatedPayloadsFailToDecode) {
+  Rng rng(20261018);
+  for (const DecoderCase& c : decoder_cases()) {
+    SCOPED_TRACE(c.name);
+    const uint8_t* payload = c.frame.data() + net::kHeaderBytes;
+    const std::size_t n = c.frame.size() - net::kHeaderBytes;
+    std::size_t cap = 0;
+    ASSERT_TRUE(c.decode(payload, n, cap));
+    for (std::size_t cut = 0; cut < n; ++cut) {
+      EXPECT_EQ(c.decode(payload, cut, cap), cut >= c.min_len)
+          << "cut=" << cut;
+    }
+    // Hostile element count: claims far more elements than bytes present.
+    // It must fail before any output is sized to it.
+    for (const std::size_t off : c.count_offsets) {
+      std::vector<uint8_t> hostile(payload, payload + n);
+      hostile[off] = 0xFF;
+      hostile[off + 1] = 0xFF;
+      hostile[off + 2] = 0xFF;
+      hostile[off + 3] = 0x7F;
+      EXPECT_FALSE(c.decode(hostile.data(), hostile.size(), cap))
+          << "offset " << off;
+      EXPECT_LE(cap, n) << "output sized to a hostile count at " << off;
+    }
+    // Seeded bit flips, every fourth one also cut short: each call must
+    // return, accepted or not, without touching memory it does not own
+    // (the UBSan stage of run_static.sh runs this), and nothing may be
+    // sized beyond the bytes it was given.
+    std::vector<uint8_t> bytes;
+    int accepted = 0;
+    for (int iter = 0; iter < 4000; ++iter) {
+      bytes.assign(payload, payload + n);
+      const int flips = 1 + static_cast<int>(rng.uniform_int(3));
+      for (int f = 0; f < flips; ++f) {
+        const auto bit = static_cast<std::size_t>(
+            rng.uniform_int(static_cast<int64_t>(8 * n)));
+        bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      }
+      if (iter % 4 == 3) {
+        bytes.resize(static_cast<std::size_t>(
+            rng.uniform_int(static_cast<int64_t>(n) + 1)));
+      }
+      accepted += c.decode(bytes.data(), bytes.size(), cap) ? 1 : 0;
+      ASSERT_LE(cap, n) << "iteration " << iter;
+    }
+    // Flips inside element data decode fine; the pass must not have been
+    // all-reject, or it would prove nothing about the accepting paths.
+    EXPECT_GT(accepted, 0);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,8 +585,9 @@ TEST_F(NetSuite, UnixSocketMatchesInProcessSubmission) {
   EXPECT_EQ(ns.err_malformed, 0);
 }
 
-// PREDICT_BATCH pages submit as pipelined predicts (BatchPlanner fodder)
-// and the paged reply matches per-page in-process results.
+// Several key lists for one session go out as pipelined PREDICT frames
+// (BatchPlanner fodder: they sit in the shard queue together), and each
+// page's own reply matches an isolated learner bit for bit.
 TEST_F(NetSuite, PredictBatchMatchesPerPageResults) {
   serve::ServeConfig sc = serve_config("pb", serve::ServeMode::kDeterministic);
   serve::SessionManager mgr(sc, factory());
@@ -518,9 +606,8 @@ TEST_F(NetSuite, PredictBatchMatchesPerPageResults) {
     ASSERT_TRUE(client.observe_admitted(5, batches[static_cast<size_t>(i)])
                     .ok());
   }
-  net::Reply r = client.predict_batch_admitted(5, pages);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r.pages.size(), pages.size());
+  std::vector<uint64_t> ids;
+  for (const auto& page : pages) ids.push_back(client.send_predict(5, page));
 
   core::ChameleonLearner isolated(exp_->env(), learner_config(),
                                   mgr.session_seed(5));
@@ -528,8 +615,16 @@ TEST_F(NetSuite, PredictBatchMatchesPerPageResults) {
     isolated.observe(batches[static_cast<size_t>(i)]);
   }
   for (std::size_t p = 0; p < pages.size(); ++p) {
-    EXPECT_EQ(r.pages[p], isolated.predict(pages[p])) << "page " << p;
+    net::Reply r = client.await_reply(ids[p]);
+    ASSERT_TRUE(r.ok()) << "page " << p << ": "
+                        << net::err_code_name(r.error.code);
+    EXPECT_EQ(r.type, net::MsgType::kPredictResult);
+    EXPECT_EQ(r.preds, isolated.predict(pages[p])) << "page " << p;
   }
+  EXPECT_EQ(server.stats().predicts_in,
+            static_cast<int64_t>(pages.size()));
+  EXPECT_EQ(server.stats().predict_replies,
+            static_cast<int64_t>(pages.size()));
 }
 
 // Admission rejections surface as typed BACKPRESSURE errors whose
@@ -639,18 +734,31 @@ TEST_F(NetSuite, UnknownRequestTypeRepliesTypedErrorAndSurvives) {
   net::NetServer server(mgr, nc);
 
   net::NetClient c(client_options(nc));
-  net::WireBuf frame;
-  net::encode_control(frame, net::MsgType::kStats, 0, 11);
-  frame[6] = 0x55;  // type := 0x0055, not a message the protocol defines
-  frame[7] = 0x00;
-  c.send_raw(frame.data(), frame.size());
-  net::Reply r = c.await_reply(11);
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.error.code, net::ErrCode::kUnknownType);
-
-  EXPECT_TRUE(c.observe_admitted(1, session_batches(1)[0]).ok());
-  EXPECT_EQ(server.stats().err_unknown_type, 1);
+  const auto batches = session_batches(1);
+  // 0x55 is not a message the protocol defines; 3 and 19 are the reserved
+  // numbers of the retired PREDICT_BATCH request and its reply.
+  const uint8_t types[] = {0x55, 3, 19};
+  int64_t served = 0;
+  for (const uint8_t type : types) {
+    SCOPED_TRACE(static_cast<int>(type));
+    const uint64_t id = 11 + type;
+    net::WireBuf frame;
+    net::encode_control(frame, net::MsgType::kStats, 0, id);
+    frame[6] = type;
+    frame[7] = 0x00;
+    c.send_raw(frame.data(), frame.size());
+    net::Reply r = c.await_reply(id);
+    EXPECT_FALSE(r.ok());
+    EXPECT_EQ(r.error.code, net::ErrCode::kUnknownType);
+    // The same connection serves the next observe.
+    EXPECT_TRUE(c.observe_admitted(1, batches[static_cast<size_t>(served) %
+                                              batches.size()])
+                    .ok());
+    ++served;
+    EXPECT_EQ(server.stats().err_unknown_type, served);
+  }
   EXPECT_EQ(server.stats().err_malformed, 0);
+  EXPECT_EQ(server.stats().observe_acks, served);
 }
 
 // A corrupted payload CRC is rejected per-frame; framing stays intact and
@@ -764,19 +872,23 @@ TEST_F(NetSuite, SplitWritesAndTruncatedDisconnectSurvive) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.preds.size(), test_keys.size());
 
-  // Large paged reply through the shrunken send buffer: partial-write
-  // path. Page count stays below queue_capacity (a PREDICT_BATCH with more
-  // pages than the shard queue holds can never fully admit); each page is
-  // inflated instead so the reply dwarfs SO_SNDBUF.
+  // Large replies through the shrunken send buffer: partial-write path.
+  // Eight pipelined predicts of one fat page each, so every reply dwarfs
+  // SO_SNDBUF; eight stay within queue_capacity, so none is rejected.
   std::vector<data::ImageKey> fat_page;
   for (int rep = 0; rep < 60; ++rep) {
     fat_page.insert(fat_page.end(), test_keys.begin(), test_keys.end());
   }
-  std::vector<std::vector<data::ImageKey>> pages(8, fat_page);
-  net::Reply big = c.predict_batch_admitted(4, pages);
-  ASSERT_TRUE(big.ok());
-  ASSERT_EQ(big.pages.size(), pages.size());
-  for (const auto& page : big.pages) EXPECT_EQ(page, big.pages[0]);
+  std::vector<uint64_t> ids;
+  for (int p = 0; p < 8; ++p) ids.push_back(c.send_predict(4, fat_page));
+  std::vector<int64_t> first;
+  for (const uint64_t id : ids) {
+    net::Reply big = c.await_reply(id);
+    ASSERT_TRUE(big.ok()) << net::err_code_name(big.error.code);
+    ASSERT_EQ(big.preds.size(), fat_page.size());
+    if (first.empty()) first = big.preds;
+    EXPECT_EQ(big.preds, first);
+  }
 
   // Truncated header then slam the connection shut.
   {
@@ -934,43 +1046,6 @@ TEST_P(NetShutdownSuite, GracefulShutdownDrainsInFlightRequests) {
   EXPECT_EQ(server.stats().shutdowns_in, 1);
 }
 
-// A PREDICT_BATCH with more pages than a shard queue holds can never be
-// admitted whole (all pages of one session share a queue). It is refused
-// with a non-retryable OVERSIZED error before any page is submitted — not
-// a BACKPRESSURE that predict_batch_admitted would retry until max_tries
-// while the admitted prefix ran for nothing.
-TEST_F(NetSuite, PredictBatchLargerThanQueueIsRefusedUpFront) {
-  serve::ServeConfig sc = serve_config("pbo", serve::ServeMode::kDeterministic);
-  sc.queue_capacity = 4;
-  serve::SessionManager mgr(sc, factory());
-  net::NetConfig nc = net_config("pbo");
-  net::NetServer server(mgr, nc);
-  net::NetClient c(client_options(nc));
-  const auto test_keys = data::all_test_keys(exp_->config().data);
-  ASSERT_TRUE(c.observe_admitted(3, session_batches(3)[0]).ok());
-  const int64_t predicts_before = mgr.stats().predicts;
-
-  const std::vector<std::vector<data::ImageKey>> pages(
-      static_cast<std::size_t>(sc.queue_capacity) + 1, test_keys);
-  net::Reply r = c.predict_batch_admitted(3, pages, /*max_tries=*/3);
-  EXPECT_FALSE(r.ok());
-  EXPECT_FALSE(r.backpressured());
-  EXPECT_EQ(r.error.code, net::ErrCode::kOversized);
-
-  // FLUSH drains everything admitted before it: no page ran.
-  ASSERT_EQ(c.flush().type, net::MsgType::kFlushOk);
-  EXPECT_EQ(mgr.stats().predicts, predicts_before);
-  EXPECT_EQ(server.stats().err_oversized, 1);
-  EXPECT_EQ(server.stats().err_backpressure, 0);
-
-  // A batch that fits the queue still serves.
-  const std::vector<std::vector<data::ImageKey>> fits(
-      static_cast<std::size_t>(sc.queue_capacity), test_keys);
-  net::Reply ok = c.predict_batch_admitted(3, fits);
-  ASSERT_TRUE(ok.ok()) << net::err_code_name(ok.error.code);
-  EXPECT_EQ(ok.pages.size(), fits.size());
-}
-
 // Threads in this process, from the kernel's own list.
 int64_t thread_count() {
   int64_t n = 0;
@@ -1077,7 +1152,7 @@ TEST_F(NetSuite, StalledReaderIsPausedWithinOutboxBound) {
   net::WireBuf reply, error;
   net::encode_predict_result(reply, 11, ids.back(), want);
   net::encode_error(error, 11, ids.back(), net::ErrCode::kBackpressure, 1000,
-                    "predict queue full (partial batch)");
+                    "predict queue full");
   const int64_t bound =
       nc.outbox_limit_bytes / 2 + static_cast<int64_t>(error.size()) +
       2 * sc.num_shards * sc.queue_capacity *

@@ -1368,7 +1368,7 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
           max_blob = std::max(max_blob, static_cast<std::size_t>(h.next_len));
         }
       }
-      if (mgr.write_behind().stats().flush_errors == 0) {
+      if (mgr.write_behind().stats().wb_flush_errors == 0) {
         EXPECT_LE(mgr.write_behind().cached_bytes(), sc.snapshot_cache_bytes)
             << "after step " << round << "/" << s;
       }

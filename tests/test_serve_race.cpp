@@ -156,7 +156,6 @@ TEST_F(ServeRaceSuite, MultiShardEvictRestoreFlushStress) {
       const serve::ServeStats s = mgr.stats();
       EXPECT_GE(s.submitted, s.admissions);
       (void)mgr.resident_count();
-      (void)mgr.aggregate_op_stats();
       (void)mgr.write_behind().stats();
       const ws::WorkspaceStats w = ws::stats();
       EXPECT_GE(w.pool_high_water_bytes, 0);

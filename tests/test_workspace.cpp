@@ -339,13 +339,11 @@ TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
     batch.labels.push_back(i % 6);
   }
   const std::vector<data::ImageKey> keys = batch.keys;
-  const std::vector<std::vector<data::ImageKey>> pages = {keys, keys};
   const std::vector<int64_t> preds = {0, 1, 2, 3, 4, 5, 0, 1};
 
   net::WireBuf buf;
   data::Batch dec_batch;
   std::vector<data::ImageKey> dec_keys;
-  std::vector<std::vector<data::ImageKey>> dec_pages;
   std::vector<int64_t> dec_preds;
   net::ErrorInfo dec_err;
 
@@ -354,7 +352,6 @@ TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
     net::encode_observe(buf, 7, salt, batch);
     net::encode_predict(buf, 7, salt + 1, keys);
     net::encode_predict_result(buf, 7, salt + 1, preds);
-    net::encode_predict_batch(buf, 7, salt + 2, pages);
     // Short message: fits std::string's inline storage, like the fixed
     // server-side backpressure/shutdown strings.
     net::encode_error(buf, 7, salt + 3, net::ErrCode::kBackpressure, 5,
@@ -380,10 +377,6 @@ TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
           ok = ok &&
                net::decode_predict_result(payload, h.payload_len, dec_preds);
           break;
-        case net::MsgType::kPredictBatch:
-          ok = ok &&
-               net::decode_predict_batch(payload, h.payload_len, dec_pages);
-          break;
         case net::MsgType::kError:
           ok = ok && net::decode_error(payload, h.payload_len, dec_err);
           break;
@@ -393,7 +386,7 @@ TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
       off += net::kHeaderBytes + h.payload_len;
       ++frames;
     }
-    return ok && frames == 5 && off == buf.size();
+    return ok && frames == 4 && off == buf.size();
   };
 
   for (uint64_t w = 0; w < 32; ++w) ASSERT_TRUE(round(w * 16)) << w;
@@ -407,7 +400,6 @@ TEST(SteadyState, WireCodecRoundTripsAllocateNothing) {
   EXPECT_EQ(dec_batch.labels, batch.labels);
   EXPECT_EQ(dec_keys, keys);
   EXPECT_EQ(dec_preds, preds);
-  EXPECT_EQ(dec_pages, pages);
   EXPECT_EQ(dec_err.message, "busy");
 }
 
