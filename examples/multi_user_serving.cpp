@@ -21,6 +21,7 @@
 #include "metrics/experiment.h"
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
+#include "util/tmp_path.h"
 
 using namespace cham;
 
@@ -57,7 +58,7 @@ int main() {
   sc.num_shards = 4;
   sc.max_resident = 8;
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_example_serving";
+  sc.store_dir = util::tmp_path("example_serving");
   sc.base_seed = 2024;
   serve::SessionStore(sc.store_dir).clear();
 

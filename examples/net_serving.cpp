@@ -32,6 +32,7 @@
 #include "net/server.h"
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
+#include "util/tmp_path.h"
 
 using namespace cham;
 
@@ -68,7 +69,7 @@ int main() {
   sc.num_shards = 4;
   sc.max_resident = 6;  // << users: eviction churn behind the socket
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_example_net";
+  sc.store_dir = util::tmp_path("example_net");
   sc.base_seed = 2024;
   sc.mode = serve::ServeMode::kThreaded;  // shard workers dispatch
   serve::SessionStore(sc.store_dir).clear();
@@ -81,7 +82,7 @@ int main() {
       });
 
   net::NetConfig nc;
-  nc.unix_path = "/tmp/cham_example_net.sock";
+  nc.unix_path = util::tmp_path("example_net.sock");
   net::NetServer server(mgr, nc);
 
   constexpr int kClients = 3;

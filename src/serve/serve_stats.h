@@ -34,7 +34,7 @@ struct WriteBehindStats {
   int64_t wb_oplog_saves = 0;
   int64_t wb_full_bytes = 0;    // disk bytes written as full blobs
   int64_t wb_delta_bytes = 0;   // disk bytes written as op-log deltas
-  int64_t wb_compactions = 0;   // cache-pressure compactions (pin drops)
+  int64_t wb_compactions = 0;   // full writes queued by cache pressure
   int64_t wb_queue_depth_high_water = 0;
   int64_t wb_cache_bytes_high_water = 0;
   double flush_ms_total = 0;  // IO-thread time per flush (encode + write)

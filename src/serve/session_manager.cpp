@@ -52,8 +52,8 @@ SessionManager::SessionManager(ServeConfig cfg, LearnerFactory factory)
                  " (each shard dispatcher may pin one session)");
   CHAM_CHECK(static_cast<bool>(factory_),
              "SessionManager: learner factory is empty");
-  write_behind_ = std::make_unique<WriteBehind>(
-      store_, WriteBehindConfig{cfg_.snapshot_cache_bytes});
+  write_behind_ =
+      std::make_unique<WriteBehind>(store_, cfg_.snapshot_cache_bytes);
   shards_.reserve(static_cast<size_t>(cfg_.num_shards));
   for (int64_t i = 0; i < cfg_.num_shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
@@ -614,9 +614,9 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim) {
   // dispatch freely during this.
   //
   // A clean victim is dropped unwritten. Its newest bytes are already
-  // pending or in flight in the pipeline, cached there (pinned while not
-  // durable or while a delta is outstanding), durable on disk, or nowhere
-  // at all for a never-observed session, which is its factory state.
+  // pending or in flight in the pipeline, cached there (while they landed
+  // as a delta or failed to land), durable on disk, or nowhere at all for
+  // a never-observed session, which is its factory state.
   const bool clean = !victim.dirty;
   CHAM_DCHECK(!clean || (victim.ops.empty() && victim.ops_valid),
               "SessionManager: clean victim carries logged observes");

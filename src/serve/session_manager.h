@@ -106,7 +106,8 @@ struct ServeConfig {
   uint64_t base_seed = 42;
 
   // Eviction pipeline (serve/write_behind.h): in-memory budget for the
-  // flushed-snapshot cache.
+  // cache of flushed snapshots that landed as op-log deltas (or failed to
+  // land); pressure queues the LRU one as a full write.
   int64_t snapshot_cache_bytes = int64_t{128} << 20;
 };
 

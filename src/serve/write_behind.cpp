@@ -27,15 +27,17 @@ int64_t blob_bytes(const std::shared_ptr<const core::ByteBuf>& b) {
 
 }  // namespace
 
-WriteBehind::WriteBehind(SessionStore& store, WriteBehindConfig cfg)
-    : store_(store), cfg_(cfg) {
+WriteBehind::WriteBehind(SessionStore& store, int64_t snapshot_cache_bytes)
+    : store_(store), cache_budget_(snapshot_cache_bytes) {
   io_thread_ = std::thread([this] { io_loop(); });
 }
 
 WriteBehind::~WriteBehind() {
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
     stop_ = true;
+    // cham-lint: end(wb_mu)
   }
   cv_.notify_all();
   if (io_thread_.joinable()) io_thread_.join();  // flushes the queue first
@@ -45,6 +47,7 @@ void WriteBehind::submit(Snapshot snap) {
   CHAM_CHECK(snap.blob != nullptr, "WriteBehind: snapshot without a blob");
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
     auto it = pending_.find(snap.session_id);
     if (it != pending_.end()) {
       // Coalesce: only the newest state matters; the op logs concatenate
@@ -61,12 +64,9 @@ void WriteBehind::submit(Snapshot snap) {
         p.ops.clear();
       }
     } else {
-      queue_.push_back(snap.session_id);
-      pending_.emplace(snap.session_id, std::move(snap));
-      stats_.wb_queue_depth_high_water =
-          std::max(stats_.wb_queue_depth_high_water,
-                   static_cast<int64_t>(queue_.size()));
+      enqueue_locked(std::move(snap));
     }
+    // cham-lint: end(wb_mu)
   }
   cv_.notify_one();
 }
@@ -74,6 +74,7 @@ void WriteBehind::submit(Snapshot snap) {
 std::shared_ptr<const core::ByteBuf> WriteBehind::newest_blob(
     uint64_t session_id, bool* pending) {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(wb_mu)
   if (pending) *pending = false;
   if (auto it = pending_.find(session_id); it != pending_.end()) {
     if (pending) *pending = true;
@@ -89,13 +90,16 @@ std::shared_ptr<const core::ByteBuf> WriteBehind::newest_blob(
     return it->second.latest;
   }
   return nullptr;
+  // cham-lint: end(wb_mu)
 }
 
 void WriteBehind::drain() {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(wb_mu)
   cv_idle_.wait(lock, [this]() CHAM_REQUIRES(mu_) {
     return queue_.empty() && inflight_.empty();
   });
+  // cham-lint: end(wb_mu)
 }
 
 void WriteBehind::io_loop() {
@@ -103,6 +107,7 @@ void WriteBehind::io_loop() {
     Snapshot snap;
     {
       util::MutexLock lock(mu_);
+      // cham-lint: begin(wb_mu)
       // Pause is a test hook and yields to stop: shutdown always drains.
       cv_.wait(lock, [this]() CHAM_REQUIRES(mu_) {
         return stop_ || (!queue_.empty() && !paused_);
@@ -120,19 +125,19 @@ void WriteBehind::io_loop() {
       pending_.erase(it);
       // Keep the blob visible to restores while it is being written.
       inflight_[id] = snap.blob;
+      // cham-lint: end(wb_mu)
     }
     flush_one(std::move(snap));
     {
       util::MutexLock lock(mu_);
+      // cham-lint: begin(wb_mu)
       if (queue_.empty() && inflight_.empty()) cv_idle_.notify_all();
+      // cham-lint: end(wb_mu)
     }
   }
 }
 
 void WriteBehind::flush_one(Snapshot snap) {
-  // Excludes retry_failed_flushes' writes; the IO thread is the only
-  // flusher, so this is uncontended otherwise.
-  util::MutexLock io_lock(io_mu_);
   const auto t0 = std::chrono::steady_clock::now();
   const uint64_t id = snap.session_id;
   const core::ByteBuf& blob = *snap.blob;
@@ -145,6 +150,7 @@ void WriteBehind::flush_one(Snapshot snap) {
   bool ops_ok = false;
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
     if (auto it = meta_.find(id); it != meta_.end()) {
       const Meta& m = it->second;
       base_hash = m.base_hash;
@@ -161,6 +167,7 @@ void WriteBehind::flush_one(Snapshot snap) {
       ops_ok = snap.ops_valid;
       if (ops_ok) ops = std::move(snap.ops);
     }
+    // cham-lint: end(wb_mu)
   }
 
   // An op-log delta when one is allowed and beats the compaction ratio,
@@ -191,9 +198,9 @@ void WriteBehind::flush_one(Snapshot snap) {
   const double flush_ms = ms_since(t0);
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
     Meta& m = meta_[id];
     m.lru_tick = ++lru_tick_;
-    m.latest = snap.blob;
     m.durable = disk_ok;
     if (disk_ok) {
       ++stats_.wb_flushes;
@@ -224,100 +231,101 @@ void WriteBehind::flush_one(Snapshot snap) {
       m.ops_since_base =
           ops_ok ? std::move(ops) : std::vector<data::ServeOp>{};
     }
+    // Cache only what disk cannot serve without replay, and only while no
+    // newer snapshot of the session is queued.
+    std::shared_ptr<const core::ByteBuf> keep;
+    if (!(disk_ok && full) && pending_.count(id) == 0) {
+      keep = std::move(snap.blob);
+    }
+    cached_bytes_ += blob_bytes(keep) - blob_bytes(m.latest);
+    m.latest = std::move(keep);
     inflight_.erase(id);
+    stats_.wb_cache_bytes_high_water =
+        std::max(stats_.wb_cache_bytes_high_water, cached_bytes_);
     enforce_cache_budget_locked();
+    // cham-lint: end(wb_mu)
   }
-}
-
-int64_t WriteBehind::cached_bytes_locked() const {
-  int64_t bytes = 0;
-  for (const auto& [id, m] : meta_) {
-    (void)id;
-    bytes += blob_bytes(m.latest);
-  }
-  return bytes;
 }
 
 int64_t WriteBehind::cached_bytes() const {
   util::MutexLock lock(mu_);
-  return cached_bytes_locked();
-}
-
-void WriteBehind::enforce_cache_budget_locked() {
-  int64_t bytes = cached_bytes_locked();
-  stats_.wb_cache_bytes_high_water =
-      std::max(stats_.wb_cache_bytes_high_water, bytes);
-  if (bytes <= cfg_.snapshot_cache_bytes) return;
-
-  std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
-  order.reserve(meta_.size());
-  for (const auto& [id, m] : meta_) {
-    if (m.latest) order.emplace_back(m.lru_tick, id);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [tick, id] : order) {
-    (void)tick;
-    if (bytes <= cfg_.snapshot_cache_bytes) return;
-    Meta& m = meta_[id];
-    const bool pinned = !m.durable || m.deltas_since_full > 0;
-    // A pinned blob is missing from disk (a failed flush) or stored there
-    // as base + delta. Turn cache pressure into compaction: land it as a
-    // full blob, then the pin drops, and the session's next restore reads
-    // that blob and replays nothing.
-    if (pinned) {
-      if (!land_full_locked(id, m)) continue;  // cannot safely drop
-      ++stats_.wb_compactions;
-    }
-    bytes -= blob_bytes(m.latest);
-    m.latest.reset();
-  }
-}
-
-bool WriteBehind::land_full_locked(uint64_t id, Meta& m) {
-  if (!store_.put_full(id, m.latest->data(), m.latest->size())) {
-    ++stats_.wb_flush_errors;
-    return false;
-  }
-  ++stats_.wb_flushes;
-  ++stats_.wb_full_saves;
-  stats_.wb_full_bytes += blob_bytes(m.latest);
-  m.base_hash = core::blob_hash(m.latest->data(), m.latest->size());
-  m.base_len = m.latest->size();
-  m.has_base = true;
-  m.deltas_since_full = 0;
-  m.ops_since_base.clear();
-  m.ops_valid = true;
-  m.durable = true;
-  return true;
+  // cham-lint: begin(wb_mu)
+  return cached_bytes_;
+  // cham-lint: end(wb_mu)
 }
 
 void WriteBehind::retry_failed_flushes() {
-  util::MutexLock io_lock(io_mu_);
-  util::MutexLock lock(mu_);
-  for (auto& [id, m] : meta_) {
-    if (m.durable) continue;
-    CHAM_DCHECK(m.latest != nullptr,
-                "WriteBehind: a session that failed to flush lost its blob");
-    land_full_locked(id, m);
+  {
+    util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
+    for (auto& [id, m] : meta_) {
+      if (!m.durable && m.latest) {
+        enqueue_locked(Snapshot{id, m.latest, {}, /*ops_valid=*/false});
+      }
+    }
+    // cham-lint: end(wb_mu)
   }
+  cv_.notify_one();
+  drain();
 }
 
 WriteBehindStats WriteBehind::stats() const {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(wb_mu)
   return stats_;
+  // cham-lint: end(wb_mu)
 }
 
 void WriteBehind::pause_for_test() {
   util::MutexLock lock(mu_);
+  // cham-lint: begin(wb_mu)
   paused_ = true;
+  // cham-lint: end(wb_mu)
 }
 
 void WriteBehind::resume_for_test() {
   {
     util::MutexLock lock(mu_);
+    // cham-lint: begin(wb_mu)
     paused_ = false;
+    // cham-lint: end(wb_mu)
   }
   cv_.notify_all();
 }
+
+// The helpers below run with mu_ held (CHAM_REQUIRES).
+// cham-lint: begin(wb_mu)
+void WriteBehind::enqueue_locked(Snapshot snap) {
+  // The queued snapshot supersedes the session's cached blob (restores
+  // look in pending_ first), so the cache lets go of it.
+  if (auto it = meta_.find(snap.session_id); it != meta_.end()) {
+    cached_bytes_ -= blob_bytes(it->second.latest);
+    it->second.latest.reset();
+  }
+  queue_.push_back(snap.session_id);
+  pending_.emplace(snap.session_id, std::move(snap));
+  stats_.wb_queue_depth_high_water = std::max(
+      stats_.wb_queue_depth_high_water, static_cast<int64_t>(queue_.size()));
+}
+
+void WriteBehind::enforce_cache_budget_locked() {
+  if (cached_bytes_ <= cache_budget_) return;
+  // Every cached blob is pinned: a durable one is stored as base + delta,
+  // so pressure compacts it (its next disk restore replays nothing); one
+  // whose flush failed stays until retry_failed_flushes.
+  std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
+  for (const auto& [id, m] : meta_) {
+    if (m.latest && m.durable) order.emplace_back(m.lru_tick, id);
+  }
+  std::sort(order.begin(), order.end());
+  for (const auto& [tick, id] : order) {
+    (void)tick;
+    if (cached_bytes_ <= cache_budget_) return;
+    // ops_valid = false: the encoder writes it full.
+    enqueue_locked(Snapshot{id, meta_[id].latest, {}, /*ops_valid=*/false});
+    ++stats_.wb_compactions;
+  }
+}
+// cham-lint: end(wb_mu)
 
 }  // namespace cham::serve

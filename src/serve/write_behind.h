@@ -31,24 +31,22 @@
 // the one mid-flush, or the cached last-flushed blob — so a restore racing
 // its own flush reads the exact bytes eviction produced, bit-identically,
 // no matter where the IO thread is. Only when the pipeline holds nothing
-// (cache evicted, process restart) does the manager fall back to disk.
+// (a full landing, a process restart) does the manager fall back to disk.
 //
 // FLUSH FAILURE (disk full): the error is counted, the on-disk state keeps
 // its previous (intact, older) blob, and the in-memory cache keeps serving
 // the newest state — sessions stay correct; only crash-durability of the
 // latest delta is lost until a later flush succeeds.
 //
-// SNAPSHOT CACHE: the last-flushed `latest` blob of each session, bounded
-// by snapshot_cache_bytes (LRU). A session whose newest flushed state is a
-// delta, or whose last flush failed, keeps `latest` pinned; when the cache
-// is over budget, the LRU pinned session is compacted to disk on the spot
-// (write a full blob, drop the pin). Cache pressure thus turns into
-// compaction, never into lost state, and a session pushed out of the
-// cache restores from a full blob without replay. The budget is enforced
-// after every flush, and wb_cache_bytes_high_water is recorded just before
-// that trim, so the peak is at most snapshot_cache_bytes plus the one blob
-// that just landed. The cache stays above budget after a trim only when a
-// compaction write failed (counted in wb_flush_errors).
+// SNAPSHOT CACHE: a session's last-flushed blob stays cached only while
+// disk cannot serve it without replay (it landed as an op-log delta, or
+// its flush failed) and no newer snapshot is queued. Over
+// snapshot_cache_bytes, the LRU delta session is queued as an ordinary
+// full write (ops_valid = false): its bytes leave the budget at once,
+// restores find it in pending_, and the IO thread stays the only disk
+// writer. wb_cache_bytes_high_water is taken before that trim, so the
+// peak is at most the budget plus the blob that just landed, unless
+// blobs whose flush failed (never queued by pressure) fill the cache.
 //
 // SHUTDOWN: SessionManager::flush() evicts, drains, and calls
 // retry_failed_flushes(). Base + delta pairs stay on disk as they landed;
@@ -70,10 +68,6 @@
 
 namespace cham::serve {
 
-struct WriteBehindConfig {
-  int64_t snapshot_cache_bytes = int64_t{128} << 20;
-};
-
 class WriteBehind {
  public:
   // Longest op log a delta may carry (bounds restore replay cost). The
@@ -89,7 +83,7 @@ class WriteBehind {
     bool ops_valid = true;  // false: op log overflowed or a dispatch failed
   };
 
-  WriteBehind(SessionStore& store, WriteBehindConfig cfg);
+  WriteBehind(SessionStore& store, int64_t snapshot_cache_bytes);
   ~WriteBehind();  // drains the queue, then stops the IO thread
 
   WriteBehind(const WriteBehind&) = delete;
@@ -97,7 +91,7 @@ class WriteBehind {
 
   // Hands a snapshot to the pipeline. Never blocks on disk. Snapshots for
   // a session already queued coalesce: blobs replace, op logs concatenate.
-  void submit(Snapshot snap) CHAM_EXCLUDES(io_mu_, mu_);
+  void submit(Snapshot snap) CHAM_EXCLUDES(mu_);
 
   // The newest state bytes the pipeline holds for the session (pending,
   // mid-flush, or cached last-flushed), or null if it holds none and the
@@ -112,10 +106,10 @@ class WriteBehind {
   // Blocks until every queued snapshot has been flushed (or failed).
   void drain() CHAM_EXCLUDES(mu_);
 
-  // Writes a full blob for every session whose last flush failed (its
-  // newest state lives only in the cache). SessionManager::flush() calls
-  // it after drain().
-  void retry_failed_flushes() CHAM_EXCLUDES(io_mu_, mu_);
+  // Queues a full write of every session whose last flush failed (its
+  // newest state lives only in the cache), then drains.
+  // SessionManager::flush() calls it after drain().
+  void retry_failed_flushes() CHAM_EXCLUDES(mu_);
 
   WriteBehindStats stats() const CHAM_EXCLUDES(mu_);
   // Bytes the snapshot cache holds right now (sum of cached `latest` blobs).
@@ -133,35 +127,32 @@ class WriteBehind {
     uint64_t base_hash = 0;
     uint64_t base_len = 0;
     bool has_base = false;
-    // Last flushed blob in any form = the session's newest state. Pinned
-    // in the cache while deltas_since_full > 0 or while a failed flush
-    // left disk behind it (see file comment).
+    // Last flushed blob, cached while it landed as a delta or its flush
+    // failed and no newer snapshot is queued (see file comment); null
+    // otherwise.
     std::shared_ptr<const core::ByteBuf> latest;
-    bool durable = false;  // disk holds exactly `latest` (possibly as delta)
-    // Ops spanning base -> latest (for op-log encoding of the next delta).
+    bool durable = false;  // disk holds the newest flushed state
+    // Ops spanning base -> last flushed blob (for the next op-log delta).
     std::vector<data::ServeOp> ops_since_base;
     bool ops_valid = true;
     int64_t deltas_since_full = 0;
     uint64_t lru_tick = 0;
   };
 
-  void io_loop() CHAM_EXCLUDES(io_mu_, mu_);
-  // Encodes + writes one snapshot. Takes mu_ internally; never holds it
-  // across the encode. `mu_` must NOT be held by the caller.
-  void flush_one(Snapshot snap) CHAM_EXCLUDES(io_mu_, mu_);
-  // Under mu_: recompute cached bytes and evict/compact down to budget.
+  void io_loop() CHAM_EXCLUDES(mu_);
+  // Encodes + writes one snapshot: the only caller of SessionStore::put_*.
+  // Takes mu_ twice internally, never across the encode or the write.
+  void flush_one(Snapshot snap) CHAM_EXCLUDES(mu_);
+  // Under mu_: appends a snapshot for a session with nothing pending and
+  // releases the session's cached blob, which the snapshot supersedes.
+  void enqueue_locked(Snapshot snap) CHAM_REQUIRES(mu_);
+  // Under mu_: queues LRU durable entries for compaction down to budget.
   void enforce_cache_budget_locked() CHAM_REQUIRES(mu_);
-  // Under mu_: writes m.latest as the session's full blob and makes it the
-  // delta base. False, counted in wb_flush_errors, if the write failed.
-  bool land_full_locked(uint64_t id, Meta& m) CHAM_REQUIRES(mu_);
-  int64_t cached_bytes_locked() const CHAM_REQUIRES(mu_);
 
   SessionStore& store_;
-  WriteBehindConfig cfg_;
+  const int64_t cache_budget_;
 
-  // Lock order: io_mu_ before mu_ (flush_one holds io_mu_ across the encode
-  // and takes mu_ twice inside; retry_failed_flushes takes both). Never the
-  // reverse.
+  // A leaf: nothing else is acquired under it, the SessionStore included.
   mutable util::Mutex mu_;
   util::CondVar cv_;       // IO thread: work available / stop
   util::CondVar cv_idle_;  // drain(): queue empty, nothing mid-flush
@@ -171,14 +162,12 @@ class WriteBehind {
   std::unordered_map<uint64_t, std::shared_ptr<const core::ByteBuf>>
       inflight_ CHAM_GUARDED_BY(mu_);  // blob currently being written
   std::unordered_map<uint64_t, Meta> meta_ CHAM_GUARDED_BY(mu_);
+  int64_t cached_bytes_ CHAM_GUARDED_BY(mu_) = 0;  // sum of meta_ `latest`
   WriteBehindStats stats_ CHAM_GUARDED_BY(mu_);
   uint64_t lru_tick_ CHAM_GUARDED_BY(mu_) = 0;
   bool paused_ CHAM_GUARDED_BY(mu_) = false;
   bool stop_ CHAM_GUARDED_BY(mu_) = false;
 
-  // Serialises disk writes: flush_one (IO thread) against
-  // retry_failed_flushes.
-  util::Mutex io_mu_ CHAM_ACQUIRED_BEFORE(mu_);
   std::thread io_thread_;
 };
 

@@ -12,6 +12,7 @@
 #include "replay/serialize.h"
 #include "serve/session_store.h"
 #include "tensor/rng.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -50,7 +51,7 @@ TEST_F(CheckpointSuite, RoundTripRestoresPredictionsAndBuffers) {
   const auto test_keys = data::all_test_keys(exp_->config().data);
   const auto preds_before = original.predict(test_keys);
 
-  const std::string path = "/tmp/cham_test_checkpoint.bin";
+  const std::string path = util::tmp_path("test_checkpoint");
   ASSERT_TRUE(core::save_checkpoint(original, path));
 
   // "Reboot": a fresh learner with the same config and a different seed
@@ -78,7 +79,7 @@ TEST_F(CheckpointSuite, RestoredLearnerKeepsLearning) {
   const size_t half = batches.size() / 2;
   for (size_t i = 0; i < half; ++i) original.observe(batches[i]);
 
-  const std::string path = "/tmp/cham_test_checkpoint2.bin";
+  const std::string path = util::tmp_path("test_checkpoint2");
   ASSERT_TRUE(core::save_checkpoint(original, path));
   core::ChameleonLearner resumed(exp_->env(), cc, 77);
   ASSERT_TRUE(core::load_checkpoint(resumed, path));
@@ -112,7 +113,7 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
   EXPECT_GT(first_half.preferences().window_seen(), 0)
       << "cut point must land mid-window for this test to bite";
 
-  serve::SessionStore store("/tmp/cham_test_midstream");
+  serve::SessionStore store(util::tmp_path("test_midstream"));
   store.clear();
   core::ByteBuf blob;
   {
@@ -323,7 +324,7 @@ TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {
   core::ChameleonLearner learner(exp_->env(), cc, 3);
   EXPECT_FALSE(core::load_checkpoint(learner, "/tmp/nope_checkpoint.bin"));
 
-  const std::string path = "/tmp/cham_test_checkpoint3.bin";
+  const std::string path = util::tmp_path("test_checkpoint3");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
   std::fclose(f);

@@ -6,6 +6,7 @@
 
 #include "data/stream.h"
 #include "metrics/csv.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -87,7 +88,7 @@ TEST(Csv, NumericRows) {
 TEST(Csv, WritesFile) {
   metrics::CsvWriter w({"a"});
   w.append_row({std::string("1")});
-  const std::string path = "/tmp/cham_test_csv.csv";
+  const std::string path = util::tmp_path("test_csv");
   ASSERT_TRUE(w.write(path));
   std::ifstream f(path);
   std::string line;

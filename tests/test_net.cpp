@@ -37,6 +37,7 @@
 #include "tensor/rng.h"
 #include "util/check.h"
 #include "util/json.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -471,7 +472,7 @@ class NetSuite : public ::testing::Test {
     sc.max_resident = 4;
     sc.queue_capacity = 16;
     sc.mode = mode;
-    sc.store_dir = "/tmp/cham_net_" + tag;
+    sc.store_dir = util::tmp_path("net_" + tag);
     sc.base_seed = 17;
     serve::SessionStore(sc.store_dir).clear();
     return sc;
@@ -480,7 +481,7 @@ class NetSuite : public ::testing::Test {
   static net::NetConfig net_config(const std::string& tag) {
     net::NetConfig nc;
     nc.transport = net::Transport::kUnix;
-    nc.unix_path = "/tmp/cham_net_" + tag + ".sock";
+    nc.unix_path = util::tmp_path("net_" + tag + ".sock");
     return nc;
   }
 
@@ -816,7 +817,7 @@ TEST_F(NetSuite, OversizedPayloadRejectedAndSkipped) {
 // announcing a ~4 GiB payload_len (corrupt or hostile server) is a protocol
 // violation, rejected BEFORE any buffer is sized to it.
 TEST_F(NetSuite, ClientRejectsOversizedReplyHeaderBeforeAllocating) {
-  const std::string path = "/tmp/cham_net_clientcap.sock";
+  const std::string path = util::tmp_path("net_clientcap.sock");
   ::unlink(path.c_str());
   const int lfd = ::socket(AF_UNIX, SOCK_STREAM, 0);
   ASSERT_GE(lfd, 0);
@@ -826,26 +827,45 @@ TEST_F(NetSuite, ClientRejectsOversizedReplyHeaderBeforeAllocating) {
   ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
   ASSERT_EQ(::listen(lfd, 1), 0);
 
-  // Fake server: accept, send one well-formed header whose payload_len
-  // field is maxed out, hang up.
+  // Fake server: accept, read the client's whole FLUSH frame as a real
+  // server would (replying first lets a descheduled client's send hit
+  // EPIPE), send one well-formed header whose payload_len field is maxed
+  // out, hang up.
   std::thread fake_server([lfd] {
     const int cfd = ::accept(lfd, nullptr, nullptr);
     if (cfd < 0) return;
+    uint8_t request[net::kHeaderBytes];
+    std::size_t got = 0;
+    while (got < sizeof(request)) {
+      const ssize_t n = ::read(cfd, request + got, sizeof(request) - got);
+      if (n <= 0) break;
+      got += static_cast<std::size_t>(n);
+    }
     net::WireBuf frame;
     net::encode_control(frame, net::MsgType::kFlushOk, 0, 1);
     frame[24] = frame[25] = frame[26] = frame[27] = 0xFF;  // payload_len
     [[maybe_unused]] ssize_t n = ::write(cfd, frame.data(), net::kHeaderBytes);
     ::close(cfd);
   });
+  // Joins on every exit path, so a failed expectation (or a throw outside
+  // one) fails the test instead of destroying a joinable thread.
+  struct Cleanup {
+    std::thread& server;
+    int lfd;
+    const std::string& path;
+    ~Cleanup() {
+      ::shutdown(lfd, SHUT_RDWR);  // unblocks accept() if no client came
+      server.join();
+      ::close(lfd);
+      ::unlink(path.c_str());
+    }
+  } cleanup{fake_server, lfd, path};
 
   net::ClientOptions co;
   co.unix_path = path;
   net::NetClient c(co);
   EXPECT_EQ(c.send_control(net::MsgType::kFlush), 1u);
   EXPECT_THROW(c.await_reply(1), util::CheckError);
-  fake_server.join();
-  ::close(lfd);
-  ::unlink(path.c_str());
 }
 
 // Frames split at every possible byte boundary (worst-case short reads)

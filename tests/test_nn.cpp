@@ -13,6 +13,7 @@
 #include "nn/sequential.h"
 #include "nn/sgd.h"
 #include "tensor/ops.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -125,7 +126,7 @@ TEST(MobileNet, CopyExceptClassifierSkipsFc) {
 TEST(ModelIo, RoundTripsExactly) {
   Rng rng(14);
   auto a = nn::build_mobilenet_v1(tiny_cfg(), rng);
-  const std::string path = "/tmp/cham_test_model_io.bin";
+  const std::string path = util::tmp_path("test_model_io");
   ASSERT_TRUE(nn::save_params(*a.net, path));
 
   Rng rng2(15);
@@ -143,7 +144,7 @@ TEST(ModelIo, RoundTripsExactly) {
 TEST(ModelIo, RejectsWrongArchitecture) {
   Rng rng(17);
   auto a = nn::build_mobilenet_v1(tiny_cfg(), rng);
-  const std::string path = "/tmp/cham_test_model_io2.bin";
+  const std::string path = util::tmp_path("test_model_io2");
   ASSERT_TRUE(nn::save_params(*a.net, path));
   auto other_cfg = tiny_cfg();
   other_cfg.width_mult = 1.0f;

@@ -28,6 +28,7 @@
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
 #include "util/check.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -178,7 +179,7 @@ TEST_F(ServeSuite, EvictionFidelityAcrossRandomizedSchedule) {
   sc.num_shards = 3;
   sc.max_resident = 4;  // << kSessions: every session cycles through disk
   sc.queue_capacity = 8;
-  sc.store_dir = "/tmp/cham_serve_fidelity";
+  sc.store_dir = util::tmp_path("serve_fidelity");
   sc.base_seed = 7;
   sc.mode = serve::ServeMode::kDeterministic;
   serve::SessionStore(sc.store_dir).clear();
@@ -276,11 +277,11 @@ TEST_F(ServeSuite, AdmissionOrderDoesNotChangePerSessionResults) {
     mgr.flush();
   };
 
-  run_order("/tmp/cham_serve_order_a", false);
-  run_order("/tmp/cham_serve_order_b", true);
+  run_order(util::tmp_path("serve_order_a"), false);
+  run_order(util::tmp_path("serve_order_b"), true);
 
-  serve::SessionStore a("/tmp/cham_serve_order_a");
-  serve::SessionStore b("/tmp/cham_serve_order_b");
+  serve::SessionStore a(util::tmp_path("serve_order_a"));
+  serve::SessionStore b(util::tmp_path("serve_order_b"));
   for (int64_t s = 0; s < kSessions; ++s) {
     core::ChameleonLearner la(exp_->env(), learner_config(), 0x1);
     core::ChameleonLearner lb(exp_->env(), learner_config(), 0x2);
@@ -297,7 +298,7 @@ TEST_F(ServeSuite, SessionSeedsAreStableAndDistinct) {
   serve::ServeConfig sc;
   sc.num_shards = 1;
   sc.max_resident = 1;
-  sc.store_dir = "/tmp/cham_serve_seeds";
+  sc.store_dir = util::tmp_path("serve_seeds");
   sc.base_seed = 123;
   serve::SessionManager mgr(sc, factory());
   std::vector<uint64_t> seeds;
@@ -320,7 +321,7 @@ TEST_F(ServeSuite, BoundedQueueRejectsWithRetryHint) {
   sc.max_resident = 1;
   sc.queue_capacity = 2;
   sc.retry_hint_ms = 9;
-  sc.store_dir = "/tmp/cham_serve_backpressure";
+  sc.store_dir = util::tmp_path("serve_backpressure");
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());
 
@@ -350,7 +351,7 @@ TEST_F(ServeSuite, PredictSeesPendingObserves) {
   sc.num_shards = 2;
   sc.max_resident = 2;
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_serve_predict";
+  sc.store_dir = util::tmp_path("serve_predict");
   sc.base_seed = 5;
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());
@@ -385,7 +386,7 @@ TEST_F(ServeSuite, ThreadedModeMatchesIsolation) {
   sc.num_shards = 4;
   sc.max_resident = 5;
   sc.queue_capacity = 8;
-  sc.store_dir = "/tmp/cham_serve_threaded";
+  sc.store_dir = util::tmp_path("serve_threaded");
   sc.base_seed = 31;
   sc.mode = serve::ServeMode::kThreaded;
   serve::SessionStore(sc.store_dir).clear();
@@ -432,7 +433,7 @@ TEST_F(ServeSuite, ThreadedModeMatchesIsolation) {
 // SessionStore basics: blobs round-trip byte for byte under decimal-id
 // file names, load() restores them, and clear() removes blobs and deltas.
 TEST_F(ServeSuite, SessionStoreLifecycle) {
-  const std::string dir = "/tmp/cham_serve_store";
+  const std::string dir = util::tmp_path("serve_store");
   serve::SessionStore store(dir);
   store.clear();
   EXPECT_FALSE(store.contains(4));
@@ -532,7 +533,7 @@ class ThrowingLearner : public core::ChameleonLearner {
 // blob with a truncated one. The temp file is diverted to /dev/full so every
 // write fails with ENOSPC before the rename.
 TEST_F(ServeSuite, SaveFailureLeavesOldBlobIntact) {
-  const std::string dir = "/tmp/cham_serve_diskfull";
+  const std::string dir = util::tmp_path("serve_diskfull");
   serve::SessionStore store(dir);
   store.clear();
   const auto batches = session_batches(2);
@@ -571,7 +572,7 @@ TEST_F(ServeSuite, FlushRetriesFailedWriteBehindFlush) {
   serve::ServeConfig sc;
   sc.num_shards = 1;
   sc.max_resident = 1;  // touching session 1 evicts session 0
-  sc.store_dir = "/tmp/cham_serve_flush_retry";
+  sc.store_dir = util::tmp_path("serve_flush_retry");
   serve::SessionStore(sc.store_dir).clear();
   const auto batches = session_batches(11);
   const auto test_keys = data::all_test_keys(exp_->config().data);
@@ -623,7 +624,7 @@ TEST_F(ServeSuite, PredictExceptionPropagatesWithoutHanging) {
     sc.num_shards = 2;
     sc.max_resident = 2;
     sc.queue_capacity = 8;
-    sc.store_dir = "/tmp/cham_serve_throw";
+    sc.store_dir = util::tmp_path("serve_throw");
     sc.mode = mode;
     serve::SessionStore(sc.store_dir).clear();
     serve::SessionManager mgr(sc, throwing_factory);
@@ -669,7 +670,7 @@ TEST_F(ServeSuite, ObserveFailureCountedAndLogInvalidatedInBothModes) {
     serve::ServeConfig sc;
     sc.num_shards = 1;
     sc.max_resident = 1;  // touching session 9 evicts session 8
-    sc.store_dir = "/tmp/cham_serve_throw_observe";
+    sc.store_dir = util::tmp_path("serve_throw_observe");
     sc.mode = mode;
     serve::SessionStore(sc.store_dir).clear();
     serve::SessionManager mgr(sc, throwing_factory);
@@ -707,7 +708,7 @@ TEST_F(ServeSuite, ObserveFailureCountedAndLogInvalidatedInBothModes) {
     EXPECT_EQ(*got, iso.predict(test_keys));
     EXPECT_EQ(mgr.stats().dispatch_errors, 1);
   }
-  serve::SessionStore("/tmp/cham_serve_throw_observe").clear();
+  serve::SessionStore(util::tmp_path("serve_throw_observe")).clear();
 }
 
 // Tentpole: a restore racing its own write-behind flush must read the
@@ -720,7 +721,7 @@ TEST_F(ServeSuite, RestoreDuringPendingFlushIsBitExact) {
   sc.num_shards = 1;
   sc.max_resident = 1;  // every session switch evicts
   sc.queue_capacity = 4;
-  sc.store_dir = "/tmp/cham_serve_pending";
+  sc.store_dir = util::tmp_path("serve_pending");
   sc.base_seed = 77;
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());
@@ -772,7 +773,7 @@ TEST_F(ServeSuite, PredictOnlyEvictionDuringPendingFlushRestoresBitIdentically) 
     serve::ServeConfig sc;
     sc.num_shards = 1;
     sc.max_resident = 1;  // every session switch evicts
-    sc.store_dir = "/tmp/cham_serve_clean_pending";
+    sc.store_dir = util::tmp_path("serve_clean_pending");
     sc.mode = mode;
     serve::SessionStore(sc.store_dir).clear();
     serve::SessionManager mgr(sc, factory());
@@ -822,7 +823,7 @@ TEST_F(ServeSuite, PredictOnlyEvictionDuringPendingFlushRestoresBitIdentically) 
     ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(0, restored));
     expect_bit_identical(restored, isolated, "predict-only pending restore");
   }
-  serve::SessionStore("/tmp/cham_serve_clean_pending").clear();
+  serve::SessionStore(util::tmp_path("serve_clean_pending")).clear();
 }
 
 // A created session that was never observed is its factory state
@@ -837,7 +838,7 @@ TEST_F(ServeSuite, NeverObservedSessionLeavesNoBlob) {
     serve::ServeConfig sc;
     sc.num_shards = 1;
     sc.max_resident = 1;
-    sc.store_dir = "/tmp/cham_serve_never_observed";
+    sc.store_dir = util::tmp_path("serve_never_observed");
     sc.mode = mode;
     serve::SessionStore(sc.store_dir).clear();
     serve::SessionManager mgr(sc, factory());
@@ -878,7 +879,7 @@ TEST_F(ServeSuite, NeverObservedSessionLeavesNoBlob) {
     EXPECT_EQ(st.creates, 1);
     EXPECT_EQ(st.restores, 0);
   }
-  serve::SessionStore("/tmp/cham_serve_never_observed").clear();
+  serve::SessionStore(util::tmp_path("serve_never_observed")).clear();
 }
 
 // Satellite bugfix: drain() racing shutdown must not hang, and a manager
@@ -889,7 +890,7 @@ TEST_F(ServeSuite, ShutdownWithConcurrentDrainsDoesNotHang) {
   sc.num_shards = 2;
   sc.max_resident = 3;
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_serve_shutdown";
+  sc.store_dir = util::tmp_path("serve_shutdown");
   sc.mode = serve::ServeMode::kThreaded;
   serve::SessionStore(sc.store_dir).clear();
   const auto batches = session_batches(5);
@@ -929,7 +930,7 @@ TEST_F(ServeSuite, SteadyStateEvictionWritesUseDeltas) {
   sc.num_shards = 1;
   sc.max_resident = 1;
   sc.queue_capacity = 4;
-  sc.store_dir = "/tmp/cham_serve_delta";
+  sc.store_dir = util::tmp_path("serve_delta");
   sc.base_seed = 13;
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());
@@ -998,7 +999,7 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
   serve::ServeConfig sc;
   sc.num_shards = 1;
   sc.max_resident = 2;
-  sc.store_dir = "/tmp/cham_serve_oplog";
+  sc.store_dir = util::tmp_path("serve_oplog");
   sc.base_seed = 55;
   serve::SessionStore(sc.store_dir).clear();
 
@@ -1074,7 +1075,7 @@ TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
       serve::ServeConfig sc;
       sc.num_shards = 1;
       sc.max_resident = 1;
-      sc.store_dir = "/tmp/cham_serve_replay_compact";
+      sc.store_dir = util::tmp_path("serve_replay_compact");
       sc.base_seed = 55;
       sc.mode = mode;
       serve::SessionStore store(sc.store_dir);
@@ -1139,7 +1140,7 @@ TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
       EXPECT_EQ(st.replayed_ops, 0);
     }
   }
-  serve::SessionStore("/tmp/cham_serve_replay_compact").clear();
+  serve::SessionStore(util::tmp_path("serve_replay_compact")).clear();
 }
 
 // Crash consistency: a full write renames .chk before unlinking .delta; a
@@ -1150,7 +1151,7 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
   serve::ServeConfig sc;
   sc.num_shards = 1;
   sc.max_resident = 1;
-  sc.store_dir = "/tmp/cham_serve_stale";
+  sc.store_dir = util::tmp_path("serve_stale");
   sc.base_seed = 27;
   serve::SessionStore store(sc.store_dir);
   store.clear();
@@ -1211,7 +1212,7 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
 // fails the request as one dispatch error and leaves nothing resident, in
 // both scheduler modes.
 TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
-  const std::string dir = "/tmp/cham_serve_legacy";
+  const std::string dir = util::tmp_path("serve_legacy");
   const uint64_t sid = 5;
   const auto batches = session_batches(8);
   const auto test_keys = data::all_test_keys(exp_->config().data);
@@ -1309,6 +1310,67 @@ TEST_F(ServeSuite, LegacyChunkDeltaIsRejectedOnLoad) {
   serve::SessionStore(dir).clear();
 }
 
+// The snapshot cache keeps a blob only while disk cannot serve it without
+// replay. A full landing caches nothing: the next restore reads the blob
+// from disk. A delta landing stays cached, since its disk restore replays
+// observes. A cold load of either landing is bit-identical to isolation.
+TEST_F(ServeSuite, FullFlushLeavesNothingCached) {
+  serve::ServeConfig sc;
+  sc.num_shards = 1;
+  sc.max_resident = 1;  // touching another session evicts
+  sc.store_dir = util::tmp_path("serve_full_uncached");
+  serve::SessionStore(sc.store_dir).clear();
+  const auto batches = session_batches(12);
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  serve::SessionManager mgr(sc, factory());
+  core::ChameleonLearner isolated(exp_->env(), learner_config(),
+                                  mgr.session_seed(0));
+
+  // First eviction of session 0: no base yet, so a full blob.
+  submit_or_drain(mgr, 0, batches[0]);
+  mgr.drain();
+  isolated.observe(batches[0]);
+  ASSERT_TRUE(mgr.predict(1, test_keys).has_value());  // evicts 0, dirty
+  mgr.write_behind().drain();
+  serve::ServeStats st = mgr.stats();
+  EXPECT_EQ(st.wb_full_saves, 1);
+  EXPECT_EQ(mgr.write_behind().newest_blob(0), nullptr)
+      << "a full landing must not stay cached";
+  EXPECT_EQ(mgr.write_behind().cached_bytes(), 0);
+  {
+    core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
+    serve::SessionStore::LoadInfo info;
+    ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(0, restored, &info));
+    EXPECT_FALSE(info.applied_delta);
+    expect_bit_identical(restored, isolated, "full landing");
+  }
+
+  // Restore from disk, observe once more: the eviction lands as a delta
+  // against that base, and the delta's blob stays cached.
+  submit_or_drain(mgr, 0, batches[1]);
+  mgr.drain();
+  isolated.observe(batches[1]);
+  ASSERT_TRUE(mgr.predict(1, test_keys).has_value());  // evicts 0, dirty
+  mgr.write_behind().drain();
+  st = mgr.stats();
+  EXPECT_EQ(st.disk_restores, 1);
+  EXPECT_EQ(st.wb_oplog_saves, 1);
+  const auto cached = mgr.write_behind().newest_blob(0);
+  ASSERT_NE(cached, nullptr) << "a delta landing must stay cached";
+  EXPECT_EQ(mgr.write_behind().cached_bytes(),
+            static_cast<int64_t>(cached->size()));
+  EXPECT_EQ(*cached, blob_of(isolated));
+  {
+    core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
+    serve::SessionStore::LoadInfo info;
+    ASSERT_TRUE(serve::SessionStore(sc.store_dir).load(0, restored, &info));
+    EXPECT_TRUE(info.applied_delta);
+    EXPECT_EQ(info.replayed_ops, 1);
+    expect_bit_identical(restored, isolated, "delta landing");
+  }
+  serve::SessionStore(sc.store_dir).clear();
+}
+
 // The snapshot cache holds only each session's `latest` blob. A flush can
 // push it over budget by at most the blob that just landed (the high-water
 // mark is taken before the trim), and the trim after every flush brings it
@@ -1332,7 +1394,7 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
   sc.max_resident = 2;  // six sessions over two slots: constant eviction
   sc.queue_capacity = 8;
   sc.mode = serve::ServeMode::kThreaded;
-  sc.store_dir = "/tmp/cham_serve_cache_budget";
+  sc.store_dir = util::tmp_path("serve_cache_budget");
   sc.base_seed = 31;
   // Room for about two and a half blobs.
   sc.snapshot_cache_bytes = static_cast<int64_t>(probe_blob.size() * 5 / 2);
@@ -1404,7 +1466,7 @@ TEST_F(ServeSuite, BatchedPredictMatchesIsolatedLearner) {
   sc.max_resident = 6;
   sc.queue_capacity = 16;
   sc.max_batch = 4;  // kSessions' predicts need > 1 window
-  sc.store_dir = "/tmp/cham_serve_batch_iso";
+  sc.store_dir = util::tmp_path("serve_batch_iso");
   sc.base_seed = 33;
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());
@@ -1520,8 +1582,8 @@ TEST_F(ServeSuite, BatchedVsUnbatchedBitExactOnMixedInterleave) {
     return out;
   };
 
-  const auto batched = run("/tmp/cham_serve_batch_on", 8);
-  const auto unbatched = run("/tmp/cham_serve_batch_off", 1);
+  const auto batched = run(util::tmp_path("serve_batch_on"), 8);
+  const auto unbatched = run(util::tmp_path("serve_batch_off"), 1);
   ASSERT_EQ(batched.size(), unbatched.size());
   for (size_t i = 0; i < batched.size(); ++i) {
     EXPECT_EQ(batched[i], unbatched[i])
@@ -1590,9 +1652,9 @@ TEST_F(ServeSuite, PlanStableAcrossArrivalPermutations) {
       strided.push_back((s * 5 + k) % kSessions);
     }
   }
-  const auto a = run("/tmp/cham_serve_perm_a", forward);
-  const auto b = run("/tmp/cham_serve_perm_b", reversed);
-  const auto c = run("/tmp/cham_serve_perm_c", strided);
+  const auto a = run(util::tmp_path("serve_perm_a"), forward);
+  const auto b = run(util::tmp_path("serve_perm_b"), reversed);
+  const auto c = run(util::tmp_path("serve_perm_c"), strided);
   EXPECT_EQ(std::get<0>(a), std::get<0>(b));
   EXPECT_EQ(std::get<0>(a), std::get<0>(c));
   // Identical plans, not just identical answers: window structure matches.
@@ -1616,7 +1678,7 @@ TEST_F(ServeSuite, EvictionRacesPlannedBatch) {
   sc.max_resident = 2;  // every plan group past the 2nd evicts another
   sc.queue_capacity = 32;
   sc.max_batch = 8;
-  sc.store_dir = "/tmp/cham_serve_batch_evict";
+  sc.store_dir = util::tmp_path("serve_batch_evict");
   sc.base_seed = 99;
   serve::SessionStore(sc.store_dir).clear();
   serve::SessionManager mgr(sc, factory());

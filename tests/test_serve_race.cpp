@@ -55,6 +55,7 @@
 #include "serve/session_store.h"
 #include "tensor/thread_pool.h"
 #include "tensor/workspace.h"
+#include "util/tmp_path.h"
 
 namespace cham {
 namespace {
@@ -99,7 +100,7 @@ TEST_F(ServeRaceSuite, MultiShardEvictRestoreFlushStress) {
   sc.num_shards = 4;
   sc.max_resident = 4;  // << kSessions: evictions and restores are constant
   sc.queue_capacity = 8;
-  sc.store_dir = "/tmp/cham_serve_race";
+  sc.store_dir = util::tmp_path("serve_race");
   sc.base_seed = 11;
   sc.mode = serve::ServeMode::kThreaded;
   sc.snapshot_cache_bytes = int64_t{4} << 20;  // cache pressure compactions
@@ -205,7 +206,7 @@ TEST_F(ServeRaceSuite, DeterministicDrainFlushStress) {
   sc.num_shards = 2;
   sc.max_resident = 3;  // < kSessions: flushes and dispatch contend for slots
   sc.queue_capacity = 8;
-  sc.store_dir = "/tmp/cham_serve_race_det";
+  sc.store_dir = util::tmp_path("serve_race_det");
   sc.base_seed = 23;
   sc.mode = serve::ServeMode::kDeterministic;
   serve::SessionStore(sc.store_dir).clear();
@@ -291,7 +292,7 @@ TEST_F(ServeRaceSuite, BatchPlanCoalesceStress) {
   sc.num_shards = 4;
   sc.max_resident = 4;  // evictions race planned batches throughout
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_serve_race_plan";
+  sc.store_dir = util::tmp_path("serve_race_plan");
   sc.base_seed = 23;
   sc.mode = serve::ServeMode::kThreaded;
   sc.max_batch = 8;
@@ -401,7 +402,7 @@ TEST_F(ServeRaceSuite, GatherSourcesStableAcrossEvictRestore) {
   sc.num_shards = 4;
   sc.max_resident = 4;  // << kSessions: slabs constantly destroyed/rebuilt
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_serve_race_gather";
+  sc.store_dir = util::tmp_path("serve_race_gather");
   sc.base_seed = 31;
   sc.mode = serve::ServeMode::kThreaded;
   serve::SessionStore(sc.store_dir).clear();
@@ -486,7 +487,7 @@ TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
   sc.num_shards = 4;
   sc.max_resident = 4;  // evictions/restores race the wire traffic
   sc.queue_capacity = 16;
-  sc.store_dir = "/tmp/cham_serve_race_net";
+  sc.store_dir = util::tmp_path("serve_race_net");
   sc.base_seed = 47;
   sc.mode = serve::ServeMode::kThreaded;
   sc.max_batch = 8;
@@ -501,7 +502,7 @@ TEST_F(ServeRaceSuite, NetMultiConnectionStress) {
 
   serve::SessionManager mgr(sc, factory());
   net::NetConfig nc;
-  nc.unix_path = "/tmp/cham_serve_race_net.sock";
+  nc.unix_path = util::tmp_path("serve_race_net.sock");
   nc.sndbuf_bytes = 4096;            // replies go partial: resume path hot
   nc.outbox_limit_bytes = 64 << 10;  // read-pause flow control engages
   net::NetServer server(mgr, nc);

@@ -97,6 +97,16 @@ are about *this* codebase's contracts:
                       peer's socket buffer. Syscalls belong
                       outside the markers, on buffers the lock no longer
                       protects.
+  store-in-wb-mu      A SessionStore call (`store_.` / `store_->` or
+                      `SessionStore`) inside a WriteBehind::mu_ critical
+                      section — between `// cham-lint: begin(wb_mu)` and
+                      `// cham-lint: end(wb_mu)` markers. WriteBehind::mu_
+                      is a leaf that every restore lookup (newest_blob) and
+                      every eviction hand-off (submit) on every shard takes;
+                      a disk write under it stalls them all behind an
+                      fsync. The IO thread's flush_one, with mu_ released,
+                      is the only caller of SessionStore::put_*; cache
+                      pressure queues a flush instead of writing.
   parallel-for-grain  A parallel_for( call under src/ without an explicit
                       grain argument. The default grain of 1 wakes the
                       thread pool for any range of two or more items, however
@@ -163,6 +173,9 @@ RULES = {
     "syscall-in-net-lock": "blocking syscall inside a net_mu critical "
     "section (the socket front-end holds connection mutexes only to move "
     "frames between queues); do socket I/O with the lock released",
+    "store-in-wb-mu": "SessionStore call inside a WriteBehind::mu_ "
+    "critical section (every shard's restore lookup and eviction hand-off "
+    "waits on it); queue the write for the IO thread's flush_one instead",
     "unguarded-shared-member": "member written inside a lock-held marker "
     "region but not declared CHAM_GUARDED_BY; annotate the declaration so "
     "the thread-safety analysis can check it",
@@ -207,8 +220,9 @@ ALLOC_RE = re.compile(
 # comments so they are matched on the raw source, while the rules below run
 # on the stripped code. Region kinds: `dispatch` (shard queue mutex),
 # `sessions_mu` (global residency lock), `store_mu` (SessionStore file
-# lock), `batch_plan` (shard queue mutex during plan formation) and
-# `hot_path` (zero-copy replay loops).
+# lock), `batch_plan` (shard queue mutex during plan formation), `net_mu`
+# (a connection's mutex), `wb_mu` (WriteBehind::mu_) and `hot_path`
+# (zero-copy replay loops).
 DISPATCH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(dispatch\)")
 DISPATCH_END_RE = re.compile(r"cham-lint:\s*end\(dispatch\)")
 SESSIONS_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(sessions_mu\)")
@@ -221,6 +235,14 @@ HOT_PATH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(hot_path\)")
 HOT_PATH_END_RE = re.compile(r"cham-lint:\s*end\(hot_path\)")
 NET_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(net_mu\)")
 NET_MU_END_RE = re.compile(r"cham-lint:\s*end\(net_mu\)")
+WB_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(wb_mu\)")
+WB_MU_END_RE = re.compile(r"cham-lint:\s*end\(wb_mu\)")
+# Any call into the SessionStore: through the WriteBehind member, or any
+# use of the type itself (a constructed store, a qualified static).
+STORE_CALL_RE = re.compile(
+    r"(?<![_A-Za-z0-9])store_\s*(?:\.|->)"
+    r"|(?<![_A-Za-z0-9])SessionStore(?![_A-Za-z0-9])"
+)
 # Blocking I/O syscalls (optionally `::`-qualified). Derived names like
 # read_header / fwrite do not match (identifier-char guards on both sides).
 SYSCALL_RE = re.compile(
@@ -518,6 +540,11 @@ def lint_file(path, raw):
         NET_MU_BEGIN_RE, NET_MU_END_RE, "syscall-in-net-lock",
         lambda line: bool(SYSCALL_RE.search(line) or
                           BLOCKING_RE.search(line)))
+    # wb_mu sections hold WriteBehind::mu_, a leaf every shard's restore
+    # lookup and eviction hand-off takes: no SessionStore call at all.
+    check_region(
+        WB_MU_BEGIN_RE, WB_MU_END_RE, "store-in-wb-mu",
+        lambda line: bool(STORE_CALL_RE.search(line)))
     # hot_path sections are the zero-copy replay loops (observe training,
     # chunked predict): latents must be gathered by pointer, never stacked
     # into a batch tensor.

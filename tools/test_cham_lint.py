@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Self-tests for cham_lint.py — one positive and one negative case per
 behaviour of the thread-safety rules (raw-mutex, naked-cv-wait,
-unguarded-shared-member), of parallel-for-grain, of learner-in-store-mu, of
-unregistered-test and of test-only-header, plus regression cases for the
-trickier matching (suppressions, comments/strings, wait_for, nested regions,
-sibling-header guarded declarations).
+unguarded-shared-member), of parallel-for-grain, of learner-in-store-mu,
+of store-in-wb-mu, of unregistered-test and of test-only-header, plus
+regression cases for the trickier matching (suppressions,
+comments/strings, wait_for, nested regions, sibling-header guarded
+declarations).
 
 Run directly (python3 tools/test_cham_lint.py) or via run_static.sh.
 Exit status: 0 all pass, 1 failures.
@@ -334,6 +335,21 @@ def main():
               "if (!core::read_op_log(d.data(), d.size(), ops)) return false;\n"
               "if (!learner.load_state(is)) return false;\n",
               path="src/serve/session_store.cpp")) == [])
+
+    print("rule: store-in-wb-mu")
+    check("flags a put_full under WriteBehind::mu_",
+          rules_of(lint_src(
+              "// cham-lint: begin(wb_mu)\n"
+              "if (!store_.put_full(id, b->data(), b->size())) continue;\n"
+              "// cham-lint: end(wb_mu)\n",
+              path="src/serve/write_behind.cpp")) == ["store-in-wb-mu"])
+    check("clean: queue under the lock, write with it released",
+          rules_of(lint_src(
+              "// cham-lint: begin(wb_mu)\n"
+              "queue_full_locked(id, m);\n"
+              "// cham-lint: end(wb_mu)\n"
+              "const bool ok = store_.put_delta(id, f.data(), f.size());\n",
+              path="src/serve/write_behind.cpp")) == [])
 
     print("rule: unregistered-test")
     with tempfile.TemporaryDirectory() as tmp:
