@@ -22,6 +22,13 @@
 //             exact model must come in strictly below 2x. Cross-checked
 //             against the live ledger (stats().g_bwd_macs delta per step).
 //
+//   served    The served head's train step (MobileNetV1 at 32x32, width
+//             0.5, split after conv layer 21: 256x2x2 latents, 6 classes,
+//             30-row steps, frozen BN, first-layer dInput elided, one
+//             tensor thread like the serving runtime): per-layer forward
+//             and backward self time with GMAC/s, plus loss, SGD and
+//             zero_grad. Gate: the rows cover >= 95% of the measured step.
+//
 //   ./build/bench/bench_observe [--steps N] [--out PATH]
 #include <algorithm>
 #include <atomic>
@@ -36,9 +43,13 @@
 #include "core/chameleon.h"
 #include "data/latent_cache.h"
 #include "nn/layers.h"
+#include "nn/loss.h"
+#include "nn/mobilenet.h"
 #include "nn/sequential.h"
+#include "nn/sgd.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
+#include "tensor/thread_pool.h"
 
 // ---------------------------------------------------------------------------
 // Counting global new/delete (same idiom as bench_kernels): every heap
@@ -272,6 +283,145 @@ Report run(long long measure_steps) {
   return rep;
 }
 
+// ---------------------------------------------------------------------------
+// Served head: one 30-row train step, layer by layer.
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+// One timed row: a head layer (forward + backward self time, MACs for the
+// step's rows) or a non-layer stage of the step (loss, SGD, zero_grad).
+struct StageRow {
+  std::string name;
+  double fwd_ms = 0, bwd_ms = 0;  // per-step means (sums while measuring)
+  double macs = 0;                // per step, forward + backward
+};
+
+struct ServedReport {
+  int64_t rows = 0, steps = 0;
+  double step_ms_mean = 0, step_ms_p50 = 0;
+  double rows_ms_sum = 0;  // per-step mean of all rows' self times
+  double coverage = 0;     // rows_ms_sum / step_ms_mean
+  double head_gmacs_per_s = 0;
+  std::vector<StageRow> stages;
+};
+
+ServedReport run_served(int64_t steps) {
+  constexpr int64_t kRows = 30;  // 10 incoming + 10 ST + 10 staged LT rows
+  nn::MobileNetConfig mc;        // 32x32, width 0.5, latent layer 21
+  mc.num_classes = 6;
+  Rng rng(21);
+  nn::SplitModel split =
+      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+  nn::Sequential& g = *split.g;
+  nn::freeze_batchnorm_stats(g);
+  g.set_needs_input_grad(false);
+  nn::Sgd opt(g.params(), 0.02f);
+
+  Tensor latents({kRows, split.latent_shape[0], split.latent_shape[1],
+                  split.latent_shape[2]});
+  for (int64_t i = 0; i < latents.numel(); ++i) {
+    latents[i] = std::max(0.0f, rng.normal_f(0.0f, 1.0f));  // post-ReLU6
+  }
+  std::vector<const float*> row_ptrs;
+  for (int64_t r = 0; r < kRows; ++r) {
+    row_ptrs.push_back(latents.data() + r * split.latent_dim);
+  }
+  const nn::GatherBatch gb{row_ptrs.data(), kRows, split.latent_shape};
+  std::vector<int64_t> labels;
+  for (int64_t r = 0; r < kRows; ++r) labels.push_back(r % mc.num_classes);
+
+  const int64_t nl = g.size();
+  ServedReport rep;
+  rep.rows = kRows;
+  rep.steps = steps;
+  for (int64_t i = 0; i < nl; ++i) {
+    nn::Layer& l = g.layer(i);
+    rep.stages.push_back(
+        {std::to_string(i) + ":" + l.name(), 0, 0,
+         static_cast<double>(
+             (l.macs_per_sample() + l.backward_macs_per_sample()) * kRows)});
+  }
+  rep.stages.push_back({"softmax_cross_entropy", 0, 0, 0});
+  rep.stages.push_back({"sgd_step", 0, 0, 0});
+  rep.stages.push_back({"zero_grad", 0, 0, 0});
+  StageRow& loss_row = rep.stages[static_cast<size_t>(nl)];
+  StageRow& sgd_row = rep.stages[static_cast<size_t>(nl) + 1];
+  StageRow& zero_row = rep.stages[static_cast<size_t>(nl) + 2];
+
+  // The step HeadLearner::train_step runs, through the Sequential.
+  const auto whole_step = [&] {
+    opt.zero_grad();
+    const Tensor logits = g.forward_gather(gb, /*train=*/true);
+    const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
+    (void)g.backward(loss.grad);
+    opt.step();
+  };
+  // The same calls in the same order, each under its own timer.
+  const auto layered_step = [&] {
+    auto t = Clock::now();
+    opt.zero_grad();
+    zero_row.fwd_ms += ms_since(t);
+    t = Clock::now();
+    Tensor cur = g.layer(0).forward_gather(gb, /*train=*/true);
+    rep.stages[0].fwd_ms += ms_since(t);
+    for (int64_t i = 1; i < nl; ++i) {
+      t = Clock::now();
+      cur = g.layer(i).forward(cur, /*train=*/true);
+      rep.stages[static_cast<size_t>(i)].fwd_ms += ms_since(t);
+    }
+    t = Clock::now();
+    nn::LossResult loss = nn::softmax_cross_entropy(cur, labels);
+    loss_row.fwd_ms += ms_since(t);
+    Tensor grad = std::move(loss.grad);
+    for (int64_t i = nl - 1; i >= 0; --i) {
+      t = Clock::now();
+      grad = g.layer(i).backward(grad);
+      rep.stages[static_cast<size_t>(i)].bwd_ms += ms_since(t);
+    }
+    t = Clock::now();
+    opt.step();
+    sgd_row.fwd_ms += ms_since(t);
+  };
+
+  const int saved_threads = num_threads();
+  set_num_threads(1);
+  for (int i = 0; i < 20; ++i) whole_step();  // warm the pool and arenas
+  for (auto& st : rep.stages) st.fwd_ms = st.bwd_ms = 0;
+  // Whole and layered steps alternate, so drift hits both alike.
+  std::vector<double> step_ms;
+  for (int64_t i = 0; i < steps; ++i) {
+    const auto t0 = Clock::now();
+    whole_step();
+    step_ms.push_back(ms_since(t0));
+    layered_step();
+  }
+  set_num_threads(saved_threads);
+
+  double total_macs = 0;
+  for (auto& st : rep.stages) {
+    st.fwd_ms /= static_cast<double>(steps);
+    st.bwd_ms /= static_cast<double>(steps);
+    rep.rows_ms_sum += st.fwd_ms + st.bwd_ms;
+    total_macs += st.macs;
+  }
+  for (double v : step_ms) rep.step_ms_mean += v;
+  rep.step_ms_mean /= static_cast<double>(steps);
+  std::sort(step_ms.begin(), step_ms.end());
+  rep.step_ms_p50 = step_ms[step_ms.size() / 2];
+  rep.coverage = rep.rows_ms_sum / rep.step_ms_mean;
+  rep.head_gmacs_per_s = total_macs / (rep.step_ms_mean * 1e6);
+  return rep;
+}
+
+double gmacs_per_s(const StageRow& st) {
+  const double ms = st.fwd_ms + st.bwd_ms;
+  return ms > 0 ? st.macs / (ms * 1e6) : 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -305,15 +455,30 @@ int main(int argc, char** argv) {
       r.fwd_macs, r.bwd_macs_before, r.bwd_macs_after, ratio,
       r.ledger_consistent ? "consistent" : "INCONSISTENT");
 
+  const ServedReport sv = run_served(std::max<long long>(100, steps / 2));
+  std::printf(
+      "\nserved head step (%lld rows, 1 thread): mean %.3f ms, p50 %.3f ms, "
+      "%.2f GMAC/s; rows sum %.3f ms (%.1f%% of the step)\n",
+      static_cast<long long>(sv.rows), sv.step_ms_mean, sv.step_ms_p50,
+      sv.head_gmacs_per_s, sv.rows_ms_sum, 100.0 * sv.coverage);
+  std::printf("  %-24s %9s %9s %9s %8s\n", "stage", "fwd ms", "bwd ms",
+              "MMAC", "GMAC/s");
+  for (const StageRow& st : sv.stages) {
+    std::printf("  %-24s %9.4f %9.4f %9.3f %8.2f\n", st.name.c_str(),
+                st.fwd_ms, st.bwd_ms, st.macs / 1e6, gmacs_per_s(st));
+  }
+
   const bool gate_zero_alloc = r.plain_max_allocs == 0;
   const bool gate_zero_stack = r.stack_calls_steady == 0;
   const bool gate_bwd = r.bwd_macs_after < r.bwd_macs_before && ratio < 2.0;
   const bool gate_ledger = r.ledger_consistent;
+  const bool gate_served = sv.coverage >= 0.95;
   std::printf(
       "\ngates: steady zero-alloc %s, zero stacking copies %s, bwd < 2x fwd "
-      "%s, ledger exact %s\n",
+      "%s, ledger exact %s, served rows cover the step %s\n",
       gate_zero_alloc ? "PASS" : "FAIL", gate_zero_stack ? "PASS" : "FAIL",
-      gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL");
+      gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL",
+      gate_served ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (!json) {
@@ -337,16 +502,39 @@ int main(int argc, char** argv) {
       "  \"gate_steady_state_zero_alloc\": %s,\n"
       "  \"gate_zero_stacking_copies\": %s,\n"
       "  \"gate_bwd_below_2x_fwd\": %s,\n"
-      "  \"gate_ledger_matches_model\": %s\n}\n",
+      "  \"gate_ledger_matches_model\": %s,\n",
       steps, r.p50_ms, r.p99_ms, r.plain_max_allocs, r.plain_max_bytes,
       r.plain_steps, r.lt_step_avg_bytes, r.lt_steps, r.stack_calls_steady,
       r.stack_calls_process, r.fwd_macs, r.bwd_macs_before, r.bwd_macs_after,
       ratio, gate_zero_alloc ? "true" : "false",
       gate_zero_stack ? "true" : "false", gate_bwd ? "true" : "false",
       gate_ledger ? "true" : "false");
+  std::fprintf(json,
+               "  \"served\": {\n    \"rows\": %lld, \"steps\": %lld, "
+               "\"threads\": 1,\n    \"step_ms_mean\": %.5f, "
+               "\"step_ms_p50\": %.5f,\n    \"rows_ms_sum\": %.5f, "
+               "\"coverage\": %.4f,\n    \"head_gmacs_per_s\": %.3f,\n"
+               "    \"stages\": [\n",
+               static_cast<long long>(sv.rows),
+               static_cast<long long>(sv.steps), sv.step_ms_mean,
+               sv.step_ms_p50, sv.rows_ms_sum, sv.coverage,
+               sv.head_gmacs_per_s);
+  for (size_t i = 0; i < sv.stages.size(); ++i) {
+    const StageRow& st = sv.stages[i];
+    std::fprintf(json,
+                 "      {\"stage\": \"%s\", \"fwd_ms\": %.5f, \"bwd_ms\": "
+                 "%.5f, \"macs\": %.0f, \"gmacs_per_s\": %.3f}%s\n",
+                 st.name.c_str(), st.fwd_ms, st.bwd_ms, st.macs,
+                 gmacs_per_s(st), i + 1 < sv.stages.size() ? "," : "");
+  }
+  std::fprintf(json,
+               "    ]\n  },\n  \"gate_served_rows_cover_step\": %s\n}\n",
+               gate_served ? "true" : "false");
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
-  return (gate_zero_alloc && gate_zero_stack && gate_bwd && gate_ledger) ? 0
-                                                                         : 1;
+  return (gate_zero_alloc && gate_zero_stack && gate_bwd && gate_ledger &&
+          gate_served)
+             ? 0
+             : 1;
 }

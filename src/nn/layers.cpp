@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -9,6 +10,10 @@
 #include "tensor/workspace.h"
 
 #include "util/check.h"
+
+#if defined(CHAM_SIMD_USE_AVX512)
+#include <immintrin.h>
+#endif
 
 namespace cham::nn {
 namespace {
@@ -98,6 +103,18 @@ void bn_backward_block(const ChannelBlock& b, const float* CHAM_RESTRICT go,
   for (int64_t c = b.c0; c < b.c1; ++c) sum_g[c] = sum_gx[c] = 0;
   for (int64_t n = 0; n < b.batch; ++n) {
     const int64_t base = n * b.channels * b.hw;
+    if (b.hw == 1) {
+      // 1x1 maps: one contiguous run over the block's channels, each
+      // channel's sums still advancing in sample order.
+      for (int64_t c = b.c0; c < b.c1; ++c) {
+        sum_g[c] += go[base + c];
+        sum_gx[c] += double(go[base + c]) * double(xhat[base + c]);
+        if constexpr (!kBatchStats) {
+          gi[base + c] = gamma[c] * inv_std[c] * go[base + c];
+        }
+      }
+      continue;
+    }
     for (int64_t c = b.c0; c < b.c1; ++c) {
       for (int64_t i = base + c * b.hw; i < base + (c + 1) * b.hw; ++i) {
         sum_g[c] += go[i];
@@ -142,6 +159,29 @@ void mask_span(const float* CHAM_RESTRICT go, const uint8_t* CHAM_RESTRICT mask,
                int64_t n, float* CHAM_RESTRICT gi) {
   for (int64_t i = 0; i < n; ++i) gi[i] = mask[i] ? go[i] : 0.0f;
 }
+
+#if defined(CHAM_SIMD_USE_AVX512)
+// Channel lanes of the depthwise kernels: 8 consecutive channels, one per
+// lane. A block of NCHW planes (channel j's `pix` values at src + j * pix)
+// and its pixel-major lane layout (pixel i's 8 channels at lanes + i * 8)
+// convert both ways; a 1-pixel plane already is the lane layout, so callers
+// use it in place.
+constexpr int64_t kLanes = 8;
+
+void to_lanes(const float* CHAM_RESTRICT src, int64_t pix,
+              float* CHAM_RESTRICT lanes) {
+  for (int64_t j = 0; j < kLanes; ++j) {
+    for (int64_t i = 0; i < pix; ++i) lanes[i * kLanes + j] = src[j * pix + i];
+  }
+}
+
+void from_lanes(const float* CHAM_RESTRICT lanes, int64_t pix,
+                float* CHAM_RESTRICT dst) {
+  for (int64_t j = 0; j < kLanes; ++j) {
+    for (int64_t i = 0; i < pix; ++i) dst[j * pix + i] = lanes[i * kLanes + j];
+  }
+}
+#endif
 
 }  // namespace
 
@@ -420,6 +460,73 @@ void DepthwiseConv2d::forward_plane(const float* CHAM_RESTRICT plane,
   }
 }
 
+// Lane form of forward_plane: per lane the same double accumulation over
+// the output pixel's valid taps in (kh, kw) order. double(x) * double(w) is
+// exact in double, so the lane's fma equals the scalar multiply-then-add,
+// and the final conversion rounds to nearest like static_cast<float>.
+int64_t DepthwiseConv2d::forward_lanes(const GatherBatch& gb,
+                                       float* out) const {
+#if defined(CHAM_SIMD_USE_AVX512)
+  const int64_t channels = geo_.in_c;
+  const int64_t blocks = channels / kLanes;
+  if (blocks == 0) return 0;
+  const int64_t kk = geo_.kernel * geo_.kernel;
+  const int64_t ipix = geo_.in_h * geo_.in_w;
+  const int64_t opix = static_cast<int64_t>(tap_begin_.size()) - 1;
+  ws::ArenaScope scratch;
+  // Tap-major weights: tap w of channel c at wt[w * channels + c], so a
+  // lane block reads one vector per tap.
+  float* wt = scratch.floats(static_cast<size_t>(kk * channels));
+  for (int64_t c = 0; c < channels; ++c) {
+    for (int64_t w = 0; w < kk; ++w) {
+      wt[w * channels + c] = weight_.value[c * kk + w];
+    }
+  }
+  const Tap* taps = taps_.data();
+  const int32_t* begin = tap_begin_.data();
+  // Blocks own their output channels; every output is written once.
+  parallel_for(
+      0, blocks,
+      [&](int64_t b0, int64_t b1) {
+        ws::ArenaScope local;
+        float* xl = local.floats(static_cast<size_t>(ipix * kLanes));
+        float* ol = local.floats(static_cast<size_t>(opix * kLanes));
+        for (int64_t b = b0; b < b1; ++b) {
+          const int64_t c0 = b * kLanes;
+          const float* wb = wt + c0;
+          for (int64_t n = 0; n < gb.n; ++n) {
+            const float* x = gb.rows[n] + c0 * ipix;
+            float* o = out + (n * channels + c0) * opix;
+            if (ipix != 1) to_lanes(x, ipix, xl);
+            const float* xs = ipix == 1 ? x : xl;
+            float* os = opix == 1 ? o : ol;
+            // The all-lanes maskz conversions are the plain ones; GCC 12's
+            // unmasked forms trip -Wmaybe-uninitialized in its own header.
+            for (int64_t p = 0; p < opix; ++p) {
+              __m512d acc = _mm512_setzero_pd();
+              for (int32_t t = begin[p]; t < begin[p + 1]; ++t) {
+                const __m512d xv = _mm512_maskz_cvtps_pd(
+                    0xFF, _mm256_loadu_ps(xs + taps[t].in * kLanes));
+                const __m512d wv = _mm512_maskz_cvtps_pd(
+                    0xFF, _mm256_loadu_ps(wb + taps[t].w * channels));
+                acc = _mm512_fmadd_pd(xv, wv, acc);
+              }
+              _mm256_storeu_ps(os + p * kLanes,
+                               _mm512_maskz_cvtpd_ps(0xFF, acc));
+            }
+            if (opix != 1) from_lanes(ol, opix, o);
+          }
+        }
+      },
+      work_grain(gb.n * kLanes * static_cast<int64_t>(taps_.size())));
+  return blocks * kLanes;
+#else
+  (void)gb;
+  (void)out;
+  return 0;
+#endif
+}
+
 Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
   CHAM_CHECK(gb.sample_shape == (Shape{{geo_.in_c, geo_.in_h, geo_.in_w}}),
              "DepthwiseConv2d input sample " + gb.sample_shape.to_string());
@@ -428,16 +535,18 @@ Tensor DepthwiseConv2d::forward_gather(const GatherBatch& gb, bool train) {
   Tensor out({gb.n, geo_.in_c, oh, ow});
   const int64_t kk = geo_.kernel * geo_.kernel;
   const int64_t ipix = geo_.in_h * geo_.in_w;
-  // Every (sample, channel) plane is independent: parallel over the
-  // flattened plane index.
+  const int64_t lane_c = forward_lanes(gb, out.data());
+  const int64_t rest = geo_.in_c - lane_c;
+  if (rest == 0) return out;
+  // The remaining channels plane by plane; every (sample, channel) plane is
+  // independent: parallel over the flattened plane index.
   parallel_for(
-      0, gb.n * geo_.in_c,
+      0, gb.n * rest,
       [&](int64_t p0, int64_t p1) {
         for (int64_t pi = p0; pi < p1; ++pi) {
-          const int64_t c = pi % geo_.in_c;
-          forward_plane(gb.rows[pi / geo_.in_c] + c * ipix,
-                        weight_.value.data() + c * kk,
-                        out.data() + pi * oh * ow);
+          const int64_t n = pi / rest, c = lane_c + pi % rest;
+          forward_plane(gb.rows[n] + c * ipix, weight_.value.data() + c * kk,
+                        out.data() + (n * geo_.in_c + c) * oh * ow);
         }
       },
       work_grain(static_cast<int64_t>(taps_.size())));
@@ -463,6 +572,86 @@ void DepthwiseConv2d::backward_plane(const float* CHAM_RESTRICT plane,
   }
 }
 
+// Lane form of backward_plane over a block's channels, with the same
+// per-lane order: sample, output pixel, tap. GCC contracts the scalar
+// `gw += g * x` and `gi += g * w` into fmas (DESIGN §9), so each lane runs
+// the masked fma; the mask dY != 0 stands in for the scalar dY == 0 skip
+// (a masked-out lane keeps its accumulator). Blocks own their channels'
+// weight grads, so bits do not depend on the thread count.
+template <bool kInputGrad>
+int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gi) {
+#if defined(CHAM_SIMD_USE_AVX512)
+  const int64_t channels = geo_.in_c;
+  const int64_t blocks = channels / kLanes;
+  if (blocks == 0) return 0;
+  const auto batch = static_cast<int64_t>(cached_rows_.size());
+  const int64_t kk = geo_.kernel * geo_.kernel;
+  const int64_t ipix = geo_.in_h * geo_.in_w;
+  const int64_t opix = static_cast<int64_t>(tap_begin_.size()) - 1;
+  const Tap* taps = taps_.data();
+  const int32_t* begin = tap_begin_.data();
+  parallel_for(
+      0, blocks,
+      [&](int64_t b0, int64_t b1) {
+        ws::ArenaScope local;
+        float* wl = local.floats(static_cast<size_t>(kk * kLanes));
+        float* gwl = local.floats(static_cast<size_t>(kk * kLanes));
+        float* xl = local.floats(static_cast<size_t>(ipix * kLanes));
+        float* gl = local.floats(static_cast<size_t>(opix * kLanes));
+        float* il = local.floats(static_cast<size_t>(ipix * kLanes));
+        const __m256 zero = _mm256_setzero_ps();
+        for (int64_t b = b0; b < b1; ++b) {
+          const int64_t c0 = b * kLanes;
+          if constexpr (kInputGrad) {
+            to_lanes(weight_.value.data() + c0 * kk, kk, wl);
+          }
+          to_lanes(weight_.grad.data() + c0 * kk, kk, gwl);
+          for (int64_t n = 0; n < batch; ++n) {
+            const float* x = cached_rows_[static_cast<size_t>(n)] + c0 * ipix;
+            const float* g = go + (n * channels + c0) * opix;
+            float* gin = kInputGrad ? gi + (n * channels + c0) * ipix : nullptr;
+            if (ipix != 1) to_lanes(x, ipix, xl);
+            if (opix != 1) to_lanes(g, opix, gl);
+            const float* xs = ipix == 1 ? x : xl;
+            const float* gs = opix == 1 ? g : gl;
+            // grad_in arrives zeroed; lane scratch is zeroed to match.
+            float* is = ipix == 1 ? gin : il;
+            if (kInputGrad && ipix != 1) {
+              std::fill(il, il + ipix * kLanes, 0.0f);
+            }
+            for (int64_t p = 0; p < opix; ++p) {
+              const __m256 gv = _mm256_loadu_ps(gs + p * kLanes);
+              const __mmask8 live = _mm256_cmp_ps_mask(gv, zero, _CMP_NEQ_UQ);
+              if (live == 0) continue;
+              for (int32_t t = begin[p]; t < begin[p + 1]; ++t) {
+                float* gw = gwl + taps[t].w * kLanes;
+                _mm256_storeu_ps(
+                    gw, _mm256_mask3_fmadd_ps(
+                            gv, _mm256_loadu_ps(xs + taps[t].in * kLanes),
+                            _mm256_loadu_ps(gw), live));
+                if constexpr (kInputGrad) {
+                  float* gx = is + taps[t].in * kLanes;
+                  _mm256_storeu_ps(
+                      gx, _mm256_mask3_fmadd_ps(
+                              gv, _mm256_loadu_ps(wl + taps[t].w * kLanes),
+                              _mm256_loadu_ps(gx), live));
+                }
+              }
+            }
+            if (kInputGrad && ipix != 1) from_lanes(il, ipix, gin);
+          }
+          from_lanes(gwl, kk, weight_.grad.data() + c0 * kk);
+        }
+      },
+      work_grain(batch * kLanes * static_cast<int64_t>(taps_.size())));
+  return blocks * kLanes;
+#else
+  (void)go;
+  (void)gi;
+  return 0;
+#endif
+}
+
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   const auto batch = static_cast<int64_t>(cached_rows_.size());
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
@@ -478,8 +667,12 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   // the batch loop runs inside, preserving the per-element accumulation
   // order of the serial kernel (n ascending, then output pixel, then tap).
   // Elision drops the gi accumulation only; the gw chain is untouched.
+  const int64_t lane_c =
+      needs_input_grad_
+          ? backward_lanes<true>(grad_out.data(), grad_in.data())
+          : backward_lanes<false>(grad_out.data(), nullptr);
   parallel_for(
-      0, geo_.in_c,
+      lane_c, geo_.in_c,
       [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
           const float* w = weight_.value.data() + c * kk;
@@ -688,14 +881,22 @@ Tensor GlobalAvgPool::forward_gather(const GatherBatch& gb, bool train) {
         Shape{gb.n, ch, gb.sample_shape[1], gb.sample_shape[2]};
   }
   Tensor out({gb.n, ch});
+  float* o = out.data();
+  // Sample-outer, channel-inner from the chunk's first plane: the plane
+  // index is split into (sample, channel) once per chunk, not per output.
   parallel_for(
       0, gb.n * ch,
       [&](int64_t p0, int64_t p1) {
+        int64_t n = p0 / ch, c = p0 % ch;
         for (int64_t pi = p0; pi < p1; ++pi) {
-          const float* p = gb.rows[pi / ch] + (pi % ch) * hw;
+          const float* p = gb.rows[n] + c * hw;
           double acc = 0;
           for (int64_t i = 0; i < hw; ++i) acc += p[i];
-          out[pi] = static_cast<float>(acc / hw);
+          o[pi] = static_cast<float>(acc / hw);
+          if (++c == ch) {
+            c = 0;
+            ++n;
+          }
         }
       },
       work_grain(hw));
@@ -710,12 +911,11 @@ Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   check_grad_shape(grad_out, Shape{{batch, ch}}, "GlobalAvgPool");
   Tensor grad_in(cached_in_shape_);
   const float inv = 1.0f / static_cast<float>(hw);
-  for (int64_t n = 0; n < batch; ++n) {
-    for (int64_t c = 0; c < ch; ++c) {
-      const float g = grad_out.at(n, c) * inv;
-      float* p = grad_in.data() + (n * ch + c) * hw;
-      for (int64_t i = 0; i < hw; ++i) p[i] = g;
-    }
+  const float* go = grad_out.data();
+  float* gi = grad_in.data();
+  for (int64_t pi = 0; pi < batch * ch; ++pi) {
+    const float g = go[pi] * inv;
+    for (int64_t i = 0; i < hw; ++i) gi[pi * hw + i] = g;
   }
   return grad_in;
 }

@@ -60,6 +60,13 @@ class DepthwiseConv2d : public GatherLayer {
   template <bool kInputGrad>
   void backward_plane(const float* plane, const float* w, const float* go,
                       float* gw, float* gi) const;
+  // The same walks over 8-channel lanes, one channel per lane, for the
+  // leading channels of a multiple of 8 (AVX-512 builds; elsewhere they
+  // cover no channel). Each returns how many channels it covered; the rest
+  // take the plane kernels above.
+  int64_t forward_lanes(const GatherBatch& gb, float* out) const;
+  template <bool kInputGrad>
+  int64_t backward_lanes(const float* go, float* gi);
 
   // One in-bounds tap: input-plane offset and weight index.
   struct Tap {

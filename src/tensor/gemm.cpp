@@ -17,6 +17,9 @@
      defined(__AVX2__) && defined(__FMA__))
 #define CHAM_GEMM_USE_AVX2 1
 #include <immintrin.h>
+#if defined(CHAM_SIMD_USE_AVX512)
+#define CHAM_GEMM_USE_AVX512 1
+#endif
 #elif defined(CHAM_SIMD_NEON) || \
     (!defined(CHAM_SIMD_GENERIC) && defined(__ARM_NEON))
 #define CHAM_GEMM_USE_NEON 1
@@ -40,6 +43,14 @@ constexpr int64_t kNarrowMr = 8;
 constexpr int64_t kNarrowNr = 4;
 // The tile choice depends only on n, never on the thread partition.
 constexpr int64_t kNarrowCutoff = 8;
+#if defined(CHAM_GEMM_USE_AVX512)
+// ZMM tile: 8 rows x 32 cols = 16 ZMM accumulators, for n > 16. Outputs of
+// 9..16 columns keep the 4x16 tile: a 4-key predict's n = 16 would leave
+// half of every ZMM tile idle.
+constexpr int64_t kZmmMr = 8;
+constexpr int64_t kZmmNr = 32;
+constexpr int64_t kWideCutoff = 16;
+#endif
 
 // Minimum rows of C per worker chunk; below this a parallel dispatch costs
 // more than the arithmetic it hides.
@@ -374,6 +385,50 @@ void micro_kernel_avx2_8xN(int64_t rows, int64_t cols, int64_t depth,
 }
 #endif  // CHAM_GEMM_USE_AVX2
 
+#if defined(CHAM_GEMM_USE_AVX512)
+// 8x32 tile: 16 ZMM accumulators, 2 B vectors per K step, one broadcast A
+// lane per row. _mm512_fmadd_ps rounds once per lane, exactly like
+// std::fmaf. Full tiles and column tails share the body: two __mmask16
+// select the C lanes below `cols` for the load and the store (all ones on
+// a full tile). Masked-out accumulator lanes start at exact zero, multiply
+// the B panel's zero padding and are never written back. kFullHeight
+// (rows == 8, every row block of the head's 256- and 512-channel GEMMs)
+// fixes the row trip count at compile time, so the sixteen accumulators
+// stay in registers.
+template <bool kFullHeight>
+void micro_kernel_avx512_8x32(int64_t rows, int64_t cols, int64_t depth,
+                              ATile a, const float* CHAM_RESTRICT b_pack,
+                              float* CHAM_RESTRICT c, int64_t ldc) {
+  const int64_t nrows = kFullHeight ? 8 : rows;
+  // Valid-lane masks of the two 16-column halves.
+  const auto lanes = [](int64_t n) {
+    return static_cast<__mmask16>(n >= 16 ? 0xFFFFu
+                                  : n <= 0 ? 0u
+                                           : (1u << n) - 1u);
+  };
+  const __mmask16 m0 = lanes(cols), m1 = lanes(cols - 16);
+  __m512 acc[8][2];
+  for (int64_t r = 0; r < nrows; ++r) {
+    acc[r][0] = _mm512_maskz_loadu_ps(m0, c + r * ldc);
+    acc[r][1] = _mm512_maskz_loadu_ps(m1, c + r * ldc + 16);
+  }
+  for (int64_t p = 0; p < depth; ++p) {
+    const __m512 b0 = _mm512_loadu_ps(b_pack + p * 32);
+    const __m512 b1 = _mm512_loadu_ps(b_pack + p * 32 + 16);
+    const float* ap = a.base + p * a.sp;
+    for (int64_t r = 0; r < nrows; ++r) {
+      const __m512 av = _mm512_set1_ps(ap[r * a.sr]);
+      acc[r][0] = _mm512_fmadd_ps(av, b0, acc[r][0]);
+      acc[r][1] = _mm512_fmadd_ps(av, b1, acc[r][1]);
+    }
+  }
+  for (int64_t r = 0; r < nrows; ++r) {
+    _mm512_mask_storeu_ps(c + r * ldc, m0, acc[r][0]);
+    _mm512_mask_storeu_ps(c + r * ldc + 16, m1, acc[r][1]);
+  }
+}
+#endif  // CHAM_GEMM_USE_AVX512
+
 #if defined(CHAM_GEMM_USE_NEON)
 // Full 4x16 tile: 16 Q accumulators. vfmaq_n_f32 fuses per lane like fmaf.
 void micro_kernel_neon_4x16(int64_t depth, ATile a,
@@ -420,6 +475,16 @@ template <int MR, int NR>
 void micro_kernel(int64_t rows, int64_t cols, int64_t depth, ATile a,
                   const float* b_pack, float* c, int64_t ldc) {
 #if defined(CHAM_GEMM_USE_AVX2)
+#if defined(CHAM_GEMM_USE_AVX512)
+  if constexpr (MR == kZmmMr && NR == kZmmNr) {
+    if (rows == MR) {
+      micro_kernel_avx512_8x32<true>(rows, cols, depth, a, b_pack, c, ldc);
+    } else {
+      micro_kernel_avx512_8x32<false>(rows, cols, depth, a, b_pack, c, ldc);
+    }
+    return;
+  }
+#endif
   if constexpr (MR == 4 && NR == 16) {
     if (rows == MR && cols == NR) {
       micro_kernel_avx2_4x16(depth, a, b_pack, c, ldc);
@@ -537,6 +602,11 @@ void gemm_driver(int64_t m, int64_t n, int64_t k, float alpha,
   if (n <= kNarrowCutoff) {
     run_strips<ASrc, BSrc, kNarrowMr, kNarrowNr>(m, n, k, alpha, asrc, bsrc,
                                                  beta, c);
+#if defined(CHAM_GEMM_USE_AVX512)
+  } else if (n > kWideCutoff) {
+    run_strips<ASrc, BSrc, kZmmMr, kZmmNr>(m, n, k, alpha, asrc, bsrc, beta,
+                                           c);
+#endif
   } else {
     run_strips<ASrc, BSrc, kWideMr, kWideNr>(m, n, k, alpha, asrc, bsrc,
                                              beta, c);
@@ -602,7 +672,9 @@ void check_gather_ptrs(const char* name, const float* const* ptrs,
 }  // namespace
 
 const char* gemm_simd_variant() {
-#if defined(CHAM_GEMM_USE_AVX2)
+#if defined(CHAM_GEMM_USE_AVX512)
+  return "avx512";
+#elif defined(CHAM_GEMM_USE_AVX2)
   return "avx2";
 #elif defined(CHAM_GEMM_USE_NEON)
   return "neon";

@@ -4,8 +4,10 @@
 // All three kernels share one packed register-tiled core: B is packed into
 // contiguous zero-padded panels, A tiles are packed too (alpha folded into
 // the pack) unless a full tile of a dense A with alpha == 1 can be read in
-// place, and a branch-free micro-kernel accumulates a 4x16 tile (8x4 for
-// narrow outputs) with one fused multiply-add per element per K step.
+// place, and a branch-free micro-kernel accumulates a register tile with
+// one fused multiply-add per element per K step. The tile depends only on
+// the output width n: 8x4 for n <= 8, 4x16 for n <= 16, and for n > 16 an
+// 8x32 ZMM tile on AVX-512 builds (4x16 elsewhere).
 // Transposed operands differ only in how the pack (or the in-place tile)
 // reads memory, so gemm_at_b and gemm_a_bt run at the same rate as gemm.
 //
@@ -16,15 +18,24 @@
 // serial reference kernels in cham::ref.
 //
 // SIMD dispatch is compile-time via CHAM_SIMD (CMake: generic|avx2|neon;
-// default auto-detects from the target arch). Intrinsic kernels cover full
-// tiles only and perform the same per-lane fused multiply-add as the scalar
-// path, preserving bit-identity across CHAM_SIMD settings on a given
-// fma-capable target.
+// default auto-detects from the target arch, and resolves to AVX-512 where
+// the target defines __AVX512F__). Intrinsic kernels perform the same
+// per-lane fused multiply-add as the scalar path, preserving bit-identity
+// across CHAM_SIMD settings on a given fma-capable target.
 #pragma once
 
 #include <cstdint>
 
 #include "tensor/tensor.h"
+
+// AVX-512 kernels (gemm.cpp's 8x32 tile, DepthwiseConv2d's channel lanes)
+// build only under CHAM_SIMD=auto on a target with AVX-512F/VL and FMA; an
+// explicit avx2, neon or generic choice keeps them out.
+#if !defined(CHAM_SIMD_GENERIC) && !defined(CHAM_SIMD_AVX2) &&  \
+    !defined(CHAM_SIMD_NEON) && defined(__AVX512F__) &&          \
+    defined(__AVX512VL__) && defined(__FMA__)
+#define CHAM_SIMD_USE_AVX512 1
+#endif
 
 namespace cham {
 
@@ -71,9 +82,9 @@ void gemm_gather_cols(int64_t m, int64_t n, int64_t k, float alpha,
 // Convenience wrappers on Tensors (2-D only, shapes asserted).
 Tensor matmul(const Tensor& a, const Tensor& b);
 
-// Which micro-kernel set this build dispatches to: "avx2", "neon" or
-// "generic". Reported by bench_kernels so BENCH_kernels.json records what
-// was measured.
+// Which micro-kernel set this build dispatches to: "avx512", "avx2",
+// "neon" or "generic". Reported by bench_kernels so BENCH_kernels.json
+// records what was measured.
 const char* gemm_simd_variant();
 
 namespace ref {

@@ -392,6 +392,80 @@ TEST(GemmRef, BitIdenticalAcrossKStrips) {
   }
 }
 
+// The wide tiles against cham::ref, bit for bit: n straddles the 4x16 /
+// 8x32 boundary (9, 16, 17) and the 8x32 tile's masked column tails (30,
+// 31, 33, 120), m the 8-row block (1, 7, 8, 9, 13, 256), k the 256-element
+// strip (255, 256, 257, 512 chain across strips). alpha != 1 takes the
+// packed A path, and beta covers the zero, scale and accumulate passes.
+// The gather sources run the same grid: gemm_gather_a_bt against
+// ref::gemm_a_bt, gemm_at_b_gather_b against ref::gemm_at_b, and
+// gemm_gather_cols (column j of the KxN B read at b + j, stride n) against
+// ref::gemm.
+TEST(GemmRef, BitIdenticalOnWideTileGrid) {
+  const struct {
+    float alpha, beta;
+  } coeff[] = {{1.0f, 0.0f}, {1.25f, 0.5f}, {0.75f, 1.0f}};
+  const int saved = num_threads();
+  for (int64_t n : {9, 16, 17, 30, 31, 32, 33, 120}) {
+    for (int64_t m : {1, 7, 8, 9, 13, 256}) {
+      for (int64_t k : {1, 255, 256, 257, 512}) {
+        Rng rng(uint64_t(m * 7919 + n * 104729 + k * 131));
+        Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k}), c0({m, n});
+        ops::fill_normal(a, rng, 0.0f, 1.0f);
+        ops::fill_normal(b, rng, 0.0f, 1.0f);
+        ops::fill_normal(at, rng, 0.0f, 1.0f);
+        ops::fill_normal(bt, rng, 0.0f, 1.0f);
+        ops::fill_normal(c0, rng, 0.0f, 1.0f);
+        std::vector<const float*> a_rows, b_rows, b_cols;
+        for (int64_t i = 0; i < m; ++i) a_rows.push_back(a.data() + i * k);
+        for (int64_t p = 0; p < k; ++p) b_rows.push_back(b.data() + p * n);
+        for (int64_t j = 0; j < n; ++j) b_cols.push_back(b.data() + j);
+        for (const auto& co : coeff) {
+          const float al = co.alpha, be = co.beta;
+          Tensor r_ab = c0, r_atb = c0, r_abt = c0;
+          ref::gemm(m, n, k, al, a.data(), b.data(), be, r_ab.data());
+          ref::gemm_at_b(m, n, k, al, at.data(), b.data(), be, r_atb.data());
+          ref::gemm_a_bt(m, n, k, al, a.data(), bt.data(), be, r_abt.data());
+          // Each kernel runs on a fresh copy of C and must land on its
+          // reference exactly, at 1 and 3 threads.
+          const auto check = [&](const char* kernel, const Tensor& ref_c,
+                                 const auto& run, int threads) {
+            Tensor c = c0;
+            run(c.data());
+            ASSERT_EQ(ops::max_abs_diff(c, ref_c), 0.0)
+                << kernel << " " << m << "x" << n << "x" << k << " alpha "
+                << al << " beta " << be << " t=" << threads;
+          };
+          for (int threads : {1, 3}) {
+            set_num_threads(threads);
+            check("gemm", r_ab, [&](float* c) {
+              gemm(m, n, k, al, a.data(), b.data(), be, c);
+            }, threads);
+            check("gemm_gather_cols", r_ab, [&](float* c) {
+              gemm_gather_cols(m, n, k, al, a.data(), b_cols.data(), n, be,
+                               c);
+            }, threads);
+            check("gemm_at_b", r_atb, [&](float* c) {
+              gemm_at_b(m, n, k, al, at.data(), b.data(), be, c);
+            }, threads);
+            check("gemm_at_b_gather_b", r_atb, [&](float* c) {
+              gemm_at_b_gather_b(m, n, k, al, at.data(), b_rows.data(), be,
+                                 c);
+            }, threads);
+            check("gemm_a_bt", r_abt, [&](float* c) {
+              gemm_a_bt(m, n, k, al, a.data(), bt.data(), be, c);
+            }, threads);
+            check("gemm_gather_a_bt", r_abt, [&](float* c) {
+              gemm_gather_a_bt(m, n, k, al, a_rows.data(), bt.data(), be, c);
+            }, threads);
+          }
+        }
+      }
+    }
+  }
+  set_num_threads(saved);
+}
+
 // --------------------------------------- 1x1 pointwise conv fast path
 
 // For a 1x1 stride-1 pad-0 convolution the im2col column matrix is exactly

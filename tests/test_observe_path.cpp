@@ -7,6 +7,7 @@
 // model's steady observes never wake the thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <memory>
@@ -141,7 +142,10 @@ TEST_P(DepthwiseExact, TapTableMatchesDirectIndexing) {
   }
 
   // Backward with and without the input gradient; weight grads accumulate
-  // over two calls. A quarter of dY is exactly zero (the skipped taps).
+  // over two calls. A quarter of dY is exactly zero (the skipped taps), and
+  // with 16 or more channels so is all of channels 8..15 (one whole
+  // 8-channel lane block).
+  const int64_t opix = g.out_h() * g.out_w();
   for (bool input_grad : {true, false}) {
     for (bool gathered_fwd : {false, true}) {
       dw.set_needs_input_grad(input_grad);
@@ -149,6 +153,12 @@ TEST_P(DepthwiseExact, TapTableMatchesDirectIndexing) {
       std::vector<float> ref_gw(static_cast<size_t>(w.numel()), 0.0f);
       for (int call = 0; call < 2; ++call) {
         fill_normal(go, rng, /*zero_frac=*/0.25f);
+        if (dc.channels >= 16) {
+          for (int64_t n = 0; n < batch; ++n) {
+            float* blk = go.data() + (n * dc.channels + 8) * opix;
+            std::fill(blk, blk + 8 * opix, 0.0f);
+          }
+        }
         if (gathered_fwd) {
           (void)dw.forward_gather(gb, /*train=*/true);
         } else {
@@ -182,12 +192,16 @@ TEST_P(DepthwiseExact, TapTableMatchesDirectIndexing) {
 
 // The served head's three depthwise geometries (256x2x2 s1, 256x2x2 s2,
 // 512x1x1 s1) plus larger maps at both strides, where interior pixels have
-// all nine taps and edge pixels lose some to the padding.
+// all nine taps and edge pixels lose some to the padding. On AVX-512 builds
+// channels run in 8-channel lanes: 24 channels are lane blocks only, 20 are
+// lane blocks plus a 4-channel tail on the plane kernels, 6 are tail only.
 INSTANTIATE_TEST_SUITE_P(
     Geometries, DepthwiseExact,
     ::testing::Values(DwCase{256, 2, 1}, DwCase{256, 2, 2}, DwCase{512, 1, 1},
                       DwCase{6, 5, 1}, DwCase{6, 5, 2}, DwCase{6, 8, 1},
-                      DwCase{6, 8, 2}),
+                      DwCase{6, 8, 2}, DwCase{24, 2, 1}, DwCase{24, 2, 2},
+                      DwCase{24, 1, 1}, DwCase{20, 2, 1}, DwCase{20, 2, 2},
+                      DwCase{20, 1, 1}),
     [](const ::testing::TestParamInfo<DwCase>& info) {
       std::ostringstream name;
       name << "c" << info.param.channels << "_hw" << info.param.hw << "_s"
