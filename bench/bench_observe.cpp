@@ -12,10 +12,6 @@
 //             stacked, staged or copied on the steady path) and the every-h
 //             LT maintenance steps (bounded, reported separately).
 //
-//   stacking  data::stack_latents_calls() across the measured window.
-//             Gate: zero — the batched-copy entry point must be dead on
-//             both the train path and the chunked predict path.
-//
 //   macs      The backward MAC model before/after first-layer dInput
 //             elision: the old ledger charged a blanket 2x forward; the
 //             head's first trainable layer no longer produces dX, so the
@@ -180,8 +176,6 @@ struct Report {
   long long plain_steps = 0;
   double lt_step_avg_bytes = 0;
   long long lt_steps = 0;
-  long long stack_calls_steady = 0;   // measured window (observe + predict)
-  long long stack_calls_process = 0;  // whole process, for context
   double fwd_macs = 0;                // head forward MACs per sample
   double bwd_macs_before = 0;         // old blanket 2x model
   double bwd_macs_after = 0;          // exact post-elision model
@@ -217,7 +211,6 @@ Report run(long long measure_steps) {
   std::vector<double> lat_ms;
   lat_ms.reserve(static_cast<size_t>(measure_steps));
   long long lt_bytes = 0;
-  const long long stack_before = data::stack_latents_calls();
   const double ledger_bwd_before = learner.stats().g_bwd_macs;
   long long train_samples = 0;
 
@@ -249,8 +242,6 @@ Report run(long long measure_steps) {
     (void)learner.predict(eval_keys);  // keep the predict path in the window
   }
 
-  rep.stack_calls_steady = data::stack_latents_calls() - stack_before;
-  rep.stack_calls_process = data::stack_latents_calls();
   if (rep.lt_steps > 0) {
     rep.lt_step_avg_bytes =
         static_cast<double>(lt_bytes) / static_cast<double>(rep.lt_steps);
@@ -446,9 +437,6 @@ int main(int argc, char** argv) {
       "LT-cycle avg %.0f bytes over %lld steps\n",
       r.plain_max_allocs, r.plain_max_bytes, r.plain_steps,
       r.lt_step_avg_bytes, r.lt_steps);
-  std::printf("stack_latents calls: steady window %lld (process total "
-              "%lld)\n",
-              r.stack_calls_steady, r.stack_calls_process);
   std::printf(
       "backward MAC model: fwd %.0f, bwd before elision %.0f (2.00x), bwd "
       "after %.0f (%.2fx), ledger %s\n",
@@ -469,14 +457,13 @@ int main(int argc, char** argv) {
   }
 
   const bool gate_zero_alloc = r.plain_max_allocs == 0;
-  const bool gate_zero_stack = r.stack_calls_steady == 0;
   const bool gate_bwd = r.bwd_macs_after < r.bwd_macs_before && ratio < 2.0;
   const bool gate_ledger = r.ledger_consistent;
   const bool gate_served = sv.coverage >= 0.95;
   std::printf(
-      "\ngates: steady zero-alloc %s, zero stacking copies %s, bwd < 2x fwd "
-      "%s, ledger exact %s, served rows cover the step %s\n",
-      gate_zero_alloc ? "PASS" : "FAIL", gate_zero_stack ? "PASS" : "FAIL",
+      "\ngates: steady zero-alloc %s, bwd < 2x fwd %s, ledger exact %s, "
+      "served rows cover the step %s\n",
+      gate_zero_alloc ? "PASS" : "FAIL",
       gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL",
       gate_served ? "PASS" : "FAIL");
 
@@ -493,21 +480,17 @@ int main(int argc, char** argv) {
       "  \"steady_plain_step_max_bytes\": %lld,\n"
       "  \"steady_plain_steps\": %lld,\n"
       "  \"lt_cycle_step_avg_bytes\": %.1f,\n  \"lt_cycle_steps\": %lld,\n"
-      "  \"stack_latents_calls_steady\": %lld,\n"
-      "  \"stack_latents_calls_process\": %lld,\n"
       "  \"head_fwd_macs_per_sample\": %.0f,\n"
       "  \"head_bwd_macs_before_elision\": %.0f,\n"
       "  \"head_bwd_macs_after_elision\": %.0f,\n"
       "  \"bwd_over_fwd_ratio\": %.4f,\n"
       "  \"gate_steady_state_zero_alloc\": %s,\n"
-      "  \"gate_zero_stacking_copies\": %s,\n"
       "  \"gate_bwd_below_2x_fwd\": %s,\n"
       "  \"gate_ledger_matches_model\": %s,\n",
       steps, r.p50_ms, r.p99_ms, r.plain_max_allocs, r.plain_max_bytes,
-      r.plain_steps, r.lt_step_avg_bytes, r.lt_steps, r.stack_calls_steady,
-      r.stack_calls_process, r.fwd_macs, r.bwd_macs_before, r.bwd_macs_after,
-      ratio, gate_zero_alloc ? "true" : "false",
-      gate_zero_stack ? "true" : "false", gate_bwd ? "true" : "false",
+      r.plain_steps, r.lt_step_avg_bytes, r.lt_steps, r.fwd_macs,
+      r.bwd_macs_before, r.bwd_macs_after, ratio,
+      gate_zero_alloc ? "true" : "false", gate_bwd ? "true" : "false",
       gate_ledger ? "true" : "false");
   std::fprintf(json,
                "  \"served\": {\n    \"rows\": %lld, \"steps\": %lld, "
@@ -533,8 +516,5 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
-  return (gate_zero_alloc && gate_zero_stack && gate_bwd && gate_ledger &&
-          gate_served)
-             ? 0
-             : 1;
+  return (gate_zero_alloc && gate_bwd && gate_ledger && gate_served) ? 0 : 1;
 }

@@ -41,12 +41,22 @@ void BM_ShortTermSelection(benchmark::State& state) {
   Rng rng(2);
   for (int i = 0; i < 100; ++i) prefs.update(rng.uniform_int(50));
   std::vector<replay::ReplaySample> batch;
+  std::vector<data::ImageKey> keys;
+  std::vector<int64_t> labels;
+  std::vector<const float*> rows;
   for (int i = 0; i < 10; ++i) batch.push_back(make_sample(i % 50, rng));
+  for (const auto& s : batch) {
+    keys.push_back(s.key);
+    labels.push_back(s.label);
+    rows.push_back(s.latent.data());
+  }
   Tensor logits({10, 50});
   for (int64_t i = 0; i < logits.numel(); ++i)
     logits[i] = rng.normal_f(0, 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(st.update(batch, logits, prefs, rng));
+    benchmark::DoNotOptimize(st.update(keys, labels, rows,
+                                       batch.front().latent.shape(), logits,
+                                       prefs, rng));
   }
 }
 BENCHMARK(BM_ShortTermSelection);
@@ -56,7 +66,10 @@ void BM_PrototypeFormation(benchmark::State& state) {
   core::LongTermMemory lt(per_class * 10, 10);
   Rng rng(3);
   for (int64_t c = 0; c < 10; ++c) {
-    for (int64_t i = 0; i < per_class; ++i) lt.insert(make_sample(c, rng), rng);
+    for (int64_t i = 0; i < per_class; ++i) {
+      const auto s = make_sample(c, rng);
+      lt.insert(s.key, s.label, s.latent.shape(), s.latent.data(), rng);
+    }
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(lt.prototype(3));
@@ -67,9 +80,12 @@ BENCHMARK(BM_PrototypeFormation)->Arg(2)->Arg(10)->Arg(30);
 void BM_LongTermUpdate(benchmark::State& state) {
   core::LongTermMemory lt(100, 50);
   Rng rng(4);
-  std::vector<replay::ReplaySample> st;
-  for (int i = 0; i < 10; ++i) st.push_back(make_sample(i % 5, rng));
-  for (const auto& s : st) lt.insert(s, rng);
+  replay::SlotStore st(10);
+  for (int i = 0; i < 10; ++i) {
+    const auto s = make_sample(i % 5, rng);
+    st.random_replace_add(s.key, s.label, s.latent, rng);
+    lt.insert(s.key, s.label, s.latent.shape(), s.latent.data(), rng);
+  }
   auto score = [&](std::span<const float* const> rows) {
     return Tensor::full(Shape{{static_cast<int64_t>(rows.size()), 50}},
                         0.02f);

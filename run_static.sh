@@ -24,6 +24,12 @@
 #                               AVX2 kernels: on an AVX-512 host the default
 #                               build runs the 8x32 ZMM tile for n > 16 and
 #                               the lane depthwise kernels instead
+#   8. ASan+UBSan decoder leg   test_checkpoint, test_memories and
+#                               test_serialize_augment under
+#                               -fsanitize=address,undefined: the suites
+#                               that feed forged bytes to the checkpoint and
+#                               slot-store decoders, where an out-of-bounds
+#                               read shows up as a report, not a failure
 #
 # Exits non-zero on the first failing stage. run_all.sh invokes this before
 # regenerating any outputs; set CHAM_SKIP_STATIC=1 there to bypass during
@@ -33,13 +39,13 @@ cd "$(dirname "$0")"
 
 fail() { echo "run_static.sh: FAILED at stage: $1" >&2; exit 1; }
 
-echo "=== [1/7] cham_lint self-tests ==="
+echo "=== [1/8] cham_lint self-tests ==="
 python3 tools/test_cham_lint.py || fail "cham_lint self-tests"
 
-echo "=== [2/7] cham_lint ==="
+echo "=== [2/8] cham_lint ==="
 python3 tools/cham_lint.py src bench tests || fail "cham_lint"
 
-echo "=== [3/7] clang-tidy ==="
+echo "=== [3/8] clang-tidy ==="
 if command -v clang-tidy >/dev/null 2>&1; then
   # clang-tidy needs a compilation database; any configured build dir has one
   # (CMAKE_EXPORT_COMPILE_COMMANDS is ON in CMakeLists.txt).
@@ -52,7 +58,7 @@ else
   echo "clang-tidy not installed; skipping (gcc-only container)."
 fi
 
-echo "=== [4/7] clang thread-safety analysis ==="
+echo "=== [4/8] clang thread-safety analysis ==="
 if command -v clang++ >/dev/null 2>&1; then
   cmake -B build-tsa -S . -DCMAKE_CXX_COMPILER=clang++ \
     -DCHAM_THREAD_SAFETY=ON >/dev/null \
@@ -62,18 +68,18 @@ else
   echo "clang++ not installed; skipping (annotations are no-ops under gcc)."
 fi
 
-echo "=== [5/7] -Werror build ==="
+echo "=== [5/8] -Werror build ==="
 cmake -B build-werror -S . -DCHAM_WERROR=ON >/dev/null \
   || fail "-Werror (cmake configure)"
 cmake --build build-werror -j"$(nproc)" || fail "-Werror build"
 
-echo "=== [6/7] UBSan test pass ==="
+echo "=== [6/8] UBSan test pass ==="
 cmake -B build-ubsan -S . -DCHAM_SANITIZE=undefined >/dev/null \
   || fail "UBSan (cmake configure)"
 cmake --build build-ubsan -j"$(nproc)" || fail "UBSan build"
 ctest --test-dir build-ubsan --output-on-failure || fail "UBSan test suite"
 
-echo "=== [7/7] CHAM_SIMD=avx2 kernel suites ==="
+echo "=== [7/8] CHAM_SIMD=avx2 kernel suites ==="
 cmake -B build-avx2 -S . -DCHAM_SIMD=avx2 >/dev/null \
   || fail "CHAM_SIMD=avx2 (cmake configure)"
 cmake --build build-avx2 -j"$(nproc)" \
@@ -81,6 +87,16 @@ cmake --build build-avx2 -j"$(nproc)" \
   || fail "CHAM_SIMD=avx2 build"
 for t in test_gemm test_observe_path test_gather_path; do
   ./build-avx2/tests/"$t" --gtest_brief=1 || fail "CHAM_SIMD=avx2 $t"
+done
+
+echo "=== [8/8] ASan+UBSan decoder suites ==="
+cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
+  || fail "ASan+UBSan (cmake configure)"
+cmake --build build-aubsan -j"$(nproc)" \
+  --target test_checkpoint test_memories test_serialize_augment \
+  || fail "ASan+UBSan build"
+for t in test_checkpoint test_memories test_serialize_augment; do
+  ./build-aubsan/tests/"$t" --gtest_brief=1 || fail "ASan+UBSan $t"
 done
 
 echo "run_static.sh: all stages passed"

@@ -238,26 +238,29 @@ void LatentReplayLearner::observe(const data::Batch& batch) {
   const int64_t latent_sz =
       replay::latent_sample_bytes(env_.latent_shape.numel());
 
-  std::vector<const Tensor*> latents;
+  // The batch is a list of row pointers into the latent cache and the
+  // replay buffer; the head's first layer packs its GEMM panels straight
+  // from those rows. Nothing writes the buffer before the step returns.
+  std::vector<const float*> rows;
   std::vector<int64_t> labels = batch.labels;
   for (const auto& key : batch.keys) {
-    latents.push_back(&env_.latents->latent(key));
+    rows.push_back(env_.latents->latent(key).data());
   }
   charge_f(bsz);
 
   // Replay latents live in the unified off-chip buffer.
   const auto replay_idx = buffer_.sample_indices(replay_minibatch_, rng_);
-  std::vector<replay::ReplaySample> hold;
-  for (int64_t i : replay_idx) hold.push_back(buffer_.item(i));
-  for (const auto& s : hold) {
-    latents.push_back(&s.latent);
+  for (int64_t i : replay_idx) {
+    const auto& s = buffer_.item(i);
+    rows.push_back(s.latent.data());
     labels.push_back(s.label);
   }
   stats_.offchip_bytes += static_cast<double>(
       static_cast<int64_t>(replay_idx.size()) * latent_sz);
 
-  const Tensor z = data::stack_latents(latents);
-  train_step(z, labels);
+  train_step(nn::GatherBatch{rows.data(), static_cast<int64_t>(rows.size()),
+                             env_.latent_shape},
+             labels);
   charge_weight_traffic();
 
   // Reservoir insertion of incoming latents (off-chip writes).

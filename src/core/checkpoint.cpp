@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cstring>
-#include <fstream>
 #include <type_traits>
 #include <vector>
 
@@ -25,7 +24,12 @@ constexpr uint32_t kMagic = 0x43485332;  // "CHS2"
 // of (class, slot) refs into the LT store instead of deep-copied samples —
 // the burst payload shrinks from h * lt_replay_per_batch latents to 8
 // bytes per staged sample.
-constexpr uint32_t kVersion = 4;
+// Version 5: the LT store is one slot-store frame per class (the ST's own
+// framing, one decoder for both memories) instead of a flat list of
+// per-sample tensors, and the loader accepts only rows of the learner's
+// latent shape and LT entries filed under their own class. A v4 blob fails
+// the version check.
+constexpr uint32_t kVersion = 5;
 
 constexpr uint32_t kDeltaMagic = 0x43485333;  // "CHS3"
 constexpr uint32_t kDeltaVersion = 1;
@@ -113,15 +117,13 @@ bool ChameleonLearner::save_state(std::ostream& os) const {
   // contiguous, so the fp32 latent payload is one range write.
   if (!replay::save_slot_store_q(st_.store(), os)) return false;
 
-  // Long-term store: flat sample list in (class, slot) order; re-inserting
-  // in this order rebuilds the per-class slot arrays identically.
-  if (!replay::save_samples_q(lt_.all_samples(), os)) return false;
+  // Long-term store: one slot-store frame per class, in class order.
+  if (!lt_.save(os)) return false;
 
   // Staged LT burst and its consumption cursor: a learner evicted mid-burst
   // must keep consuming the same staged samples on restore. The burst is
-  // (class, slot) refs into the LT store serialised just above — the LT
-  // rebuild on load recreates the slots in the same order, so the refs stay
-  // valid.
+  // (class, slot) refs into the LT store serialised just above — the load
+  // restores every class's slots in place, so the refs stay valid.
   write_pod(os, static_cast<int64_t>(staged_refs_.size()));
   for (const auto& ref : staged_refs_) {
     write_pod(os, ref.cls);
@@ -173,18 +175,14 @@ bool ChameleonLearner::load_state(std::istream& is) {
 
   if (!read_pod(is, step_) || step_ < 0) return false;
 
-  if (!replay::load_slot_store_q(st_.store(), is)) return false;
-
-  std::vector<replay::ReplaySample> lt_samples;
-  if (!replay::load_samples_q(lt_samples, is)) return false;
-  lt_.clear();
-  Rng restore_rng(0xC0FFEE);  // below-quota inserts never hit the rng path
-  for (const auto& s : lt_samples) {
-    // Validate before insert: LongTermMemory contracts on the label range,
-    // and a corrupt file must fail the load, not trip a CHAM_CHECK.
-    if (s.label < 0 || s.label >= env_.data_cfg->num_classes) return false;
-    lt_.insert(s, restore_rng);
+  // Both memories accept only rows of the learner's latent shape, which
+  // every gather downstream reads: ST labels must name a class, and an LT
+  // entry must be filed under its own.
+  const int64_t classes = env_.data_cfg->num_classes;
+  if (!replay::load_slot_store_q(st_.store(), is, row_shape(), 0, classes)) {
+    return false;
   }
+  if (!lt_.load(is, row_shape())) return false;
 
   int64_t staged_count = 0;
   if (!read_pod(is, staged_count) || staged_count < 0 ||
@@ -199,7 +197,7 @@ bool ChameleonLearner::load_state(std::istream& is) {
     if (!read_pod(is, ref.cls) || !read_pod(is, ref.slot)) return false;
     // Refs must land inside the LT store rebuilt above; a corrupt file must
     // fail the load, not produce an out-of-range gather later.
-    if (ref.cls < 0 || ref.cls >= env_.data_cfg->num_classes ||
+    if (ref.cls < 0 || ref.cls >= classes ||
         ref.slot < 0 || ref.slot >= lt_.class_count(ref.cls)) {
       return false;
     }
@@ -216,17 +214,6 @@ bool ChameleonLearner::load_state(std::istream& is) {
   if (!read_pod(is, stats_)) return false;
   return read_pod(is, audited_onchip_) && read_pod(is, audited_offchip_) &&
          read_pod(is, audited_weight_);
-}
-
-bool save_checkpoint(const ChameleonLearner& learner,
-                     const std::string& path) {
-  std::ofstream os(path, std::ios::binary);
-  return os && learner.save_state(os);
-}
-
-bool load_checkpoint(ChameleonLearner& learner, const std::string& path) {
-  std::ifstream is(path, std::ios::binary);
-  return is && learner.load_state(is);
 }
 
 // --------------------------------------------------------- CHS3 deltas

@@ -13,8 +13,10 @@
 //
 // Two wire formats live here:
 //
-//   CHS2 v4 (full blob)   The complete state, as ChameleonLearner::
-//                         save_state / load_state. Latent payloads carry a
+//   CHS2 v5 (full blob)   The complete state, as ChameleonLearner::
+//                         save_state / load_state. Both replay memories are
+//                         slot-store frames (replay/serialize.h): the ST one,
+//                         the LT one per class. Latent payloads carry a
 //                         quant::Precision tag byte, always kFp32: blobs
 //                         round-trip bit-exactly, and a blob tagged with any
 //                         other precision is rejected on load.
@@ -28,16 +30,15 @@
 //                         blobs verify both ends, so a mismatched or stale
 //                         delta is detected, never silently applied.
 //
-// The serialisation itself lives on the learner (core/chameleon.h); the
-// file helpers below wrap it for the single-device reboot use case. The
-// serving runtime's SessionStore/WriteBehind use the in-memory forms.
+// The serialisation itself lives on the learner (core/chameleon.h); a
+// device reboot writes it to a file stream, the serving runtime's
+// SessionStore/WriteBehind to the in-memory ByteBufs below.
 #pragma once
 
 #include <cstdint>
 #include <istream>
 #include <ostream>
 #include <streambuf>
-#include <string>
 #include <vector>
 
 #include "core/chameleon.h"
@@ -83,16 +84,6 @@ class ByteBufReader : private std::streambuf, public std::istream {
     setg(p, p, p + n);
   }
 };
-
-// Saves the complete learner state to one file. Returns false on I/O error.
-bool save_checkpoint(const ChameleonLearner& learner,
-                     const std::string& path);
-
-// Restores into a learner constructed with the SAME configuration and
-// environment. Returns false on mismatch or I/O error (learner untouched
-// on magic/version/precision-tag mismatch, best-effort on payload
-// mismatch).
-bool load_checkpoint(ChameleonLearner& learner, const std::string& path);
 
 // --------------------------------------------------------- CHS3 deltas
 

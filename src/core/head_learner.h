@@ -56,7 +56,6 @@ class HeadLearner : public ContinualLearner {
   // Virtual because this is the single funnel every predict path (plain
   // predict(), serve batch plans) flows through — fault-injecting
   // subclasses override here to intercept both.
-  // cham-lint: begin(hot_path)
   virtual std::vector<int64_t> predict_batch(
       std::span<const data::ImageKey> keys) {
     constexpr int64_t kEvalChunk = 256;
@@ -82,7 +81,6 @@ class HeadLearner : public ContinualLearner {
     }
     return out;
   }
-  // cham-lint: end(hot_path)
 
   nn::Sequential& head() { return *g_; }
   int64_t g_fwd_macs() const { return g_fwd_macs_; }
@@ -91,15 +89,6 @@ class HeadLearner : public ContinualLearner {
   int64_t g_bwd_macs() const { return g_bwd_macs_; }
 
  protected:
-  // One SGD step of cross-entropy on a stacked latent batch (NxCxHxW):
-  // an adapter that gathers the batch's samples by pointer into the
-  // gathered step below. latent_batch outlives the call, so its rows stay
-  // valid through backward.
-  Tensor train_step(const Tensor& latent_batch,
-                    std::span<const int64_t> labels) {
-    return train_step(nn::rows_of(latent_batch, rows_scratch_), labels);
-  }
-
   // One SGD step of cross-entropy on the rows named by `gb` (replay slab
   // rows, cached incoming latents, staged LT rows) — never stacked into a
   // dense batch tensor; returns the logits computed during the forward
@@ -157,8 +146,7 @@ class HeadLearner : public ContinualLearner {
   int64_t g_fwd_macs_;
   int64_t g_bwd_macs_ = 0;
   int64_t head_param_count_;
-  // Row-pointer scratch of predict_batch and of the stacked train_step
-  // (capacity reused across calls; the two never nest).
+  // Row-pointer scratch of predict_batch (capacity reused across calls).
   std::vector<const float*> rows_scratch_;
 
  private:

@@ -1,7 +1,9 @@
 // Long-term (off-chip) replay store with class-prototype-based acquisition
 // (paper Sec. III-D, Eqs. 5-6).
 //
-// The store is class-balanced: each class owns capacity/num_classes slots.
+// The store is class-balanced: each class owns capacity/num_classes slots,
+// kept in one replay::SlotStore slab per class (the same store the
+// short-term memory uses, so both tiers share one framing and one decoder).
 // Every h batches, for each class c present in the short-term store, the
 // class prototype P_c (Eq. 5: mean latent of c's LT entries) is formed and
 // the ST sample with the largest
@@ -13,12 +15,14 @@
 
 #include <cmath>
 #include <functional>
+#include <istream>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <string>
 #include <unordered_map>
 
-#include "replay/sample.h"
+#include "replay/serialize.h"
 #include "tensor/ops.h"
 #include "tensor/rng.h"
 #include "util/check.h"
@@ -33,11 +37,15 @@ class LongTermMemory {
   // the learner that owns g; one call scores a whole update_from.
   using ScoreFn = std::function<Tensor(std::span<const float* const> rows)>;
 
+  // Each class owns one slot store of per_class_quota() rows. A slot store
+  // appends while below capacity, then overwrites a uniform_int(capacity)
+  // slot: exactly the class-balanced insertion policy of Sec. III-D.
   LongTermMemory(int64_t capacity, int64_t num_classes)
       : capacity_(capacity),
         num_classes_(num_classes),
         per_class_quota_(std::max<int64_t>(1, capacity / num_classes)),
-        slots_(static_cast<size_t>(num_classes)),
+        classes_(static_cast<size_t>(num_classes),
+                 replay::SlotStore(per_class_quota_)),
         cached_counts_(static_cast<size_t>(num_classes), 0),
         proto_sums_(static_cast<size_t>(num_classes)) {}
 
@@ -45,24 +53,26 @@ class LongTermMemory {
   int64_t per_class_quota() const { return per_class_quota_; }
   int64_t size() const {
     int64_t n = 0;
-    for (const auto& v : slots_) n += static_cast<int64_t>(v.size());
+    for (const auto& s : classes_) n += s.size();
     return n;
   }
-  int64_t class_count(int64_t c) const {
-    return static_cast<int64_t>(slots_[static_cast<size_t>(c)].size());
-  }
-  const std::vector<replay::ReplaySample>& class_slots(int64_t c) const {
-    return slots_[static_cast<size_t>(c)];
+  int64_t class_count(int64_t c) const { return class_store(c).size(); }
+  const replay::SlotStore& class_store(int64_t c) const {
+    return classes_[static_cast<size_t>(c)];
   }
 
   // Eq. 5: mean latent of class c's stored entries. Empty optional if the
   // class has no entries yet.
   std::optional<Tensor> prototype(int64_t c) const {
-    const auto& v = slots_[static_cast<size_t>(c)];
-    if (v.empty()) return std::nullopt;
-    Tensor proto(v.front().latent.shape());
-    for (const auto& s : v) proto += s.latent;
-    proto *= 1.0f / static_cast<float>(v.size());
+    const auto& s = class_store(c);
+    if (s.size() == 0) return std::nullopt;
+    Tensor proto(s.row_shape());
+    float* p = proto.data();
+    for (int64_t j = 0; j < s.size(); ++j) {
+      const float* row = s.row(j);
+      for (int64_t i = 0; i < s.row_numel(); ++i) p[i] += row[i];
+    }
+    proto *= 1.0f / static_cast<float>(s.size());
     return proto;
   }
 
@@ -72,20 +82,19 @@ class LongTermMemory {
     return std::tanh(cham::ops::kl_divergence(cand_probs, proto_probs));
   }
 
-  // One LT update from the short-term store contents: greedily pick the
-  // max-S_j ST sample per class and insert it (Algorithm 1 lines 12-14).
-  // Returns the number of classes updated. If `proto_entries_read` is
-  // non-null it receives the number of stored LT entries actually streamed
-  // to form prototypes (Eq. 5 reads class_count(c) entries, which is below
-  // per_class_quota() until the class slot fills) — the number the memory
-  // traffic model must charge, not the quota.
-  int64_t update_from(const std::vector<replay::ReplaySample>& st_samples,
-                      const ScoreFn& score, Rng& rng,
-                      int64_t* proto_entries_read = nullptr) {
-    // Group ST candidates by class.
-    std::unordered_map<int64_t, std::vector<const replay::ReplaySample*>>
-        by_class;
-    for (const auto& s : st_samples) by_class[s.label].push_back(&s);
+  // One LT update from the short-term store contents, read in place:
+  // greedily pick the max-S_j ST row per class and insert it (Algorithm 1
+  // lines 12-14). Returns the number of classes updated. If
+  // `proto_entries_read` is non-null it receives the number of stored LT
+  // entries actually streamed to form prototypes (Eq. 5 reads
+  // class_count(c) entries, which is below per_class_quota() until the
+  // class slot fills) — the number the memory traffic model must charge,
+  // not the quota.
+  int64_t update_from(const replay::SlotStore& st, const ScoreFn& score,
+                      Rng& rng, int64_t* proto_entries_read = nullptr) {
+    // Group ST slots by class, in slot order.
+    std::unordered_map<int64_t, std::vector<int64_t>> by_class;
+    for (int64_t i = 0; i < st.size(); ++i) by_class[st.label(i)].push_back(i);
 
     // Gather the Eq. 6 rows of every class that has a choice to make and a
     // prototype to make it against: its prototype, then its candidates, in
@@ -102,7 +111,7 @@ class LongTermMemory {
       if (auto proto = prototype(cls)) {
         protos.push_back(std::move(*proto));
         rows.push_back(protos.back().data());
-        for (const auto* cand : candidates) rows.push_back(cand->latent.data());
+        for (int64_t cand : candidates) rows.push_back(st.row(cand));
       }
     }
     const Tensor probs = rows.empty() ? Tensor() : score(rows);
@@ -115,7 +124,7 @@ class LongTermMemory {
     int64_t next_row = 0;
     if (proto_entries_read) *proto_entries_read = 0;
     for (auto& [cls, candidates] : by_class) {
-      const replay::ReplaySample* best = candidates.front();
+      int64_t best = candidates.front();
       // With a single candidate the prototype cannot change the choice, so
       // its entries are not read at all.
       if (candidates.size() > 1) {
@@ -123,7 +132,7 @@ class LongTermMemory {
           if (proto_entries_read) *proto_entries_read += class_count(cls);
           const auto proto_probs = probs.row(next_row++);
           double best_s = -1;
-          for (const auto* cand : candidates) {
+          for (int64_t cand : candidates) {
             const double s =
                 prototype_divergence(probs.row(next_row++), proto_probs);
             if (s > best_s) {
@@ -137,61 +146,72 @@ class LongTermMemory {
               rng.uniform_int(static_cast<int64_t>(candidates.size())))];
         }
       }
-      insert(*best, rng);
+      insert(st.key(best), st.label(best), st.row_shape(), st.row(best), rng);
       ++updated;
     }
     return updated;
   }
 
-  // Class-balanced insertion: fill the class quota first, then replace a
-  // uniformly random same-class entry. Maintains the redundant audit state
-  // (cached count + running prototype sum) that check_invariants() verifies
-  // against the stored entries.
-  void insert(const replay::ReplaySample& sample, Rng& rng) {
-    CHAM_CHECK(sample.label >= 0 && sample.label < num_classes_,
-               "LT insert label " + std::to_string(sample.label) +
-                   " out of " + std::to_string(num_classes_) + " classes");
-    const auto cls = static_cast<size_t>(sample.label);
-    auto& v = slots_[cls];
+  // Class-balanced insertion of one latent row (`shape` elements at `row`):
+  // fill the class quota first, then replace a uniformly random same-class
+  // entry. Maintains the redundant audit state (cached count + running
+  // prototype sum) that check_invariants() verifies against the stored
+  // entries.
+  void insert(const data::ImageKey& key, int64_t label, const Shape& shape,
+              const float* row, Rng& rng) {
+    CHAM_CHECK(label >= 0 && label < num_classes_,
+               "LT insert label " + std::to_string(label) + " out of " +
+                   std::to_string(num_classes_) + " classes");
+    const auto cls = static_cast<size_t>(label);
+    auto& store = classes_[cls];
+    store.configure(shape);
+    const auto numel = static_cast<size_t>(store.row_numel());
     auto& sum = proto_sums_[cls];
-    if (sum.size() != static_cast<size_t>(sample.latent.numel())) {
-      sum.assign(static_cast<size_t>(sample.latent.numel()), 0.0);
-    }
-    if (static_cast<int64_t>(v.size()) < per_class_quota_) {
-      v.push_back(sample);
-      ++cached_counts_[cls];
+    if (sum.size() != numel) sum.assign(numel, 0.0);
+    const int64_t slot = store.next_slot(rng);
+    if (slot < store.size()) {
+      const float* victim = store.row(slot);
+      for (size_t i = 0; i < numel; ++i) sum[i] -= victim[i];
     } else {
-      auto& victim = v[static_cast<size_t>(
-          rng.uniform_int(static_cast<int64_t>(v.size())))];
-      for (int64_t i = 0; i < victim.latent.numel(); ++i) {
-        sum[static_cast<size_t>(i)] -= victim.latent[i];
+      ++cached_counts_[cls];
+    }
+    store.write(slot, key, label, shape, row);
+    for (size_t i = 0; i < numel; ++i) sum[i] += row[i];
+  }
+
+  // The CHS2 LT section: one slot-store frame per class, in class order.
+  bool save(std::ostream& os) const {
+    for (const auto& s : classes_) {
+      if (!replay::save_slot_store_q(s, os)) return false;
+    }
+    return true;
+  }
+
+  // Replaces the contents with a section save() wrote. Returns false, with
+  // the memory unchanged, on any malformed frame, a row shape other than
+  // `row_shape`, a frame of more entries than the quota, or an entry filed
+  // under a class other than its label. Rebuilds the audit state from the
+  // loaded rows.
+  bool load(std::istream& is, const Shape& row_shape) {
+    std::vector<replay::SlotStore> loaded(
+        classes_.size(), replay::SlotStore(per_class_quota_));
+    for (int64_t c = 0; c < num_classes_; ++c) {
+      if (!replay::load_slot_store_q(loaded[static_cast<size_t>(c)], is,
+                                     row_shape, c, c + 1)) {
+        return false;
       }
-      victim = sample;
     }
-    for (int64_t i = 0; i < sample.latent.numel(); ++i) {
-      sum[static_cast<size_t>(i)] += sample.latent[i];
+    classes_ = std::move(loaded);
+    for (size_t c = 0; c < classes_.size(); ++c) {
+      cached_counts_[c] = classes_[c].size();
+      proto_sums_[c] = row_sums(classes_[c]);
     }
-  }
-
-  // All stored entries (checkpointing; order: by class, then slot).
-  std::vector<replay::ReplaySample> all_samples() const {
-    std::vector<replay::ReplaySample> out;
-    out.reserve(static_cast<size_t>(size()));
-    for (const auto& v : slots_) {
-      for (const auto& s : v) out.push_back(s);
-    }
-    return out;
-  }
-
-  void clear() {
-    for (auto& v : slots_) v.clear();
-    for (auto& c : cached_counts_) c = 0;
-    for (auto& s : proto_sums_) s.clear();
+    return true;
   }
 
   // Stable coordinate of a stored entry: (class, slot index within the
   // class). Valid across later update_from calls — insert() only appends to
-  // a class vector or overwrites a slot in place, never reorders or erases,
+  // a class store or overwrites a slot in place, never reorders or erases,
   // so a ref taken at staging time still names a live same-class entry at
   // consume time (possibly refreshed contents; the staged burst deliberately
   // re-reads whatever the slot holds now instead of a deep-copied snapshot).
@@ -200,22 +220,26 @@ class LongTermMemory {
     int32_t slot = 0;
   };
 
-  const replay::ReplaySample& entry(SlotRef ref) const {
+  struct Entry {
+    const float* row;
+    int64_t label;
+  };
+
+  Entry entry(SlotRef ref) const {
     CHAM_DCHECK(ref.cls >= 0 && ref.cls < num_classes_ &&
                     ref.slot >= 0 && ref.slot < class_count(ref.cls),
                 "LT entry ref out of range");
-    return slots_[static_cast<size_t>(ref.cls)][static_cast<size_t>(ref.slot)];
+    const auto& s = class_store(ref.cls);
+    return {s.row(ref.slot), s.label(ref.slot)};
   }
 
-  // Uniformly random minibatch of slot refs — the zero-copy counterpart of
-  // sample(). Enumerates entries in the SAME class-major order and consumes
-  // the SAME single sample_without_replacement draw, so switching a caller
-  // between the two leaves the RNG stream bit-identical.
+  // Uniformly random minibatch of distinct slot refs: every entry in
+  // class-major order, then one sample_without_replacement draw.
   std::vector<SlotRef> sample_refs(int64_t k, Rng& rng) const {
     std::vector<SlotRef> all;
     all.reserve(static_cast<size_t>(size()));
-    for (size_t c = 0; c < slots_.size(); ++c) {
-      for (size_t j = 0; j < slots_[c].size(); ++j) {
+    for (size_t c = 0; c < classes_.size(); ++c) {
+      for (int64_t j = 0; j < classes_[c].size(); ++j) {
         all.push_back(SlotRef{static_cast<int32_t>(c),
                               static_cast<int32_t>(j)});
       }
@@ -230,36 +254,21 @@ class LongTermMemory {
     return out;
   }
 
-  // Uniformly random minibatch across all stored entries.
-  std::vector<const replay::ReplaySample*> sample(int64_t k, Rng& rng) const {
-    std::vector<const replay::ReplaySample*> all;
-    all.reserve(static_cast<size_t>(size()));
-    for (const auto& v : slots_) {
-      for (const auto& s : v) all.push_back(&s);
-    }
-    if (all.empty()) return {};
-    const auto idx = rng.sample_without_replacement(
-        static_cast<int64_t>(all.size()),
-        std::min<int64_t>(k, static_cast<int64_t>(all.size())));
-    std::vector<const replay::ReplaySample*> out;
-    out.reserve(idx.size());
-    for (int64_t i : idx) out.push_back(all[static_cast<size_t>(i)]);
-    return out;
-  }
-
   // Structural audit (paper Sec. III-D): per-class occupancy within the
-  // balanced quota, every entry filed under its own label with a live latent,
-  // and the redundant state maintained by insert() — cached counts and
-  // running prototype sums (Eq. 5 numerators) — consistent with the entries
-  // actually stored. A divergence means some path mutated the store without
-  // going through insert()/clear(), exactly the class of silent
-  // buffer-management bug that corrupts accuracy without crashing.
+  // balanced quota, every entry filed under its own label in a configured
+  // slab of the shared row size, and the redundant state maintained by
+  // insert() — cached counts and running prototype sums (Eq. 5 numerators)
+  // — consistent with the entries actually stored. A divergence means some
+  // path mutated the store without going through insert()/load(), exactly
+  // the class of silent buffer-management bug that corrupts accuracy
+  // without crashing.
   util::AuditReport check_invariants() const {
     util::AuditReport report;
+    int64_t row_numel = 0;
     for (int64_t c = 0; c < num_classes_; ++c) {
       const auto ci = static_cast<size_t>(c);
-      const auto& v = slots_[ci];
-      const auto n = static_cast<int64_t>(v.size());
+      const auto& s = classes_[ci];
+      const int64_t n = s.size();
       if (n > per_class_quota_) {
         report.fail("LongTermMemory: class " + std::to_string(c) + " holds " +
                     std::to_string(n) + " entries over quota " +
@@ -270,47 +279,42 @@ class LongTermMemory {
                     " cached count " + std::to_string(cached_counts_[ci]) +
                     " != stored " + std::to_string(n));
       }
-      std::vector<double> sum;
-      for (const auto& s : v) {
-        if (s.label != c) {
+      if (n == 0) continue;
+      if (!s.configured()) {
+        report.fail("LongTermMemory: occupied class " + std::to_string(c) +
+                    " has no row geometry");
+        continue;
+      }
+      if (row_numel == 0) row_numel = s.row_numel();
+      if (s.row_numel() != row_numel) {
+        report.fail("LongTermMemory: latent shape mismatch under class " +
+                    std::to_string(c));
+      }
+      for (int64_t j = 0; j < n; ++j) {
+        if (s.label(j) != c) {
           report.fail("LongTermMemory: entry labelled " +
-                      std::to_string(s.label) + " filed under class " +
+                      std::to_string(s.label(j)) + " filed under class " +
                       std::to_string(c));
-        }
-        if (s.latent.empty()) {
-          report.fail("LongTermMemory: dangling latent under class " +
-                      std::to_string(c));
-          continue;
-        }
-        if (sum.empty()) sum.resize(static_cast<size_t>(s.latent.numel()), 0.0);
-        if (static_cast<int64_t>(sum.size()) != s.latent.numel()) {
-          report.fail("LongTermMemory: latent shape mismatch under class " +
-                      std::to_string(c));
-          continue;
-        }
-        for (int64_t i = 0; i < s.latent.numel(); ++i) {
-          sum[static_cast<size_t>(i)] += s.latent[i];
         }
       }
       // Prototype consistency: cached sum / count == mean of live entries
       // within tolerance (incremental double accumulation drifts by far less).
-      if (!v.empty()) {
-        const auto& cached = proto_sums_[ci];
-        if (cached.size() != sum.size()) {
-          report.fail("LongTermMemory: class " + std::to_string(c) +
-                      " prototype sum has wrong length");
-        } else {
-          for (size_t i = 0; i < sum.size(); ++i) {
-            const double diff = std::abs(cached[i] - sum[i]);
-            if (diff > 1e-3 * (1.0 + std::abs(sum[i]))) {
-              report.fail(
-                  "LongTermMemory: class " + std::to_string(c) +
-                  " prototype diverges from mean of live entries at index " +
-                  std::to_string(i) + " (cached " + std::to_string(cached[i]) +
-                  " vs recomputed " + std::to_string(sum[i]) + ")");
-              break;
-            }
-          }
+      const auto sum = row_sums(s);
+      const auto& cached = proto_sums_[ci];
+      if (cached.size() != sum.size()) {
+        report.fail("LongTermMemory: class " + std::to_string(c) +
+                    " prototype sum has wrong length");
+        continue;
+      }
+      for (size_t i = 0; i < sum.size(); ++i) {
+        const double diff = std::abs(cached[i] - sum[i]);
+        if (diff > 1e-3 * (1.0 + std::abs(sum[i]))) {
+          report.fail(
+              "LongTermMemory: class " + std::to_string(c) +
+              " prototype diverges from mean of live entries at index " +
+              std::to_string(i) + " (cached " + std::to_string(cached[i]) +
+              " vs recomputed " + std::to_string(sum[i]) + ")");
+          break;
         }
       }
     }
@@ -328,9 +332,22 @@ class LongTermMemory {
   }
 
  private:
+  // Per-element double sums of a store's rows in slot order (empty for an
+  // empty store): the Eq. 5 numerator insert() maintains incrementally.
+  static std::vector<double> row_sums(const replay::SlotStore& s) {
+    std::vector<double> sum;
+    if (s.size() == 0) return sum;
+    sum.assign(static_cast<size_t>(s.row_numel()), 0.0);
+    for (int64_t j = 0; j < s.size(); ++j) {
+      const float* row = s.row(j);
+      for (size_t i = 0; i < sum.size(); ++i) sum[i] += row[i];
+    }
+    return sum;
+  }
+
   int64_t capacity_, num_classes_, per_class_quota_;
-  std::vector<std::vector<replay::ReplaySample>> slots_;  // per class
-  // Redundant audit state maintained by insert()/clear(): per-class entry
+  std::vector<replay::SlotStore> classes_;  // one slot store per class
+  // Redundant audit state maintained by insert()/load(): per-class entry
   // counts and running latent sums (Eq. 5 prototype numerators).
   std::vector<int64_t> cached_counts_;
   std::vector<std::vector<double>> proto_sums_;

@@ -122,23 +122,6 @@ class ShortTermMemory {
     return pick;
   }
 
-  // Compatibility wrapper over materialised samples (tests/bench). Same
-  // scoring, selection, and RNG draw order as the span entry.
-  int64_t update(const std::vector<replay::ReplaySample>& batch,
-                 const Tensor& logits, const PreferenceTracker& prefs,
-                 Rng& rng) {
-    labels_scratch_.resize(batch.size());
-    rows_scratch_.resize(batch.size());
-    keys_scratch_.resize(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      labels_scratch_[i] = batch[i].label;
-      rows_scratch_[i] = batch[i].latent.data();
-      keys_scratch_[i] = batch[i].key;
-    }
-    return update(keys_scratch_, labels_scratch_, rows_scratch_,
-                  batch.front().latent.shape(), logits, prefs, rng);
-  }
-
   const replay::SlotStore& store() const { return store_; }
   replay::SlotStore& store() { return store_; }
   int64_t size() const { return store_.size(); }
@@ -176,10 +159,7 @@ class ShortTermMemory {
   replay::SlotStore store_;
   StSamplingConfig cfg_;
   // update() scratch, reused across batches (steady-state allocation-free).
-  std::vector<int64_t> labels_scratch_;
   std::vector<double> u_scratch_, p_scratch_;
-  std::vector<const float*> rows_scratch_;
-  std::vector<data::ImageKey> keys_scratch_;
   Tensor quant_scratch_;
 };
 

@@ -1,7 +1,6 @@
 #include "data/latent_cache.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "util/check.h"
 
@@ -45,31 +44,6 @@ void LatentCache::warm(const std::vector<ImageKey>& keys, int64_t batch) {
                                 static_cast<size_t>(per))));
     }
   }
-}
-
-namespace {
-std::atomic<int64_t> g_stack_latents_calls{0};
-}  // namespace
-
-int64_t stack_latents_calls() {
-  return g_stack_latents_calls.load(std::memory_order_relaxed);
-}
-
-Tensor stack_latents(const std::vector<const Tensor*>& latents) {
-  g_stack_latents_calls.fetch_add(1, std::memory_order_relaxed);
-  CHAM_CHECK(!latents.empty(), "stack of zero latents");
-  const Tensor& first = *latents.front();
-  CHAM_CHECK(first.rank() == 4 && first.dim(0) == 1,
-             "latent " + first.shape().to_string() + " is not 1xCxHxW");
-  Tensor out({static_cast<int64_t>(latents.size()), first.dim(1),
-              first.dim(2), first.dim(3)});
-  const int64_t per = first.numel();
-  for (size_t i = 0; i < latents.size(); ++i) {
-    CHAM_CHECK_SHAPE(latents[i]->shape(), first.shape());
-    std::copy(latents[i]->data(), latents[i]->data() + per,
-              out.data() + static_cast<int64_t>(i) * per);
-  }
-  return out;
 }
 
 }  // namespace cham::data

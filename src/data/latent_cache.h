@@ -54,19 +54,4 @@ class LatentCache {
   mutable util::Mutex mu_;
 };
 
-// Stacks per-sample latents (each 1 x C x H x W) into an N x C x H x W batch.
-//
-// The zero-copy replay path (gather-fused GEMM packing) made this copy
-// unnecessary on the observe/predict hot paths; it survives for the
-// reference oracle and cold paths. Every call bumps a process-global
-// counter so bench_observe can gate on ZERO stacking copies in the steady
-// state (and cham_lint statically rejects new calls inside hot_path marker
-// regions).
-Tensor stack_latents(const std::vector<const Tensor*>& latents);
-
-// Process-global count of stack_latents() calls since process start.
-// Monotone; relaxed atomic (a cross-thread snapshot may lag, which is fine
-// for the single-threaded bench gate that consumes it).
-int64_t stack_latents_calls();
-
 }  // namespace cham::data

@@ -63,7 +63,8 @@ NetServer::NetServer(serve::SessionManager& mgr, NetConfig cfg)
                "getsockname failed");
     port_ = ntohs(bound.sin_port);
   }
-  CHAM_CHECK(::listen(listen_fd_, cfg_.listen_backlog) == 0,
+  constexpr int kListenBacklog = 64;
+  CHAM_CHECK(::listen(listen_fd_, kListenBacklog) == 0,
              std::string("listen failed: ") + ::strerror(errno));
   set_nonblocking(listen_fd_);
 

@@ -103,7 +103,6 @@ struct NetConfig {
   // being read and handled while its outbox holds more than half of this
   // (see the outbound backpressure bound above).
   int64_t outbox_limit_bytes = int64_t{1} << 20;
-  int listen_backlog = 64;
   // Graceful-shutdown deadline: connections whose replies cannot be flushed
   // (client stopped reading) are force-closed after this many ms.
   int64_t drain_timeout_ms = 5000;

@@ -73,21 +73,22 @@ class ReplayBuffer {
   std::vector<ReplaySample> items_;
 };
 
-// Slot-stable short-term store backed by ONE contiguous slab: slot i's
-// latent is the row_numel() floats at row(i), at a fixed offset for the
-// store's whole lifetime. This is what makes the replay path zero-copy —
+// Slot-stable replay store backed by ONE contiguous slab: slot i's latent
+// is the row_numel() floats at row(i), at a fixed offset for the store's
+// whole lifetime. Chameleon's short-term memory is one; its long-term
+// memory is one per class. This is what makes the replay path zero-copy —
 // the training gather packs GEMM panels straight out of the slab (rows are
 // unit-stride), and checkpointing range-copies [row(0), row(size())) in a
 // single memcpy instead of walking per-slot tensors.
 //
 // Insertion follows ReplayBuffer::random_replace_add exactly (append while
 // below capacity, then overwrite a uniformly random slot) with the same
-// RNG draw sequence, so a SlotStore-backed ShortTermMemory is bit-identical
-// to the per-tensor buffer it replaces.
+// RNG draw sequence, so a SlotStore is bit-identical to the per-tensor
+// buffers it replaced.
 //
 // Row geometry is configured by the first insertion and fixed thereafter
-// (every ST latent shares the backbone's latent shape); the slab is
-// allocated once at configure time through the workspace pool.
+// (every latent shares the backbone's latent shape); the slab is allocated
+// once at configure time through the workspace pool.
 class SlotStore {
  public:
   explicit SlotStore(int64_t capacity) : capacity_(capacity) {}
@@ -113,15 +114,6 @@ class SlotStore {
   // row_numel()); what checkpointing serialises with one range write.
   const float* rows() const { return slab_.data(); }
 
-  // Materialises slot i as a Tensor (row_shape()); off the steady path —
-  // used by the LT promotion block and tests.
-  Tensor latent_copy(int64_t i) const {
-    Tensor t(row_shape_);
-    std::memcpy(t.data(), row(i),
-                static_cast<size_t>(row_numel_) * sizeof(float));
-    return t;
-  }
-
   // Fixes the row geometry and allocates the slab (idempotent; the shape
   // must match once set).
   void configure(const Shape& shape) {
@@ -139,23 +131,35 @@ class SlotStore {
     labels_.resize(static_cast<size_t>(capacity_));
   }
 
-  // Appends while not full, then overwrites a uniformly random slot. Same
-  // policy and RNG consumption as ReplayBuffer::random_replace_add: one
-  // uniform_int(capacity) draw if and only if the store is full.
-  int64_t random_replace_add(const data::ImageKey& key, int64_t label,
-                             const Shape& shape, const float* src, Rng& rng) {
+  // The slot random_replace_add writes next: the first free one while below
+  // capacity, else a uniformly random one. Same policy and RNG consumption
+  // as ReplayBuffer::random_replace_add: one uniform_int(capacity) draw if
+  // and only if the store is full.
+  int64_t next_slot(Rng& rng) const {
+    return full() ? rng.uniform_int(capacity_) : size_;
+  }
+
+  // Writes one row into `slot` (an occupied slot, or size() to append) and
+  // counts it as seen.
+  void write(int64_t slot, const data::ImageKey& key, int64_t label,
+             const Shape& shape, const float* src) {
     configure(shape);
+    CHAM_CHECK(slot >= 0 && slot <= size_ && slot < capacity_,
+               "SlotStore write to slot " + std::to_string(slot) + " of " +
+                   std::to_string(size_));
     ++seen_;
-    int64_t slot;
-    if (!full()) {
-      slot = size_++;
-    } else {
-      slot = rng.uniform_int(capacity_);
-    }
+    if (slot == size_) ++size_;
     std::memcpy(slab_.data() + slot * row_numel_, src,
                 static_cast<size_t>(row_numel_) * sizeof(float));
     keys_[static_cast<size_t>(slot)] = key;
     labels_[static_cast<size_t>(slot)] = label;
+  }
+
+  // Appends while not full, then overwrites a uniformly random slot.
+  int64_t random_replace_add(const data::ImageKey& key, int64_t label,
+                             const Shape& shape, const float* src, Rng& rng) {
+    const int64_t slot = next_slot(rng);
+    write(slot, key, label, shape, src);
     return slot;
   }
   int64_t random_replace_add(const data::ImageKey& key, int64_t label,

@@ -28,112 +28,10 @@ bool read_pod(std::istream& is, T& v) {
   return is.good();
 }
 
-void write_tensor(std::ostream& os, const Tensor& t) {
-  const uint32_t rank = static_cast<uint32_t>(t.rank());
-  write_pod(os, rank);
-  for (int64_t d = 0; d < t.rank(); ++d) {
-    write_pod(os, static_cast<int64_t>(t.dim(d)));
-  }
-  os.write(reinterpret_cast<const char*>(t.data()),
-           static_cast<std::streamsize>(t.numel() * sizeof(float)));
-}
-
-// Largest element count a decoded tensor or slab row may claim.
+// Largest element count a decoded slab may claim.
 constexpr int64_t kMaxNumel = int64_t{1} << 32;
 
-// Reads rank + dims from untrusted bytes: rank at most Shape::kMaxRank, each
-// dim in [min_dim, kMaxNumel], and the running product checked before each
-// multiply so it can neither overflow nor exceed kMaxNumel.
-bool read_dims(std::istream& is, std::vector<int64_t>& dims, int64_t min_dim,
-               int64_t& numel) {
-  uint32_t rank = 0;
-  if (!read_pod(is, rank) || rank > Shape::kMaxRank) return false;
-  dims.resize(rank);
-  numel = 1;
-  for (auto& d : dims) {
-    if (!read_pod(is, d) || d < min_dim || d > kMaxNumel) return false;
-    if (d > 0 && numel > kMaxNumel / d) return false;
-    numel *= d;
-  }
-  return true;
-}
-
-bool read_tensor(std::istream& is, Tensor& t) {
-  std::vector<int64_t> dims;
-  int64_t numel = 0;
-  if (!read_dims(is, dims, /*min_dim=*/0, numel)) return false;
-  t = Tensor(Shape(std::move(dims)));
-  is.read(reinterpret_cast<char*>(t.data()),
-          static_cast<std::streamsize>(numel * sizeof(float)));
-  return is.good();
-}
-
-// Precision-tagged tensor payload: the kFp32 tag byte, then rank + dims +
-// payload.
-void write_tensor_q(std::ostream& os, const Tensor& t) {
-  write_pod(os, kFp32Tag);
-  write_tensor(os, t);
-}
-
-bool read_tensor_q(std::istream& is, Tensor& t) {
-  uint8_t tag = 0;
-  return read_pod(is, tag) && tag == kFp32Tag && read_tensor(is, t);
-}
-
-bool write_sample(const ReplaySample& sample, std::ostream& os) {
-  write_pod(os, sample.key.class_id);
-  write_pod(os, sample.key.domain_id);
-  write_pod(os, sample.key.instance_id);
-  write_pod(os, static_cast<uint8_t>(sample.key.test));
-  write_pod(os, sample.label);
-  // Note: a default Tensor has rank-0 shape with numel() == 1 (empty
-  // product) but no storage — empty() is the authoritative check.
-  const uint8_t has_latent = !sample.latent.empty();
-  const uint8_t has_logits = !sample.logits.empty();
-  write_pod(os, has_latent);
-  write_pod(os, has_logits);
-  if (has_latent) write_tensor_q(os, sample.latent);
-  if (has_logits) write_tensor_q(os, sample.logits);
-  return os.good();
-}
-
-bool read_sample(ReplaySample& sample, std::istream& is) {
-  uint8_t test = 0, has_latent = 0, has_logits = 0;
-  if (!read_pod(is, sample.key.class_id)) return false;
-  if (!read_pod(is, sample.key.domain_id)) return false;
-  if (!read_pod(is, sample.key.instance_id)) return false;
-  if (!read_pod(is, test)) return false;
-  sample.key.test = test != 0;
-  if (!read_pod(is, sample.label)) return false;
-  if (!read_pod(is, has_latent)) return false;
-  if (!read_pod(is, has_logits)) return false;
-  if (has_latent && !read_tensor_q(is, sample.latent)) return false;
-  if (has_logits && !read_tensor_q(is, sample.logits)) return false;
-  return true;
-}
-
 }  // namespace
-
-bool save_samples_q(const std::vector<ReplaySample>& samples,
-                    std::ostream& os) {
-  write_pod(os, static_cast<int64_t>(samples.size()));
-  for (const auto& s : samples) {
-    if (!write_sample(s, os)) return false;
-  }
-  return os.good();
-}
-
-bool load_samples_q(std::vector<ReplaySample>& samples, std::istream& is) {
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > kMaxNumel) return false;
-  // Grown one decoded sample at a time: a forged count must not size an
-  // allocation before the bytes behind it have been read.
-  samples.clear();
-  for (int64_t i = 0; i < count; ++i) {
-    if (!read_sample(samples.emplace_back(), is)) return false;
-  }
-  return true;
-}
 
 bool save_slot_store_q(const SlotStore& store, std::ostream& os) {
   write_pod(os, kMagic);
@@ -164,25 +62,35 @@ bool save_slot_store_q(const SlotStore& store, std::ostream& os) {
   return os.good();
 }
 
-bool load_slot_store_q(SlotStore& store, std::istream& is) {
-  uint32_t magic = 0, version = 0;
+bool load_slot_store_q(SlotStore& store, std::istream& is,
+                       const Shape& row_shape, int64_t label_begin,
+                       int64_t label_end) {
+  uint32_t magic = 0, version = 0, rank = 0;
   int64_t capacity = 0, seen = 0, count = 0;
   if (!read_pod(is, magic) || magic != kMagic) return false;
   if (!read_pod(is, version) || version != kVersionSlab) return false;
-  // A store restores only into one of its own capacity: the learner's ST
+  // A store restores only into one of its own capacity: the learner's
   // capacity bounds the slab before a forged value can size it.
   if (!read_pod(is, capacity) || capacity <= 0 ||
       capacity != store.capacity()) {
     return false;
   }
-  if (!read_pod(is, seen) || seen < 0) return false;
-  if (!read_pod(is, count) || count < 0 || count > capacity) return false;
-  std::vector<int64_t> dims;
-  int64_t row_numel = 0;
-  if (!read_dims(is, dims, /*min_dim=*/1, row_numel)) return false;
-  if (count > 0 && dims.empty()) return false;
+  if (!read_pod(is, seen) || !read_pod(is, count)) return false;
+  if (count < 0 || count > capacity || seen < count) return false;
+  // The rows must have the shape the store's reader gathers: a row of any
+  // other size would be read past (or short of) its end by every consumer.
+  // Only an empty store may carry no shape (it was never configured).
+  if (!read_pod(is, rank)) return false;
+  if (rank == 0 ? count > 0 : rank != static_cast<uint32_t>(row_shape.rank())) {
+    return false;
+  }
+  for (uint32_t d = 0; d < rank; ++d) {
+    int64_t dim = 0;
+    if (!read_pod(is, dim) || dim != row_shape[d]) return false;
+  }
   // The slab holds capacity rows; its size must not overflow either.
-  if (capacity > kMaxNumel / row_numel) return false;
+  const int64_t row_numel = row_shape.numel();
+  if (row_numel <= 0 || capacity > kMaxNumel / row_numel) return false;
 
   SlotStore loaded(capacity);
   struct KeyRow {
@@ -200,19 +108,21 @@ bool load_slot_store_q(SlotStore& store, std::istream& is) {
     if (!read_pod(is, r.key.instance_id)) return false;
     if (!read_pod(is, test)) return false;
     r.key.test = test != 0;
-    if (!read_pod(is, r.label) || r.label < 0) return false;
+    if (!read_pod(is, r.label) || r.label < label_begin ||
+        r.label >= label_end) {
+      return false;
+    }
   }
   uint8_t tag = 0;
   if (!read_pod(is, tag) || tag != kFp32Tag) return false;
   if (count > 0) {
-    Tensor row_scratch(Shape{std::span<const int64_t>(dims)});
-    Rng fill_rng(0);  // store below capacity: appends, rng unused
+    std::vector<float> row(static_cast<size_t>(row_numel));
     for (int64_t i = 0; i < count; ++i) {
-      is.read(reinterpret_cast<char*>(row_scratch.data()),
+      is.read(reinterpret_cast<char*>(row.data()),
               static_cast<std::streamsize>(row_numel * sizeof(float)));
       if (!is.good()) return false;
       const auto& r = table[static_cast<size_t>(i)];
-      loaded.random_replace_add(r.key, r.label, row_scratch, fill_rng);
+      loaded.write(i, r.key, r.label, row_shape, row.data());
     }
   }
   store = std::move(loaded);

@@ -116,9 +116,10 @@ Admission SessionManager::enqueue(int64_t shard_idx, Request r) {
       // full queue-drain at this shard's EWMA per-request dispatch time,
       // floored at the configured hint and capped so a stalled shard never
       // tells callers to go away for minutes.
+      constexpr double kRetryHintMaxMs = 1000;
       hint_ms = std::clamp(static_cast<double>(depth) * shard.ewma_dispatch_ms,
                            static_cast<double>(cfg_.retry_hint_ms),
-                           static_cast<double>(cfg_.retry_hint_max_ms));
+                           kRetryHintMaxMs);
     }
   }
   // Stats are recorded with shard.mu released: the rejection path used to

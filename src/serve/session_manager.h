@@ -93,10 +93,9 @@ struct ServeConfig {
   int64_t queue_capacity = 32;  // pending requests per shard
   // Floor of the backpressure hint returned on rejection. The actual hint
   // scales with the observed per-shard drain rate: depth x the shard's
-  // EWMA dispatch time, clamped to [retry_hint_ms, retry_hint_max_ms] — a
-  // loaded shard tells callers to back off for roughly one queue-drain.
+  // EWMA dispatch time, clamped to [retry_hint_ms, 1000 ms] — a loaded
+  // shard tells callers to back off for roughly one queue-drain.
   int64_t retry_hint_ms = 5;
-  int64_t retry_hint_max_ms = 1000;
   // Batched predict dispatch (serve/batch_planner.h): max predict requests
   // coalesced into one stacked head evaluation. max_batch = 1 disables
   // cross-request merging; results are bit-identical either way.

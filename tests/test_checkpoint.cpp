@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <sstream>
 
 #include "core/checkpoint.h"
@@ -43,6 +44,95 @@ class CheckpointSuite : public ::testing::Test {
 metrics::Experiment* CheckpointSuite::exp_ = nullptr;
 data::DomainIncrementalStream* CheckpointSuite::stream_ = nullptr;
 
+bool save_file(const core::ChameleonLearner& learner, const std::string& path) {
+  std::ofstream os(path, std::ios::binary);
+  return learner.save_state(os) && os.flush().good();
+}
+
+bool load_file(core::ChameleonLearner& learner, const std::string& path) {
+  std::ifstream is(path, std::ios::binary);
+  return learner.load_state(is);
+}
+
+std::string frame_of(const replay::SlotStore& store) {
+  std::ostringstream os;
+  EXPECT_TRUE(replay::save_slot_store_q(store, os));
+  return os.str();
+}
+
+// Where each section of a learner's CHS2 blob starts: the header (u32
+// magic, u32 version, u8 precision), head params, 4-word rng state and
+// step, then the ST frame, one LT frame per class and the staged burst.
+struct BlobLayout {
+  size_t st_at = 0;
+  std::vector<size_t> lt_at;  // per class, then the staged burst's offset
+};
+
+BlobLayout layout_of(core::ChameleonLearner& learner, int64_t num_classes) {
+  std::ostringstream head;
+  EXPECT_TRUE(nn::save_params(learner.head(), head));
+  BlobLayout l;
+  l.st_at = 9 + head.str().size() + 32 + 8;
+  size_t at = l.st_at + frame_of(learner.short_term().store()).size();
+  for (int64_t c = 0; c < num_classes; ++c) {
+    l.lt_at.push_back(at);
+    at += frame_of(learner.long_term().class_store(c)).size();
+  }
+  l.lt_at.push_back(at);
+  return l;
+}
+
+// A real end-of-stream blob for the replay-forgery cases: splices one
+// forged frame in and loads the result into a fresh learner.
+struct ForgeryBench {
+  ForgeryBench(metrics::Experiment& e,
+               const data::DomainIncrementalStream& stream)
+      : exp(e), source(e.env(), config(), 6) {
+    for (const auto& b : stream.batches()) source.observe(b);
+    std::ostringstream os;
+    EXPECT_TRUE(source.save_state(os));
+    blob = os.str();
+    layout = layout_of(source, exp.config().data.num_classes);
+  }
+
+  static core::ChameleonConfig config() {
+    core::ChameleonConfig cc;
+    cc.lt_capacity = 18;  // quota 3 over 6 classes
+    cc.lt_period_h = 2;   // the short stream fills the LT several times
+    return cc;
+  }
+
+  bool loads(const std::string& bytes) {
+    core::ChameleonLearner target(exp.env(), config(), 1234);
+    std::istringstream is(bytes);
+    return target.load_state(is);
+  }
+
+  // The blob with bytes [from, to) replaced by `frame`.
+  std::string spliced(size_t from, size_t to, const std::string& frame) const {
+    return blob.substr(0, from) + frame + blob.substr(to);
+  }
+
+  // The blob with LT class c's frame replaced by `frame`.
+  std::string with_lt_frame(int64_t c, const std::string& frame) const {
+    const auto ci = static_cast<size_t>(c);
+    return spliced(layout.lt_at[ci], layout.lt_at[ci + 1], frame);
+  }
+
+  // The first LT class holding an entry (-1 if none does).
+  int64_t occupied_class() const {
+    for (int64_t c = 0; c < exp.config().data.num_classes; ++c) {
+      if (source.long_term().class_count(c) > 0) return c;
+    }
+    return -1;
+  }
+
+  metrics::Experiment& exp;
+  core::ChameleonLearner source;
+  std::string blob;
+  BlobLayout layout;
+};
+
 TEST_F(CheckpointSuite, RoundTripRestoresPredictionsAndBuffers) {
   core::ChameleonConfig cc;
   cc.lt_capacity = 18;
@@ -52,12 +142,12 @@ TEST_F(CheckpointSuite, RoundTripRestoresPredictionsAndBuffers) {
   const auto preds_before = original.predict(test_keys);
 
   const std::string path = util::tmp_path("test_checkpoint");
-  ASSERT_TRUE(core::save_checkpoint(original, path));
+  ASSERT_TRUE(save_file(original, path));
 
   // "Reboot": a fresh learner with the same config and a different seed
   // (different classifier init) — restore must override all of it.
   core::ChameleonLearner restored(exp_->env(), cc, 99);
-  ASSERT_TRUE(core::load_checkpoint(restored, path));
+  ASSERT_TRUE(load_file(restored, path));
 
   EXPECT_EQ(restored.predict(test_keys), preds_before);
   EXPECT_EQ(restored.short_term().size(), original.short_term().size());
@@ -80,9 +170,9 @@ TEST_F(CheckpointSuite, RestoredLearnerKeepsLearning) {
   for (size_t i = 0; i < half; ++i) original.observe(batches[i]);
 
   const std::string path = util::tmp_path("test_checkpoint2");
-  ASSERT_TRUE(core::save_checkpoint(original, path));
+  ASSERT_TRUE(save_file(original, path));
   core::ChameleonLearner resumed(exp_->env(), cc, 77);
-  ASSERT_TRUE(core::load_checkpoint(resumed, path));
+  ASSERT_TRUE(load_file(resumed, path));
   for (size_t i = half; i < batches.size(); ++i) resumed.observe(batches[i]);
 
   const double acc = exp_->evaluate(resumed).acc_all;
@@ -158,17 +248,12 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
               0)
         << "ST slot " << i << " diverged after resume";
   }
-  const auto la = uninterrupted.long_term().all_samples();
-  const auto lb = resumed.long_term().all_samples();
-  ASSERT_EQ(la.size(), lb.size());
-  for (size_t i = 0; i < la.size(); ++i) {
-    EXPECT_EQ(la[i].label, lb[i].label);
-    EXPECT_EQ(std::memcmp(la[i].latent.data(), lb[i].latent.data(),
-                          static_cast<size_t>(la[i].latent.numel()) *
-                              sizeof(float)),
-              0)
-        << "LT slot " << i << " diverged after resume";
-  }
+  // LT: every class's keys, labels and rows in slot order, compared as the
+  // stores' own frames.
+  std::ostringstream la, lb;
+  ASSERT_TRUE(uninterrupted.long_term().save(la));
+  ASSERT_TRUE(resumed.long_term().save(lb));
+  EXPECT_TRUE(la.str() == lb.str()) << "LT diverged after resume";
   EXPECT_EQ(resumed.preferences().delta_k(),
             uninterrupted.preferences().delta_k());
   EXPECT_EQ(resumed.preferences().window_seen(),
@@ -227,17 +312,6 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
     std::memcpy(&v, bytes.data() + off, sizeof(v));
     return v;
   };
-  // Offset of the staged count: the header (u32 magic, u32 version, u8
-  // precision), head params, 4-word rng state, step, ST store, LT samples.
-  auto staged_offset = [&] {
-    std::ostringstream before_staged;
-    EXPECT_TRUE(nn::save_params(source.head(), before_staged));
-    EXPECT_TRUE(
-        replay::save_slot_store_q(source.short_term().store(), before_staged));
-    EXPECT_TRUE(replay::save_samples_q(source.long_term().all_samples(),
-                                       before_staged));
-    return 9 + before_staged.str().size() + 32 + 8;
-  };
   // Stop mid-burst, so the blob carries staged refs.
   std::string blob;
   size_t at = 0;
@@ -247,7 +321,7 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
     std::ostringstream os;
     ASSERT_TRUE(source.save_state(os));
     blob = os.str();
-    at = staged_offset();
+    at = layout_of(source, exp_->config().data.num_classes).lt_at.back();
     ASSERT_LE(at + 8, blob.size());
     staged = i64_at(blob, at);
     if (staged > 0) break;
@@ -286,28 +360,24 @@ TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
   ASSERT_TRUE(source.save_state(os));
   const std::string blob = os.str();
 
-  // The ST store starts after the header (u32 magic, u32 version, u8
-  // precision), head params, 4-word rng state and step.
-  std::ostringstream head;
-  ASSERT_TRUE(nn::save_params(source.head(), head));
-  const size_t at = 9 + head.str().size() + 32 + 8;
-  std::ostringstream st_bytes;
+  const size_t at =
+      layout_of(source, exp_->config().data.num_classes).st_at;
   const replay::SlotStore& st = source.short_term().store();
-  ASSERT_TRUE(replay::save_slot_store_q(st, st_bytes));
-  ASSERT_EQ(blob.compare(at, st_bytes.str().size(), st_bytes.str()), 0);
+  const std::string st_bytes = frame_of(st);
+  ASSERT_EQ(blob.compare(at, st_bytes.size(), st_bytes), 0);
   ASSERT_GE(st.size(), 1);
 
   // The same store cut down to one real row.
   replay::SlotStore one_row(st.capacity());
   Rng rng(0);
-  one_row.random_replace_add(st.key(0), st.label(0), st.latent_copy(0), rng);
-  std::ostringstream one_bytes;
-  ASSERT_TRUE(replay::save_slot_store_q(one_row, one_bytes));
+  one_row.random_replace_add(st.key(0), st.label(0), st.row_shape(),
+                             st.row(0), rng);
+  const std::string one_bytes = frame_of(one_row);
   const std::string prefix = blob.substr(0, at);
-  const std::string suffix = blob.substr(at + st_bytes.str().size());
+  const std::string suffix = blob.substr(at + st_bytes.size());
 
   auto load = [&](int64_t capacity) {
-    std::string store = one_bytes.str();
+    std::string store = one_bytes;
     // Store framing: u32 magic, u32 version, then the i64 capacity.
     std::memcpy(store.data() + 8, &capacity, sizeof(capacity));
     core::ChameleonLearner target(exp_->env(), cc, 1234);
@@ -322,14 +392,94 @@ TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
 TEST_F(CheckpointSuite, RejectsMissingOrCorrupt) {
   core::ChameleonConfig cc;
   core::ChameleonLearner learner(exp_->env(), cc, 3);
-  EXPECT_FALSE(core::load_checkpoint(learner, "/tmp/nope_checkpoint.bin"));
+  EXPECT_FALSE(load_file(learner, util::tmp_path("nope_checkpoint")));
 
   const std::string path = util::tmp_path("test_checkpoint3");
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
   std::fclose(f);
-  EXPECT_FALSE(core::load_checkpoint(learner, path));
+  EXPECT_FALSE(load_file(learner, path));
   std::remove(path.c_str());
+}
+
+// Forged replay rows: every row either memory holds is read by the head's
+// gather as a latent of the learner's shape, and every LT entry is filed
+// under its own class, so a blob whose frames say otherwise fails the load
+// (nothing throws, nothing is read out of bounds). Each case splices one
+// forged frame into a real blob, which itself loads.
+TEST_F(CheckpointSuite, ForgedStRowShapeIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  ASSERT_TRUE(fb.loads(fb.blob)) << "control: the unmodified blob loads";
+  // An ST frame of the learner's capacity holding one row of shape {1}:
+  // the gather would read a whole latent from a one-float slab.
+  const replay::SlotStore& st = fb.source.short_term().store();
+  replay::SlotStore forged(st.capacity());
+  Rng rng(0);
+  const float value = 1.0f;
+  forged.random_replace_add(st.key(0), st.label(0), Shape{{1}}, &value, rng);
+  const size_t st_end = fb.layout.st_at + frame_of(st).size();
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      fb.loads(fb.spliced(fb.layout.st_at, st_end, frame_of(forged)))));
+}
+
+TEST_F(CheckpointSuite, ForgedLtRowShapeIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  const int64_t c = fb.occupied_class();
+  ASSERT_GE(c, 0) << "the stream left the LT empty";
+  const replay::SlotStore& real = fb.source.long_term().class_store(c);
+  // The real row shape with its last dim one wider.
+  std::vector<int64_t> dims(real.row_shape().dims().begin(),
+                            real.row_shape().dims().end());
+  dims.back() += 1;
+  const Shape wider{std::span<const int64_t>(dims)};
+  replay::SlotStore forged(real.capacity());
+  Rng rng(0);
+  const std::vector<float> row(static_cast<size_t>(wider.numel()), 1.0f);
+  forged.random_replace_add(real.key(0), c, wider, row.data(), rng);
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(fb.loads(fb.with_lt_frame(c, frame_of(forged)))));
+}
+
+TEST_F(CheckpointSuite, ForgedLtEntryUnderAnotherClassIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  // Class c's real frame filed in the next class's place.
+  const int64_t c = fb.occupied_class();
+  ASSERT_GE(c, 0) << "the stream left the LT empty";
+  const int64_t other = (c + 1) % exp_->config().data.num_classes;
+  const std::string frame = frame_of(fb.source.long_term().class_store(c));
+  EXPECT_TRUE(fb.loads(fb.with_lt_frame(c, frame))) << "control";
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.with_lt_frame(other, frame))));
+}
+
+TEST_F(CheckpointSuite, ForgedLtCountAboveQuotaIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  // quota + 1 real rows of class c, framed at their own capacity (not the
+  // class's) and then at the quota's (the count is over it).
+  const int64_t c = fb.occupied_class();
+  ASSERT_GE(c, 0) << "the stream left the LT empty";
+  const replay::SlotStore& real = fb.source.long_term().class_store(c);
+  const int64_t quota = fb.source.long_term().per_class_quota();
+  replay::SlotStore over(quota + 1);
+  Rng rng(0);
+  for (int64_t i = 0; i <= quota; ++i) {
+    over.random_replace_add(real.key(0), c, real.row_shape(), real.row(0),
+                            rng);
+  }
+  std::string frame = frame_of(over);
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.with_lt_frame(c, frame))));
+  // Frame: u32 magic, u32 version, then the i64 capacity.
+  std::memcpy(frame.data() + 8, &quota, sizeof(quota));
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.with_lt_frame(c, frame))));
+}
+
+TEST_F(CheckpointSuite, VersionFourBlobIsRejected) {
+  // Version 4 framed the LT as a list of per-sample tensors; a v4 blob
+  // fails the version check like any other version.
+  ForgeryBench fb(*exp_, *stream_);
+  std::string v4 = fb.blob;
+  const uint32_t version = 4;
+  std::memcpy(v4.data() + 4, &version, sizeof(version));
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(v4)));
 }
 
 // ------------------------------------------------------------ CHS3 deltas

@@ -234,7 +234,8 @@ TEST(Contracts, LongTermAuditDetectsSeededCorruption) {
   Rng rng(7);
   core::LongTermMemory lt(/*capacity=*/8, /*num_classes=*/4);
   for (int i = 0; i < 6; ++i) {
-    lt.insert(make_sample(i % 3, 0.5f + static_cast<float>(i)), rng);
+    const auto s = make_sample(i % 3, 0.5f + static_cast<float>(i));
+    lt.insert(s.key, s.label, s.latent.shape(), s.latent.data(), rng);
   }
   ASSERT_TRUE(lt.check_invariants().ok())
       << lt.check_invariants().to_string();
@@ -254,7 +255,8 @@ TEST(Contracts, LongTermInsertKeepsAuditStateThroughReplacement) {
   // 2x the per-class quota of inserts exercises the replacement path, which
   // must subtract the victim from the running prototype sum.
   for (int i = 0; i < 8; ++i) {
-    lt.insert(make_sample(i % 2, static_cast<float>(i)), rng);
+    const auto s = make_sample(i % 2, static_cast<float>(i));
+    lt.insert(s.key, s.label, s.latent.shape(), s.latent.data(), rng);
   }
   EXPECT_EQ(lt.size(), 4);
   EXPECT_TRUE(lt.check_invariants().ok()) << lt.check_invariants().to_string();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
 
 #include "core/long_term_memory.h"
 #include "core/short_term_memory.h"
@@ -23,6 +24,21 @@ replay::ReplaySample make_sample(int64_t label, float latent_value) {
   s.key = {static_cast<int32_t>(label), 0, 0, false};
   s.latent = latent_filled(latent_value);
   return s;
+}
+
+void insert(core::LongTermMemory& lt, const replay::ReplaySample& s,
+            Rng& rng) {
+  lt.insert(s.key, s.label, s.latent.shape(), s.latent.data(), rng);
+}
+
+// A short-term slot store holding `samples` in order.
+replay::SlotStore st_store(const std::vector<replay::ReplaySample>& samples) {
+  replay::SlotStore st(static_cast<int64_t>(samples.size()));
+  Rng rng(0);  // below capacity: appends, rng unused
+  for (const auto& s : samples) {
+    st.random_replace_add(s.key, s.label, s.latent, rng);
+  }
+  return st;
 }
 
 // ------------------------------------------------------------- short-term
@@ -70,14 +86,22 @@ TEST(ShortTermMemory, UpdateReplacesExactlyOneSlot) {
   Tensor logits({2, 5});
   logits.fill(1.0f);
 
-  std::vector<replay::ReplaySample> batch = {make_sample(0, 1.0f),
-                                             make_sample(1, 2.0f)};
-  st.update(batch, logits, prefs, rng);
+  const std::vector<replay::ReplaySample> batch = {make_sample(0, 1.0f),
+                                                   make_sample(1, 2.0f)};
+  const std::vector<data::ImageKey> keys = {batch[0].key, batch[1].key};
+  const std::vector<int64_t> labels = {0, 1};
+  const std::vector<const float*> rows = {batch[0].latent.data(),
+                                          batch[1].latent.data()};
+  const Shape shape = batch[0].latent.shape();
+  auto update = [&] {
+    st.update(keys, labels, rows, shape, logits, prefs, rng);
+  };
+  update();
   EXPECT_EQ(st.size(), 1);
-  st.update(batch, logits, prefs, rng);
-  st.update(batch, logits, prefs, rng);
+  update();
+  update();
   EXPECT_EQ(st.size(), 3);
-  st.update(batch, logits, prefs, rng);
+  update();
   EXPECT_EQ(st.size(), 3);  // capacity reached: replacement, not growth
 }
 
@@ -97,7 +121,7 @@ TEST(LongTermMemory, ClassQuotaEnforced) {
   core::LongTermMemory lt(10, 5);  // quota 2 per class
   EXPECT_EQ(lt.per_class_quota(), 2);
   Rng rng(2);
-  for (int i = 0; i < 8; ++i) lt.insert(make_sample(1, float(i)), rng);
+  for (int i = 0; i < 8; ++i) insert(lt, make_sample(1, float(i)), rng);
   EXPECT_EQ(lt.class_count(1), 2);
   EXPECT_EQ(lt.class_count(0), 0);
 }
@@ -105,8 +129,8 @@ TEST(LongTermMemory, ClassQuotaEnforced) {
 TEST(LongTermMemory, PrototypeIsMeanLatent) {
   core::LongTermMemory lt(10, 2);
   Rng rng(3);
-  lt.insert(make_sample(0, 1.0f), rng);
-  lt.insert(make_sample(0, 3.0f), rng);
+  insert(lt, make_sample(0, 1.0f), rng);
+  insert(lt, make_sample(0, 3.0f), rng);
   auto proto = lt.prototype(0);
   ASSERT_TRUE(proto.has_value());
   for (int64_t i = 0; i < proto->numel(); ++i) {
@@ -128,8 +152,8 @@ TEST(LongTermMemory, UpdateSelectsMostDivergentCandidate) {
   core::LongTermMemory lt(4, 2);  // quota 2
   Rng rng(4);
   // Seed class 0 with a prototype whose "prediction" is index 0.
-  lt.insert(make_sample(0, 0.0f), rng);
-  lt.insert(make_sample(0, 0.0f), rng);
+  insert(lt, make_sample(0, 0.0f), rng);
+  insert(lt, make_sample(0, 0.0f), rng);
 
   // Scorer keyed on latent fill value: value 5 -> confident wrong class.
   auto score = [](std::span<const float* const> rows) {
@@ -142,13 +166,13 @@ TEST(LongTermMemory, UpdateSelectsMostDivergentCandidate) {
     return probs;
   };
 
-  std::vector<replay::ReplaySample> st = {make_sample(0, 1.0f),
-                                          make_sample(0, 5.0f)};
-  lt.update_from(st, score, rng);
+  lt.update_from(st_store({make_sample(0, 1.0f), make_sample(0, 5.0f)}),
+                 score, rng);
   // The divergent candidate (fill 5) must now be in class 0's slots.
   bool found = false;
-  for (const auto& s : lt.class_slots(0)) {
-    if (s.latent[0] == 5.0f) found = true;
+  const replay::SlotStore& slots = lt.class_store(0);
+  for (int64_t j = 0; j < slots.size(); ++j) {
+    if (slots.row(j)[0] == 5.0f) found = true;
   }
   EXPECT_TRUE(found);
 }
@@ -165,9 +189,9 @@ TEST(LongTermMemory, UpdateCoversEveryStClass) {
     }
     return probs;
   };
-  std::vector<replay::ReplaySample> st = {
-      make_sample(0, 1.0f), make_sample(1, 2.0f), make_sample(2, 3.0f),
-      make_sample(1, 4.0f)};
+  const replay::SlotStore st =
+      st_store({make_sample(0, 1.0f), make_sample(1, 2.0f),
+                make_sample(2, 3.0f), make_sample(1, 4.0f)});
   const int64_t updated = lt.update_from(st, score, rng);
   EXPECT_EQ(updated, 3);
   EXPECT_EQ(lt.class_count(0), 1);
@@ -180,19 +204,20 @@ TEST(LongTermMemory, SampleReturnsDistinctEntries) {
   Rng rng(6);
   for (int64_t c = 0; c < 3; ++c) {
     for (int i = 0; i < 4; ++i) {
-      lt.insert(make_sample(c, float(c * 10 + i)), rng);
+      insert(lt, make_sample(c, float(c * 10 + i)), rng);
     }
   }
-  auto picked = lt.sample(6, rng);
+  auto picked = lt.sample_refs(6, rng);
   EXPECT_EQ(picked.size(), 6u);
-  std::set<const replay::ReplaySample*> unique(picked.begin(), picked.end());
+  std::set<const float*> unique;
+  for (const auto& ref : picked) unique.insert(lt.entry(ref).row);
   EXPECT_EQ(unique.size(), picked.size());
 }
 
 TEST(LongTermMemory, SampleFromEmptyIsEmpty) {
   core::LongTermMemory lt(10, 5);
   Rng rng(7);
-  EXPECT_TRUE(lt.sample(3, rng).empty());
+  EXPECT_TRUE(lt.sample_refs(3, rng).empty());
 }
 
 }  // namespace

@@ -512,13 +512,13 @@ std::unique_ptr<nn::Sequential> make_scoring_head() {
   return g;
 }
 
-replay::ReplaySample random_sample(int64_t label, int32_t inst, Rng& rng) {
-  replay::ReplaySample s;
-  s.label = label;
-  s.key = {static_cast<int32_t>(label), 0, inst, false};
-  s.latent = Tensor({1, 4, 2, 2});
-  fill_normal(s.latent, rng);
-  return s;
+// Writes one random 1x4x2x2 latent into `store`'s next slot.
+void add_random_row(replay::SlotStore& store, int64_t label, int32_t inst,
+                    Rng& rng) {
+  Tensor latent({1, 4, 2, 2});
+  fill_normal(latent, rng);
+  store.random_replace_add({static_cast<int32_t>(label), 0, inst, false},
+                           label, latent, rng);
 }
 
 // The class-by-class update update_from ran before its scoring was
@@ -526,24 +526,27 @@ replay::ReplaySample random_sample(int64_t label, int32_t inst, Rng& rng) {
 // prototype, score it and each candidate with one-row forwards, insert the
 // max-S_j candidate.
 int64_t class_by_class_update(
-    core::LongTermMemory& lt, const std::vector<replay::ReplaySample>& st,
+    core::LongTermMemory& lt, const replay::SlotStore& st,
     const std::function<std::vector<float>(const Tensor&)>& predict, Rng& rng,
     int64_t* proto_entries) {
-  std::unordered_map<int64_t, std::vector<const replay::ReplaySample*>>
-      by_class;
-  for (const auto& s : st) by_class[s.label].push_back(&s);
+  std::unordered_map<int64_t, std::vector<int64_t>> by_class;
+  for (int64_t i = 0; i < st.size(); ++i) by_class[st.label(i)].push_back(i);
   int64_t updated = 0;
   *proto_entries = 0;
   for (auto& [cls, candidates] : by_class) {
-    const replay::ReplaySample* best = candidates.front();
+    int64_t best = candidates.front();
     if (candidates.size() > 1) {
       if (auto proto = lt.prototype(cls)) {
         *proto_entries += lt.class_count(cls);
         const auto proto_probs = predict(*proto);
         double best_s = -1;
-        for (const auto* cand : candidates) {
+        for (int64_t cand : candidates) {
+          const Tensor latent(st.row_shape(),
+                              std::span<const float>(
+                                  st.row(cand),
+                                  static_cast<size_t>(st.row_numel())));
           const double s = core::LongTermMemory::prototype_divergence(
-              predict(cand->latent), proto_probs);
+              predict(latent), proto_probs);
           if (s > best_s) {
             best_s = s;
             best = cand;
@@ -554,7 +557,8 @@ int64_t class_by_class_update(
             rng.uniform_int(static_cast<int64_t>(candidates.size())))];
       }
     }
-    lt.insert(*best, rng);
+    lt.insert(st.key(best), st.label(best), st.row_shape(), st.row(best),
+              rng);
     ++updated;
   }
   return updated;
@@ -562,13 +566,10 @@ int64_t class_by_class_update(
 
 void expect_same_entries(const core::LongTermMemory& a,
                          const core::LongTermMemory& b) {
-  const auto ea = a.all_samples(), eb = b.all_samples();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (size_t i = 0; i < ea.size(); ++i) {
-    EXPECT_EQ(ea[i].label, eb[i].label);
-    EXPECT_EQ(ea[i].key.instance_id, eb[i].key.instance_id);
-    EXPECT_TRUE(same_bits(ea[i].latent, eb[i].latent));
-  }
+  std::ostringstream ea, eb;
+  ASSERT_TRUE(a.save(ea));
+  ASSERT_TRUE(b.save(eb));
+  EXPECT_TRUE(ea.str() == eb.str()) << "LT keys, labels or rows differ";
 }
 
 // update_from through the one-call batch scorer must leave exactly the
@@ -583,19 +584,20 @@ TEST(BatchedPrototypeScoring, MatchesPerRowScoring) {
   Rng fill(41);
   // 4 classes, quota 3: classes 0-2 hold entries (class 2 a single one),
   // class 3 none, so every branch of the update runs.
+  replay::SlotStore seed_rows(6);
+  for (int i = 0; i < 3; ++i) add_random_row(seed_rows, 0, i, fill);
+  for (int i = 0; i < 2; ++i) add_random_row(seed_rows, 1, i, fill);
+  add_random_row(seed_rows, 2, 0, fill);
   core::LongTermMemory base(12, 4);
   Rng insert_rng(42);
-  for (int i = 0; i < 3; ++i) {
-    base.insert(random_sample(0, i, fill), insert_rng);
+  for (int64_t i = 0; i < seed_rows.size(); ++i) {
+    base.insert(seed_rows.key(i), seed_rows.label(i), seed_rows.row_shape(),
+                seed_rows.row(i), insert_rng);
   }
-  for (int i = 0; i < 2; ++i) {
-    base.insert(random_sample(1, i, fill), insert_rng);
-  }
-  base.insert(random_sample(2, 0, fill), insert_rng);
-  std::vector<replay::ReplaySample> st;
-  for (int64_t label : {0, 1, 0, 2, 3, 1, 3, 0, 2}) {
-    st.push_back(random_sample(label, 10 + static_cast<int32_t>(st.size()),
-                               fill));
+  const std::vector<int64_t> st_labels = {0, 1, 0, 2, 3, 1, 3, 0, 2};
+  replay::SlotStore st(static_cast<int64_t>(st_labels.size()));
+  for (int64_t label : st_labels) {
+    add_random_row(st, label, 10 + static_cast<int32_t>(st.size()), fill);
   }
 
   double batch_macs = 0;

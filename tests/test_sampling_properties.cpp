@@ -212,10 +212,8 @@ TEST_P(BufferCapacities, LongTermQuotaHolds) {
   core::LongTermMemory lt(cap, classes);
   Rng rng(static_cast<uint64_t>(cap) + 13);
   for (int64_t i = 0; i < 6 * cap; ++i) {
-    replay::ReplaySample s;
-    s.label = i % classes;
-    s.latent = Tensor({1, 2, 1, 1});
-    lt.insert(s, rng);
+    const Tensor latent({1, 2, 1, 1});
+    lt.insert({}, i % classes, latent.shape(), latent.data(), rng);
     EXPECT_LE(lt.class_count(i % classes), lt.per_class_quota());
   }
   EXPECT_LE(lt.size(), std::max<int64_t>(cap, classes));

@@ -1,4 +1,4 @@
-// Learner-state sample/slot framing (round-trips, malformed and crafted
+// Learner-state slot-store framing (round-trips, malformed and crafted
 // input) and image augmentations.
 #include <gtest/gtest.h>
 
@@ -16,64 +16,71 @@
 namespace cham {
 namespace {
 
-replay::ReplaySample make_sample(int64_t label, uint64_t seed) {
-  replay::ReplaySample s;
-  s.key = {static_cast<int32_t>(label), 2, 5, false};
-  s.label = label;
-  s.latent = Tensor({1, 4, 2, 2});
-  Rng rng(seed);
-  ops::fill_normal(s.latent, rng, 0.0f, 1.0f);
-  return s;
+const Shape kRow{{1, 4, 2, 2}};
+
+// A slot store of `capacity` holding one random row per label.
+replay::SlotStore make_store(int64_t capacity,
+                             const std::vector<int64_t>& labels) {
+  replay::SlotStore store(capacity);
+  Rng rng(static_cast<uint64_t>(capacity));
+  for (int64_t label : labels) {
+    Tensor latent(kRow);
+    ops::fill_normal(latent, rng, 0.0f, 1.0f);
+    store.random_replace_add({static_cast<int32_t>(label), 2, 5, false},
+                             label, latent, rng);
+  }
+  return store;
 }
 
-// One sample through the sample-list framing of CHS2 learner blobs.
-replay::ReplaySample round_trip(const replay::ReplaySample& s) {
+// One store through the slot-store framing of CHS2 learner blobs.
+replay::SlotStore round_trip(const replay::SlotStore& s) {
   std::stringstream ss;
-  EXPECT_TRUE(replay::save_samples_q({s}, ss));
-  std::vector<replay::ReplaySample> back;
-  EXPECT_TRUE(replay::load_samples_q(back, ss));
-  EXPECT_EQ(back.size(), 1u);
-  return back.empty() ? replay::ReplaySample{} : back.front();
+  EXPECT_TRUE(replay::save_slot_store_q(s, ss));
+  replay::SlotStore back(s.capacity());
+  EXPECT_TRUE(replay::load_slot_store_q(back, ss, kRow, 0, 10));
+  return back;
 }
 
 TEST(Serialize, SampleRoundTrip) {
-  replay::ReplaySample s = make_sample(7, 1);
-  s.logits = Tensor::from({0.1f, 0.9f, -0.5f});
-  const replay::ReplaySample back = round_trip(s);
-  EXPECT_EQ(back.key, s.key);
-  EXPECT_EQ(back.label, 7);
-  EXPECT_EQ(ops::max_abs_diff(back.latent, s.latent), 0.0);
-  EXPECT_EQ(ops::max_abs_diff(back.logits, s.logits), 0.0);
+  // Replacement past capacity leaves seen above size; both survive.
+  const replay::SlotStore s = make_store(3, {7, 1, 4, 2});
+  const replay::SlotStore back = round_trip(s);
+  ASSERT_EQ(back.size(), 3);
+  EXPECT_EQ(back.seen(), 4);
+  EXPECT_EQ(back.row_shape(), kRow);
+  for (int64_t i = 0; i < s.size(); ++i) {
+    EXPECT_EQ(back.key(i), s.key(i));
+    EXPECT_EQ(back.label(i), s.label(i));
+    EXPECT_EQ(std::memcmp(back.row(i), s.row(i),
+                          static_cast<size_t>(kRow.numel()) * sizeof(float)),
+              0);
+  }
 }
 
-TEST(Serialize, SampleWithoutPayloadsRoundTrip) {
-  replay::ReplaySample s;
-  s.key = {1, 2, 3, true};
-  s.label = 1;
-  const replay::ReplaySample back = round_trip(s);
-  EXPECT_EQ(back.key, s.key);
-  EXPECT_TRUE(back.latent.empty());
-  EXPECT_TRUE(back.logits.empty());
+TEST(Serialize, EmptySlotStoreRoundTrip) {
+  // A store that never took a row has no row shape; it loads as empty.
+  const replay::SlotStore back = round_trip(replay::SlotStore(4));
+  EXPECT_EQ(back.size(), 0);
+  EXPECT_FALSE(back.configured());
 }
 
 TEST(Serialize, RejectsGarbage) {
   std::stringstream ss;
-  ss << "not a sample list at all";
-  std::vector<replay::ReplaySample> samples;
-  EXPECT_FALSE(replay::load_samples_q(samples, ss));
+  ss << "not a slot store at all";
+  replay::SlotStore store(4);
+  EXPECT_FALSE(replay::load_slot_store_q(store, ss, kRow, 0, 10));
   std::stringstream empty;
-  EXPECT_FALSE(replay::load_samples_q(samples, empty));
+  EXPECT_FALSE(replay::load_slot_store_q(store, empty, kRow, 0, 10));
 }
 
 TEST(Serialize, RejectsTruncated) {
   std::stringstream ss;
-  ASSERT_TRUE(replay::save_samples_q({make_sample(1, 10), make_sample(2, 11)},
-                                     ss));
+  ASSERT_TRUE(replay::save_slot_store_q(make_store(4, {1, 2}), ss));
   std::string data = ss.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  std::vector<replay::ReplaySample> back;
-  EXPECT_FALSE(replay::load_samples_q(back, truncated));
+  replay::SlotStore back(4);
+  EXPECT_FALSE(replay::load_slot_store_q(back, truncated, kRow, 0, 10));
 }
 
 // ------------------------------------------- decoder bounds (crafted bytes)
@@ -89,26 +96,6 @@ void put(std::string& out, T v) {
 
 constexpr auto kFp32Tag = static_cast<uint8_t>(quant::Precision::kFp32);
 constexpr int64_t k2Pow32 = int64_t{1} << 32;
-
-// A one-sample list whose latent claims `dims`, followed by `payload`
-// floats.
-std::string crafted_sample_list(const std::vector<int64_t>& dims,
-                                int64_t payload) {
-  std::string b;
-  put<int64_t>(b, 1);                                // count
-  put<int32_t>(b, 3);                                // class_id
-  put<int32_t>(b, 0);                                // domain_id
-  put<int32_t>(b, 0);                                // instance_id
-  put<uint8_t>(b, 0);                                // test
-  put<int64_t>(b, 3);                                // label
-  put<uint8_t>(b, 1);                                // has_latent
-  put<uint8_t>(b, 0);                                // has_logits
-  put<uint8_t>(b, kFp32Tag);
-  put<uint32_t>(b, static_cast<uint32_t>(dims.size()));
-  for (int64_t d : dims) put<int64_t>(b, d);
-  for (int64_t i = 0; i < payload; ++i) put<float>(b, 1.0f);
-  return b;
-}
 
 // Slot-store framing (version 3) up to and including the row shape.
 std::string slot_store_header(int64_t capacity, int64_t count,
@@ -139,41 +126,27 @@ std::string crafted_slot_store(const std::vector<int64_t>& dims,
   return b;
 }
 
-bool load_list(const std::string& bytes) {
-  std::stringstream ss(bytes);
-  std::vector<replay::ReplaySample> samples;
-  return replay::load_samples_q(samples, ss);
-}
-
 // Loads into a store of the capacity the frame declares (after the u32
-// magic and u32 version): a store loads only into one of its own capacity
+// magic and u32 version) expecting rows of `row_shape` with labels in
+// [0, 10): a store loads only into one of its own capacity
 // (CheckpointSuite.ForgedStCapacityWithOneRealRowIsRejected), and the
 // rejections below must be due to the field under test.
-bool load_store(const std::string& bytes) {
+bool load_store(const std::string& bytes,
+                const Shape& row_shape = Shape{{1, 2}}) {
   int64_t capacity = 0;
   std::memcpy(&capacity, bytes.data() + 8, sizeof(capacity));
   std::stringstream ss(bytes);
   replay::SlotStore store(capacity);
-  return replay::load_slot_store_q(store, ss);
+  return replay::load_slot_store_q(store, ss, row_shape, 0, 10);
 }
 
 const std::vector<int64_t> kRank7 = {1, 1, 1, 1, 1, 1, 1};
 const std::vector<int64_t> kOverflowDims = {k2Pow32, k2Pow32};
 
 TEST(Serialize, CraftedInputsAreWellFormedControls) {
-  // The same framing with a legal shape loads, so the rejections below are
-  // due to the shape alone.
-  EXPECT_TRUE(load_list(crafted_sample_list({1, 2}, 2)));
+  // The same framing with the expected shape and a label in range loads,
+  // so the rejections below are due to the field under test alone.
   EXPECT_TRUE(load_store(crafted_slot_store({1, 2}, 2)));
-}
-
-TEST(Serialize, SampleListRejectsRankAboveShapeMax) {
-  EXPECT_NO_THROW(EXPECT_FALSE(load_list(crafted_sample_list(kRank7, 1))));
-}
-
-TEST(Serialize, SampleListRejectsOverflowingDims) {
-  EXPECT_NO_THROW(
-      EXPECT_FALSE(load_list(crafted_sample_list(kOverflowDims, 0))));
 }
 
 TEST(Serialize, SlotStoreRejectsRankAboveShapeMax) {
@@ -185,19 +158,36 @@ TEST(Serialize, SlotStoreRejectsOverflowingDims) {
       EXPECT_FALSE(load_store(crafted_slot_store(kOverflowDims, 0))));
 }
 
-TEST(Serialize, SampleListRejectsForgedCountWithoutPayload) {
-  // A count at the format's limit with no samples behind it: the loader
-  // must run out of bytes, not size an allocation from the forged count.
-  std::string b;
-  put<int64_t>(b, k2Pow32);
-  EXPECT_NO_THROW(EXPECT_FALSE(load_list(b)));
+TEST(Serialize, SlotStoreRejectsForgedCountWithoutPayload) {
+  // Capacity and count forged to 2^32 one-float rows (a slab within
+  // bounds) with no key rows behind them: the loader must run out of
+  // bytes, not size an allocation from the forged count.
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      load_store(slot_store_header(k2Pow32, k2Pow32, {1}), Shape{{1}})));
 }
 
-TEST(Serialize, SlotStoreRejectsForgedCountWithoutPayload) {
-  // The same for the slot store's key table: capacity and count forged to
-  // 2^32 one-float rows (a slab within bounds), no key rows behind them.
+TEST(Serialize, SlotStoreRejectsForeignRowShape) {
+  // A well-formed row of another shape than the reader gathers, including
+  // one of the same element count.
+  EXPECT_NO_THROW(EXPECT_FALSE(load_store(crafted_slot_store({1, 3}, 3))));
+  EXPECT_NO_THROW(EXPECT_FALSE(load_store(crafted_slot_store({2, 1}, 2))));
+  EXPECT_NO_THROW(EXPECT_FALSE(load_store(crafted_slot_store({2}, 2))));
+}
+
+TEST(Serialize, SlotStoreRejectsLabelOutOfRange) {
+  // The crafted row is labelled 3; the loader is told to accept only 0.
+  std::stringstream ss(crafted_slot_store({1, 2}, 2));
+  replay::SlotStore store(4);
   EXPECT_NO_THROW(
-      EXPECT_FALSE(load_store(slot_store_header(k2Pow32, k2Pow32, {1}))));
+      EXPECT_FALSE(replay::load_slot_store_q(store, ss, Shape{{1, 2}}, 0, 1)));
+}
+
+TEST(Serialize, SlotStoreRejectsSeenBelowCount) {
+  std::string b = crafted_slot_store({1, 2}, 2);
+  // Frame: u32 magic, u32 version, i64 capacity, then the i64 seen.
+  const int64_t seen = 0;
+  std::memcpy(b.data() + 16, &seen, sizeof(seen));
+  EXPECT_NO_THROW(EXPECT_FALSE(load_store(b)));
 }
 
 TEST(Serialize, SlotStoreRejectsCapacityOverflowingTheSlab) {

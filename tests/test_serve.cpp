@@ -19,6 +19,7 @@
 #include <future>
 #include <iterator>
 #include <span>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -115,19 +116,12 @@ class ServeSuite : public ::testing::Test {
                 0)
           << "ST latent " << i << " differs";
     }
-    // Long-term store contents (per class, slot order).
-    const auto la = a.long_term().all_samples();
-    const auto lb = b.long_term().all_samples();
-    ASSERT_EQ(la.size(), lb.size());
-    for (size_t i = 0; i < la.size(); ++i) {
-      EXPECT_EQ(la[i].label, lb[i].label) << "LT slot " << i;
-      ASSERT_EQ(la[i].latent.numel(), lb[i].latent.numel());
-      EXPECT_EQ(std::memcmp(la[i].latent.data(), lb[i].latent.data(),
-                            static_cast<size_t>(la[i].latent.numel()) *
-                                sizeof(float)),
-                0)
-          << "LT latent " << i << " differs";
-    }
+    // Long-term store contents: every class's keys, labels and rows in
+    // slot order, compared as the stores' own frames.
+    std::ostringstream la, lb;
+    ASSERT_TRUE(a.long_term().save(la));
+    ASSERT_TRUE(b.long_term().save(lb));
+    EXPECT_TRUE(la.str() == lb.str()) << "LT contents differ";
     // Preference statistics, including mid-window counters.
     EXPECT_EQ(a.preferences().samples_seen(), b.preferences().samples_seen());
     EXPECT_EQ(a.preferences().window_seen(), b.preferences().window_seen());

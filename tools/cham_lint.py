@@ -182,10 +182,6 @@ RULES = {
     "parallel-for-grain": "parallel_for without an explicit grain wakes the "
     "pool for any 2-item range; pass a work-proportional grain "
     "(work_grain() in tensor/thread_pool.h)",
-    "hot-path-stacking": "stack_latents() inside a hot_path marker region; "
-    "the replay hot loop is zero-copy — pack a GatherBatch of row pointers "
-    "and call forward_gather, whose row-pointer body is the MAC-bearing "
-    "layers' only forward, instead of stacking latents into a batch tensor",
     "unregistered-test": "tests/test_*.cpp not registered by a cham_test() "
     "line in tests/CMakeLists.txt; it is never compiled or run",
     "test-only-header": "src/ header #included by no file under src/ (other "
@@ -221,8 +217,7 @@ ALLOC_RE = re.compile(
 # on the stripped code. Region kinds: `dispatch` (shard queue mutex),
 # `sessions_mu` (global residency lock), `store_mu` (SessionStore file
 # lock), `batch_plan` (shard queue mutex during plan formation), `net_mu`
-# (a connection's mutex), `wb_mu` (WriteBehind::mu_) and `hot_path`
-# (zero-copy replay loops).
+# (a connection's mutex) and `wb_mu` (WriteBehind::mu_).
 DISPATCH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(dispatch\)")
 DISPATCH_END_RE = re.compile(r"cham-lint:\s*end\(dispatch\)")
 SESSIONS_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(sessions_mu\)")
@@ -231,8 +226,6 @@ STORE_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(store_mu\)")
 STORE_MU_END_RE = re.compile(r"cham-lint:\s*end\(store_mu\)")
 BATCH_PLAN_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(batch_plan\)")
 BATCH_PLAN_END_RE = re.compile(r"cham-lint:\s*end\(batch_plan\)")
-HOT_PATH_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(hot_path\)")
-HOT_PATH_END_RE = re.compile(r"cham-lint:\s*end\(hot_path\)")
 NET_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(net_mu\)")
 NET_MU_END_RE = re.compile(r"cham-lint:\s*end\(net_mu\)")
 WB_MU_BEGIN_RE = re.compile(r"cham-lint:\s*begin\(wb_mu\)")
@@ -251,9 +244,6 @@ SYSCALL_RE = re.compile(
     r"send|sendmsg|sendto|poll|ppoll|epoll_wait|epoll_pwait|select|pselect|"
     r"accept4?|connect|fsync|fdatasync)\s*\("
 )
-# Batched-copy entry point banned from hot paths (the steady-state replay
-# loop packs GEMM panels straight from latent/slab/LT row pointers).
-STACK_LATENTS_RE = re.compile(r"(?<![_A-Za-z0-9])stack_latents\s*\(")
 # Test sources and their registrations in tests/CMakeLists.txt.
 TEST_SOURCE_RE = re.compile(r"^test_\w+\.cpp$")
 CHAM_TEST_RE = re.compile(r"^\s*cham_test\(\s*(\w+)", re.M)
@@ -290,7 +280,6 @@ DISPATCH_ALLOC_RE = re.compile(
 # must never run under the global residency lock.
 SERIALIZE_RE = re.compile(
     r"(?:\.|->)\s*(?:save_state|load_state|save|load)\s*\("
-    r"|(?<![_A-Za-z0-9])(?:save|load)_checkpoint\s*\("
     r"|(?:\.|->)\s*(?:put_full|put_delta|get_blob|get_delta)\s*\("
     r"|(?<![_A-Za-z0-9])(?:encode_op_log|read_op_log)\s*\("
 )
@@ -545,12 +534,6 @@ def lint_file(path, raw):
     check_region(
         WB_MU_BEGIN_RE, WB_MU_END_RE, "store-in-wb-mu",
         lambda line: bool(STORE_CALL_RE.search(line)))
-    # hot_path sections are the zero-copy replay loops (observe training,
-    # chunked predict): latents must be gathered by pointer, never stacked
-    # into a batch tensor.
-    check_region(
-        HOT_PATH_BEGIN_RE, HOT_PATH_END_RE, "hot-path-stacking",
-        lambda line: bool(STACK_LATENTS_RE.search(line)))
 
     # Condition-variable waits must pass a predicate: exactly one top-level
     # argument (just the lock) is the lost-wakeup-prone form. Zero arguments
@@ -576,14 +559,10 @@ def lint_file(path, raw):
                         strip_comments_and_strings(fh.read())))
     region_depth = 0
     for lineno, raw_line in enumerate(raw_lines, start=1):
-        # hot_path marks a zero-copy loop, not a lock-held section; member
-        # writes there are single-owner and carry no guard obligation.
-        m = REGION_BEGIN_RE.search(raw_line)
-        if m and m.group(1) != "hot_path":
+        if REGION_BEGIN_RE.search(raw_line):
             region_depth += 1
             continue
-        m = REGION_END_RE.search(raw_line)
-        if m and m.group(1) != "hot_path":
+        if REGION_END_RE.search(raw_line):
             region_depth = max(0, region_depth - 1)
             continue
         if region_depth == 0 or lineno > len(code_lines):

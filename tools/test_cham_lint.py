@@ -182,45 +182,6 @@ def main():
               "l->predict(k);  // cham-lint: allow(blocking-in-batch-plan)\n"
               "// cham-lint: end(batch_plan)\n")) == [])
 
-    print("rule: hot-path-stacking")
-    check("flags stack_latents inside hot_path region",
-          "hot-path-stacking" in rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "const Tensor x = data::stack_latents(rows);\n"
-              "// cham-lint: end(hot_path)\n")))
-    check("flags unqualified stack_latents call",
-          "hot-path-stacking" in rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "auto x = stack_latents(rows);\n"
-              "// cham-lint: end(hot_path)\n")))
-    check("stack_latents outside the region is clean",
-          rules_of(lint_src(
-              "const Tensor x = data::stack_latents(rows);\n"
-              "// cham-lint: begin(hot_path)\n"
-              "g_->forward_gather(gb, true);\n"
-              "// cham-lint: end(hot_path)\n")) == [])
-    check("identifier suffix does not match (my_stack_latents)",
-          rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "auto x = my_stack_latents(rows);\n"
-              "// cham-lint: end(hot_path)\n")) == [])
-    check("mention in a comment is clean",
-          rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "// replaced stack_latents(rows) with a GatherBatch\n"
-              "// cham-lint: end(hot_path)\n")) == [])
-    check("suppressed by allow()",
-          rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "auto x = stack_latents(r);  // cham-lint: allow(hot-path-stacking)\n"
-              "// cham-lint: end(hot_path)\n")) == [])
-    check("hot_path is not a lock region (member writes need no guard)",
-          rules_of(lint_src(
-              "// cham-lint: begin(hot_path)\n"
-              "step_ += 1;\n"
-              "staged_pos_ = 0;\n"
-              "// cham-lint: end(hot_path)\n")) == [])
-
     print("rule: syscall-in-net-lock")
     check("flags write() inside net_mu region",
           "syscall-in-net-lock" in rules_of(lint_src(
@@ -305,8 +266,7 @@ def main():
               "// cham-lint: end(sessions_mu)\n")))
     # Every checkpoint (de)serialisation entry point is covered.
     for call in ("learner.load_state(is);", "store_.save(id, *l);",
-                 "store_.load(id, *l);", "save_checkpoint(*l, path);",
-                 "load_checkpoint(*l, path);", "store_.put_full(id, p, n);",
+                 "store_.load(id, *l);", "store_.put_full(id, p, n);",
                  "store_.put_delta(id, p, n);", "store_.get_blob(id, b);",
                  "store_.get_delta(id, b);", "core::encode_op_log(h, ops);",
                  "core::read_op_log(p, n, ops);"):
