@@ -9,7 +9,8 @@
 //          kernel. The speedup on the m=256,k=256 head shapes is the
 //          acceptance gate for the vectorized micro-kernels. The served_*
 //          rows are the served head's 30-row step (pointwise conv layers
-//          23, 25 and 27: forward and weight gradient), reported ungated.
+//          23, 25 and 27: forward and weight gradient) and its single-key
+//          predict forward, reported ungated.
 //
 //   conv   The direct NHW-flattened fast path for 1x1 stride-1 convolutions
 //          against the im2col lowering it replaced, on the head pointwise
@@ -150,6 +151,10 @@ constexpr ShapeCase kCases[] = {
     {"served_pw25_dw", Kernel::kGemmABt, 512, 256, 30, true},
     {"served_pw27_fwd", Kernel::kGemm, 512, 30, 512, true},
     {"served_pw27_dw", Kernel::kGemmABt, 512, 512, 30, true},
+    // A single-key predict through the same layers (n = pixels per key).
+    {"served_pw23_predict", Kernel::kGemm, 256, 4, 256, true},
+    {"served_pw25_predict", Kernel::kGemm, 512, 1, 256, true},
+    {"served_pw27_predict", Kernel::kGemm, 512, 1, 512, true},
 };
 
 constexpr int kThreadCounts[] = {1, 2, 4};

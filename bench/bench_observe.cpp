@@ -25,6 +25,12 @@
 //             and backward self time with GMAC/s, plus loss, SGD and
 //             zero_grad. Gate: the rows cover >= 95% of the measured step.
 //
+//   served_predict  The same head's eval forward_gather at 1 and at 4 keys
+//             (a wire predict's head compute; one tensor thread): per-layer
+//             self time with GMAC/s. `calls` counts the (whole, layered)
+//             call pairs kept after dropping stalled ones. Gate: the rows
+//             cover >= 95% of the measured call.
+//
 //   ./build/bench/bench_observe [--steps N] [--out PATH]
 #include <algorithm>
 #include <atomic>
@@ -33,6 +39,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -300,42 +307,84 @@ struct ServedReport {
   std::vector<StageRow> stages;
 };
 
+// The served head geometry (MobileNetV1 at 32x32, width 0.5, split at conv
+// layer 21, 6 classes) over `rows` post-ReLU6-like latents. Weights do not
+// change a step's cost, so the head is built directly, not pretrained.
+struct ServedHead {
+  static constexpr int64_t kClasses = 6;
+  nn::SplitModel split;
+  Tensor latents;
+  std::vector<const float*> row_ptrs;
+
+  explicit ServedHead(int64_t rows) {
+    nn::MobileNetConfig mc;  // 32x32, width 0.5, latent layer 21
+    mc.num_classes = kClasses;
+    Rng rng(21);
+    split = nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+    latents = Tensor({rows, split.latent_shape[0], split.latent_shape[1],
+                      split.latent_shape[2]});
+    for (int64_t i = 0; i < latents.numel(); ++i) {
+      latents[i] = std::max(0.0f, rng.normal_f(0.0f, 1.0f));
+    }
+    for (int64_t r = 0; r < rows; ++r) {
+      row_ptrs.push_back(latents.data() + r * split.latent_dim);
+    }
+  }
+  nn::GatherBatch batch() const {
+    return {row_ptrs.data(), static_cast<int64_t>(row_ptrs.size()),
+            split.latent_shape};
+  }
+};
+
+// One row per head layer, MACs for `rows` samples (plus the backward's when
+// the report times a train step).
+void add_layer_rows(nn::Sequential& g, int64_t rows, bool backward,
+                    ServedReport& rep) {
+  for (int64_t i = 0; i < g.size(); ++i) {
+    nn::Layer& l = g.layer(i);
+    const int64_t macs =
+        l.macs_per_sample() + (backward ? l.backward_macs_per_sample() : 0);
+    rep.stages.push_back({std::to_string(i) + ":" + l.name(), 0, 0,
+                          static_cast<double>(macs * rows)});
+  }
+}
+
+// Per-step means, the rows' sum against the whole call, and the head rate.
+void finish_report(std::vector<double>& call_ms, ServedReport& rep) {
+  const auto calls = static_cast<double>(call_ms.size());
+  double total_macs = 0;
+  for (auto& st : rep.stages) {
+    st.fwd_ms /= calls;
+    st.bwd_ms /= calls;
+    rep.rows_ms_sum += st.fwd_ms + st.bwd_ms;
+    total_macs += st.macs;
+  }
+  for (double v : call_ms) rep.step_ms_mean += v;
+  rep.step_ms_mean /= calls;
+  std::sort(call_ms.begin(), call_ms.end());
+  rep.step_ms_p50 = call_ms[call_ms.size() / 2];
+  rep.coverage = rep.rows_ms_sum / rep.step_ms_mean;
+  rep.head_gmacs_per_s = total_macs / (rep.step_ms_mean * 1e6);
+}
+
 ServedReport run_served(int64_t steps) {
   constexpr int64_t kRows = 30;  // 10 incoming + 10 ST + 10 staged LT rows
-  nn::MobileNetConfig mc;        // 32x32, width 0.5, latent layer 21
-  mc.num_classes = 6;
-  Rng rng(21);
-  nn::SplitModel split =
-      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
-  nn::Sequential& g = *split.g;
+  ServedHead head(kRows);
+  nn::Sequential& g = *head.split.g;
   nn::freeze_batchnorm_stats(g);
   g.set_needs_input_grad(false);
   nn::Sgd opt(g.params(), 0.02f);
-
-  Tensor latents({kRows, split.latent_shape[0], split.latent_shape[1],
-                  split.latent_shape[2]});
-  for (int64_t i = 0; i < latents.numel(); ++i) {
-    latents[i] = std::max(0.0f, rng.normal_f(0.0f, 1.0f));  // post-ReLU6
-  }
-  std::vector<const float*> row_ptrs;
-  for (int64_t r = 0; r < kRows; ++r) {
-    row_ptrs.push_back(latents.data() + r * split.latent_dim);
-  }
-  const nn::GatherBatch gb{row_ptrs.data(), kRows, split.latent_shape};
+  const nn::GatherBatch gb = head.batch();
   std::vector<int64_t> labels;
-  for (int64_t r = 0; r < kRows; ++r) labels.push_back(r % mc.num_classes);
+  for (int64_t r = 0; r < kRows; ++r) {
+    labels.push_back(r % ServedHead::kClasses);
+  }
 
   const int64_t nl = g.size();
   ServedReport rep;
   rep.rows = kRows;
   rep.steps = steps;
-  for (int64_t i = 0; i < nl; ++i) {
-    nn::Layer& l = g.layer(i);
-    rep.stages.push_back(
-        {std::to_string(i) + ":" + l.name(), 0, 0,
-         static_cast<double>(
-             (l.macs_per_sample() + l.backward_macs_per_sample()) * kRows)});
-  }
+  add_layer_rows(g, kRows, /*backward=*/true, rep);
   rep.stages.push_back({"softmax_cross_entropy", 0, 0, 0});
   rep.stages.push_back({"sgd_step", 0, 0, 0});
   rep.stages.push_back({"zero_grad", 0, 0, 0});
@@ -391,26 +440,115 @@ ServedReport run_served(int64_t steps) {
     layered_step();
   }
   set_num_threads(saved_threads);
+  finish_report(step_ms, rep);
+  return rep;
+}
 
-  double total_macs = 0;
-  for (auto& st : rep.stages) {
-    st.fwd_ms /= static_cast<double>(steps);
-    st.bwd_ms /= static_cast<double>(steps);
-    rep.rows_ms_sum += st.fwd_ms + st.bwd_ms;
-    total_macs += st.macs;
+// The median of `v` (a copy: the caller's order stays).
+double median(std::vector<double> v) {
+  const auto mid = v.begin() + static_cast<std::ptrdiff_t>(v.size() / 2);
+  std::nth_element(v.begin(), mid, v.end());
+  return *mid;
+}
+
+// The served head's predict: the eval forward_gather of `keys` latents, the
+// call a wire predict runs, layer by layer at one tensor thread. At one key
+// the pointwise layers are GEMMs of n = 4, 1 and 1 columns. A call takes
+// about 0.1 ms, so one scheduler stall would move a mean by percents: a
+// (whole, layered) pair where either side took over twice its median is
+// dropped from both sides of the coverage ratio.
+ServedReport run_served_predict(int64_t keys, int64_t calls) {
+  ServedHead head(keys);
+  nn::Sequential& g = *head.split.g;
+  const nn::GatherBatch gb = head.batch();
+  const int64_t nl = g.size();
+  ServedReport rep;
+  rep.rows = keys;
+  add_layer_rows(g, keys, /*backward=*/false, rep);
+  std::vector<double> layer_ms(static_cast<size_t>(calls * nl));
+  const auto layered_call = [&](double* row) {
+    auto t = Clock::now();
+    Tensor cur = g.layer(0).forward_gather(gb, /*train=*/false);
+    row[0] = ms_since(t);
+    for (int64_t i = 1; i < nl; ++i) {
+      t = Clock::now();
+      cur = g.layer(i).forward(cur, /*train=*/false);
+      row[i] = ms_since(t);
+    }
+  };
+
+  const int saved_threads = num_threads();
+  set_num_threads(1);
+  for (int i = 0; i < 50; ++i) (void)g.forward_gather(gb, /*train=*/false);
+  std::vector<double> whole_ms, layered_ms;
+  for (int64_t c = 0; c < calls; ++c) {
+    const auto t0 = Clock::now();
+    (void)g.forward_gather(gb, /*train=*/false);
+    whole_ms.push_back(ms_since(t0));
+    double* row = layer_ms.data() + c * nl;
+    layered_call(row);
+    layered_ms.push_back(std::accumulate(row, row + nl, 0.0));
   }
-  for (double v : step_ms) rep.step_ms_mean += v;
-  rep.step_ms_mean /= static_cast<double>(steps);
-  std::sort(step_ms.begin(), step_ms.end());
-  rep.step_ms_p50 = step_ms[step_ms.size() / 2];
-  rep.coverage = rep.rows_ms_sum / rep.step_ms_mean;
-  rep.head_gmacs_per_s = total_macs / (rep.step_ms_mean * 1e6);
+  set_num_threads(saved_threads);
+
+  const double whole_cap = 2 * median(whole_ms);
+  const double layered_cap = 2 * median(layered_ms);
+  std::vector<double> call_ms;
+  for (int64_t c = 0; c < calls; ++c) {
+    const auto ci = static_cast<size_t>(c);
+    if (whole_ms[ci] > whole_cap || layered_ms[ci] > layered_cap) continue;
+    call_ms.push_back(whole_ms[ci]);
+    for (int64_t i = 0; i < nl; ++i) {
+      rep.stages[static_cast<size_t>(i)].fwd_ms += layer_ms[ci * nl + i];
+    }
+  }
+  rep.steps = static_cast<int64_t>(call_ms.size());
+  finish_report(call_ms, rep);
   return rep;
 }
 
 double gmacs_per_s(const StageRow& st) {
   const double ms = st.fwd_ms + st.bwd_ms;
   return ms > 0 ? st.macs / (ms * 1e6) : 0.0;
+}
+
+// `unit` names what was timed whole: the train step or the predict call.
+void print_report(const ServedReport& rep, const char* unit) {
+  std::printf(
+      " mean %.3f ms, p50 %.3f ms, %.2f GMAC/s; rows sum %.3f ms (%.1f%% of "
+      "the %s)\n",
+      rep.step_ms_mean, rep.step_ms_p50, rep.head_gmacs_per_s,
+      rep.rows_ms_sum, 100.0 * rep.coverage, unit);
+  std::printf("  %-24s %9s %9s %9s %8s\n", "stage", "fwd ms", "bwd ms",
+              "MMAC", "GMAC/s");
+  for (const StageRow& st : rep.stages) {
+    std::printf("  %-24s %9.4f %9.4f %9.3f %8.2f\n", st.name.c_str(),
+                st.fwd_ms, st.bwd_ms, st.macs / 1e6, gmacs_per_s(st));
+  }
+}
+
+// One report as a JSON object; `count_key` names what `steps` counted.
+void write_report_json(std::FILE* json, const ServedReport& rep,
+                       const char* count_key, const char* indent) {
+  std::fprintf(json,
+               "{\n%s\"rows\": %lld, \"%s\": %lld, \"threads\": 1,\n"
+               "%s\"step_ms_mean\": %.5f, \"step_ms_p50\": %.5f,\n"
+               "%s\"rows_ms_sum\": %.5f, \"coverage\": %.4f,\n"
+               "%s\"head_gmacs_per_s\": %.3f,\n%s\"stages\": [\n",
+               indent, static_cast<long long>(rep.rows), count_key,
+               static_cast<long long>(rep.steps), indent, rep.step_ms_mean,
+               rep.step_ms_p50, indent, rep.rows_ms_sum, rep.coverage, indent,
+               rep.head_gmacs_per_s, indent);
+  for (size_t i = 0; i < rep.stages.size(); ++i) {
+    const StageRow& st = rep.stages[i];
+    std::fprintf(json,
+                 "%s  {\"stage\": \"%s\", \"fwd_ms\": %.5f, \"bwd_ms\": "
+                 "%.5f, \"macs\": %.0f, \"gmacs_per_s\": %.3f}%s\n",
+                 indent, st.name.c_str(), st.fwd_ms, st.bwd_ms, st.macs,
+                 gmacs_per_s(st), i + 1 < rep.stages.size() ? "," : "");
+  }
+  std::fprintf(json, "%s]\n%.*s}", indent,
+               static_cast<int>(std::strlen(indent)) - 2, indent);
 }
 
 }  // namespace
@@ -444,28 +582,29 @@ int main(int argc, char** argv) {
       r.ledger_consistent ? "consistent" : "INCONSISTENT");
 
   const ServedReport sv = run_served(std::max<long long>(100, steps / 2));
-  std::printf(
-      "\nserved head step (%lld rows, 1 thread): mean %.3f ms, p50 %.3f ms, "
-      "%.2f GMAC/s; rows sum %.3f ms (%.1f%% of the step)\n",
-      static_cast<long long>(sv.rows), sv.step_ms_mean, sv.step_ms_p50,
-      sv.head_gmacs_per_s, sv.rows_ms_sum, 100.0 * sv.coverage);
-  std::printf("  %-24s %9s %9s %9s %8s\n", "stage", "fwd ms", "bwd ms",
-              "MMAC", "GMAC/s");
-  for (const StageRow& st : sv.stages) {
-    std::printf("  %-24s %9.4f %9.4f %9.3f %8.2f\n", st.name.c_str(),
-                st.fwd_ms, st.bwd_ms, st.macs / 1e6, gmacs_per_s(st));
+  std::printf("\nserved head step (%lld rows, 1 thread):",
+              static_cast<long long>(sv.rows));
+  print_report(sv, "step");
+  const ServedReport pv[] = {run_served_predict(1, 4 * steps),
+                             run_served_predict(4, 4 * steps)};
+  for (const ServedReport& p : pv) {
+    std::printf("\nserved head predict (%lld keys, eval forward, 1 thread):",
+                static_cast<long long>(p.rows));
+    print_report(p, "call");
   }
 
   const bool gate_zero_alloc = r.plain_max_allocs == 0;
   const bool gate_bwd = r.bwd_macs_after < r.bwd_macs_before && ratio < 2.0;
   const bool gate_ledger = r.ledger_consistent;
   const bool gate_served = sv.coverage >= 0.95;
+  const bool gate_predict =
+      pv[0].coverage >= 0.95 && pv[1].coverage >= 0.95;
   std::printf(
       "\ngates: steady zero-alloc %s, bwd < 2x fwd %s, ledger exact %s, "
-      "served rows cover the step %s\n",
+      "served rows cover the step %s, predict rows cover the call %s\n",
       gate_zero_alloc ? "PASS" : "FAIL",
       gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL",
-      gate_served ? "PASS" : "FAIL");
+      gate_served ? "PASS" : "FAIL", gate_predict ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (!json) {
@@ -492,29 +631,23 @@ int main(int argc, char** argv) {
       r.bwd_macs_before, r.bwd_macs_after, ratio,
       gate_zero_alloc ? "true" : "false", gate_bwd ? "true" : "false",
       gate_ledger ? "true" : "false");
-  std::fprintf(json,
-               "  \"served\": {\n    \"rows\": %lld, \"steps\": %lld, "
-               "\"threads\": 1,\n    \"step_ms_mean\": %.5f, "
-               "\"step_ms_p50\": %.5f,\n    \"rows_ms_sum\": %.5f, "
-               "\"coverage\": %.4f,\n    \"head_gmacs_per_s\": %.3f,\n"
-               "    \"stages\": [\n",
-               static_cast<long long>(sv.rows),
-               static_cast<long long>(sv.steps), sv.step_ms_mean,
-               sv.step_ms_p50, sv.rows_ms_sum, sv.coverage,
-               sv.head_gmacs_per_s);
-  for (size_t i = 0; i < sv.stages.size(); ++i) {
-    const StageRow& st = sv.stages[i];
-    std::fprintf(json,
-                 "      {\"stage\": \"%s\", \"fwd_ms\": %.5f, \"bwd_ms\": "
-                 "%.5f, \"macs\": %.0f, \"gmacs_per_s\": %.3f}%s\n",
-                 st.name.c_str(), st.fwd_ms, st.bwd_ms, st.macs,
-                 gmacs_per_s(st), i + 1 < sv.stages.size() ? "," : "");
-  }
-  std::fprintf(json,
-               "    ]\n  },\n  \"gate_served_rows_cover_step\": %s\n}\n",
+  std::fprintf(json, "  \"served\": ");
+  write_report_json(json, sv, "steps", "    ");
+  std::fprintf(json, ",\n  \"gate_served_rows_cover_step\": %s,\n",
                gate_served ? "true" : "false");
+  std::fprintf(json, "  \"served_predict\": [\n");
+  for (size_t i = 0; i < std::size(pv); ++i) {
+    std::fprintf(json, "    ");
+    write_report_json(json, pv[i], "calls", "      ");
+    std::fprintf(json, "%s\n", i + 1 < std::size(pv) ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"gate_predict_rows_cover_call\": %s\n}\n",
+               gate_predict ? "true" : "false");
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
-  return (gate_zero_alloc && gate_bwd && gate_ledger && gate_served) ? 0 : 1;
+  return (gate_zero_alloc && gate_bwd && gate_ledger && gate_served &&
+          gate_predict)
+             ? 0
+             : 1;
 }

@@ -22,14 +22,17 @@
 #   7. CHAM_SIMD=avx2 leg       the kernel bit-identity suites (test_gemm,
 #                               test_observe_path, test_gather_path) on the
 #                               AVX2 kernels: on an AVX-512 host the default
-#                               build runs the 8x32 ZMM tile for n > 16 and
-#                               the lane depthwise kernels instead
-#   8. ASan+UBSan decoder leg   test_checkpoint, test_memories and
-#                               test_serialize_augment under
+#                               build runs the 8x32 ZMM tile for n > 16, the
+#                               16-row tall tile for n <= 8 and the lane
+#                               depthwise kernels instead
+#   8. ASan+UBSan leg           test_checkpoint, test_memories,
+#                               test_serialize_augment and test_gemm under
 #                               -fsanitize=address,undefined: the suites
 #                               that feed forged bytes to the checkpoint and
-#                               slot-store decoders, where an out-of-bounds
-#                               read shows up as a report, not a failure
+#                               slot-store decoders, and the GEMM tiles'
+#                               masked K tails and row tails, where an
+#                               out-of-bounds read shows up as a report, not
+#                               a failure
 #
 # Exits non-zero on the first failing stage. run_all.sh invokes this before
 # regenerating any outputs; set CHAM_SKIP_STATIC=1 there to bypass during
@@ -89,13 +92,13 @@ for t in test_gemm test_observe_path test_gather_path; do
   ./build-avx2/tests/"$t" --gtest_brief=1 || fail "CHAM_SIMD=avx2 $t"
 done
 
-echo "=== [8/8] ASan+UBSan decoder suites ==="
+echo "=== [8/8] ASan+UBSan decoder and kernel suites ==="
 cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
   || fail "ASan+UBSan (cmake configure)"
 cmake --build build-aubsan -j"$(nproc)" \
-  --target test_checkpoint test_memories test_serialize_augment \
+  --target test_checkpoint test_memories test_serialize_augment test_gemm \
   || fail "ASan+UBSan build"
-for t in test_checkpoint test_memories test_serialize_augment; do
+for t in test_checkpoint test_memories test_serialize_augment test_gemm; do
   ./build-aubsan/tests/"$t" --gtest_brief=1 || fail "ASan+UBSan $t"
 done
 

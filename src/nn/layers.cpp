@@ -32,6 +32,51 @@ bool is_pointwise(const ConvGeometry& g) {
   return g.kernel == 1 && g.stride == 1 && g.pad == 0;
 }
 
+// The merged pointwise GEMMs work on channel-major panels: panel element
+// [c][n * pix + i] is pixel i of channel c of sample n, whose planes start
+// at sample(n). These two loops move channels [c0, c1) between the panel
+// and the per-sample planes. At 1x1 spatial size (pix == 1) each is one
+// strided transpose, sample-outer so the plane side runs contiguously: a
+// copy call per (channel, sample) would move a single float (and GCC turns
+// a runtime-length inner loop into exactly that call).
+template <class Sample>
+void gather_panel(const Sample& sample, int64_t batch, int64_t pix,
+                  int64_t c0, int64_t c1, float* CHAM_RESTRICT panel) {
+  const int64_t cols = batch * pix;
+  if (pix == 1) {
+    for (int64_t n = 0; n < batch; ++n) {
+      const float* CHAM_RESTRICT src = sample(n);
+      for (int64_t c = c0; c < c1; ++c) panel[c * cols + n] = src[c];
+    }
+    return;
+  }
+  for (int64_t c = c0; c < c1; ++c) {
+    for (int64_t n = 0; n < batch; ++n) {
+      std::memcpy(panel + c * cols + n * pix, sample(n) + c * pix,
+                  static_cast<size_t>(pix) * sizeof(float));
+    }
+  }
+}
+
+template <class Sample>
+void scatter_panel(const float* CHAM_RESTRICT panel, int64_t batch,
+                   int64_t pix, int64_t c0, int64_t c1, const Sample& sample) {
+  const int64_t cols = batch * pix;
+  if (pix == 1) {
+    for (int64_t n = 0; n < batch; ++n) {
+      float* CHAM_RESTRICT dst = sample(n);
+      for (int64_t c = c0; c < c1; ++c) dst[c] = panel[c * cols + n];
+    }
+    return;
+  }
+  for (int64_t c = c0; c < c1; ++c) {
+    for (int64_t n = 0; n < batch; ++n) {
+      std::memcpy(sample(n) + c * pix, panel + c * cols + n * pix,
+                  static_cast<size_t>(pix) * sizeof(float));
+    }
+  }
+}
+
 // Backward reads grad_out through raw pointers sized by the last
 // train-mode forward (batch) and the fixed output geometry, so any other
 // shape would read out of bounds.
@@ -245,25 +290,19 @@ Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
     float* ocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
     gemm_gather_cols(out_c_, cols, geo_.in_c, 1.0f, weight_.value.data(),
                      colptr_scratch_.data(), ipix, 0.0f, ocat);
-    // Scatter ocat[c][n*opix..] -> out[n][c][:], folding the bias add.
+    // Scatter ocat[c][n*opix..] -> out[n][c][:], then the bias add.
+    const auto out_plane = [&](int64_t n) {
+      return out.data() + n * out_c_ * opix;
+    };
     parallel_for(
         0, out_c_,
         [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            const float b = has_bias_ ? bias_.value[c] : 0.0f;
-            for (int64_t n = 0; n < batch; ++n) {
-              const float* src = ocat + c * cols + n * opix;
-              float* dst = out.data() + (n * out_c_ + c) * opix;
-              if (has_bias_) {
-                for (int64_t i = 0; i < opix; ++i) dst[i] = src[i] + b;
-              } else {
-                std::memcpy(dst, src,
-                            static_cast<size_t>(opix) * sizeof(float));
-              }
-            }
-          }
+          scatter_panel(ocat, batch, opix, c0, c1, out_plane);
         },
         work_grain(cols));
+    if (has_bias_) {
+      for (int64_t n = 0; n < batch; ++n) add_bias(n);
+    }
     return out;
   }
   // General path: per-sample im2col reads the sample's plane in place.
@@ -332,28 +371,22 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     float* gocat = scratch.floats(static_cast<size_t>(out_c_ * cols));
     float* xcat = scratch.floats(static_cast<size_t>(geo_.in_c * cols));
     const int64_t row_grain = work_grain(cols);
+    const auto go_plane = [&](int64_t n) {
+      return grad_out.data() + n * out_c_ * opix;
+    };
+    const auto x_plane = [&](int64_t n) {
+      return cached_rows_[static_cast<size_t>(n)];
+    };
     parallel_for(
         0, out_c_,
         [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            for (int64_t n = 0; n < batch; ++n) {
-              std::memcpy(gocat + c * cols + n * opix,
-                          grad_out.data() + (n * out_c_ + c) * opix,
-                          static_cast<size_t>(opix) * sizeof(float));
-            }
-          }
+          gather_panel(go_plane, batch, opix, c0, c1, gocat);
         },
         row_grain);
     parallel_for(
         0, geo_.in_c,
         [&](int64_t c0, int64_t c1) {
-          for (int64_t c = c0; c < c1; ++c) {
-            for (int64_t n = 0; n < batch; ++n) {
-              std::memcpy(xcat + c * cols + n * opix,
-                          cached_rows_[static_cast<size_t>(n)] + c * ipix,
-                          static_cast<size_t>(opix) * sizeof(float));
-            }
-          }
+          gather_panel(x_plane, batch, opix, c0, c1, xcat);
         },
         row_grain);
     // dW += dYcat @ Xcat^T  (out_c x cols) @ (cols x in_c)
@@ -364,16 +397,13 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
       // dXcat = W^T @ dYcat  (in_c x out_c) @ (out_c x cols)
       gemm_at_b(geo_.in_c, cols, out_c_, 1.0f, weight_.value.data(), gocat,
                 0.0f, gicat);
+      const auto gi_plane = [&](int64_t n) {
+        return grad_in.data() + n * geo_.in_c * ipix;
+      };
       parallel_for(
           0, geo_.in_c,
           [&](int64_t c0, int64_t c1) {
-            for (int64_t c = c0; c < c1; ++c) {
-              for (int64_t n = 0; n < batch; ++n) {
-                std::memcpy(grad_in.data() + (n * geo_.in_c + c) * ipix,
-                            gicat + c * cols + n * opix,
-                            static_cast<size_t>(opix) * sizeof(float));
-              }
-            }
+            scatter_panel(gicat, batch, opix, c0, c1, gi_plane);
           },
           row_grain);
     }

@@ -309,20 +309,26 @@ void WriteBehind::enqueue_locked(Snapshot snap) {
 }
 
 void WriteBehind::enforce_cache_budget_locked() {
-  if (cached_bytes_ <= cache_budget_) return;
   // Every cached blob is pinned: a durable one is stored as base + delta,
   // so pressure compacts it (its next disk restore replays nothing); one
-  // whose flush failed stays until retry_failed_flushes.
-  std::vector<std::pair<uint64_t, uint64_t>> order;  // (lru_tick, id)
-  for (const auto& [id, m] : meta_) {
-    if (m.latest && m.durable) order.emplace_back(m.lru_tick, id);
-  }
-  std::sort(order.begin(), order.end());
-  for (const auto& [tick, id] : order) {
-    (void)tick;
-    if (cached_bytes_ <= cache_budget_) return;
+  // whose flush failed stays until retry_failed_flushes. Each round queues
+  // the least recent durable entry by (lru_tick, id), found by a scan:
+  // nothing is allocated or sorted under mu_.
+  while (cached_bytes_ > cache_budget_) {
+    const std::pair<const uint64_t, Meta>* lru = nullptr;
+    for (const auto& e : meta_) {
+      const Meta& m = e.second;
+      if (!m.latest || !m.durable) continue;
+      if (lru == nullptr ||
+          std::pair(m.lru_tick, e.first) <
+              std::pair(lru->second.lru_tick, lru->first)) {
+        lru = &e;
+      }
+    }
+    if (lru == nullptr) return;
     // ops_valid = false: the encoder writes it full.
-    enqueue_locked(Snapshot{id, meta_[id].latest, {}, /*ops_valid=*/false});
+    enqueue_locked(Snapshot{lru->first, lru->second.latest, {},
+                            /*ops_valid=*/false});
     ++stats_.wb_compactions;
   }
 }

@@ -7,7 +7,11 @@
 // place, and a branch-free micro-kernel accumulates a register tile with
 // one fused multiply-add per element per K step. The tile depends only on
 // the output width n: 8x4 for n <= 8, 4x16 for n <= 16, and for n > 16 an
-// 8x32 ZMM tile on AVX-512 builds (4x16 elsewhere).
+// 8x32 ZMM tile on AVX-512 builds (4x16 elsewhere). On AVX-512 builds an
+// output of n <= 8 columns over a dense row-major A at alpha == 1 (gemm,
+// gemm_a_bt, gemm_gather_cols) runs 16-row tall tiles instead of 8x4: one
+// ZMM per C column with a row in each lane, A transposed in registers per
+// 16-step K block; rows past the last multiple of 16 keep the 8x4 tile.
 // Transposed operands differ only in how the pack (or the in-place tile)
 // reads memory, so gemm_at_b and gemm_a_bt run at the same rate as gemm.
 //
@@ -28,9 +32,10 @@
 
 #include "tensor/tensor.h"
 
-// AVX-512 kernels (gemm.cpp's 8x32 tile, DepthwiseConv2d's channel lanes)
-// build only under CHAM_SIMD=auto on a target with AVX-512F/VL and FMA; an
-// explicit avx2, neon or generic choice keeps them out.
+// AVX-512 kernels (gemm.cpp's 8x32 and 16-row tall tiles, DepthwiseConv2d's
+// channel lanes) build only under CHAM_SIMD=auto on a target with
+// AVX-512F/VL and FMA; an explicit avx2, neon or generic choice keeps them
+// out.
 #if !defined(CHAM_SIMD_GENERIC) && !defined(CHAM_SIMD_AVX2) &&  \
     !defined(CHAM_SIMD_NEON) && defined(__AVX512F__) &&          \
     defined(__AVX512VL__) && defined(__FMA__)

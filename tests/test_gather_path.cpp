@@ -11,6 +11,7 @@
 // slot-ref staging rework) and the cold-start edge cases.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/chameleon.h"
 #include "data/latent_cache.h"
 #include "nn/layers.h"
+#include "nn/mobilenet.h"
 #include "nn/sequential.h"
 #include "replay/memory_accounting.h"
 #include "tensor/ops.h"
@@ -85,6 +87,45 @@ TEST(GatherPath, EvalForwardBitIdenticalToStackedAcrossRaggedSizes) {
                           static_cast<size_t>(stacked.numel()) * sizeof(float)),
               0)
         << "n=" << n;
+  }
+}
+
+// The served head (32x32 input, width 0.5, split after conv layer 21:
+// 256x2x2 latents, 6 classes) in eval mode: a key's logits must not depend
+// on which keys share its forward. Alone, its pointwise layers are GEMMs of
+// n = 4, 1 and 1 columns (the narrow tiles); in a 5-key batch n = 20, 5, 5;
+// in the 30-key batch n = 120, 30, 30 (the wide tiles).
+TEST(GatherPath, ServedHeadKeyLogitsIndependentOfBatch) {
+  nn::MobileNetConfig mc;
+  mc.num_classes = 6;
+  Rng rng(25);
+  nn::SplitModel split =
+      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+  nn::Sequential& g = *split.g;
+  constexpr int64_t kKeys = 30;
+  std::vector<float> latents(static_cast<size_t>(kKeys * split.latent_dim));
+  for (auto& v : latents) v = std::max(0.0f, rng.normal_f(0.0f, 1.0f));
+  std::vector<const float*> rows;
+  for (int64_t i = 0; i < kKeys; ++i) {
+    rows.push_back(latents.data() + i * split.latent_dim);
+  }
+  const auto forward = [&](int64_t first, int64_t count) {
+    return g.forward_gather({rows.data() + first, count, split.latent_shape},
+                            /*train=*/false);
+  };
+  const Tensor all = forward(0, kKeys);
+  const int64_t classes = all.dim(1);
+  for (int64_t i = 0; i < kKeys; ++i) {
+    const Tensor alone = forward(i, 1);
+    const int64_t first = i / 5 * 5;
+    const Tensor five = forward(first, 5);
+    const size_t bytes = static_cast<size_t>(classes) * sizeof(float);
+    EXPECT_EQ(std::memcmp(alone.data(), all.data() + i * classes, bytes), 0)
+        << "key " << i << ": alone vs 30-key batch";
+    EXPECT_EQ(std::memcmp(five.data() + (i - first) * classes,
+                          all.data() + i * classes, bytes),
+              0)
+        << "key " << i << ": 5-key batch vs 30-key batch";
   }
 }
 

@@ -392,23 +392,24 @@ TEST(GemmRef, BitIdenticalAcrossKStrips) {
   }
 }
 
-// The wide tiles against cham::ref, bit for bit: n straddles the 4x16 /
-// 8x32 boundary (9, 16, 17) and the 8x32 tile's masked column tails (30,
-// 31, 33, 120), m the 8-row block (1, 7, 8, 9, 13, 256), k the 256-element
-// strip (255, 256, 257, 512 chain across strips). alpha != 1 takes the
-// packed A path, and beta covers the zero, scale and accumulate passes.
-// The gather sources run the same grid: gemm_gather_a_bt against
-// ref::gemm_a_bt, gemm_at_b_gather_b against ref::gemm_at_b, and
-// gemm_gather_cols (column j of the KxN B read at b + j, stride n) against
-// ref::gemm.
-TEST(GemmRef, BitIdenticalOnWideTileGrid) {
-  const struct {
-    float alpha, beta;
-  } coeff[] = {{1.0f, 0.0f}, {1.25f, 0.5f}, {0.75f, 1.0f}};
+struct GemmCoeff {
+  float alpha, beta;
+};
+
+// Every kernel, gather sources included, on every (n, m, k) of the grid
+// and every (alpha, beta) pair must land on cham::ref exactly, at 1 and 3
+// threads: gemm_gather_a_bt against ref::gemm_a_bt, gemm_at_b_gather_b
+// against ref::gemm_at_b, and gemm_gather_cols (column j of the KxN B read
+// at b + j, stride n) against ref::gemm. Each kernel runs on a fresh copy
+// of C.
+void expect_grid_matches_ref(const std::vector<int64_t>& ns,
+                             const std::vector<int64_t>& ms,
+                             const std::vector<int64_t>& ks,
+                             const std::vector<GemmCoeff>& coeffs) {
   const int saved = num_threads();
-  for (int64_t n : {9, 16, 17, 30, 31, 32, 33, 120}) {
-    for (int64_t m : {1, 7, 8, 9, 13, 256}) {
-      for (int64_t k : {1, 255, 256, 257, 512}) {
+  for (int64_t n : ns) {
+    for (int64_t m : ms) {
+      for (int64_t k : ks) {
         Rng rng(uint64_t(m * 7919 + n * 104729 + k * 131));
         Tensor a({m, k}), b({k, n}), at({k, m}), bt({n, k}), c0({m, n});
         ops::fill_normal(a, rng, 0.0f, 1.0f);
@@ -420,14 +421,12 @@ TEST(GemmRef, BitIdenticalOnWideTileGrid) {
         for (int64_t i = 0; i < m; ++i) a_rows.push_back(a.data() + i * k);
         for (int64_t p = 0; p < k; ++p) b_rows.push_back(b.data() + p * n);
         for (int64_t j = 0; j < n; ++j) b_cols.push_back(b.data() + j);
-        for (const auto& co : coeff) {
+        for (const GemmCoeff& co : coeffs) {
           const float al = co.alpha, be = co.beta;
           Tensor r_ab = c0, r_atb = c0, r_abt = c0;
           ref::gemm(m, n, k, al, a.data(), b.data(), be, r_ab.data());
           ref::gemm_at_b(m, n, k, al, at.data(), b.data(), be, r_atb.data());
           ref::gemm_a_bt(m, n, k, al, a.data(), bt.data(), be, r_abt.data());
-          // Each kernel runs on a fresh copy of C and must land on its
-          // reference exactly, at 1 and 3 threads.
           const auto check = [&](const char* kernel, const Tensor& ref_c,
                                  const auto& run, int threads) {
             Tensor c = c0;
@@ -459,11 +458,40 @@ TEST(GemmRef, BitIdenticalOnWideTileGrid) {
               gemm_gather_a_bt(m, n, k, al, a_rows.data(), bt.data(), be, c);
             }, threads);
           }
+          if (::testing::Test::HasFatalFailure()) {
+            set_num_threads(saved);
+            return;
+          }
         }
       }
     }
   }
   set_num_threads(saved);
+}
+
+// The wide tiles against cham::ref, bit for bit: n straddles the 4x16 /
+// 8x32 boundary (9, 16, 17) and the 8x32 tile's masked column tails (30,
+// 31, 33, 120), m the 8-row block (1, 7, 8, 9, 13, 256), k the 256-element
+// strip (255, 256, 257, 512 chain across strips). alpha != 1 takes the
+// packed A path, and beta covers the zero, scale and accumulate passes.
+TEST(GemmRef, BitIdenticalOnWideTileGrid) {
+  expect_grid_matches_ref({9, 16, 17, 30, 31, 32, 33, 120},
+                          {1, 7, 8, 9, 13, 256}, {1, 255, 256, 257, 512},
+                          {{1.0f, 0.0f}, {1.25f, 0.5f}, {0.75f, 1.0f}});
+}
+
+// The narrow outputs (n <= 8) against cham::ref, bit for bit. On AVX-512
+// builds gemm, gemm_a_bt and gemm_gather_cols at alpha == 1 run the 16-row
+// tall tile: m covers its row tail (1, 8, 15 rows take only the 8x4 tile;
+// 17, 31, 33 mix both; 256, 512 are the served head's channel counts), k
+// its 16-step K blocks and masked K tail (1, 15, 17, 255, 257) and the
+// 256-element strip. alpha == 0.5 and the transposed or gathered A sources
+// keep the 8x4 tile on the same grid.
+TEST(GemmRef, BitIdenticalOnNarrowTallGrid) {
+  expect_grid_matches_ref({1, 2, 3, 4, 5, 6, 7, 8},
+                          {1, 8, 15, 16, 17, 31, 33, 256, 512},
+                          {1, 15, 16, 17, 255, 256, 257, 512},
+                          {{1.0f, 0.0f}, {1.0f, 1.0f}, {0.5f, 0.5f}});
 }
 
 // --------------------------------------- 1x1 pointwise conv fast path

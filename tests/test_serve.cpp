@@ -1436,6 +1436,52 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
             sc.snapshot_cache_bytes + static_cast<int64_t>(max_blob));
 }
 
+// Cache pressure compacts the least recently used delta session first,
+// where use is a landing or a restore lookup (newest_blob), not the session
+// id or the landing order alone. Synthetic blobs: a one-observe op log is
+// far below half a 64 KiB blob, so every second flush lands as a delta and
+// stays cached.
+TEST(WriteBehindCache, CompactsLeastRecentlyUsedDeltaSessionFirst) {
+  const std::string dir = util::tmp_path("wb_lru_compaction");
+  serve::SessionStore store(dir);
+  store.clear();
+  constexpr std::size_t kBlob = 64 * 1024;
+  const auto blob = [&](char fill) {
+    return std::make_shared<const core::ByteBuf>(kBlob, fill);
+  };
+  const auto landed_delta = [](serve::WriteBehind& wb, uint64_t sid) {
+    return wb.newest_blob(sid) != nullptr;
+  };
+  {
+    // Room for three and a half cached blobs.
+    serve::WriteBehind wb(store, static_cast<int64_t>(kBlob * 7 / 2));
+    for (uint64_t sid = 0; sid < 4; ++sid) {
+      wb.submit({sid, blob('a'), {}, /*ops_valid=*/true});  // the full base
+    }
+    wb.drain();
+    data::ServeOp op;
+    op.batch.keys.push_back({0, 0, 0, false});
+    op.batch.labels.push_back(0);
+    // Sessions 3, 1, 0 land as deltas in that order; then a restore lookup
+    // of session 3 makes session 1 the least recently used.
+    for (uint64_t sid : {3, 1, 0}) {
+      wb.submit({sid, blob('b'), {op}, /*ops_valid=*/true});
+      wb.drain();
+    }
+    ASSERT_EQ(wb.stats().wb_compactions, 0);
+    ASSERT_TRUE(landed_delta(wb, 3));
+    // Session 2's landing puts four blobs in the cache: one compaction.
+    wb.submit({2, blob('b'), {op}, /*ops_valid=*/true});
+    wb.drain();
+    EXPECT_EQ(wb.stats().wb_compactions, 1);
+    EXPECT_FALSE(landed_delta(wb, 1)) << "session 1 was the LRU entry";
+    EXPECT_TRUE(landed_delta(wb, 0));
+    EXPECT_TRUE(landed_delta(wb, 2));
+    EXPECT_TRUE(landed_delta(wb, 3));
+  }
+  store.clear();
+}
+
 // --- Batched predict dispatch (serve/batch_planner.h) ----------------------
 
 // Submits a predict with drain-on-reject and returns its future.
