@@ -26,13 +26,15 @@
 #                               16-row tall tile for n <= 8 and the lane
 #                               depthwise kernels instead
 #   8. ASan+UBSan leg           test_checkpoint, test_memories,
-#                               test_serialize_augment and test_gemm under
+#                               test_serialize_augment and test_gemm, and
+#                               test_net's NetProtocol.* cases, under
 #                               -fsanitize=address,undefined: the suites
-#                               that feed forged bytes to the checkpoint and
-#                               slot-store decoders, and the GEMM tiles'
-#                               masked K tails and row tails, where an
-#                               out-of-bounds read shows up as a report, not
-#                               a failure
+#                               that feed forged bytes to the checkpoint,
+#                               slot-store and batch decoders (the wire and
+#                               the CHS3 op logs share one batch codec), and
+#                               the GEMM tiles' masked K tails and row
+#                               tails, where an out-of-bounds read shows up
+#                               as a report, not a failure
 #
 # Exits non-zero on the first failing stage. run_all.sh invokes this before
 # regenerating any outputs; set CHAM_SKIP_STATIC=1 there to bypass during
@@ -97,9 +99,11 @@ cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
   || fail "ASan+UBSan (cmake configure)"
 cmake --build build-aubsan -j"$(nproc)" \
   --target test_checkpoint test_memories test_serialize_augment test_gemm \
-  || fail "ASan+UBSan build"
+  test_net || fail "ASan+UBSan build"
 for t in test_checkpoint test_memories test_serialize_augment test_gemm; do
   ./build-aubsan/tests/"$t" --gtest_brief=1 || fail "ASan+UBSan $t"
 done
+./build-aubsan/tests/test_net --gtest_brief=1 --gtest_filter='NetProtocol.*' \
+  || fail "ASan+UBSan test_net NetProtocol.*"
 
 echo "run_static.sh: all stages passed"

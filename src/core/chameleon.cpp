@@ -1,7 +1,5 @@
 #include "core/chameleon.h"
 
-#include "tensor/workspace.h"
-
 namespace cham::core {
 namespace {
 
@@ -140,15 +138,6 @@ void ChameleonLearner::observe(const data::Batch& batch) {
   }
 
   stats_.images += bsz;
-
-  // Mirror the workspace gauges so the perf trajectory records allocation
-  // behaviour next to MACs and traffic: pool/arena high water is the host
-  // working set, and heap_allocs going flat is the observable for the
-  // "steady state allocates nothing" property.
-  const ws::WorkspaceStats wstats = ws::stats();
-  stats_.ws_pool_heap_allocs = wstats.pool_heap_allocs;
-  stats_.ws_pool_high_water_bytes = wstats.pool_high_water_bytes;
-  stats_.ws_arena_high_water_bytes = wstats.arena_high_water_bytes;
 
   // Full-checks tier: structural audit of every replay component plus ledger
   // monotonicity, once per processed batch. Compiled out below

@@ -7,7 +7,7 @@
 
 #include "nn/model_io.h"
 #include "replay/serialize.h"
-#include "util/check.h"
+#include "util/bytes.h"
 
 namespace cham::core {
 namespace {
@@ -29,10 +29,16 @@ constexpr uint32_t kMagic = 0x43485332;  // "CHS2"
 // per-sample tensors, and the loader accepts only rows of the learner's
 // latent shape and LT entries filed under their own class. A v4 blob fails
 // the version check.
-constexpr uint32_t kVersion = 5;
+// Version 6: OpStats no longer carries the process-global workspace gauges
+// (the ledger POD is 24 bytes shorter). A v5 blob fails the version check.
+constexpr uint32_t kVersion = 6;
 
 constexpr uint32_t kDeltaMagic = 0x43485333;  // "CHS3"
-constexpr uint32_t kDeltaVersion = 1;
+// Version 2: the ops are encoded by the wire protocol's OBSERVE/PREDICT
+// payload codec (data/stream.h: u32 counts, the batch domain before its
+// keys) behind a u32 op count, and trailing bytes are rejected. A v1 frame
+// (i64 counts, domain last) fails the version check.
+constexpr uint32_t kDeltaVersion = 2;
 
 template <typename T>
 void write_pod(std::ostream& os, const T& v) {
@@ -47,51 +53,24 @@ bool read_pod(std::istream& is, T& v) {
   return is.good();
 }
 
-// Raw-buffer cursor for the delta frames (they are always encoded into and
-// decoded from complete in-memory blobs, so stream machinery is overhead).
-struct Cursor {
-  const char* p;
-  size_t left;
+// Op kinds in an op-log frame: each op is this byte, then the OBSERVE batch
+// payload or the PREDICT key list (data/stream.h).
+constexpr uint8_t kObserveOp = 0;
+constexpr uint8_t kPredictOp = 1;
+// The smallest op: a predict with an empty key list (kind + u32 count).
+constexpr std::size_t kMinOpBytes = 5;
 
-  template <typename T>
-  bool read(T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    if (left < sizeof(T)) return false;
-    std::memcpy(&v, p, sizeof(T));
-    p += sizeof(T);
-    left -= sizeof(T);
-    return true;
-  }
-};
-
-template <typename T>
-void append_pod(ByteBuf& out, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  const char* p = reinterpret_cast<const char*>(&v);
-  out.insert(out.end(), p, p + sizeof(T));
-}
-
-void append_delta_header(ByteBuf& out, const DeltaHeader& h) {
-  append_pod(out, kDeltaMagic);
-  append_pod(out, kDeltaVersion);
-  append_pod(out, static_cast<uint8_t>(h.kind));
-  append_pod(out, h.base_hash);
-  append_pod(out, h.base_len);
-  append_pod(out, h.next_hash);
-  append_pod(out, h.next_len);
-}
-
-bool read_delta_header(Cursor& c, DeltaHeader& out) {
-  uint32_t magic = 0, version = 0;
-  uint8_t kind = 0;
-  if (!c.read(magic) || magic != kDeltaMagic) return false;
-  if (!c.read(version) || version != kDeltaVersion) return false;
-  if (!c.read(kind) || kind != static_cast<uint8_t>(DeltaKind::kOpLog)) {
+bool read_delta_header(util::Reader& r, DeltaHeader& out) {
+  if (r.u32() != kDeltaMagic || r.u32() != kDeltaVersion ||
+      r.u8() != static_cast<uint8_t>(DeltaKind::kOpLog)) {
     return false;
   }
-  out.kind = static_cast<DeltaKind>(kind);
-  return c.read(out.base_hash) && c.read(out.base_len) &&
-         c.read(out.next_hash) && c.read(out.next_len);
+  out.kind = DeltaKind::kOpLog;
+  out.base_hash = r.u64();
+  out.base_len = r.u64();
+  out.next_hash = r.u64();
+  out.next_len = r.u64();
+  return r.ok();
 }
 
 }  // namespace
@@ -135,18 +114,9 @@ bool ChameleonLearner::save_state(std::ostream& os) const {
   if (!prefs_.save(os)) return false;
 
   // Traffic ledger and the full-checks monotonicity snapshot, so restored
-  // sessions keep accumulating the same hardware cost model. The host
-  // workspace gauges (ws_*) are process-global introspection, not logical
-  // learner state — they vary with allocator history, so they are
-  // canonicalised to zero to keep serialisation a pure function of the
-  // stream (the op-log delta restore hash-verifies exactly this). The next
-  // observe() after restore re-mirrors the live gauges.
+  // sessions keep accumulating the same hardware cost model.
   static_assert(std::is_trivially_copyable_v<OpStats>);
-  OpStats canonical = stats_;
-  canonical.ws_pool_heap_allocs = 0;
-  canonical.ws_pool_high_water_bytes = 0;
-  canonical.ws_arena_high_water_bytes = 0;
-  write_pod(os, canonical);
+  write_pod(os, stats_);
   write_pod(os, audited_onchip_);
   write_pod(os, audited_offchip_);
   write_pod(os, audited_weight_);
@@ -260,34 +230,57 @@ uint64_t blob_hash(const char* data, std::size_t n) {
 }
 
 bool is_delta_blob(const char* data, std::size_t n) {
-  uint32_t magic = 0;
-  if (n < sizeof(magic)) return false;
-  std::memcpy(&magic, data, sizeof(magic));
-  return magic == kDeltaMagic;
+  util::Reader r(data, n);
+  return r.u32() == kDeltaMagic && r.ok();
 }
 
 bool read_delta_header(const char* data, std::size_t n, DeltaHeader& out) {
-  Cursor c{data, n};
-  return read_delta_header(c, out);
+  util::Reader r(data, n);
+  return read_delta_header(r, out);
 }
 
 ByteBuf encode_op_log(const DeltaHeader& header,
                       const std::vector<data::ServeOp>& ops) {
   ByteBuf out;
-  append_delta_header(out, header);
-  ByteBufWriter os(out);
-  const bool ok = data::save_ops(ops, os);
-  CHAM_CHECK(ok, "encode_op_log: op serialisation failed");
+  util::put_u32(out, kDeltaMagic);
+  util::put_u32(out, kDeltaVersion);
+  util::put_u8(out, static_cast<uint8_t>(header.kind));
+  util::put_u64(out, header.base_hash);
+  util::put_u64(out, header.base_len);
+  util::put_u64(out, header.next_hash);
+  util::put_u64(out, header.next_len);
+  util::put_u32(out, static_cast<uint32_t>(ops.size()));
+  for (const data::ServeOp& op : ops) {
+    if (op.predict) {
+      util::put_u8(out, kPredictOp);
+      data::put_keys(out, op.keys);
+    } else {
+      util::put_u8(out, kObserveOp);
+      data::put_batch(out, op.batch);
+    }
+  }
   return out;
 }
 
 bool read_op_log(const char* delta, std::size_t delta_n,
                  std::vector<data::ServeOp>& out) {
-  Cursor c{delta, delta_n};
+  util::Reader r(delta, delta_n);
   DeltaHeader h;
-  if (!read_delta_header(c, h)) return false;
-  ByteBufReader is(c.p, c.left);
-  return data::load_ops(out, is);
+  if (!read_delta_header(r, h)) return false;
+  const uint32_t count = r.u32();
+  if (!r.ok() || r.left() / kMinOpBytes < count) return false;
+  out.clear();
+  out.resize(count);
+  for (data::ServeOp& op : out) {
+    const uint8_t kind = r.u8();
+    op.predict = kind == kPredictOp;
+    if (op.predict) {
+      if (!data::get_keys(r, op.keys)) return false;
+    } else if (kind != kObserveOp || !data::get_batch(r, op.batch)) {
+      return false;
+    }
+  }
+  return r.done();
 }
 
 }  // namespace cham::core

@@ -13,22 +13,25 @@
 //
 // Two wire formats live here:
 //
-//   CHS2 v5 (full blob)   The complete state, as ChameleonLearner::
+//   CHS2 v6 (full blob)   The complete state, as ChameleonLearner::
 //                         save_state / load_state. Both replay memories are
 //                         slot-store frames (replay/serialize.h): the ST one,
 //                         the LT one per class. Latent payloads carry a
 //                         quant::Precision tag byte, always kFp32: blobs
 //                         round-trip bit-exactly, and a blob tagged with any
 //                         other precision is rejected on load.
-//   CHS3 (delta frame)    An op log against a previously flushed full blob:
+//   CHS3 v2 (delta frame) An op log against a previously flushed full blob:
 //                         the observe/predict requests the session served
-//                         since the base blob was captured. Restore replays
-//                         them through the learner; the repo-wide
-//                         bit-determinism contract makes the result
-//                         byte-identical to the state that was evicted, and
-//                         the frame's FNV-1a hashes of the base and target
-//                         blobs verify both ends, so a mismatched or stale
-//                         delta is detected, never silently applied.
+//                         since the base blob was captured, each a u8 kind
+//                         followed by the wire protocol's OBSERVE batch or
+//                         PREDICT key-list payload (the one codec in
+//                         data/stream.h). Restore replays them through the
+//                         learner; the repo-wide bit-determinism contract
+//                         makes the result byte-identical to the state that
+//                         was evicted, and the frame's hashes of the base
+//                         and target blobs verify both ends, so a mismatched
+//                         or stale delta is detected, never silently
+//                         applied.
 //
 // The serialisation itself lives on the learner (core/chameleon.h); a
 // device reboot writes it to a file stream, the serving runtime's
@@ -112,11 +115,14 @@ bool read_delta_header(const char* data, std::size_t n, DeltaHeader& out);
 
 // kOpLog: frames the serve requests executed between the base blob and the
 // state described by (next_hash, next_len). Replay + verification is the
-// reader's job (serve::SessionStore::load; see read_op_log).
+// reader's job (serve::SessionStore::load; see read_op_log). Layout after
+// the header: a u32 op count, then per op a u8 kind (0 observe, 1 predict)
+// and the op's data::put_batch / data::put_keys bytes.
 ByteBuf encode_op_log(const DeltaHeader& header,
                       const std::vector<data::ServeOp>& ops);
 
-// Extracts the replay ops from a kOpLog frame. False on malformed input.
+// Extracts the replay ops from a kOpLog frame. False on malformed input,
+// including bytes left over after the last op.
 bool read_op_log(const char* delta, std::size_t delta_n,
                  std::vector<data::ServeOp>& out);
 

@@ -16,7 +16,6 @@
 // accepts (components sum to at most the total, never more).
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -55,19 +54,6 @@ struct OpStats {
   // modelled as off-chip reads of the head parameters once per training step.
   double weight_bytes = 0;
 
-  // Host workspace gauges (tensor/workspace.h), mirrored by the Chameleon
-  // learner at the end of each observe(). Not part of the traffic ledger:
-  // they describe the working-set memory of the host implementation (the
-  // quantity the paper's edge-device SRAM budget constrains), not modelled
-  // replay traffic, so they are merged by max and exempt from the
-  // decomposition audit. pool high water covers Tensor storage (activation
-  // caches included); arena high water covers transient kernel scratch;
-  // heap allocs should stop growing once the replay loop reaches steady
-  // state.
-  int64_t ws_pool_heap_allocs = 0;
-  int64_t ws_pool_high_water_bytes = 0;
-  int64_t ws_arena_high_water_bytes = 0;
-
   OpStats& operator+=(const OpStats& o) {
     images += o.images;
     f_fwd_macs += o.f_fwd_macs;
@@ -83,11 +69,6 @@ struct OpStats {
     offchip_proto_bytes += o.offchip_proto_bytes;
     offchip_lt_write_bytes += o.offchip_lt_write_bytes;
     weight_bytes += o.weight_bytes;
-    ws_pool_heap_allocs = std::max(ws_pool_heap_allocs, o.ws_pool_heap_allocs);
-    ws_pool_high_water_bytes =
-        std::max(ws_pool_high_water_bytes, o.ws_pool_high_water_bytes);
-    ws_arena_high_water_bytes =
-        std::max(ws_arena_high_water_bytes, o.ws_arena_high_water_bytes);
     return *this;
   }
 

@@ -151,105 +151,27 @@ std::vector<SessionEvent> make_zipf_schedule(const MultiUserConfig& cfg) {
   return schedule;
 }
 
-namespace {
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
+bool get_keys(util::Reader& r, std::vector<ImageKey>& out) {
+  const uint32_t n = r.u32();
+  if (!r.ok() || r.left() / kKeyBytes < n) return false;
+  out.resize(n);
+  for (ImageKey& k : out) {
+    k.class_id = r.i32();
+    k.domain_id = r.i32();
+    k.instance_id = r.i32();
+    k.test = r.u8() != 0;
+  }
+  return r.ok();
 }
 
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return is.good();
-}
-
-void write_keys(std::ostream& os, const std::vector<ImageKey>& keys) {
-  write_pod(os, static_cast<int64_t>(keys.size()));
-  for (const auto& k : keys) {
-    write_pod(os, k.class_id);
-    write_pod(os, k.domain_id);
-    write_pod(os, k.instance_id);
-    write_pod(os, static_cast<uint8_t>(k.test));
-  }
-}
-
-// The readers below parse untrusted bytes (CHS3 frames read off disk on
-// every restore). Each grows its vector one decoded element at a time: a
-// forged count must not size an allocation before the bytes behind it have
-// been read.
-bool read_keys(std::istream& is, std::vector<ImageKey>& keys) {
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
-    return false;
-  }
-  keys.clear();
-  for (int64_t i = 0; i < count; ++i) {
-    ImageKey& k = keys.emplace_back();
-    uint8_t test = 0;
-    if (!read_pod(is, k.class_id) || !read_pod(is, k.domain_id) ||
-        !read_pod(is, k.instance_id) || !read_pod(is, test)) {
-      return false;
-    }
-    k.test = test != 0;
-  }
-  return true;
-}
-
-}  // namespace
-
-bool save_batch(const Batch& batch, std::ostream& os) {
-  write_keys(os, batch.keys);
-  write_pod(os, static_cast<int64_t>(batch.labels.size()));
-  for (int64_t label : batch.labels) write_pod(os, label);
-  write_pod(os, batch.domain);
-  return os.good();
-}
-
-bool load_batch(Batch& batch, std::istream& is) {
-  if (!read_keys(is, batch.keys)) return false;
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
-    return false;
-  }
-  batch.labels.clear();
-  for (int64_t i = 0; i < count; ++i) {
-    if (!read_pod(is, batch.labels.emplace_back())) return false;
-  }
-  return read_pod(is, batch.domain);
-}
-
-bool save_ops(const std::vector<ServeOp>& ops, std::ostream& os) {
-  write_pod(os, static_cast<int64_t>(ops.size()));
-  for (const auto& op : ops) {
-    write_pod(os, static_cast<uint8_t>(op.predict));
-    if (op.predict) {
-      write_keys(os, op.keys);
-    } else if (!save_batch(op.batch, os)) {
-      return false;
-    }
-  }
-  return os.good();
-}
-
-bool load_ops(std::vector<ServeOp>& ops, std::istream& is) {
-  int64_t count = 0;
-  if (!read_pod(is, count) || count < 0 || count > (int64_t{1} << 32)) {
-    return false;
-  }
-  ops.clear();
-  for (int64_t i = 0; i < count; ++i) {
-    ServeOp& op = ops.emplace_back();
-    uint8_t predict = 0;
-    if (!read_pod(is, predict)) return false;
-    op.predict = predict != 0;
-    if (op.predict) {
-      if (!read_keys(is, op.keys)) return false;
-    } else if (!load_batch(op.batch, is)) {
-      return false;
-    }
-  }
-  return true;
+bool get_batch(util::Reader& r, Batch& out) {
+  out.domain = r.i64();
+  if (!get_keys(r, out.keys)) return false;
+  const uint32_t n = r.u32();
+  if (!r.ok() || r.left() / kLabelBytes < n) return false;
+  out.labels.resize(n);
+  for (int64_t& label : out.labels) label = r.i64();
+  return r.ok();
 }
 
 }  // namespace cham::data

@@ -16,11 +16,10 @@
 // paper's learning-window recalibration.
 #pragma once
 
-#include <istream>
-#include <ostream>
 #include <vector>
 
 #include "data/dataset.h"
+#include "util/bytes.h"
 
 namespace cham::data {
 
@@ -46,21 +45,53 @@ struct Batch {
 // top of the base blob reconstructs the evicted state bit-identically, which
 // is usually far smaller than shipping the state itself. Predicts are state-
 // and stats-pure, so the serving runtime never logs them; the predict form
-// stays in the CHS3 byte format because existing stores and external writers
-// carry it, and a restore skips such ops as no-ops.
+// stays in the CHS3 byte format because external writers carry it, and a
+// restore skips such ops as no-ops.
 struct ServeOp {
   bool predict = false;
   Batch batch;                 // observe payload (unused for predicts)
   std::vector<ImageKey> keys;  // predict payload (unused for observes)
 };
 
-// Byte-stable (de)serialisation of batches and serve-op logs, used by the
-// CHS3 op-log delta frames (core/checkpoint.h). Return false on malformed
-// input or stream failure.
-bool save_batch(const Batch& batch, std::ostream& os);
-bool load_batch(Batch& batch, std::istream& is);
-bool save_ops(const std::vector<ServeOp>& ops, std::ostream& os);
-bool load_ops(std::vector<ServeOp>& ops, std::istream& is);
+// --- The byte codec for batches and key lists ------------------------------
+//
+// Little-endian (util/bytes.h) with u32 counts. A key is 13 bytes: i32
+// class, i32 domain, i32 instance, u8 test. A key list is its u32 count and
+// its keys; a batch is its i64 domain, its key list, a u32 label count and
+// the i64 labels. These are the PREDICT and OBSERVE payloads of the wire
+// protocol (net/protocol.h) and the op bodies of the CHS3 op-log frames
+// (core/checkpoint.h), so one decoder reads both.
+//
+// Both formats are parsed from untrusted bytes. The decoders check a count
+// against the bytes left before any resize (a forged count fails cleanly,
+// it never sizes an allocation), resize their outputs in place (a warm
+// decode reuses capacity and allocates nothing) and return false on a short
+// read. They do not require the reader to be exhausted: the frame's decoder
+// checks Reader::done() once it has read everything the frame holds.
+inline constexpr std::size_t kKeyBytes = 13;   // 3x i32 + test u8
+inline constexpr std::size_t kLabelBytes = 8;  // i64
+
+template <typename Buf>
+void put_keys(Buf& out, const std::vector<ImageKey>& keys) {
+  util::put_u32(out, static_cast<uint32_t>(keys.size()));
+  for (const ImageKey& k : keys) {
+    util::put_i32(out, k.class_id);
+    util::put_i32(out, k.domain_id);
+    util::put_i32(out, k.instance_id);
+    util::put_u8(out, k.test ? 1 : 0);
+  }
+}
+
+template <typename Buf>
+void put_batch(Buf& out, const Batch& batch) {
+  util::put_i64(out, batch.domain);
+  put_keys(out, batch.keys);
+  util::put_u32(out, static_cast<uint32_t>(batch.labels.size()));
+  for (const int64_t label : batch.labels) util::put_i64(out, label);
+}
+
+bool get_keys(util::Reader& r, std::vector<ImageKey>& out);
+bool get_batch(util::Reader& r, Batch& out);
 
 // Materialised stream: the full ordered list of batches for one experiment
 // run. Total length matches one pass over the training pool (paper: each

@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "data/augment.h"
 #include "nn/loss.h"
 #include "nn/model_io.h"
 #include "nn/sgd.h"
@@ -56,7 +55,7 @@ std::string Experiment::cache_path() const {
      << cfg_.model.input_hw << "_a"
      << static_cast<int>(cfg_.model.width_mult * 100) << "_c"
      << cfg_.model.num_classes << "_d" << cfg_.pretrain_domains << "_p"
-     << cfg_.pretrain_num_classes << (cfg_.pretrain_augment ? "_aug" : "") << "_e" << cfg_.pretrain_epochs << "_sh"
+     << cfg_.pretrain_num_classes << "_e" << cfg_.pretrain_epochs << "_sh"
      << static_cast<int>(cfg_.data.domain_shift * 100) << "_s"
      << cfg_.data.seed << ".bin";
   return os.str();
@@ -122,10 +121,7 @@ void Experiment::pretrain() {
         chunk.push_back(k);
         labels.push_back(k.class_id);
       }
-      Tensor x = data::synthesize_batch(pre, chunk);
-      if (cfg_.pretrain_augment) {
-        x = data::augment_batch(x, data::AugmentConfig{}, rng);
-      }
+      const Tensor x = data::synthesize_batch(pre, chunk);
       opt.zero_grad();
       const Tensor z = pf.forward(x, /*train=*/true);
       Tensor logits = pg.forward(z, /*train=*/true);

@@ -36,9 +36,6 @@ struct ExperimentConfig {
   int64_t pretrain_epochs = 8;
   float pretrain_lr = 0.02f;
   int64_t pretrain_batch = 16;
-  // Opt-in train-time augmentation (data/augment.h) for extra backbone
-  // robustness; off by default to keep the benchmark protocol fixed.
-  bool pretrain_augment = false;
   std::string cache_dir = "/tmp";
 
   float learner_lr = 0.05f;

@@ -1,7 +1,8 @@
 #include "net/protocol.h"
 
 #include <array>
-#include <cstring>
+
+#include "util/bytes.h"
 
 namespace cham::net {
 namespace {
@@ -21,66 +22,11 @@ constexpr std::array<uint32_t, 256> make_crc_table() {
 }
 constexpr std::array<uint32_t, 256> kCrcTable = make_crc_table();
 
-// --- Little-endian primitive append/read. --------------------------------
-void put_u16(WireBuf& b, uint16_t v) {
-  b.push_back(static_cast<uint8_t>(v));
-  b.push_back(static_cast<uint8_t>(v >> 8));
-}
-void put_u32(WireBuf& b, uint32_t v) {
-  for (int i = 0; i < 4; ++i) b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void put_u64(WireBuf& b, uint64_t v) {
-  for (int i = 0; i < 8; ++i) b.push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-void put_i32(WireBuf& b, int32_t v) { put_u32(b, static_cast<uint32_t>(v)); }
-void put_i64(WireBuf& b, int64_t v) { put_u64(b, static_cast<uint64_t>(v)); }
-
-// Bounds-checked sequential reader over a payload span. All get_* return 0
-// past the end and latch fail_; callers check ok() once at the end (and at
-// the few points where a length prefix gates a loop).
-struct Reader {
-  const uint8_t* p;
-  std::size_t n;
-  std::size_t off = 0;
-  bool fail = false;
-
-  bool ok() const { return !fail; }
-  bool take(std::size_t k) {
-    if (n - off < k) {
-      fail = true;
-      off = n;
-      return false;
-    }
-    return true;
-  }
-  uint16_t u16() {
-    if (!take(2)) return 0;
-    uint16_t v = static_cast<uint16_t>(p[off] | (p[off + 1] << 8));
-    off += 2;
-    return v;
-  }
-  uint32_t u32() {
-    if (!take(4)) return 0;
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[off + i]) << (8 * i);
-    off += 4;
-    return v;
-  }
-  uint64_t u64() {
-    if (!take(8)) return 0;
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[off + i]) << (8 * i);
-    off += 8;
-    return v;
-  }
-  int32_t i32() { return static_cast<int32_t>(u32()); }
-  int64_t i64() { return static_cast<int64_t>(u64()); }
-};
-
-// Per-element wire sizes, used to sanity-bound length prefixes before any
-// resize: a hostile 0xFFFFFFFF count must fail cleanly, not allocate 64GB.
-constexpr std::size_t kKeyBytes = 13;   // 3x i32 + test u8
-constexpr std::size_t kLabelBytes = 8;  // i64
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
+using util::put_i64;
+using util::Reader;
 
 // Opens a frame: appends the header with payload_len/crc zeroed, returns
 // the header's offset in `out` for close_frame to patch.
@@ -111,33 +57,6 @@ void close_frame(WireBuf& out, std::size_t header_off) {
   }
 }
 
-void put_keys(WireBuf& out, const std::vector<data::ImageKey>& keys) {
-  put_u32(out, static_cast<uint32_t>(keys.size()));
-  for (const auto& k : keys) {
-    put_i32(out, k.class_id);
-    put_i32(out, k.domain_id);
-    put_i32(out, k.instance_id);
-    out.push_back(k.test ? 1 : 0);
-  }
-}
-
-bool get_keys(Reader& r, std::vector<data::ImageKey>& out) {
-  const uint32_t n = r.u32();
-  if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(n) * kKeyBytes) {
-    return false;
-  }
-  out.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    data::ImageKey& k = out[i];
-    k.class_id = r.i32();
-    k.domain_id = r.i32();
-    k.instance_id = r.i32();
-    if (!r.take(1)) return false;
-    k.test = r.p[r.off++] != 0;
-  }
-  return r.ok();
-}
-
 }  // namespace
 
 uint32_t crc32(const uint8_t* p, std::size_t n) {
@@ -152,10 +71,7 @@ void encode_observe(WireBuf& out, uint64_t session_id, uint64_t request_id,
                     const data::Batch& batch) {
   const std::size_t h = open_frame(out, MsgType::kObserve, session_id,
                                    request_id);
-  put_i64(out, batch.domain);
-  put_keys(out, batch.keys);
-  put_u32(out, static_cast<uint32_t>(batch.labels.size()));
-  for (const int64_t l : batch.labels) put_i64(out, l);
+  data::put_batch(out, batch);
   close_frame(out, h);
 }
 
@@ -171,7 +87,7 @@ void encode_predict(WireBuf& out, uint64_t session_id, uint64_t request_id,
                     const std::vector<data::ImageKey>& keys) {
   const std::size_t h = open_frame(out, MsgType::kPredict, session_id,
                                    request_id);
-  put_keys(out, keys);
+  data::put_keys(out, keys);
   close_frame(out, h);
 }
 
@@ -230,39 +146,29 @@ ErrCode header_error(const FrameHeader& h, uint32_t max_payload) {
 
 bool decode_observe(const uint8_t* p, std::size_t n, data::Batch& out) {
   Reader r{p, n};
-  out.domain = r.i64();
-  if (!get_keys(r, out.keys)) return false;
-  const uint32_t nl = r.u32();
-  if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(nl) * kLabelBytes) {
-    return false;
-  }
-  out.labels.resize(nl);
-  for (uint32_t i = 0; i < nl; ++i) out.labels[i] = r.i64();
-  return r.ok() && r.off == n;
+  return data::get_batch(r, out) && r.done();
 }
 
 bool decode_observe_ok(const uint8_t* p, std::size_t n, int64_t& queue_depth) {
   Reader r{p, n};
   queue_depth = r.i64();
-  return r.ok() && r.off == n;
+  return r.done();
 }
 
 bool decode_predict(const uint8_t* p, std::size_t n,
                     std::vector<data::ImageKey>& out) {
   Reader r{p, n};
-  return get_keys(r, out) && r.off == n;
+  return data::get_keys(r, out) && r.done();
 }
 
 bool decode_predict_result(const uint8_t* p, std::size_t n,
                            std::vector<int64_t>& out) {
   Reader r{p, n};
   const uint32_t k = r.u32();
-  if (!r.ok() || (r.n - r.off) < static_cast<std::size_t>(k) * kLabelBytes) {
-    return false;
-  }
+  if (!r.ok() || r.left() / sizeof(int64_t) < k) return false;
   out.resize(k);
-  for (uint32_t i = 0; i < k; ++i) out[i] = r.i64();
-  return r.ok() && r.off == n;
+  for (int64_t& v : out) v = r.i64();
+  return r.done();
 }
 
 bool decode_error(const uint8_t* p, std::size_t n, ErrorInfo& out) {

@@ -376,35 +376,28 @@ void SessionManager::dispatch_plan(BatchPlan plan) {
 }
 
 void SessionManager::dispatch(Request& r) {
-  // One error rule in both modes: count the failure, relay it through the
-  // promise for a predict, and keep dispatching.
+  // Only observes get here: a predict at the head of the queue is never
+  // blocked, so take_eligible always extracts it into a plan.
+  CHAM_DCHECK(r.kind == Request::Kind::kObserve,
+              "SessionManager::dispatch: a predict bypassed the planner");
   core::ChameleonLearner* learner = nullptr;
-  std::vector<int64_t> out;
   try {
     // acquire_session un-reserves on its way out; nothing is pinned if it
     // throws. Execute unpinned from sessions_mu_: other shards keep
     // admitting and evicting while this session trains (it is protected by
     // its in_use pin).
     learner = acquire_session(r.session_id);
-    if (r.kind == Request::Kind::kObserve) {
-      learner->observe(r.batch);
-    } else {
-      out = learner->predict(r.keys);
-    }
+    learner->observe(r.batch);
   } catch (...) {
     // Release the pin (a permanently pinned session deadlocks eviction and
-    // flush) and invalidate the op log before surfacing the error.
+    // flush) and invalidate the op log before counting the error.
     if (learner) finish_dispatch(r, /*ok=*/false);
     note_dispatch_error();
-    if (r.reply) fail(r);
     return;
   }
   finish_dispatch(r, /*ok=*/true);
-  {
-    util::MutexLock slock(stats_mu_);
-    ++(r.kind == Request::Kind::kObserve ? stats_.observes : stats_.predicts);
-  }
-  if (r.reply) resolve(r, std::move(out));
+  util::MutexLock slock(stats_mu_);
+  ++stats_.observes;
 }
 
 void SessionManager::finish_dispatch(Request& r, bool ok, bool release_pin) {

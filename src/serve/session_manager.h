@@ -248,6 +248,8 @@ class SessionManager {
   // Runs the step until the shard queue is empty (deterministic mode).
   void drain_shard(int64_t shard_idx) CHAM_EXCLUDES(det_dispatch_mu_);
   void worker_loop(Shard& shard);
+  // Executes one observe popped from the queue head (predicts always leave
+  // through a plan).
   void dispatch(Request& r);
   // Executes a batch plan: one group at a time — acquire the session,
   // run its merged stacked evaluations in max_batch-request windows,

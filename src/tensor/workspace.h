@@ -18,8 +18,7 @@
 //          heap again.
 //
 // Both report into WorkspaceStats (high-water marks, heap refills, freelist
-// hits); ChameleonLearner mirrors the snapshot into OpStats so the perf
-// trajectory records allocation behaviour alongside MACs and bytes.
+// hits), which bench_kernels reads directly.
 //
 // Thread-safety: the pool is mutex-protected (Tensors are created on any
 // thread); each arena belongs to exactly one thread. stats() may be called

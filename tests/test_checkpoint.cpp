@@ -2,6 +2,7 @@
 // predictions, buffers and accuracy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,6 +10,7 @@
 
 #include "core/checkpoint.h"
 #include "metrics/experiment.h"
+#include "net/protocol.h"
 #include "nn/model_io.h"
 #include "replay/serialize.h"
 #include "serve/session_store.h"
@@ -473,13 +475,16 @@ TEST_F(CheckpointSuite, ForgedLtCountAboveQuotaIsRejected) {
 }
 
 TEST_F(CheckpointSuite, VersionFourBlobIsRejected) {
-  // Version 4 framed the LT as a list of per-sample tensors; a v4 blob
+  // Version 4 framed the LT as a list of per-sample tensors and version 5's
+  // traffic ledger carried the workspace gauges; a blob of either version
   // fails the version check like any other version.
   ForgeryBench fb(*exp_, *stream_);
-  std::string v4 = fb.blob;
-  const uint32_t version = 4;
-  std::memcpy(v4.data() + 4, &version, sizeof(version));
-  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(v4)));
+  for (const uint32_t version : {4u, 5u}) {
+    SCOPED_TRACE(version);
+    std::string old = fb.blob;
+    std::memcpy(old.data() + 4, &version, sizeof(version));
+    EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(old)));
+  }
 }
 
 // ------------------------------------------------------------ CHS3 deltas
@@ -568,8 +573,11 @@ TEST(DeltaSuite, ReadDeltaHeaderAcceptsOnlyOpLog) {
 // the decoder must run out of bytes, not size an allocation from the count.
 TEST(DeltaSuite, ForgedCountsWithoutPayloadAreRejected) {
   const core::ByteBuf empty = core::encode_op_log(core::DeltaHeader{}, {});
-  // An empty log is the header followed by an i64 op count of 0.
-  const std::string header(empty.data(), empty.size() - sizeof(int64_t));
+  // An empty log is the header followed by a u32 op count of 0.
+  const std::string header(empty.data(), empty.size() - sizeof(uint32_t));
+  auto u32 = [](uint32_t v) {
+    return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
   auto i64 = [](int64_t v) {
     return std::string(reinterpret_cast<const char*>(&v), sizeof(v));
   };
@@ -578,21 +586,113 @@ TEST(DeltaSuite, ForgedCountsWithoutPayloadAreRejected) {
     std::vector<data::ServeOp> ops;
     return core::read_op_log(frame.data(), frame.size(), ops);
   };
-  const int64_t kLimit = int64_t{1} << 32;
+  const uint32_t kLimit = 0xFFFFFFFFu;
   const std::string observe(1, '\0'), predict(1, '\1');
-  // Controls: the same framing with honest zero counts parses.
-  EXPECT_TRUE(parses(i64(0)));
-  EXPECT_TRUE(parses(i64(1) + predict + i64(0)));
-  EXPECT_TRUE(parses(i64(1) + observe + i64(0) + i64(0) + i64(0)));
+  // Controls: the same framing with honest zero counts parses. An observe
+  // is its i64 domain, then its key and label counts.
+  EXPECT_TRUE(parses(u32(0)));
+  EXPECT_TRUE(parses(u32(1) + predict + u32(0)));
+  EXPECT_TRUE(parses(u32(1) + observe + i64(0) + u32(0) + u32(0)));
 
-  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(kLimit)))) << "op count";
-  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(1) + predict + i64(kLimit))))
+  EXPECT_NO_THROW(EXPECT_FALSE(parses(u32(kLimit)))) << "op count";
+  EXPECT_NO_THROW(EXPECT_FALSE(parses(u32(1) + predict + u32(kLimit))))
       << "predict key count";
-  EXPECT_NO_THROW(EXPECT_FALSE(parses(i64(1) + observe + i64(kLimit))))
-      << "batch key count";
   EXPECT_NO_THROW(
-      EXPECT_FALSE(parses(i64(1) + observe + i64(0) + i64(kLimit))))
+      EXPECT_FALSE(parses(u32(1) + observe + i64(0) + u32(kLimit))))
+      << "batch key count";
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      parses(u32(1) + observe + i64(0) + u32(0) + u32(kLimit))))
       << "label count";
+}
+
+// The three-op log of OpLogRoundTripAndHeader.
+std::vector<data::ServeOp> three_ops() {
+  std::vector<data::ServeOp> ops(3);
+  ops[0].batch.keys = {{1, 0, 2, false}, {3, 1, 4, false}};
+  ops[0].batch.labels = {1, 3};
+  ops[0].batch.domain = 1;
+  ops[1].predict = true;
+  ops[1].keys = {{2, 0, 0, true}, {5, 1, 1, true}, {0, 0, 3, true}};
+  ops[2].batch.keys = {{4, 1, 0, false}};
+  ops[2].batch.labels = {4};
+  return ops;
+}
+
+// One codec for a batch: an observe op's bytes after its kind byte are the
+// wire protocol's OBSERVE payload, and a predict op's are the PREDICT
+// payload, whichever byte vector they are written to.
+TEST(DeltaSuite, OpsUseTheWirePayloadCodec) {
+  const std::vector<data::ServeOp> ops = three_ops();
+  const data::Batch& batch = ops[0].batch;
+  const std::vector<data::ImageKey>& keys = ops[1].keys;
+
+  std::vector<uint8_t> batch_bytes, key_bytes;
+  data::put_batch(batch_bytes, batch);
+  data::put_keys(key_bytes, keys);
+  ASSERT_EQ(batch_bytes.size(),
+            8 + 4 + batch.keys.size() * data::kKeyBytes +
+                4 + batch.labels.size() * data::kLabelBytes);
+  ASSERT_EQ(key_bytes.size(), 4 + keys.size() * data::kKeyBytes);
+  core::ByteBuf pooled;
+  data::put_batch(pooled, batch);
+  EXPECT_TRUE(std::equal(pooled.begin(), pooled.end(), batch_bytes.begin(),
+                         batch_bytes.end()));
+
+  auto payload = [](const net::WireBuf& frame) {
+    return std::vector<uint8_t>(frame.begin() + net::kHeaderBytes,
+                                frame.end());
+  };
+  net::WireBuf wire;
+  net::encode_observe(wire, 1, 2, batch);
+  EXPECT_EQ(payload(wire), batch_bytes);
+  wire.clear();
+  net::encode_predict(wire, 1, 2, keys);
+  EXPECT_EQ(payload(wire), key_bytes);
+
+  // Each one-op log: the header, the u32 op count, the kind byte, then the
+  // payload and nothing else.
+  const size_t body_at =
+      core::encode_op_log(core::DeltaHeader{}, {}).size() + 1;
+  for (const auto& [op, bytes] :
+       {std::pair{ops[0], batch_bytes}, std::pair{ops[1], key_bytes}}) {
+    SCOPED_TRACE(op.predict ? "predict" : "observe");
+    const core::ByteBuf frame = core::encode_op_log(core::DeltaHeader{}, {op});
+    ASSERT_EQ(frame.size(), body_at + bytes.size());
+    EXPECT_EQ(frame[body_at - 1], op.predict ? 1 : 0);
+    EXPECT_TRUE(std::equal(frame.begin() + static_cast<ptrdiff_t>(body_at),
+                           frame.end(), bytes.begin(), bytes.end()));
+  }
+}
+
+// Like the wire decoders, read_op_log accepts exactly one frame: every
+// strict prefix of a valid log and the log with a byte appended fail.
+TEST(DeltaSuite, TruncatedOrPaddedOpLogIsRejected) {
+  const core::ByteBuf frame =
+      core::encode_op_log(core::DeltaHeader{}, three_ops());
+  std::vector<data::ServeOp> ops;
+  ASSERT_TRUE(core::read_op_log(frame.data(), frame.size(), ops));
+  ASSERT_EQ(ops.size(), 3u);
+  for (size_t n = 0; n < frame.size(); ++n) {
+    EXPECT_FALSE(core::read_op_log(frame.data(), n, ops)) << "prefix " << n;
+  }
+  core::ByteBuf padded = frame;
+  padded.push_back('\0');
+  EXPECT_FALSE(core::read_op_log(padded.data(), padded.size(), ops));
+}
+
+// Version 1 frames framed their ops with i64 counts and the batch domain
+// last; they fail the version check rather than misparse.
+TEST(DeltaSuite, VersionOneFrameIsRejected) {
+  core::ByteBuf frame = core::encode_op_log(core::DeltaHeader{}, three_ops());
+  core::DeltaHeader h;
+  ASSERT_TRUE(core::read_delta_header(frame.data(), frame.size(), h));
+  // Header: u32 magic, then the u32 version.
+  const uint32_t version = 1;
+  std::memcpy(frame.data() + 4, &version, sizeof(version));
+  EXPECT_TRUE(core::is_delta_blob(frame.data(), frame.size()));
+  EXPECT_FALSE(core::read_delta_header(frame.data(), frame.size(), h));
+  std::vector<data::ServeOp> ops;
+  EXPECT_FALSE(core::read_op_log(frame.data(), frame.size(), ops));
 }
 
 TEST(DeltaSuite, FullBlobIsNotMistakenForDelta) {

@@ -1,5 +1,5 @@
 // Learner-state slot-store framing (round-trips, malformed and crafted
-// input) and image augmentations.
+// input).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "data/augment.h"
 #include "quant/quantize.h"
 #include "replay/serialize.h"
 #include "tensor/ops.h"
@@ -195,79 +194,6 @@ TEST(Serialize, SlotStoreRejectsCapacityOverflowingTheSlab) {
   // first insert allocates.
   EXPECT_NO_THROW(EXPECT_FALSE(
       load_store(crafted_slot_store({1, 2}, 2, int64_t{1} << 62))));
-}
-
-// ---------------------------------------------------------- augmentations
-
-Tensor test_image() {
-  Tensor img({3, 8, 8});
-  for (int64_t i = 0; i < img.numel(); ++i) {
-    img[i] = static_cast<float>(i % 64) / 64.0f;
-  }
-  return img;
-}
-
-TEST(Augment, HflipIsInvolution) {
-  const Tensor img = test_image();
-  EXPECT_EQ(ops::max_abs_diff(data::hflip(data::hflip(img)), img), 0.0);
-  EXPECT_GT(ops::max_abs_diff(data::hflip(img), img), 0.0);
-}
-
-TEST(Augment, ShiftMovesContent) {
-  Tensor img({1, 4, 4});
-  img[5] = 1.0f;  // (y=1, x=1)
-  const Tensor shifted = data::shift(img, 1, 1);
-  EXPECT_EQ(shifted[(2) * 4 + 2], 1.0f);
-  // Zero shift is identity.
-  EXPECT_EQ(ops::max_abs_diff(data::shift(img, 0, 0), img), 0.0);
-}
-
-TEST(Augment, ShiftClampsAtEdges) {
-  Tensor img({1, 2, 2});
-  img[0] = 0.25f;
-  img[1] = 0.75f;
-  img[2] = 0.5f;
-  img[3] = 1.0f;
-  const Tensor shifted = data::shift(img, 5, 5);  // everything from corner
-  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(shifted[i], 0.25f);
-}
-
-TEST(Augment, ColorJitterStaysInRange) {
-  const Tensor img = test_image();
-  const Tensor j = data::color_jitter(img, 1.5f, 1.4f);
-  for (int64_t i = 0; i < j.numel(); ++i) {
-    EXPECT_GE(j[i], 0.0f);
-    EXPECT_LE(j[i], 1.0f);
-  }
-  // Identity jitter is identity.
-  EXPECT_LT(ops::max_abs_diff(data::color_jitter(img, 1.0f, 1.0f), img),
-            1e-6);
-}
-
-TEST(Augment, FullPipelineDeterministicPerSeed) {
-  const Tensor img = test_image();
-  data::AugmentConfig cfg;
-  Rng a(7), b(7), c(8);
-  const Tensor out_a = data::augment(img, cfg, a);
-  const Tensor out_b = data::augment(img, cfg, b);
-  EXPECT_EQ(ops::max_abs_diff(out_a, out_b), 0.0);
-  const Tensor out_c = data::augment(img, cfg, c);
-  EXPECT_GT(ops::max_abs_diff(out_a, out_c), 0.0);
-}
-
-TEST(Augment, BatchAppliesPerImage) {
-  Tensor batch({2, 3, 8, 8});
-  Rng rng(9);
-  ops::fill_uniform(batch, rng, 0.0f, 1.0f);
-  data::AugmentConfig cfg;
-  cfg.noise_sigma = 0.0f;
-  Rng arng(10);
-  const Tensor out = data::augment_batch(batch, cfg, arng);
-  EXPECT_EQ(out.shape(), batch.shape());
-  for (int64_t i = 0; i < out.numel(); ++i) {
-    EXPECT_GE(out[i], 0.0f);
-    EXPECT_LE(out[i], 1.0f);
-  }
 }
 
 }  // namespace

@@ -302,29 +302,6 @@ TEST(SteadyState, ChunkedPredictStaysOffTheHeap) {
 #endif
 }
 
-// The OpStats mirror: after any observe() the ledger carries the workspace
-// gauges, and they merge by max across learners.
-TEST(SteadyState, OpStatsCarriesWorkspaceGauges) {
-  TinyEnv env;
-  core::ChameleonConfig cc;
-  core::ChameleonLearner learner(env.env, cc, /*seed=*/3);
-  data::Batch b;
-  b.domain = 0;
-  for (int i = 0; i < 3; ++i) {
-    b.keys.push_back({static_cast<int32_t>(i), 0, 0, false});
-    b.labels.push_back(i);
-  }
-  learner.observe(b);
-  const core::OpStats& s = learner.stats();
-  EXPECT_GT(s.ws_pool_high_water_bytes, 0);
-  EXPECT_GT(s.ws_arena_high_water_bytes, 0);
-
-  core::OpStats merged;
-  merged.ws_pool_high_water_bytes = 1;
-  merged += s;
-  EXPECT_EQ(merged.ws_pool_high_water_bytes, s.ws_pool_high_water_bytes);
-}
-
 // The wire codec's steady-state contract (net/protocol.h): once a WireBuf
 // and the decoders' caller-owned outputs have seen a frame of each shape,
 // encoding every data-path frame type and decoding it back (header, CRC and

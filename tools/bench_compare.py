@@ -37,7 +37,6 @@ METRICS = [
      "higher", True),
     ("BENCH_kernels.json", "gemm[shape=head_backward_dw].packed_gflops",
      "higher", True),
-    ("BENCH_kernels.json", "conv_pointwise.speedup", "higher", False),
     # Observe-path latency: p50 is the gated steady-state number; p99 is
     # tail-noise on a shared box.
     ("BENCH_observe.json", "observe_p50_ms", "lower", True),
