@@ -27,6 +27,9 @@
 //          (reported separately). Workspace pool/arena gauges are included.
 //
 //   ./build/bench/bench_kernels [--reps N] [--out PATH]
+//
+// Any other argument is refused (exit 2) before anything runs or is
+// written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -394,10 +397,14 @@ int main(int argc, char** argv) {
   int reps = 20;
   std::string out_path = "BENCH_kernels.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc) {
       reps = std::max(1, std::atoi(argv[++i]));
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--reps N] [--out PATH]\n", argv[0]);
+      return 2;
+    }
   }
 
   std::printf("bench_kernels: simd=%s, %u hardware threads, %d reps\n\n",

@@ -22,8 +22,10 @@
 //             0.5, split after conv layer 21: 256x2x2 latents, 6 classes,
 //             30-row steps, frozen BN, first-layer dInput elided, one
 //             tensor thread like the serving runtime): per-layer forward
-//             and backward self time with GMAC/s, plus loss, SGD and
-//             zero_grad. Gate: the rows cover >= 95% of the measured step.
+//             and backward self time with GMAC/s, plus the loss. The step
+//             is HeadLearner::train_step's, so each layer's backward row
+//             includes its SGD update, applied as soon as that backward
+//             returns. Gate: the rows cover >= 95% of the measured step.
 //
 //   served_predict  The same head's eval forward_gather at 1 and at 4 keys
 //             (a wire predict's head compute; one tensor thread): per-layer
@@ -32,6 +34,9 @@
 //             cover >= 95% of the measured call.
 //
 //   ./build/bench/bench_observe [--steps N] [--out PATH]
+//
+// Any other argument is refused (exit 2) before anything runs or is
+// written.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -291,7 +296,8 @@ double ms_since(Clock::time_point t0) {
 }
 
 // One timed row: a head layer (forward + backward self time, MACs for the
-// step's rows) or a non-layer stage of the step (loss, SGD, zero_grad).
+// step's rows; a train step's backward includes the layer's update) or the
+// loss.
 struct StageRow {
   std::string name;
   double fwd_ms = 0, bwd_ms = 0;  // per-step means (sums while measuring)
@@ -374,6 +380,11 @@ ServedReport run_served(int64_t steps) {
   nn::freeze_batchnorm_stats(g);
   g.set_needs_input_grad(false);
   nn::Sgd opt(g.params(), 0.02f);
+  const std::vector<size_t> layer_params = g.param_offsets();
+  const auto apply = [&](int64_t i) {
+    opt.step(layer_params[static_cast<size_t>(i)],
+             layer_params[static_cast<size_t>(i) + 1]);
+  };
   const nn::GatherBatch gb = head.batch();
   std::vector<int64_t> labels;
   for (int64_t r = 0; r < kRows; ++r) {
@@ -386,26 +397,18 @@ ServedReport run_served(int64_t steps) {
   rep.steps = steps;
   add_layer_rows(g, kRows, /*backward=*/true, rep);
   rep.stages.push_back({"softmax_cross_entropy", 0, 0, 0});
-  rep.stages.push_back({"sgd_step", 0, 0, 0});
-  rep.stages.push_back({"zero_grad", 0, 0, 0});
   StageRow& loss_row = rep.stages[static_cast<size_t>(nl)];
-  StageRow& sgd_row = rep.stages[static_cast<size_t>(nl) + 1];
-  StageRow& zero_row = rep.stages[static_cast<size_t>(nl) + 2];
 
-  // The step HeadLearner::train_step runs, through the Sequential.
+  // The step HeadLearner::train_step runs, through the Sequential: each
+  // layer's update right after its own backward.
   const auto whole_step = [&] {
-    opt.zero_grad();
     const Tensor logits = g.forward_gather(gb, /*train=*/true);
     const nn::LossResult loss = nn::softmax_cross_entropy(logits, labels);
-    (void)g.backward(loss.grad);
-    opt.step();
+    (void)g.backward(loss.grad, apply);
   };
   // The same calls in the same order, each under its own timer.
   const auto layered_step = [&] {
     auto t = Clock::now();
-    opt.zero_grad();
-    zero_row.fwd_ms += ms_since(t);
-    t = Clock::now();
     Tensor cur = g.layer(0).forward_gather(gb, /*train=*/true);
     rep.stages[0].fwd_ms += ms_since(t);
     for (int64_t i = 1; i < nl; ++i) {
@@ -420,11 +423,9 @@ ServedReport run_served(int64_t steps) {
     for (int64_t i = nl - 1; i >= 0; --i) {
       t = Clock::now();
       grad = g.layer(i).backward(grad);
+      apply(i);
       rep.stages[static_cast<size_t>(i)].bwd_ms += ms_since(t);
     }
-    t = Clock::now();
-    opt.step();
-    sgd_row.fwd_ms += ms_since(t);
   };
 
   const int saved_threads = num_threads();
@@ -557,10 +558,14 @@ int main(int argc, char** argv) {
   long long steps = 400;
   std::string out_path = "BENCH_observe.json";
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc)
+    if (std::strcmp(argv[i], "--steps") == 0 && i + 1 < argc) {
       steps = std::max(50LL, static_cast<long long>(std::atol(argv[++i])));
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
+    } else if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
       out_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--steps N] [--out PATH]\n", argv[0]);
+      return 2;
+    }
   }
 
   std::printf("bench_observe: %lld measured steps\n\n", steps);

@@ -26,15 +26,20 @@
 #                               16-row tall tile for n <= 8 and the lane
 #                               depthwise kernels instead
 #   8. ASan+UBSan leg           test_checkpoint, test_memories,
-#                               test_serialize_augment and test_gemm, and
+#                               test_serialize_augment, test_gemm, test_nn,
+#                               test_gradients and test_observe_path, and
 #                               test_net's NetProtocol.* cases, under
 #                               -fsanitize=address,undefined: the suites
 #                               that feed forged bytes to the checkpoint,
 #                               slot-store and batch decoders (the wire and
-#                               the CHS3 op logs share one batch codec), and
-#                               the GEMM tiles' masked K tails and row
-#                               tails, where an out-of-bounds read shows up
-#                               as a report, not a failure
+#                               the CHS3 op logs share one batch codec), the
+#                               GEMM tiles' masked K tails and row tails,
+#                               where an out-of-bounds read shows up as a
+#                               report, not a failure, and the train steps
+#                               that bind gradient buffers from the
+#                               workspace pool and release them within the
+#                               step, where a write into a released buffer
+#                               must fail loudly
 #
 # Exits non-zero on the first failing stage. run_all.sh invokes this before
 # regenerating any outputs; set CHAM_SKIP_STATIC=1 there to bypass during
@@ -94,13 +99,15 @@ for t in test_gemm test_observe_path test_gather_path; do
   ./build-avx2/tests/"$t" --gtest_brief=1 || fail "CHAM_SIMD=avx2 $t"
 done
 
-echo "=== [8/8] ASan+UBSan decoder and kernel suites ==="
+echo "=== [8/8] ASan+UBSan decoder, kernel and train-step suites ==="
 cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
   || fail "ASan+UBSan (cmake configure)"
 cmake --build build-aubsan -j"$(nproc)" \
   --target test_checkpoint test_memories test_serialize_augment test_gemm \
-  test_net || fail "ASan+UBSan build"
-for t in test_checkpoint test_memories test_serialize_augment test_gemm; do
+  test_nn test_gradients test_observe_path test_net \
+  || fail "ASan+UBSan build"
+for t in test_checkpoint test_memories test_serialize_augment test_gemm \
+  test_nn test_gradients test_observe_path; do
   ./build-aubsan/tests/"$t" --gtest_brief=1 || fail "ASan+UBSan $t"
 done
 ./build-aubsan/tests/test_net --gtest_brief=1 --gtest_filter='NetProtocol.*' \

@@ -21,6 +21,7 @@ class HeadLearner : public ContinualLearner {
         rng_(seed),
         g_(env.head_factory()),
         opt_(g_->params(), env.lr),
+        layer_params_(g_->param_offsets()),
         g_fwd_macs_(g_->macs_per_sample()),
         head_param_count_(count_params()) {
     // Fresh task classifier, seeded by the learner seed so identical seeds
@@ -95,9 +96,16 @@ class HeadLearner : public ContinualLearner {
   // pass (train mode). Also charges g MACs. The caller keeps gb.rows and
   // the rows themselves valid until this returns (the train forward
   // caches the row pointers for backward).
+  //
+  // Each layer's update is applied as soon as its own backward returns:
+  // the backward binds zeroed gradients from the workspace pool, the hook
+  // steps that layer's params and releases them, and only then does the
+  // previous layer's backward run. At most one layer's gradients are alive
+  // at a time and dW is still in cache when the update reads it; per
+  // element the arithmetic is that of zero_grad, a whole backward and one
+  // whole-model step.
   Tensor train_step(const nn::GatherBatch& gb,
                     std::span<const int64_t> labels) {
-    opt_.zero_grad();
     Tensor logits = g_->forward_gather(gb, /*train=*/true);
     // Full-checks tier: scan the layer output and loss gradient at the
     // train-step boundary (Eq. 3 consumes these logits; a NaN here corrupts
@@ -105,8 +113,10 @@ class HeadLearner : public ContinualLearner {
     CHAM_CHECK_FINITE(logits.span(), "head logits");
     auto loss = nn::softmax_cross_entropy(logits, labels);
     CHAM_CHECK_FINITE(loss.grad.span(), "loss gradient");
-    g_->backward(loss.grad);
-    opt_.step();
+    g_->backward(loss.grad, [this](int64_t layer) {
+      const auto i = static_cast<size_t>(layer);
+      opt_.step(layer_params_[i], layer_params_[i + 1]);
+    });
     charge_g(gb.n);
     return logits;
   }
@@ -143,6 +153,9 @@ class HeadLearner : public ContinualLearner {
   Rng rng_;
   std::unique_ptr<nn::Sequential> g_;
   nn::Sgd opt_;
+  // Sequential::param_offsets of the head: layer i's params are
+  // opt_'s [layer_params_[i], layer_params_[i + 1]).
+  std::vector<size_t> layer_params_;
   int64_t g_fwd_macs_;
   int64_t g_bwd_macs_ = 0;
   int64_t head_param_count_;

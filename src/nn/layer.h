@@ -17,13 +17,32 @@
 
 namespace cham::nn {
 
-// A trainable parameter: value plus accumulated gradient.
+// A trainable parameter: value plus accumulated gradient. A gradient exists
+// only within a step: `grad` is empty at rest, is bound to a zero-filled
+// buffer of the value's shape from the workspace pool by zero_grad() or by
+// the first backward that accumulates into it, and is released back to the
+// pool by Sgd::step once applied. A resident head therefore holds its
+// weights and no gradient copy.
 struct Param {
   Tensor value;
   Tensor grad;
 
-  explicit Param(Shape shape) : value(shape), grad(shape) {}
-  void zero_grad() { grad.fill(0.0f); }
+  explicit Param(Shape shape) : value(shape) {}
+  void zero_grad() {
+    if (grad.empty()) {
+      grad = Tensor(value.shape());
+    } else {
+      grad.fill(0.0f);
+    }
+  }
+  // The gradient a backward accumulates into: the bound one, or a zeroed
+  // one bound now, so a backward with no zero_grad before it still
+  // accumulates from zero.
+  float* grad_data() {
+    if (grad.empty()) grad = Tensor(value.shape());
+    return grad.data();
+  }
+  void release_grad() { grad = Tensor(); }
   int64_t numel() const { return value.numel(); }
 };
 

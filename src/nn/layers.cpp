@@ -35,21 +35,46 @@ bool is_pointwise(const ConvGeometry& g) {
 // The merged pointwise GEMMs work on channel-major panels: panel element
 // [c][n * pix + i] is pixel i of channel c of sample n, whose planes start
 // at sample(n). These two loops move channels [c0, c1) between the panel
-// and the per-sample planes. At 1x1 spatial size (pix == 1) each is one
-// strided transpose, sample-outer so the plane side runs contiguously: a
-// copy call per (channel, sample) would move a single float (and GCC turns
-// a runtime-length inner loop into exactly that call).
+// and the per-sample planes. The head's maps are 2x2 and 1x1 (pix 4 and
+// 1): there the body runs sample-outer over a compile-time pixel count,
+// so the plane side is one contiguous run and each channel's pixels are a
+// fixed-width copy in registers. A copy call per (channel, sample) would
+// move 16 or 4 bytes (and GCC turns a runtime-length inner loop into
+// exactly that call); other sizes keep it.
+template <int64_t kPix, class Sample>
+void gather_fixed(const Sample& sample, int64_t batch, int64_t c0, int64_t c1,
+                  float* CHAM_RESTRICT panel) {
+  const int64_t cols = batch * kPix;
+  for (int64_t n = 0; n < batch; ++n) {
+    const float* CHAM_RESTRICT src = sample(n);
+    for (int64_t c = c0; c < c1; ++c) {
+      for (int64_t i = 0; i < kPix; ++i) {
+        panel[c * cols + n * kPix + i] = src[c * kPix + i];
+      }
+    }
+  }
+}
+
+template <int64_t kPix, class Sample>
+void scatter_fixed(const float* CHAM_RESTRICT panel, int64_t batch,
+                   int64_t c0, int64_t c1, const Sample& sample) {
+  const int64_t cols = batch * kPix;
+  for (int64_t n = 0; n < batch; ++n) {
+    float* CHAM_RESTRICT dst = sample(n);
+    for (int64_t c = c0; c < c1; ++c) {
+      for (int64_t i = 0; i < kPix; ++i) {
+        dst[c * kPix + i] = panel[c * cols + n * kPix + i];
+      }
+    }
+  }
+}
+
 template <class Sample>
 void gather_panel(const Sample& sample, int64_t batch, int64_t pix,
                   int64_t c0, int64_t c1, float* CHAM_RESTRICT panel) {
+  if (pix == 1) return gather_fixed<1>(sample, batch, c0, c1, panel);
+  if (pix == 4) return gather_fixed<4>(sample, batch, c0, c1, panel);
   const int64_t cols = batch * pix;
-  if (pix == 1) {
-    for (int64_t n = 0; n < batch; ++n) {
-      const float* CHAM_RESTRICT src = sample(n);
-      for (int64_t c = c0; c < c1; ++c) panel[c * cols + n] = src[c];
-    }
-    return;
-  }
   for (int64_t c = c0; c < c1; ++c) {
     for (int64_t n = 0; n < batch; ++n) {
       std::memcpy(panel + c * cols + n * pix, sample(n) + c * pix,
@@ -61,14 +86,9 @@ void gather_panel(const Sample& sample, int64_t batch, int64_t pix,
 template <class Sample>
 void scatter_panel(const float* CHAM_RESTRICT panel, int64_t batch,
                    int64_t pix, int64_t c0, int64_t c1, const Sample& sample) {
+  if (pix == 1) return scatter_fixed<1>(panel, batch, c0, c1, sample);
+  if (pix == 4) return scatter_fixed<4>(panel, batch, c0, c1, sample);
   const int64_t cols = batch * pix;
-  if (pix == 1) {
-    for (int64_t n = 0; n < batch; ++n) {
-      float* CHAM_RESTRICT dst = sample(n);
-      for (int64_t c = c0; c < c1; ++c) dst[c] = panel[c * cols + n];
-    }
-    return;
-  }
   for (int64_t c = c0; c < c1; ++c) {
     for (int64_t n = 0; n < batch; ++n) {
       std::memcpy(sample(n) + c * pix, panel + c * cols + n * pix,
@@ -335,12 +355,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   if (needs_input_grad_) {
     grad_in = Tensor({batch, geo_.in_c, geo_.in_h, geo_.in_w});
   }
+  float* gw = weight_.grad_data();
+  float* gb = has_bias_ ? bias_.grad_data() : nullptr;
   const int64_t ipix = geo_.in_h * geo_.in_w;
   const auto add_bias_grad = [&](const float* go) {
     for (int64_t c = 0; c < out_c_; ++c) {
       double acc = 0;
       for (int64_t i = 0; i < opix; ++i) acc += go[c * opix + i];
-      bias_.grad[c] += static_cast<float>(acc);
+      gb[c] += static_cast<float>(acc);
     }
   };
   // The batch loop stays serial: dW accumulates across samples and its
@@ -358,8 +380,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const int64_t cols = batch * opix;
     if (batch == 1) {
       const float* go = grad_out.data();
-      gemm_a_bt(out_c_, geo_.in_c, opix, 1.0f, go, cached_rows_[0], 1.0f,
-                weight_.grad.data());
+      gemm_a_bt(out_c_, geo_.in_c, opix, 1.0f, go, cached_rows_[0], 1.0f, gw);
       if (needs_input_grad_) {
         gemm_at_b(geo_.in_c, opix, out_c_, 1.0f, weight_.value.data(), go,
                   0.0f, grad_in.data());
@@ -390,8 +411,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
         },
         row_grain);
     // dW += dYcat @ Xcat^T  (out_c x cols) @ (cols x in_c)
-    gemm_a_bt(out_c_, geo_.in_c, cols, 1.0f, gocat, xcat, 1.0f,
-              weight_.grad.data());
+    gemm_a_bt(out_c_, geo_.in_c, cols, 1.0f, gocat, xcat, 1.0f, gw);
     if (needs_input_grad_) {
       float* gicat = scratch.floats(static_cast<size_t>(geo_.in_c * cols));
       // dXcat = W^T @ dYcat  (in_c x out_c) @ (out_c x cols)
@@ -425,8 +445,7 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     const float* go = grad_out.data() + n * out_c_ * opix;
     // dW += dY @ col^T  (out_c x opix) @ (opix x col_rows)
     im2col(cached_rows_[static_cast<size_t>(n)], geo_, col);
-    gemm_a_bt(out_c_, geo_.col_rows(), opix, 1.0f, go, col, 1.0f,
-              weight_.grad.data());
+    gemm_a_bt(out_c_, geo_.col_rows(), opix, 1.0f, go, col, 1.0f, gw);
     if (needs_input_grad_) {
       // dcol = W^T @ dY  (col_rows x out_c) @ (out_c x opix)
       gemm_at_b(geo_.col_rows(), opix, out_c_, 1.0f, weight_.value.data(), go,
@@ -609,7 +628,8 @@ void DepthwiseConv2d::backward_plane(const float* CHAM_RESTRICT plane,
 // (a masked-out lane keeps its accumulator). Blocks own their channels'
 // weight grads, so bits do not depend on the thread count.
 template <bool kInputGrad>
-int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gi) {
+int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gw,
+                                        float* gi) {
 #if defined(CHAM_SIMD_USE_AVX512)
   const int64_t channels = geo_.in_c;
   const int64_t blocks = channels / kLanes;
@@ -635,7 +655,7 @@ int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gi) {
           if constexpr (kInputGrad) {
             to_lanes(weight_.value.data() + c0 * kk, kk, wl);
           }
-          to_lanes(weight_.grad.data() + c0 * kk, kk, gwl);
+          to_lanes(gw + c0 * kk, kk, gwl);
           for (int64_t n = 0; n < batch; ++n) {
             const float* x = cached_rows_[static_cast<size_t>(n)] + c0 * ipix;
             const float* g = go + (n * channels + c0) * opix;
@@ -670,13 +690,14 @@ int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gi) {
             }
             if (kInputGrad && ipix != 1) from_lanes(il, ipix, gin);
           }
-          from_lanes(gwl, kk, weight_.grad.data() + c0 * kk);
+          from_lanes(gwl, kk, gw + c0 * kk);
         }
       },
       work_grain(batch * kLanes * static_cast<int64_t>(taps_.size())));
   return blocks * kLanes;
 #else
   (void)go;
+  (void)gw;
   (void)gi;
   return 0;
 #endif
@@ -693,20 +714,21 @@ Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
   if (needs_input_grad_) {
     grad_in = Tensor({batch, geo_.in_c, geo_.in_h, geo_.in_w});
   }
+  float* gw_all = weight_.grad_data();
   // Channel-outer so each chunk owns its channels' weight grads outright;
   // the batch loop runs inside, preserving the per-element accumulation
   // order of the serial kernel (n ascending, then output pixel, then tap).
   // Elision drops the gi accumulation only; the gw chain is untouched.
   const int64_t lane_c =
       needs_input_grad_
-          ? backward_lanes<true>(grad_out.data(), grad_in.data())
-          : backward_lanes<false>(grad_out.data(), nullptr);
+          ? backward_lanes<true>(grad_out.data(), gw_all, grad_in.data())
+          : backward_lanes<false>(grad_out.data(), gw_all, nullptr);
   parallel_for(
       lane_c, geo_.in_c,
       [&](int64_t c0, int64_t c1) {
         for (int64_t c = c0; c < c1; ++c) {
           const float* w = weight_.value.data() + c * kk;
-          float* gw = weight_.grad.data() + c * kk;
+          float* gw = gw_all + c * kk;
           for (int64_t n = 0; n < batch; ++n) {
             const float* plane =
                 cached_rows_[static_cast<size_t>(n)] + c * ipix;
@@ -829,6 +851,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
   Tensor grad_in(grad_out.shape());
   sum_g_.resize(static_cast<size_t>(channels_));
   sum_gx_.resize(static_cast<size_t>(channels_));
+  float* ggamma = gamma_.grad_data();
+  float* gbeta = beta_.grad_data();
   parallel_for(
       0, channels_,
       [&](int64_t c0, int64_t c1) {
@@ -845,8 +869,8 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
                                    grad_in.data());
         }
         for (int64_t c = c0; c < c1; ++c) {
-          gamma_.grad[c] += static_cast<float>(sum_gx_[static_cast<size_t>(c)]);
-          beta_.grad[c] += static_cast<float>(sum_g_[static_cast<size_t>(c)]);
+          ggamma[c] += static_cast<float>(sum_gx_[static_cast<size_t>(c)]);
+          gbeta[c] += static_cast<float>(sum_g_[static_cast<size_t>(c)]);
         }
       },
       work_grain(2 * batch * hw));
@@ -981,10 +1005,11 @@ Tensor Linear::backward(const Tensor& grad_out) {
   check_grad_shape(grad_out, Shape{{batch, out_dim_}}, "Linear");
   // dW += dY^T @ X  (out x batch) @ (batch x in)
   gemm_at_b_gather_b(out_dim_, in_dim_, batch, 1.0f, grad_out.data(),
-                     cached_rows_.data(), 1.0f, weight_.grad.data());
+                     cached_rows_.data(), 1.0f, weight_.grad_data());
+  float* gb = bias_.grad_data();
   for (int64_t n = 0; n < batch; ++n) {
     const float* go = grad_out.data() + n * out_dim_;
-    for (int64_t j = 0; j < out_dim_; ++j) bias_.grad[j] += go[j];
+    for (int64_t j = 0; j < out_dim_; ++j) gb[j] += go[j];
   }
   if (!needs_input_grad_) return Tensor();
   // dX = dY @ W

@@ -66,7 +66,7 @@ class DepthwiseConv2d : public GatherLayer {
   // take the plane kernels above.
   int64_t forward_lanes(const GatherBatch& gb, float* out) const;
   template <bool kInputGrad>
-  int64_t backward_lanes(const float* go, float* gi);
+  int64_t backward_lanes(const float* go, float* gw, float* gi);
 
   // One in-bounds tap: input-plane offset and weight index.
   struct Tap {

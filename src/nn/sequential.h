@@ -40,9 +40,19 @@ class Sequential : public Layer {
   }
 
   Tensor backward(const Tensor& grad_out) override {
+    return backward(grad_out, [](int64_t) {});
+  }
+
+  // Backward with a per-layer hook: after_layer(i) runs as soon as layer
+  // i's backward has returned, before layer i - 1's starts. No later
+  // backward reads layer i's parameters, so the hook may apply and release
+  // their gradients there, while they are still in cache.
+  template <class AfterLayer>
+  Tensor backward(const Tensor& grad_out, AfterLayer&& after_layer) {
     Tensor cur = grad_out;
-    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-      cur = (*it)->backward(cur);
+    for (auto i = static_cast<int64_t>(layers_.size()) - 1; i >= 0; --i) {
+      cur = layers_[static_cast<size_t>(i)]->backward(cur);
+      after_layer(i);
     }
     // When the first layer elides its input gradient, `cur` is empty here;
     // the pipeline's own caller sees the same contract as a single layer.
@@ -100,8 +110,12 @@ class Sequential : public Layer {
     return out;
   }
 
-  void zero_grad() {
-    for (Param* p : params()) p->zero_grad();
+  // Where each layer's run of params() starts: layer i owns
+  // params()[out[i], out[i + 1]), and out.back() is params().size().
+  std::vector<size_t> param_offsets() {
+    std::vector<size_t> out{0};
+    for (auto& l : layers_) out.push_back(out.back() + l->params().size());
+    return out;
   }
 
  private:

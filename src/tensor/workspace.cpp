@@ -8,6 +8,19 @@
 #include "util/check.h"
 #include "util/sync.h"
 
+// Under AddressSanitizer a block parked in the pool is poisoned until it is
+// handed out again, so a write through a stale pointer into storage already
+// given back (a released gradient, say) is reported where it happens
+// instead of landing in the next owner's buffer.
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#define CHAM_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
+#define CHAM_POOL_UNPOISON(p, n) ASAN_UNPOISON_MEMORY_REGION(p, n)
+#else
+#define CHAM_POOL_POISON(p, n) ((void)(p), (void)(n))
+#define CHAM_POOL_UNPOISON(p, n) ((void)(p), (void)(n))
+#endif
+
 namespace cham::ws {
 namespace {
 
@@ -134,6 +147,7 @@ void* pool_acquire(std::size_t bytes) {
         void* block = list.back();
         list.pop_back();
         g_local_hits.fetch_add(1, std::memory_order_relaxed);
+        CHAM_POOL_UNPOISON(block, class_bytes(cls));
         return block;
       }
     }
@@ -156,6 +170,8 @@ void* pool_acquire(std::size_t bytes) {
   }
   if (block == nullptr) {
     block = ::operator new(cap, std::align_val_t{kArenaAlign});
+  } else {
+    CHAM_POOL_UNPOISON(block, cap);
   }
   return block;
 }
@@ -163,6 +179,7 @@ void* pool_acquire(std::size_t bytes) {
 void pool_release(void* ptr, std::size_t bytes) {
   if (ptr == nullptr) return;
   const int cls = size_class(bytes);
+  CHAM_POOL_POISON(ptr, class_bytes(cls));
   if (cls < kLocalClasses) {
     if (LocalCache* cache = local_cache()) {
       auto& list = cache->lists[static_cast<std::size_t>(cls)];

@@ -4,6 +4,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "nn/layers.h"
@@ -237,6 +239,8 @@ TEST(Sgd, MomentumAcceleratesOnQuadratic) {
   nn::Sgd opt_plain({&plain}, 0.1f, 0.0f);
   nn::Sgd opt_heavy({&heavy}, 0.1f, 0.9f);
   for (int i = 0; i < 5; ++i) {
+    plain.zero_grad();  // each step releases the gradient it applied
+    heavy.zero_grad();
     plain.grad[0] = plain.value[0];
     heavy.grad[0] = heavy.value[0];
     opt_plain.step();
@@ -253,6 +257,159 @@ TEST(Sgd, WeightDecayShrinksWeights) {
   opt.step();  // pure decay: w -= lr * wd * w
   EXPECT_FLOAT_EQ(p.value[0], 1.0f - 0.1f * 0.5f);
 }
+
+// ------------------------------------------------- gradient lifetime
+
+// A small net with every parameterised layer kind: a 3x3 conv with bias,
+// BN, a depthwise conv, a pointwise conv, GAP and Linear.
+std::unique_ptr<nn::Sequential> make_grad_net(uint64_t seed) {
+  Rng rng(seed);
+  auto net = std::make_unique<nn::Sequential>();
+  net->add(std::make_unique<nn::Conv2d>(3, 4, 4, 4, 3, 1, 1, true, rng));
+  net->add(std::make_unique<nn::BatchNorm2d>(4));
+  net->add(std::make_unique<nn::ReLU>(6.0f));
+  net->add(std::make_unique<nn::DepthwiseConv2d>(4, 4, 4, 3, 2, 1, rng));
+  net->add(std::make_unique<nn::Conv2d>(4, 5, 2, 2, 1, 1, 0, false, rng));
+  net->add(std::make_unique<nn::GlobalAvgPool>());
+  net->add(std::make_unique<nn::Linear>(5, 3, rng));
+  return net;
+}
+
+Tensor random_tensor(Shape shape, uint64_t seed) {
+  Tensor t(shape);
+  Rng rng(seed);
+  ops::fill_normal(t, rng, 0.0f, 1.0f);
+  return t;
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.numel()) * sizeof(float)) == 0;
+}
+
+// A constructed Param holds no gradient, and a backward with no zero_grad
+// before it binds one and accumulates from zero: every layer's gradients
+// equal those of the same backward after zero_grad, bit for bit.
+TEST(GradLifetime, BackwardWithoutZeroGradAccumulatesFromZero) {
+  auto fresh = make_grad_net(61);
+  auto zeroed = make_grad_net(61);
+  for (nn::Param* p : fresh->params()) {
+    EXPECT_TRUE(p->grad.empty()) << "a constructed Param holds a gradient";
+  }
+  for (nn::Param* p : zeroed->params()) p->zero_grad();
+  const Tensor x = random_tensor(Shape{{3, 3, 4, 4}}, 62);
+  const Tensor out = fresh->forward(x, /*train=*/true);
+  (void)zeroed->forward(x, /*train=*/true);
+  const Tensor dy = random_tensor(out.shape(), 63);
+  (void)fresh->backward(dy);
+  (void)zeroed->backward(dy);
+  const auto pf = fresh->params();
+  const auto pz = zeroed->params();
+  ASSERT_EQ(pf.size(), pz.size());
+  for (size_t i = 0; i < pf.size(); ++i) {
+    ASSERT_FALSE(pf[i]->grad.empty()) << "param " << i << " got no gradient";
+    EXPECT_EQ(pf[i]->grad.shape(), pf[i]->value.shape()) << "param " << i;
+    EXPECT_TRUE(same_bits(pf[i]->grad, pz[i]->grad)) << "param " << i;
+  }
+}
+
+// DER's pattern: zero_grad, two forward/backward pairs, one step. The
+// second backward must add onto the first's gradients, and the step must
+// apply their sum once and release every gradient.
+TEST(GradLifetime, TwoBackwardsThenOneStepApplyTheSum) {
+  constexpr float kLr = 0.5f;
+  const Tensor x1 = random_tensor(Shape{{2, 3, 4, 4}}, 71);
+  const Tensor x2 = random_tensor(Shape{{3, 3, 4, 4}}, 72);
+  const Tensor dy1 = random_tensor(Shape{{2, 3}}, 73);
+  const Tensor dy2 = random_tensor(Shape{{3, 3}}, 74);
+  // Each pass's gradients alone, on its own copy of the net.
+  const auto grads_of = [&](const Tensor& x, const Tensor& dy) {
+    auto net = make_grad_net(70);
+    (void)net->forward(x, /*train=*/true);
+    (void)net->backward(dy);
+    std::vector<Tensor> out;
+    for (nn::Param* p : net->params()) out.push_back(p->grad);
+    return out;
+  };
+  const std::vector<Tensor> g1 = grads_of(x1, dy1);
+  const std::vector<Tensor> g2 = grads_of(x2, dy2);
+
+  auto net = make_grad_net(70);
+  const auto params = net->params();
+  std::vector<Tensor> w0;
+  for (nn::Param* p : params) w0.push_back(p->value);
+  nn::Sgd opt(params, kLr);
+  opt.zero_grad();
+  (void)net->forward(x1, /*train=*/true);
+  (void)net->backward(dy1);
+  (void)net->forward(x2, /*train=*/true);
+  (void)net->backward(dy2);
+  opt.step();
+  for (size_t i = 0; i < params.size(); ++i) {
+    EXPECT_TRUE(params[i]->grad.empty()) << "step kept param " << i;
+    for (int64_t j = 0; j < params[i]->numel(); ++j) {
+      const float sum = g1[i][j] + g2[i][j];
+      const float expected = w0[i][j] - kLr * sum;
+      EXPECT_NEAR(params[i]->value[j], expected,
+                  1e-5f * (1.0f + std::abs(kLr * sum)))
+          << "param " << i << " element " << j;
+    }
+  }
+}
+
+// The per-layer apply through Sequential::backward's hook equals
+// zero_grad, a whole backward and one whole-model step, bit for bit, with
+// at most one layer's gradients bound at any time.
+TEST(GradLifetime, PerLayerApplyMatchesWholeModelStep) {
+  auto layered = make_grad_net(81);
+  auto whole = make_grad_net(81);
+  nn::Sgd opt_layered(layered->params(), 0.05f);
+  nn::Sgd opt_whole(whole->params(), 0.05f);
+  const std::vector<size_t> offsets = layered->param_offsets();
+  const auto lp = layered->params();
+  ASSERT_EQ(offsets.back(), lp.size());
+  for (int step = 0; step < 5; ++step) {
+    const Tensor x = random_tensor(Shape{{4, 3, 4, 4}}, 82 + step);
+    const Tensor dy = random_tensor(Shape{{4, 3}}, 92 + step);
+    (void)layered->forward(x, /*train=*/true);
+    (void)layered->backward(dy, [&](int64_t i) {
+      const auto li = static_cast<size_t>(i);
+      size_t bound = 0;
+      for (nn::Param* p : lp) bound += p->grad.empty() ? 0 : 1;
+      EXPECT_EQ(bound, offsets[li + 1] - offsets[li])
+          << "layer " << i << ": another layer's gradient is still bound";
+      opt_layered.step(offsets[li], offsets[li + 1]);
+    });
+    opt_whole.zero_grad();
+    (void)whole->forward(x, /*train=*/true);
+    (void)whole->backward(dy);
+    opt_whole.step();
+  }
+  const auto wp = whole->params();
+  for (size_t i = 0; i < lp.size(); ++i) {
+    EXPECT_TRUE(lp[i]->grad.empty());
+    EXPECT_TRUE(wp[i]->grad.empty());
+    EXPECT_TRUE(same_bits(lp[i]->value, wp[i]->value)) << "param " << i;
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Sgd::step gives each gradient back to the workspace pool, which poisons
+// parked blocks under AddressSanitizer: a write through a pointer kept from
+// before the step must be reported, not land in the next owner's buffer.
+TEST(GradLifetime, WriteIntoReleasedGradientIsReported) {
+  // The thread pool may be running: re-exec the binary for the death test
+  // rather than fork a threaded process.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  nn::Param p(Shape{{64}});
+  nn::Sgd opt({&p}, 0.1f);
+  volatile float* stale = p.grad_data();
+  opt.step();
+  ASSERT_TRUE(p.grad.empty());
+  EXPECT_DEATH(stale[0] = 1.0f, "use-after-poison");
+}
+#endif
 
 TEST(Sequential, SliceMovesLayers) {
   Rng rng(19);

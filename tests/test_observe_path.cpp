@@ -3,8 +3,10 @@
 // loop, Conv2d and Linear (whose one forward body reads rows by pointer)
 // against cham::ref GEMMs over an in-test im2col of stacked copies, the
 // batched Eq. 6 scorer against a one-row-at-a-time scorer, the hoisted SGD
-// update against the per-element formula. Also pins down that a small
-// model's steady observes never wake the thread pool.
+// update against the per-element formula, the served head's per-layer
+// update against zero_grad, backward and one whole-model step. Also pins
+// down that no gradient outlives an observe, and that a small model's
+// steady observes never wake the thread pool.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <functional>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -19,6 +22,8 @@
 #include "core/long_term_memory.h"
 #include "data/latent_cache.h"
 #include "nn/layers.h"
+#include "nn/loss.h"
+#include "nn/mobilenet.h"
 #include "nn/sequential.h"
 #include "nn/sgd.h"
 #include "tensor/gemm.h"
@@ -651,6 +656,139 @@ TEST(BatchedPrototypeScoring, MatchesPerRowScoring) {
   EXPECT_EQ(rng_batch.state(), rng_ref.state());
   expect_same_entries(lt_batch, lt_row);
   expect_same_entries(lt_batch, lt_ref);
+}
+
+// -------------------------------------------- served head train step
+
+// The served head (MobileNetV1 at 32x32, width 0.5, split after conv layer
+// 21: 256x2x2 latents, 6 classes) with frozen BN statistics, as a serving
+// session builds it; weights are drawn, not pretrained.
+std::unique_ptr<nn::Sequential> served_head() {
+  nn::MobileNetConfig mc;
+  mc.num_classes = 6;
+  Rng rng(27);
+  auto split = nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+  nn::freeze_batchnorm_stats(*split.g);
+  return std::move(split.g);
+}
+
+// HeadLearner with its train step exposed.
+class StepProbe : public core::HeadLearner {
+ public:
+  using HeadLearner::HeadLearner;
+  using HeadLearner::train_step;
+  void observe(const data::Batch& /*batch*/) override {}
+  std::string name() const override { return "StepProbe"; }
+  int64_t memory_overhead_bytes() const override { return 0; }
+};
+
+// HeadLearner::train_step applies each layer's update right after that
+// layer's backward. Over 6 steps it must leave the weights and return the
+// logits of zero_grad, a whole backward and one whole-model step on a copy
+// of the same head, bit for bit, at 1 and at 4 tensor threads, with no
+// gradient left bound after any step.
+TEST(ServedTrainStep, PerLayerApplyMatchesWholeModelStep) {
+  constexpr int64_t kRows = 30;
+  const Shape latent{{256, 2, 2}};
+  std::vector<float> latents(static_cast<size_t>(kRows * latent.numel()));
+  Rng fill(28);
+  for (auto& v : latents) v = std::max(0.0f, fill.normal_f(0.0f, 1.0f));
+  std::vector<const float*> rows;
+  for (int64_t r = 0; r < kRows; ++r) {
+    rows.push_back(latents.data() + r * latent.numel());
+  }
+  std::vector<int64_t> labels;
+  for (int64_t r = 0; r < kRows; ++r) labels.push_back((r * 7) % 6);
+  core::LearnerEnv env;
+  env.head_factory = served_head;
+  env.latent_shape = latent;
+  env.lr = 0.02f;
+
+  const int threads_before = num_threads();
+  for (int threads : {1, 4}) {
+    set_num_threads(threads);
+    StepProbe probe(env, /*seed=*/3);
+    auto ref = served_head();
+    nn::copy_params(probe.head(), *ref);
+    ref->set_needs_input_grad(false);
+    nn::Sgd ref_opt(ref->params(), env.lr);
+    const auto pp = probe.head().params();
+    const auto rp = ref->params();
+    ASSERT_EQ(pp.size(), rp.size());
+    for (int step = 0; step < 6; ++step) {
+      // Each step trains on a rotation of the rows, so no two steps agree.
+      std::rotate(rows.begin(), rows.begin() + 7, rows.end());
+      const nn::GatherBatch gb{rows.data(), kRows, latent};
+      const Tensor logits = probe.train_step(gb, labels);
+      ref_opt.zero_grad();
+      const Tensor ref_logits = ref->forward_gather(gb, /*train=*/true);
+      (void)ref->backward(nn::softmax_cross_entropy(ref_logits, labels).grad);
+      ref_opt.step();
+      EXPECT_TRUE(same_bits(logits, ref_logits))
+          << threads << " threads, step " << step;
+      for (size_t i = 0; i < pp.size(); ++i) {
+        EXPECT_TRUE(pp[i]->grad.empty())
+            << "param " << i << " kept its gradient after step " << step;
+      }
+    }
+    for (size_t i = 0; i < pp.size(); ++i) {
+      EXPECT_TRUE(same_bits(pp[i]->value, rp[i]->value))
+          << threads << " threads, param " << i;
+    }
+  }
+  set_num_threads(threads_before);
+}
+
+// A served-config ChameleonLearner (the served head over latents of its
+// own frozen backbone, lt_capacity 18) holds no gradient between observes:
+// after every observe, and after a predict, each head Param::grad is empty.
+TEST(ServedTrainStep, NoGradientBetweenObserves) {
+  data::DatasetConfig data_cfg = data::core50_config();
+  data_cfg.num_classes = 6;
+  data_cfg.num_domains = 2;
+  data_cfg.train_instances = 5;
+  nn::MobileNetConfig mc;
+  mc.num_classes = 6;
+  Rng rng(29);
+  nn::SplitModel split =
+      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+  data::LatentCache latents(data_cfg, *split.f);
+  core::LearnerEnv env;
+  env.data_cfg = &data_cfg;
+  env.latents = &latents;
+  env.latent_shape = split.latent_shape;
+  env.f_fwd_macs = split.f->macs_per_sample();
+  env.lr = 0.02f;
+  env.head_factory = served_head;
+  core::ChameleonConfig cc;
+  cc.lt_capacity = 18;
+  core::ChameleonLearner learner(env, cc, /*seed=*/1);
+
+  const auto params = learner.head().params();
+  const auto no_grad_bound = [&] {
+    for (nn::Param* p : params) {
+      if (!p->grad.empty()) return false;
+    }
+    return true;
+  };
+  EXPECT_TRUE(no_grad_bound()) << "a new learner holds a gradient";
+  std::vector<data::ImageKey> eval_keys;
+  for (int64_t s = 0; s < 24; ++s) {
+    data::Batch b;
+    b.domain = 0;
+    for (int64_t i = 0; i < 10; ++i) {
+      const int64_t j = s * 10 + i;
+      b.keys.push_back({static_cast<int32_t>(j % 6), 0,
+                        static_cast<int32_t>(j % 5), false});
+      b.labels.push_back(j % 6);
+    }
+    learner.observe(b);
+    EXPECT_TRUE(no_grad_bound()) << "after observe " << s;
+    if (s == 0) eval_keys = b.keys;
+  }
+  (void)learner.predict(eval_keys);
+  EXPECT_TRUE(no_grad_bound()) << "after a predict";
+  EXPECT_GT(learner.stats().g_bwd_macs, 0.0);
 }
 
 // ------------------------------------------- no pool wake-ups when small
