@@ -33,6 +33,17 @@
 //             call pairs kept after dropping stalled ones. Gate: the rows
 //             cover >= 95% of the measured call.
 //
+//   served_resident  Where a resident session's memory goes: 13
+//             served-config ChameleonLearners (the served head over
+//             latents of its own frozen backbone, lt_capacity 18), 20
+//             observes each at one tensor thread, all kept alive.
+//             Workspace-pool capacity per additional resident learner,
+//             split into head state (weights, BatchNorm running statistics
+//             and inverse std), replay state (ST and LT slabs) and the
+//             remainder. Gate: the remainder is no larger than the pool's
+//             size-class rounding of the first two, i.e. a learner at rest
+//             holds no state of its last train step.
+//
 //   ./build/bench/bench_observe [--steps N] [--out PATH]
 //
 // Any other argument is refused (exit 2) before anything runs or is
@@ -46,6 +57,7 @@
 #include <new>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/chameleon.h"
@@ -58,6 +70,7 @@
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/thread_pool.h"
+#include "tensor/workspace.h"
 
 // ---------------------------------------------------------------------------
 // Counting global new/delete (same idiom as bench_kernels): every heap
@@ -508,6 +521,145 @@ ServedReport run_served_predict(int64_t keys, int64_t calls) {
   return rep;
 }
 
+// ---------------------------------------------------------------------------
+// Served sessions at rest: what each additional resident learner holds.
+
+// Bytes of a run of pool blocks, raw and at the pool's size classes.
+struct PoolBytes {
+  int64_t raw = 0, pooled = 0;
+  void add(int64_t bytes) {
+    if (bytes <= 0) return;
+    raw += bytes;
+    pooled += static_cast<int64_t>(
+        ws::pool_block_bytes(static_cast<size_t>(bytes)));
+  }
+  void add_floats(int64_t n) { add(n * static_cast<int64_t>(sizeof(float))); }
+};
+
+// The head's pool blocks at rest: its parameters, and each BatchNorm's
+// running mean, running variance and inverse std (one channel-sized tensor
+// each).
+void add_head_state(nn::Sequential& g, PoolBytes& b) {
+  for (nn::Param* p : g.params()) b.add_floats(p->numel());
+  for (int64_t i = 0; i < g.size(); ++i) {
+    const auto* bn = dynamic_cast<const nn::BatchNorm2d*>(&g.layer(i));
+    if (bn == nullptr) continue;
+    for (int k = 0; k < 3; ++k) b.add_floats(bn->running_mean().numel());
+  }
+}
+
+// The ST slab and every configured LT class slab.
+void add_replay_state(const core::ChameleonLearner& l, int64_t classes,
+                      PoolBytes& b) {
+  const auto add_slab = [&](const replay::SlotStore& s) {
+    if (s.configured()) b.add_floats(s.capacity() * s.row_numel());
+  };
+  add_slab(l.short_term().store());
+  for (int64_t c = 0; c < classes; ++c) add_slab(l.long_term().class_store(c));
+}
+
+struct ResidentReport {
+  int64_t learners = 0, observes = 0;
+  // Per additional resident learner (learners 2..N against learner 1).
+  double pool_bytes = 0;
+  double head_bytes = 0, replay_bytes = 0;  // raw
+  double rounding_bytes = 0;  // size-class rounding of head + replay
+  double remainder_bytes = 0;  // pool_bytes - head_bytes - replay_bytes
+  bool holds_no_step_state = false;  // remainder <= rounding
+};
+
+ResidentReport run_served_resident(int64_t learners, int64_t observes) {
+  constexpr int64_t kClasses = 6;
+  data::DatasetConfig data_cfg = data::core50_config();
+  data_cfg.num_classes = kClasses;
+  data_cfg.num_domains = 2;
+  data_cfg.train_instances = 5;
+  nn::MobileNetConfig mc;
+  mc.num_classes = kClasses;
+  Rng rng(29);
+  nn::SplitModel split =
+      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+  nn::freeze_batchnorm_stats(*split.f);
+  data::LatentCache latents(data_cfg, *split.f);
+  core::LearnerEnv env;
+  env.data_cfg = &data_cfg;
+  env.latents = &latents;
+  env.latent_shape = split.latent_shape;
+  env.f_fwd_macs = split.f->macs_per_sample();
+  env.lr = 0.02f;
+  env.head_factory = [mc] {
+    Rng hrng(27);
+    auto g = std::move(
+        nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, hrng), 21).g);
+    nn::freeze_batchnorm_stats(*g);
+    return g;
+  };
+  core::ChameleonConfig cc;
+  cc.lt_capacity = 18;
+  // 10-key batches over 30 distinct keys (6 classes x 5 instances).
+  const auto batch = [](int64_t s) {
+    data::Batch b;
+    b.domain = 0;
+    for (int64_t i = 0; i < 10; ++i) {
+      const int64_t j = s * 10 + i;
+      b.keys.push_back({static_cast<int32_t>(j % kClasses), 0,
+                        static_cast<int32_t>(j % 5), false});
+      b.labels.push_back(j % kClasses);
+    }
+    return b;
+  };
+  // The latent cache belongs to the environment: fill it first.
+  std::vector<data::ImageKey> keys;
+  for (int64_t s = 0; s < 3; ++s) {
+    for (const auto& k : batch(s).keys) keys.push_back(k);
+  }
+  latents.warm(keys);
+
+  const int saved_threads = num_threads();
+  set_num_threads(1);
+  std::vector<std::unique_ptr<core::ChameleonLearner>> resident;
+  PoolBytes head, replay;
+  int64_t after_first = 0;
+  for (int64_t n = 0; n < learners; ++n) {
+    // Each learner is built and trained on a fresh thread that then exits.
+    // A block parked in a thread's pool cache still counts as in use, and
+    // the exit hands the parked blocks back, so the gauge's growth is
+    // exactly what the resident learners hold.
+    std::thread([&] {
+      resident.push_back(std::make_unique<core::ChameleonLearner>(
+          env, cc, /*seed=*/static_cast<uint64_t>(n + 1)));
+      for (int64_t s = 0; s < observes; ++s) {
+        resident.back()->observe(batch(s));
+      }
+    }).join();
+    core::ChameleonLearner& l = *resident.back();
+    if (n == 0) {
+      after_first = ws::stats().pool_bytes_in_use;
+      continue;
+    }
+    add_head_state(l.head(), head);
+    add_replay_state(l, kClasses, replay);
+  }
+  const int64_t after_all = ws::stats().pool_bytes_in_use;
+  set_num_threads(saved_threads);
+
+  ResidentReport rep;
+  rep.learners = learners;
+  rep.observes = observes;
+  const int64_t held = after_all - after_first;
+  const int64_t remainder = held - head.raw - replay.raw;
+  const int64_t rounding =
+      head.pooled - head.raw + replay.pooled - replay.raw;
+  const auto extra = static_cast<double>(learners - 1);
+  rep.pool_bytes = static_cast<double>(held) / extra;
+  rep.head_bytes = static_cast<double>(head.raw) / extra;
+  rep.replay_bytes = static_cast<double>(replay.raw) / extra;
+  rep.rounding_bytes = static_cast<double>(rounding) / extra;
+  rep.remainder_bytes = static_cast<double>(remainder) / extra;
+  rep.holds_no_step_state = remainder <= rounding;
+  return rep;
+}
+
 double gmacs_per_s(const StageRow& st) {
   const double ms = st.fwd_ms + st.bwd_ms;
   return ms > 0 ? st.macs / (ms * 1e6) : 0.0;
@@ -598,18 +750,32 @@ int main(int argc, char** argv) {
     print_report(p, "call");
   }
 
+  const ResidentReport rr = run_served_resident(13, 20);
+  constexpr double kMiB = 1024.0 * 1024.0;
+  std::printf(
+      "\nserved sessions at rest (%lld learners, %lld observes each, 1 "
+      "thread), pool bytes per additional learner: %.3f MiB = head %.3f + "
+      "replay %.3f + remainder %.3f MiB (size-class rounding %.3f MiB)\n",
+      static_cast<long long>(rr.learners),
+      static_cast<long long>(rr.observes), rr.pool_bytes / kMiB,
+      rr.head_bytes / kMiB, rr.replay_bytes / kMiB,
+      rr.remainder_bytes / kMiB, rr.rounding_bytes / kMiB);
+
   const bool gate_zero_alloc = r.plain_max_allocs == 0;
   const bool gate_bwd = r.bwd_macs_after < r.bwd_macs_before && ratio < 2.0;
   const bool gate_ledger = r.ledger_consistent;
   const bool gate_served = sv.coverage >= 0.95;
   const bool gate_predict =
       pv[0].coverage >= 0.95 && pv[1].coverage >= 0.95;
+  const bool gate_resident = rr.holds_no_step_state;
   std::printf(
       "\ngates: steady zero-alloc %s, bwd < 2x fwd %s, ledger exact %s, "
-      "served rows cover the step %s, predict rows cover the call %s\n",
+      "served rows cover the step %s, predict rows cover the call %s, "
+      "resident learners hold no step state %s\n",
       gate_zero_alloc ? "PASS" : "FAIL",
       gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL",
-      gate_served ? "PASS" : "FAIL", gate_predict ? "PASS" : "FAIL");
+      gate_served ? "PASS" : "FAIL", gate_predict ? "PASS" : "FAIL",
+      gate_resident ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (!json) {
@@ -646,13 +812,25 @@ int main(int argc, char** argv) {
     write_report_json(json, pv[i], "calls", "      ");
     std::fprintf(json, "%s\n", i + 1 < std::size(pv) ? "," : "");
   }
-  std::fprintf(json, "  ],\n  \"gate_predict_rows_cover_call\": %s\n}\n",
+  std::fprintf(json, "  ],\n  \"gate_predict_rows_cover_call\": %s,\n",
                gate_predict ? "true" : "false");
+  std::fprintf(
+      json,
+      "  \"served_resident\": {\n"
+      "    \"learners\": %lld, \"observes_each\": %lld, \"threads\": 1,\n"
+      "    \"pool_bytes_per_learner\": %.0f,\n"
+      "    \"head_bytes\": %.0f, \"replay_bytes\": %.0f,\n"
+      "    \"remainder_bytes\": %.0f, \"size_class_rounding_bytes\": %.0f\n"
+      "  },\n  \"gate_resident_holds_no_step_state\": %s\n}\n",
+      static_cast<long long>(rr.learners),
+      static_cast<long long>(rr.observes), rr.pool_bytes, rr.head_bytes,
+      rr.replay_bytes, rr.remainder_bytes, rr.rounding_bytes,
+      gate_resident ? "true" : "false");
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
   return (gate_zero_alloc && gate_bwd && gate_ledger && gate_served &&
-          gate_predict)
+          gate_predict && gate_resident)
              ? 0
              : 1;
 }

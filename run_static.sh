@@ -27,7 +27,8 @@
 #                               depthwise kernels instead
 #   8. ASan+UBSan leg           test_checkpoint, test_memories,
 #                               test_serialize_augment, test_gemm, test_nn,
-#                               test_gradients and test_observe_path, and
+#                               test_gradients, test_observe_path,
+#                               test_contracts and test_gather_path, and
 #                               test_net's NetProtocol.* cases, under
 #                               -fsanitize=address,undefined: the suites
 #                               that feed forged bytes to the checkpoint,
@@ -39,7 +40,10 @@
 #                               that bind gradient buffers from the
 #                               workspace pool and release them within the
 #                               step, where a write into a released buffer
-#                               must fail loudly
+#                               must fail loudly, and the layer backwards
+#                               that release their forward's x-hat, mask,
+#                               input copy and row table on return, where a
+#                               read of a released one must too
 #
 # Exits non-zero on the first failing stage. run_all.sh invokes this before
 # regenerating any outputs; set CHAM_SKIP_STATIC=1 there to bypass during
@@ -104,10 +108,11 @@ cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
   || fail "ASan+UBSan (cmake configure)"
 cmake --build build-aubsan -j"$(nproc)" \
   --target test_checkpoint test_memories test_serialize_augment test_gemm \
-  test_nn test_gradients test_observe_path test_net \
+  test_nn test_gradients test_observe_path test_contracts test_gather_path \
+  test_net \
   || fail "ASan+UBSan build"
 for t in test_checkpoint test_memories test_serialize_augment test_gemm \
-  test_nn test_gradients test_observe_path; do
+  test_nn test_gradients test_observe_path test_contracts test_gather_path; do
   ./build-aubsan/tests/"$t" --gtest_brief=1 || fail "ASan+UBSan $t"
 done
 ./build-aubsan/tests/test_net --gtest_brief=1 --gtest_filter='NetProtocol.*' \

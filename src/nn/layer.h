@@ -56,7 +56,8 @@ struct Param {
 // Ownership: the caller owns both the pointer array and the gathered
 // storage, and must keep every row valid until the consuming call returns —
 // and, for a train-mode forward, until the matching backward() completes
-// (layers cache the row pointers, not a copy of the data).
+// (layers cache the row pointers, not a copy of the data, and that
+// backward drops them).
 struct GatherBatch {
   const float* const* rows = nullptr;
   int64_t n = 0;
@@ -94,6 +95,11 @@ class Layer {
   // When needs_input_grad() is false the input-gradient computation is
   // skipped and an empty Tensor is returned (parameter grads are still
   // accumulated, in the same order — bit-identical to the unelided pass).
+  // One backward per train-mode forward: backward consumes the state that
+  // forward cached (x-hat, ReLU mask, input copy, row pointers) and
+  // releases it on return, so activations live only inside a train step
+  // and a second backward without a train forward in between fails its
+  // CHAM_CHECK.
   virtual Tensor backward(const Tensor& grad_out) = 0;
 
   // Forward over a gathered batch. Only a layer that can start a head
@@ -152,8 +158,10 @@ class Layer {
 // at x's samples and runs the same body, so the two entries cannot
 // diverge. A train-mode forward_gather caches the caller's row pointers in
 // cached_rows_ for backward; in train mode the adapter first copies x into
-// cached_input_ (capacity reused) and points the rows there, since the
-// caller's tensor may be gone by backward().
+// cached_input_ and points the rows there, since the caller's tensor may
+// be gone by backward(). Each backward opens a ConsumesForward first, so
+// the copy goes back to the workspace pool and the row table is cleared
+// when it returns.
 class GatherLayer : public Layer {
  public:
   Tensor forward(const Tensor& x, bool train) final {
@@ -171,7 +179,26 @@ class GatherLayer : public Layer {
   explicit GatherLayer(bool backward_reads_input = true)
       : backward_reads_input_(backward_reads_input) {}
 
-  // Rows of the last train-mode forward, read by backward.
+  // Releases the train forward's state when the backward that opened it
+  // returns or throws: the input copy goes back to the pool, and the row
+  // table is emptied but keeps its capacity (it is std-allocated), so the
+  // next step's forward allocates nothing for it.
+  class ConsumesForward {
+   public:
+    explicit ConsumesForward(GatherLayer& layer) : layer_(layer) {}
+    ~ConsumesForward() {
+      layer_.cached_input_ = Tensor();
+      layer_.cached_rows_.clear();
+    }
+    ConsumesForward(const ConsumesForward&) = delete;
+    ConsumesForward& operator=(const ConsumesForward&) = delete;
+
+   private:
+    GatherLayer& layer_;
+  };
+
+  // Rows of the last train-mode forward, read by backward; empty once that
+  // backward returns.
   std::vector<const float*> cached_rows_;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "tensor/gemm.h"
@@ -259,7 +260,7 @@ Conv2d::Conv2d(int64_t in_c, int64_t out_c, int64_t in_h, int64_t in_w,
       out_c_(out_c),
       has_bias_(bias),
       weight_(Shape{{out_c, in_c * kernel * kernel}}),
-      bias_(Shape{{out_c}}) {
+      bias_(Shape{{bias ? out_c : 0}}) {
   if (init) he_init(weight_.value, in_c * kernel * kernel, rng);
 }
 
@@ -346,6 +347,7 @@ Tensor Conv2d::forward_gather(const GatherBatch& gb, bool train) {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
+  const ConsumesForward consumed(*this);
   const auto batch = static_cast<int64_t>(cached_rows_.size());
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   const int64_t opix = oh * ow;
@@ -704,6 +706,7 @@ int64_t DepthwiseConv2d::backward_lanes(const float* go, float* gw,
 }
 
 Tensor DepthwiseConv2d::backward(const Tensor& grad_out) {
+  const ConsumesForward consumed(*this);
   const auto batch = static_cast<int64_t>(cached_rows_.size());
   const int64_t oh = geo_.out_h(), ow = geo_.out_w();
   check_grad_shape(grad_out, Shape{{batch, geo_.in_c, oh, ow}},
@@ -811,17 +814,15 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
   }
 
   // One pass: read x, write the output (and x-hat for backward) through
-  // no-alias pointers. The caches keep their storage across steps; every
-  // element is overwritten.
+  // no-alias pointers. x-hat is bound here from the workspace pool and
+  // lives until the backward that consumes it; inv_std keeps its storage.
   Tensor out(x.shape());
   // Compare shapes, not numel: an empty Tensor's rank-0 shape has numel 1,
   // which left a 1-channel layer writing through a null pointer.
   if (cached_inv_std_.shape() != Shape{{channels_}}) {
     cached_inv_std_ = Tensor({channels_});
   }
-  if (train && cached_xhat_.shape() != x.shape()) {
-    cached_xhat_ = Tensor(x.shape());
-  }
+  if (train) cached_xhat_ = Tensor(x.shape());
   parallel_for(
       0, channels_,
       [&](int64_t c0, int64_t c1) {
@@ -844,8 +845,11 @@ Tensor BatchNorm2d::forward(const Tensor& x, bool train) {
 }
 
 Tensor BatchNorm2d::backward(const Tensor& grad_out) {
-  CHAM_CHECK(!cached_xhat_.empty(), "backward without train-mode forward");
-  CHAM_CHECK(grad_out.shape() == cached_xhat_.shape(),
+  // Released to the pool on return: this backward consumes the forward's
+  // x-hat.
+  const Tensor xhat = std::exchange(cached_xhat_, Tensor());
+  CHAM_CHECK(!xhat.empty(), "backward without train-mode forward");
+  CHAM_CHECK(grad_out.shape() == xhat.shape(),
              "BatchNorm2d grad " + grad_out.shape().to_string());
   const int64_t batch = grad_out.dim(0), hw = grad_out.dim(2) * grad_out.dim(3);
   Tensor grad_in(grad_out.shape());
@@ -858,12 +862,12 @@ Tensor BatchNorm2d::backward(const Tensor& grad_out) {
       [&](int64_t c0, int64_t c1) {
         const ChannelBlock blk{batch, channels_, hw, c0, c1};
         if (cached_train_mode_) {
-          bn_backward_block<true>(blk, grad_out.data(), cached_xhat_.data(),
+          bn_backward_block<true>(blk, grad_out.data(), xhat.data(),
                                   gamma_.value.data(), cached_inv_std_.data(),
                                   sum_g_.data(), sum_gx_.data(),
                                   grad_in.data());
         } else {
-          bn_backward_block<false>(blk, grad_out.data(), cached_xhat_.data(),
+          bn_backward_block<false>(blk, grad_out.data(), xhat.data(),
                                    gamma_.value.data(), cached_inv_std_.data(),
                                    sum_g_.data(), sum_gx_.data(),
                                    grad_in.data());
@@ -906,17 +910,21 @@ Tensor ReLU::forward(const Tensor& x, bool train) {
 }
 
 Tensor ReLU::backward(const Tensor& grad_out) {
-  CHAM_CHECK(!mask_.empty() || grad_out.numel() == 0,
+  // Released to the pool on return: this backward consumes the forward's
+  // mask.
+  decltype(mask_) mask;
+  mask.swap(mask_);
+  CHAM_CHECK(!mask.empty() || grad_out.numel() == 0,
              "backward without train-mode forward");
-  CHAM_CHECK(static_cast<int64_t>(mask_.size()) == grad_out.numel(),
+  CHAM_CHECK(static_cast<int64_t>(mask.size()) == grad_out.numel(),
              "ReLU grad " + grad_out.shape().to_string() +
                  " does not match forward activation count " +
-                 std::to_string(mask_.size()));
+                 std::to_string(mask.size()));
   Tensor grad_in(grad_out.shape());
   parallel_for(
       0, grad_in.numel(),
       [&](int64_t i0, int64_t i1) {
-        mask_span(grad_out.data() + i0, mask_.data() + i0, i1 - i0,
+        mask_span(grad_out.data() + i0, mask.data() + i0, i1 - i0,
                   grad_in.data() + i0);
       },
       kChunkElems);
@@ -958,12 +966,12 @@ Tensor GlobalAvgPool::forward_gather(const GatherBatch& gb, bool train) {
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
-  CHAM_CHECK(cached_in_shape_.rank() == 4,
-             "backward without train-mode forward");
-  const int64_t batch = cached_in_shape_[0], ch = cached_in_shape_[1],
-                hw = cached_in_shape_[2] * cached_in_shape_[3];
+  const Shape in_shape = std::exchange(cached_in_shape_, Shape());
+  CHAM_CHECK(in_shape.rank() == 4, "backward without train-mode forward");
+  const int64_t batch = in_shape[0], ch = in_shape[1],
+                hw = in_shape[2] * in_shape[3];
   check_grad_shape(grad_out, Shape{{batch, ch}}, "GlobalAvgPool");
-  Tensor grad_in(cached_in_shape_);
+  Tensor grad_in(in_shape);
   const float inv = 1.0f / static_cast<float>(hw);
   const float* go = grad_out.data();
   float* gi = grad_in.data();
@@ -1001,6 +1009,7 @@ Tensor Linear::forward_gather(const GatherBatch& gb, bool train) {
 }
 
 Tensor Linear::backward(const Tensor& grad_out) {
+  const ConsumesForward consumed(*this);
   const auto batch = static_cast<int64_t>(cached_rows_.size());
   check_grad_shape(grad_out, Shape{{batch, out_dim_}}, "Linear");
   // dW += dY^T @ X  (out x batch) @ (batch x in)

@@ -33,7 +33,7 @@ class Conv2d : public GatherLayer {
   int64_t out_c_;
   bool has_bias_;
   Param weight_;  // out_c x (in_c*k*k)
-  Param bias_;    // out_c
+  Param bias_;    // out_c, or no storage without a bias
   // Column-pointer scratch of the gathered pointwise forward (capacity is
   // reused across steps, so the steady state allocates nothing).
   std::vector<const float*> colptr_scratch_;
@@ -114,9 +114,9 @@ class BatchNorm2d : public Layer {
   bool track_stats_ = true;
   Param gamma_, beta_;
   Tensor running_mean_, running_var_;
-  // Cached for backward.
+  // x-hat of the last train forward, held until its backward consumes it.
   Tensor cached_xhat_;
-  Tensor cached_inv_std_;  // per-channel
+  Tensor cached_inv_std_;  // per-channel, kept across steps
   bool cached_train_mode_ = false;
   // Backward's per-channel sums of dY and dY * x-hat (capacity reused).
   std::vector<double> sum_g_, sum_gx_;
@@ -133,7 +133,8 @@ class ReLU : public Layer {
   float clip_;
   // One byte per element recording whether the gradient passes — all the
   // backward needs. Replaces a full deep copy of the input (4x the bytes
-  // and a second traversal), recorded during the forward pass itself.
+  // and a second traversal), recorded during the train forward itself and
+  // released by the backward that reads it.
   std::vector<uint8_t, ws::PoolAllocator<uint8_t>> mask_;
 };
 
@@ -146,7 +147,7 @@ class GlobalAvgPool : public GatherLayer {
   std::string name() const override { return "GlobalAvgPool"; }
 
  private:
-  Shape cached_in_shape_;
+  Shape cached_in_shape_;  // rank 0 outside a train step
 };
 
 // Fully connected layer on NxD inputs.

@@ -136,6 +136,10 @@ LocalCache::~LocalCache() {
 
 }  // namespace
 
+std::size_t pool_block_bytes(std::size_t bytes) {
+  return class_bytes(size_class(bytes));
+}
+
 void* pool_acquire(std::size_t bytes) {
   const int cls = size_class(bytes);
   CHAM_CHECK(cls < kNumClasses, "pool_acquire: oversized request of " +

@@ -54,6 +54,9 @@ void reset_stats();
 // agree on `bytes` for a given block, which allocator usage guarantees.
 void* pool_acquire(std::size_t bytes);
 void pool_release(void* p, std::size_t bytes);
+// The capacity pool_acquire(bytes) hands out and counts in
+// pool_bytes_in_use: the power-of-two size class of `bytes`, 64 B at least.
+std::size_t pool_block_bytes(std::size_t bytes);
 
 // Stateless std::vector allocator backed by the pool. All instances compare
 // equal, so pooled vectors move and swap freely across Tensors.

@@ -70,13 +70,16 @@ TEST(Contracts, TensorConstructionAndShapeContracts) {
 // Backward reads grad_out through raw pointers sized by the last train-mode
 // forward, so a grad whose batch or geometry differs must be refused, not
 // read out of bounds. Each case: the matching shape passes, then another
-// batch and another channel count are rejected.
+// batch and another channel count are rejected. Backward consumes its
+// forward's state, so each backward gets a train forward of its own.
 template <typename L>
 void expect_grad_shape_checked(L& layer, const Tensor& x, Shape good,
                                Shape other_batch, Shape other_channels) {
   (void)layer.forward(x, /*train=*/true);
   EXPECT_NO_THROW((void)layer.backward(Tensor(good)));
+  (void)layer.forward(x, /*train=*/true);
   EXPECT_THROW((void)layer.backward(Tensor(other_batch)), util::CheckError);
+  (void)layer.forward(x, /*train=*/true);
   EXPECT_THROW((void)layer.backward(Tensor(other_channels)),
                util::CheckError);
 }
@@ -126,6 +129,43 @@ TEST(Contracts, LinearBackwardChecksGradShape) {
   // Without any train-mode forward there is no batch to match.
   nn::Linear fresh(8, 3, rng);
   EXPECT_THROW((void)fresh.backward(Tensor({1, 3})), util::CheckError);
+#else
+  GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
+#endif
+}
+
+// One backward per train forward: the backward releases the forward's
+// state (row pointers, input copy, x-hat, mask), so a second backward of
+// the same gradient shape is refused instead of re-reading rows the caller
+// no longer keeps alive. A new train forward makes backward legal again.
+#if CHAM_CHECKS_LEVEL >= 1
+void expect_second_backward_refused(nn::Layer& layer, const Tensor& x) {
+  const Shape out = layer.forward(x, /*train=*/true).shape();
+  EXPECT_NO_THROW((void)layer.backward(Tensor(out))) << layer.name();
+  EXPECT_THROW((void)layer.backward(Tensor(out)), util::CheckError)
+      << layer.name();
+  (void)layer.forward(x, /*train=*/true);
+  EXPECT_NO_THROW((void)layer.backward(Tensor(out))) << layer.name();
+}
+#endif
+
+TEST(Contracts, SecondBackwardWithoutForwardIsRefused) {
+#if CHAM_CHECKS_LEVEL >= 1
+  Rng rng(6);
+  nn::Conv2d conv(4, 6, 5, 5, 3, 2, 1, true, rng);
+  expect_second_backward_refused(conv, Tensor({3, 4, 5, 5}));
+  nn::Conv2d pointwise(4, 6, 2, 2, 1, 1, 0, false, rng);
+  expect_second_backward_refused(pointwise, Tensor({3, 4, 2, 2}));
+  nn::DepthwiseConv2d dw(4, 4, 4, 3, 1, 1, rng);
+  expect_second_backward_refused(dw, Tensor({2, 4, 4, 4}));
+  nn::BatchNorm2d bn(4);
+  expect_second_backward_refused(bn, Tensor::full(Shape{{2, 4, 3, 3}}, 0.5f));
+  nn::ReLU relu(6.0f);
+  expect_second_backward_refused(relu, Tensor::full(Shape{{2, 4, 3, 3}}, 1.0f));
+  nn::GlobalAvgPool gap;
+  expect_second_backward_refused(gap, Tensor({2, 5, 2, 2}));
+  nn::Linear fc(8, 3, rng);
+  expect_second_backward_refused(fc, Tensor({4, 8}));
 #else
   GTEST_SKIP() << "checks compiled out (-DCHAM_CHECKS=off)";
 #endif

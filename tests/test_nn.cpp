@@ -2,10 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "nn/layers.h"
@@ -391,6 +394,35 @@ TEST(GradLifetime, PerLayerApplyMatchesWholeModelStep) {
     EXPECT_TRUE(lp[i]->grad.empty());
     EXPECT_TRUE(wp[i]->grad.empty());
     EXPECT_TRUE(same_bits(lp[i]->value, wp[i]->value)) << "param " << i;
+  }
+}
+
+// A −0 weight whose dW products are all −0 (negative inputs, dY = 0) must
+// stay −0 through one step. Accumulated into a zeroed gradient the
+// products sum to +0 + (−0) = +0, and −0 − lr·(+0) = −0. A dW kernel that
+// wrote a sum seeded with its first product would leave −0, and
+// −0 − lr·(−0) = +0: the sign bit would flip and the learner's output bits
+// with it. A change to how dW reaches the gradient has to pass this or
+// re-baseline on purpose.
+TEST(SgdExact, NegativeZeroWeightKeepsSignUnderZeroGradient) {
+  Rng rng(101);
+  nn::Conv2d pointwise(2, 3, 2, 2, 1, 1, 0, /*bias=*/false, rng);
+  nn::Linear fc(4, 3, rng);
+  const std::vector<std::pair<nn::Layer*, Shape>> cases = {
+      {&pointwise, Shape{{2, 2, 2, 2}}}, {&fc, Shape{{2, 4}}}};
+  for (const auto& [layer, in_shape] : cases) {
+    nn::Param* w = layer->params()[0];
+    w->value.fill(-0.0f);
+    nn::Sgd opt(layer->params(), 0.1f);
+    opt.zero_grad();
+    const Shape out =
+        layer->forward(Tensor::full(in_shape, -1.5f), /*train=*/true).shape();
+    (void)layer->backward(Tensor(out));  // dY = 0
+    opt.step();
+    for (int64_t j = 0; j < w->numel(); ++j) {
+      EXPECT_EQ(std::bit_cast<uint32_t>(w->value[j]), 0x80000000u)
+          << layer->name() << " weight " << j << " lost its sign";
+    }
   }
 }
 

@@ -15,6 +15,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "tensor/gemm.h"
 #include "tensor/ops.h"
 #include "tensor/thread_pool.h"
+#include "tensor/workspace.h"
 
 namespace cham {
 namespace {
@@ -739,30 +741,52 @@ TEST(ServedTrainStep, PerLayerApplyMatchesWholeModelStep) {
   set_num_threads(threads_before);
 }
 
-// A served-config ChameleonLearner (the served head over latents of its
-// own frozen backbone, lt_capacity 18) holds no gradient between observes:
+// A served-config ChameleonLearner's world: the served head over latents of
+// its own frozen backbone, lt_capacity 18, and a fixed stream of 10-key
+// batches over 30 distinct keys (6 classes x 5 instances).
+struct ServedLearnerEnv {
+  data::DatasetConfig data_cfg = data::core50_config();
+  nn::SplitModel split;
+  std::unique_ptr<data::LatentCache> latents;
+  core::LearnerEnv env;
+  core::ChameleonConfig cc;
+
+  ServedLearnerEnv() {
+    data_cfg.num_classes = 6;
+    data_cfg.num_domains = 2;
+    data_cfg.train_instances = 5;
+    nn::MobileNetConfig mc;
+    mc.num_classes = 6;
+    Rng rng(29);
+    split = nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *split.f);
+    env.data_cfg = &data_cfg;
+    env.latents = latents.get();
+    env.latent_shape = split.latent_shape;
+    env.f_fwd_macs = split.f->macs_per_sample();
+    env.lr = 0.02f;
+    env.head_factory = served_head;
+    cc.lt_capacity = 18;
+  }
+
+  static data::Batch batch(int64_t s) {
+    data::Batch b;
+    b.domain = 0;
+    for (int64_t i = 0; i < 10; ++i) {
+      const int64_t j = s * 10 + i;
+      b.keys.push_back({static_cast<int32_t>(j % 6), 0,
+                        static_cast<int32_t>(j % 5), false});
+      b.labels.push_back(j % 6);
+    }
+    return b;
+  }
+};
+
+// A served-config ChameleonLearner holds no gradient between observes:
 // after every observe, and after a predict, each head Param::grad is empty.
 TEST(ServedTrainStep, NoGradientBetweenObserves) {
-  data::DatasetConfig data_cfg = data::core50_config();
-  data_cfg.num_classes = 6;
-  data_cfg.num_domains = 2;
-  data_cfg.train_instances = 5;
-  nn::MobileNetConfig mc;
-  mc.num_classes = 6;
-  Rng rng(29);
-  nn::SplitModel split =
-      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
-  data::LatentCache latents(data_cfg, *split.f);
-  core::LearnerEnv env;
-  env.data_cfg = &data_cfg;
-  env.latents = &latents;
-  env.latent_shape = split.latent_shape;
-  env.f_fwd_macs = split.f->macs_per_sample();
-  env.lr = 0.02f;
-  env.head_factory = served_head;
-  core::ChameleonConfig cc;
-  cc.lt_capacity = 18;
-  core::ChameleonLearner learner(env, cc, /*seed=*/1);
+  ServedLearnerEnv served;
+  core::ChameleonLearner learner(served.env, served.cc, /*seed=*/1);
 
   const auto params = learner.head().params();
   const auto no_grad_bound = [&] {
@@ -774,14 +798,7 @@ TEST(ServedTrainStep, NoGradientBetweenObserves) {
   EXPECT_TRUE(no_grad_bound()) << "a new learner holds a gradient";
   std::vector<data::ImageKey> eval_keys;
   for (int64_t s = 0; s < 24; ++s) {
-    data::Batch b;
-    b.domain = 0;
-    for (int64_t i = 0; i < 10; ++i) {
-      const int64_t j = s * 10 + i;
-      b.keys.push_back({static_cast<int32_t>(j % 6), 0,
-                        static_cast<int32_t>(j % 5), false});
-      b.labels.push_back(j % 6);
-    }
+    const data::Batch b = ServedLearnerEnv::batch(s);
     learner.observe(b);
     EXPECT_TRUE(no_grad_bound()) << "after observe " << s;
     if (s == 0) eval_keys = b.keys;
@@ -789,6 +806,71 @@ TEST(ServedTrainStep, NoGradientBetweenObserves) {
   (void)learner.predict(eval_keys);
   EXPECT_TRUE(no_grad_bound()) << "after a predict";
   EXPECT_GT(learner.stats().g_bwd_macs, 0.0);
+}
+
+// Pool capacity of a block of `n` floats.
+int64_t pool_floats_bytes(int64_t n) {
+  return static_cast<int64_t>(
+      ws::pool_block_bytes(static_cast<size_t>(n) * sizeof(float)));
+}
+
+int64_t slab_pool_bytes(const replay::SlotStore& s) {
+  return s.configured() ? pool_floats_bytes(s.capacity() * s.row_numel()) : 0;
+}
+
+// Nor does it hold any activation: after 24 observes the workspace-pool
+// capacity the learner holds is at most its head's state (weights, and
+// BatchNorm's running statistics and inverse std) plus its ST and LT
+// slabs, each rounded up to its pool size class. No x-hat, ReLU mask or
+// input copy of its last step may remain. The staged LT refs and the row
+// tables are std-allocated and take no pool capacity.
+TEST(ServedTrainStep, NoStepStateBetweenObserves) {
+  ServedLearnerEnv served;
+  std::vector<data::ImageKey> keys;
+  for (int64_t s = 0; s < 3; ++s) {
+    for (const auto& k : ServedLearnerEnv::batch(s).keys) keys.push_back(k);
+  }
+  // The latent cache's entries are the environment's, not the learner's:
+  // compute every one the stream reads before the baseline.
+  served.latents->warm(keys);
+
+  const int threads_before = num_threads();
+  set_num_threads(1);
+  const int64_t before = ws::stats().pool_bytes_in_use;
+  std::unique_ptr<core::ChameleonLearner> learner;
+  // The learner lives on a fresh thread that then exits: a block parked in
+  // a thread's pool cache still counts as in use, and the exit hands that
+  // thread's parked blocks back, so the gauge then counts only what the
+  // learner holds.
+  std::thread([&] {
+    learner = std::make_unique<core::ChameleonLearner>(served.env, served.cc,
+                                                       /*seed=*/1);
+    for (int64_t s = 0; s < 24; ++s) {
+      learner->observe(ServedLearnerEnv::batch(s));
+    }
+  }).join();
+  const int64_t held = ws::stats().pool_bytes_in_use - before;
+  set_num_threads(threads_before);
+
+  int64_t head_bytes = 0;
+  for (nn::Param* p : learner->head().params()) {
+    head_bytes += pool_floats_bytes(p->numel());
+  }
+  for (int64_t i = 0; i < learner->head().size(); ++i) {
+    const auto* bn =
+        dynamic_cast<const nn::BatchNorm2d*>(&learner->head().layer(i));
+    if (bn == nullptr) continue;
+    head_bytes += 3 * pool_floats_bytes(bn->running_mean().numel());
+  }
+  int64_t replay_bytes = slab_pool_bytes(learner->short_term().store());
+  for (int64_t c = 0; c < served.data_cfg.num_classes; ++c) {
+    replay_bytes += slab_pool_bytes(learner->long_term().class_store(c));
+  }
+  ASSERT_GT(learner->long_term().size(), 0) << "the LT never filled";
+  EXPECT_LE(held, head_bytes + replay_bytes)
+      << "held " << held << " B: head " << head_bytes << " B, replay "
+      << replay_bytes << " B, " << (held - head_bytes - replay_bytes)
+      << " B of step state left over";
 }
 
 // ------------------------------------------- no pool wake-ups when small

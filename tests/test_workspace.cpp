@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <thread>
 
 #include "core/chameleon.h"
 #include "data/latent_cache.h"
@@ -146,6 +147,21 @@ TEST(Pool, FreelistRecyclesBlocksLifo) {
   void* q = ws::pool_acquire(4096);
   EXPECT_EQ(q, p);  // most recently freed block of the class comes back
   ws::pool_release(q, 4096);
+}
+
+TEST(Pool, BlockBytesIsTheCapacityCountedInUse) {
+  EXPECT_EQ(ws::pool_block_bytes(1), 64u);
+  EXPECT_EQ(ws::pool_block_bytes(64), 64u);
+  EXPECT_EQ(ws::pool_block_bytes(65), 128u);
+  EXPECT_EQ(ws::pool_block_bytes(4096), 4096u);
+  // A fresh thread's cache is empty, so its acquire is counted globally.
+  std::thread([] {
+    const int64_t before = ws::stats().pool_bytes_in_use;
+    void* p = ws::pool_acquire(5000);
+    EXPECT_EQ(ws::stats().pool_bytes_in_use - before,
+              static_cast<int64_t>(ws::pool_block_bytes(5000)));
+    ws::pool_release(p, 5000);
+  }).join();
 }
 
 TEST(Pool, StatsCountHitsAndRefills) {
