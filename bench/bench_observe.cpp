@@ -44,6 +44,17 @@
 //             size-class rounding of the first two, i.e. a learner at rest
 //             holds no state of its last train step.
 //
+//   served_blob  What a served learner's CHS2 v7 session blob costs as it
+//             trains: after 1, 10, 100 and 1000 observes (one learner, one
+//             tensor thread, the same environment with the head's initial
+//             weights as the template), the blob's bytes, the bytes it
+//             would have with the head stored raw, the head section's
+//             encoded and raw bytes, and the median save_state (into a
+//             buffer reserved to state_bytes_bound(), as the serving
+//             snapshot does) and load_state times over 21 round trips.
+//             Gate: loading each blob and saving it again reproduces its
+//             bytes.
+//
 //   ./build/bench/bench_observe [--steps N] [--out PATH]
 //
 // Any other argument is refused (exit 2) before anything runs or is
@@ -56,17 +67,21 @@
 #include <cstring>
 #include <new>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/chameleon.h"
+#include "core/checkpoint.h"
 #include "data/latent_cache.h"
 #include "nn/layers.h"
 #include "nn/loss.h"
 #include "nn/mobilenet.h"
+#include "nn/model_io.h"
 #include "nn/sequential.h"
 #include "nn/sgd.h"
+#include "tensor/byte_mask.h"
 #include "tensor/rng.h"
 #include "tensor/tensor.h"
 #include "tensor/thread_pool.h"
@@ -568,36 +583,59 @@ struct ResidentReport {
   bool holds_no_step_state = false;  // remainder <= rounding
 };
 
-ResidentReport run_served_resident(int64_t learners, int64_t observes) {
-  constexpr int64_t kClasses = 6;
+// The served-config learner environment of the two blocks below: the
+// served head over latents of its own frozen backbone, 6 classes, with the
+// head's initial weights as the shared template blobs are encoded against.
+struct ServedSessionEnv {
+  static constexpr int64_t kClasses = 6;
   data::DatasetConfig data_cfg = data::core50_config();
-  data_cfg.num_classes = kClasses;
-  data_cfg.num_domains = 2;
-  data_cfg.train_instances = 5;
   nn::MobileNetConfig mc;
-  mc.num_classes = kClasses;
-  Rng rng(29);
-  nn::SplitModel split =
-      nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
-  nn::freeze_batchnorm_stats(*split.f);
-  data::LatentCache latents(data_cfg, *split.f);
+  nn::SplitModel split;
+  std::unique_ptr<data::LatentCache> latents;
+  std::unique_ptr<nn::Sequential> head_template;
   core::LearnerEnv env;
-  env.data_cfg = &data_cfg;
-  env.latents = &latents;
-  env.latent_shape = split.latent_shape;
-  env.f_fwd_macs = split.f->macs_per_sample();
-  env.lr = 0.02f;
-  env.head_factory = [mc] {
-    Rng hrng(27);
-    auto g = std::move(
-        nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, hrng), 21).g);
-    nn::freeze_batchnorm_stats(*g);
-    return g;
-  };
   core::ChameleonConfig cc;
-  cc.lt_capacity = 18;
+
+  ServedSessionEnv() {
+    data_cfg.num_classes = kClasses;
+    data_cfg.num_domains = 2;
+    data_cfg.train_instances = 5;
+    mc.num_classes = kClasses;
+    Rng rng(29);
+    split = nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, rng), 21);
+    nn::freeze_batchnorm_stats(*split.f);
+    latents = std::make_unique<data::LatentCache>(data_cfg, *split.f);
+    env.data_cfg = &data_cfg;
+    env.latents = latents.get();
+    env.latent_shape = split.latent_shape;
+    env.f_fwd_macs = split.f->macs_per_sample();
+    env.lr = 0.02f;
+    env.head_factory = [mc = mc] {
+      Rng hrng(27);
+      auto g = std::move(
+          nn::split_at_conv_layer(nn::build_mobilenet_v1(mc, hrng), 21).g);
+      nn::freeze_batchnorm_stats(*g);
+      return g;
+    };
+    head_template = env.head_factory();
+    core::ByteBuf raw;
+    {
+      core::ByteBufWriter os(raw);
+      nn::save_params(*head_template, os);
+    }
+    env.head_template = head_template.get();
+    env.template_hash = core::blob_hash(raw.data(), raw.size());
+    cc.lt_capacity = 18;
+    // The latent cache belongs to the environment: fill it first.
+    std::vector<data::ImageKey> keys;
+    for (int64_t s = 0; s < 3; ++s) {
+      for (const auto& k : batch(s).keys) keys.push_back(k);
+    }
+    latents->warm(keys);
+  }
+
   // 10-key batches over 30 distinct keys (6 classes x 5 instances).
-  const auto batch = [](int64_t s) {
+  static data::Batch batch(int64_t s) {
     data::Batch b;
     b.domain = 0;
     for (int64_t i = 0; i < 10; ++i) {
@@ -607,13 +645,15 @@ ResidentReport run_served_resident(int64_t learners, int64_t observes) {
       b.labels.push_back(j % kClasses);
     }
     return b;
-  };
-  // The latent cache belongs to the environment: fill it first.
-  std::vector<data::ImageKey> keys;
-  for (int64_t s = 0; s < 3; ++s) {
-    for (const auto& k : batch(s).keys) keys.push_back(k);
   }
-  latents.warm(keys);
+};
+
+ResidentReport run_served_resident(int64_t learners, int64_t observes) {
+  const ServedSessionEnv se;
+  const core::LearnerEnv& env = se.env;
+  const core::ChameleonConfig& cc = se.cc;
+  const auto batch = &ServedSessionEnv::batch;
+  constexpr int64_t kClasses = ServedSessionEnv::kClasses;
 
   const int saved_threads = num_threads();
   set_num_threads(1);
@@ -658,6 +698,75 @@ ResidentReport run_served_resident(int64_t learners, int64_t observes) {
   rep.remainder_bytes = static_cast<double>(remainder) / extra;
   rep.holds_no_step_state = remainder <= rounding;
   return rep;
+}
+
+// ---------------------------------------------------------------------------
+// Session blobs: what a served learner's CHS2 blob costs as it trains.
+
+struct BlobRow {
+  int64_t observes = 0;
+  int64_t blob_bytes = 0;          // the v7 blob, head encoded
+  int64_t head_raw_bytes = 0;      // the head section as raw floats
+  int64_t head_encoded_bytes = 0;  // the template-relative head section
+  int64_t raw_blob_bytes = 0;      // the blob with the head stored raw
+  double save_ms = 0, load_ms = 0;  // medians
+  bool roundtrip_exact = false;    // load + save reproduces the bytes
+};
+
+std::vector<BlobRow> run_served_blob(std::initializer_list<int64_t> marks,
+                                     int reps) {
+  const ServedSessionEnv se;
+  const int saved_threads = num_threads();
+  set_num_threads(1);
+  core::ChameleonLearner learner(se.env, se.cc, /*seed=*/1);
+  core::ChameleonLearner target(se.env, se.cc, /*seed=*/2);
+  std::vector<BlobRow> rows;
+  int64_t done = 0;
+  for (const int64_t mark : marks) {
+    for (; done < mark; ++done) learner.observe(ServedSessionEnv::batch(done));
+    BlobRow row;
+    row.observes = mark;
+    std::vector<double> save_ms, load_ms;
+    core::ByteBuf blob;
+    for (int r = 0; r < reps; ++r) {
+      // As the serving runtime's snapshot: one reserve of the bound.
+      blob = core::ByteBuf();
+      const auto t0 = std::chrono::steady_clock::now();
+      blob.reserve(learner.state_bytes_bound());
+      {
+        core::ByteBufWriter os(blob);
+        if (!learner.save_state(os)) std::abort();
+      }
+      const auto t1 = std::chrono::steady_clock::now();
+      core::ByteBufReader is(blob.data(), blob.size());
+      if (!target.load_state(is)) std::abort();
+      const auto t2 = std::chrono::steady_clock::now();
+      save_ms.push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
+      load_ms.push_back(
+          std::chrono::duration<double, std::milli>(t2 - t1).count());
+    }
+    core::ByteBuf again;
+    {
+      core::ByteBufWriter os(again);
+      if (!target.save_state(os)) std::abort();
+    }
+    std::ostringstream head;
+    nn::save_params_relative(learner.head(), se.env.head_template, head);
+    std::ostringstream raw_head;
+    nn::save_params(learner.head(), raw_head);
+    row.blob_bytes = static_cast<int64_t>(blob.size());
+    row.head_encoded_bytes = static_cast<int64_t>(head.str().size());
+    row.head_raw_bytes = static_cast<int64_t>(raw_head.str().size());
+    row.raw_blob_bytes =
+        row.blob_bytes - row.head_encoded_bytes + row.head_raw_bytes;
+    row.save_ms = median(save_ms);
+    row.load_ms = median(load_ms);
+    row.roundtrip_exact = again == blob;
+    rows.push_back(row);
+  }
+  set_num_threads(saved_threads);
+  return rows;
 }
 
 double gmacs_per_s(const StageRow& st) {
@@ -761,6 +870,24 @@ int main(int argc, char** argv) {
       rr.head_bytes / kMiB, rr.replay_bytes / kMiB,
       rr.remainder_bytes / kMiB, rr.rounding_bytes / kMiB);
 
+  const std::vector<BlobRow> br = run_served_blob({1, 10, 100, 1000}, 21);
+  std::printf(
+      "\nserved session blobs (1 thread; head stored against the template, "
+      "%s codec):\n  %8s %10s %10s %7s %9s %9s %6s\n",
+      bytemask::simd() ? "vbmi2" : "scalar", "observes", "blob B", "raw B",
+      "head %", "save ms", "load ms", "exact");
+  bool gate_blob = true;
+  for (const BlobRow& b : br) {
+    std::printf("  %8lld %10lld %10lld %6.1f%% %9.3f %9.3f %6s\n",
+                static_cast<long long>(b.observes),
+                static_cast<long long>(b.blob_bytes),
+                static_cast<long long>(b.raw_blob_bytes),
+                100.0 * static_cast<double>(b.head_encoded_bytes) /
+                    static_cast<double>(b.head_raw_bytes),
+                b.save_ms, b.load_ms, b.roundtrip_exact ? "yes" : "NO");
+    gate_blob = gate_blob && b.roundtrip_exact;
+  }
+
   const bool gate_zero_alloc = r.plain_max_allocs == 0;
   const bool gate_bwd = r.bwd_macs_after < r.bwd_macs_before && ratio < 2.0;
   const bool gate_ledger = r.ledger_consistent;
@@ -771,11 +898,11 @@ int main(int argc, char** argv) {
   std::printf(
       "\ngates: steady zero-alloc %s, bwd < 2x fwd %s, ledger exact %s, "
       "served rows cover the step %s, predict rows cover the call %s, "
-      "resident learners hold no step state %s\n",
+      "resident learners hold no step state %s, blob round trip exact %s\n",
       gate_zero_alloc ? "PASS" : "FAIL",
       gate_bwd ? "PASS" : "FAIL", gate_ledger ? "PASS" : "FAIL",
       gate_served ? "PASS" : "FAIL", gate_predict ? "PASS" : "FAIL",
-      gate_resident ? "PASS" : "FAIL");
+      gate_resident ? "PASS" : "FAIL", gate_blob ? "PASS" : "FAIL");
 
   std::FILE* json = std::fopen(out_path.c_str(), "w");
   if (!json) {
@@ -821,16 +948,36 @@ int main(int argc, char** argv) {
       "    \"pool_bytes_per_learner\": %.0f,\n"
       "    \"head_bytes\": %.0f, \"replay_bytes\": %.0f,\n"
       "    \"remainder_bytes\": %.0f, \"size_class_rounding_bytes\": %.0f\n"
-      "  },\n  \"gate_resident_holds_no_step_state\": %s\n}\n",
+      "  },\n  \"gate_resident_holds_no_step_state\": %s,\n",
       static_cast<long long>(rr.learners),
       static_cast<long long>(rr.observes), rr.pool_bytes, rr.head_bytes,
       rr.replay_bytes, rr.remainder_bytes, rr.rounding_bytes,
       gate_resident ? "true" : "false");
+  std::fprintf(json, "  \"served_blob_codec\": \"%s\",\n",
+               bytemask::simd() ? "vbmi2" : "scalar");
+  std::fprintf(json, "  \"served_blob\": [\n");
+  for (size_t i = 0; i < br.size(); ++i) {
+    const BlobRow& b = br[i];
+    std::fprintf(
+        json,
+        "    {\"observes\": %lld, \"blob_bytes\": %lld, "
+        "\"raw_blob_bytes\": %lld,\n     \"head_raw_bytes\": %lld, "
+        "\"head_encoded_bytes\": %lld, \"save_state_ms\": %.4f, "
+        "\"load_state_ms\": %.4f}%s\n",
+        static_cast<long long>(b.observes),
+        static_cast<long long>(b.blob_bytes),
+        static_cast<long long>(b.raw_blob_bytes),
+        static_cast<long long>(b.head_raw_bytes),
+        static_cast<long long>(b.head_encoded_bytes), b.save_ms, b.load_ms,
+        i + 1 < br.size() ? "," : "");
+  }
+  std::fprintf(json, "  ],\n  \"gate_blob_roundtrip_exact\": %s\n}\n",
+               gate_blob ? "true" : "false");
   std::fclose(json);
   std::printf("wrote %s\n", out_path.c_str());
 
   return (gate_zero_alloc && gate_bwd && gate_ledger && gate_served &&
-          gate_predict && gate_resident)
+          gate_predict && gate_resident && gate_blob)
              ? 0
              : 1;
 }

@@ -24,7 +24,11 @@
 #                               AVX2 kernels: on an AVX-512 host the default
 #                               build runs the 8x32 ZMM tile for n > 16, the
 #                               16-row tall tile for n <= 8 and the lane
-#                               depthwise kernels instead
+#                               depthwise kernels instead; and
+#                               test_checkpoint, so real session blobs
+#                               round-trip through the scalar byte-mask
+#                               codec (the default build runs its VBMI2
+#                               path)
 #   8. ASan+UBSan leg           test_checkpoint, test_memories,
 #                               test_serialize_augment, test_gemm, test_nn,
 #                               test_gradients, test_observe_path,
@@ -97,9 +101,9 @@ echo "=== [7/8] CHAM_SIMD=avx2 kernel suites ==="
 cmake -B build-avx2 -S . -DCHAM_SIMD=avx2 >/dev/null \
   || fail "CHAM_SIMD=avx2 (cmake configure)"
 cmake --build build-avx2 -j"$(nproc)" \
-  --target test_gemm test_observe_path test_gather_path \
+  --target test_gemm test_observe_path test_gather_path test_checkpoint \
   || fail "CHAM_SIMD=avx2 build"
-for t in test_gemm test_observe_path test_gather_path; do
+for t in test_gemm test_observe_path test_gather_path test_checkpoint; do
   ./build-avx2/tests/"$t" --gtest_brief=1 || fail "CHAM_SIMD=avx2 $t"
 done
 

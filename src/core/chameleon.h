@@ -25,6 +25,8 @@
 
 namespace cham::core {
 
+class ByteBufReader;  // core/checkpoint.h
+
 struct ChameleonConfig {
   int64_t st_capacity = 10;    // paper: M_s = 10 samples
   int64_t lt_capacity = 100;   // paper: M_l in {100, 200, 500, 1500}
@@ -77,13 +79,26 @@ class ChameleonLearner : public HeadLearner {
   // environment resumes the stream bit-identically — the contract the
   // serving runtime's checkpoint-backed session eviction (src/serve/) is
   // built on. Implemented in core/checkpoint.cpp.
+  // A blob records the hash of the template its head is encoded against
+  // (LearnerEnv::template_hash) and loads only into a learner with the same
+  // one. The ByteBufReader overload decodes the head in place; the
+  // std::istream one reads the stream to its end first.
   bool save_state(std::ostream& os) const;
+  bool load_state(ByteBufReader& is);
   bool load_state(std::istream& is);
+  // An upper bound of save_state's output at the current state: the head at
+  // one mask per 64 bytes over its raw bytes, plus the replay stores,
+  // preference statistics and ledger as they stand. A caller serialising
+  // into memory reserves it so the buffer is sized once.
+  std::size_t state_bytes_bound() const;
   int64_t steps_observed() const { return step_; }
 
  private:
   // Shape of one stored latent row (1 x C x H x W), in both memories.
   Shape row_shape() const;
+  // save_state's sections after the head: RNG, step, ST and LT stores, the
+  // staged burst, preferences and the ledger.
+  bool save_replay_state(std::ostream& os) const;
   // Throws CheckError on any audit violation, including a non-monotone
   // traffic ledger (totals must never decrease across steps).
   void audit_step();

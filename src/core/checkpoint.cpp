@@ -31,7 +31,13 @@ constexpr uint32_t kMagic = 0x43485332;  // "CHS2"
 // the version check.
 // Version 6: OpStats no longer carries the process-global workspace gauges
 // (the ledger POD is 24 bytes shorter). A v5 blob fails the version check.
-constexpr uint32_t kVersion = 6;
+// Version 7: a u64 template hash follows the precision byte, and the head
+// section stores each tensor as a byte-masked XOR against that template
+// (nn::save_params_relative) instead of its raw floats. A v6 blob fails the
+// version check.
+constexpr uint32_t kVersion = 7;
+// u32 magic, u32 version, u8 precision, u64 template hash.
+constexpr std::size_t kHeaderBytes = 4 + 4 + 1 + 8;
 
 constexpr uint32_t kDeltaMagic = 0x43485333;  // "CHS3"
 // Version 2: the ops are encoded by the wire protocol's OBSERVE/PREDICT
@@ -73,18 +79,48 @@ bool read_delta_header(util::Reader& r, DeltaHeader& out) {
   return r.ok();
 }
 
+// An ostream that only counts what is written to it (state_bytes_bound).
+class ByteCounter : private std::streambuf, public std::ostream {
+ public:
+  ByteCounter() : std::ostream(this) {}
+  std::size_t count() const { return count_; }
+
+ protected:
+  std::streambuf::int_type overflow(std::streambuf::int_type ch) override {
+    if (ch != std::streambuf::traits_type::eof()) ++count_;
+    return ch;
+  }
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    count_ += static_cast<std::size_t>(n);
+    return n;
+  }
+
+ private:
+  std::size_t count_ = 0;
+};
+
 }  // namespace
 
 bool ChameleonLearner::save_state(std::ostream& os) const {
   write_pod(os, kMagic);
   write_pod(os, kVersion);
   write_pod(os, static_cast<uint8_t>(quant::Precision::kFp32));
+  write_pod(os, env_.template_hash);
 
-  // Head parameters (values + BatchNorm running statistics), inline.
-  // Always fp32: this is live training state (weights + BN statistics), and
-  // the optimizer must resume from exactly the values it left.
-  if (!nn::save_params(*g_, os)) return false;
+  // Head parameters (values + BatchNorm running statistics), inline, as
+  // byte-masked XORs against the shared template: lossless, so the
+  // optimizer resumes from exactly the fp32 values it left.
+  if (!nn::save_params_relative(*g_, env_.head_template, os)) return false;
+  return save_replay_state(os);
+}
 
+std::size_t ChameleonLearner::state_bytes_bound() const {
+  ByteCounter rest;
+  save_replay_state(rest);
+  return kHeaderBytes + nn::params_relative_bound(*g_) + rest.count();
+}
+
+bool ChameleonLearner::save_replay_state(std::ostream& os) const {
   // RNG state: every stochastic decision after restore (ST slot choice,
   // LT sampling, eviction victims) must continue the exact draw sequence.
   const auto rs = rng_.state();
@@ -124,18 +160,37 @@ bool ChameleonLearner::save_state(std::ostream& os) const {
 }
 
 bool ChameleonLearner::load_state(std::istream& is) {
+  ByteBuf bytes;
+  {
+    ByteBufWriter os(bytes);
+    os << is.rdbuf();
+  }
+  ByteBufReader reader(bytes.data(), bytes.size());
+  return load_state(reader);
+}
+
+bool ChameleonLearner::load_state(ByteBufReader& is) {
   uint32_t magic = 0, version = 0;
   if (!read_pod(is, magic) || magic != kMagic) return false;
   if (!read_pod(is, version) || version != kVersion) return false;
   // Checked before anything is loaded: a blob written at a lossy
-  // precision must leave the learner untouched.
+  // precision, or against another template, must leave the learner
+  // untouched.
   uint8_t precision = 0;
   if (!read_pod(is, precision) ||
       precision != static_cast<uint8_t>(quant::Precision::kFp32)) {
     return false;
   }
+  uint64_t template_hash = 0;
+  if (!read_pod(is, template_hash) || template_hash != env_.template_hash) {
+    return false;
+  }
 
-  if (!nn::load_params(*g_, is)) return false;
+  // The head decodes in place from the reader's bytes.
+  const std::size_t head_bytes = nn::load_params_relative(
+      *g_, env_.head_template, is.unread(), is.unread_size());
+  if (head_bytes == 0) return false;
+  is.skip(head_bytes);
 
   std::array<uint64_t, 4> rs{};
   for (auto& word : rs) {

@@ -13,13 +13,23 @@
 //
 // Two wire formats live here:
 //
-//   CHS2 v6 (full blob)   The complete state, as ChameleonLearner::
-//                         save_state / load_state. Both replay memories are
-//                         slot-store frames (replay/serialize.h): the ST one,
-//                         the LT one per class. Latent payloads carry a
-//                         quant::Precision tag byte, always kFp32: blobs
-//                         round-trip bit-exactly, and a blob tagged with any
-//                         other precision is rejected on load.
+//   CHS2 v7 (full blob)   The complete state, as ChameleonLearner::
+//                         save_state / load_state. The header carries the
+//                         hash of the pretrained head template the session
+//                         was cloned from (LearnerEnv::template_hash), and
+//                         a blob loads only into a learner of the same
+//                         template. Each head tensor is stored as the
+//                         byte-mask encoding of its bytes XOR the
+//                         template's (nn::save_params_relative,
+//                         tensor/byte_mask.h): lossless, and a quarter
+//                         smaller than raw floats for the served model's
+//                         trained sessions (1.53 MB against 2.03 MB). Both
+//                         replay memories are slot-store frames
+//                         (replay/serialize.h): the ST one, the LT one per
+//                         class. Latent payloads carry a quant::Precision
+//                         tag byte, always kFp32: blobs round-trip
+//                         bit-exactly, and a blob tagged with any other
+//                         precision is rejected on load.
 //   CHS3 v2 (delta frame) An op log against a previously flushed full blob:
 //                         the observe/predict requests the session served
 //                         since the base blob was captured, each a u8 kind
@@ -78,7 +88,8 @@ class ByteBufWriter : private std::streambuf, public std::ostream {
 };
 
 // std::istream reading a borrowed byte span (no copy; the span must outlive
-// the reader).
+// the reader). ChameleonLearner::load_state decodes the head section in
+// place through unread()/skip().
 class ByteBufReader : private std::streambuf, public std::istream {
  public:
   ByteBufReader(const char* data, std::size_t n) : std::istream(this) {
@@ -86,6 +97,14 @@ class ByteBufReader : private std::streambuf, public std::istream {
     char* p = const_cast<char*>(data);
     setg(p, p, p + n);
   }
+
+  // The bytes not read yet.
+  const char* unread() const { return gptr(); }
+  std::size_t unread_size() const {
+    return static_cast<std::size_t>(egptr() - gptr());
+  }
+  // Consumes n <= unread_size() bytes.
+  void skip(std::size_t n) { setg(eback(), gptr() + n, egptr()); }
 };
 
 // --------------------------------------------------------- CHS3 deltas

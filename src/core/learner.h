@@ -32,6 +32,12 @@ struct LearnerEnv {
   int64_t f_fwd_macs = 0;      // backbone MACs per image
   int64_t net_fwd_macs = 0;    // full network MACs per image
   float lr = 0.001f;           // paper setting (SGD)
+  // The pretrained head head_factory clones, shared by every learner and
+  // never copied: session blobs store each head tensor relative to it
+  // (core/checkpoint.h), and template_hash names it in their header. With
+  // no template (hash 0) blobs encode against zeros.
+  const nn::Sequential* head_template = nullptr;
+  uint64_t template_hash = 0;
 };
 
 class ContinualLearner {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/checkpoint.h"
 #include "nn/loss.h"
 #include "nn/model_io.h"
 #include "nn/sgd.h"
@@ -47,6 +48,15 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
   nn::freeze_batchnorm_stats(*g_template_);
   latents_ = std::make_unique<data::LatentCache>(cfg_.data, *f_);
   test_keys_ = data::all_test_keys(cfg_.data);
+
+  // The template's identity in session blobs: a hash of its parameter
+  // file bytes, taken once.
+  core::ByteBuf raw;
+  {
+    core::ByteBufWriter os(raw);
+    nn::save_params(*g_template_, os);
+  }
+  template_hash_ = core::blob_hash(raw.data(), raw.size());
 }
 
 std::string Experiment::cache_path() const {
@@ -146,6 +156,8 @@ core::LearnerEnv Experiment::env() {
   e.latent_shape = latent_shape_;
   e.f_fwd_macs = f_macs_;
   e.lr = cfg_.learner_lr;
+  e.head_template = g_template_.get();
+  e.template_hash = template_hash_;
   // Learners re-initialise the classifier themselves, seeded by their own
   // learner seed (HeadLearner / FullNetLearner constructors).
   e.head_factory = [this]() {

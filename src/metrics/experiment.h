@@ -5,9 +5,10 @@
 //      synthetic "generic" distribution (the ImageNet-pretraining stand-in;
 //      cached on disk so it runs once per configuration),
 //   2. split at the latent layer (conv 21/27) into frozen f + head template,
-//   3. hand every learner a LearnerEnv with a shared LatentCache over f and
+//   3. hand every learner a LearnerEnv with a shared LatentCache over f,
 //      a head_factory that clones the pretrained head with a freshly
-//      initialised classifier,
+//      initialised classifier, and that head itself with its hash (session
+//      blobs encode head tensors against it),
 //   4. drive a learner over a DomainIncrementalStream and evaluate Acc_all.
 #pragma once
 
@@ -82,6 +83,7 @@ class Experiment {
   ExperimentConfig cfg_;
   std::unique_ptr<nn::Sequential> f_;
   std::unique_ptr<nn::Sequential> g_template_;
+  uint64_t template_hash_ = 0;
   Shape latent_shape_;
   int64_t f_macs_ = 0;
   std::unique_ptr<data::LatentCache> latents_;

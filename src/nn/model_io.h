@@ -3,6 +3,7 @@
 // tensors in pipeline order plus BatchNorm running statistics.
 #pragma once
 
+#include <cstddef>
 #include <istream>
 #include <ostream>
 #include <string>
@@ -21,5 +22,21 @@ bool load_params(Sequential& net, const std::string& path);
 // variants, which delegate here.
 bool save_params(const Sequential& net, std::ostream& os);
 bool load_params(Sequential& net, std::istream& is);
+
+// Template-relative form, the head section of a learner blob
+// (core/checkpoint.h): a u64 tensor count, then per tensor its u64 numel and
+// the byte-mask encoding (tensor/byte_mask.h) of its bytes XOR the same
+// tensor of `base`, the pretrained template `net` was cloned from. A null
+// base encodes against zeros. `base` must have net's architecture; the save
+// returns false if it does not.
+bool save_params_relative(const Sequential& net, const Sequential* base,
+                          std::ostream& os);
+// The longest save_params_relative output for `net`.
+std::size_t params_relative_bound(const Sequential& net);
+// Decodes that form from data[0, n) into `net`. Returns the bytes consumed,
+// or 0 on an architecture mismatch or malformed input (net's tensors are
+// then unspecified).
+std::size_t load_params_relative(Sequential& net, const Sequential* base,
+                                 const char* data, std::size_t n);
 
 }  // namespace cham::nn

@@ -8,6 +8,7 @@
 
 #include "tensor/rng.h"
 #include "tensor/thread_pool.h"
+#include "tensor/workspace.h"
 #include "util/check.h"
 
 namespace cham::serve {
@@ -617,12 +618,20 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim) {
   const auto t0 = std::chrono::steady_clock::now();
   WriteBehind::Snapshot snap;
   if (!clean) {
+    // Sized once from the learner's bound, then cut to its length if the
+    // bound's pool block is larger: the blob is cached and queued at the
+    // block of its own length (the snapshot cache counts block bytes).
     auto blob = std::make_shared<core::ByteBuf>();
+    blob->reserve(victim.learner->state_bytes_bound());
     {
       core::ByteBufWriter os(*blob);
       const bool ok = victim.learner->save_state(os);
       CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
                          std::to_string(victim.session_id));
+    }
+    if (ws::pool_block_bytes(blob->capacity()) >
+        ws::pool_block_bytes(blob->size())) {
+      blob->shrink_to_fit();
     }
     snap.session_id = victim.session_id;
     snap.blob = std::move(blob);

@@ -168,6 +168,7 @@ bool SessionStore::load(uint64_t session_id, core::ChameleonLearner& learner,
       if (!op.predict) learner.observe(op.batch);
     }
     core::ByteBuf replayed;
+    replayed.reserve(learner.state_bytes_bound());
     {
       core::ByteBufWriter os(replayed);
       if (!learner.save_state(os)) return false;

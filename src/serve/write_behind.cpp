@@ -4,6 +4,7 @@
 #include <chrono>
 #include <utility>
 
+#include "tensor/workspace.h"
 #include "util/check.h"
 
 namespace cham::serve {
@@ -21,8 +22,10 @@ double ms_since(std::chrono::steady_clock::time_point t0) {
 constexpr double kCompactRatio = 0.5;
 constexpr int64_t kCompactEvery = 8;
 
+// What a cached blob costs: the pool block its buffer occupies, not its
+// length.
 int64_t blob_bytes(const std::shared_ptr<const core::ByteBuf>& b) {
-  return b ? static_cast<int64_t>(b->size()) : 0;
+  return b ? static_cast<int64_t>(ws::pool_block_bytes(b->capacity())) : 0;
 }
 
 }  // namespace

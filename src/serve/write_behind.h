@@ -40,7 +40,9 @@
 //
 // SNAPSHOT CACHE: a session's last-flushed blob stays cached only while
 // disk cannot serve it without replay (it landed as an op-log delta, or
-// its flush failed) and no newer snapshot is queued. Over
+// its flush failed) and no newer snapshot is queued. A cached blob counts
+// the workspace-pool block its buffer occupies (ws::pool_block_bytes of its
+// capacity), not its length, so the budget bounds memory. Over
 // snapshot_cache_bytes, the LRU delta session is queued as an ordinary
 // full write (ops_valid = false): its bytes leave the budget at once,
 // restores find it in pending_, and the IO thread stays the only disk
@@ -112,7 +114,8 @@ class WriteBehind {
   void retry_failed_flushes() CHAM_EXCLUDES(mu_);
 
   WriteBehindStats stats() const CHAM_EXCLUDES(mu_);
-  // Bytes the snapshot cache holds right now (sum of cached `latest` blobs).
+  // Bytes the snapshot cache holds right now: the pool blocks of the cached
+  // `latest` blobs.
   int64_t cached_bytes() const CHAM_EXCLUDES(mu_);
 
   // Test hooks: freeze/unfreeze the IO thread so restore-during-flush
@@ -162,7 +165,7 @@ class WriteBehind {
   std::unordered_map<uint64_t, std::shared_ptr<const core::ByteBuf>>
       inflight_ CHAM_GUARDED_BY(mu_);  // blob currently being written
   std::unordered_map<uint64_t, Meta> meta_ CHAM_GUARDED_BY(mu_);
-  int64_t cached_bytes_ CHAM_GUARDED_BY(mu_) = 0;  // sum of meta_ `latest`
+  int64_t cached_bytes_ CHAM_GUARDED_BY(mu_) = 0;  // blocks of meta_ `latest`
   WriteBehindStats stats_ CHAM_GUARDED_BY(mu_);
   uint64_t lru_tick_ CHAM_GUARDED_BY(mu_) = 0;
   bool paused_ CHAM_GUARDED_BY(mu_) = false;

@@ -4,6 +4,7 @@
 #include <array>
 #include <bit>
 #include <new>
+#include <utility>
 
 #include "util/check.h"
 #include "util/sync.h"
@@ -11,7 +12,11 @@
 // Under AddressSanitizer a block parked in the pool is poisoned until it is
 // handed out again, so a write through a stale pointer into storage already
 // given back (a released gradient, say) is reported where it happens
-// instead of landing in the next owner's buffer.
+// instead of landing in the next owner's buffer. Released blocks also wait
+// out a per-thread quarantine (kPoolQuarantine) first: the thread cache is
+// LIFO, and would otherwise hand a block just released (a layer's x-hat,
+// say) to the very next tensor of its class, unpoisoning it before a stale
+// read could be seen.
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #define CHAM_POOL_POISON(p, n) ASAN_POISON_MEMORY_REGION(p, n)
@@ -86,6 +91,17 @@ thread_local bool t_cache_dead = false;
 struct LocalCache {
   std::array<std::vector<void*>, static_cast<std::size_t>(kLocalClasses)>
       lists;
+#if defined(__SANITIZE_ADDRESS__)
+  // Released blocks on their way to `lists` or the global pool, oldest at
+  // quarantine_head (a null ptr is an empty slot): a fixed ring, so the
+  // quarantine allocates nothing.
+  struct Parked {
+    void* ptr = nullptr;
+    int cls = 0;
+  };
+  std::array<Parked, kPoolQuarantine> quarantine{};
+  std::size_t quarantine_head = 0;
+#endif
   ~LocalCache();
 };
 
@@ -126,6 +142,11 @@ void global_release(void* ptr, int cls) {
 }
 
 LocalCache::~LocalCache() {
+#if defined(__SANITIZE_ADDRESS__)
+  for (const Parked& q : quarantine) {
+    if (q.ptr != nullptr) global_release(q.ptr, q.cls);
+  }
+#endif
   for (int cls = 0; cls < kLocalClasses; ++cls) {
     for (void* ptr : lists[static_cast<std::size_t>(cls)]) {
       global_release(ptr, cls);
@@ -182,8 +203,19 @@ void* pool_acquire(std::size_t bytes) {
 
 void pool_release(void* ptr, std::size_t bytes) {
   if (ptr == nullptr) return;
-  const int cls = size_class(bytes);
+  int cls = size_class(bytes);
   CHAM_POOL_POISON(ptr, class_bytes(cls));
+#if defined(__SANITIZE_ADDRESS__)
+  // The block takes the oldest slot of the FIFO, and the block that slot
+  // held (still poisoned) is parked below instead.
+  if (LocalCache* cache = local_cache()) {
+    auto& slot = cache->quarantine[cache->quarantine_head];
+    cache->quarantine_head = (cache->quarantine_head + 1) % kPoolQuarantine;
+    std::swap(slot.ptr, ptr);
+    std::swap(slot.cls, cls);
+    if (ptr == nullptr) return;
+  }
+#endif
   if (cls < kLocalClasses) {
     if (LocalCache* cache = local_cache()) {
       auto& list = cache->lists[static_cast<std::size_t>(cls)];

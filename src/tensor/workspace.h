@@ -57,6 +57,15 @@ void pool_release(void* p, std::size_t bytes);
 // The capacity pool_acquire(bytes) hands out and counts in
 // pool_bytes_in_use: the power-of-two size class of `bytes`, 64 B at least.
 std::size_t pool_block_bytes(std::size_t bytes);
+// Under AddressSanitizer a released block waits, poisoned, in a per-thread
+// FIFO of this many blocks before pool_acquire may hand it out again, so a
+// read through a stale pointer is reported even when the next tensor of
+// the size class is bound right after the release. 0 in other builds.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr std::size_t kPoolQuarantine = 16;
+#else
+constexpr std::size_t kPoolQuarantine = 0;
+#endif
 
 // Stateless std::vector allocator backed by the pool. All instances compare
 // equal, so pooled vectors move and swap freely across Tensors.

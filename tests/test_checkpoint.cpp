@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include "nn/model_io.h"
 #include "replay/serialize.h"
 #include "serve/session_store.h"
+#include "tensor/byte_mask.h"
 #include "tensor/rng.h"
 #include "util/tmp_path.h"
 
@@ -63,18 +65,23 @@ std::string frame_of(const replay::SlotStore& store) {
 }
 
 // Where each section of a learner's CHS2 blob starts: the header (u32
-// magic, u32 version, u8 precision), head params, 4-word rng state and
-// step, then the ST frame, one LT frame per class and the staged burst.
+// magic, u32 version, u8 precision, u64 template hash), the head params
+// encoded against the template, 4-word rng state and step, then the ST
+// frame, one LT frame per class and the staged burst.
 struct BlobLayout {
+  size_t head_at = 17;
   size_t st_at = 0;
   std::vector<size_t> lt_at;  // per class, then the staged burst's offset
 };
 
-BlobLayout layout_of(core::ChameleonLearner& learner, int64_t num_classes) {
+BlobLayout layout_of(core::ChameleonLearner& learner,
+                     metrics::Experiment& exp) {
   std::ostringstream head;
-  EXPECT_TRUE(nn::save_params(learner.head(), head));
+  EXPECT_TRUE(nn::save_params_relative(learner.head(),
+                                       exp.env().head_template, head));
   BlobLayout l;
-  l.st_at = 9 + head.str().size() + 32 + 8;
+  l.st_at = l.head_at + head.str().size() + 32 + 8;
+  const int64_t num_classes = exp.config().data.num_classes;
   size_t at = l.st_at + frame_of(learner.short_term().store()).size();
   for (int64_t c = 0; c < num_classes; ++c) {
     l.lt_at.push_back(at);
@@ -94,7 +101,7 @@ struct ForgeryBench {
     std::ostringstream os;
     EXPECT_TRUE(source.save_state(os));
     blob = os.str();
-    layout = layout_of(source, exp.config().data.num_classes);
+    layout = layout_of(source, exp);
   }
 
   static core::ChameleonConfig config() {
@@ -104,10 +111,16 @@ struct ForgeryBench {
     return cc;
   }
 
+  // Loads through both readers: a std::istream (read whole, then decoded)
+  // and a ByteBufReader (head decoded in place). They must agree.
   bool loads(const std::string& bytes) {
-    core::ChameleonLearner target(exp.env(), config(), 1234);
+    core::ChameleonLearner from_stream(exp.env(), config(), 1234);
     std::istringstream is(bytes);
-    return target.load_state(is);
+    const bool ok = from_stream.load_state(is);
+    core::ChameleonLearner in_place(exp.env(), config(), 1234);
+    core::ByteBufReader reader(bytes.data(), bytes.size());
+    EXPECT_EQ(in_place.load_state(reader), ok) << "the two readers disagree";
+    return ok;
   }
 
   // The blob with bytes [from, to) replaced by `frame`.
@@ -323,7 +336,7 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
     std::ostringstream os;
     ASSERT_TRUE(source.save_state(os));
     blob = os.str();
-    at = layout_of(source, exp_->config().data.num_classes).lt_at.back();
+    at = layout_of(source, *exp_).lt_at.back();
     ASSERT_LE(at + 8, blob.size());
     staged = i64_at(blob, at);
     if (staged > 0) break;
@@ -362,8 +375,7 @@ TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
   ASSERT_TRUE(source.save_state(os));
   const std::string blob = os.str();
 
-  const size_t at =
-      layout_of(source, exp_->config().data.num_classes).st_at;
+  const size_t at = layout_of(source, *exp_).st_at;
   const replay::SlotStore& st = source.short_term().store();
   const std::string st_bytes = frame_of(st);
   ASSERT_EQ(blob.compare(at, st_bytes.size(), st_bytes), 0);
@@ -475,15 +487,205 @@ TEST_F(CheckpointSuite, ForgedLtCountAboveQuotaIsRejected) {
 }
 
 TEST_F(CheckpointSuite, VersionFourBlobIsRejected) {
-  // Version 4 framed the LT as a list of per-sample tensors and version 5's
-  // traffic ledger carried the workspace gauges; a blob of either version
-  // fails the version check like any other version.
+  // Version 4 framed the LT as a list of per-sample tensors, version 5's
+  // traffic ledger carried the workspace gauges and version 6 stored the
+  // head's raw floats; a blob of any of them fails the version check like
+  // any other version.
   ForgeryBench fb(*exp_, *stream_);
-  for (const uint32_t version : {4u, 5u}) {
+  for (const uint32_t version : {4u, 5u, 6u}) {
     SCOPED_TRACE(version);
     std::string old = fb.blob;
     std::memcpy(old.data() + 4, &version, sizeof(version));
     EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(old)));
+  }
+}
+
+// ------------------------------------------------ template-relative head
+//
+// CHS2 v7 stores each head tensor as the byte-mask encoding of its bytes
+// XOR the shared template's (tensor/byte_mask.h). The decoder reads
+// untrusted bytes: every forgery below must fail the load, through both
+// readers, without throwing.
+
+uint64_t u64_at(const std::string& bytes, size_t off) {
+  uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + off, sizeof(v));
+  return v;
+}
+
+// One 64-byte block of the head section: where its mask sits, the mask,
+// how many tensor bytes it covers, and where the next block starts.
+struct HeadBlock {
+  size_t mask_at = 0;
+  uint64_t mask = 0;
+  size_t len = 0;
+  size_t end = 0;
+};
+
+std::vector<HeadBlock> head_blocks(const std::string& blob, size_t head_at) {
+  std::vector<HeadBlock> out;
+  size_t at = head_at;
+  const uint64_t count = u64_at(blob, at);
+  at += 8;
+  for (uint64_t t = 0; t < count; ++t) {
+    const size_t bytes = u64_at(blob, at) * sizeof(float);
+    at += 8;
+    for (size_t off = 0; off < bytes; off += 64) {
+      HeadBlock b;
+      b.mask_at = at;
+      b.mask = u64_at(blob, at);
+      b.len = std::min<size_t>(64, bytes - off);
+      b.end = at + 8 + static_cast<size_t>(std::popcount(b.mask));
+      at = b.end;
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+TEST_F(CheckpointSuite, LoadThenSaveReproducesTheBlob) {
+  ForgeryBench fb(*exp_, *stream_);
+  EXPECT_LE(fb.blob.size(), fb.source.state_bytes_bound());
+  core::ChameleonLearner target(exp_->env(), ForgeryBench::config(), 77);
+  core::ByteBufReader is(fb.blob.data(), fb.blob.size());
+  ASSERT_TRUE(target.load_state(is));
+  std::ostringstream os;
+  ASSERT_TRUE(target.save_state(os));
+  EXPECT_TRUE(os.str() == fb.blob) << "load + save changed the blob";
+  // Every block's mask covers only its tensor's bytes, and the section
+  // ends where the rng state begins.
+  const auto blocks = head_blocks(fb.blob, fb.layout.head_at);
+  ASSERT_FALSE(blocks.empty());
+  EXPECT_EQ(blocks.back().end + 32 + 8, fb.layout.st_at);
+  // Relative to the template, the trained head is smaller than raw.
+  std::ostringstream raw;
+  ASSERT_TRUE(nn::save_params(fb.source.head(), raw));
+  EXPECT_LT(fb.layout.st_at - fb.layout.head_at, raw.str().size());
+}
+
+TEST_F(CheckpointSuite, ForgedHeadMasksAreRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  ASSERT_TRUE(fb.loads(fb.blob)) << "control";
+  const auto blocks = head_blocks(fb.blob, fb.layout.head_at);
+  auto with_mask = [&](const HeadBlock& b, uint64_t mask) {
+    std::string forged = fb.blob;
+    std::memcpy(forged.data() + b.mask_at, &mask, sizeof(mask));
+    return forged;
+  };
+  // A mask bit past a tensor's tail (a short last block).
+  const auto tail = std::find_if(blocks.begin(), blocks.end(),
+                                 [](const HeadBlock& b) { return b.len < 64; });
+  ASSERT_NE(tail, blocks.end()) << "no head tensor ends mid-block";
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      fb.loads(with_mask(*tail, tail->mask | (uint64_t{1} << tail->len)))));
+  // A masked byte that is zero: never written by the encoder.
+  const auto busy =
+      std::find_if(blocks.begin(), blocks.end(),
+                   [](const HeadBlock& b) { return b.mask != 0; });
+  ASSERT_NE(busy, blocks.end());
+  {
+    std::string forged = fb.blob;
+    forged[busy->mask_at + 8] = 0;
+    EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(forged)));
+  }
+  // The last block's mask claiming every byte: its popcount runs past the
+  // blob's end once the blob is cut there.
+  const HeadBlock& last = blocks.back();
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(
+      with_mask(last, ~uint64_t{0}).substr(0, last.mask_at + 8 + 8))));
+  // A blob cut inside a block's bytes, and one cut between two blocks of
+  // one tensor.
+  ASSERT_GT(std::popcount(busy->mask), 1);
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.blob.substr(0, busy->end - 1))));
+  const auto inner =
+      std::find_if(blocks.begin(), blocks.end(),
+                   [](const HeadBlock& b) { return b.len == 64; });
+  ASSERT_NE(inner, blocks.end());
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.blob.substr(0, inner->end))));
+}
+
+TEST_F(CheckpointSuite, BlobAgainstAnotherTemplateIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  // The header's hash names another template.
+  std::string forged = fb.blob;
+  forged[fb.layout.head_at - 1] ^= 1;
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(forged)));
+
+  // A learner with no template encodes against zeros, under hash 0: its
+  // blob round-trips in a template-less env and loads nowhere else.
+  core::LearnerEnv bare = exp_->env();
+  bare.head_template = nullptr;
+  bare.template_hash = 0;
+  core::ChameleonLearner source(bare, ForgeryBench::config(), 6);
+  for (const auto& b : stream_->batches()) source.observe(b);
+  std::ostringstream os;
+  ASSERT_TRUE(source.save_state(os));
+  const std::string blob = os.str();
+  EXPECT_LE(blob.size(), source.state_bytes_bound());
+  EXPECT_FALSE(fb.loads(blob));
+  core::ChameleonLearner target(bare, ForgeryBench::config(), 1234);
+  std::istringstream is(blob);
+  ASSERT_TRUE(target.load_state(is));
+  const auto test_keys = data::all_test_keys(exp_->config().data);
+  EXPECT_EQ(target.predict(test_keys), source.predict(test_keys));
+  std::ostringstream again;
+  ASSERT_TRUE(target.save_state(again));
+  EXPECT_TRUE(again.str() == blob);
+}
+
+// The codec's two paths (byte_mask.h) write the same bytes and each
+// decodes the other's output, for every length up to 200 bytes and for the
+// trained head's own tensors against the template. On a build without the
+// VBMI2 path both sides are the scalar one.
+void expect_paths_agree(const char* cur, const char* base, size_t n) {
+  std::vector<char> simd(bytemask::encoded_bound(n) + 1, 'x');
+  std::vector<char> scalar(bytemask::encoded_bound(n) + 1, 'x');
+  const size_t ws = bytemask::encode(cur, base, n, simd.data());
+  const size_t wr = bytemask::ref::encode(cur, base, n, scalar.data());
+  ASSERT_EQ(ws, wr) << "n " << n;
+  ASSERT_LE(ws, bytemask::encoded_bound(n));
+  ASSERT_EQ(std::memcmp(simd.data(), scalar.data(), ws), 0) << "n " << n;
+  EXPECT_EQ(simd[ws], 'x') << "wrote past its length, n " << n;
+  std::vector<char> a(n + 1, 'y'), b(n + 1, 'y');
+  EXPECT_EQ(bytemask::decode(scalar.data(), wr, base, n, a.data()), wr);
+  EXPECT_EQ(bytemask::ref::decode(simd.data(), ws, base, n, b.data()), ws);
+  EXPECT_EQ(std::memcmp(a.data(), cur, n), 0) << "n " << n;
+  EXPECT_EQ(std::memcmp(b.data(), cur, n), 0) << "n " << n;
+  EXPECT_EQ(a[n], 'y');
+  EXPECT_EQ(b[n], 'y');
+}
+
+TEST(ByteMaskCodec, PathsAgreeOnEveryLengthTo200) {
+  Rng rng(11);
+  std::vector<char> base(200), cur(200);
+  for (auto& c : base) c = static_cast<char>(rng.uniform_int(256));
+  for (int pattern = 0; pattern < 3; ++pattern) {
+    for (size_t i = 0; i < cur.size(); ++i) {
+      // Equal bytes, every byte changed, and a mix.
+      const bool change =
+          pattern == 1 || (pattern == 2 && rng.uniform_int(3) == 0);
+      cur[i] = change ? static_cast<char>(base[i] ^ (1 + rng.uniform_int(255)))
+                      : base[i];
+    }
+    for (size_t n = 0; n <= cur.size(); ++n) {
+      SCOPED_TRACE(pattern);
+      expect_paths_agree(cur.data(), base.data(), n);
+      expect_paths_agree(cur.data(), nullptr, n);
+    }
+  }
+}
+
+TEST_F(CheckpointSuite, ByteMaskPathsAgreeOnHeadTensors) {
+  ForgeryBench fb(*exp_, *stream_);
+  auto cur = fb.source.head().params();
+  auto base = const_cast<nn::Sequential&>(exp_->head_template()).params();
+  ASSERT_EQ(cur.size(), base.size());
+  for (size_t i = 0; i < cur.size(); ++i) {
+    SCOPED_TRACE(i);
+    expect_paths_agree(reinterpret_cast<const char*>(cur[i]->value.data()),
+                       reinterpret_cast<const char*>(base[i]->value.data()),
+                       static_cast<size_t>(cur[i]->value.numel()) *
+                           sizeof(float));
   }
 }
 

@@ -28,6 +28,7 @@
 #include "metrics/experiment.h"
 #include "serve/session_manager.h"
 #include "serve/session_store.h"
+#include "tensor/workspace.h"
 #include "util/check.h"
 #include "util/tmp_path.h"
 
@@ -1352,7 +1353,7 @@ TEST_F(ServeSuite, FullFlushLeavesNothingCached) {
   const auto cached = mgr.write_behind().newest_blob(0);
   ASSERT_NE(cached, nullptr) << "a delta landing must stay cached";
   EXPECT_EQ(mgr.write_behind().cached_bytes(),
-            static_cast<int64_t>(cached->size()));
+            static_cast<int64_t>(ws::pool_block_bytes(cached->capacity())));
   EXPECT_EQ(*cached, blob_of(isolated));
   {
     core::ChameleonLearner restored(exp_->env(), learner_config(), 0xBEEF);
@@ -1390,8 +1391,9 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
   sc.mode = serve::ServeMode::kThreaded;
   sc.store_dir = util::tmp_path("serve_cache_budget");
   sc.base_seed = 31;
-  // Room for about two and a half blobs.
-  sc.snapshot_cache_bytes = static_cast<int64_t>(probe_blob.size() * 5 / 2);
+  // Room for about two and a half blobs' pool blocks.
+  sc.snapshot_cache_bytes =
+      static_cast<int64_t>(ws::pool_block_bytes(probe_blob.size()) * 5 / 2);
   serve::SessionStore reader(sc.store_dir);
   reader.clear();
   serve::SessionManager mgr(sc, factory());
@@ -1433,7 +1435,55 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
   const serve::ServeStats st = mgr.stats();
   EXPECT_GT(st.wb_compactions, 0) << "the budget must force compactions";
   EXPECT_LE(st.wb_cache_bytes_high_water,
-            sc.snapshot_cache_bytes + static_cast<int64_t>(max_blob));
+            sc.snapshot_cache_bytes +
+                static_cast<int64_t>(ws::pool_block_bytes(max_blob)));
+}
+
+// The budget bounds memory: a cached blob costs the pool block its buffer
+// occupies. Template-relative blobs are about two thirds of a raw one, but
+// their block is the same, so counting their length would let the cache
+// hold more blocks than the budget.
+TEST_F(ServeSuite, SnapshotCacheCountsPoolBlocksOfEncodedBlobs) {
+  constexpr uint64_t kSessions = 8;
+  const std::string dir = util::tmp_path("wb_block_budget");
+  serve::SessionStore store(dir);
+  store.clear();
+  std::vector<std::shared_ptr<const core::ByteBuf>> blobs;
+  for (uint64_t s = 0; s < kSessions; ++s) {
+    core::ChameleonLearner learner(exp_->env(), learner_config(), 40 + s);
+    learner.observe(session_batches(static_cast<int64_t>(s), 13)[0]);
+    const core::ByteBuf bytes = blob_of(learner);
+    blobs.push_back(
+        std::make_shared<const core::ByteBuf>(bytes.begin(), bytes.end()));
+  }
+  const std::size_t block = ws::pool_block_bytes(blobs[0]->capacity());
+  // Five blocks, which by length would hold more than five blobs.
+  const auto budget = static_cast<int64_t>(5 * block);
+  ASSERT_GT(budget / static_cast<int64_t>(blobs[0]->size()), 5);
+
+  serve::WriteBehind wb(store, budget);
+  for (uint64_t s = 0; s < kSessions; ++s) {
+    wb.submit({s, blobs[s], {}, /*ops_valid=*/true});  // the full base
+  }
+  wb.drain();
+  data::ServeOp op;
+  op.batch.keys.push_back({0, 0, 0, false});
+  op.batch.labels.push_back(0);
+  for (uint64_t s = 0; s < kSessions; ++s) {
+    // A one-observe op log: the flush lands as a delta and stays cached.
+    wb.submit({s, blobs[s], {op}, /*ops_valid=*/true});
+    wb.drain();
+    int64_t held = 0;
+    for (uint64_t t = 0; t < kSessions; ++t) {
+      if (auto b = wb.newest_blob(t)) {
+        held += static_cast<int64_t>(ws::pool_block_bytes(b->capacity()));
+      }
+    }
+    EXPECT_EQ(wb.cached_bytes(), held) << "after session " << s;
+    EXPECT_LE(held, budget) << "after session " << s;
+  }
+  EXPECT_GT(wb.stats().wb_compactions, 0);
+  store.clear();
 }
 
 // Cache pressure compacts the least recently used delta session first,
