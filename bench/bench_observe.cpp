@@ -49,9 +49,10 @@
 //             tensor thread, the same environment with the head's initial
 //             weights as the template), the blob's bytes, the bytes it
 //             would have with the head stored raw, the head section's
-//             encoded and raw bytes, and the median save_state (into a
-//             buffer reserved to state_bytes_bound(), as the serving
-//             snapshot does) and load_state times over 21 round trips.
+//             encoded and raw bytes, and the median save_state (into an
+//             empty buffer, as the serving snapshot does; save_state
+//             reserves state_bytes_bound() itself) and load_state times
+//             over 21 round trips.
 //             Gate: loading each blob and saving it again reproduces its
 //             bytes.
 //
@@ -67,7 +68,6 @@
 #include <cstring>
 #include <new>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -619,10 +619,7 @@ struct ServedSessionEnv {
     };
     head_template = env.head_factory();
     core::ByteBuf raw;
-    {
-      core::ByteBufWriter os(raw);
-      nn::save_params(*head_template, os);
-    }
+    nn::save_params(*head_template, raw);
     env.head_template = head_template.get();
     env.template_hash = core::blob_hash(raw.data(), raw.size());
     cc.lt_capacity = 18;
@@ -729,17 +726,13 @@ std::vector<BlobRow> run_served_blob(std::initializer_list<int64_t> marks,
     std::vector<double> save_ms, load_ms;
     core::ByteBuf blob;
     for (int r = 0; r < reps; ++r) {
-      // As the serving runtime's snapshot: one reserve of the bound.
+      // As the serving runtime's snapshot: into an empty buffer.
       blob = core::ByteBuf();
       const auto t0 = std::chrono::steady_clock::now();
-      blob.reserve(learner.state_bytes_bound());
-      {
-        core::ByteBufWriter os(blob);
-        if (!learner.save_state(os)) std::abort();
-      }
+      if (!learner.save_state(blob)) std::abort();
       const auto t1 = std::chrono::steady_clock::now();
-      core::ByteBufReader is(blob.data(), blob.size());
-      if (!target.load_state(is)) std::abort();
+      util::Reader in(blob.data(), blob.size());
+      if (!target.load_state(in)) std::abort();
       const auto t2 = std::chrono::steady_clock::now();
       save_ms.push_back(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
@@ -747,17 +740,14 @@ std::vector<BlobRow> run_served_blob(std::initializer_list<int64_t> marks,
           std::chrono::duration<double, std::milli>(t2 - t1).count());
     }
     core::ByteBuf again;
-    {
-      core::ByteBufWriter os(again);
-      if (!target.save_state(os)) std::abort();
-    }
-    std::ostringstream head;
+    if (!target.save_state(again)) std::abort();
+    core::ByteBuf head;
     nn::save_params_relative(learner.head(), se.env.head_template, head);
-    std::ostringstream raw_head;
+    core::ByteBuf raw_head;
     nn::save_params(learner.head(), raw_head);
     row.blob_bytes = static_cast<int64_t>(blob.size());
-    row.head_encoded_bytes = static_cast<int64_t>(head.str().size());
-    row.head_raw_bytes = static_cast<int64_t>(raw_head.str().size());
+    row.head_encoded_bytes = static_cast<int64_t>(head.size());
+    row.head_raw_bytes = static_cast<int64_t>(raw_head.size());
     row.raw_blob_bytes =
         row.blob_bytes - row.head_encoded_bytes + row.head_raw_bytes;
     row.save_ms = median(save_ms);

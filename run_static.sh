@@ -32,12 +32,16 @@
 #   8. ASan+UBSan leg           test_checkpoint, test_memories,
 #                               test_serialize_augment, test_gemm, test_nn,
 #                               test_gradients, test_observe_path,
-#                               test_contracts and test_gather_path, and
-#                               test_net's NetProtocol.* cases, under
+#                               test_contracts and test_gather_path,
+#                               test_net's NetProtocol.* cases and
+#                               test_serve's disk-restore cases, under
 #                               -fsanitize=address,undefined: the suites
 #                               that feed forged bytes to the checkpoint,
 #                               slot-store and batch decoders (the wire and
-#                               the CHS3 op logs share one batch codec), the
+#                               the CHS3 op logs share one batch codec, and
+#                               CHS2 blobs the same util::Reader), the
+#                               SessionStore restores that decode stored
+#                               files and replay their op logs, the
 #                               GEMM tiles' masked K tails and row tails,
 #                               where an out-of-bounds read shows up as a
 #                               report, not a failure, and the train steps
@@ -113,7 +117,7 @@ cmake -B build-aubsan -S . -DCHAM_SANITIZE=address-undefined >/dev/null \
 cmake --build build-aubsan -j"$(nproc)" \
   --target test_checkpoint test_memories test_serialize_augment test_gemm \
   test_nn test_gradients test_observe_path test_contracts test_gather_path \
-  test_net \
+  test_net test_serve \
   || fail "ASan+UBSan build"
 for t in test_checkpoint test_memories test_serialize_augment test_gemm \
   test_nn test_gradients test_observe_path test_contracts test_gather_path; do
@@ -121,5 +125,8 @@ for t in test_checkpoint test_memories test_serialize_augment test_gemm \
 done
 ./build-aubsan/tests/test_net --gtest_brief=1 --gtest_filter='NetProtocol.*' \
   || fail "ASan+UBSan test_net NetProtocol.*"
+./build-aubsan/tests/test_serve --gtest_brief=1 \
+  --gtest_filter='ServeSuite.SessionStoreLifecycle:ServeSuite.OpLogDeltaRestoreReplaysFromDisk:ServeSuite.StaleDeltaIsIgnoredOnLoad:ServeSuite.LegacyChunkDeltaIsRejectedOnLoad' \
+  || fail "ASan+UBSan test_serve disk restores"
 
 echo "run_static.sh: all stages passed"

@@ -14,7 +14,7 @@
 // off-chip DRAM traffic, mirroring the paper's hardware mapping.
 #pragma once
 
-#include <iosfwd>
+#include <cstddef>
 
 #include "core/head_learner.h"
 #include "core/long_term_memory.h"
@@ -22,10 +22,13 @@
 #include "core/short_term_memory.h"
 #include "quant/quantize.h"
 #include "replay/memory_accounting.h"
+#include "tensor/workspace.h"
+#include "util/bytes.h"
 
 namespace cham::core {
 
-class ByteBufReader;  // core/checkpoint.h
+// The byte buffer every stored-state writer appends to (tensor/workspace.h).
+using ByteBuf = ws::ByteBuf;
 
 struct ChameleonConfig {
   int64_t st_capacity = 10;    // paper: M_s = 10 samples
@@ -81,24 +84,21 @@ class ChameleonLearner : public HeadLearner {
   // built on. Implemented in core/checkpoint.cpp.
   // A blob records the hash of the template its head is encoded against
   // (LearnerEnv::template_hash) and loads only into a learner with the same
-  // one. The ByteBufReader overload decodes the head in place; the
-  // std::istream one reads the stream to its end first.
-  bool save_state(std::ostream& os) const;
-  bool load_state(ByteBufReader& is);
-  bool load_state(std::istream& is);
+  // one. save_state appends the blob to `out`, growing it at most once (it
+  // reserves state_bytes_bound() past out's size first). load_state decodes
+  // the head in place from r's span and accepts exactly one blob: it
+  // returns false if bytes remain after it.
+  bool save_state(ByteBuf& out) const;
+  bool load_state(util::Reader& r);
   // An upper bound of save_state's output at the current state: the head at
-  // one mask per 64 bytes over its raw bytes, plus the replay stores,
-  // preference statistics and ledger as they stand. A caller serialising
-  // into memory reserves it so the buffer is sized once.
+  // one mask per 64 bytes over its raw bytes, plus the exact length of the
+  // replay stores, preference statistics and ledger as they stand.
   std::size_t state_bytes_bound() const;
   int64_t steps_observed() const { return step_; }
 
  private:
   // Shape of one stored latent row (1 x C x H x W), in both memories.
   Shape row_shape() const;
-  // save_state's sections after the head: RNG, step, ST and LT stores, the
-  // staged burst, preferences and the ledger.
-  bool save_replay_state(std::ostream& os) const;
   // Throws CheckError on any audit violation, including a non-monotone
   // traffic ledger (totals must never decrease across steps).
   void audit_step();

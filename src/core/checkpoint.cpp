@@ -46,19 +46,6 @@ constexpr uint32_t kDeltaMagic = 0x43485333;  // "CHS3"
 // (i64 counts, domain last) fails the version check.
 constexpr uint32_t kDeltaVersion = 2;
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return is.good();
-}
-
 // Op kinds in an op-log frame: each op is this byte, then the OBSERVE batch
 // payload or the PREDICT key list (data/stream.h).
 constexpr uint8_t kObserveOp = 0;
@@ -79,139 +66,102 @@ bool read_delta_header(util::Reader& r, DeltaHeader& out) {
   return r.ok();
 }
 
-// An ostream that only counts what is written to it (state_bytes_bound).
-class ByteCounter : private std::streambuf, public std::ostream {
- public:
-  ByteCounter() : std::ostream(this) {}
-  std::size_t count() const { return count_; }
-
- protected:
-  std::streambuf::int_type overflow(std::streambuf::int_type ch) override {
-    if (ch != std::streambuf::traits_type::eof()) ++count_;
-    return ch;
-  }
-  std::streamsize xsputn(const char*, std::streamsize n) override {
-    count_ += static_cast<std::size_t>(n);
-    return n;
-  }
-
- private:
-  std::size_t count_ = 0;
-};
-
 }  // namespace
 
-bool ChameleonLearner::save_state(std::ostream& os) const {
-  write_pod(os, kMagic);
-  write_pod(os, kVersion);
-  write_pod(os, static_cast<uint8_t>(quant::Precision::kFp32));
-  write_pod(os, env_.template_hash);
+bool ChameleonLearner::save_state(ByteBuf& out) const {
+  out.reserve(out.size() + state_bytes_bound());
+  util::put_u32(out, kMagic);
+  util::put_u32(out, kVersion);
+  util::put_u8(out, static_cast<uint8_t>(quant::Precision::kFp32));
+  util::put_u64(out, env_.template_hash);
 
   // Head parameters (values + BatchNorm running statistics), inline, as
   // byte-masked XORs against the shared template: lossless, so the
   // optimizer resumes from exactly the fp32 values it left.
-  if (!nn::save_params_relative(*g_, env_.head_template, os)) return false;
-  return save_replay_state(os);
-}
+  if (!nn::save_params_relative(*g_, env_.head_template, out)) return false;
 
-std::size_t ChameleonLearner::state_bytes_bound() const {
-  ByteCounter rest;
-  save_replay_state(rest);
-  return kHeaderBytes + nn::params_relative_bound(*g_) + rest.count();
-}
-
-bool ChameleonLearner::save_replay_state(std::ostream& os) const {
   // RNG state: every stochastic decision after restore (ST slot choice,
   // LT sampling, eviction victims) must continue the exact draw sequence.
-  const auto rs = rng_.state();
-  for (uint64_t word : rs) write_pod(os, word);
+  for (uint64_t word : rng_.state()) util::put_u64(out, word);
 
-  write_pod(os, step_);
+  util::put_i64(out, step_);
 
   // Short-term store (contents + reservoir counter). The slab is
-  // contiguous, so the fp32 latent payload is one range write.
-  if (!replay::save_slot_store_q(st_.store(), os)) return false;
+  // contiguous, so the fp32 latent payload is one range append.
+  replay::save_slot_store_q(st_.store(), out);
 
   // Long-term store: one slot-store frame per class, in class order.
-  if (!lt_.save(os)) return false;
+  lt_.save(out);
 
   // Staged LT burst and its consumption cursor: a learner evicted mid-burst
   // must keep consuming the same staged samples on restore. The burst is
   // (class, slot) refs into the LT store serialised just above — the load
   // restores every class's slots in place, so the refs stay valid.
-  write_pod(os, static_cast<int64_t>(staged_refs_.size()));
+  util::put_i64(out, static_cast<int64_t>(staged_refs_.size()));
   for (const auto& ref : staged_refs_) {
-    write_pod(os, ref.cls);
-    write_pod(os, ref.slot);
+    util::put_i32(out, ref.cls);
+    util::put_i32(out, ref.slot);
   }
-  write_pod(os, static_cast<int64_t>(staged_pos_));
+  util::put_i64(out, static_cast<int64_t>(staged_pos_));
 
   // Preference statistics, including mid-window counters.
-  if (!prefs_.save(os)) return false;
+  prefs_.save(out);
 
   // Traffic ledger and the full-checks monotonicity snapshot, so restored
   // sessions keep accumulating the same hardware cost model.
   static_assert(std::is_trivially_copyable_v<OpStats>);
-  write_pod(os, stats_);
-  write_pod(os, audited_onchip_);
-  write_pod(os, audited_offchip_);
-  write_pod(os, audited_weight_);
-  return os.good();
-}
-
-bool ChameleonLearner::load_state(std::istream& is) {
-  ByteBuf bytes;
-  {
-    ByteBufWriter os(bytes);
-    os << is.rdbuf();
+  util::put_bytes(out, &stats_, sizeof(stats_));
+  for (const double* d : {&audited_onchip_, &audited_offchip_,
+                          &audited_weight_}) {
+    util::put_bytes(out, d, sizeof(double));
   }
-  ByteBufReader reader(bytes.data(), bytes.size());
-  return load_state(reader);
+  return true;
 }
 
-bool ChameleonLearner::load_state(ByteBufReader& is) {
-  uint32_t magic = 0, version = 0;
-  if (!read_pod(is, magic) || magic != kMagic) return false;
-  if (!read_pod(is, version) || version != kVersion) return false;
+std::size_t ChameleonLearner::state_bytes_bound() const {
+  // Everything after the head has an exact length: the rng words and step,
+  // both stores, the staged refs between their count and cursor, the
+  // preference statistics, then the ledger and its three audit totals.
+  return kHeaderBytes + nn::params_relative_bound(*g_) + 4 * 8 + 8 +
+         replay::slot_store_bytes(st_.store()) + lt_.saved_bytes() + 8 +
+         staged_refs_.size() * 8 + 8 + prefs_.saved_bytes() +
+         sizeof(OpStats) + 3 * sizeof(double);
+}
+
+bool ChameleonLearner::load_state(util::Reader& r) {
+  if (r.u32() != kMagic || r.u32() != kVersion) return false;
   // Checked before anything is loaded: a blob written at a lossy
   // precision, or against another template, must leave the learner
   // untouched.
-  uint8_t precision = 0;
-  if (!read_pod(is, precision) ||
-      precision != static_cast<uint8_t>(quant::Precision::kFp32)) {
-    return false;
-  }
-  uint64_t template_hash = 0;
-  if (!read_pod(is, template_hash) || template_hash != env_.template_hash) {
-    return false;
-  }
+  if (r.u8() != static_cast<uint8_t>(quant::Precision::kFp32)) return false;
+  if (r.u64() != env_.template_hash || !r.ok()) return false;
 
   // The head decodes in place from the reader's bytes.
   const std::size_t head_bytes = nn::load_params_relative(
-      *g_, env_.head_template, is.unread(), is.unread_size());
+      *g_, env_.head_template, reinterpret_cast<const char*>(r.p + r.off),
+      r.left());
   if (head_bytes == 0) return false;
-  is.skip(head_bytes);
+  r.off += head_bytes;
 
   std::array<uint64_t, 4> rs{};
-  for (auto& word : rs) {
-    if (!read_pod(is, word)) return false;
-  }
+  for (auto& word : rs) word = r.u64();
+  if (!r.ok()) return false;
   rng_.set_state(rs);
 
-  if (!read_pod(is, step_) || step_ < 0) return false;
+  step_ = r.i64();
+  if (!r.ok() || step_ < 0) return false;
 
   // Both memories accept only rows of the learner's latent shape, which
   // every gather downstream reads: ST labels must name a class, and an LT
   // entry must be filed under its own.
   const int64_t classes = env_.data_cfg->num_classes;
-  if (!replay::load_slot_store_q(st_.store(), is, row_shape(), 0, classes)) {
+  if (!replay::load_slot_store_q(st_.store(), r, row_shape(), 0, classes)) {
     return false;
   }
-  if (!lt_.load(is, row_shape())) return false;
+  if (!lt_.load(r, row_shape())) return false;
 
-  int64_t staged_count = 0;
-  if (!read_pod(is, staged_count) || staged_count < 0 ||
-      staged_count > (int64_t{1} << 32)) {
+  const int64_t staged_count = r.i64();
+  if (!r.ok() || staged_count < 0 || staged_count > (int64_t{1} << 32)) {
     return false;
   }
   // Grown one decoded ref at a time: a forged count must not size an
@@ -219,26 +169,27 @@ bool ChameleonLearner::load_state(ByteBufReader& is) {
   staged_refs_.clear();
   for (int64_t i = 0; i < staged_count; ++i) {
     auto& ref = staged_refs_.emplace_back();
-    if (!read_pod(is, ref.cls) || !read_pod(is, ref.slot)) return false;
+    ref.cls = r.i32();
+    ref.slot = r.i32();
     // Refs must land inside the LT store rebuilt above; a corrupt file must
     // fail the load, not produce an out-of-range gather later.
-    if (ref.cls < 0 || ref.cls >= classes ||
-        ref.slot < 0 || ref.slot >= lt_.class_count(ref.cls)) {
+    if (!r.ok() || ref.cls < 0 || ref.cls >= classes || ref.slot < 0 ||
+        ref.slot >= lt_.class_count(ref.cls)) {
       return false;
     }
   }
-  int64_t staged_pos = 0;
-  if (!read_pod(is, staged_pos) || staged_pos < 0 ||
-      staged_pos > staged_count) {
-    return false;
-  }
+  const int64_t staged_pos = r.i64();
+  if (!r.ok() || staged_pos < 0 || staged_pos > staged_count) return false;
   staged_pos_ = static_cast<size_t>(staged_pos);
 
-  if (!prefs_.load(is)) return false;
+  if (!prefs_.load(r)) return false;
 
-  if (!read_pod(is, stats_)) return false;
-  return read_pod(is, audited_onchip_) && read_pod(is, audited_offchip_) &&
-         read_pod(is, audited_weight_);
+  if (!r.bytes(&stats_, sizeof(stats_))) return false;
+  for (double* d : {&audited_onchip_, &audited_offchip_, &audited_weight_}) {
+    if (!r.bytes(d, sizeof(double))) return false;
+  }
+  // Exactly one blob: trailing bytes are as malformed as missing ones.
+  return r.done();
 }
 
 // --------------------------------------------------------- CHS3 deltas

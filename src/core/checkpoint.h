@@ -43,15 +43,14 @@
 //                         or stale delta is detected, never silently
 //                         applied.
 //
-// The serialisation itself lives on the learner (core/chameleon.h); a
-// device reboot writes it to a file stream, the serving runtime's
-// SessionStore/WriteBehind to the in-memory ByteBufs below.
+// Both formats are written with util/bytes.h's put_* into a ByteBuf and
+// read through its bounds-latched util::Reader, the codec the wire protocol
+// uses. The CHS2 serialisation itself lives on the learner
+// (core/chameleon.h); a device reboot or the serving runtime's
+// SessionStore/WriteBehind stores the ByteBuf it fills.
 #pragma once
 
 #include <cstdint>
-#include <istream>
-#include <ostream>
-#include <streambuf>
 #include <vector>
 
 #include "core/chameleon.h"
@@ -60,52 +59,11 @@
 
 namespace cham::core {
 
-// Checkpoint bytes live in pool-backed buffers: eviction snapshots are the
-// same size every cycle, so after warm-up the serving runtime's snapshot
-// path never touches the heap (the pool freelist recycles the blob class).
-using ByteBuf = std::vector<char, ws::PoolAllocator<char>>;
-
-// std::ostream writing into a growing ByteBuf (for serialising a learner to
-// memory instead of a file).
-class ByteBufWriter : private std::streambuf, public std::ostream {
- public:
-  explicit ByteBufWriter(ByteBuf& out) : std::ostream(this), out_(out) {}
-
- protected:
-  std::streambuf::int_type overflow(std::streambuf::int_type ch) override {
-    if (ch != std::streambuf::traits_type::eof()) {
-      out_.push_back(static_cast<char>(ch));
-    }
-    return ch;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    out_.insert(out_.end(), s, s + n);
-    return n;
-  }
-
- private:
-  ByteBuf& out_;
-};
-
-// std::istream reading a borrowed byte span (no copy; the span must outlive
-// the reader). ChameleonLearner::load_state decodes the head section in
-// place through unread()/skip().
-class ByteBufReader : private std::streambuf, public std::istream {
- public:
-  ByteBufReader(const char* data, std::size_t n) : std::istream(this) {
-    // std::streambuf wants mutable pointers; we only ever read.
-    char* p = const_cast<char*>(data);
-    setg(p, p, p + n);
-  }
-
-  // The bytes not read yet.
-  const char* unread() const { return gptr(); }
-  std::size_t unread_size() const {
-    return static_cast<std::size_t>(egptr() - gptr());
-  }
-  // Consumes n <= unread_size() bytes.
-  void skip(std::size_t n) { setg(eback(), gptr() + n, egptr()); }
-};
+// The perfbench harness spells a blob's writer and reader with these two
+// names (`ByteBufWriter os(buf); save_state(os)`, `ByteBufReader is(p, n);
+// load_state(is)`); nothing else uses them.
+using ByteBufWriter = ByteBuf&;
+using ByteBufReader = util::Reader;
 
 // --------------------------------------------------------- CHS3 deltas
 

@@ -15,9 +15,7 @@
 
 #include <cmath>
 #include <functional>
-#include <istream>
 #include <optional>
-#include <ostream>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -180,11 +178,14 @@ class LongTermMemory {
   }
 
   // The CHS2 LT section: one slot-store frame per class, in class order.
-  bool save(std::ostream& os) const {
-    for (const auto& s : classes_) {
-      if (!replay::save_slot_store_q(s, os)) return false;
-    }
-    return true;
+  void save(ws::ByteBuf& out) const {
+    for (const auto& s : classes_) replay::save_slot_store_q(s, out);
+  }
+  // The length of save()'s output.
+  std::size_t saved_bytes() const {
+    std::size_t n = 0;
+    for (const auto& s : classes_) n += replay::slot_store_bytes(s);
+    return n;
   }
 
   // Replaces the contents with a section save() wrote. Returns false, with
@@ -192,11 +193,11 @@ class LongTermMemory {
   // `row_shape`, a frame of more entries than the quota, or an entry filed
   // under a class other than its label. Rebuilds the audit state from the
   // loaded rows.
-  bool load(std::istream& is, const Shape& row_shape) {
+  bool load(util::Reader& r, const Shape& row_shape) {
     std::vector<replay::SlotStore> loaded(
         classes_.size(), replay::SlotStore(per_class_quota_));
     for (int64_t c = 0; c < num_classes_; ++c) {
-      if (!replay::load_slot_store_q(loaded[static_cast<size_t>(c)], is,
+      if (!replay::load_slot_store_q(loaded[static_cast<size_t>(c)], r,
                                      row_shape, c, c + 1)) {
         return false;
       }

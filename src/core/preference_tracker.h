@@ -13,11 +13,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <istream>
-#include <ostream>
 #include <string>
 #include <vector>
 
+#include "tensor/workspace.h"
+#include "util/bytes.h"
 #include "util/check.h"
 
 namespace cham::core {
@@ -70,55 +70,51 @@ class PreferenceTracker {
   // Everything that influences future behaviour is included: the mid-window
   // counters matter because an evicted-and-restored session must recalibrate
   // at exactly the same stream position as an uninterrupted one.
-  bool save(std::ostream& os) const {
-    auto put = [&os](const auto& v) {
-      os.write(reinterpret_cast<const char*>(&v), sizeof(v));
-    };
-    put(num_classes_);
-    put(top_k_);
-    put(learning_window_);
-    put(rho_);
+  void save(ws::ByteBuf& out) const {
+    util::put_i64(out, num_classes_);
+    util::put_i64(out, top_k_);
+    util::put_i64(out, learning_window_);
+    util::put_bytes(out, &rho_, sizeof(rho_));
     for (int64_t c = 0; c < num_classes_; ++c) {
       const auto ci = static_cast<size_t>(c);
-      put(window_counts_[ci]);
-      put(total_counts_[ci]);
-      const uint8_t pref = preferred_[ci] ? 1 : 0;
-      put(pref);
+      util::put_i64(out, window_counts_[ci]);
+      util::put_i64(out, total_counts_[ci]);
+      util::put_u8(out, preferred_[ci] ? 1 : 0);
     }
-    put(window_seen_);
-    put(samples_seen_total_);
-    put(recalibrations_);
-    put(delta_k_);
-    return os.good();
+    util::put_i64(out, window_seen_);
+    util::put_i64(out, samples_seen_total_);
+    util::put_i64(out, recalibrations_);
+    util::put_bytes(out, &delta_k_, sizeof(delta_k_));
+  }
+  // The length of save()'s output: the configuration, two i64 counts and a
+  // flag byte per class, the three running counters and delta_k.
+  std::size_t saved_bytes() const {
+    return 3 * 8 + sizeof(rho_) + static_cast<size_t>(num_classes_) * 17 +
+           3 * 8 + sizeof(delta_k_);
   }
 
   // Restores into a tracker constructed with the SAME configuration; returns
   // false (tracker unspecified) on config mismatch or short read.
-  bool load(std::istream& is) {
-    auto get = [&is](auto& v) {
-      is.read(reinterpret_cast<char*>(&v), sizeof(v));
-      return is.good();
-    };
-    int64_t num_classes = 0, top_k = 0, learning_window = 0;
+  bool load(util::Reader& r) {
+    const int64_t num_classes = r.i64();
+    const int64_t top_k = r.i64();
+    const int64_t learning_window = r.i64();
     float rho = 0;
-    if (!get(num_classes) || !get(top_k) || !get(learning_window) ||
-        !get(rho)) {
-      return false;
-    }
-    if (num_classes != num_classes_ || top_k != top_k_ ||
-        learning_window != learning_window_ || rho != rho_) {
+    if (!r.bytes(&rho, sizeof(rho)) || num_classes != num_classes_ ||
+        top_k != top_k_ || learning_window != learning_window_ ||
+        rho != rho_) {
       return false;
     }
     for (int64_t c = 0; c < num_classes_; ++c) {
       const auto ci = static_cast<size_t>(c);
-      uint8_t pref = 0;
-      if (!get(window_counts_[ci]) || !get(total_counts_[ci]) || !get(pref)) {
-        return false;
-      }
-      preferred_[ci] = pref != 0;
+      window_counts_[ci] = r.i64();
+      total_counts_[ci] = r.i64();
+      preferred_[ci] = r.u8() != 0;
     }
-    return get(window_seen_) && get(samples_seen_total_) &&
-           get(recalibrations_) && get(delta_k_);
+    window_seen_ = r.i64();
+    samples_seen_total_ = r.i64();
+    recalibrations_ = r.i64();
+    return r.bytes(&delta_k_, sizeof(delta_k_));
   }
 
   // Structural audit (Eq. 2 bookkeeping): the Delta_k weight stays a usable

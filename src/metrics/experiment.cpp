@@ -52,10 +52,7 @@ Experiment::Experiment(ExperimentConfig cfg) : cfg_(std::move(cfg)) {
   // The template's identity in session blobs: a hash of its parameter
   // file bytes, taken once.
   core::ByteBuf raw;
-  {
-    core::ByteBufWriter os(raw);
-    nn::save_params(*g_template_, os);
-  }
+  nn::save_params(*g_template_, raw);
   template_hash_ = core::blob_hash(raw.data(), raw.size());
 }
 

@@ -1,14 +1,16 @@
 // Binary parameter serialisation. Used to cache the pretrained backbone so
-// every benchmark does not repeat pretraining. The format stores Param
-// tensors in pipeline order plus BatchNorm running statistics.
+// every benchmark does not repeat pretraining. The format (CHAMNN01) stores
+// Param tensors in pipeline order plus BatchNorm running statistics. Every
+// form is encoded with util/bytes.h into a ws::ByteBuf and decoded through
+// its bounds-latched util::Reader.
 #pragma once
 
 #include <cstddef>
-#include <istream>
-#include <ostream>
 #include <string>
 
 #include "nn/sequential.h"
+#include "tensor/workspace.h"
+#include "util/bytes.h"
 
 namespace cham::nn {
 
@@ -16,12 +18,10 @@ namespace cham::nn {
 bool save_params(const Sequential& net, const std::string& path);
 bool load_params(Sequential& net, const std::string& path);
 
-// Stream variants, for embedding the parameter block inside a larger
-// artefact (the learner-state checkpoints in core/checkpoint.h store head
-// weights inline so a session is a single blob). Same format as the file
-// variants, which delegate here.
-bool save_params(const Sequential& net, std::ostream& os);
-bool load_params(Sequential& net, std::istream& is);
+// The same format in memory: the file variants write and read exactly these
+// bytes, and Experiment hashes them to name the head template.
+void save_params(const Sequential& net, ws::ByteBuf& out);
+bool load_params(Sequential& net, util::Reader& r);
 
 // Template-relative form, the head section of a learner blob
 // (core/checkpoint.h): a u64 tensor count, then per tensor its u64 numel and
@@ -30,7 +30,7 @@ bool load_params(Sequential& net, std::istream& is);
 // base encodes against zeros. `base` must have net's architecture; the save
 // returns false if it does not.
 bool save_params_relative(const Sequential& net, const Sequential* base,
-                          std::ostream& os);
+                          ws::ByteBuf& out);
 // The longest save_params_relative output for `net`.
 std::size_t params_relative_bound(const Sequential& net);
 // Decodes that form from data[0, n) into `net`. Returns the bytes consumed,

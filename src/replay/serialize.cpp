@@ -17,76 +17,69 @@ constexpr uint32_t kVersionSlab = 3;
 // tagged with any other precision is rejected.
 constexpr auto kFp32Tag = static_cast<uint8_t>(quant::Precision::kFp32);
 
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-
-template <typename T>
-bool read_pod(std::istream& is, T& v) {
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  return is.good();
-}
-
 // Largest element count a decoded slab may claim.
 constexpr int64_t kMaxNumel = int64_t{1} << 32;
 
 }  // namespace
 
-bool save_slot_store_q(const SlotStore& store, std::ostream& os) {
-  write_pod(os, kMagic);
-  write_pod(os, kVersionSlab);
-  write_pod(os, static_cast<int64_t>(store.capacity()));
-  write_pod(os, static_cast<int64_t>(store.seen()));
-  write_pod(os, static_cast<int64_t>(store.size()));
+void save_slot_store_q(const SlotStore& store, ws::ByteBuf& out) {
+  util::put_u32(out, kMagic);
+  util::put_u32(out, kVersionSlab);
+  util::put_i64(out, store.capacity());
+  util::put_i64(out, store.seen());
+  util::put_i64(out, store.size());
   const uint32_t rank =
       store.configured() ? static_cast<uint32_t>(store.row_shape().rank()) : 0;
-  write_pod(os, rank);
+  util::put_u32(out, rank);
   for (uint32_t d = 0; d < rank; ++d) {
-    write_pod(os, static_cast<int64_t>(store.row_shape()[d]));
+    util::put_i64(out, store.row_shape()[d]);
   }
   for (int64_t i = 0; i < store.size(); ++i) {
     const auto& k = store.key(i);
-    write_pod(os, k.class_id);
-    write_pod(os, k.domain_id);
-    write_pod(os, k.instance_id);
-    write_pod(os, static_cast<uint8_t>(k.test));
-    write_pod(os, static_cast<int64_t>(store.label(i)));
+    util::put_i32(out, k.class_id);
+    util::put_i32(out, k.domain_id);
+    util::put_i32(out, k.instance_id);
+    util::put_u8(out, static_cast<uint8_t>(k.test));
+    util::put_i64(out, store.label(i));
   }
-  write_pod(os, kFp32Tag);
-  if (store.size() == 0) return os.good();
-  // The whole occupied range in one write — the slab is contiguous.
-  os.write(reinterpret_cast<const char*>(store.rows()),
-           static_cast<std::streamsize>(store.size() * store.row_numel() *
-                                        sizeof(float)));
-  return os.good();
+  util::put_u8(out, kFp32Tag);
+  // The whole occupied range in one append — the slab is contiguous.
+  util::put_bytes(out, store.rows(),
+                  static_cast<size_t>(store.size() * store.row_numel()) *
+                      sizeof(float));
 }
 
-bool load_slot_store_q(SlotStore& store, std::istream& is,
+std::size_t slot_store_bytes(const SlotStore& store) {
+  const std::size_t rank =
+      store.configured() ? static_cast<size_t>(store.row_shape().rank()) : 0;
+  const auto rows = static_cast<size_t>(store.size());
+  // magic, version, capacity, seen, count, rank; the dims; per row its key
+  // (three i32 and the test byte) and i64 label; the tag; the payload.
+  return 4 + 4 + 8 + 8 + 8 + 4 + rank * 8 + rows * (3 * 4 + 1 + 8) + 1 +
+         rows * static_cast<size_t>(store.row_numel()) * sizeof(float);
+}
+
+bool load_slot_store_q(SlotStore& store, util::Reader& r,
                        const Shape& row_shape, int64_t label_begin,
                        int64_t label_end) {
-  uint32_t magic = 0, version = 0, rank = 0;
-  int64_t capacity = 0, seen = 0, count = 0;
-  if (!read_pod(is, magic) || magic != kMagic) return false;
-  if (!read_pod(is, version) || version != kVersionSlab) return false;
+  if (r.u32() != kMagic || r.u32() != kVersionSlab) return false;
   // A store restores only into one of its own capacity: the learner's
   // capacity bounds the slab before a forged value can size it.
-  if (!read_pod(is, capacity) || capacity <= 0 ||
-      capacity != store.capacity()) {
-    return false;
-  }
-  if (!read_pod(is, seen) || !read_pod(is, count)) return false;
-  if (count < 0 || count > capacity || seen < count) return false;
+  const int64_t capacity = r.i64();
+  if (!r.ok() || capacity <= 0 || capacity != store.capacity()) return false;
+  const int64_t seen = r.i64();
+  const int64_t count = r.i64();
+  if (!r.ok() || count < 0 || count > capacity || seen < count) return false;
   // The rows must have the shape the store's reader gathers: a row of any
   // other size would be read past (or short of) its end by every consumer.
   // Only an empty store may carry no shape (it was never configured).
-  if (!read_pod(is, rank)) return false;
-  if (rank == 0 ? count > 0 : rank != static_cast<uint32_t>(row_shape.rank())) {
+  const uint32_t rank = r.u32();
+  if (!r.ok() ||
+      (rank == 0 ? count > 0 : rank != static_cast<uint32_t>(row_shape.rank()))) {
     return false;
   }
   for (uint32_t d = 0; d < rank; ++d) {
-    int64_t dim = 0;
-    if (!read_pod(is, dim) || dim != row_shape[d]) return false;
+    if (r.i64() != row_shape[d] || !r.ok()) return false;
   }
   // The slab holds capacity rows; its size must not overflow either.
   const int64_t row_numel = row_shape.numel();
@@ -101,28 +94,21 @@ bool load_slot_store_q(SlotStore& store, std::istream& is,
   // allocation before the bytes behind it have been read.
   std::vector<KeyRow> table;
   for (int64_t i = 0; i < count; ++i) {
-    KeyRow& r = table.emplace_back();
-    uint8_t test = 0;
-    if (!read_pod(is, r.key.class_id)) return false;
-    if (!read_pod(is, r.key.domain_id)) return false;
-    if (!read_pod(is, r.key.instance_id)) return false;
-    if (!read_pod(is, test)) return false;
-    r.key.test = test != 0;
-    if (!read_pod(is, r.label) || r.label < label_begin ||
-        r.label >= label_end) {
-      return false;
-    }
+    KeyRow& k = table.emplace_back();
+    k.key.class_id = r.i32();
+    k.key.domain_id = r.i32();
+    k.key.instance_id = r.i32();
+    k.key.test = r.u8() != 0;
+    k.label = r.i64();
+    if (!r.ok() || k.label < label_begin || k.label >= label_end) return false;
   }
-  uint8_t tag = 0;
-  if (!read_pod(is, tag) || tag != kFp32Tag) return false;
+  if (r.u8() != kFp32Tag || !r.ok()) return false;
   if (count > 0) {
     std::vector<float> row(static_cast<size_t>(row_numel));
     for (int64_t i = 0; i < count; ++i) {
-      is.read(reinterpret_cast<char*>(row.data()),
-              static_cast<std::streamsize>(row_numel * sizeof(float)));
-      if (!is.good()) return false;
-      const auto& r = table[static_cast<size_t>(i)];
-      loaded.write(i, r.key, r.label, row_shape, row.data());
+      if (!r.bytes(row.data(), row.size() * sizeof(float))) return false;
+      const auto& k = table[static_cast<size_t>(i)];
+      loaded.write(i, k.key, k.label, row_shape, row.data());
     }
   }
   store = std::move(loaded);

@@ -530,8 +530,8 @@ std::unique_ptr<core::ChameleonLearner> SessionManager::materialize_session(
   bool pending = false;
   if (auto blob = write_behind_->newest_blob(session_id, &pending)) {
     const auto t0 = std::chrono::steady_clock::now();
-    core::ByteBufReader is(blob->data(), blob->size());
-    const bool ok = fresh->load_state(is);
+    util::Reader r(blob->data(), blob->size());
+    const bool ok = fresh->load_state(r);
     CHAM_CHECK(ok, "SessionManager: corrupt in-memory snapshot for id " +
                        std::to_string(session_id));
     util::MutexLock slock(stats_mu_);
@@ -618,17 +618,14 @@ void SessionManager::snapshot_and_submit(EvictedVictim victim) {
   const auto t0 = std::chrono::steady_clock::now();
   WriteBehind::Snapshot snap;
   if (!clean) {
-    // Sized once from the learner's bound, then cut to its length if the
-    // bound's pool block is larger: the blob is cached and queued at the
-    // block of its own length (the snapshot cache counts block bytes).
+    // save_state sizes the blob once from the learner's bound; it is cut
+    // to its length if the bound's pool block is larger: the blob is
+    // cached and queued at the block of its own length (the snapshot cache
+    // counts block bytes).
     auto blob = std::make_shared<core::ByteBuf>();
-    blob->reserve(victim.learner->state_bytes_bound());
-    {
-      core::ByteBufWriter os(*blob);
-      const bool ok = victim.learner->save_state(os);
-      CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
-                         std::to_string(victim.session_id));
-    }
+    const bool ok = victim.learner->save_state(*blob);
+    CHAM_CHECK(ok, "SessionManager: failed to serialise session " +
+                       std::to_string(victim.session_id));
     if (ws::pool_block_bytes(blob->capacity()) >
         ws::pool_block_bytes(blob->size())) {
       blob->shrink_to_fit();

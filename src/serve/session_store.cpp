@@ -157,8 +157,8 @@ bool SessionStore::load(uint64_t session_id, core::ChameleonLearner& learner,
   if (live && !core::read_op_log(delta.data(), delta.size(), ops)) {
     return false;
   }
-  core::ByteBufReader is(base.data(), base.size());
-  if (!learner.load_state(is)) return false;
+  util::Reader r(base.data(), base.size());
+  if (!learner.load_state(r)) return false;
   if (live) {
     // The repo-wide determinism contract makes the replay reproduce the
     // evicted state byte for byte; the target hash proves it. Predict ops
@@ -168,11 +168,7 @@ bool SessionStore::load(uint64_t session_id, core::ChameleonLearner& learner,
       if (!op.predict) learner.observe(op.batch);
     }
     core::ByteBuf replayed;
-    replayed.reserve(learner.state_bytes_bound());
-    {
-      core::ByteBufWriter os(replayed);
-      if (!learner.save_state(os)) return false;
-    }
+    if (!learner.save_state(replayed)) return false;
     if (replayed.size() != h.next_len ||
         core::blob_hash(replayed.data(), replayed.size()) != h.next_hash) {
       return false;

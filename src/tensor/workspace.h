@@ -89,6 +89,12 @@ struct PoolAllocator {
 // The storage type of Tensor (tensor.h).
 using FloatBuffer = std::vector<float, PoolAllocator<float>>;
 
+// Encoded stored state: learner blobs, their sections and delta frames
+// (core/checkpoint.h). Eviction snapshots are the same size every cycle,
+// so after warm-up the serving runtime's snapshot path never touches the
+// heap (the pool freelist recycles the blob class).
+using ByteBuf = std::vector<char, PoolAllocator<char>>;
+
 // Thread-local bump allocator for kernel scratch. Never returns memory to
 // the heap while live; rewinding reclaims everything past a mark in O(1).
 class Arena {

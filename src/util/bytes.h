@@ -1,17 +1,22 @@
-// Little-endian byte primitives for the binary formats parsed from
-// untrusted bytes: the wire protocol (net/protocol.h) and the CHS3 op-log
-// delta frames (core/checkpoint.h). Both carry batches and key lists through
-// the one codec in data/stream.h, which is built on these.
+// Little-endian byte primitives for every binary format parsed from
+// untrusted bytes: the wire protocol (net/protocol.h), the CHS2 learner
+// blobs and CHS3 op-log delta frames (core/checkpoint.h) and the CHAMNN01
+// parameter file (nn/model_io.h). The wire and the op logs carry batches
+// and key lists through the one codec in data/stream.h, which is built on
+// these.
 //
 // The put_* writers append to any byte vector (net::WireBuf holds uint8_t,
-// core::ByteBuf pool-allocated char). Reader walks a borrowed span: every
+// ws::ByteBuf pool-allocated char). Reader walks a borrowed span: every
 // read past the end returns 0 and latches failure, so a decoder checks ok()
 // once at the end, and at the few points where a length prefix gates a
-// loop.
+// loop. The range forms (put_bytes, Reader::bytes) copy host bytes as they
+// are: floats and POD records, whose layout is little-endian on every
+// supported target.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 namespace cham::util {
 
@@ -39,6 +44,12 @@ void put_i32(Buf& b, int32_t v) {
 template <typename Buf>
 void put_i64(Buf& b, int64_t v) {
   put_u64(b, static_cast<uint64_t>(v));
+}
+// Appends the n bytes at `data`.
+template <typename Buf>
+void put_bytes(Buf& b, const void* data, std::size_t n) {
+  const auto* s = static_cast<const typename Buf::value_type*>(data);
+  b.insert(b.end(), s, s + n);
 }
 
 // Bounds-checked sequential reader over a borrowed byte span.
@@ -89,6 +100,13 @@ struct Reader {
   }
   int32_t i32() { return static_cast<int32_t>(u32()); }
   int64_t i64() { return static_cast<int64_t>(u64()); }
+  // Copies the next k bytes to dst; false (dst untouched) if fewer are left.
+  bool bytes(void* dst, std::size_t k) {
+    if (!take(k)) return false;
+    if (k > 0) std::memcpy(dst, p + off, k);
+    off += k;
+    return true;
+  }
 };
 
 }  // namespace cham::util

@@ -7,7 +7,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <iterator>
+#include <string>
 
 #include "core/checkpoint.h"
 #include "metrics/experiment.h"
@@ -17,6 +18,7 @@
 #include "serve/session_store.h"
 #include "tensor/byte_mask.h"
 #include "tensor/rng.h"
+#include "util/bytes.h"
 #include "util/tmp_path.h"
 
 namespace cham {
@@ -48,20 +50,35 @@ class CheckpointSuite : public ::testing::Test {
 metrics::Experiment* CheckpointSuite::exp_ = nullptr;
 data::DomainIncrementalStream* CheckpointSuite::stream_ = nullptr;
 
+// A learner's CHS2 blob, as a string the forgery cases can splice.
+std::string blob_of(const core::ChameleonLearner& learner) {
+  core::ByteBuf blob;
+  EXPECT_TRUE(learner.save_state(blob));
+  return std::string(blob.data(), blob.size());
+}
+
+bool load_bytes(core::ChameleonLearner& learner, const std::string& bytes) {
+  util::Reader r(bytes.data(), bytes.size());
+  return learner.load_state(r);
+}
+
 bool save_file(const core::ChameleonLearner& learner, const std::string& path) {
+  const std::string blob = blob_of(learner);
   std::ofstream os(path, std::ios::binary);
-  return learner.save_state(os) && os.flush().good();
+  os.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  return os.flush().good();
 }
 
 bool load_file(core::ChameleonLearner& learner, const std::string& path) {
   std::ifstream is(path, std::ios::binary);
-  return learner.load_state(is);
+  return load_bytes(learner, {std::istreambuf_iterator<char>(is),
+                              std::istreambuf_iterator<char>()});
 }
 
 std::string frame_of(const replay::SlotStore& store) {
-  std::ostringstream os;
-  EXPECT_TRUE(replay::save_slot_store_q(store, os));
-  return os.str();
+  core::ByteBuf frame;
+  replay::save_slot_store_q(store, frame);
+  return std::string(frame.data(), frame.size());
 }
 
 // Where each section of a learner's CHS2 blob starts: the header (u32
@@ -76,11 +93,11 @@ struct BlobLayout {
 
 BlobLayout layout_of(core::ChameleonLearner& learner,
                      metrics::Experiment& exp) {
-  std::ostringstream head;
+  core::ByteBuf head;
   EXPECT_TRUE(nn::save_params_relative(learner.head(),
                                        exp.env().head_template, head));
   BlobLayout l;
-  l.st_at = l.head_at + head.str().size() + 32 + 8;
+  l.st_at = l.head_at + head.size() + 32 + 8;
   const int64_t num_classes = exp.config().data.num_classes;
   size_t at = l.st_at + frame_of(learner.short_term().store()).size();
   for (int64_t c = 0; c < num_classes; ++c) {
@@ -98,9 +115,7 @@ struct ForgeryBench {
                const data::DomainIncrementalStream& stream)
       : exp(e), source(e.env(), config(), 6) {
     for (const auto& b : stream.batches()) source.observe(b);
-    std::ostringstream os;
-    EXPECT_TRUE(source.save_state(os));
-    blob = os.str();
+    blob = blob_of(source);
     layout = layout_of(source, exp);
   }
 
@@ -111,16 +126,10 @@ struct ForgeryBench {
     return cc;
   }
 
-  // Loads through both readers: a std::istream (read whole, then decoded)
-  // and a ByteBufReader (head decoded in place). They must agree.
+  // Loads the bytes into a fresh learner of the source's config.
   bool loads(const std::string& bytes) {
-    core::ChameleonLearner from_stream(exp.env(), config(), 1234);
-    std::istringstream is(bytes);
-    const bool ok = from_stream.load_state(is);
-    core::ChameleonLearner in_place(exp.env(), config(), 1234);
-    core::ByteBufReader reader(bytes.data(), bytes.size());
-    EXPECT_EQ(in_place.load_state(reader), ok) << "the two readers disagree";
-    return ok;
+    core::ChameleonLearner target(exp.env(), config(), 1234);
+    return load_bytes(target, bytes);
   }
 
   // The blob with bytes [from, to) replaced by `frame`.
@@ -221,10 +230,7 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
   serve::SessionStore store(util::tmp_path("test_midstream"));
   store.clear();
   core::ByteBuf blob;
-  {
-    core::ByteBufWriter os(blob);
-    ASSERT_TRUE(first_half.save_state(os));
-  }
+  ASSERT_TRUE(first_half.save_state(blob));
   ASSERT_TRUE(store.put_full(/*session_id=*/1, blob.data(), blob.size()));
 
   core::ChameleonLearner resumed(exp_->env(), cc, 4242);  // different seed
@@ -265,10 +271,10 @@ TEST_F(CheckpointSuite, MidStreamResumeViaSessionStoreIsBitIdentical) {
   }
   // LT: every class's keys, labels and rows in slot order, compared as the
   // stores' own frames.
-  std::ostringstream la, lb;
-  ASSERT_TRUE(uninterrupted.long_term().save(la));
-  ASSERT_TRUE(resumed.long_term().save(lb));
-  EXPECT_TRUE(la.str() == lb.str()) << "LT diverged after resume";
+  core::ByteBuf la, lb;
+  uninterrupted.long_term().save(la);
+  resumed.long_term().save(lb);
+  EXPECT_TRUE(la == lb) << "LT diverged after resume";
   EXPECT_EQ(resumed.preferences().delta_k(),
             uninterrupted.preferences().delta_k());
   EXPECT_EQ(resumed.preferences().window_seen(),
@@ -288,10 +294,7 @@ TEST_F(CheckpointSuite, NonFp32PrecisionTagIsRejectedBeforeMutation) {
   core::ChameleonLearner source(exp_->env(), cc, 6);
   for (const auto& b : stream_->batches()) source.observe(b);
   core::ByteBuf blob;
-  {
-    core::ByteBufWriter os(blob);
-    ASSERT_TRUE(source.save_state(os));
-  }
+  ASSERT_TRUE(source.save_state(blob));
   // Header: u32 magic, u32 version, then the u8 precision tag.
   constexpr size_t kTagOffset = 8;
   ASSERT_EQ(blob[kTagOffset], static_cast<char>(quant::Precision::kFp32));
@@ -300,17 +303,11 @@ TEST_F(CheckpointSuite, NonFp32PrecisionTagIsRejectedBeforeMutation) {
   core::ChameleonLearner target(exp_->env(), cc, 1234);
   target.observe(stream_->batches().front());
   core::ByteBuf before;
-  {
-    core::ByteBufWriter os(before);
-    ASSERT_TRUE(target.save_state(os));
-  }
-  core::ByteBufReader is(blob.data(), blob.size());
-  EXPECT_FALSE(target.load_state(is));
+  ASSERT_TRUE(target.save_state(before));
+  util::Reader r(blob.data(), blob.size());
+  EXPECT_FALSE(target.load_state(r));
   core::ByteBuf after;
-  {
-    core::ByteBufWriter os(after);
-    ASSERT_TRUE(target.save_state(os));
-  }
+  ASSERT_TRUE(target.save_state(after));
   EXPECT_TRUE(before == after) << "a rejected blob mutated the learner";
 }
 
@@ -333,9 +330,7 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
   int64_t staged = 0;
   for (const auto& b : stream_->batches()) {
     source.observe(b);
-    std::ostringstream os;
-    ASSERT_TRUE(source.save_state(os));
-    blob = os.str();
+    blob = blob_of(source);
     at = layout_of(source, *exp_).lt_at.back();
     ASSERT_LE(at + 8, blob.size());
     staged = i64_at(blob, at);
@@ -349,8 +344,7 @@ TEST_F(CheckpointSuite, ForgedStagedCountWithoutPayloadIsRejected) {
   };
   auto load = [&](const std::string& bytes) {
     core::ChameleonLearner target(exp_->env(), cc, 1234);
-    std::istringstream is(bytes);
-    return target.load_state(is);
+    return load_bytes(target, bytes);
   };
   // Control: the same blob with the burst dropped (count 0, cursor 0) still
   // loads, so `at` is the staged count's offset.
@@ -371,9 +365,7 @@ TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
   cc.lt_capacity = 18;
   core::ChameleonLearner source(exp_->env(), cc, 6);
   source.observe(stream_->batches().front());
-  std::ostringstream os;
-  ASSERT_TRUE(source.save_state(os));
-  const std::string blob = os.str();
+  const std::string blob = blob_of(source);
 
   const size_t at = layout_of(source, *exp_).st_at;
   const replay::SlotStore& st = source.short_term().store();
@@ -395,8 +387,7 @@ TEST_F(CheckpointSuite, ForgedStCapacityWithOneRealRowIsRejected) {
     // Store framing: u32 magic, u32 version, then the i64 capacity.
     std::memcpy(store.data() + 8, &capacity, sizeof(capacity));
     core::ChameleonLearner target(exp_->env(), cc, 1234);
-    std::istringstream is(prefix + store + suffix);
-    return target.load_state(is);
+    return load_bytes(target, prefix + store + suffix);
   };
   EXPECT_TRUE(load(st.capacity())) << "control: the one-row blob loads";
   EXPECT_NO_THROW(EXPECT_FALSE(load((int64_t{1} << 32) / st.row_numel())));
@@ -504,8 +495,8 @@ TEST_F(CheckpointSuite, VersionFourBlobIsRejected) {
 //
 // CHS2 v7 stores each head tensor as the byte-mask encoding of its bytes
 // XOR the shared template's (tensor/byte_mask.h). The decoder reads
-// untrusted bytes: every forgery below must fail the load, through both
-// readers, without throwing.
+// untrusted bytes: every forgery below must fail the load without
+// throwing.
 
 uint64_t u64_at(const std::string& bytes, size_t off) {
   uint64_t v = 0;
@@ -547,20 +538,125 @@ TEST_F(CheckpointSuite, LoadThenSaveReproducesTheBlob) {
   ForgeryBench fb(*exp_, *stream_);
   EXPECT_LE(fb.blob.size(), fb.source.state_bytes_bound());
   core::ChameleonLearner target(exp_->env(), ForgeryBench::config(), 77);
-  core::ByteBufReader is(fb.blob.data(), fb.blob.size());
-  ASSERT_TRUE(target.load_state(is));
-  std::ostringstream os;
-  ASSERT_TRUE(target.save_state(os));
-  EXPECT_TRUE(os.str() == fb.blob) << "load + save changed the blob";
+  ASSERT_TRUE(load_bytes(target, fb.blob));
+  EXPECT_TRUE(blob_of(target) == fb.blob) << "load + save changed the blob";
   // Every block's mask covers only its tensor's bytes, and the section
   // ends where the rng state begins.
   const auto blocks = head_blocks(fb.blob, fb.layout.head_at);
   ASSERT_FALSE(blocks.empty());
   EXPECT_EQ(blocks.back().end + 32 + 8, fb.layout.st_at);
   // Relative to the template, the trained head is smaller than raw.
-  std::ostringstream raw;
-  ASSERT_TRUE(nn::save_params(fb.source.head(), raw));
-  EXPECT_LT(fb.layout.st_at - fb.layout.head_at, raw.str().size());
+  core::ByteBuf raw;
+  nn::save_params(fb.source.head(), raw);
+  EXPECT_LT(fb.layout.st_at - fb.layout.head_at, raw.size());
+}
+
+// save_state sizes its buffer once: into an empty ByteBuf it reserves
+// exactly state_bytes_bound(), and the bound past the head is the exact
+// length of the rest of the blob, for an empty learner, full stores and a
+// learner stopped mid-burst with staged refs.
+TEST_F(CheckpointSuite, SaveStateSizesItsBufferOnce) {
+  auto expect_sized_once = [&](core::ChameleonLearner& l) {
+    core::ByteBuf blob;
+    ASSERT_TRUE(l.save_state(blob));
+    const size_t bound = l.state_bytes_bound();
+    EXPECT_EQ(blob.capacity(), bound) << "the blob grew past its reservation";
+    core::ByteBuf head;
+    ASSERT_TRUE(nn::save_params_relative(l.head(), exp_->env().head_template,
+                                         head));
+    EXPECT_EQ(bound - nn::params_relative_bound(l.head()),
+              blob.size() - head.size())
+        << "the bound past the head is not the rest of the blob";
+  };
+  {
+    SCOPED_TRACE("empty");
+    core::ChameleonLearner empty(exp_->env(), ForgeryBench::config(), 6);
+    expect_sized_once(empty);
+  }
+  {
+    SCOPED_TRACE("full stores");
+    core::ChameleonLearner full(exp_->env(), ForgeryBench::config(), 6);
+    for (int pass = 0; pass < 3; ++pass) {
+      for (const auto& b : stream_->batches()) full.observe(b);
+    }
+    ASSERT_EQ(full.short_term().size(), full.short_term().capacity());
+    ASSERT_EQ(full.long_term().size(), full.long_term().capacity());
+    expect_sized_once(full);
+  }
+  {
+    SCOPED_TRACE("mid-burst");
+    core::ChameleonLearner source(exp_->env(), ForgeryBench::config(), 6);
+    uint64_t staged = 0;
+    for (const auto& b : stream_->batches()) {
+      source.observe(b);
+      staged = u64_at(blob_of(source), layout_of(source, *exp_).lt_at.back());
+      if (staged > 0) break;
+    }
+    ASSERT_GT(staged, 0u) << "the stream never left a staged LT burst";
+    expect_sized_once(source);
+  }
+}
+
+// The decoder accepts exactly one blob: every proper prefix fails the load
+// (at each section boundary, one byte either side of it, and at 256 seeded
+// lengths), and so does the blob with one byte appended.
+TEST_F(CheckpointSuite, TruncatedOrPaddedBlobIsRejected) {
+  ForgeryBench fb(*exp_, *stream_);
+  ASSERT_TRUE(fb.loads(fb.blob)) << "control";
+  const BlobLayout& l = fb.layout;
+  // After the LT frames: the staged count, its refs and the cursor, the
+  // preference statistics, then the ledger and its three audit totals.
+  const size_t staged_at = l.lt_at.back();
+  const size_t prefs_at =
+      staged_at + 8 + static_cast<size_t>(u64_at(fb.blob, staged_at)) * 8 + 8;
+  const size_t ledger_at = prefs_at + fb.source.preferences().saved_bytes();
+  ASSERT_EQ(ledger_at + sizeof(core::OpStats) + 3 * 8, fb.blob.size());
+  std::vector<size_t> cuts = {4,           8,          9,
+                              l.head_at,   l.st_at - 40, l.st_at - 8,
+                              staged_at + 8, prefs_at - 8, prefs_at,
+                              ledger_at,   ledger_at + sizeof(core::OpStats),
+                              fb.blob.size()};
+  cuts.insert(cuts.end(), l.lt_at.begin(), l.lt_at.end());
+  cuts.push_back(l.st_at);
+  std::vector<size_t> lengths;
+  for (const size_t c : cuts) {
+    for (const size_t n : {c - 1, c, c + 1}) {
+      if (n < fb.blob.size()) lengths.push_back(n);
+    }
+  }
+  Rng rng(31);
+  for (int i = 0; i < 256; ++i) {
+    lengths.push_back(static_cast<size_t>(
+        rng.uniform_int(static_cast<int64_t>(fb.blob.size()))));
+  }
+  for (const size_t n : lengths) {
+    EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.blob.substr(0, n))))
+        << "prefix " << n;
+  }
+  EXPECT_NO_THROW(EXPECT_FALSE(fb.loads(fb.blob + '\0')))
+      << "one byte appended";
+}
+
+// Single-byte flips outside the head (in the header and every section after
+// the head) either load or fail the load; none throws or, under the
+// sanitizers, reads out of bounds.
+TEST_F(CheckpointSuite, ByteFlipsOutsideTheHeadLoadOrFail) {
+  ForgeryBench fb(*exp_, *stream_);
+  const size_t head_end = fb.layout.st_at - 40;
+  const auto outside =
+      static_cast<int64_t>(fb.layout.head_at + fb.blob.size() - head_end);
+  Rng rng(47);
+  int rejected = 0;
+  for (int i = 0; i < 512; ++i) {
+    auto at = static_cast<size_t>(rng.uniform_int(outside));
+    if (at >= fb.layout.head_at) at += head_end - fb.layout.head_at;
+    std::string forged = fb.blob;
+    forged[at] = static_cast<char>(forged[at] ^ (1 + rng.uniform_int(255)));
+    bool ok = true;
+    EXPECT_NO_THROW(ok = fb.loads(forged)) << "flip at " << at;
+    rejected += ok ? 0 : 1;
+  }
+  EXPECT_GT(rejected, 0) << "no flip reached a checked field";
 }
 
 TEST_F(CheckpointSuite, ForgedHeadMasksAreRejected) {
@@ -618,19 +714,14 @@ TEST_F(CheckpointSuite, BlobAgainstAnotherTemplateIsRejected) {
   bare.template_hash = 0;
   core::ChameleonLearner source(bare, ForgeryBench::config(), 6);
   for (const auto& b : stream_->batches()) source.observe(b);
-  std::ostringstream os;
-  ASSERT_TRUE(source.save_state(os));
-  const std::string blob = os.str();
+  const std::string blob = blob_of(source);
   EXPECT_LE(blob.size(), source.state_bytes_bound());
   EXPECT_FALSE(fb.loads(blob));
   core::ChameleonLearner target(bare, ForgeryBench::config(), 1234);
-  std::istringstream is(blob);
-  ASSERT_TRUE(target.load_state(is));
+  ASSERT_TRUE(load_bytes(target, blob));
   const auto test_keys = data::all_test_keys(exp_->config().data);
   EXPECT_EQ(target.predict(test_keys), source.predict(test_keys));
-  std::ostringstream again;
-  ASSERT_TRUE(target.save_state(again));
-  EXPECT_TRUE(again.str() == blob);
+  EXPECT_TRUE(blob_of(target) == blob);
 }
 
 // The codec's two paths (byte_mask.h) write the same bytes and each

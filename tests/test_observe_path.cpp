@@ -573,10 +573,10 @@ int64_t class_by_class_update(
 
 void expect_same_entries(const core::LongTermMemory& a,
                          const core::LongTermMemory& b) {
-  std::ostringstream ea, eb;
-  ASSERT_TRUE(a.save(ea));
-  ASSERT_TRUE(b.save(eb));
-  EXPECT_TRUE(ea.str() == eb.str()) << "LT keys, labels or rows differ";
+  ws::ByteBuf ea, eb;
+  a.save(ea);
+  b.save(eb);
+  EXPECT_TRUE(ea == eb) << "LT keys, labels or rows differ";
 }
 
 // update_from through the one-call batch scorer must leave exactly the

@@ -4,13 +4,13 @@
 
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "quant/quantize.h"
 #include "replay/serialize.h"
 #include "tensor/ops.h"
+#include "util/bytes.h"
 
 namespace cham {
 namespace {
@@ -31,12 +31,24 @@ replay::SlotStore make_store(int64_t capacity,
   return store;
 }
 
+// Decodes one slot-store frame from the front of `bytes` into `store`.
+bool load_frame(replay::SlotStore& store, const std::string& bytes,
+                const Shape& row_shape, int64_t label_end = 10) {
+  util::Reader r(bytes.data(), bytes.size());
+  return replay::load_slot_store_q(store, r, row_shape, 0, label_end);
+}
+
+std::string frame_of(const replay::SlotStore& s) {
+  ws::ByteBuf frame;
+  replay::save_slot_store_q(s, frame);
+  EXPECT_EQ(frame.size(), replay::slot_store_bytes(s));
+  return std::string(frame.data(), frame.size());
+}
+
 // One store through the slot-store framing of CHS2 learner blobs.
 replay::SlotStore round_trip(const replay::SlotStore& s) {
-  std::stringstream ss;
-  EXPECT_TRUE(replay::save_slot_store_q(s, ss));
   replay::SlotStore back(s.capacity());
-  EXPECT_TRUE(replay::load_slot_store_q(back, ss, kRow, 0, 10));
+  EXPECT_TRUE(load_frame(back, frame_of(s), kRow));
   return back;
 }
 
@@ -64,22 +76,16 @@ TEST(Serialize, EmptySlotStoreRoundTrip) {
 }
 
 TEST(Serialize, RejectsGarbage) {
-  std::stringstream ss;
-  ss << "not a slot store at all";
   replay::SlotStore store(4);
-  EXPECT_FALSE(replay::load_slot_store_q(store, ss, kRow, 0, 10));
-  std::stringstream empty;
-  EXPECT_FALSE(replay::load_slot_store_q(store, empty, kRow, 0, 10));
+  EXPECT_FALSE(load_frame(store, "not a slot store at all", kRow));
+  EXPECT_FALSE(load_frame(store, "", kRow));
 }
 
 TEST(Serialize, RejectsTruncated) {
-  std::stringstream ss;
-  ASSERT_TRUE(replay::save_slot_store_q(make_store(4, {1, 2}), ss));
-  std::string data = ss.str();
+  std::string data = frame_of(make_store(4, {1, 2}));
   data.resize(data.size() / 2);
-  std::stringstream truncated(data);
   replay::SlotStore back(4);
-  EXPECT_FALSE(replay::load_slot_store_q(back, truncated, kRow, 0, 10));
+  EXPECT_FALSE(load_frame(back, data, kRow));
 }
 
 // ------------------------------------------- decoder bounds (crafted bytes)
@@ -134,9 +140,8 @@ bool load_store(const std::string& bytes,
                 const Shape& row_shape = Shape{{1, 2}}) {
   int64_t capacity = 0;
   std::memcpy(&capacity, bytes.data() + 8, sizeof(capacity));
-  std::stringstream ss(bytes);
   replay::SlotStore store(capacity);
-  return replay::load_slot_store_q(store, ss, row_shape, 0, 10);
+  return load_frame(store, bytes, row_shape);
 }
 
 const std::vector<int64_t> kRank7 = {1, 1, 1, 1, 1, 1, 1};
@@ -175,10 +180,9 @@ TEST(Serialize, SlotStoreRejectsForeignRowShape) {
 
 TEST(Serialize, SlotStoreRejectsLabelOutOfRange) {
   // The crafted row is labelled 3; the loader is told to accept only 0.
-  std::stringstream ss(crafted_slot_store({1, 2}, 2));
   replay::SlotStore store(4);
-  EXPECT_NO_THROW(
-      EXPECT_FALSE(replay::load_slot_store_q(store, ss, Shape{{1, 2}}, 0, 1)));
+  EXPECT_NO_THROW(EXPECT_FALSE(
+      load_frame(store, crafted_slot_store({1, 2}, 2), Shape{{1, 2}}, 1)));
 }
 
 TEST(Serialize, SlotStoreRejectsSeenBelowCount) {

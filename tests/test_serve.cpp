@@ -19,7 +19,6 @@
 #include <future>
 #include <iterator>
 #include <span>
-#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -119,10 +118,10 @@ class ServeSuite : public ::testing::Test {
     }
     // Long-term store contents: every class's keys, labels and rows in
     // slot order, compared as the stores' own frames.
-    std::ostringstream la, lb;
-    ASSERT_TRUE(a.long_term().save(la));
-    ASSERT_TRUE(b.long_term().save(lb));
-    EXPECT_TRUE(la.str() == lb.str()) << "LT contents differ";
+    core::ByteBuf la, lb;
+    a.long_term().save(la);
+    b.long_term().save(lb);
+    EXPECT_TRUE(la == lb) << "LT contents differ";
     // Preference statistics, including mid-window counters.
     EXPECT_EQ(a.preferences().samples_seen(), b.preferences().samples_seen());
     EXPECT_EQ(a.preferences().window_seen(), b.preferences().window_seen());
@@ -140,8 +139,7 @@ class ServeSuite : public ::testing::Test {
   // The learner's full CHS2 blob.
   static core::ByteBuf blob_of(const core::ChameleonLearner& learner) {
     core::ByteBuf blob;
-    core::ByteBufWriter os(blob);
-    EXPECT_TRUE(learner.save_state(os));
+    EXPECT_TRUE(learner.save_state(blob));
     return blob;
   }
 
@@ -1010,10 +1008,7 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
   core::ChameleonLearner source(exp_->env(), learner_config(), seed);
   source.observe(batches[0]);
   core::ByteBuf base;
-  {
-    core::ByteBufWriter os(base);
-    ASSERT_TRUE(source.save_state(os));
-  }
+  ASSERT_TRUE(source.save_state(base));
   std::vector<data::ServeOp> ops(3);
   ops[0].batch = batches[1];
   ops[1].predict = true;
@@ -1023,10 +1018,7 @@ TEST_F(ServeSuite, OpLogDeltaRestoreReplaysFromDisk) {
   (void)source.predict(test_keys);
   source.observe(batches[2]);
   core::ByteBuf target;
-  {
-    core::ByteBufWriter os(target);
-    ASSERT_TRUE(source.save_state(os));
-  }
+  ASSERT_TRUE(source.save_state(target));
   core::DeltaHeader h;
   h.kind = core::DeltaKind::kOpLog;
   h.base_hash = core::blob_hash(base.data(), base.size());
@@ -1080,8 +1072,7 @@ TEST_F(ServeSuite, ReplayRestoredSessionCompactsOnFirstEviction) {
                                     split_seed(sc.base_seed, sid));
       auto snapshot = [&source] {
         core::ByteBuf blob;
-        core::ByteBufWriter os(blob);
-        EXPECT_TRUE(source.save_state(os));
+        EXPECT_TRUE(source.save_state(blob));
         return blob;
       };
       source.observe(batches[0]);
@@ -1158,8 +1149,7 @@ TEST_F(ServeSuite, StaleDeltaIsIgnoredOnLoad) {
                                  split_seed(sc.base_seed, sid));
   auto snapshot = [&learner] {
     core::ByteBuf blob;
-    core::ByteBufWriter os(blob);
-    EXPECT_TRUE(learner.save_state(os));
+    EXPECT_TRUE(learner.save_state(blob));
     return blob;
   };
   learner.observe(batches[0]);
@@ -1381,8 +1371,7 @@ TEST_F(ServeSuite, SnapshotCacheOvershootIsAtMostOneBlob) {
   {
     core::ChameleonLearner probe(exp_->env(), learner_config(), 1);
     probe.observe(batches[0][0]);
-    core::ByteBufWriter os(probe_blob);
-    ASSERT_TRUE(probe.save_state(os));
+    ASSERT_TRUE(probe.save_state(probe_blob));
   }
   serve::ServeConfig sc;
   sc.num_shards = 2;
